@@ -18,6 +18,7 @@ use hetsim_cluster::selfsched::{dynamic_schedule, static_schedule};
 use hetsim_cluster::sunwulf;
 use hetsim_cluster::time::SimTime;
 use hetsim_cluster::topology::SegmentedNetwork;
+use hetsim_mpi::RunSpec;
 use kernels::ge::ge_parallel_timed_with;
 use kernels::mm::{mm_parallel_timed, mm_parallel_timed_with};
 use kernels::workload::{ge_work, mm_work};
@@ -135,7 +136,7 @@ pub fn ablate_placement(n: usize) -> Table {
     );
     for (name, map) in layouts {
         let net = SegmentedNetwork::new(map, local, uplink);
-        let out = mm_parallel_timed(&cluster, &net, n);
+        let out = mm_parallel_timed(&cluster, &net, n, RunSpec::default());
         let time = out.makespan.as_secs();
         t.push_row(vec![
             name.to_string(),

@@ -16,6 +16,7 @@ use crate::table::{fnum, Table};
 use hetsim_cluster::memory::{ge_feasible, max_feasible};
 use hetsim_cluster::sunwulf;
 use hetsim_cluster::ClusterSpec;
+use hetsim_mpi::RunSpec;
 use kernels::ge::ge_parallel_timed;
 use kernels::workload::ge_work;
 use scalability::baselines::isoefficiency::parallel_efficiency;
@@ -47,7 +48,7 @@ pub fn baseline_comparison(params: &ExperimentParams) -> Table {
             .expect("target reachable")
             .round() as usize;
     let (w1, w2) = (ge_work(n1), ge_work(n2));
-    let t1 = ge_parallel_timed(&small, &net, n1).makespan.as_secs();
+    let t1 = ge_parallel_timed(&small, &net, n1, RunSpec::default()).makespan.as_secs();
 
     let mut t = Table::new(
         "Extension B1 — every metric on the GE 2 -> 4 node scenario",
@@ -97,7 +98,7 @@ pub fn baseline_comparison(params: &ExperimentParams) -> Table {
         cost_per_sec: 2.0,
         half_value_response: 10.0,
     };
-    let t2_scaled = ge_parallel_timed(&big, &net, n2).makespan.as_secs();
+    let t2_scaled = ge_parallel_timed(&big, &net, n2, RunSpec::default()).makespan.as_secs();
     let paid = ProductivityModel {
         throughput: 1.0 / t2_scaled,
         response_time: t2_scaled,

@@ -9,7 +9,8 @@
 use crate::table::{fnum, Table};
 use hetsim_cluster::sunwulf;
 use hetsim_mpi::trace::{OpKind, OverheadBreakdown};
-use kernels::ge::ge_parallel_timed_traced;
+use hetsim_mpi::RunSpec;
+use kernels::ge::ge_parallel_timed;
 
 /// Runs traced GE at problem size `n` on each ladder rung and tabulates
 /// the share of total rank-time per operation kind.
@@ -21,8 +22,8 @@ pub fn overhead_decomposition(ladder: &[usize], n: usize) -> Table {
     );
     for &p in ladder {
         let cluster = sunwulf::ge_config(p);
-        let (_outcome, traces) = ge_parallel_timed_traced(&cluster, &net, n);
-        let b = OverheadBreakdown::from_traces(&traces);
+        let traced = ge_parallel_timed(&cluster, &net, n, RunSpec { trace: true, faults: None });
+        let b = OverheadBreakdown::from_traces(&traced.traces);
         let pct = |k: OpKind| b.fraction(k) * 100.0;
         let p2p = pct(OpKind::Send) + pct(OpKind::Recv);
         let other = pct(OpKind::Gather) + pct(OpKind::Scatter);

@@ -18,8 +18,9 @@ use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::sunwulf;
 use hetsim_cluster::time::SimTime;
-use kernels::ge::{ge_parallel_timed_faulted, ge_parallel_timed_faulted_traced};
-use kernels::mm::{mm_parallel_timed_faulted, mm_parallel_timed_faulted_traced};
+use hetsim_mpi::RunSpec;
+use kernels::ge::ge_parallel_timed;
+use kernels::mm::mm_parallel_timed;
 use kernels::workload::{ge_work, mm_work};
 use scalability::metric::{AlgorithmSystem, ScalabilityLadder};
 use scalability::report::{analyze, RobustnessAnnex, ScalabilityReport};
@@ -157,17 +158,18 @@ impl<N: NetworkModel> AlgorithmSystem for FaultedSystem<'_, N> {
         }
     }
     fn execute(&self, n: usize) -> f64 {
+        let spec = RunSpec { trace: false, faults: Some(&self.plan) };
         match self.kernel {
             Kernel::Ge => {
                 crate::memo::cached("ge", &self.cluster, self.network, n, Some(&self.plan), || {
-                    ge_parallel_timed_faulted(&self.cluster, self.network, &self.plan, n)
+                    ge_parallel_timed(&self.cluster, self.network, n, spec)
                 })
                 .makespan
                 .as_secs()
             }
             Kernel::Mm => {
                 crate::memo::cached("mm", &self.cluster, self.network, n, Some(&self.plan), || {
-                    mm_parallel_timed_faulted(&self.cluster, self.network, &self.plan, n)
+                    mm_parallel_timed(&self.cluster, self.network, n, spec)
                 })
                 .makespan
                 .as_secs()
@@ -224,13 +226,10 @@ fn measure_kernel<N: NetworkModel>(
         }
         // Representative traced run at a fixed size: retry fraction and
         // (for deaths) the survivor repartition.
+        let traced = RunSpec { trace: true, faults: Some(&faulted.plan) };
         let traces = match kernel {
-            Kernel::Ge => {
-                ge_parallel_timed_faulted_traced(&faulted.cluster, net, &faulted.plan, repr_n).1
-            }
-            Kernel::Mm => {
-                mm_parallel_timed_faulted_traced(&faulted.cluster, net, &faulted.plan, repr_n).1
-            }
+            Kernel::Ge => ge_parallel_timed(&faulted.cluster, net, repr_n, traced).traces,
+            Kernel::Mm => mm_parallel_timed(&faulted.cluster, net, repr_n, traced).traces,
         };
         let dead: Vec<usize> = severity.plan(p_scaled).deaths().keys().copied().collect();
         let repartition_cost_secs = if dead.is_empty() {

@@ -38,8 +38,8 @@ use hetsim_cluster::faults::{
 };
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::sunwulf;
-use kernels::ge::{ge_parallel_timed_recoverable, ge_parallel_timed_recoverable_traced};
-use kernels::mm::{mm_parallel_timed_recoverable, mm_parallel_timed_recoverable_traced};
+use kernels::ge::ge_parallel_timed_recoverable;
+use kernels::mm::mm_parallel_timed_recoverable;
 use kernels::recover::estimated_run_secs;
 use kernels::workload::{ge_work, mm_work};
 use kernels::RecoveryOutcome;
@@ -241,12 +241,26 @@ impl<N: NetworkModel> AlgorithmSystem for RecoverableSystem<'_, N> {
         crate::memo::cached(label, &self.cluster, self.network, n, Some(&plan), || {
             match self.kernel {
                 Kernel::Ge => {
-                    ge_parallel_timed_recoverable(&self.cluster, self.network, &plan, policy, n)
-                        .timing
+                    ge_parallel_timed_recoverable(
+                        &self.cluster,
+                        self.network,
+                        &plan,
+                        policy,
+                        n,
+                        false,
+                    )
+                    .timing
                 }
                 Kernel::Mm => {
-                    mm_parallel_timed_recoverable(&self.cluster, self.network, &plan, policy, n)
-                        .timing
+                    mm_parallel_timed_recoverable(
+                        &self.cluster,
+                        self.network,
+                        &plan,
+                        policy,
+                        n,
+                        false,
+                    )
+                    .timing
                 }
             }
         })
@@ -316,24 +330,28 @@ fn measure_kernel<N: NetworkModel>(
         // Representative traced run: the recovery spans feed the annex's
         // overhead breakdown; the typed decomposition comes from the
         // driver's own accounting.
+        // The row keeps the outcome but not its traces.
         let plan = system.plan_for(repr_n);
         let cell_policy = system.policy_for(repr_n);
-        let (outcome, traces) = match kernel {
-            Kernel::Ge => ge_parallel_timed_recoverable_traced(
+        let mut outcome = match kernel {
+            Kernel::Ge => ge_parallel_timed_recoverable(
                 &system.cluster,
                 net,
                 &plan,
                 cell_policy,
                 repr_n,
+                true,
             ),
-            Kernel::Mm => mm_parallel_timed_recoverable_traced(
+            Kernel::Mm => mm_parallel_timed_recoverable(
                 &system.cluster,
                 net,
                 &plan,
                 cell_policy,
                 repr_n,
+                true,
             ),
         };
+        let traces = std::mem::take(&mut outcome.timing.traces);
         let dead: Vec<usize> = outcome.death.map(|ev| ev.rank).into_iter().collect();
         let mut annex = RobustnessAnnex::from_comparison(
             psi_baseline,
@@ -421,8 +439,8 @@ fn daly_check(kernel: Kernel, p: usize, quick: bool) -> DalyCheck {
         let plan = FaultPlan::new(crate::seed::plan_seed() + DALY_SEED_SALT + s).with_mtbf(mtbf);
         let policy = RecoveryPolicy::CheckpointRestart { interval_secs: DALY_GRID[mi] * daly };
         let outcome = match kernel {
-            Kernel::Ge => ge_parallel_timed_recoverable(&cluster, &net, &plan, policy, n),
-            Kernel::Mm => mm_parallel_timed_recoverable(&cluster, &net, &plan, policy, n),
+            Kernel::Ge => ge_parallel_timed_recoverable(&cluster, &net, &plan, policy, n, false),
+            Kernel::Mm => mm_parallel_timed_recoverable(&cluster, &net, &plan, policy, n, false),
         };
         outcome.timing.makespan.as_secs()
     });
@@ -687,28 +705,30 @@ mod tests {
     fn observed_inputs_fire_recovery_spans() {
         use hetsim_mpi::trace::OpKind;
         let (cluster, plan, policy, n) = ge_observed_inputs(true);
-        let (_, traces) = ge_parallel_timed_recoverable_traced(
+        let outcome = ge_parallel_timed_recoverable(
             &cluster,
             &sunwulf::sunwulf_network(),
             &plan,
             policy,
             n,
+            true,
         );
         let kinds: Vec<OpKind> =
-            traces.iter().flat_map(|t| t.records.iter().map(|r| r.kind)).collect();
+            outcome.timing.traces.iter().flat_map(|t| t.records.iter().map(|r| r.kind)).collect();
         assert!(kinds.contains(&OpKind::Checkpoint), "GE obs run must checkpoint");
 
         let (cluster, plan, policy, n) = mm_observed_inputs(true);
-        let (outcome, traces) = mm_parallel_timed_recoverable_traced(
+        let outcome = mm_parallel_timed_recoverable(
             &cluster,
             &sunwulf::sunwulf_network(),
             &plan,
             policy,
             n,
+            true,
         );
         assert!(outcome.death.is_some(), "MM obs run must lose a rank");
         let kinds: Vec<OpKind> =
-            traces.iter().flat_map(|t| t.records.iter().map(|r| r.kind)).collect();
+            outcome.timing.traces.iter().flat_map(|t| t.records.iter().map(|r| r.kind)).collect();
         assert!(kinds.contains(&OpKind::Detect));
         assert!(kinds.contains(&OpKind::Rebalance));
     }

@@ -14,6 +14,7 @@ use crate::systems::{power_iters, stencil_iters};
 use crate::table::{fnum, Table};
 use hetsim_cluster::calibrate::calibrate;
 use hetsim_cluster::sunwulf;
+use hetsim_mpi::RunSpec;
 use kernels::ge::ge_parallel_timed;
 use kernels::mm::mm_parallel_timed;
 use kernels::power::power_parallel_timed;
@@ -44,25 +45,33 @@ pub fn model_validation(ladder: &[usize], sizes: &[usize]) -> Table {
             (
                 "GE",
                 Box::new(move |n| ge_pred.predicted_time_secs(n)),
-                Box::new(|n| ge_parallel_timed(&cluster, &net, n).makespan.as_secs()),
+                Box::new(|n| {
+                    ge_parallel_timed(&cluster, &net, n, RunSpec::default()).makespan.as_secs()
+                }),
             ),
             (
                 "MM",
                 Box::new(move |n| mm_pred.predicted_time_secs(n)),
-                Box::new(|n| mm_parallel_timed(&cluster, &net, n).makespan.as_secs()),
+                Box::new(|n| {
+                    mm_parallel_timed(&cluster, &net, n, RunSpec::default()).makespan.as_secs()
+                }),
             ),
             (
                 "Stencil",
                 Box::new(move |n| st_pred.predicted_time_secs(n)),
                 Box::new(|n| {
-                    stencil_parallel_timed(&cluster, &net, n, stencil_iters(n)).makespan.as_secs()
+                    stencil_parallel_timed(&cluster, &net, n, stencil_iters(n), RunSpec::default())
+                        .makespan
+                        .as_secs()
                 }),
             ),
             (
                 "Power",
                 Box::new(move |n| pw_pred.predicted_time_secs(n)),
                 Box::new(|n| {
-                    power_parallel_timed(&cluster, &net, n, power_iters(n)).makespan.as_secs()
+                    power_parallel_timed(&cluster, &net, n, power_iters(n), RunSpec::default())
+                        .makespan
+                        .as_secs()
                 }),
             ),
         ];

@@ -123,6 +123,7 @@ mod tests {
     use super::*;
     use hetsim_cluster::network::{JitteredNetwork, MpichEthernet};
     use hetsim_cluster::sunwulf;
+    use hetsim_mpi::RunSpec;
     use kernels::ge::ge_parallel_timed;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -136,14 +137,14 @@ mod tests {
         let run = || {
             cached("ge", &cluster, &net, 97, None, || {
                 calls.fetch_add(1, Ordering::Relaxed);
-                ge_parallel_timed(&cluster, &net, 97)
+                ge_parallel_timed(&cluster, &net, 97, RunSpec::default())
             })
         };
         let first = run();
         let second = run();
         assert_eq!(calls.load(Ordering::Relaxed), 1, "second touch must hit the cache");
         assert_eq!(first, second);
-        assert_eq!(first, ge_parallel_timed(&cluster, &net, 97));
+        assert_eq!(first, ge_parallel_timed(&cluster, &net, 97, RunSpec::default()));
     }
 
     #[test]
@@ -151,10 +152,14 @@ mod tests {
         let cluster = sunwulf::ge_config(2);
         let a = JitteredNetwork::new(sunwulf::sunwulf_network(), 0.05, 1);
         let b = JitteredNetwork::new(sunwulf::sunwulf_network(), 0.05, 2);
-        let ra = cached("ge", &cluster, &a, 83, None, || ge_parallel_timed(&cluster, &a, 83));
-        let rb = cached("ge", &cluster, &b, 83, None, || ge_parallel_timed(&cluster, &b, 83));
+        let ra = cached("ge", &cluster, &a, 83, None, || {
+            ge_parallel_timed(&cluster, &a, 83, RunSpec::default())
+        });
+        let rb = cached("ge", &cluster, &b, 83, None, || {
+            ge_parallel_timed(&cluster, &b, 83, RunSpec::default())
+        });
         assert_ne!(ra.makespan, rb.makespan, "different seeds must key different cells");
-        assert_eq!(rb, ge_parallel_timed(&cluster, &b, 83));
+        assert_eq!(rb, ge_parallel_timed(&cluster, &b, 83, RunSpec::default()));
     }
 
     #[test]
@@ -182,7 +187,7 @@ mod tests {
         for _ in 0..2 {
             cached("memo-bypass-test", &cluster, &Opaque, 61, None, || {
                 calls.fetch_add(1, Ordering::Relaxed);
-                ge_parallel_timed(&cluster, &Opaque, 61)
+                ge_parallel_timed(&cluster, &Opaque, 61, RunSpec::default())
             });
         }
         assert_eq!(calls.load(Ordering::Relaxed), 2, "no fingerprint — every touch computes");
@@ -201,7 +206,7 @@ mod tests {
         for ladder in [[40usize, 56], [40, 72]] {
             for n in ladder {
                 cached("memo-stats-test", &cluster, &net, n, None, || {
-                    ge_parallel_timed(&cluster, &net, n)
+                    ge_parallel_timed(&cluster, &net, n, RunSpec::default())
                 });
             }
         }

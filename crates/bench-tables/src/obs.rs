@@ -9,7 +9,7 @@
 //!   per rank;
 //! - `DIR/<run>.jsonl` — the compact record-per-line form that
 //!   [`hetsim_obs::parse_trace_jsonl`] round-trips bit-exactly;
-//! - `FILE` — one JSON document combining, per run, the metrics-registry
+//! - `FILE` — one JSON document combining, per run, the metrics
 //!   snapshot (per-kind time fractions summing to 1), the per-rank
 //!   compute/transfer/wait split, load-imbalance ratios, and the
 //!   critical-path summary.
@@ -21,14 +21,15 @@
 use hetsim_cluster::sunwulf;
 use hetsim_cluster::time::SimTime;
 use hetsim_mpi::trace::RankTrace;
+use hetsim_mpi::RunSpec;
 use hetsim_obs::{
     chrome_trace_json, critical_path, load_imbalance, rank_activity, trace_jsonl, Json,
-    MetricsRegistry,
+    MetricsSnapshot,
 };
-use kernels::ge::ge_parallel_timed_traced;
-use kernels::mm::mm_parallel_timed_traced;
-use kernels::power::power_parallel_timed_traced;
-use kernels::stencil::stencil_parallel_timed_traced;
+use kernels::ge::ge_parallel_timed;
+use kernels::mm::mm_parallel_timed;
+use kernels::power::power_parallel_timed;
+use kernels::stencil::stencil_parallel_timed;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
@@ -52,34 +53,37 @@ pub fn observed_runs(quick: bool) -> Vec<ObservedRun> {
     let grid_n = if quick { 128 } else { 256 };
     let ge_cluster = sunwulf::ge_config(p);
     let mm_cluster = sunwulf::mm_config(p);
+    let traced = RunSpec { trace: true, faults: None };
     vec![
         ObservedRun {
             name: format!("ge-p{p}-n{ge_n}"),
-            traces: ge_parallel_timed_traced(&ge_cluster, &net, ge_n).1,
+            traces: ge_parallel_timed(&ge_cluster, &net, ge_n, traced).traces,
         },
         ObservedRun {
             name: format!("mm-p{p}-n{mm_n}"),
-            traces: mm_parallel_timed_traced(&mm_cluster, &net, mm_n).1,
+            traces: mm_parallel_timed(&mm_cluster, &net, mm_n, traced).traces,
         },
         ObservedRun {
             name: format!("stencil-p{p}-n{grid_n}"),
-            traces: stencil_parallel_timed_traced(
+            traces: stencil_parallel_timed(
                 &ge_cluster,
                 &net,
                 grid_n,
                 crate::systems::stencil_iters(grid_n),
+                traced,
             )
-            .1,
+            .traces,
         },
         ObservedRun {
             name: format!("power-p{p}-n{grid_n}"),
-            traces: power_parallel_timed_traced(
+            traces: power_parallel_timed(
                 &ge_cluster,
                 &net,
                 grid_n,
                 crate::systems::power_iters(grid_n),
+                traced,
             )
-            .1,
+            .traces,
         },
     ]
 }
@@ -91,8 +95,6 @@ pub fn observed_runs(quick: bool) -> Vec<ObservedRun> {
 /// these exports share the byte-stability guarantee.
 pub fn observed_runs_faulted(quick: bool) -> Vec<ObservedRun> {
     use crate::experiments::faults::Severity;
-    use kernels::ge::ge_parallel_timed_faulted_traced;
-    use kernels::mm::mm_parallel_timed_faulted_traced;
     let net = sunwulf::sunwulf_network();
     let p = if quick { 8 } else { 16 };
     let ge_n = if quick { 192 } else { 384 };
@@ -100,14 +102,15 @@ pub fn observed_runs_faulted(quick: bool) -> Vec<ObservedRun> {
     let plan = Severity::StragglerDrops.plan(p);
     let ge_cluster = sunwulf::ge_config(p);
     let mm_cluster = sunwulf::mm_config(p);
+    let traced = RunSpec { trace: true, faults: Some(&plan) };
     vec![
         ObservedRun {
             name: format!("ge-p{p}-n{ge_n}-faulted"),
-            traces: ge_parallel_timed_faulted_traced(&ge_cluster, &net, &plan, ge_n).1,
+            traces: ge_parallel_timed(&ge_cluster, &net, ge_n, traced).traces,
         },
         ObservedRun {
             name: format!("mm-p{p}-n{mm_n}-faulted"),
-            traces: mm_parallel_timed_faulted_traced(&mm_cluster, &net, &plan, mm_n).1,
+            traces: mm_parallel_timed(&mm_cluster, &net, mm_n, traced).traces,
         },
     ]
 }
@@ -120,8 +123,8 @@ pub fn observed_runs_faulted(quick: bool) -> Vec<ObservedRun> {
 /// share the byte-stability guarantee.
 pub fn observed_runs_recovered(quick: bool) -> Vec<ObservedRun> {
     use crate::experiments::recover::{ge_observed_inputs, mm_observed_inputs};
-    use kernels::ge::ge_parallel_timed_recoverable_traced;
-    use kernels::mm::mm_parallel_timed_recoverable_traced;
+    use kernels::ge::ge_parallel_timed_recoverable;
+    use kernels::mm::mm_parallel_timed_recoverable;
     let net = sunwulf::sunwulf_network();
     let (ge_cluster, ge_plan, ge_policy, ge_n) = ge_observed_inputs(quick);
     let (mm_cluster, mm_plan, mm_policy, mm_n) = mm_observed_inputs(quick);
@@ -130,25 +133,29 @@ pub fn observed_runs_recovered(quick: bool) -> Vec<ObservedRun> {
     vec![
         ObservedRun {
             name: format!("ge-p{ge_p}-n{ge_n}-recover-ckpt"),
-            traces: ge_parallel_timed_recoverable_traced(
+            traces: ge_parallel_timed_recoverable(
                 &ge_cluster,
                 &net,
                 &ge_plan,
                 ge_policy,
                 ge_n,
+                true,
             )
-            .1,
+            .timing
+            .traces,
         },
         ObservedRun {
             name: format!("mm-p{mm_p}-n{mm_n}-recover-shrink"),
-            traces: mm_parallel_timed_recoverable_traced(
+            traces: mm_parallel_timed_recoverable(
                 &mm_cluster,
                 &net,
                 &mm_plan,
                 mm_policy,
                 mm_n,
+                true,
             )
-            .1,
+            .timing
+            .traces,
         },
     ]
 }
@@ -173,16 +180,13 @@ pub fn write_trace_dir(dir: &Path, runs: &[ObservedRun]) -> io::Result<Vec<Strin
 ///
 /// Shape: `{"schema": ..., "runs": {name: {"metrics": <registry
 /// snapshot>, "activity": [...], "imbalance": {...}, "critical_path":
-/// {...}}}}`. The registry snapshot's `fractions` cover every
+/// {...}}}}`. The metrics snapshot's `fractions` cover every
 /// [`hetsim_mpi::trace::OpKind`] and sum to 1.
 pub fn metrics_json(runs: &[ObservedRun]) -> Json {
     let mut by_name = BTreeMap::new();
     for run in runs {
         let mut obj = BTreeMap::new();
-        obj.insert(
-            "metrics".to_string(),
-            MetricsRegistry::from_traces(&run.traces).snapshot().to_json(),
-        );
+        obj.insert("metrics".to_string(), MetricsSnapshot::from_traces(&run.traces).to_json());
         let activity = rank_activity(&run.traces);
         obj.insert(
             "activity".to_string(),
@@ -236,7 +240,8 @@ mod tests {
         let net = sunwulf::sunwulf_network();
         ObservedRun {
             name: "ge-p4-n96".to_string(),
-            traces: ge_parallel_timed_traced(&cluster, &net, 96).1,
+            traces: ge_parallel_timed(&cluster, &net, 96, RunSpec { trace: true, faults: None })
+                .traces,
         }
     }
 

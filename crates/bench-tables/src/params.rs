@@ -5,10 +5,8 @@
 //! mirrors the paper (ladders to 32 nodes); `ExperimentParams::quick()`
 //! shrinks sweeps for smoke tests and CI.
 
-use serde::{Deserialize, Serialize};
-
 /// Tunable knobs for the experiment suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentParams {
     /// Node counts of the GE ladder (paper: 2, 4, 8, 16, 32).
     pub ge_ladder: Vec<usize>,

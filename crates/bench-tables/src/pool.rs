@@ -15,9 +15,8 @@
 //! parallelism. `--jobs 1` short-circuits to a plain sequential loop
 //! and serves as the reference the determinism tests compare against.
 //!
-//! Built on `std::thread::scope` (the vendored crossbeam shim does not
-//! provide scoped threads); a panicking cell propagates when the scope
-//! joins, exactly like the sequential loop.
+//! Built on `std::thread::scope`; a panicking cell propagates when the
+//! scope joins, exactly like the sequential loop.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};

@@ -11,6 +11,7 @@ use crate::params::MEGA_POWER_ITERS;
 use hetsim_cluster::classed::ClassedCluster;
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
+use hetsim_mpi::RunSpec;
 use kernels::ge::ge_parallel_timed;
 use kernels::mega::{ge_mega, mm_mega, power_mega};
 use kernels::mm::mm_parallel_timed;
@@ -59,7 +60,7 @@ impl<N: NetworkModel> AlgorithmSystem for GeSystem<'_, N> {
     }
     fn execute(&self, n: usize) -> f64 {
         crate::memo::cached("ge", self.cluster, self.network, n, None, || {
-            ge_parallel_timed(self.cluster, self.network, n)
+            ge_parallel_timed(self.cluster, self.network, n, RunSpec::default())
         })
         .makespan
         .as_secs()
@@ -93,7 +94,7 @@ impl<N: NetworkModel> AlgorithmSystem for MmSystem<'_, N> {
     }
     fn execute(&self, n: usize) -> f64 {
         crate::memo::cached("mm", self.cluster, self.network, n, None, || {
-            mm_parallel_timed(self.cluster, self.network, n)
+            mm_parallel_timed(self.cluster, self.network, n, RunSpec::default())
         })
         .makespan
         .as_secs()
@@ -130,7 +131,13 @@ impl<N: NetworkModel> AlgorithmSystem for StencilSystem<'_, N> {
         // `stencil_iters(n)` is a pure function of `n`, so the kernel
         // tag + `n` still pin the cell.
         crate::memo::cached("stencil", self.cluster, self.network, n, None, || {
-            stencil_parallel_timed(self.cluster, self.network, n, stencil_iters(n))
+            stencil_parallel_timed(
+                self.cluster,
+                self.network,
+                n,
+                stencil_iters(n),
+                RunSpec::default(),
+            )
         })
         .makespan
         .as_secs()
@@ -165,7 +172,7 @@ impl<N: NetworkModel> AlgorithmSystem for PowerSystem<'_, N> {
     }
     fn execute(&self, n: usize) -> f64 {
         crate::memo::cached("power", self.cluster, self.network, n, None, || {
-            power_parallel_timed(self.cluster, self.network, n, power_iters(n))
+            power_parallel_timed(self.cluster, self.network, n, power_iters(n), RunSpec::default())
         })
         .makespan
         .as_secs()
@@ -211,7 +218,9 @@ impl<N: NetworkModel> AlgorithmSystem for MegaMmSystem<'_, N> {
                 .makespan
                 .as_secs()
         } else {
-            mm_parallel_timed(&self.cluster.materialize(), self.network, n).makespan.as_secs()
+            mm_parallel_timed(&self.cluster.materialize(), self.network, n, RunSpec::default())
+                .makespan
+                .as_secs()
         }
     }
 }
@@ -254,7 +263,9 @@ impl<N: NetworkModel> AlgorithmSystem for MegaGeSystem<'_, N> {
     }
     fn execute(&self, n: usize) -> f64 {
         if !hetsim_mpi::analytic_enabled() && self.cluster.size() <= Self::ORACLE_MAX_RANKS {
-            ge_parallel_timed(&self.cluster.materialize(), self.network, n).makespan.as_secs()
+            ge_parallel_timed(&self.cluster.materialize(), self.network, n, RunSpec::default())
+                .makespan
+                .as_secs()
         } else {
             ge_mega(self.cluster, self.network, n)
                 .expect("the mega network prices per class")
@@ -292,7 +303,15 @@ impl<'a, N: NetworkModel> MegaPowerSystem<'a, N> {
                 .makespan
                 .as_secs()
         } else {
-            power_parallel_timed(&self.cluster.materialize(), self.network, n, 0).makespan.as_secs()
+            power_parallel_timed(
+                &self.cluster.materialize(),
+                self.network,
+                n,
+                0,
+                RunSpec::default(),
+            )
+            .makespan
+            .as_secs()
         }
     }
 }
@@ -314,9 +333,15 @@ impl<N: NetworkModel> AlgorithmSystem for MegaPowerSystem<'_, N> {
                 .makespan
                 .as_secs()
         } else {
-            power_parallel_timed(&self.cluster.materialize(), self.network, n, MEGA_POWER_ITERS)
-                .makespan
-                .as_secs()
+            power_parallel_timed(
+                &self.cluster.materialize(),
+                self.network,
+                n,
+                MEGA_POWER_ITERS,
+                RunSpec::default(),
+            )
+            .makespan
+            .as_secs()
         }
     }
 }

@@ -1,10 +1,9 @@
 //! Plain-text and CSV rendering of experiment tables.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A titled table of string cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Table title, printed above the grid.
     pub title: String,

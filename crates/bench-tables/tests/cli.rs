@@ -279,6 +279,48 @@ fn quick_stats_doc_reports_full_analytic_coverage_inline() {
     assert!(text.contains("\"schema\":\"hetscale-telemetry/2\""), "schema missing: {text}");
 }
 
+// Engine routing is pinned across commits: each document counts the
+// calls priced per engine path (closed forms, event-driven fallback /
+// faulted / forced / traced, typed fallback reasons), so a call that
+// reaches a different tier changes its bytes. Regenerate the fixtures
+// with UPDATE_GOLDEN=1 only for an intended routing change, and review
+// the diff.
+#[test]
+fn stats_docs_match_golden_fixtures() {
+    let dir = temp_dir("golden");
+    let traces = dir.join("traces");
+    let metrics = dir.join("metrics.json");
+    let obs = [
+        "--quick",
+        "--faults",
+        "recover",
+        "--trace-out",
+        traces.to_str().expect("utf-8 temp path"),
+        "--metrics-out",
+        metrics.to_str().expect("utf-8 temp path"),
+    ];
+    for (fixture, args) in [
+        ("stats_quick.json", &["--quick"][..]),
+        ("stats_full.json", &[][..]),
+        ("stats_quick_faults_recover_obs.json", &obs[..]),
+        ("stats_surface.json", &["surface"][..]),
+        ("stats_quick_mega.json", &["--quick", "mega"][..]),
+    ] {
+        let doc = stats_doc(&dir, fixture, args);
+        let path = format!("{}/tests/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::write(&path, &doc).expect("write fixture");
+        }
+        let golden = std::fs::read(&path).expect("golden fixture present");
+        assert!(
+            doc == golden,
+            "{args:?}: --stats-out drifted from tests/fixtures/{fixture}; if the routing \
+             change is intentional, rerun with UPDATE_GOLDEN=1 and review the diff"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn stats_out_prints_per_id_summaries_on_stderr() {
     let dir = temp_dir("summaries");

@@ -21,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetsim_cluster::network::MpichEthernet;
 use hetsim_cluster::{sunwulf, ClusterSpec};
-use hetsim_mpi::{record_spmd, run_spmd, run_spmd_fast, SpmdTimer, Tag};
+use hetsim_mpi::{record_spmd, run_spmd, run_spmd_fast, RunSpec, SpmdTimer, Tag};
 use kernels::ge::ge_parallel_timed;
 use kernels::mm::mm_parallel_timed;
 use std::hint::black_box;
@@ -88,7 +88,10 @@ fn bench_end_to_end(c: &mut Criterion) {
             &cluster,
             |b, cluster| {
                 b.iter(|| {
-                    black_box(run_spmd_fast(cluster, &net(), |t| mixed_body(t, 16)).makespan())
+                    black_box(
+                        run_spmd_fast(cluster, &net(), RunSpec::default(), |t| mixed_body(t, 16))
+                            .makespan(),
+                    )
                 })
             },
         );
@@ -97,16 +100,18 @@ fn bench_end_to_end(c: &mut Criterion) {
     // ranks is exactly the cost the fast path exists to avoid.
     let homog = ClusterSpec::homogeneous(8, 50.0);
     group.bench_with_input(BenchmarkId::new("threaded_mixed_x16", "homog_8"), &homog, |b, cl| {
-        b.iter(|| black_box(run_spmd(cl, &net(), |r| mixed_body(r, 16)).makespan()))
+        b.iter(|| {
+            black_box(run_spmd(cl, &net(), RunSpec::default(), |r| mixed_body(r, 16)).makespan())
+        })
     });
     // Production timed kernels (GE routes through its closed-form
     // evaluator, MM through record + simulate) at bench sizes.
     for n in [128usize, 256] {
         group.bench_with_input(BenchmarkId::new("ge_timed", n), &n, |b, &n| {
-            b.iter(|| black_box(ge_parallel_timed(&homog, &net(), n).makespan))
+            b.iter(|| black_box(ge_parallel_timed(&homog, &net(), n, RunSpec::default()).makespan))
         });
         group.bench_with_input(BenchmarkId::new("mm_timed", n), &n, |b, &n| {
-            b.iter(|| black_box(mm_parallel_timed(&homog, &net(), n).makespan))
+            b.iter(|| black_box(mm_parallel_timed(&homog, &net(), n, RunSpec::default()).makespan))
         });
     }
     group.finish();

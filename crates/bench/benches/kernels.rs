@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetscale_bench::{BENCH_GE_N, BENCH_MM_N};
 use hetsim_cluster::network::MpichEthernet;
 use hetsim_cluster::{ClusterSpec, NodeSpec};
+use hetsim_mpi::RunSpec;
 use kernels::ge::{ge_parallel, ge_parallel_timed, ge_sequential};
 use kernels::matrix::Matrix;
 use kernels::mm::{mm_parallel, mm_parallel_timed, mm_sequential};
@@ -36,7 +37,7 @@ fn bench_ge(c: &mut Criterion) {
             bench.iter(|| black_box(ge_parallel(&cluster, &net(), &a, &b)))
         });
         group.bench_with_input(BenchmarkId::new("parallel_timed", p), &p, |bench, _| {
-            bench.iter(|| black_box(ge_parallel_timed(&cluster, &net(), n)))
+            bench.iter(|| black_box(ge_parallel_timed(&cluster, &net(), n, RunSpec::default())))
         });
     }
     group.finish();
@@ -55,7 +56,7 @@ fn bench_mm(c: &mut Criterion) {
             bench.iter(|| black_box(mm_parallel(&cluster, &net(), &a, &b)))
         });
         group.bench_with_input(BenchmarkId::new("parallel_timed", p), &p, |bench, _| {
-            bench.iter(|| black_box(mm_parallel_timed(&cluster, &net(), n)))
+            bench.iter(|| black_box(mm_parallel_timed(&cluster, &net(), n, RunSpec::default())))
         });
     }
     group.finish();

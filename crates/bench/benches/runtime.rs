@@ -6,7 +6,7 @@ use hetsim_cluster::engine::Simulator;
 use hetsim_cluster::netsim::{SharedMedium, TransferRequest};
 use hetsim_cluster::network::MpichEthernet;
 use hetsim_cluster::{ClusterSpec, SimTime};
-use hetsim_mpi::{run_spmd, Tag};
+use hetsim_mpi::{run_spmd, RunSpec, Tag};
 use std::hint::black_box;
 
 fn net() -> MpichEthernet {
@@ -20,7 +20,7 @@ fn bench_p2p_pingpong(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("pingpong", elems), &elems, |b, &elems| {
             let payload = vec![1.0f64; elems];
             b.iter(|| {
-                run_spmd(&cluster, &net(), |rank| {
+                run_spmd(&cluster, &net(), RunSpec::default(), |rank| {
                     for i in 0..8u32 {
                         if rank.rank() == 0 {
                             rank.send_f64s(1, Tag(i), &payload);
@@ -44,7 +44,7 @@ fn bench_collectives(c: &mut Criterion) {
         let cluster = ClusterSpec::homogeneous(p, 50.0);
         group.bench_with_input(BenchmarkId::new("barrier_x32", p), &p, |b, _| {
             b.iter(|| {
-                run_spmd(&cluster, &net(), |rank| {
+                run_spmd(&cluster, &net(), RunSpec::default(), |rank| {
                     for _ in 0..32 {
                         rank.barrier();
                     }
@@ -55,7 +55,7 @@ fn bench_collectives(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("bcast_1k_x32", p), &p, |b, _| {
             let payload = vec![1.0f64; 1024];
             b.iter(|| {
-                run_spmd(&cluster, &net(), |rank| {
+                run_spmd(&cluster, &net(), RunSpec::default(), |rank| {
                     for _ in 0..32 {
                         if rank.rank() == 0 {
                             rank.broadcast_f64s(0, Some(&payload));

@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetsim_cluster::network::MpichEthernet;
 use hetsim_cluster::selfsched::{dynamic_schedule, static_schedule};
 use hetsim_cluster::{ClusterSpec, SimTime};
+use hetsim_mpi::RunSpec;
 use kernels::matrix::Matrix;
 use kernels::power::{power_parallel, power_parallel_timed};
 use kernels::stencil::{stencil_parallel, stencil_parallel_timed};
@@ -25,7 +26,9 @@ fn bench_stencil(c: &mut Criterion) {
             b.iter(|| black_box(stencil_parallel(&cluster, &net(), &u0, iters)))
         });
         group.bench_with_input(BenchmarkId::new("parallel_timed", p), &p, |b, _| {
-            b.iter(|| black_box(stencil_parallel_timed(&cluster, &net(), n, iters)))
+            b.iter(|| {
+                black_box(stencil_parallel_timed(&cluster, &net(), n, iters, RunSpec::default()))
+            })
         });
     }
     group.finish();
@@ -42,7 +45,9 @@ fn bench_power(c: &mut Criterion) {
             b.iter(|| black_box(power_parallel(&cluster, &net(), &a, iters)))
         });
         group.bench_with_input(BenchmarkId::new("parallel_timed", p), &p, |b, _| {
-            b.iter(|| black_box(power_parallel_timed(&cluster, &net(), n, iters)))
+            b.iter(|| {
+                black_box(power_parallel_timed(&cluster, &net(), n, iters, RunSpec::default()))
+            })
         });
     }
     group.finish();

@@ -8,10 +8,9 @@
 
 use crate::proportion::proportional_counts;
 use crate::Distribution;
-use serde::{Deserialize, Serialize};
 
 /// A half-open row range `[start, end)` owned by one rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowRange {
     /// First row of the block.
     pub start: usize,
@@ -37,7 +36,7 @@ impl RowRange {
 }
 
 /// Contiguous block distribution: rank `i` owns `ranges()[i]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockDistribution {
     n: usize,
     ranges: Vec<RowRange>,

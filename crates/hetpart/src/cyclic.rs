@@ -17,10 +17,9 @@
 
 use crate::Distribution;
 use hetsim_cluster::repeat_add;
-use serde::{Deserialize, Serialize};
 
 /// Heterogeneous block-cyclic distribution of rows over ranks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CyclicDistribution {
     n: usize,
     p: usize,

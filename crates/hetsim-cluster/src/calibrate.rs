@@ -12,7 +12,6 @@
 use crate::network::NetworkModel;
 use numfit::stats::{linear_regression, LinearFit};
 use numfit::Result;
-use serde::{Deserialize, Serialize};
 
 /// Functional basis a collective's cost is regressed against.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// shared medium, collectives serialize and grow like `p − 1`. The
 /// calibrator fits both and keeps whichever explains the measurements
 /// better, so predictions stay accurate at small `p` on either fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveBasis {
     /// `x(p) = log₂ p` (tree collectives).
     Log2P,
@@ -40,7 +39,7 @@ impl CollectiveBasis {
 }
 
 /// A collective's calibrated cost curve: linear in the chosen basis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveFit {
     /// The basis that won the fit-quality comparison.
     pub basis: CollectiveBasis,
@@ -85,7 +84,7 @@ fn fit_collective(ps: &[usize], ys: &[f64]) -> Result<CollectiveFit> {
 /// `T = intercept + slope·n_elems`. `bcast` and `barrier` map the
 /// process count (through the winning [`CollectiveBasis`]) to the
 /// collective time — the paper's `T_bcast`, `T_barrier` calibration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineParams {
     /// Point-to-point time vs. f64-element count: `T = a + b·n`.
     pub p2p: LinearFit,

@@ -28,12 +28,11 @@
 use crate::cluster::ClusterSpec;
 use crate::flrepeat::repeat_add;
 use crate::node::NodeSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One run of identically-marked ranks: `count` nodes of
 /// `speed_mflops` each, contiguous in rank order.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedClass {
     /// Marked speed of every member, in Mflop/s (Definition 1).
     pub speed_mflops: f64,
@@ -43,7 +42,7 @@ pub struct SpeedClass {
 
 /// An ordered, run-length-encoded computing system: the machine half
 /// of an algorithm–system combination, in O(classes) storage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassedCluster {
     classes: Vec<SpeedClass>,
     /// Human-readable label, e.g. `"heet-1e5x8"`.

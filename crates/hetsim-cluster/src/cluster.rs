@@ -6,7 +6,6 @@
 //! scalability function compares systems by `C`, not by node count.
 
 use crate::node::{NodeKind, NodeSpec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An ordered set of nodes forming one computing system.
@@ -14,7 +13,7 @@ use std::fmt;
 /// Rank `i` of an SPMD program runs on `nodes()[i]`; the ordering is part
 /// of the specification (the paper places the server node at rank 0,
 /// where process 0 distributes and collects data).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     nodes: Vec<NodeSpec>,
     /// Human-readable label, e.g. `"sunwulf-ge-4"`.

@@ -40,12 +40,11 @@
 
 use crate::cluster::ClusterSpec;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// One interval of degraded marked speed for one rank.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedWindow {
     /// Virtual time the degradation begins.
     pub start: SimTime,
@@ -81,7 +80,7 @@ impl SpeedWindow {
 /// attempt; the successful attempt then pays the normal network cost.
 /// The total charge for `d` drops is therefore monotone in `d` and never
 /// exceeds `d · (timeout + backoff_max)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Retransmissions allowed after the first attempt; a message whose
     /// drop schedule exceeds this count exhausts its retries.
@@ -132,7 +131,7 @@ impl RetryPolicy {
 }
 
 /// Typed fault-model failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultError {
     /// A message's drop schedule outlasted the retry policy.
     RetriesExhausted {
@@ -170,7 +169,7 @@ impl fmt::Display for FaultError {
 impl std::error::Error for FaultError {}
 
 /// How a run recovers from a mid-computation node death (DESIGN.md §12).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RecoveryPolicy {
     /// Coordinated checkpoints every `interval_secs` of estimated
     /// progress; on a death the machine detects the failure, rolls back
@@ -229,7 +228,7 @@ pub fn daly_interval(mtbf_secs: f64, delta_secs: f64) -> f64 {
 }
 
 /// The virtual-time cost of a send's failed attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryCharge {
     /// Consecutive dropped attempts before the success.
     pub failed_attempts: u32,
@@ -244,7 +243,7 @@ pub struct RetryCharge {
 /// times, traces, and metrics. An empty plan (no degradations, zero
 /// drop rate, no deaths) leaves every existing code path bit-equal to a
 /// fault-free run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     degradations: BTreeMap<usize, Vec<SpeedWindow>>,
@@ -354,7 +353,7 @@ impl FaultPlan {
 
     /// The seeded exponential death time of `rank`, or `None` when no
     /// MTBF stream is configured. Pure in `(seed, rank, mtbf)`: the
-    /// inverse-CDF transform of a [`mix64`]-derived uniform in `(0, 1]`,
+    /// inverse-CDF transform of a `mix64`-derived uniform in `(0, 1]`,
     /// so the stream is deterministic, seed-sensitive, and independent
     /// across ranks — and domain-separated from the link-drop schedule.
     pub fn sampled_death_time(&self, rank: usize) -> Option<SimTime> {

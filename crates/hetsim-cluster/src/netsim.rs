@@ -11,10 +11,9 @@
 
 use crate::engine::Simulator;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One transfer request presented to the shared medium.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferRequest {
     /// Time at which the message is ready to enter the wire.
     pub ready: SimTime,
@@ -27,7 +26,7 @@ pub struct TransferRequest {
 }
 
 /// Completion record for one simulated transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferOutcome {
     /// The original request.
     pub request: TransferRequest,

@@ -17,8 +17,6 @@
 //!   rounds. This is what makes larger Sunwulf configurations pay
 //!   sharply for communication and drives the paper's ψ < 1 results.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost model for the cluster interconnect. All times in seconds; all
 /// message sizes in bytes. `p` is the number of participating processes
 /// (including the root); models must accept `p = 1` (cost 0 collective).
@@ -195,7 +193,7 @@ fn ceil_log2(p: usize) -> f64 {
 ///
 /// Unphysical, but exactly the "communication overhead is constant for
 /// any problem size and system size" premise of Corollary 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstantLatency {
     /// Cost of any operation, in seconds.
     pub latency: f64,
@@ -250,7 +248,7 @@ impl NetworkModel for ConstantLatency {
 
 /// Full-bisection switched network with per-message latency `alpha` and
 /// bandwidth `beta` bytes/s; collectives use binomial trees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchedNetwork {
     /// Per-message latency in seconds.
     pub alpha: f64,
@@ -320,7 +318,7 @@ impl NetworkModel for SwitchedNetwork {
 /// transfers. This linear-in-`p` collective cost is characteristic of
 /// MPICH over 100 Mb hub/shared Ethernet circa 2005 and is the dominant
 /// overhead term in the paper's GE experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharedEthernet {
     /// Per-message software + wire latency in seconds.
     pub alpha: f64,
@@ -402,7 +400,7 @@ impl NetworkModel for SharedEthernet {
 /// in play, which on a full-duplex switched fabric with eager-protocol
 /// overlap sits well above the naive wire rate — the paper's calibrated
 /// per-element `T_send` slope is the right source (see EXPERIMENTS.md).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MpichEthernet {
     /// Per-message latency in seconds.
     pub alpha: f64,
@@ -476,7 +474,7 @@ impl NetworkModel for MpichEthernet {
 /// frozen per input), but neighbouring problem sizes see independent
 /// perturbations — exactly the roughness a fitted trend line must
 /// smooth. The `ablate-noise` study quantifies how well it does.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitteredNetwork<M> {
     /// The noise-free cost model.
     pub inner: M,

@@ -6,12 +6,11 @@
 //! configuration ladders can mirror the paper's ("server node with two
 //! CPUs", "SunFire V210 with 1 CPU", …).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The hardware families present in the reconstructed Sunwulf cluster,
 /// plus a generic kind for synthetic experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// SunFire server node: four 480 MHz CPUs, 4 GB memory.
     SunFireServer,
@@ -41,7 +40,7 @@ impl fmt::Display for NodeKind {
 /// run* — a server node restricted to 2 of its 4 CPUs contributes the
 /// 2-CPU marked speed, mirroring how the paper composes system marked
 /// speeds from per-node measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Human-readable identifier, e.g. `"hpc-40"`.
     pub name: String,

@@ -13,10 +13,9 @@
 
 use crate::engine::Simulator;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Result of one scheduling simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleOutcome {
     /// Time the last chunk completes.
     pub makespan: SimTime,

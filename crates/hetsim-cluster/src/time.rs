@@ -5,7 +5,6 @@
 //! work amounts. `SimTime` is totally ordered (NaN is rejected at
 //! construction) so it can key the discrete-event queue.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// Construction rejects NaN; negative values are allowed only through
 /// subtraction and indicate an elapsed-time computation error that the
 /// caller should treat as a bug (debug builds assert).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -15,10 +15,9 @@
 //! placement: same nodes, same marked speed `C`, different ψ.
 
 use crate::network::NetworkModel;
-use serde::{Deserialize, Serialize};
 
 /// A two-tier network: `local` within a segment, `uplink` across.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentedNetwork<L, U> {
     /// Segment id of each rank (length = cluster size).
     segment_of: Vec<usize>,

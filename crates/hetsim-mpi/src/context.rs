@@ -4,9 +4,8 @@
 //! implementing the semantics documented at the crate root.
 
 use crate::collectives::CollectiveHub;
-use crate::message::{decode_f64s, encode_f64s, Mailbox, Message, Tag};
-use crate::trace::{OpKind, RankTrace, SpanSink, TraceRecord};
-use bytes::Bytes;
+use crate::message::{Mailbox, Message, Tag};
+use crate::trace::{OpKind, RankTrace, TraceRecord};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
@@ -21,9 +20,6 @@ pub(crate) struct Shared<'a> {
     pub hub: CollectiveHub,
     /// When set, every rank records a [`RankTrace`].
     pub tracing: bool,
-    /// Live span observer (metrics registry); implies nothing about
-    /// `tracing`, but [`crate::run_spmd_observed`] sets both.
-    pub sink: Option<&'a dyn SpanSink>,
     /// Deterministic fault plan (degraded speeds, lossy links). `None`
     /// keeps every code path bit-identical to the fault-free runtime.
     pub faults: Option<&'a FaultPlan>,
@@ -70,8 +66,8 @@ impl<'a> Rank<'a> {
         std::mem::take(&mut self.trace)
     }
 
-    /// Appends an explicit span to the trace (and the live sink, when
-    /// one is attached). All trace emission funnels through here.
+    /// Appends an explicit span to the trace when tracing. All trace
+    /// emission funnels through here.
     fn push_record(
         &mut self,
         kind: OpKind,
@@ -80,12 +76,8 @@ impl<'a> Rank<'a> {
         bytes: u64,
         peer: Option<usize>,
     ) {
-        let record = TraceRecord { kind, start, end, bytes, peer };
         if self.shared.tracing {
-            self.trace.records.push(record);
-        }
-        if let Some(sink) = self.shared.sink {
-            sink.record_span(self.id, &record);
+            self.trace.records.push(TraceRecord { kind, start, end, bytes, peer });
         }
     }
 
@@ -295,8 +287,9 @@ impl<'a> Rank<'a> {
 
     // ---- point-to-point -------------------------------------------------
 
-    /// Sends raw bytes to `dest` with `tag`. The sender occupies the wire
-    /// for `p2p_time(len)`; the message arrives when the send completes.
+    /// Sends a slice of `f64`s to `dest` with `tag`. The sender occupies
+    /// the wire for `p2p_time(8 × len)`; the message arrives when the
+    /// send completes.
     ///
     /// # Panics
     /// Panics when `dest` is out of range or equals this rank (self-sends
@@ -308,10 +301,10 @@ impl<'a> Rank<'a> {
     /// drop); the message then goes out at the post-retry clock. A plan
     /// that exhausts its retry budget aborts the run with the typed
     /// [`hetsim_cluster::faults::FaultError`] message.
-    pub fn send_bytes(&mut self, dest: usize, tag: Tag, payload: Bytes) {
+    pub fn send_f64s(&mut self, dest: usize, tag: Tag, values: &[f64]) {
         assert!(dest < self.size(), "destination rank {dest} out of range");
         assert_ne!(dest, self.id, "self-send is not supported");
-        let bytes = payload.len() as u64;
+        let bytes = (values.len() * 8) as u64;
         self.charge_link_retries(dest, bytes);
         let sent_at = self.clock;
         let cost = SimTime::from_secs(self.shared.network.p2p_time_between(self.id, dest, bytes));
@@ -321,33 +314,23 @@ impl<'a> Rank<'a> {
             tag,
             sent_at,
             arrival: self.clock,
-            payload,
+            payload: values.to_vec(),
         });
     }
 
-    /// Receives bytes from `source` with `tag`, blocking until available.
-    /// The clock advances to the message arrival time if later; time
-    /// spent blocked before the sender even started transmitting is
-    /// attributed to [`OpKind::Wait`], the rest of the span to
-    /// [`OpKind::Recv`].
-    pub fn recv_bytes(&mut self, source: usize, tag: Tag) -> Bytes {
+    /// Receives a vector of `f64`s from `source` with `tag`, blocking
+    /// until available. The clock advances to the message arrival time
+    /// if later; time spent blocked before the sender even started
+    /// transmitting is attributed to [`OpKind::Wait`], the rest of the
+    /// span to [`OpKind::Recv`].
+    pub fn recv_f64s(&mut self, source: usize, tag: Tag) -> Vec<f64> {
         assert!(source < self.size(), "source rank {source} out of range");
         assert_ne!(source, self.id, "self-receive is not supported");
         let msg = self.shared.mailboxes[self.id].recv_matching(source, tag);
-        let bytes = msg.payload.len() as u64;
+        let bytes = (msg.payload.len() * 8) as u64;
         let exit = self.clock.max(msg.arrival);
         self.charge_comm_waited(msg.sent_at, exit, OpKind::Recv, bytes, Some(source));
         msg.payload
-    }
-
-    /// Sends a slice of `f64`s (see [`Rank::send_bytes`]).
-    pub fn send_f64s(&mut self, dest: usize, tag: Tag, values: &[f64]) {
-        self.send_bytes(dest, tag, encode_f64s(values));
-    }
-
-    /// Receives a vector of `f64`s (see [`Rank::recv_bytes`]).
-    pub fn recv_f64s(&mut self, source: usize, tag: Tag) -> Vec<f64> {
-        decode_f64s(&self.recv_bytes(source, tag))
     }
 
     // ---- collectives ----------------------------------------------------

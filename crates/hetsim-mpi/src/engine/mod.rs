@@ -41,7 +41,7 @@
 
 use crate::context::Rank;
 use crate::message::Tag;
-use crate::runtime::SpmdOutcome;
+use crate::runtime::{RunSpec, SpmdOutcome};
 use crate::telemetry::{self, EnginePath, EngineReport, EventDrivenMode, FallbackReason};
 use crate::trace::{OpKind, RankTrace, TraceRecord};
 use hetsim_cluster::cluster::ClusterSpec;
@@ -64,11 +64,10 @@ static ANALYTIC_ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Globally enables or disables the lockstep analytic evaluator
 /// (`bench-tables`' `--no-analytic` flag). With it disabled,
-/// [`SpmdProgram::simulate`] and the `run_spmd_fast*` entry points
-/// always use the event-driven ready-queue scheduler. Both paths are
-/// bit-identical by construction (the analytic evaluator mirrors the
-/// scheduler's float-op sequences), so flipping this mid-run changes
-/// cost, never results.
+/// [`SpmdProgram::simulate`] and [`run_spmd_fast`] always use the
+/// event-driven ready-queue scheduler. Both paths are bit-identical by
+/// construction (the analytic evaluator mirrors the scheduler's float-op
+/// sequences), so flipping this mid-run changes cost, never results.
 pub fn set_analytic_enabled(enabled: bool) {
     ANALYTIC_ENABLED.store(enabled, Ordering::Relaxed);
 }
@@ -84,8 +83,8 @@ pub fn analytic_enabled() -> bool {
 /// Implemented by [`Rank`] (threaded oracle — materializes zero-filled
 /// payloads of the given element counts) and by [`RecordTimer`] (fast
 /// path — logs the operation for later simulation). All counts are in
-/// `f64` elements; the wire cost is `8 × count` bytes, exactly what
-/// `encode_f64s` would produce.
+/// `f64` elements; the wire cost is `8 × count` bytes, exactly what the
+/// threaded runtime charges for a `count`-element payload.
 pub trait SpmdTimer {
     /// This process's rank id, `0 ≤ rank < size`.
     fn rank(&self) -> usize;
@@ -259,8 +258,9 @@ enum Op {
 }
 
 /// Recording [`SpmdTimer`]: logs a rank's operation list for the
-/// simulator instead of executing anything. Created internally by the
-/// `run_spmd_fast*` entry points; bodies only see `&mut RecordTimer`.
+/// simulator instead of executing anything. Created internally by
+/// [`record_spmd`] and [`run_spmd_fast`]; bodies only see
+/// `&mut RecordTimer`.
 pub struct RecordTimer {
     id: usize,
     size: usize,
@@ -1087,7 +1087,7 @@ impl<R> SpmdProgram<R> {
     }
 
     /// True when the recording has the lockstep phase structure the
-    /// analytic evaluator accepts (see [`mod@analytic`]).
+    /// analytic evaluator accepts (DESIGN.md §10).
     pub fn is_lockstep(&self) -> bool {
         self.lockstep_plan().is_some()
     }
@@ -1103,8 +1103,8 @@ impl<R> SpmdProgram<R> {
     /// `cluster` must be the recording's cluster (or one of identical
     /// size — per-rank speeds are re-read from it).
     ///
-    /// Lockstep recordings are evaluated analytically (see
-    /// [`mod@analytic`]) unless disabled via [`set_analytic_enabled`];
+    /// Lockstep recordings are evaluated analytically (DESIGN.md §10)
+    /// unless disabled via [`set_analytic_enabled`];
     /// everything else takes the event-driven ready-queue scheduler.
     /// The two paths are bit-identical.
     pub fn simulate<N: NetworkModel>(&self, cluster: &ClusterSpec, network: &N) -> SpmdOutcome<R>
@@ -1121,13 +1121,18 @@ impl<R> SpmdProgram<R> {
             return self.replay(
                 cluster,
                 network,
-                false,
-                None,
+                RunSpec::default(),
                 EventDrivenMode::Fallback,
                 self.results.clone(),
             );
         }
-        self.replay(cluster, network, false, None, EventDrivenMode::Forced, self.results.clone())
+        self.replay(
+            cluster,
+            network,
+            RunSpec::default(),
+            EventDrivenMode::Forced,
+            self.results.clone(),
+        )
     }
 
     /// [`simulate`](Self::simulate), forced onto the event-driven
@@ -1141,7 +1146,13 @@ impl<R> SpmdProgram<R> {
     where
         R: Clone,
     {
-        self.replay(cluster, network, false, None, EventDrivenMode::Forced, self.results.clone())
+        self.replay(
+            cluster,
+            network,
+            RunSpec::default(),
+            EventDrivenMode::Forced,
+            self.results.clone(),
+        )
     }
 
     /// Analytic evaluation of the recording, or `None` when the
@@ -1181,18 +1192,18 @@ impl<R> SpmdProgram<R> {
         report.collective_events = plan.collective_ops;
         report.p2p_events = plan.p2p_ops;
         telemetry::record_simulation(&report);
-        outcome_from_ranks(ranks, results)
+        outcome_from_ranks(ranks, results, false)
     }
 
     fn replay<N: NetworkModel>(
         &self,
         cluster: &ClusterSpec,
         network: &N,
-        tracing: bool,
-        faults: Option<&FaultPlan>,
+        spec: RunSpec<'_>,
         mode: EventDrivenMode,
         results: Vec<R>,
     ) -> SpmdOutcome<R> {
+        let RunSpec { trace: tracing, faults } = spec;
         let p = self.p;
         assert_eq!(cluster.size(), p, "cluster size disagrees with the recording's rank count");
         let simulate_started = std::time::Instant::now();
@@ -1308,47 +1319,69 @@ impl<R> SpmdProgram<R> {
         }
         telemetry::record_simulation(&report);
 
-        outcome_from_ranks(ranks, results)
+        outcome_from_ranks(ranks, results, tracing)
     }
 }
 
 /// Collapses final per-rank simulation states into an [`SpmdOutcome`]
-/// (shared by the scheduler and the analytic evaluator).
-fn outcome_from_ranks<R>(mut ranks: Vec<SimRank>, results: Vec<R>) -> SpmdOutcome<R> {
+/// (shared by the scheduler and the analytic evaluator); `traces` stays
+/// empty unless `tracing`.
+fn outcome_from_ranks<R>(
+    mut ranks: Vec<SimRank>,
+    results: Vec<R>,
+    tracing: bool,
+) -> SpmdOutcome<R> {
     let p = ranks.len();
     let mut times = Vec::with_capacity(p);
     let mut compute_times = Vec::with_capacity(p);
     let mut comm_times = Vec::with_capacity(p);
     let mut wait_times = Vec::with_capacity(p);
-    let mut traces = Vec::with_capacity(p);
+    let mut traces = Vec::with_capacity(if tracing { p } else { 0 });
     for rank in &mut ranks {
         times.push(rank.clock);
         compute_times.push(rank.compute_time);
         comm_times.push(rank.comm_time);
         wait_times.push(rank.wait_time);
-        traces.push(std::mem::take(&mut rank.trace));
+        if tracing {
+            traces.push(std::mem::take(&mut rank.trace));
+        }
     }
     SpmdOutcome { results, times, compute_times, comm_times, wait_times, traces }
 }
 
-fn run_spmd_fast_inner<R, F, N>(
+/// Runs `body` through the fast-path engine: same clocks, overhead
+/// split, and (when `spec.trace` is set) spans as [`crate::run_spmd`] on
+/// an equivalent size-only body under the same `spec`, without threads
+/// or payloads.
+///
+/// `body` is invoked once per rank against a [`RecordTimer`]; its return
+/// values populate `results` indexed by rank. The engine picks its mode
+/// in this order: a fault plan or tracing keeps the event-driven
+/// scheduler, whose generality they need; `--no-analytic` forces it;
+/// otherwise lockstep recordings are evaluated analytically and the rest
+/// fall back to the scheduler with a typed [`FallbackReason`].
+///
+/// # Panics
+/// Panics on protocol bugs exactly like the threaded runtime: leaked
+/// messages, mismatched collective schedules, unresolved node deaths in
+/// `spec.faults`, exhausted retry budgets, and (additionally) any op
+/// structure where no rank can make progress.
+pub fn run_spmd_fast<R, F, N>(
     cluster: &ClusterSpec,
     network: &N,
+    spec: RunSpec<'_>,
     body: F,
-    tracing: bool,
-    faults: Option<&FaultPlan>,
 ) -> SpmdOutcome<R>
 where
     F: Fn(&mut RecordTimer) -> R,
     N: NetworkModel,
 {
+    spec.assert_launchable();
     let mut program = record_spmd(cluster, body);
     let results = std::mem::take(&mut program.results);
-    // Traces and fault plans (retry charges, degraded-speed windows)
-    // keep the event-driven scheduler, whose generality they need.
-    let mode = if faults.is_some() {
+    let mode = if spec.faults.is_some() {
         EventDrivenMode::Faulted
-    } else if tracing {
+    } else if spec.trace {
         EventDrivenMode::Traced
     } else if !analytic_enabled() {
         EventDrivenMode::Forced
@@ -1361,83 +1394,13 @@ where
             }
         }
     };
-    program.replay(cluster, network, tracing, faults, mode, results)
-}
-
-/// Runs `body` through the fast-path engine: same clocks, overhead
-/// split, and (when traced) spans as [`crate::run_spmd`] on an
-/// equivalent size-only body, without threads or payloads.
-///
-/// `body` is invoked once per rank against a [`RecordTimer`]; its return
-/// values populate `results` indexed by rank.
-///
-/// # Panics
-/// Panics on protocol bugs exactly like the threaded runtime: leaked
-/// messages, mismatched collective schedules, and (additionally) any op
-/// structure where no rank can make progress.
-pub fn run_spmd_fast<R, F, N>(cluster: &ClusterSpec, network: &N, body: F) -> SpmdOutcome<R>
-where
-    F: Fn(&mut RecordTimer) -> R,
-    N: NetworkModel,
-{
-    run_spmd_fast_inner(cluster, network, body, false, None)
-}
-
-/// [`run_spmd_fast`] with per-rank operation tracing enabled.
-pub fn run_spmd_fast_traced<R, F, N>(cluster: &ClusterSpec, network: &N, body: F) -> SpmdOutcome<R>
-where
-    F: Fn(&mut RecordTimer) -> R,
-    N: NetworkModel,
-{
-    run_spmd_fast_inner(cluster, network, body, true, None)
-}
-
-/// [`run_spmd_fast`] under a deterministic [`FaultPlan`] — the fast-path
-/// counterpart of [`crate::run_spmd_faulted`], bit-identical to it.
-///
-/// # Panics
-/// Panics if `plan` declares node deaths (resolve them first via
-/// [`FaultPlan::surviving_cluster`] / [`FaultPlan::for_survivors`]), and
-/// when a send exhausts its retry budget.
-pub fn run_spmd_fast_faulted<R, F, N>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    body: F,
-) -> SpmdOutcome<R>
-where
-    F: Fn(&mut RecordTimer) -> R,
-    N: NetworkModel,
-{
-    assert!(
-        plan.deaths().is_empty(),
-        "node deaths must be resolved before launch (surviving_cluster/for_survivors)"
-    );
-    run_spmd_fast_inner(cluster, network, body, false, Some(plan))
-}
-
-/// [`run_spmd_fast_faulted`] with per-rank operation tracing enabled.
-pub fn run_spmd_fast_faulted_traced<R, F, N>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    body: F,
-) -> SpmdOutcome<R>
-where
-    F: Fn(&mut RecordTimer) -> R,
-    N: NetworkModel,
-{
-    assert!(
-        plan.deaths().is_empty(),
-        "node deaths must be resolved before launch (surviving_cluster/for_survivors)"
-    );
-    run_spmd_fast_inner(cluster, network, body, true, Some(plan))
+    program.replay(cluster, network, spec, mode, results)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{run_spmd_faulted_traced, run_spmd_traced};
+    use crate::runtime::run_spmd;
     use hetsim_cluster::network::{ConstantLatency, MpichEthernet, SharedEthernet};
     use hetsim_cluster::node::NodeSpec;
 
@@ -1495,14 +1458,16 @@ mod tests {
     fn fast_matches_threaded_on_mixed_program() {
         let cluster = het3();
         let net = SharedEthernet::new(0.3e-3, 1.25e7);
-        let fast = run_spmd_fast_traced(&cluster, &net, mixed_body);
-        let threaded = run_spmd_traced(&cluster, &net, |r| mixed_body(r));
+        let fast = run_spmd_fast(&cluster, &net, RunSpec { trace: true, faults: None }, mixed_body);
+        let threaded =
+            run_spmd(&cluster, &net, RunSpec { trace: true, faults: None }, |r| mixed_body(r));
         assert_outcomes_match(&fast, &threaded);
     }
 
     fn check_network<N: NetworkModel>(cluster: &ClusterSpec, net: &N) {
-        let fast = run_spmd_fast_traced(cluster, net, mixed_body);
-        let threaded = run_spmd_traced(cluster, net, |r| mixed_body(r));
+        let fast = run_spmd_fast(cluster, net, RunSpec { trace: true, faults: None }, mixed_body);
+        let threaded =
+            run_spmd(cluster, net, RunSpec { trace: true, faults: None }, |r| mixed_body(r));
         assert_outcomes_match(&fast, &threaded);
     }
 
@@ -1519,8 +1484,12 @@ mod tests {
         let cluster = het3();
         let net = SharedEthernet::new(0.3e-3, 1.25e7);
         let plan = FaultPlan::new(7).with_straggler(1, 0.4).with_link_drops(250);
-        let fast = run_spmd_fast_faulted_traced(&cluster, &net, &plan, mixed_body);
-        let threaded = run_spmd_faulted_traced(&cluster, &net, &plan, |r| mixed_body(r));
+        let fast =
+            run_spmd_fast(&cluster, &net, RunSpec { trace: true, faults: Some(&plan) }, mixed_body);
+        let threaded =
+            run_spmd(&cluster, &net, RunSpec { trace: true, faults: Some(&plan) }, |r| {
+                mixed_body(r)
+            });
         assert_outcomes_match(&fast, &threaded);
         let retries = fast
             .traces
@@ -1535,8 +1504,9 @@ mod tests {
     fn fast_matches_threaded_on_single_rank() {
         let cluster = ClusterSpec::homogeneous(1, 80.0);
         let net = SharedEthernet::new(1e-3, 1e7);
-        let fast = run_spmd_fast_traced(&cluster, &net, mixed_body);
-        let threaded = run_spmd_traced(&cluster, &net, |r| mixed_body(r));
+        let fast = run_spmd_fast(&cluster, &net, RunSpec { trace: true, faults: None }, mixed_body);
+        let threaded =
+            run_spmd(&cluster, &net, RunSpec { trace: true, faults: None }, |r| mixed_body(r));
         assert_outcomes_match(&fast, &threaded);
         assert_eq!(fast.makespan(), fast.compute_times[0], "p = 1 collectives are free");
     }
@@ -1546,8 +1516,13 @@ mod tests {
         let cluster = het3();
         let net = SharedEthernet::new(0.3e-3, 1.25e7);
         let plan = FaultPlan::new(123);
-        let base = run_spmd_fast(&cluster, &net, mixed_body);
-        let faulted = run_spmd_fast_faulted(&cluster, &net, &plan, mixed_body);
+        let base = run_spmd_fast(&cluster, &net, RunSpec::default(), mixed_body);
+        let faulted = run_spmd_fast(
+            &cluster,
+            &net,
+            RunSpec { trace: false, faults: Some(&plan) },
+            mixed_body,
+        );
         assert_eq!(base.times, faulted.times);
         assert_eq!(base.comm_times, faulted.comm_times);
     }
@@ -1556,7 +1531,7 @@ mod tests {
     fn fast_results_are_record_phase_returns() {
         let cluster = ClusterSpec::homogeneous(4, 50.0);
         let net = ConstantLatency::new(1e-3);
-        let outcome = run_spmd_fast(&cluster, &net, |t| {
+        let outcome = run_spmd_fast(&cluster, &net, RunSpec::default(), |t| {
             t.barrier();
             t.rank() * 10
         });
@@ -1567,7 +1542,8 @@ mod tests {
     fn fast_engine_is_deterministic() {
         let cluster = het3();
         let net = MpichEthernet::new(0.2e-3, 1e8);
-        let run = || run_spmd_fast_traced(&cluster, &net, mixed_body);
+        let run =
+            || run_spmd_fast(&cluster, &net, RunSpec { trace: true, faults: None }, mixed_body);
         let a = run();
         let b = run();
         assert_eq!(a.times, b.times);
@@ -1614,7 +1590,8 @@ mod tests {
         let program = record_spmd(&cluster, two_class_body);
         assert_eq!(program.distinct_classes(), 2);
         let fast: SpmdOutcome<()> = program.simulate(&cluster, &net);
-        let threaded = crate::runtime::run_spmd(&cluster, &net, |r| two_class_body(r));
+        let threaded =
+            crate::runtime::run_spmd(&cluster, &net, RunSpec::default(), |r| two_class_body(r));
         assert_eq!(fast.times, threaded.times, "clocks");
         assert_eq!(fast.comm_times, threaded.comm_times, "comm");
         assert_eq!(fast.wait_times, threaded.wait_times, "wait");
@@ -1630,7 +1607,7 @@ mod tests {
         let program = record_spmd(&cluster, mixed_body);
         let a: SpmdOutcome<()> = program.simulate(&cluster, &net);
         let b: SpmdOutcome<()> = program.simulate(&cluster, &net);
-        let direct = run_spmd_fast(&cluster, &net, mixed_body);
+        let direct = run_spmd_fast(&cluster, &net, RunSpec::default(), mixed_body);
         assert_eq!(a.times, b.times);
         assert_eq!(a.times, direct.times);
         assert_eq!(a.comm_times, direct.comm_times);
@@ -1690,7 +1667,8 @@ mod tests {
         let event = program.simulate_event_driven(&cluster, &net);
         assert_eq!(auto.times, event.times);
         assert_eq!(auto.comm_times, event.comm_times);
-        let threaded = crate::runtime::run_spmd(&cluster, &net, |r| crossing_body(r));
+        let threaded =
+            crate::runtime::run_spmd(&cluster, &net, RunSpec::default(), |r| crossing_body(r));
         assert_eq!(auto.times, threaded.times);
         assert_eq!(auto.comm_times, threaded.comm_times);
         assert_eq!(auto.wait_times, threaded.wait_times);
@@ -1729,7 +1707,7 @@ mod tests {
     fn mismatched_recv_deadlocks_with_diagnostic() {
         let cluster = ClusterSpec::homogeneous(2, 50.0);
         let net = ConstantLatency::new(1e-3);
-        run_spmd_fast(&cluster, &net, |t| {
+        run_spmd_fast(&cluster, &net, RunSpec::default(), |t| {
             if t.rank() == 1 {
                 // Nobody ever sends this.
                 t.recv_count(0, Tag(99), 1);
@@ -1742,7 +1720,7 @@ mod tests {
     fn leaked_message_is_detected() {
         let cluster = ClusterSpec::homogeneous(2, 50.0);
         let net = ConstantLatency::new(1e-3);
-        run_spmd_fast(&cluster, &net, |t| {
+        run_spmd_fast(&cluster, &net, RunSpec::default(), |t| {
             if t.rank() == 0 {
                 t.send_count(1, Tag(1), 3);
             }
@@ -1767,8 +1745,10 @@ mod tests {
     fn fast_matches_threaded_on_recovery_ops() {
         let cluster = het3();
         let net = SharedEthernet::new(0.3e-3, 1.25e7);
-        let fast = run_spmd_fast_traced(&cluster, &net, recovery_body);
-        let threaded = run_spmd_traced(&cluster, &net, |r| recovery_body(r));
+        let fast =
+            run_spmd_fast(&cluster, &net, RunSpec { trace: true, faults: None }, recovery_body);
+        let threaded =
+            run_spmd(&cluster, &net, RunSpec { trace: true, faults: None }, |r| recovery_body(r));
         assert_outcomes_match(&fast, &threaded);
     }
 
@@ -1777,8 +1757,16 @@ mod tests {
         let cluster = het3();
         let net = SharedEthernet::new(0.3e-3, 1.25e7);
         let plan = FaultPlan::new(11).with_straggler(2, 0.5);
-        let fast = run_spmd_fast_faulted_traced(&cluster, &net, &plan, recovery_body);
-        let threaded = run_spmd_faulted_traced(&cluster, &net, &plan, |r| recovery_body(r));
+        let fast = run_spmd_fast(
+            &cluster,
+            &net,
+            RunSpec { trace: true, faults: Some(&plan) },
+            recovery_body,
+        );
+        let threaded =
+            run_spmd(&cluster, &net, RunSpec { trace: true, faults: Some(&plan) }, |r| {
+                recovery_body(r)
+            });
         assert_outcomes_match(&fast, &threaded);
     }
 
@@ -1796,7 +1784,8 @@ mod tests {
         let event = program.simulate_event_driven(&cluster, &net);
         assert_eq!(auto.times, event.times);
         assert_eq!(auto.comm_times, event.comm_times);
-        let threaded = crate::runtime::run_spmd(&cluster, &net, |r| recovery_body(r));
+        let threaded =
+            crate::runtime::run_spmd(&cluster, &net, RunSpec::default(), |r| recovery_body(r));
         assert_eq!(auto.times, threaded.times);
         assert_eq!(auto.comm_times, threaded.comm_times);
         assert_eq!(auto.wait_times, threaded.wait_times);
@@ -1806,7 +1795,8 @@ mod tests {
     fn recovery_spans_are_typed_and_zero_operands_are_omitted() {
         let cluster = het3();
         let net = ConstantLatency::new(1e-3);
-        let outcome = run_spmd_fast_traced(&cluster, &net, recovery_body);
+        let outcome =
+            run_spmd_fast(&cluster, &net, RunSpec { trace: true, faults: None }, recovery_body);
         let count =
             |r: usize, k: OpKind| outcome.traces[r].records.iter().filter(|t| t.kind == k).count();
         for r in 0..3 {
@@ -1827,6 +1817,11 @@ mod tests {
     fn unresolved_deaths_are_rejected() {
         let cluster = ClusterSpec::homogeneous(2, 50.0);
         let plan = FaultPlan::new(0).with_death(1, SimTime::ZERO);
-        run_spmd_fast_faulted(&cluster, &ConstantLatency::new(1e-3), &plan, |_t| {});
+        run_spmd_fast(
+            &cluster,
+            &ConstantLatency::new(1e-3),
+            RunSpec { trace: false, faults: Some(&plan) },
+            |_t| {},
+        );
     }
 }

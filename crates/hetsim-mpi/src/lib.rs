@@ -42,24 +42,25 @@
 //!
 //! ## Faults
 //!
-//! [`run_spmd_faulted`] / [`run_spmd_faulted_traced`] accept a
-//! deterministic [`hetsim_cluster::faults::FaultPlan`]: degraded-speed
-//! windows stretch `compute` piecewise, and a seeded lossy-link schedule
-//! charges retry/timeout/backoff time before affected sends (traced as
-//! [`OpKind::Retry`]). Virtual times stay pure functions of (cluster,
-//! network, plan) — an empty plan is bit-identical to [`run_spmd`], and
-//! declared node deaths must be resolved into a surviving cluster before
-//! launch ([`hetsim_cluster::faults::FaultPlan::surviving_cluster`]).
+//! Every run takes a [`RunSpec`]: `trace` records per-rank spans, and
+//! `faults` attaches a deterministic [`hetsim_cluster::faults::FaultPlan`]
+//! — degraded-speed windows stretch `compute` piecewise, and a seeded
+//! lossy-link schedule charges retry/timeout/backoff time before
+//! affected sends (traced as [`OpKind::Retry`]). Virtual times stay pure
+//! functions of (cluster, network, plan) — an empty plan is bit-identical
+//! to `RunSpec::default()`, and declared node deaths must be resolved
+//! into a surviving cluster before launch
+//! ([`hetsim_cluster::faults::FaultPlan::surviving_cluster`]).
 //!
 //! ## Example
 //!
 //! ```
 //! use hetsim_cluster::{ClusterSpec, SharedEthernet};
-//! use hetsim_mpi::run_spmd;
+//! use hetsim_mpi::{run_spmd, RunSpec};
 //!
 //! let cluster = ClusterSpec::homogeneous(4, 50.0);
 //! let net = SharedEthernet::new(0.3e-3, 12.5e6);
-//! let outcome = run_spmd(&cluster, &net, |rank| {
+//! let outcome = run_spmd(&cluster, &net, RunSpec::default(), |rank| {
 //!     // Every rank performs 1 Mflop, then all synchronize.
 //!     rank.compute_flops(1e6);
 //!     rank.barrier();
@@ -82,17 +83,13 @@ pub mod trace;
 
 pub use context::Rank;
 pub use engine::{
-    analytic_enabled, record_spmd, run_spmd_fast, run_spmd_fast_faulted,
-    run_spmd_fast_faulted_traced, run_spmd_fast_traced, set_analytic_enabled, AggregateOutcome,
+    analytic_enabled, record_spmd, run_spmd_fast, set_analytic_enabled, AggregateOutcome,
     AggregatePlan, AggregatePlanBuilder, RecordTimer, SpmdProgram, SpmdTimer,
 };
 pub use message::Tag;
-pub use runtime::{
-    run_spmd, run_spmd_faulted, run_spmd_faulted_traced, run_spmd_observed, run_spmd_traced,
-    SpmdOutcome,
-};
+pub use runtime::{run_spmd, RunSpec, SpmdOutcome};
 pub use telemetry::{EngineTelemetry, FallbackReason};
-pub use trace::{timeline_text, OpKind, OverheadBreakdown, RankTrace, SpanSink, TraceRecord};
+pub use trace::{timeline_text, OpKind, OverheadBreakdown, RankTrace, TraceRecord};
 
 // Re-exported for doc links and downstream convenience.
 pub use hetsim_cluster::network::NetworkModel;

@@ -1,12 +1,12 @@
 //! Messages, tags, and per-rank mailboxes.
 //!
-//! Payloads travel as [`bytes::Bytes`] (cheaply cloneable, immutable).
+//! Payloads travel as `Vec<f64>`, like the collectives hub's; a
+//! payload of `len` values costs `8 × len` bytes on the wire.
 //! Matching follows MPI semantics: a receive names a source rank and a
 //! tag; messages between a fixed (source, destination) pair are delivered
 //! in send order (non-overtaking), which together with SPMD program order
 //! makes matching deterministic.
 
-use bytes::Bytes;
 use hetsim_cluster::time::SimTime;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -38,34 +38,8 @@ pub struct Message {
     pub sent_at: SimTime,
     /// Virtual time at which the last byte arrives at the receiver.
     pub arrival: SimTime,
-    /// Payload bytes.
-    pub payload: Bytes,
-}
-
-/// Encodes a slice of `f64` into little-endian bytes.
-pub fn encode_f64s(values: &[f64]) -> Bytes {
-    let mut buf = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    Bytes::from(buf)
-}
-
-/// Decodes little-endian bytes back into `f64`s.
-///
-/// # Panics
-/// Panics when the byte length is not a multiple of 8 (always a protocol
-/// bug in SPMD code, never a recoverable condition).
-pub fn decode_f64s(bytes: &Bytes) -> Vec<f64> {
-    assert!(
-        bytes.len().is_multiple_of(8),
-        "payload of {} bytes is not a whole number of f64s",
-        bytes.len()
-    );
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
-        .collect()
+    /// Payload values.
+    pub payload: Vec<f64>,
 }
 
 /// Mailbox: the inbound message queue of one rank.
@@ -135,29 +109,8 @@ mod tests {
             tag,
             sent_at: SimTime::from_secs(arrival_s * 0.5),
             arrival: SimTime::from_secs(arrival_s),
-            payload: encode_f64s(&[arrival_s]),
+            payload: vec![arrival_s],
         }
-    }
-
-    #[test]
-    fn f64_codec_roundtrips() {
-        let values = vec![0.0, -1.5, std::f64::consts::PI, f64::MAX, f64::MIN_POSITIVE];
-        let bytes = encode_f64s(&values);
-        assert_eq!(bytes.len(), values.len() * 8);
-        assert_eq!(decode_f64s(&bytes), values);
-    }
-
-    #[test]
-    fn empty_payload_roundtrips() {
-        let bytes = encode_f64s(&[]);
-        assert!(bytes.is_empty());
-        assert!(decode_f64s(&bytes).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "not a whole number of f64s")]
-    fn ragged_payload_panics() {
-        decode_f64s(&Bytes::from_static(&[1, 2, 3]));
     }
 
     #[test]

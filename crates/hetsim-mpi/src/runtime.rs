@@ -4,7 +4,7 @@
 use crate::collectives::CollectiveHub;
 use crate::context::{Rank, Shared};
 use crate::message::Mailbox;
-use crate::trace::{RankTrace, SpanSink};
+use crate::trace::RankTrace;
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
@@ -25,8 +25,8 @@ pub struct SpmdOutcome<R> {
     /// on peers (stragglers, unstarted senders) rather than on actual
     /// transfers — the load-imbalance component of `T_o`.
     pub wait_times: Vec<SimTime>,
-    /// Per-rank operation traces; empty unless the run was started with
-    /// [`run_spmd_traced`] or [`run_spmd_observed`].
+    /// Per-rank operation traces, indexed by rank; empty unless the run
+    /// was started with [`RunSpec::trace`] set.
     pub traces: Vec<RankTrace>,
 }
 
@@ -62,107 +62,6 @@ impl<R> SpmdOutcome<R> {
     }
 }
 
-/// Runs `body` as an SPMD program: one OS thread per node of `cluster`,
-/// each handed a [`Rank`] whose virtual clock is driven by the node's
-/// marked speed and `network`'s communication costs.
-///
-/// Blocks until every rank returns. Results arrive indexed by rank.
-///
-/// # Panics
-/// Propagates any rank's panic, and panics if a rank leaves undelivered
-/// messages in another rank's mailbox (a protocol bug in `body`).
-pub fn run_spmd<R, F, N>(cluster: &ClusterSpec, network: &N, body: F) -> SpmdOutcome<R>
-where
-    R: Send,
-    F: Fn(&mut Rank) -> R + Sync,
-    N: NetworkModel,
-{
-    run_spmd_inner(cluster, network, body, false, None, None)
-}
-
-/// [`run_spmd`] with per-rank operation tracing enabled; the outcome's
-/// `traces` field holds one [`RankTrace`] per rank.
-pub fn run_spmd_traced<R, F, N>(cluster: &ClusterSpec, network: &N, body: F) -> SpmdOutcome<R>
-where
-    R: Send,
-    F: Fn(&mut Rank) -> R + Sync,
-    N: NetworkModel,
-{
-    run_spmd_inner(cluster, network, body, true, None, None)
-}
-
-/// [`run_spmd`] under a deterministic [`FaultPlan`]: degraded-speed
-/// windows stretch each affected rank's compute spans, and a non-zero
-/// link-drop rate charges retry/timeout/backoff time before each send
-/// (visible as [`crate::OpKind::Retry`] in traced variants).
-///
-/// Virtual times remain pure functions of (cluster, network, plan seed):
-/// two runs with the same plan are bit-identical, and an empty plan is
-/// bit-identical to [`run_spmd`].
-///
-/// # Panics
-/// Panics if `plan` declares node deaths — deaths must be resolved
-/// *before* launch via [`FaultPlan::surviving_cluster`] /
-/// [`FaultPlan::for_survivors`], because this blocking runtime cannot
-/// lose a rank mid-collective. Also panics (with the typed
-/// [`hetsim_cluster::faults::FaultError`] message) when a send exhausts
-/// its retry budget.
-pub fn run_spmd_faulted<R, F, N>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    body: F,
-) -> SpmdOutcome<R>
-where
-    R: Send,
-    F: Fn(&mut Rank) -> R + Sync,
-    N: NetworkModel,
-{
-    assert!(
-        plan.deaths().is_empty(),
-        "node deaths must be resolved before launch (surviving_cluster/for_survivors)"
-    );
-    run_spmd_inner(cluster, network, body, false, None, Some(plan))
-}
-
-/// [`run_spmd_faulted`] with per-rank operation tracing enabled; retry
-/// charges appear as [`crate::OpKind::Retry`] spans.
-pub fn run_spmd_faulted_traced<R, F, N>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    body: F,
-) -> SpmdOutcome<R>
-where
-    R: Send,
-    F: Fn(&mut Rank) -> R + Sync,
-    N: NetworkModel,
-{
-    assert!(
-        plan.deaths().is_empty(),
-        "node deaths must be resolved before launch (surviving_cluster/for_survivors)"
-    );
-    run_spmd_inner(cluster, network, body, true, None, Some(plan))
-}
-
-/// [`run_spmd_traced`] that additionally streams every operation span
-/// into `sink` as it is recorded (a metrics registry, say). Spans arrive
-/// sharded by rank; their content is deterministic, their interleaving
-/// across ranks is not — sinks must aggregate per rank.
-pub fn run_spmd_observed<R, F, N>(
-    cluster: &ClusterSpec,
-    network: &N,
-    sink: &dyn SpanSink,
-    body: F,
-) -> SpmdOutcome<R>
-where
-    R: Send,
-    F: Fn(&mut Rank) -> R + Sync,
-    N: NetworkModel,
-{
-    run_spmd_inner(cluster, network, body, true, Some(sink), None)
-}
-
 /// What one rank thread hands back when it joins.
 struct RankReport<R> {
     result: R,
@@ -173,28 +72,70 @@ struct RankReport<R> {
     trace: RankTrace,
 }
 
-fn run_spmd_inner<R, F, N>(
+/// How to run an SPMD program. Both runtimes ([`run_spmd`], the
+/// threaded oracle, and [`crate::run_spmd_fast`]) and every timed kernel
+/// take one; `RunSpec::default()` is the plain untraced, fault-free run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunSpec<'a> {
+    /// Record one [`RankTrace`] per rank into [`SpmdOutcome::traces`].
+    /// Tracing is a pure read: it changes no clock.
+    pub trace: bool,
+    /// A deterministic [`FaultPlan`]: degraded-speed windows stretch each
+    /// affected rank's compute spans, and a non-zero link-drop rate
+    /// charges retry/timeout/backoff time before each send (traced as
+    /// [`crate::OpKind::Retry`]). Virtual times remain pure functions of
+    /// (cluster, network, plan seed), and an empty plan is bit-identical
+    /// to `None`. Node deaths must be resolved *before* launch via
+    /// [`FaultPlan::surviving_cluster`] / [`FaultPlan::for_survivors`].
+    pub faults: Option<&'a FaultPlan>,
+}
+
+impl RunSpec<'_> {
+    /// Rejects a plan whose node deaths were not resolved before launch:
+    /// neither runtime can lose a rank mid-collective.
+    pub(crate) fn assert_launchable(&self) {
+        if let Some(plan) = self.faults {
+            assert!(
+                plan.deaths().is_empty(),
+                "node deaths must be resolved before launch (surviving_cluster/for_survivors)"
+            );
+        }
+    }
+}
+
+/// Runs `body` as an SPMD program: one OS thread per node of `cluster`,
+/// each handed a [`Rank`] whose virtual clock is driven by the node's
+/// marked speed and `network`'s communication costs, under `spec`'s
+/// tracing and fault plan.
+///
+/// Blocks until every rank returns. Results arrive indexed by rank.
+///
+/// # Panics
+/// Propagates any rank's panic, and panics if a rank leaves undelivered
+/// messages in another rank's mailbox (a protocol bug in `body`). Also
+/// panics if `spec.faults` declares node deaths, and (with the typed
+/// [`hetsim_cluster::faults::FaultError`] message) when a send exhausts
+/// its retry budget.
+pub fn run_spmd<R, F, N>(
     cluster: &ClusterSpec,
     network: &N,
+    spec: RunSpec<'_>,
     body: F,
-    tracing: bool,
-    sink: Option<&dyn SpanSink>,
-    faults: Option<&FaultPlan>,
 ) -> SpmdOutcome<R>
 where
     R: Send,
     F: Fn(&mut Rank) -> R + Sync,
     N: NetworkModel,
 {
+    spec.assert_launchable();
     let p = cluster.size();
     let shared = Shared {
         cluster,
         network,
         mailboxes: (0..p).map(|_| Mailbox::new()).collect(),
         hub: CollectiveHub::new(p),
-        tracing,
-        sink,
-        faults,
+        tracing: spec.trace,
+        faults: spec.faults,
     };
 
     let mut slots: Vec<Option<RankReport<R>>> = Vec::with_capacity(p);
@@ -245,7 +186,7 @@ where
     let mut compute_times = Vec::with_capacity(p);
     let mut comm_times = Vec::with_capacity(p);
     let mut wait_times = Vec::with_capacity(p);
-    let mut traces = Vec::with_capacity(p);
+    let mut traces = Vec::with_capacity(if spec.trace { p } else { 0 });
     for slot in slots {
         let report = slot.expect("every rank joined");
         results.push(report.result);
@@ -253,7 +194,9 @@ where
         compute_times.push(report.compute_time);
         comm_times.push(report.comm_time);
         wait_times.push(report.wait_time);
-        traces.push(report.trace);
+        if spec.trace {
+            traces.push(report.trace);
+        }
     }
     // The oracle runtime stores one op stream per rank — no dedup.
     crate::telemetry::record_simulation(&crate::telemetry::EngineReport::new(
@@ -285,7 +228,7 @@ mod tests {
 
     #[test]
     fn compute_time_reflects_marked_speed() {
-        let outcome = run_spmd(&het2(), &small_net(), |rank| {
+        let outcome = run_spmd(&het2(), &small_net(), RunSpec::default(), |rank| {
             rank.compute_flops(1e8); // 100 Mflop
             rank.clock().as_secs()
         });
@@ -297,7 +240,7 @@ mod tests {
 
     #[test]
     fn send_recv_transfers_data_and_time() {
-        let outcome = run_spmd(&het2(), &small_net(), |rank| {
+        let outcome = run_spmd(&het2(), &small_net(), RunSpec::default(), |rank| {
             if rank.rank() == 0 {
                 rank.compute_flops(1e8); // ready at t = 1
                 rank.send_f64s(1, Tag::DATA, &[1.0, 2.0, 3.0]);
@@ -317,7 +260,7 @@ mod tests {
 
     #[test]
     fn receiver_already_late_keeps_its_own_clock() {
-        let outcome = run_spmd(&het2(), &small_net(), |rank| {
+        let outcome = run_spmd(&het2(), &small_net(), RunSpec::default(), |rank| {
             if rank.rank() == 0 {
                 rank.send_f64s(1, Tag::DATA, &[5.0]);
             } else {
@@ -334,7 +277,7 @@ mod tests {
     fn barrier_synchronizes_clocks() {
         let cluster = ClusterSpec::homogeneous(4, 50.0);
         let net = ConstantLatency::new(2e-3);
-        let outcome = run_spmd(&cluster, &net, |rank| {
+        let outcome = run_spmd(&cluster, &net, RunSpec::default(), |rank| {
             rank.compute_flops(1e6 * (rank.rank() as f64 + 1.0));
             rank.barrier();
             rank.clock().as_secs()
@@ -349,7 +292,7 @@ mod tests {
     fn broadcast_delivers_and_times_correctly() {
         let cluster = ClusterSpec::homogeneous(3, 50.0);
         let net = small_net();
-        let outcome = run_spmd(&cluster, &net, |rank| {
+        let outcome = run_spmd(&cluster, &net, RunSpec::default(), |rank| {
             let data = if rank.rank() == 0 {
                 rank.broadcast_f64s(0, Some(&[7.0, 8.0]))
             } else {
@@ -368,7 +311,7 @@ mod tests {
     #[test]
     fn gather_collects_rank_indexed_data() {
         let cluster = ClusterSpec::homogeneous(4, 50.0);
-        let outcome = run_spmd(&cluster, &small_net(), |rank| {
+        let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
             let mine = vec![rank.rank() as f64; rank.rank() + 1];
             rank.gather_f64s(0, &mine)
         });
@@ -383,7 +326,7 @@ mod tests {
     #[test]
     fn scatter_distributes_parts() {
         let cluster = ClusterSpec::homogeneous(3, 50.0);
-        let outcome = run_spmd(&cluster, &small_net(), |rank| {
+        let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
             if rank.rank() == 0 {
                 let parts = vec![vec![0.0], vec![1.0, 1.0], vec![2.0, 2.0, 2.0]];
                 rank.scatter_f64s(0, Some(&parts))
@@ -399,7 +342,7 @@ mod tests {
     #[test]
     fn reduce_sum_accumulates() {
         let cluster = ClusterSpec::homogeneous(4, 50.0);
-        let outcome = run_spmd(&cluster, &small_net(), |rank| {
+        let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
             rank.reduce_sum_f64s(0, &[rank.rank() as f64, 1.0])
         });
         assert_eq!(outcome.results[0].as_ref().unwrap(), &vec![6.0, 4.0]);
@@ -408,15 +351,16 @@ mod tests {
     #[test]
     fn allreduce_max_agrees_everywhere() {
         let cluster = ClusterSpec::homogeneous(5, 50.0);
-        let outcome =
-            run_spmd(&cluster, &small_net(), |rank| rank.allreduce_max(rank.rank() as f64 * 1.5));
+        let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
+            rank.allreduce_max(rank.rank() as f64 * 1.5)
+        });
         assert!(outcome.results.iter().all(|&m| m == 6.0));
     }
 
     #[test]
     fn allgather_delivers_everything_everywhere() {
         let cluster = ClusterSpec::homogeneous(4, 50.0);
-        let outcome = run_spmd(&cluster, &small_net(), |rank| {
+        let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
             let mine = vec![rank.rank() as f64; rank.rank() + 1];
             rank.allgather_f64s(&mine)
         });
@@ -436,7 +380,7 @@ mod tests {
         // The closing broadcast synchronizes receivers to the root's
         // departure; with equal entry clocks all exits match.
         let cluster = ClusterSpec::homogeneous(3, 50.0);
-        let outcome = run_spmd(&cluster, &small_net(), |rank| {
+        let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
             rank.allgather_f64s(&[rank.rank() as f64]);
             rank.clock()
         });
@@ -447,7 +391,7 @@ mod tests {
     #[test]
     fn alltoall_transposes_the_part_matrix() {
         let cluster = ClusterSpec::homogeneous(3, 50.0);
-        let outcome = run_spmd(&cluster, &small_net(), |rank| {
+        let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
             let me = rank.rank() as f64;
             // parts[j] = [10·me + j]
             let parts: Vec<Vec<f64>> = (0..3).map(|j| vec![10.0 * me + j as f64]).collect();
@@ -464,8 +408,9 @@ mod tests {
     #[test]
     fn alltoall_single_rank_is_identity() {
         let cluster = ClusterSpec::homogeneous(1, 50.0);
-        let outcome =
-            run_spmd(&cluster, &small_net(), |rank| rank.alltoall_f64s(&[vec![7.0, 8.0]]));
+        let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
+            rank.alltoall_f64s(&[vec![7.0, 8.0]])
+        });
         assert_eq!(outcome.results[0], vec![vec![7.0, 8.0]]);
     }
 
@@ -473,7 +418,7 @@ mod tests {
     #[should_panic(expected = "one part per rank")]
     fn alltoall_wrong_part_count_panics() {
         let cluster = ClusterSpec::homogeneous(2, 50.0);
-        run_spmd(&cluster, &small_net(), |rank| {
+        run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
             rank.alltoall_f64s(&[vec![1.0]]);
         });
     }
@@ -483,7 +428,7 @@ mod tests {
         let cluster = het2();
         let net = small_net();
         let run = || {
-            run_spmd(&cluster, &net, |rank| {
+            run_spmd(&cluster, &net, RunSpec::default(), |rank| {
                 for i in 0..10 {
                     rank.compute_flops(1e6 * (rank.rank() + 1) as f64);
                     if rank.rank() == 0 {
@@ -504,7 +449,7 @@ mod tests {
     fn overhead_accounting_splits_compute_and_comm() {
         let cluster = ClusterSpec::homogeneous(2, 100.0);
         let net = ConstantLatency::new(1e-2);
-        let outcome = run_spmd(&cluster, &net, |rank| {
+        let outcome = run_spmd(&cluster, &net, RunSpec::default(), |rank| {
             rank.compute_flops(1e8); // exactly 1 s
             rank.barrier();
         });
@@ -519,7 +464,7 @@ mod tests {
     #[test]
     fn compute_imbalance_detects_skew() {
         let cluster = ClusterSpec::homogeneous(2, 100.0);
-        let outcome = run_spmd(&cluster, &small_net(), |rank| {
+        let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
             rank.compute_flops(if rank.rank() == 0 { 2e8 } else { 1e8 });
         });
         assert!((outcome.compute_imbalance() - 0.5).abs() < 1e-12);
@@ -529,7 +474,7 @@ mod tests {
     #[should_panic(expected = "undelivered message")]
     fn leaked_message_is_detected() {
         let cluster = ClusterSpec::homogeneous(2, 100.0);
-        run_spmd(&cluster, &small_net(), |rank| {
+        run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
             if rank.rank() == 0 {
                 rank.send_f64s(1, Tag::DATA, &[1.0]);
                 // rank 1 never receives it.
@@ -541,7 +486,7 @@ mod tests {
     #[should_panic(expected = "self-send")]
     fn self_send_is_rejected() {
         let cluster = ClusterSpec::homogeneous(2, 100.0);
-        run_spmd(&cluster, &small_net(), |rank| {
+        run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
             if rank.rank() == 0 {
                 rank.send_f64s(0, Tag::DATA, &[1.0]);
             }
@@ -565,8 +510,8 @@ mod tests {
             }
             rank.clock()
         };
-        let base = run_spmd(&cluster, &net, body);
-        let faulted = run_spmd_faulted(&cluster, &net, &plan, body);
+        let base = run_spmd(&cluster, &net, RunSpec::default(), body);
+        let faulted = run_spmd(&cluster, &net, RunSpec { trace: false, faults: Some(&plan) }, body);
         assert_eq!(base.results, faulted.results);
         assert_eq!(base.times, faulted.times);
         assert_eq!(base.compute_times, faulted.compute_times);
@@ -577,10 +522,15 @@ mod tests {
     fn straggler_window_stretches_compute() {
         let cluster = ClusterSpec::homogeneous(2, 100.0);
         let plan = FaultPlan::new(1).with_straggler(1, 0.5);
-        let outcome = run_spmd_faulted(&cluster, &small_net(), &plan, |rank| {
-            rank.compute_flops(1e8); // 1 s nominal
-            rank.clock().as_secs()
-        });
+        let outcome = run_spmd(
+            &cluster,
+            &small_net(),
+            RunSpec { trace: false, faults: Some(&plan) },
+            |rank| {
+                rank.compute_flops(1e8); // 1 s nominal
+                rank.clock().as_secs()
+            },
+        );
         assert!((outcome.results[0] - 1.0).abs() < 1e-12);
         assert!((outcome.results[1] - 2.0).abs() < 1e-12, "straggler at half speed");
     }
@@ -591,7 +541,7 @@ mod tests {
         let net = small_net();
         let plan = FaultPlan::new(7).with_link_drops(400);
         let run = || {
-            run_spmd_faulted_traced(&cluster, &net, &plan, |rank| {
+            run_spmd(&cluster, &net, RunSpec { trace: true, faults: Some(&plan) }, |rank| {
                 for i in 0..20 {
                     if rank.rank() == 0 {
                         rank.send_f64s(1, Tag(i), &[i as f64]);
@@ -610,7 +560,7 @@ mod tests {
             a.traces[0].records.iter().filter(|r| r.kind == crate::trace::OpKind::Retry).count();
         assert!(retries > 0, "40% drop rate over 20 sends must hit at least once");
         // Faulted run is strictly slower than fault-free.
-        let base = run_spmd(&cluster, &net, |rank| {
+        let base = run_spmd(&cluster, &net, RunSpec::default(), |rank| {
             for i in 0..20 {
                 if rank.rank() == 0 {
                     rank.send_f64s(1, Tag(i), &[i as f64]);
@@ -629,13 +579,36 @@ mod tests {
     fn unresolved_deaths_are_rejected() {
         let cluster = ClusterSpec::homogeneous(2, 100.0);
         let plan = FaultPlan::new(0).with_death(1, SimTime::ZERO);
-        run_spmd_faulted(&cluster, &small_net(), &plan, |_rank| {});
+        run_spmd(&cluster, &small_net(), RunSpec { trace: false, faults: Some(&plan) }, |_rank| {});
+    }
+
+    #[test]
+    fn both_runtimes_return_traces_only_when_traced() {
+        let cluster = het2();
+        let net = small_net();
+        let traced = RunSpec { trace: true, faults: None };
+        let threaded = |spec| {
+            run_spmd(&cluster, &net, spec, |rank| {
+                rank.compute_flops(1e6);
+                rank.barrier();
+            })
+        };
+        let fast = |spec| {
+            crate::run_spmd_fast(&cluster, &net, spec, |t| {
+                crate::SpmdTimer::compute_flops(t, 1e6);
+                crate::SpmdTimer::barrier(t);
+            })
+        };
+        assert!(threaded(RunSpec::default()).traces.is_empty());
+        assert!(fast(RunSpec::default()).traces.is_empty());
+        assert_eq!(threaded(traced).traces.len(), 2);
+        assert_eq!(fast(traced).traces, threaded(traced).traces);
     }
 
     #[test]
     fn single_rank_runs_degenerate_collectives() {
         let cluster = ClusterSpec::homogeneous(1, 100.0);
-        let outcome = run_spmd(&cluster, &small_net(), |rank| {
+        let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
             rank.barrier();
             let b = rank.broadcast_f64s(0, Some(&[1.0]));
             let g = rank.gather_f64s(0, &[2.0]).unwrap();

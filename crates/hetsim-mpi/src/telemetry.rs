@@ -7,10 +7,10 @@
 //! function of the simulations performed — op streams, class splits,
 //! fault plans — never of thread scheduling or wall-clock, so process
 //! totals are byte-stable across runs and worker counts as long as the
-//! same set of simulations executes. Two deliberate exceptions,
-//! [`record_wall_ns`] and [`simulate_wall_ns`], accumulate real elapsed
-//! time for the profile export and are documented as excluded from
-//! every byte-identity guarantee (DESIGN.md §11).
+//! same set of simulations executes. One deliberate exception, the
+//! record/simulate wall clocks read by [`wall_clock_ns`], accumulates
+//! real elapsed time for the profile export and is excluded from every
+//! byte-identity guarantee (DESIGN.md §11).
 //!
 //! Counters are process-global atomics: simulations may run
 //! concurrently on the experiment worker pool, and integer addition is

@@ -7,12 +7,11 @@
 //! overhead-decomposition experiment builds directly on this module.
 
 use hetsim_cluster::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// What a span of rank time was spent on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpKind {
     /// Floating-point (or otherwise accounted local) computation.
     Compute,
@@ -125,7 +124,7 @@ impl fmt::Display for OpKind {
 }
 
 /// One traced span of one rank's virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRecord {
     /// The operation kind.
     pub kind: OpKind,
@@ -152,7 +151,7 @@ impl TraceRecord {
 }
 
 /// One rank's complete trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankTrace {
     /// Records in program order (non-overlapping, non-decreasing).
     pub records: Vec<TraceRecord>,
@@ -196,7 +195,7 @@ impl RankTrace {
 }
 
 /// Aggregated decomposition across all ranks of a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadBreakdown {
     /// Summed time per kind across ranks.
     pub per_kind: BTreeMap<OpKind, f64>,
@@ -252,20 +251,6 @@ impl fmt::Display for OverheadBreakdown {
         }
         Ok(())
     }
-}
-
-/// Receives every span of a traced run as the ranks record them.
-///
-/// This is how the metrics layer observes a run without the runtime
-/// depending on it: [`crate::run_spmd_observed`] threads a sink through
-/// the ranks, and each rank calls [`SpanSink::record_span`] right after
-/// appending to its own [`RankTrace`]. Implementations must be `Sync`
-/// (ranks call concurrently from their OS threads) and must keep any
-/// aggregation keyed by `rank` so the result is independent of thread
-/// interleaving — each rank's own stream arrives in program order.
-pub trait SpanSink: Sync {
-    /// Called by `rank` immediately after it records `record`.
-    fn record_span(&self, rank: usize, record: &TraceRecord);
 }
 
 /// Renders per-rank traces as a fixed-width text Gantt chart.

@@ -291,7 +291,7 @@ mod tests {
     use hetsim_cluster::cluster::ClusterSpec;
     use hetsim_cluster::network::SharedEthernet;
     use hetsim_cluster::node::NodeSpec;
-    use hetsim_mpi::{run_spmd_traced, Tag};
+    use hetsim_mpi::{run_spmd, RunSpec, Tag};
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -305,7 +305,7 @@ mod tests {
     fn pipeline_path_crosses_to_the_sender() {
         // Rank 0 computes then sends; rank 1 idles, receives, computes.
         let cluster = ClusterSpec::homogeneous(2, 100.0);
-        let outcome = run_spmd_traced(&cluster, &net(), |rank| {
+        let outcome = run_spmd(&cluster, &net(), RunSpec { trace: true, faults: None }, |rank| {
             if rank.rank() == 0 {
                 rank.compute_flops(1e8); // 1 s
                 rank.send_f64s(1, Tag::DATA, &[1.0; 100]);
@@ -333,7 +333,7 @@ mod tests {
             vec![NodeSpec::synthetic("fast", 100.0), NodeSpec::synthetic("slow", 25.0)],
         )
         .unwrap();
-        let outcome = run_spmd_traced(&cluster, &net(), |rank| {
+        let outcome = run_spmd(&cluster, &net(), RunSpec { trace: true, faults: None }, |rank| {
             rank.compute_flops(1e8); // 1 s on fast, 4 s on slow
             rank.barrier();
             rank.compute_flops(1e7); // both tails
@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn path_never_contains_wait() {
         let cluster = ClusterSpec::homogeneous(4, 50.0);
-        let outcome = run_spmd_traced(&cluster, &net(), |rank| {
+        let outcome = run_spmd(&cluster, &net(), RunSpec { trace: true, faults: None }, |rank| {
             rank.compute_flops(1e6 * (rank.rank() + 1) as f64);
             rank.barrier();
             let _ = rank.gather_f64s(0, &[rank.rank() as f64]);
@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn bcast_path_goes_through_the_root() {
         let cluster = ClusterSpec::homogeneous(3, 100.0);
-        let outcome = run_spmd_traced(&cluster, &net(), |rank| {
+        let outcome = run_spmd(&cluster, &net(), RunSpec { trace: true, faults: None }, |rank| {
             if rank.rank() == 0 {
                 rank.compute_flops(1e8);
                 rank.broadcast_f64s(0, Some(&[1.0; 64]));
@@ -403,11 +403,12 @@ mod tests {
     fn path_is_deterministic_across_runs() {
         let cluster = ClusterSpec::homogeneous(4, 50.0);
         let run = || {
-            let outcome = run_spmd_traced(&cluster, &net(), |rank| {
-                rank.compute_flops(1e6 * (rank.rank() + 1) as f64);
-                let _ = rank.allgather_f64s(&[rank.rank() as f64]);
-                rank.barrier();
-            });
+            let outcome =
+                run_spmd(&cluster, &net(), RunSpec { trace: true, faults: None }, |rank| {
+                    rank.compute_flops(1e6 * (rank.rank() + 1) as f64);
+                    let _ = rank.allgather_f64s(&[rank.rank() as f64]);
+                    rank.barrier();
+                });
             critical_path(&outcome.traces)
         };
         assert_eq!(run(), run());
@@ -416,7 +417,7 @@ mod tests {
     #[test]
     fn path_json_has_expected_shape() {
         let cluster = ClusterSpec::homogeneous(2, 100.0);
-        let outcome = run_spmd_traced(&cluster, &net(), |rank| {
+        let outcome = run_spmd(&cluster, &net(), RunSpec { trace: true, faults: None }, |rank| {
             rank.compute_flops(1e7);
             rank.barrier();
         });
@@ -434,7 +435,7 @@ mod tests {
             vec![NodeSpec::synthetic("fast", 100.0), NodeSpec::synthetic("slow", 25.0)],
         )
         .unwrap();
-        let outcome = run_spmd_traced(&cluster, &net(), |rank| {
+        let outcome = run_spmd(&cluster, &net(), RunSpec { trace: true, faults: None }, |rank| {
             rank.compute_flops(1e8);
             rank.barrier();
         });

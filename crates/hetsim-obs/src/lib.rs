@@ -10,10 +10,10 @@
 //!
 //! Three layers:
 //!
-//! * [`metrics`] — a [`MetricsRegistry`] implements
-//!   [`hetsim_mpi::trace::SpanSink`] and aggregates live spans from
-//!   [`hetsim_mpi::run_spmd_observed`] into counters, gauges, and
-//!   fixed-bucket duration histograms keyed by `(rank, OpKind)`.
+//! * [`metrics`] — [`MetricsSnapshot::from_traces`] aggregates the spans
+//!   of a traced run (`RunSpec { trace: true, .. }`) into counters,
+//!   gauges, and fixed-bucket duration histograms keyed by
+//!   `(rank, OpKind)`.
 //! * [`export`] — byte-stable trace serialization:
 //!   [`chrome_trace_json`] for `chrome://tracing`/Perfetto, and
 //!   [`trace_jsonl`]/[`parse_trace_jsonl`] for lossless archive and
@@ -27,17 +27,17 @@
 //!
 //! ```
 //! use hetsim_cluster::{ClusterSpec, SharedEthernet};
-//! use hetsim_mpi::run_spmd_observed;
-//! use hetsim_obs::{critical_path, MetricsRegistry};
+//! use hetsim_mpi::{run_spmd, RunSpec};
+//! use hetsim_obs::{critical_path, MetricsSnapshot};
 //!
 //! let cluster = ClusterSpec::homogeneous(4, 50.0);
 //! let net = SharedEthernet::new(0.3e-3, 12.5e6);
-//! let registry = MetricsRegistry::new(cluster.size());
-//! let outcome = run_spmd_observed(&cluster, &net, &registry, |rank| {
+//! let spec = RunSpec { trace: true, faults: None };
+//! let outcome = run_spmd(&cluster, &net, spec, |rank| {
 //!     rank.compute_flops(1e6 * (rank.rank() + 1) as f64);
 //!     rank.barrier();
 //! });
-//! let fractions = registry.snapshot().fractions();
+//! let fractions = MetricsSnapshot::from_traces(&outcome.traces).fractions();
 //! let total: f64 = fractions.values().sum();
 //! assert!((total - 1.0).abs() < 1e-9);
 //! let path = critical_path(&outcome.traces);
@@ -59,7 +59,6 @@ pub use analysis::{
 pub use export::{chrome_trace_json, parse_trace_jsonl, trace_jsonl};
 pub use json::Json;
 pub use metrics::{
-    bucket_index, bucket_label, KindStats, MetricsRegistry, MetricsSnapshot, RankSnapshot,
-    HISTOGRAM_BUCKETS,
+    bucket_index, bucket_label, KindStats, MetricsSnapshot, RankSnapshot, HISTOGRAM_BUCKETS,
 };
 pub use telemetry::{MemoKernelStats, PoolStats, TelemetryReport};

@@ -1,21 +1,17 @@
-//! Deterministic metrics registry over virtual time.
+//! Deterministic metrics over virtual time, built from a traced run.
 //!
-//! A [`MetricsRegistry`] plugs into [`hetsim_mpi::run_spmd_observed`] as
-//! a [`SpanSink`] and aggregates every recorded span into counters
-//! (span count, bytes moved), gauges (per-rank virtual-clock high-water
-//! mark), and fixed-bucket duration histograms — all keyed by
-//! `(rank, OpKind)`.
+//! [`MetricsSnapshot::from_traces`] aggregates every span of a traced
+//! run into counters (span count, bytes moved), gauges (per-rank
+//! virtual-clock high-water mark), and fixed-bucket duration histograms
+//! — all keyed by `(rank, OpKind)`.
 //!
 //! Determinism: all quantities derive from *virtual* time, which the
 //! runtime guarantees is a pure function of marked speeds, payload
-//! sizes, and the network model. The registry keeps one shard per rank
-//! and each rank's spans arrive in its own program order, so aggregation
-//! never depends on how the OS interleaves rank threads. Snapshots read
-//! the shards in rank order, making the snapshot itself reproducible.
+//! sizes, and the network model. Spans are summed rank by rank, each
+//! rank's in its program order, so the snapshot is reproducible.
 
 use crate::json::Json;
-use hetsim_mpi::trace::{OpKind, SpanSink, TraceRecord};
-use parking_lot::Mutex;
+use hetsim_mpi::trace::{OpKind, RankTrace};
 use std::collections::BTreeMap;
 
 /// Number of histogram buckets (see [`bucket_index`]).
@@ -67,82 +63,6 @@ fn kind_index(kind: OpKind) -> usize {
     OpKind::ALL.iter().position(|&k| k == kind).expect("OpKind::ALL is exhaustive")
 }
 
-#[derive(Debug, Clone)]
-struct RankCell {
-    per_kind: [KindStats; OpKind::ALL.len()],
-    /// Gauge: the latest span end seen — the rank's virtual-clock
-    /// high-water mark.
-    clock: f64,
-}
-
-impl RankCell {
-    fn new() -> RankCell {
-        RankCell { per_kind: [KindStats::ZERO; OpKind::ALL.len()], clock: 0.0 }
-    }
-}
-
-/// Live metrics collector for one observed run.
-///
-/// Create with the run's rank count, pass to
-/// [`hetsim_mpi::run_spmd_observed`], then call
-/// [`MetricsRegistry::snapshot`] once the run completes.
-#[derive(Debug)]
-pub struct MetricsRegistry {
-    shards: Vec<Mutex<RankCell>>,
-}
-
-impl MetricsRegistry {
-    /// A registry for a run with `ranks` ranks.
-    pub fn new(ranks: usize) -> MetricsRegistry {
-        MetricsRegistry { shards: (0..ranks).map(|_| Mutex::new(RankCell::new())).collect() }
-    }
-
-    /// Number of ranks this registry observes.
-    pub fn ranks(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Replays already-captured traces through the registry — the
-    /// offline equivalent of observing the run live. Each rank's records
-    /// are stored in its program order, which is exactly the order a
-    /// live sink sees them, so the resulting snapshot is identical.
-    pub fn from_traces(traces: &[hetsim_mpi::trace::RankTrace]) -> MetricsRegistry {
-        let reg = MetricsRegistry::new(traces.len());
-        for (rank, trace) in traces.iter().enumerate() {
-            for record in &trace.records {
-                reg.record_span(rank, record);
-            }
-        }
-        reg
-    }
-
-    /// A deterministic point-in-time copy of all cells.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let per_rank = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let cell = shard.lock();
-                RankSnapshot { clock: cell.clock, per_kind: cell.per_kind.clone() }
-            })
-            .collect();
-        MetricsSnapshot { per_rank }
-    }
-}
-
-impl SpanSink for MetricsRegistry {
-    fn record_span(&self, rank: usize, record: &TraceRecord) {
-        let mut cell = self.shards[rank].lock();
-        let duration = record.duration().as_secs();
-        let stats = &mut cell.per_kind[kind_index(record.kind)];
-        stats.count += 1;
-        stats.bytes += record.bytes;
-        stats.seconds += duration;
-        stats.histogram[bucket_index(duration)] += 1;
-        cell.clock = cell.clock.max(record.end.as_secs());
-    }
-}
-
 /// Immutable aggregation result of one observed run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
@@ -167,6 +87,29 @@ impl RankSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Aggregates per-rank traces (indexed by rank) into a snapshot,
+    /// summing each rank's spans in its program order.
+    pub fn from_traces(traces: &[RankTrace]) -> MetricsSnapshot {
+        let per_rank = traces
+            .iter()
+            .map(|trace| {
+                let mut rank =
+                    RankSnapshot { clock: 0.0, per_kind: [KindStats::ZERO; OpKind::ALL.len()] };
+                for record in &trace.records {
+                    let duration = record.duration().as_secs();
+                    let stats = &mut rank.per_kind[kind_index(record.kind)];
+                    stats.count += 1;
+                    stats.bytes += record.bytes;
+                    stats.seconds += duration;
+                    stats.histogram[bucket_index(duration)] += 1;
+                    rank.clock = rank.clock.max(record.end.as_secs());
+                }
+                rank
+            })
+            .collect();
+        MetricsSnapshot { per_rank }
+    }
+
     /// Total virtual seconds per kind, summed across ranks in rank
     /// order.
     pub fn seconds_by_kind(&self) -> BTreeMap<OpKind, f64> {
@@ -258,6 +201,7 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use hetsim_cluster::time::SimTime;
+    use hetsim_mpi::trace::TraceRecord;
 
     fn span(kind: OpKind, start: f64, end: f64, bytes: u64) -> TraceRecord {
         TraceRecord {
@@ -267,6 +211,12 @@ mod tests {
             bytes,
             peer: None,
         }
+    }
+
+    fn snapshot(ranks: Vec<Vec<TraceRecord>>) -> MetricsSnapshot {
+        let traces: Vec<RankTrace> =
+            ranks.into_iter().map(|records| RankTrace { records }).collect();
+        MetricsSnapshot::from_traces(&traces)
     }
 
     #[test]
@@ -288,12 +238,11 @@ mod tests {
     }
 
     #[test]
-    fn registry_accumulates_counters_and_gauges() {
-        let reg = MetricsRegistry::new(2);
-        reg.record_span(0, &span(OpKind::Compute, 0.0, 1.0, 0));
-        reg.record_span(0, &span(OpKind::Send, 1.0, 1.5, 800));
-        reg.record_span(1, &span(OpKind::Recv, 0.0, 1.5, 800));
-        let snap = reg.snapshot();
+    fn snapshot_accumulates_counters_and_gauges() {
+        let snap = snapshot(vec![
+            vec![span(OpKind::Compute, 0.0, 1.0, 0), span(OpKind::Send, 1.0, 1.5, 800)],
+            vec![span(OpKind::Recv, 0.0, 1.5, 800)],
+        ]);
         assert_eq!(snap.per_rank[0].kind(OpKind::Compute).count, 1);
         assert_eq!(snap.per_rank[0].kind(OpKind::Send).bytes, 800);
         assert!((snap.per_rank[0].clock - 1.5).abs() < 1e-12);
@@ -302,11 +251,11 @@ mod tests {
 
     #[test]
     fn histogram_counts_span_durations() {
-        let reg = MetricsRegistry::new(1);
-        reg.record_span(0, &span(OpKind::Compute, 0.0, 0.5, 0)); // bucket 9
-        reg.record_span(0, &span(OpKind::Compute, 0.5, 0.9, 0)); // bucket 9
-        reg.record_span(0, &span(OpKind::Compute, 0.9, 0.9, 0)); // bucket 0
-        let snap = reg.snapshot();
+        let snap = snapshot(vec![vec![
+            span(OpKind::Compute, 0.0, 0.5, 0), // bucket 9
+            span(OpKind::Compute, 0.5, 0.9, 0), // bucket 9
+            span(OpKind::Compute, 0.9, 0.9, 0), // bucket 0
+        ]]);
         let h = &snap.per_rank[0].kind(OpKind::Compute).histogram;
         assert_eq!(h[9], 2);
         assert_eq!(h[0], 1);
@@ -315,11 +264,11 @@ mod tests {
 
     #[test]
     fn fractions_sum_to_one() {
-        let reg = MetricsRegistry::new(2);
-        reg.record_span(0, &span(OpKind::Compute, 0.0, 3.0, 0));
-        reg.record_span(0, &span(OpKind::Barrier, 3.0, 4.0, 0));
-        reg.record_span(1, &span(OpKind::Wait, 0.0, 2.0, 0));
-        let fractions = reg.snapshot().fractions();
+        let fractions = snapshot(vec![
+            vec![span(OpKind::Compute, 0.0, 3.0, 0), span(OpKind::Barrier, 3.0, 4.0, 0)],
+            vec![span(OpKind::Wait, 0.0, 2.0, 0)],
+        ])
+        .fractions();
         assert_eq!(fractions.len(), OpKind::ALL.len());
         let total: f64 = fractions.values().sum();
         assert!((total - 1.0).abs() < 1e-9, "sum = {total}");
@@ -328,7 +277,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_keeps_fraction_invariant() {
-        let fractions = MetricsRegistry::new(3).snapshot().fractions();
+        let fractions = snapshot(vec![Vec::new(); 3]).fractions();
         let total: f64 = fractions.values().sum();
         assert!((total - 1.0).abs() < 1e-12);
         assert_eq!(fractions[&OpKind::Compute], 1.0);
@@ -336,11 +285,12 @@ mod tests {
 
     #[test]
     fn json_serialization_is_stable() {
-        let reg = MetricsRegistry::new(1);
-        reg.record_span(0, &span(OpKind::Compute, 0.0, 1.0, 0));
-        reg.record_span(0, &span(OpKind::Send, 1.0, 1.25, 64));
-        let a = reg.snapshot().to_json().to_string();
-        let b = reg.snapshot().to_json().to_string();
+        let snap = snapshot(vec![vec![
+            span(OpKind::Compute, 0.0, 1.0, 0),
+            span(OpKind::Send, 1.0, 1.25, 64),
+        ]]);
+        let a = snap.to_json().to_string();
+        let b = snap.to_json().to_string();
         assert_eq!(a, b);
         // Parses back as valid JSON with the expected top-level shape.
         let parsed = Json::parse(&a).unwrap();
@@ -348,38 +298,5 @@ mod tests {
         assert!(obj.contains_key("fractions"));
         assert!(obj.contains_key("per_rank"));
         assert_eq!(obj["ranks"].as_num(), Some(1.0));
-    }
-
-    #[test]
-    fn replaying_traces_matches_live_recording() {
-        use hetsim_mpi::trace::RankTrace;
-        let records = [
-            vec![span(OpKind::Compute, 0.0, 1.0, 0), span(OpKind::Send, 1.0, 1.5, 800)],
-            vec![span(OpKind::Wait, 0.0, 1.0, 0), span(OpKind::Recv, 1.0, 1.5, 800)],
-        ];
-        let live = MetricsRegistry::new(2);
-        for (rank, recs) in records.iter().enumerate() {
-            for r in recs {
-                live.record_span(rank, r);
-            }
-        }
-        let traces: Vec<RankTrace> =
-            records.iter().map(|recs| RankTrace { records: recs.clone() }).collect();
-        assert_eq!(MetricsRegistry::from_traces(&traces).snapshot(), live.snapshot());
-    }
-
-    #[test]
-    fn snapshot_is_independent_of_recording_interleaving() {
-        // Same spans, shard-local order preserved, cross-rank order
-        // swapped: snapshots must be identical.
-        let a = MetricsRegistry::new(2);
-        a.record_span(0, &span(OpKind::Compute, 0.0, 1.0, 0));
-        a.record_span(1, &span(OpKind::Compute, 0.0, 2.0, 0));
-        a.record_span(0, &span(OpKind::Send, 1.0, 1.5, 8));
-        let b = MetricsRegistry::new(2);
-        b.record_span(1, &span(OpKind::Compute, 0.0, 2.0, 0));
-        b.record_span(0, &span(OpKind::Compute, 0.0, 1.0, 0));
-        b.record_span(0, &span(OpKind::Send, 1.0, 1.5, 8));
-        assert_eq!(a.snapshot(), b.snapshot());
     }
 }

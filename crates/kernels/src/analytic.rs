@@ -131,6 +131,7 @@ fn finish(clock: Vec<SimTime>, compute: Vec<SimTime>, comm: Vec<SimTime>) -> Tim
         total_overhead: comm.iter().fold(SimTime::ZERO, |acc, &t| acc + t),
         times: clock,
         compute_times: compute,
+        traces: Vec::new(),
     }
 }
 

@@ -6,12 +6,10 @@ mod seq;
 pub mod timed;
 
 pub use parallel::{ge_parallel, GeOutcome};
-pub use recover::{ge_parallel_timed_recoverable, ge_parallel_timed_recoverable_traced};
+pub use recover::ge_parallel_timed_recoverable;
 pub use seq::ge_sequential;
 pub use timed::{
-    ge_parallel_timed, ge_parallel_timed_faulted, ge_parallel_timed_faulted_traced,
-    ge_parallel_timed_many, ge_parallel_timed_traced, ge_parallel_timed_with, ge_timed_body,
-    GeRecording, TimingOutcome,
+    ge_parallel_timed, ge_parallel_timed_many, ge_parallel_timed_with, ge_timed_body, TimingOutcome,
 };
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use hetpart::{CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-use hetsim_mpi::{run_spmd, Rank, Tag};
+use hetsim_mpi::{run_spmd, Rank, RunSpec, Tag};
 
 /// Result of one parallel GE run.
 #[derive(Debug, Clone)]
@@ -65,7 +65,8 @@ pub fn ge_parallel<N: NetworkModel>(
     let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
     let dist = CyclicDistribution::fine(n, &speeds);
 
-    let outcome = run_spmd(cluster, network, |rank| ge_rank_body(rank, &dist, a, b, n));
+    let outcome =
+        run_spmd(cluster, network, RunSpec::default(), |rank| ge_rank_body(rank, &dist, a, b, n));
 
     let x = outcome.results[0].clone().expect("rank 0 returns the solution");
     GeOutcome {

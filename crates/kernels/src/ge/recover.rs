@@ -30,8 +30,8 @@
 use crate::analytic::elimination_flops;
 use crate::ge::timed::{ge_timed_body, TimingOutcome};
 use crate::recover::{
-    checkpoint_stride, compose_segments, compose_traces, death_iteration, run_recoverable,
-    survivor_shares, DeathEvent, RecoveryOutcome, RecoveryOverhead,
+    checkpoint_stride, compose_segments, death_iteration, run_recoverable, survivor_shares,
+    DeathEvent, RecoveryOutcome, RecoveryOverhead,
 };
 use crate::workload::ge_work;
 use hetpart::{repartition_after_deaths, CyclicDistribution, Distribution};
@@ -40,7 +40,6 @@ use hetsim_cluster::faults::{
     checkpoint_cost_secs, FaultPlan, RecoveryPolicy, DETECT_TIMEOUT_SECS,
 };
 use hetsim_cluster::network::NetworkModel;
-use hetsim_mpi::trace::RankTrace;
 use hetsim_mpi::SpmdTimer;
 
 /// Bytes of one checkpointed augmented-matrix row: `n + 1` doubles.
@@ -180,37 +179,17 @@ fn ge_resume_body<T: SpmdTimer>(
 }
 
 /// Recoverable timing-mode GE under `plan`'s MTBF stream and `policy`.
+/// With `trace` set, checkpoint, detect, lost-work, and rebalance
+/// charges appear as typed spans in `timing.traces`; a shrink run's
+/// segment-B spans are offset past the death boundary.
 pub fn ge_parallel_timed_recoverable<N: NetworkModel>(
     cluster: &ClusterSpec,
     network: &N,
     plan: &FaultPlan,
     policy: RecoveryPolicy,
     n: usize,
+    trace: bool,
 ) -> RecoveryOutcome {
-    ge_recoverable(cluster, network, plan, policy, n, false).0
-}
-
-/// [`ge_parallel_timed_recoverable`] with per-rank tracing: checkpoint,
-/// detect, lost-work, and rebalance charges appear as typed spans; a
-/// shrink run's segment-B spans are offset past the death boundary.
-pub fn ge_parallel_timed_recoverable_traced<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-    n: usize,
-) -> (RecoveryOutcome, Vec<RankTrace>) {
-    ge_recoverable(cluster, network, plan, policy, n, true)
-}
-
-fn ge_recoverable<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-    n: usize,
-    tracing: bool,
-) -> (RecoveryOutcome, Vec<RankTrace>) {
     let p = cluster.size();
     let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
     let speed_flops: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_flops()).collect();
@@ -234,10 +213,9 @@ fn ge_recoverable<N: NetworkModel>(
                 None => vec![0.0; p],
             };
             let death_iter = death.map(|ev| ev.iteration);
-            let mut outcome = run_recoverable(cluster, network, plan, tracing, |t| {
+            let outcome = run_recoverable(cluster, network, plan, trace, |t| {
                 ge_ckpt_body(t, &dist, n, stride, death_iter, &lost_flops, &ckpt_bytes)
             });
-            let traces = std::mem::take(&mut outcome.traces);
 
             let num_ckpts = if iters > 1 { (iters - 1) / stride } else { 0 };
             let overhead = RecoveryOverhead {
@@ -247,24 +225,19 @@ fn ge_recoverable<N: NetworkModel>(
                 lost_work_secs: lost_flops.iter().zip(&speed_flops).map(|(&l, &s)| l / s).sum(),
                 rebalance_secs: 0.0,
             };
-            (RecoveryOutcome { timing: TimingOutcome::from_spmd(outcome), overhead, death }, traces)
+            RecoveryOutcome { timing: TimingOutcome::from_spmd(outcome), overhead, death }
         }
         RecoveryPolicy::ShrinkRebalance => match death {
             None => {
-                let mut outcome = run_recoverable(cluster, network, plan, tracing, |t| {
-                    ge_timed_body(t, &dist, n)
-                });
-                let traces = std::mem::take(&mut outcome.traces);
-                (
-                    RecoveryOutcome {
-                        timing: TimingOutcome::from_spmd(outcome),
-                        overhead: RecoveryOverhead::default(),
-                        death: None,
-                    },
-                    traces,
-                )
+                let outcome =
+                    run_recoverable(cluster, network, plan, trace, |t| ge_timed_body(t, &dist, n));
+                RecoveryOutcome {
+                    timing: TimingOutcome::from_spmd(outcome),
+                    overhead: RecoveryOverhead::default(),
+                    death: None,
+                }
             }
-            Some(ev) => ge_shrink(cluster, network, plan, n, &dist, ev, tracing),
+            Some(ev) => ge_shrink(cluster, network, plan, n, &dist, ev, trace),
         },
     }
 }
@@ -276,8 +249,8 @@ fn ge_shrink<N: NetworkModel>(
     n: usize,
     dist: &CyclicDistribution,
     ev: DeathEvent,
-    tracing: bool,
-) -> (RecoveryOutcome, Vec<RankTrace>) {
+    trace: bool,
+) -> RecoveryOutcome {
     let p = cluster.size();
     let k = ev.iteration;
     let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
@@ -300,19 +273,11 @@ fn ge_shrink<N: NetworkModel>(
     let moved_in_bytes: Vec<u64> =
         repart.moved_in_rows.iter().map(|&r| r as u64 * row_bytes(n)).collect();
 
-    let mut a = run_recoverable(cluster, network, plan, tracing, |t| ge_prefix_body(t, dist, n, k));
-    let mut b = run_recoverable(&surv_cluster, network, &surv_plan, tracing, |t| {
+    let a = run_recoverable(cluster, network, plan, trace, |t| ge_prefix_body(t, dist, n, k));
+    let b = run_recoverable(&surv_cluster, network, &surv_plan, trace, |t| {
         ge_resume_body(t, &surv_dist, n, k, &lost_share, &moved_in_bytes)
     });
-
-    let a_traces = std::mem::take(&mut a.traces);
-    let b_traces = std::mem::take(&mut b.traces);
-    let timing = compose_segments(&a, &b, &repart.survivors);
-    let traces = if tracing {
-        compose_traces(a_traces, b_traces, a.makespan(), &repart.survivors)
-    } else {
-        Vec::new()
-    };
+    let timing = compose_segments(a, b, &repart.survivors);
 
     let overhead = RecoveryOverhead {
         checkpoint_secs: 0.0,
@@ -321,7 +286,7 @@ fn ge_shrink<N: NetworkModel>(
         rebalance_secs: repart.moved_bytes as f64
             / hetsim_cluster::faults::REBALANCE_BANDWIDTH_BYTES_PER_SEC,
     };
-    (RecoveryOutcome { timing, overhead, death: Some(ev) }, traces)
+    RecoveryOutcome { timing, overhead, death: Some(ev) }
 }
 
 #[cfg(test)]
@@ -330,7 +295,7 @@ mod tests {
     use crate::ge::ge_parallel_timed;
     use hetsim_cluster::network::SharedEthernet;
     use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::run_spmd;
+    use hetsim_mpi::{run_spmd, RunSpec};
 
     fn het3() -> ClusterSpec {
         ClusterSpec::new(
@@ -367,12 +332,12 @@ mod tests {
         // MTBF far past the run; interval far past the run: the
         // recoverable program degenerates to the baseline op stream.
         let plan = FaultPlan::new(1).with_mtbf(1e12);
-        let base = ge_parallel_timed(&cluster, &net(), n);
+        let base = ge_parallel_timed(&cluster, &net(), n, RunSpec::default());
         for policy in [
             RecoveryPolicy::CheckpointRestart { interval_secs: 1e9 },
             RecoveryPolicy::ShrinkRebalance,
         ] {
-            let r = ge_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n);
+            let r = ge_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n, false);
             assert_eq!(r.timing, base, "policy {policy:?} diverged from baseline");
             assert_eq!(r.overhead.total_secs(), 0.0);
             assert_eq!(r.death, None);
@@ -385,13 +350,14 @@ mod tests {
         let n = 32;
         let plan = FaultPlan::new(1).with_mtbf(1e12);
         let est = crate::recover::estimated_run_secs(&cluster, ge_work(n));
-        let base = ge_parallel_timed(&cluster, &net(), n);
+        let base = ge_parallel_timed(&cluster, &net(), n, RunSpec::default());
         let r = ge_parallel_timed_recoverable(
             &cluster,
             &net(),
             &plan,
             RecoveryPolicy::CheckpointRestart { interval_secs: est / 8.0 },
             n,
+            false,
         );
         assert!(r.timing.makespan > base.makespan);
         assert!(r.overhead.checkpoint_secs > 0.0);
@@ -407,7 +373,7 @@ mod tests {
         let est = crate::recover::estimated_run_secs(&cluster, ge_work(n));
         let interval = est / 5.0;
         let policy = RecoveryPolicy::CheckpointRestart { interval_secs: interval };
-        let fast = ge_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n);
+        let fast = ge_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n, false);
 
         // Re-derive the injected body's inputs and run it on the
         // threaded oracle.
@@ -420,9 +386,10 @@ mod tests {
         let lost: Vec<f64> =
             (0..3).map(|r| ge_elim_flops_range(&dist.rows_of(r), n, c, ev.iteration)).collect();
         let bytes: Vec<u64> = (0..3).map(|r| dist.rows_of(r).len() as u64 * row_bytes(n)).collect();
-        let threaded = TimingOutcome::from_spmd(run_spmd(&cluster, &net(), |rank| {
-            ge_ckpt_body(rank, &dist, n, stride, Some(ev.iteration), &lost, &bytes)
-        }));
+        let threaded =
+            TimingOutcome::from_spmd(run_spmd(&cluster, &net(), RunSpec::default(), |rank| {
+                ge_ckpt_body(rank, &dist, n, stride, Some(ev.iteration), &lost, &bytes)
+            }));
         assert_eq!(fast.timing, threaded);
     }
 
@@ -437,6 +404,7 @@ mod tests {
             &plan,
             RecoveryPolicy::ShrinkRebalance,
             n,
+            false,
         );
         let ev = fast.death.unwrap();
 
@@ -455,11 +423,13 @@ mod tests {
         let lost_share = survivor_shares(lost_total, &surv_speed_flops);
         let moved_in: Vec<u64> =
             repart.moved_in_rows.iter().map(|&r| r as u64 * row_bytes(n)).collect();
-        let a = run_spmd(&cluster, &net(), |rank| ge_prefix_body(rank, &dist, n, ev.iteration));
-        let b = run_spmd(&surv_cluster, &net(), |rank| {
+        let a = run_spmd(&cluster, &net(), RunSpec::default(), |rank| {
+            ge_prefix_body(rank, &dist, n, ev.iteration)
+        });
+        let b = run_spmd(&surv_cluster, &net(), RunSpec::default(), |rank| {
             ge_resume_body(rank, &surv_dist, n, ev.iteration, &lost_share, &moved_in)
         });
-        let threaded = compose_segments(&a, &b, &repart.survivors);
+        let threaded = compose_segments(a, b, &repart.survivors);
         assert_eq!(fast.timing, threaded);
     }
 
@@ -474,6 +444,7 @@ mod tests {
             &plan,
             RecoveryPolicy::ShrinkRebalance,
             n,
+            false,
         );
         let ev = r.death.unwrap();
         assert!(r.overhead.rebalance_secs > 0.0);
@@ -496,8 +467,8 @@ mod tests {
             RecoveryPolicy::CheckpointRestart { interval_secs: 0.01 },
             RecoveryPolicy::ShrinkRebalance,
         ] {
-            let a = ge_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n);
-            let b = ge_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n);
+            let a = ge_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n, false);
+            let b = ge_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n, false);
             assert_eq!(a, b);
         }
     }
@@ -510,38 +481,28 @@ mod tests {
         let plan = deadly_plan(&cluster, n, 42);
         let est = crate::recover::estimated_run_secs(&cluster, ge_work(n));
 
-        let (ck, traces) = ge_parallel_timed_recoverable_traced(
-            &cluster,
-            &net(),
-            &plan,
-            RecoveryPolicy::CheckpointRestart { interval_secs: est / 2.0 },
-            n,
-        );
+        let ckpt = RecoveryPolicy::CheckpointRestart { interval_secs: est / 2.0 };
+        let ck = ge_parallel_timed_recoverable(&cluster, &net(), &plan, ckpt, n, true);
         let kinds: Vec<OpKind> =
-            traces.iter().flat_map(|t| t.records.iter().map(|r| r.kind)).collect();
+            ck.timing.traces.iter().flat_map(|t| t.records.iter().map(|r| r.kind)).collect();
         assert!(kinds.contains(&OpKind::Checkpoint));
         assert!(kinds.contains(&OpKind::Detect));
         assert!(kinds.contains(&OpKind::LostWork));
         assert_eq!(
-            ck.timing,
-            ge_parallel_timed_recoverable(
-                &cluster,
-                &net(),
-                &plan,
-                RecoveryPolicy::CheckpointRestart { interval_secs: est / 2.0 },
-                n
-            )
-            .timing,
+            TimingOutcome { traces: Vec::new(), ..ck.timing },
+            ge_parallel_timed_recoverable(&cluster, &net(), &plan, ckpt, n, false).timing,
             "tracing must not perturb timings"
         );
 
-        let (_, traces) = ge_parallel_timed_recoverable_traced(
+        let shrink = ge_parallel_timed_recoverable(
             &cluster,
             &net(),
             &plan,
             RecoveryPolicy::ShrinkRebalance,
             n,
+            true,
         );
+        let traces = shrink.timing.traces;
         let kinds: Vec<OpKind> =
             traces.iter().flat_map(|t| t.records.iter().map(|r| r.kind)).collect();
         assert!(kinds.contains(&OpKind::Detect));
@@ -566,6 +527,7 @@ mod tests {
             &plan,
             RecoveryPolicy::CheckpointRestart { interval_secs: est * 2.0 },
             n,
+            false,
         );
         let fine = ge_parallel_timed_recoverable(
             &cluster,
@@ -573,6 +535,7 @@ mod tests {
             &plan,
             RecoveryPolicy::CheckpointRestart { interval_secs: est / 16.0 },
             n,
+            false,
         );
         assert!(fine.overhead.lost_work_secs <= coarse.overhead.lost_work_secs);
         assert!(fine.overhead.checkpoint_secs > coarse.overhead.checkpoint_secs);

@@ -12,22 +12,21 @@
 //! compares every clock.
 //!
 //! The skeleton is written against [`SpmdTimer`], so it runs on either
-//! engine: the wrappers below price it on the fast path
-//! ([`run_spmd_fast`] — no threads, no payloads), while
-//! `fast_matches_threaded` pins the fast result to the threaded oracle
-//! executing the *same generic body*.
+//! engine: every timed kernel entry point takes a [`RunSpec`] and prices
+//! it through one tier rule — the hand-derived closed form
+//! ([`crate::analytic`]) when the run is untraced, fault-free, and the
+//! analytic tier is enabled, the fast engine ([`run_spmd_fast`] — no
+//! threads, no payloads) otherwise — while `fast_matches_threaded` pins
+//! the fast result to the threaded oracle executing the *same generic
+//! body*.
 
 use crate::analytic::{elimination_flops, ge_closed_form};
 use hetpart::{CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
-use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
 use hetsim_mpi::trace::RankTrace;
-use hetsim_mpi::{
-    record_spmd, run_spmd_fast, run_spmd_fast_faulted, run_spmd_fast_faulted_traced,
-    run_spmd_fast_traced, SpmdOutcome, SpmdProgram, SpmdTimer, Tag,
-};
+use hetsim_mpi::{run_spmd_fast, RecordTimer, RunSpec, SpmdOutcome, SpmdTimer, Tag};
 
 /// Timing result of a protocol-skeleton run.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,6 +39,9 @@ pub struct TimingOutcome {
     pub times: Vec<SimTime>,
     /// Per-rank pure-compute time.
     pub compute_times: Vec<SimTime>,
+    /// Per-rank operation traces, indexed by rank; empty unless the run
+    /// was started with [`RunSpec::trace`] set.
+    pub traces: Vec<RankTrace>,
 }
 
 impl TimingOutcome {
@@ -52,20 +54,58 @@ impl TimingOutcome {
             total_overhead: outcome.total_overhead(),
             times: outcome.times,
             compute_times: outcome.compute_times,
+            traces: outcome.traces,
         }
     }
 }
 
+/// The tier rule every timed kernel entry point shares: the closed form
+/// prices a run if and only if it is untraced, fault-free, and the
+/// analytic tier is enabled (`--no-analytic` disables it).
+pub(crate) fn closed_form_applies(spec: RunSpec<'_>) -> bool {
+    !spec.trace && spec.faults.is_none() && hetsim_mpi::analytic_enabled()
+}
+
+/// Prices one timed run under `spec`: `closed_form` when
+/// [`closed_form_applies`], otherwise `body` on the fast engine.
+pub(crate) fn price<N, F>(
+    cluster: &ClusterSpec,
+    network: &N,
+    spec: RunSpec<'_>,
+    closed_form: impl FnOnce() -> TimingOutcome,
+    body: F,
+) -> TimingOutcome
+where
+    N: NetworkModel,
+    F: Fn(&mut RecordTimer),
+{
+    if closed_form_applies(spec) {
+        closed_form()
+    } else {
+        TimingOutcome::from_spmd(run_spmd_fast(cluster, network, spec, body))
+    }
+}
+
 /// Runs the GE communication/computation skeleton at problem size `n`
-/// with the standard speed-proportional cyclic distribution.
+/// with the standard speed-proportional cyclic distribution, under
+/// `spec` (tracing feeds the overhead-decomposition experiment; a fault
+/// plan stretches elimination compute and charges retry time, and its
+/// deaths must already be resolved).
 pub fn ge_parallel_timed<N: NetworkModel>(
     cluster: &ClusterSpec,
     network: &N,
     n: usize,
+    spec: RunSpec<'_>,
 ) -> TimingOutcome {
     let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
     let dist = CyclicDistribution::fine(n, &speeds);
-    ge_parallel_timed_with(cluster, network, n, &dist)
+    price(
+        cluster,
+        network,
+        spec,
+        || ge_closed_form(cluster, network, n, &dist),
+        |t| ge_timed_body(t, &dist, n),
+    )
 }
 
 /// Runs the GE skeleton with an explicit row distribution — the hook the
@@ -83,11 +123,13 @@ pub fn ge_parallel_timed_with<N: NetworkModel>(
 ) -> TimingOutcome {
     assert_eq!(dist.n(), n, "distribution covers a different problem size");
     assert_eq!(dist.p(), cluster.size(), "distribution has a different rank count");
-    if hetsim_mpi::analytic_enabled() {
-        ge_closed_form(cluster, network, n, dist)
-    } else {
-        TimingOutcome::from_spmd(run_spmd_fast(cluster, network, |t| ge_timed_body(t, dist, n)))
-    }
+    price(
+        cluster,
+        network,
+        RunSpec::default(),
+        || ge_closed_form(cluster, network, n, dist),
+        |t| ge_timed_body(t, dist, n),
+    )
 }
 
 /// [`ge_parallel_timed`] under many network models at once: the same
@@ -104,103 +146,10 @@ pub fn ge_parallel_timed_many<N: NetworkModel>(
 ) -> Vec<TimingOutcome> {
     let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
     let dist = CyclicDistribution::fine(n, &speeds);
-    if hetsim_mpi::analytic_enabled() {
+    if closed_form_applies(RunSpec::default()) {
         crate::analytic::ge_closed_form_many(cluster, networks, n, &dist)
     } else {
-        networks
-            .iter()
-            .map(|net| {
-                TimingOutcome::from_spmd(run_spmd_fast(cluster, net, |t| {
-                    ge_timed_body(t, &dist, n)
-                }))
-            })
-            .collect()
-    }
-}
-
-/// [`ge_parallel_timed`] with per-rank operation tracing: returns the
-/// timing outcome together with one [`RankTrace`] per rank, feeding the
-/// overhead-decomposition experiment (where did `T_o` go — broadcast,
-/// barrier, or distribution?).
-pub fn ge_parallel_timed_traced<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    n: usize,
-) -> (TimingOutcome, Vec<RankTrace>) {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = CyclicDistribution::fine(n, &speeds);
-    let mut outcome = run_spmd_fast_traced(cluster, network, |t| ge_timed_body(t, &dist, n));
-    let traces = std::mem::take(&mut outcome.traces);
-    (TimingOutcome::from_spmd(outcome), traces)
-}
-
-/// [`ge_parallel_timed`] under a deterministic [`FaultPlan`]: degraded
-/// speeds stretch elimination compute, link drops charge retry time.
-/// Deaths must already be resolved (run on the surviving cluster).
-pub fn ge_parallel_timed_faulted<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    n: usize,
-) -> TimingOutcome {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = CyclicDistribution::fine(n, &speeds);
-    let outcome = run_spmd_fast_faulted(cluster, network, plan, |t| ge_timed_body(t, &dist, n));
-    TimingOutcome::from_spmd(outcome)
-}
-
-/// [`ge_parallel_timed_faulted`] with per-rank tracing (retry charges
-/// appear as `OpKind::Retry` spans).
-pub fn ge_parallel_timed_faulted_traced<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    n: usize,
-) -> (TimingOutcome, Vec<RankTrace>) {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = CyclicDistribution::fine(n, &speeds);
-    let mut outcome =
-        run_spmd_fast_faulted_traced(cluster, network, plan, |t| ge_timed_body(t, &dist, n));
-    let traces = std::mem::take(&mut outcome.traces);
-    (TimingOutcome::from_spmd(outcome), traces)
-}
-
-/// A GE protocol skeleton recorded once for one `(cluster, n)` pair,
-/// replayable under many network models.
-///
-/// The recorded op stream (message sizes, charged flops, collective
-/// schedule) depends only on the cluster's speeds and `n` — never on
-/// the network — so studies that price the *same* configuration under
-/// many cost models (e.g. the frozen-noise campaigns, which sweep
-/// dozens of jittered networks over one ladder) can skip the repeated
-/// record phase. Each [`simulate`](GeRecording::simulate) is
-/// bit-identical to a fresh [`ge_parallel_timed`] run on the same
-/// inputs (replay is the same engine phase either way).
-pub struct GeRecording {
-    cluster: ClusterSpec,
-    n: usize,
-    program: SpmdProgram<()>,
-}
-
-impl GeRecording {
-    /// Records the GE skeleton at problem size `n` with the standard
-    /// speed-proportional cyclic distribution.
-    pub fn record(cluster: &ClusterSpec, n: usize) -> GeRecording {
-        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-        let dist = CyclicDistribution::fine(n, &speeds);
-        let program = record_spmd(cluster, |t| ge_timed_body(t, &dist, n));
-        GeRecording { cluster: cluster.clone(), n, program }
-    }
-
-    /// The recorded problem size.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Replays the recording under `network` — bit-identical to
-    /// [`ge_parallel_timed`] on the recording's cluster and size.
-    pub fn simulate<N: NetworkModel>(&self, network: &N) -> TimingOutcome {
-        TimingOutcome::from_spmd(self.program.simulate(&self.cluster, network))
+        networks.iter().map(|net| ge_parallel_timed_with(cluster, net, n, &dist)).collect()
     }
 }
 
@@ -252,9 +201,10 @@ mod tests {
     use super::*;
     use crate::ge::ge_parallel;
     use crate::matrix::Matrix;
+    use hetsim_cluster::faults::FaultPlan;
     use hetsim_cluster::network::SharedEthernet;
     use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::{run_spmd, run_spmd_faulted};
+    use hetsim_mpi::{record_spmd, run_spmd};
 
     fn het3() -> ClusterSpec {
         ClusterSpec::new(
@@ -279,7 +229,7 @@ mod tests {
             let x_true: Vec<f64> = (0..n).map(|i| i as f64 * 0.01 + 1.0).collect();
             let b = a.matvec(&x_true);
             let real = ge_parallel(&cluster, &net, &a, &b);
-            let timed = ge_parallel_timed(&cluster, &net, n);
+            let timed = ge_parallel_timed(&cluster, &net, n, RunSpec::default());
             assert_eq!(timed.makespan, real.makespan, "makespan mismatch at n = {n}");
             assert_eq!(timed.times, real.times, "per-rank clocks mismatch at n = {n}");
             assert_eq!(timed.compute_times, real.compute_times, "compute time mismatch at n = {n}");
@@ -297,10 +247,11 @@ mod tests {
             let speeds: Vec<f64> =
                 cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
             let dist = CyclicDistribution::fine(n, &speeds);
-            let fast = ge_parallel_timed(&cluster, &net, n);
-            let threaded = TimingOutcome::from_spmd(run_spmd(&cluster, &net, |rank| {
-                ge_timed_body(rank, &dist, n)
-            }));
+            let fast = ge_parallel_timed(&cluster, &net, n, RunSpec::default());
+            let threaded =
+                TimingOutcome::from_spmd(run_spmd(&cluster, &net, RunSpec::default(), |rank| {
+                    ge_timed_body(rank, &dist, n)
+                }));
             assert_eq!(fast, threaded, "engine mismatch at n = {n}");
         }
     }
@@ -313,10 +264,14 @@ mod tests {
         let n = 23usize;
         let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
         let dist = CyclicDistribution::fine(n, &speeds);
-        let fast = ge_parallel_timed_faulted(&cluster, &net, &plan, n);
-        let threaded = TimingOutcome::from_spmd(run_spmd_faulted(&cluster, &net, &plan, |rank| {
-            ge_timed_body(rank, &dist, n)
-        }));
+        let fast =
+            ge_parallel_timed(&cluster, &net, n, RunSpec { trace: false, faults: Some(&plan) });
+        let threaded = TimingOutcome::from_spmd(run_spmd(
+            &cluster,
+            &net,
+            RunSpec { trace: false, faults: Some(&plan) },
+            |rank| ge_timed_body(rank, &dist, n),
+        ));
         assert_eq!(fast, threaded);
     }
 
@@ -384,10 +339,21 @@ mod tests {
     }
 
     #[test]
+    fn closed_form_prices_only_untraced_fault_free_runs() {
+        let plan = FaultPlan::new(1);
+        assert!(closed_form_applies(RunSpec::default()));
+        assert!(!closed_form_applies(RunSpec { trace: true, faults: None }));
+        assert!(!closed_form_applies(RunSpec { trace: false, faults: Some(&plan) }));
+    }
+
+    #[test]
     fn timed_is_deterministic() {
         let cluster = ClusterSpec::homogeneous(4, 50.0);
         let net = SharedEthernet::new(1e-4, 1.25e7);
-        assert_eq!(ge_parallel_timed(&cluster, &net, 64), ge_parallel_timed(&cluster, &net, 64));
+        assert_eq!(
+            ge_parallel_timed(&cluster, &net, 64, RunSpec::default()),
+            ge_parallel_timed(&cluster, &net, 64, RunSpec::default())
+        );
     }
 
     #[test]
@@ -395,8 +361,9 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(3, 70.0);
         let net = SharedEthernet::new(1e-4, 1.25e7);
         let plan = FaultPlan::new(99);
-        let base = ge_parallel_timed(&cluster, &net, 48);
-        let faulted = ge_parallel_timed_faulted(&cluster, &net, &plan, 48);
+        let base = ge_parallel_timed(&cluster, &net, 48, RunSpec::default());
+        let faulted =
+            ge_parallel_timed(&cluster, &net, 48, RunSpec { trace: false, faults: Some(&plan) });
         assert_eq!(base, faulted);
     }
 
@@ -405,8 +372,9 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(3, 70.0);
         let net = SharedEthernet::new(1e-4, 1.25e7);
         let plan = FaultPlan::new(3).with_straggler(1, 0.25);
-        let base = ge_parallel_timed(&cluster, &net, 48);
-        let faulted = ge_parallel_timed_faulted(&cluster, &net, &plan, 48);
+        let base = ge_parallel_timed(&cluster, &net, 48, RunSpec::default());
+        let faulted =
+            ge_parallel_timed(&cluster, &net, 48, RunSpec { trace: false, faults: Some(&plan) });
         assert!(faulted.makespan > base.makespan);
     }
 
@@ -415,7 +383,7 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(2, 50.0);
         let net = SharedEthernet::new(1e-4, 1.25e7);
         for n in [1usize, 2] {
-            let t = ge_parallel_timed(&cluster, &net, n);
+            let t = ge_parallel_timed(&cluster, &net, n, RunSpec::default());
             assert!(t.makespan.as_secs() >= 0.0);
         }
     }

@@ -66,14 +66,13 @@ pub use analytic::{
     ge_closed_form, ge_closed_form_many, mm_closed_form, power_closed_form, stencil_closed_form,
 };
 pub use ge::{
-    ge_parallel, ge_parallel_timed, ge_parallel_timed_recoverable,
-    ge_parallel_timed_recoverable_traced, ge_sequential, GeOutcome, TimingOutcome,
+    ge_parallel, ge_parallel_timed, ge_parallel_timed_recoverable, ge_sequential, GeOutcome,
+    TimingOutcome,
 };
 pub use matrix::Matrix;
 pub use mega::{ge_mega, ge_mega_with, mm_mega, power_mega, MegaOutcome};
 pub use mm::{
-    mm_parallel, mm_parallel_timed, mm_parallel_timed_recoverable,
-    mm_parallel_timed_recoverable_traced, mm_sequential, MmOutcome,
+    mm_parallel, mm_parallel_timed, mm_parallel_timed_recoverable, mm_sequential, MmOutcome,
 };
 pub use power::{power_parallel, power_parallel_timed, power_sequential, power_work, PowerOutcome};
 pub use recover::{DeathEvent, RecoveryOutcome, RecoveryOverhead};

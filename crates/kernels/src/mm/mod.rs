@@ -6,12 +6,9 @@ mod seq;
 pub mod timed;
 
 pub use parallel::{mm_parallel, MmOutcome};
-pub use recover::{mm_parallel_timed_recoverable, mm_parallel_timed_recoverable_traced};
+pub use recover::mm_parallel_timed_recoverable;
 pub use seq::mm_sequential;
-pub use timed::{
-    mm_parallel_timed, mm_parallel_timed_faulted, mm_parallel_timed_faulted_traced,
-    mm_parallel_timed_traced, mm_parallel_timed_with, mm_timed_body,
-};
+pub use timed::{mm_parallel_timed, mm_parallel_timed_with, mm_timed_body};
 
 #[cfg(test)]
 mod tests {

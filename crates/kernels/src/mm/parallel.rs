@@ -14,7 +14,7 @@ use hetpart::BlockDistribution;
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-use hetsim_mpi::{run_spmd, Rank, Tag};
+use hetsim_mpi::{run_spmd, Rank, RunSpec, Tag};
 
 /// Result of one parallel MM run.
 #[derive(Debug, Clone)]
@@ -49,7 +49,8 @@ pub fn mm_parallel<N: NetworkModel>(
     let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
     let dist = BlockDistribution::proportional(n, &speeds);
 
-    let outcome = run_spmd(cluster, network, |rank| mm_rank_body(rank, &dist, a, b, n));
+    let outcome =
+        run_spmd(cluster, network, RunSpec::default(), |rank| mm_rank_body(rank, &dist, a, b, n));
 
     let c = outcome.results[0].clone().expect("rank 0 assembles the product");
     MmOutcome {

@@ -19,8 +19,8 @@
 use crate::ge::timed::TimingOutcome;
 use crate::mm::timed::mm_timed_body;
 use crate::recover::{
-    checkpoint_stride, compose_segments, compose_traces, death_iteration, run_recoverable,
-    survivor_shares, DeathEvent, RecoveryOutcome, RecoveryOverhead,
+    checkpoint_stride, compose_segments, death_iteration, run_recoverable, survivor_shares,
+    DeathEvent, RecoveryOutcome, RecoveryOverhead,
 };
 use crate::workload::mm_work;
 use hetpart::{repartition_after_deaths, BlockDistribution};
@@ -29,7 +29,6 @@ use hetsim_cluster::faults::{
     checkpoint_cost_secs, FaultPlan, RecoveryPolicy, DETECT_TIMEOUT_SECS,
 };
 use hetsim_cluster::network::NetworkModel;
-use hetsim_mpi::trace::RankTrace;
 use hetsim_mpi::{SpmdTimer, Tag};
 
 /// Bytes of one matrix row: `n` doubles.
@@ -132,42 +131,32 @@ fn mm_resume_body<T: SpmdTimer>(
     rank.gather_count(0, my_range.len() * n);
 }
 
-/// Recoverable timing-mode MM under `plan`'s MTBF stream and `policy`.
+/// Recoverable timing-mode MM under `plan`'s MTBF stream and `policy`;
+/// `trace` records typed recovery spans in `timing.traces` (see
+/// [`crate::ge::ge_parallel_timed_recoverable`]).
 pub fn mm_parallel_timed_recoverable<N: NetworkModel>(
     cluster: &ClusterSpec,
     network: &N,
     plan: &FaultPlan,
     policy: RecoveryPolicy,
     n: usize,
+    trace: bool,
 ) -> RecoveryOutcome {
-    mm_recoverable(cluster, network, plan, policy, n, false).0
-}
-
-/// [`mm_parallel_timed_recoverable`] with per-rank tracing.
-pub fn mm_parallel_timed_recoverable_traced<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-    n: usize,
-) -> (RecoveryOutcome, Vec<RankTrace>) {
-    mm_recoverable(cluster, network, plan, policy, n, true)
-}
-
-fn mm_recoverable<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-    n: usize,
-    tracing: bool,
-) -> (RecoveryOutcome, Vec<RankTrace>) {
     let p = cluster.size();
     let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
     let speed_flops: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_flops()).collect();
     let dist = BlockDistribution::proportional(n, &speeds);
     let total_flops = mm_work(n);
     let death = death_iteration(plan, cluster, n, total_flops);
+    let baseline = || {
+        let outcome =
+            run_recoverable(cluster, network, plan, trace, |t| mm_timed_body(t, &dist, n));
+        RecoveryOutcome {
+            timing: TimingOutcome::from_spmd(outcome),
+            overhead: RecoveryOverhead::default(),
+            death: None,
+        }
+    };
 
     match policy {
         RecoveryPolicy::CheckpointRestart { interval_secs } => {
@@ -176,18 +165,7 @@ fn mm_recoverable<N: NetworkModel>(
             if death.is_none() && !any_ckpt {
                 // Nothing to inject: record the baseline body so the
                 // outcome is bit-equal to the plain timed run.
-                let mut outcome = run_recoverable(cluster, network, plan, tracing, |t| {
-                    mm_timed_body(t, &dist, n)
-                });
-                let traces = std::mem::take(&mut outcome.traces);
-                return (
-                    RecoveryOutcome {
-                        timing: TimingOutcome::from_spmd(outcome),
-                        overhead: RecoveryOverhead::default(),
-                        death: None,
-                    },
-                    traces,
-                );
+                return baseline();
             }
             let ckpt_bytes: Vec<u64> =
                 (0..p).map(|r| dist.range_of(r).len() as u64 * row_bytes(n)).collect();
@@ -201,10 +179,9 @@ fn mm_recoverable<N: NetworkModel>(
                 None => vec![0.0; p],
             };
             let death_iter = death.map(|ev| ev.iteration);
-            let mut outcome = run_recoverable(cluster, network, plan, tracing, |t| {
+            let outcome = run_recoverable(cluster, network, plan, trace, |t| {
                 mm_ckpt_body(t, &dist, n, stride, death_iter, &lost_flops, &ckpt_bytes)
             });
-            let traces = std::mem::take(&mut outcome.traces);
 
             let num_ckpts = if n > 1 { (n - 1) / stride } else { 0 };
             let overhead = RecoveryOverhead {
@@ -214,24 +191,11 @@ fn mm_recoverable<N: NetworkModel>(
                 lost_work_secs: lost_flops.iter().zip(&speed_flops).map(|(&l, &s)| l / s).sum(),
                 rebalance_secs: 0.0,
             };
-            (RecoveryOutcome { timing: TimingOutcome::from_spmd(outcome), overhead, death }, traces)
+            RecoveryOutcome { timing: TimingOutcome::from_spmd(outcome), overhead, death }
         }
         RecoveryPolicy::ShrinkRebalance => match death {
-            None => {
-                let mut outcome = run_recoverable(cluster, network, plan, tracing, |t| {
-                    mm_timed_body(t, &dist, n)
-                });
-                let traces = std::mem::take(&mut outcome.traces);
-                (
-                    RecoveryOutcome {
-                        timing: TimingOutcome::from_spmd(outcome),
-                        overhead: RecoveryOverhead::default(),
-                        death: None,
-                    },
-                    traces,
-                )
-            }
-            Some(ev) => mm_shrink(cluster, network, plan, n, &dist, ev, tracing),
+            None => baseline(),
+            Some(ev) => mm_shrink(cluster, network, plan, n, &dist, ev, trace),
         },
     }
 }
@@ -243,8 +207,8 @@ fn mm_shrink<N: NetworkModel>(
     n: usize,
     dist: &BlockDistribution,
     ev: DeathEvent,
-    tracing: bool,
-) -> (RecoveryOutcome, Vec<RankTrace>) {
+    trace: bool,
+) -> RecoveryOutcome {
     let p = cluster.size();
     let k = ev.iteration;
     let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
@@ -267,19 +231,11 @@ fn mm_shrink<N: NetworkModel>(
     let moved_in_bytes: Vec<u64> =
         repart.moved_in_rows.iter().map(|&r| r as u64 * row_bytes(n)).collect();
 
-    let mut a = run_recoverable(cluster, network, plan, tracing, |t| mm_prefix_body(t, dist, n, k));
-    let mut b = run_recoverable(&surv_cluster, network, &surv_plan, tracing, |t| {
+    let a = run_recoverable(cluster, network, plan, trace, |t| mm_prefix_body(t, dist, n, k));
+    let b = run_recoverable(&surv_cluster, network, &surv_plan, trace, |t| {
         mm_resume_body(t, &surv_dist, n, k, &lost_share, &moved_in_bytes)
     });
-
-    let a_traces = std::mem::take(&mut a.traces);
-    let b_traces = std::mem::take(&mut b.traces);
-    let timing = compose_segments(&a, &b, &repart.survivors);
-    let traces = if tracing {
-        compose_traces(a_traces, b_traces, a.makespan(), &repart.survivors)
-    } else {
-        Vec::new()
-    };
+    let timing = compose_segments(a, b, &repart.survivors);
 
     let overhead = RecoveryOverhead {
         checkpoint_secs: 0.0,
@@ -288,7 +244,7 @@ fn mm_shrink<N: NetworkModel>(
         rebalance_secs: repart.moved_bytes as f64
             / hetsim_cluster::faults::REBALANCE_BANDWIDTH_BYTES_PER_SEC,
     };
-    (RecoveryOutcome { timing, overhead, death: Some(ev) }, traces)
+    RecoveryOutcome { timing, overhead, death: Some(ev) }
 }
 
 #[cfg(test)]
@@ -297,7 +253,7 @@ mod tests {
     use crate::mm::mm_parallel_timed;
     use hetsim_cluster::network::SharedEthernet;
     use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::run_spmd;
+    use hetsim_mpi::{run_spmd, RunSpec};
 
     fn het3() -> ClusterSpec {
         ClusterSpec::new(
@@ -330,12 +286,12 @@ mod tests {
         let cluster = het3();
         let n = 24;
         let plan = FaultPlan::new(1).with_mtbf(1e12);
-        let base = mm_parallel_timed(&cluster, &net(), n);
+        let base = mm_parallel_timed(&cluster, &net(), n, RunSpec::default());
         for policy in [
             RecoveryPolicy::CheckpointRestart { interval_secs: 1e9 },
             RecoveryPolicy::ShrinkRebalance,
         ] {
-            let r = mm_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n);
+            let r = mm_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n, false);
             assert_eq!(r.timing, base, "policy {policy:?} diverged from baseline");
             assert_eq!(r.overhead.total_secs(), 0.0);
             assert_eq!(r.death, None);
@@ -350,7 +306,7 @@ mod tests {
         let est = crate::recover::estimated_run_secs(&cluster, mm_work(n));
         let interval = est / 5.0;
         let policy = RecoveryPolicy::CheckpointRestart { interval_secs: interval };
-        let fast = mm_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n);
+        let fast = mm_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n, false);
 
         let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
         let dist = BlockDistribution::proportional(n, &speeds);
@@ -362,9 +318,10 @@ mod tests {
             .collect();
         let bytes: Vec<u64> =
             (0..3).map(|r| dist.range_of(r).len() as u64 * row_bytes(n)).collect();
-        let threaded = TimingOutcome::from_spmd(run_spmd(&cluster, &net(), |rank| {
-            mm_ckpt_body(rank, &dist, n, stride, Some(ev.iteration), &lost, &bytes)
-        }));
+        let threaded =
+            TimingOutcome::from_spmd(run_spmd(&cluster, &net(), RunSpec::default(), |rank| {
+                mm_ckpt_body(rank, &dist, n, stride, Some(ev.iteration), &lost, &bytes)
+            }));
         assert_eq!(fast.timing, threaded);
     }
 
@@ -379,6 +336,7 @@ mod tests {
             &plan,
             RecoveryPolicy::ShrinkRebalance,
             n,
+            false,
         );
         let ev = fast.death.unwrap();
 
@@ -396,11 +354,13 @@ mod tests {
         let lost_share = survivor_shares(lost_total, &surv_speed_flops);
         let moved_in: Vec<u64> =
             repart.moved_in_rows.iter().map(|&r| r as u64 * row_bytes(n)).collect();
-        let a = run_spmd(&cluster, &net(), |rank| mm_prefix_body(rank, &dist, n, ev.iteration));
-        let b = run_spmd(&surv_cluster, &net(), |rank| {
+        let a = run_spmd(&cluster, &net(), RunSpec::default(), |rank| {
+            mm_prefix_body(rank, &dist, n, ev.iteration)
+        });
+        let b = run_spmd(&surv_cluster, &net(), RunSpec::default(), |rank| {
             mm_resume_body(rank, &surv_dist, n, ev.iteration, &lost_share, &moved_in)
         });
-        let threaded = compose_segments(&a, &b, &repart.survivors);
+        let threaded = compose_segments(a, b, &repart.survivors);
         assert_eq!(fast.timing, threaded);
     }
 
@@ -413,8 +373,8 @@ mod tests {
             RecoveryPolicy::CheckpointRestart { interval_secs: 0.01 },
             RecoveryPolicy::ShrinkRebalance,
         ] {
-            let a = mm_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n);
-            let b = mm_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n);
+            let a = mm_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n, false);
+            let b = mm_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n, false);
             assert_eq!(a, b);
         }
     }
@@ -425,15 +385,16 @@ mod tests {
         let cluster = het3();
         let n = 24;
         let plan = deadly_plan(&cluster, n, 42);
-        let (_, traces) = mm_parallel_timed_recoverable_traced(
+        let r = mm_parallel_timed_recoverable(
             &cluster,
             &net(),
             &plan,
             RecoveryPolicy::ShrinkRebalance,
             n,
+            true,
         );
         let kinds: Vec<OpKind> =
-            traces.iter().flat_map(|t| t.records.iter().map(|r| r.kind)).collect();
+            r.timing.traces.iter().flat_map(|t| t.records.iter().map(|r| r.kind)).collect();
         assert!(kinds.contains(&OpKind::Detect));
         assert!(kinds.contains(&OpKind::Rebalance));
         assert!(kinds.contains(&OpKind::LostWork));
@@ -453,6 +414,7 @@ mod tests {
             &plan,
             RecoveryPolicy::ShrinkRebalance,
             n,
+            false,
         );
         assert!(r.timing.makespan.as_secs() > 0.0);
         assert!(r.overhead.rebalance_secs > 0.0);

@@ -2,27 +2,32 @@
 //! and charged (not executed) arithmetic. See [`crate::ge::timed`] for
 //! why this is timing-exact and how the two engines relate.
 
+use crate::analytic::mm_closed_form;
+use crate::ge::timed::price;
 use crate::ge::TimingOutcome;
 use hetpart::{BlockDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
-use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
-use hetsim_mpi::trace::RankTrace;
-use hetsim_mpi::{
-    run_spmd_fast, run_spmd_fast_faulted, run_spmd_fast_faulted_traced, run_spmd_fast_traced,
-    SpmdTimer, Tag,
-};
+use hetsim_mpi::{RunSpec, SpmdTimer, Tag};
 
 /// Runs the MM communication/computation skeleton at problem size `n`
-/// with the standard speed-proportional block distribution.
+/// with the standard speed-proportional block distribution, under
+/// `spec` (see [`crate::ge::ge_parallel_timed`]).
 pub fn mm_parallel_timed<N: NetworkModel>(
     cluster: &ClusterSpec,
     network: &N,
     n: usize,
+    spec: RunSpec<'_>,
 ) -> TimingOutcome {
     let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
     let dist = BlockDistribution::proportional(n, &speeds);
-    mm_parallel_timed_with(cluster, network, n, &dist)
+    price(
+        cluster,
+        network,
+        spec,
+        || mm_closed_form(cluster, network, n, &dist),
+        |t| mm_timed_body(t, &dist, n),
+    )
 }
 
 /// Runs the MM skeleton with an explicit block distribution — the hook
@@ -40,54 +45,13 @@ pub fn mm_parallel_timed_with<N: NetworkModel>(
 ) -> TimingOutcome {
     assert_eq!(dist.n(), n, "distribution covers a different problem size");
     assert_eq!(dist.p(), cluster.size(), "distribution has a different rank count");
-    if hetsim_mpi::analytic_enabled() {
-        return crate::analytic::mm_closed_form(cluster, network, n, dist);
-    }
-    let outcome = run_spmd_fast(cluster, network, |t| mm_timed_body(t, dist, n));
-    TimingOutcome::from_spmd(outcome)
-}
-
-/// [`mm_parallel_timed`] with per-rank operation tracing, for the
-/// overhead-decomposition and observability passes.
-pub fn mm_parallel_timed_traced<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    n: usize,
-) -> (TimingOutcome, Vec<RankTrace>) {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = BlockDistribution::proportional(n, &speeds);
-    let mut outcome = run_spmd_fast_traced(cluster, network, |t| mm_timed_body(t, &dist, n));
-    let traces = std::mem::take(&mut outcome.traces);
-    (TimingOutcome::from_spmd(outcome), traces)
-}
-
-/// [`mm_parallel_timed`] under a deterministic [`FaultPlan`] (see
-/// [`crate::ge::ge_parallel_timed_faulted`] for semantics).
-pub fn mm_parallel_timed_faulted<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    n: usize,
-) -> TimingOutcome {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = BlockDistribution::proportional(n, &speeds);
-    let outcome = run_spmd_fast_faulted(cluster, network, plan, |t| mm_timed_body(t, &dist, n));
-    TimingOutcome::from_spmd(outcome)
-}
-
-/// [`mm_parallel_timed_faulted`] with per-rank tracing.
-pub fn mm_parallel_timed_faulted_traced<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    n: usize,
-) -> (TimingOutcome, Vec<RankTrace>) {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = BlockDistribution::proportional(n, &speeds);
-    let mut outcome =
-        run_spmd_fast_faulted_traced(cluster, network, plan, |t| mm_timed_body(t, &dist, n));
-    let traces = std::mem::take(&mut outcome.traces);
-    (TimingOutcome::from_spmd(outcome), traces)
+    price(
+        cluster,
+        network,
+        RunSpec::default(),
+        || mm_closed_form(cluster, network, n, dist),
+        |t| mm_timed_body(t, dist, n),
+    )
 }
 
 /// The MM (HoHe) protocol skeleton as a generic [`SpmdTimer`] body —
@@ -125,9 +89,10 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
     use crate::mm::mm_parallel;
+    use hetsim_cluster::faults::FaultPlan;
     use hetsim_cluster::network::SharedEthernet;
     use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::{run_spmd, run_spmd_faulted};
+    use hetsim_mpi::run_spmd;
 
     fn het3() -> ClusterSpec {
         ClusterSpec::new(
@@ -149,7 +114,7 @@ mod tests {
             let a = Matrix::random(n, n, 1);
             let b = Matrix::random(n, n, 2);
             let real = mm_parallel(&cluster, &net, &a, &b);
-            let timed = mm_parallel_timed(&cluster, &net, n);
+            let timed = mm_parallel_timed(&cluster, &net, n, RunSpec::default());
             assert_eq!(timed.makespan, real.makespan, "makespan mismatch at n = {n}");
             assert_eq!(timed.times, real.times, "per-rank clocks mismatch at n = {n}");
             assert_eq!(timed.compute_times, real.compute_times, "compute time mismatch at n = {n}");
@@ -165,10 +130,11 @@ mod tests {
             let speeds: Vec<f64> =
                 cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
             let dist = BlockDistribution::proportional(n, &speeds);
-            let fast = mm_parallel_timed(&cluster, &net, n);
-            let threaded = TimingOutcome::from_spmd(run_spmd(&cluster, &net, |rank| {
-                mm_timed_body(rank, &dist, n)
-            }));
+            let fast = mm_parallel_timed(&cluster, &net, n, RunSpec::default());
+            let threaded =
+                TimingOutcome::from_spmd(run_spmd(&cluster, &net, RunSpec::default(), |rank| {
+                    mm_timed_body(rank, &dist, n)
+                }));
             assert_eq!(fast, threaded, "engine mismatch at n = {n}");
         }
     }
@@ -181,10 +147,14 @@ mod tests {
         let n = 48usize;
         let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
         let dist = BlockDistribution::proportional(n, &speeds);
-        let fast = mm_parallel_timed_faulted(&cluster, &net, &plan, n);
-        let threaded = TimingOutcome::from_spmd(run_spmd_faulted(&cluster, &net, &plan, |rank| {
-            mm_timed_body(rank, &dist, n)
-        }));
+        let fast =
+            mm_parallel_timed(&cluster, &net, n, RunSpec { trace: false, faults: Some(&plan) });
+        let threaded = TimingOutcome::from_spmd(run_spmd(
+            &cluster,
+            &net,
+            RunSpec { trace: false, faults: Some(&plan) },
+            |rank| mm_timed_body(rank, &dist, n),
+        ));
         assert_eq!(fast, threaded);
     }
 
@@ -192,7 +162,10 @@ mod tests {
     fn timed_is_deterministic() {
         let cluster = ClusterSpec::homogeneous(3, 50.0);
         let net = SharedEthernet::new(1e-4, 1.25e7);
-        assert_eq!(mm_parallel_timed(&cluster, &net, 48), mm_parallel_timed(&cluster, &net, 48));
+        assert_eq!(
+            mm_parallel_timed(&cluster, &net, 48, RunSpec::default()),
+            mm_parallel_timed(&cluster, &net, 48, RunSpec::default())
+        );
     }
 
     #[test]
@@ -201,8 +174,8 @@ mod tests {
         let net = SharedEthernet::new(1e-4, 1.25e7);
         let plan = FaultPlan::new(5);
         assert_eq!(
-            mm_parallel_timed(&cluster, &net, 48),
-            mm_parallel_timed_faulted(&cluster, &net, &plan, 48)
+            mm_parallel_timed(&cluster, &net, 48, RunSpec::default()),
+            mm_parallel_timed(&cluster, &net, 48, RunSpec { trace: false, faults: Some(&plan) })
         );
     }
 
@@ -212,10 +185,12 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(3, 50.0);
         let net = SharedEthernet::new(1e-4, 1.25e7);
         let plan = FaultPlan::new(21).with_link_drops(500);
-        let base = mm_parallel_timed(&cluster, &net, 48);
-        let (faulted, traces) = mm_parallel_timed_faulted_traced(&cluster, &net, &plan, 48);
+        let base = mm_parallel_timed(&cluster, &net, 48, RunSpec::default());
+        let faulted =
+            mm_parallel_timed(&cluster, &net, 48, RunSpec { trace: true, faults: Some(&plan) });
         assert!(faulted.makespan > base.makespan);
-        let retries: usize = traces
+        let retries: usize = faulted
+            .traces
             .iter()
             .flat_map(|t| t.records.iter())
             .filter(|r| r.kind == OpKind::Retry)

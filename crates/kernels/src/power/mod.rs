@@ -18,7 +18,7 @@ mod timed;
 
 pub use parallel::{power_parallel, PowerOutcome};
 pub use seq::power_sequential;
-pub use timed::{power_parallel_timed, power_parallel_timed_traced, power_timed_body};
+pub use timed::{power_parallel_timed, power_timed_body};
 
 /// Work model: `iters` sweeps of an `n × n` matvec (`2n²` flops) plus
 /// the infinity-norm and renormalization passes (`2n` flops).
@@ -32,6 +32,7 @@ mod tests {
     use crate::matrix::Matrix;
     use hetsim_cluster::network::MpichEthernet;
     use hetsim_cluster::{ClusterSpec, NodeSpec};
+    use hetsim_mpi::RunSpec;
 
     fn het3() -> ClusterSpec {
         ClusterSpec::new(
@@ -106,7 +107,7 @@ mod tests {
         let a = test_matrix(20, 5);
         for iters in [1usize, 4] {
             let real = power_parallel(&het3(), &net(), &a, iters);
-            let timed = power_parallel_timed(&het3(), &net(), 20, iters);
+            let timed = power_parallel_timed(&het3(), &net(), 20, iters, RunSpec::default());
             assert_eq!(timed.makespan, real.makespan, "iters = {iters}");
             assert_eq!(timed.times, real.times, "iters = {iters}");
             assert_eq!(timed.compute_times, real.compute_times, "iters = {iters}");

@@ -13,7 +13,7 @@ use hetpart::BlockDistribution;
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-use hetsim_mpi::{run_spmd, Rank, Tag};
+use hetsim_mpi::{run_spmd, Rank, RunSpec, Tag};
 
 /// Result of one parallel power-method run.
 #[derive(Debug, Clone)]
@@ -48,7 +48,9 @@ pub fn power_parallel<N: NetworkModel>(
     let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
     let dist = BlockDistribution::proportional(n, &speeds);
 
-    let outcome = run_spmd(cluster, network, |rank| power_rank_body(rank, &dist, a, n, iters));
+    let outcome = run_spmd(cluster, network, RunSpec::default(), |rank| {
+        power_rank_body(rank, &dist, a, n, iters)
+    });
 
     let (eigenvalue, eigenvector) = outcome.results[0].clone();
     PowerOutcome {

@@ -3,43 +3,32 @@
 //! pinned in the parent module's tests and by `fast_matches_threaded`
 //! below.
 
+use crate::analytic::power_closed_form;
+use crate::ge::timed::price;
 use crate::ge::TimingOutcome;
 use hetpart::BlockDistribution;
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
-use hetsim_mpi::trace::RankTrace;
-use hetsim_mpi::{run_spmd_fast, run_spmd_fast_traced, SpmdTimer, Tag};
+use hetsim_mpi::{RunSpec, SpmdTimer, Tag};
 
-/// Runs the power-method protocol skeleton: `iters` sweeps at size `n`.
+/// Runs the power-method protocol skeleton: `iters` sweeps at size `n`,
+/// under `spec` (see [`crate::ge::ge_parallel_timed`]).
 pub fn power_parallel_timed<N: NetworkModel>(
     cluster: &ClusterSpec,
     network: &N,
     n: usize,
     iters: usize,
+    spec: RunSpec<'_>,
 ) -> TimingOutcome {
     let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
     let dist = BlockDistribution::proportional(n, &speeds);
-    if hetsim_mpi::analytic_enabled() {
-        return crate::analytic::power_closed_form(cluster, network, n, iters, &dist);
-    }
-    let outcome = run_spmd_fast(cluster, network, |t| power_timed_body(t, &dist, n, iters));
-    TimingOutcome::from_spmd(outcome)
-}
-
-/// [`power_parallel_timed`] with per-rank operation tracing, for the
-/// overhead-decomposition and observability passes.
-pub fn power_parallel_timed_traced<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    n: usize,
-    iters: usize,
-) -> (TimingOutcome, Vec<RankTrace>) {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = BlockDistribution::proportional(n, &speeds);
-    let mut outcome =
-        run_spmd_fast_traced(cluster, network, |t| power_timed_body(t, &dist, n, iters));
-    let traces = std::mem::take(&mut outcome.traces);
-    (TimingOutcome::from_spmd(outcome), traces)
+    price(
+        cluster,
+        network,
+        spec,
+        || power_closed_form(cluster, network, n, iters, &dist),
+        |t| power_timed_body(t, &dist, n, iters),
+    )
 }
 
 /// The power-iteration protocol skeleton as a generic [`SpmdTimer`]
@@ -74,6 +63,7 @@ pub fn power_timed_body<T: SpmdTimer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetsim_cluster::faults::FaultPlan;
     use hetsim_cluster::network::MpichEthernet;
     use hetsim_cluster::NodeSpec;
     use hetsim_mpi::run_spmd;
@@ -83,8 +73,8 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(4, 50.0);
         let net = MpichEthernet::new(1e-4, 1e8);
         assert_eq!(
-            power_parallel_timed(&cluster, &net, 40, 5),
-            power_parallel_timed(&cluster, &net, 40, 5)
+            power_parallel_timed(&cluster, &net, 40, 5, RunSpec::default()),
+            power_parallel_timed(&cluster, &net, 40, 5, RunSpec::default())
         );
     }
 
@@ -101,15 +91,21 @@ mod tests {
         )
         .unwrap();
         let net = MpichEthernet::new(1e-4, 1e8);
+        // A fault plan keeps the kernel off its closed form and on the
+        // fast engine's faulted, traced mode, spans included.
+        let plan = FaultPlan::new(17).with_straggler(1, 0.5).with_link_drops(200);
+        let faulted = RunSpec { trace: true, faults: Some(&plan) };
         for (n, iters) in [(13usize, 3usize), (40, 5)] {
             let speeds: Vec<f64> =
                 cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
             let dist = BlockDistribution::proportional(n, &speeds);
-            let fast = power_parallel_timed(&cluster, &net, n, iters);
-            let threaded = TimingOutcome::from_spmd(run_spmd(&cluster, &net, |rank| {
-                power_timed_body(rank, &dist, n, iters)
-            }));
-            assert_eq!(fast, threaded, "engine mismatch at n = {n}, iters = {iters}");
+            for spec in [RunSpec::default(), faulted] {
+                let fast = power_parallel_timed(&cluster, &net, n, iters, spec);
+                let threaded = TimingOutcome::from_spmd(run_spmd(&cluster, &net, spec, |rank| {
+                    power_timed_body(rank, &dist, n, iters)
+                }));
+                assert_eq!(fast, threaded, "engine mismatch at n = {n}, iters = {iters}, {spec:?}");
+            }
         }
     }
 
@@ -117,8 +113,8 @@ mod tests {
     fn overhead_scales_with_sweeps() {
         let cluster = ClusterSpec::homogeneous(4, 50.0);
         let net = MpichEthernet::new(1e-4, 1e8);
-        let o1 = power_parallel_timed(&cluster, &net, 64, 2);
-        let o2 = power_parallel_timed(&cluster, &net, 64, 8);
+        let o1 = power_parallel_timed(&cluster, &net, 64, 2, RunSpec::default());
+        let o2 = power_parallel_timed(&cluster, &net, 64, 8, RunSpec::default());
         assert!(o2.total_overhead > o1.total_overhead);
     }
 }

@@ -17,10 +17,7 @@ use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-use hetsim_mpi::{
-    run_spmd_fast, run_spmd_fast_faulted, run_spmd_fast_faulted_traced, run_spmd_fast_traced,
-    RecordTimer, SpmdOutcome,
-};
+use hetsim_mpi::{run_spmd_fast, RecordTimer, RunSpec, SpmdOutcome};
 
 /// The plan's earliest sampled death, resolved onto the driver's
 /// iteration axis.
@@ -142,71 +139,53 @@ pub(crate) fn runtime_faults_active(plan: &FaultPlan, p: usize) -> bool {
     plan.drop_per_mille() > 0 || (0..p).any(|r| plan.windows_for(r).is_some())
 }
 
-/// Runs `body` on the fast engine, routing through the faulted entry
-/// points only when the plan carries runtime faults (see
-/// [`runtime_faults_active`]).
+/// Runs `body` on the fast engine, attaching `plan` to the run only when
+/// it carries runtime faults (see [`runtime_faults_active`]).
 pub(crate) fn run_recoverable<N, F>(
     cluster: &ClusterSpec,
     network: &N,
     plan: &FaultPlan,
-    tracing: bool,
+    trace: bool,
     body: F,
 ) -> SpmdOutcome<()>
 where
     N: NetworkModel,
     F: Fn(&mut RecordTimer),
 {
-    match (runtime_faults_active(plan, cluster.size()), tracing) {
-        (false, false) => run_spmd_fast(cluster, network, body),
-        (false, true) => run_spmd_fast_traced(cluster, network, body),
-        (true, false) => run_spmd_fast_faulted(cluster, network, plan, body),
-        (true, true) => run_spmd_fast_faulted_traced(cluster, network, plan, body),
-    }
+    let faults = runtime_faults_active(plan, cluster.size()).then_some(plan);
+    run_spmd_fast(cluster, network, RunSpec { trace, faults }, body)
 }
 
 /// Composes a shrink-rebalance run's two segments into one
 /// [`TimingOutcome`]: survivors resume from the segment-A makespan (the
 /// whole machine rendezvouses at the death boundary), the dead rank
 /// stops at its segment-A clock, and overhead is the sum of both
-/// segments' communication time.
+/// segments' communication time. Traced segments merge into one trace
+/// per rank, segment-B spans offset by the segment-A makespan so the
+/// composed timeline is monotone per rank.
 pub(crate) fn compose_segments(
-    a: &SpmdOutcome<()>,
-    b: &SpmdOutcome<()>,
+    a: SpmdOutcome<()>,
+    b: SpmdOutcome<()>,
     survivors: &[usize],
 ) -> TimingOutcome {
     let shift = a.makespan();
-    let mut times = a.times.clone();
-    let mut compute_times = a.compute_times.clone();
+    let total_overhead = a.total_overhead() + b.total_overhead();
+    let mut times = a.times;
+    let mut compute_times = a.compute_times;
+    let mut traces = a.traces;
     for (b_idx, &orig) in survivors.iter().enumerate() {
         times[orig] = shift + b.times[b_idx];
         compute_times[orig] += b.compute_times[b_idx];
-    }
-    TimingOutcome {
-        makespan: shift + b.makespan(),
-        total_overhead: a.total_overhead() + b.total_overhead(),
-        times,
-        compute_times,
-    }
-}
-
-/// Merges segment-B traces into the segment-A traces, offsetting every
-/// span by the segment-A makespan so the composed timeline is
-/// monotone per rank.
-pub(crate) fn compose_traces(
-    mut a_traces: Vec<hetsim_mpi::trace::RankTrace>,
-    b_traces: Vec<hetsim_mpi::trace::RankTrace>,
-    shift: SimTime,
-    survivors: &[usize],
-) -> Vec<hetsim_mpi::trace::RankTrace> {
-    for (b_idx, &orig) in survivors.iter().enumerate() {
-        for rec in &b_traces[b_idx].records {
-            let mut shifted = *rec;
-            shifted.start += shift;
-            shifted.end += shift;
-            a_traces[orig].records.push(shifted);
+        if let Some(b_trace) = b.traces.get(b_idx) {
+            for rec in &b_trace.records {
+                let mut shifted = *rec;
+                shifted.start += shift;
+                shifted.end += shift;
+                traces[orig].records.push(shifted);
+            }
         }
     }
-    a_traces
+    TimingOutcome { makespan: shift + b.makespan(), total_overhead, times, compute_times, traces }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ mod timed;
 
 pub use parallel::{stencil_parallel, StencilOutcome};
 pub use seq::jacobi_sequential;
-pub use timed::{stencil_parallel_timed, stencil_parallel_timed_traced, stencil_timed_body};
+pub use timed::{stencil_parallel_timed, stencil_timed_body};
 
 /// Work model: `iters` Jacobi sweeps over the interior of an `n × n`
 /// grid, 4 flops per point (three adds and one multiply).
@@ -38,6 +38,7 @@ mod tests {
     use crate::matrix::Matrix;
     use hetsim_cluster::network::{ConstantLatency, MpichEthernet};
     use hetsim_cluster::{ClusterSpec, NodeSpec};
+    use hetsim_mpi::RunSpec;
 
     fn grid(n: usize, seed: u64) -> Matrix {
         Matrix::random(n, n, seed)
@@ -106,7 +107,7 @@ mod tests {
         let u0 = grid(24, 5);
         for iters in [1usize, 4] {
             let real = stencil_parallel(&het3(), &net(), &u0, iters);
-            let timed = stencil_parallel_timed(&het3(), &net(), 24, iters);
+            let timed = stencil_parallel_timed(&het3(), &net(), 24, iters, RunSpec::default());
             assert_eq!(timed.makespan, real.makespan, "iters = {iters}");
             assert_eq!(timed.times, real.times, "iters = {iters}");
             assert_eq!(timed.compute_times, real.compute_times, "iters = {iters}");

@@ -12,7 +12,7 @@ use hetpart::{BlockDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-use hetsim_mpi::{run_spmd, Rank, Tag};
+use hetsim_mpi::{run_spmd, Rank, RunSpec, Tag};
 
 /// Halo row travelling from a lower-index block to a higher-index one.
 const TAG_DOWN: Tag = Tag(10);
@@ -57,7 +57,9 @@ pub fn stencil_parallel<N: NetworkModel>(
     let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
     let dist = BlockDistribution::proportional(n, &speeds);
 
-    let outcome = run_spmd(cluster, network, |rank| stencil_rank_body(rank, &dist, u0, n, iters));
+    let outcome = run_spmd(cluster, network, RunSpec::default(), |rank| {
+        stencil_rank_body(rank, &dist, u0, n, iters)
+    });
 
     let grid = outcome.results[0].clone().expect("rank 0 assembles the grid");
     StencilOutcome {

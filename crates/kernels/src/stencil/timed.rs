@@ -3,47 +3,35 @@
 //! messages, no arithmetic. Timing equivalence is pinned by the tests
 //! in the parent module and by `fast_matches_threaded` below.
 
+use crate::analytic::stencil_closed_form;
+use crate::ge::timed::price;
 use crate::ge::TimingOutcome;
 use hetpart::BlockDistribution;
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
-use hetsim_mpi::trace::RankTrace;
-use hetsim_mpi::{run_spmd_fast, run_spmd_fast_traced, SpmdTimer, Tag};
+use hetsim_mpi::{RunSpec, SpmdTimer, Tag};
 
 const TAG_DOWN: Tag = Tag(10);
 const TAG_UP: Tag = Tag(11);
 
 /// Runs the stencil protocol skeleton at grid size `n` for `iters`
-/// sweeps.
+/// sweeps, under `spec` (see [`crate::ge::ge_parallel_timed`]).
 pub fn stencil_parallel_timed<N: NetworkModel>(
     cluster: &ClusterSpec,
     network: &N,
     n: usize,
     iters: usize,
+    spec: RunSpec<'_>,
 ) -> TimingOutcome {
     let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
     let dist = BlockDistribution::proportional(n, &speeds);
-    if hetsim_mpi::analytic_enabled() {
-        return crate::analytic::stencil_closed_form(cluster, network, n, iters, &dist);
-    }
-    let outcome = run_spmd_fast(cluster, network, |t| stencil_timed_body(t, &dist, n, iters));
-    TimingOutcome::from_spmd(outcome)
-}
-
-/// [`stencil_parallel_timed`] with per-rank operation tracing, for the
-/// overhead-decomposition and observability passes.
-pub fn stencil_parallel_timed_traced<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    n: usize,
-    iters: usize,
-) -> (TimingOutcome, Vec<RankTrace>) {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = BlockDistribution::proportional(n, &speeds);
-    let mut outcome =
-        run_spmd_fast_traced(cluster, network, |t| stencil_timed_body(t, &dist, n, iters));
-    let traces = std::mem::take(&mut outcome.traces);
-    (TimingOutcome::from_spmd(outcome), traces)
+    price(
+        cluster,
+        network,
+        spec,
+        || stencil_closed_form(cluster, network, n, iters, &dist),
+        |t| stencil_timed_body(t, &dist, n, iters),
+    )
 }
 
 /// The stencil protocol skeleton as a generic [`SpmdTimer`] body — the
@@ -99,6 +87,7 @@ pub fn stencil_timed_body<T: SpmdTimer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetsim_cluster::faults::FaultPlan;
     use hetsim_cluster::network::MpichEthernet;
     use hetsim_cluster::NodeSpec;
     use hetsim_mpi::run_spmd;
@@ -108,8 +97,8 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(4, 50.0);
         let net = MpichEthernet::new(1e-4, 1e8);
         assert_eq!(
-            stencil_parallel_timed(&cluster, &net, 48, 6),
-            stencil_parallel_timed(&cluster, &net, 48, 6)
+            stencil_parallel_timed(&cluster, &net, 48, 6, RunSpec::default()),
+            stencil_parallel_timed(&cluster, &net, 48, 6, RunSpec::default())
         );
     }
 
@@ -126,15 +115,21 @@ mod tests {
         )
         .unwrap();
         let net = MpichEthernet::new(1e-4, 1e8);
+        // A fault plan keeps the kernel off its closed form and on the
+        // fast engine's faulted, traced mode, spans included.
+        let plan = FaultPlan::new(17).with_straggler(1, 0.5).with_link_drops(200);
+        let faulted = RunSpec { trace: true, faults: Some(&plan) };
         for (n, iters) in [(9usize, 2usize), (48, 6)] {
             let speeds: Vec<f64> =
                 cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
             let dist = BlockDistribution::proportional(n, &speeds);
-            let fast = stencil_parallel_timed(&cluster, &net, n, iters);
-            let threaded = TimingOutcome::from_spmd(run_spmd(&cluster, &net, |rank| {
-                stencil_timed_body(rank, &dist, n, iters)
-            }));
-            assert_eq!(fast, threaded, "engine mismatch at n = {n}, iters = {iters}");
+            for spec in [RunSpec::default(), faulted] {
+                let fast = stencil_parallel_timed(&cluster, &net, n, iters, spec);
+                let threaded = TimingOutcome::from_spmd(run_spmd(&cluster, &net, spec, |rank| {
+                    stencil_timed_body(rank, &dist, n, iters)
+                }));
+                assert_eq!(fast, threaded, "engine mismatch at n = {n}, iters = {iters}, {spec:?}");
+            }
         }
     }
 
@@ -142,8 +137,8 @@ mod tests {
     fn overhead_scales_with_iterations() {
         let cluster = ClusterSpec::homogeneous(4, 50.0);
         let net = MpichEthernet::new(1e-4, 1e8);
-        let o2 = stencil_parallel_timed(&cluster, &net, 64, 2);
-        let o8 = stencil_parallel_timed(&cluster, &net, 64, 8);
+        let o2 = stencil_parallel_timed(&cluster, &net, 64, 2, RunSpec::default());
+        let o8 = stencil_parallel_timed(&cluster, &net, 64, 8, RunSpec::default());
         assert!(o8.total_overhead > o2.total_overhead);
     }
 }

@@ -6,11 +6,10 @@
 //! speed on each node as its marked speed").
 
 use crate::kernels::{run_kernel, BenchKernel};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One kernel's wall-clock measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelRating {
     /// The kernel measured.
     pub kernel: BenchKernel,
@@ -23,7 +22,7 @@ pub struct KernelRating {
 }
 
 /// Suite result for this host.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostRating {
     /// Per-kernel measurements.
     pub per_kernel: Vec<KernelRating>,

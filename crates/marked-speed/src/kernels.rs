@@ -6,10 +6,8 @@
 //! subtract, multiply or divide = one flop; complex multiply-add in the
 //! FFT butterflies = 10 flops per butterfly.
 
-use serde::{Deserialize, Serialize};
-
 /// Which micro-kernel to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchKernel {
     /// Dense LU factorization without pivoting.
     Lu,

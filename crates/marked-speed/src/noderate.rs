@@ -12,7 +12,6 @@
 
 use crate::kernels::{run_kernel, BenchKernel};
 use hetsim_cluster::node::NodeSpec;
-use serde::{Deserialize, Serialize};
 
 /// Fraction of a node's nominal speed each kernel sustains. The factors
 /// average to exactly 1.0 so a suite rating recovers the nominal speed.
@@ -25,7 +24,7 @@ pub fn kernel_efficiency(kernel: BenchKernel) -> f64 {
 }
 
 /// One simulated kernel measurement on a node model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimKernelRating {
     /// Which kernel ran.
     pub kernel: BenchKernel,
@@ -38,7 +37,7 @@ pub struct SimKernelRating {
 }
 
 /// A node's Table-1 row: per-kernel speeds and the suite average.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeRating {
     /// Node name (e.g. "hpc-40").
     pub node: String,

@@ -16,10 +16,9 @@ use crate::error::FitError;
 use crate::poly::Polynomial;
 use crate::solve::{solve_dense, DenseSystem};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Result of a polynomial fit: the polynomial plus goodness-of-fit data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FitReport {
     /// Fitted polynomial in *raw* (unscaled) coordinates.
     pub poly: Polynomial,

@@ -4,14 +4,13 @@
 //! `coeffs[k]` multiplies `x^k`. The representation is kept *normalized* —
 //! trailing zero coefficients are trimmed — so `degree()` is meaningful.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense univariate polynomial `c0 + c1·x + c2·x² + …`.
 ///
 /// The zero polynomial is represented by an empty coefficient vector and
 /// reports degree 0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polynomial {
     coeffs: Vec<f64>,
 }

@@ -9,10 +9,9 @@
 use crate::error::FitError;
 use crate::lsq::{polyfit, FitReport};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// An ordered series of `(x, y)` samples with strictly increasing `x`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Series {
     xs: Vec<f64>,
     ys: Vec<f64>,

@@ -8,7 +8,6 @@
 
 use crate::error::FitError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Arithmetic mean. Returns `None` for an empty slice.
 pub fn mean(xs: &[f64]) -> Option<f64> {
@@ -74,7 +73,7 @@ pub fn median(xs: &[f64]) -> Option<f64> {
 }
 
 /// Result of a simple linear regression `y ≈ intercept + slope·x`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Intercept `a` in `y = a + b·x`.
     pub intercept: f64,
@@ -127,7 +126,7 @@ pub fn linear_regression(x: &[f64], y: &[f64]) -> Result<LinearFit> {
 
 /// A linear regression with coefficient standard errors — calibration
 /// quality reporting for the §4.5 machine-parameter fits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFitWithErrors {
     /// The point estimates.
     pub fit: LinearFit,

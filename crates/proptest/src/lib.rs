@@ -8,7 +8,7 @@
 //! - the [`proptest!`] macro (with `#![proptest_config(..)]`),
 //! - [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_assert_ne!`],
 //! - range strategies for the integer types and `f64`,
-//! - tuple strategies + [`Strategy::prop_map`],
+//! - tuple strategies + [`strategy::Strategy::prop_map`],
 //! - [`collection::vec`] with `Range`/`RangeInclusive` sizes,
 //! - [`num::u64::ANY`].
 //!
@@ -85,7 +85,7 @@ pub mod test_runner {
     }
 }
 
-/// The [`Strategy`] trait and the adapters this workspace needs.
+/// The [`Strategy`](strategy::Strategy) trait and the adapters this workspace needs.
 pub mod strategy {
     use crate::test_runner::TestRng;
 

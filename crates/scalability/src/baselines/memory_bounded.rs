@@ -24,8 +24,6 @@
 //! gap the isospeed-efficiency metric fills; they are here as the
 //! workload-growth context the paper builds on.
 
-use serde::{Deserialize, Serialize};
-
 /// Validates a sequential fraction.
 fn check_alpha(alpha: f64) {
     assert!(
@@ -67,7 +65,7 @@ pub fn memory_bounded_speedup(alpha: f64, p: usize, g_of_p: f64) -> f64 {
 }
 
 /// Common workload-growth profiles for [`memory_bounded_speedup`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GrowthProfile {
     /// `G(p) = 1`: the problem cannot grow (Amdahl's regime).
     Fixed,

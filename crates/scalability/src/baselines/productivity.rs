@@ -11,10 +11,8 @@
 //! business considerations and so does not reflect inherent scalability.
 //! The model is nonetheless implemented in full as a baseline.
 
-use serde::{Deserialize, Serialize};
-
 /// One configuration's observed service metrics and cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProductivityModel {
     /// Throughput λ in responses per second.
     pub throughput: f64,

@@ -77,7 +77,7 @@ pub mod theorem;
 pub use function::isospeed_efficiency_scalability;
 pub use measure::{achieved_speed, speed_efficiency, Measurement};
 pub use metric::{
-    required_n_for_efficiency, AlgorithmSystem, CachedSystem, EfficiencyCurve, FnAlgorithm,
-    LadderStep, ScalabilityLadder,
+    required_n_for_efficiency, AlgorithmSystem, EfficiencyCurve, FnAlgorithm, LadderStep,
+    ScalabilityLadder,
 };
 pub use theorem::{psi_corollary2, psi_theorem1, scaled_work_from_condition};

@@ -11,10 +11,8 @@
 //! the axes. Everything downstream — speed-efficiency, ψ — then works
 //! unchanged with the effective speed in place of the scalar.
 
-use serde::{Deserialize, Serialize};
-
 /// A node's multi-axis rating.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarkedPerformance {
     /// Sustained compute speed, Mflop/s.
     pub compute_mflops: f64,
@@ -43,7 +41,7 @@ impl MarkedPerformance {
 
 /// An application's demand mix: how many bytes of memory traffic and
 /// network traffic accompany each flop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceProfile {
     /// Memory bytes touched per flop (e.g. ~12 for stream-like code,
     /// <1 for blocked dense kernels).

@@ -6,8 +6,6 @@
 //! `E_s = S/C = W/(T·C)` — dimensionless, in `(0, 1]` for any system
 //! that cannot beat its own benchmark rating.
 
-use serde::{Deserialize, Serialize};
-
 /// Achieved speed `S = W / T` in flop/s.
 ///
 /// # Panics
@@ -38,7 +36,7 @@ pub fn speed_efficiency(work_flops: f64, time_secs: f64, marked_speed_flops: f64
 
 /// One complete observation of an algorithm–system combination at a
 /// problem size — a row of the paper's Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {
     /// Problem size parameter (the matrix rank `N` for GE/MM).
     pub n: usize,

@@ -16,7 +16,6 @@ use crate::function::isospeed_efficiency_scalability;
 use crate::measure::Measurement;
 use numfit::series::Series;
 use numfit::{invert_monotone, polyfit, FitError, FitReport};
-use serde::{Deserialize, Serialize};
 
 /// One algorithm–system combination that can be measured at any problem
 /// size. Implementations run a real kernel on a real (simulated or
@@ -82,51 +81,9 @@ where
     }
 }
 
-/// Memoizing wrapper around any [`AlgorithmSystem`]: repeated
-/// measurements at the same problem size are served from a cache, so a
-/// harness that builds both a figure and a ladder from the same system
-/// pays for each `(system, N)` execution once. Interior mutability keeps
-/// the [`AlgorithmSystem`] interface unchanged.
-pub struct CachedSystem<A: AlgorithmSystem> {
-    inner: A,
-    memo: std::cell::RefCell<std::collections::HashMap<usize, f64>>,
-}
-
-impl<A: AlgorithmSystem> CachedSystem<A> {
-    /// Wraps a system with an empty cache.
-    pub fn new(inner: A) -> Self {
-        CachedSystem { inner, memo: std::cell::RefCell::new(std::collections::HashMap::new()) }
-    }
-
-    /// Number of distinct problem sizes measured so far.
-    pub fn cached_sizes(&self) -> usize {
-        self.memo.borrow().len()
-    }
-}
-
-impl<A: AlgorithmSystem> AlgorithmSystem for CachedSystem<A> {
-    fn label(&self) -> String {
-        self.inner.label()
-    }
-    fn marked_speed_flops(&self) -> f64 {
-        self.inner.marked_speed_flops()
-    }
-    fn work(&self, n: usize) -> f64 {
-        self.inner.work(n)
-    }
-    fn execute(&self, n: usize) -> f64 {
-        if let Some(&t) = self.memo.borrow().get(&n) {
-            return t;
-        }
-        let t = self.inner.execute(n);
-        self.memo.borrow_mut().insert(n, t);
-        t
-    }
-}
-
 /// A measured speed-efficiency curve for one configuration: the data
 /// behind one trend line of Fig. 1 / Fig. 2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EfficiencyCurve {
     /// Configuration label.
     pub label: String,
@@ -217,7 +174,7 @@ impl EfficiencyCurve {
 
 /// One rung-to-rung step of a scalability ladder — a cell of the paper's
 /// Table 4 / Table 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LadderStep {
     /// Base configuration label.
     pub from: String,
@@ -241,7 +198,7 @@ pub struct LadderStep {
 
 /// A full ladder of configurations measured at one target efficiency —
 /// the paper's Tables 3+4 (GE) or Fig. 2+Table 5 (MM) in one object.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalabilityLadder {
     /// The speed-efficiency everything is held to.
     pub target_efficiency: f64,
@@ -525,34 +482,6 @@ mod tests {
         let m = alg.measure(100);
         assert_eq!(m.n, 100);
         assert!(m.speed_efficiency() > 0.0 && m.speed_efficiency() < 1.0);
-    }
-
-    #[test]
-    fn cached_system_executes_each_size_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static CALLS: AtomicUsize = AtomicUsize::new(0);
-        let raw = FnAlgorithm {
-            label: "counted".to_string(),
-            marked_speed_flops: 1e8,
-            work_fn: |n: usize| (n as f64).powi(3),
-            time_fn: |n: usize| {
-                CALLS.fetch_add(1, Ordering::SeqCst);
-                (n as f64).powi(3) / 1e8 + 1e-3 * n as f64
-            },
-        };
-        let cached = CachedSystem::new(raw);
-        let before = CALLS.load(Ordering::SeqCst);
-        let a = cached.execute(100);
-        let b = cached.execute(100);
-        let c = cached.execute(200);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(CALLS.load(Ordering::SeqCst) - before, 2, "two distinct sizes");
-        assert_eq!(cached.cached_sizes(), 2);
-        // Curve + ladder machinery runs through the cache unchanged.
-        let curve = EfficiencyCurve::measure(&cached, &[100, 200, 400]);
-        assert_eq!(curve.series.len(), 3);
-        assert_eq!(CALLS.load(Ordering::SeqCst) - before, 3, "only 400 was new");
     }
 
     #[test]

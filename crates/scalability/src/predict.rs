@@ -20,10 +20,9 @@ use crate::metric::AlgorithmSystem;
 use crate::theorem::psi_corollary2;
 use hetsim_cluster::calibrate::MachineParams;
 use hetsim_cluster::cluster::ClusterSpec;
-use serde::{Deserialize, Serialize};
 
 /// Analytic model of the parallel GE of §4.1.1 on a given configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GePredictor {
     /// Configuration label.
     pub label: String,
@@ -114,7 +113,7 @@ impl AlgorithmSystem for GePredictor {
 /// paper, which only predicts GE): overhead is distribution of `A`
 /// (proportional blocks), distribution of `B` (full matrix per peer),
 /// and collection of `C` — no per-iteration communication.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MmPredictor {
     /// Configuration label.
     pub label: String,

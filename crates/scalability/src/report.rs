@@ -10,11 +10,10 @@ use crate::execution_time::{
 use crate::metric::ScalabilityLadder;
 use hetsim_mpi::trace::{OpKind, OverheadBreakdown, RankTrace};
 use hetsim_obs::{critical_path, load_imbalance, rank_activity};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One analyzed ladder step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepAnalysis {
     /// Step label, e.g. `"sunwulf-ge-2 -> sunwulf-ge-4"`.
     pub step: String,
@@ -32,7 +31,7 @@ pub struct StepAnalysis {
 }
 
 /// Serializable mirror of [`TimeBehaviour`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Behaviour {
     /// ψ > 1: scaled runs get faster.
     Shrinking,
@@ -66,7 +65,7 @@ impl Behaviour {
 /// next to the ψ table, built from the same per-rank traces the
 /// overhead-decomposition experiment uses. ψ says *whether* the system
 /// scales; this says *why not* when it doesn't.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObservabilityAnnex {
     /// Fraction of total traced time per operation kind, in
     /// [`OpKind::ALL`] order with zero entries omitted. Includes
@@ -140,7 +139,7 @@ impl fmt::Display for ObservabilityAnnex {
 /// over ranks — the decomposition of the recovery tax the runtime
 /// charges as `Checkpoint`, `Detect`, `LostWork`, and `Rebalance`
 /// spans (DESIGN.md §12).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RecoveryBreakdown {
     /// Checkpoint I/O paid whether or not anything fails.
     pub checkpoint_tax_secs: f64,
@@ -180,7 +179,7 @@ impl fmt::Display for RecoveryBreakdown {
 /// robustness annex printed next to the ψ table. ψ retention is the
 /// headline: the fraction of fault-free scalability the system keeps
 /// under the injected fault plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessAnnex {
     /// `ψ_faulted / ψ_baseline` (geometric means): 1 means the faults
     /// cost no scalability, < 1 quantifies the loss.
@@ -251,7 +250,7 @@ impl fmt::Display for RobustnessAnnex {
 }
 
 /// The full analysis of one measured ladder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalabilityReport {
     /// The efficiency everything was held to.
     pub target_efficiency: f64,
@@ -418,10 +417,15 @@ mod tests {
         )
         .unwrap();
         let net = SharedEthernet::new(1e-3, 1e6);
-        hetsim_mpi::run_spmd_traced(&cluster, &net, |rank| {
-            rank.compute_flops(1e8);
-            rank.barrier();
-        })
+        hetsim_mpi::run_spmd(
+            &cluster,
+            &net,
+            hetsim_mpi::RunSpec { trace: true, faults: None },
+            |rank| {
+                rank.compute_flops(1e8);
+                rank.barrier();
+            },
+        )
         .traces
     }
 
@@ -448,16 +452,21 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(2, 100.0);
         let net = SharedEthernet::new(1e-3, 1e6);
         let plan = FaultPlan::new(11).with_link_drops(500);
-        let traces = hetsim_mpi::run_spmd_faulted_traced(&cluster, &net, &plan, |rank| {
-            for i in 0..16 {
-                if rank.rank() == 0 {
-                    rank.send_f64s(1, Tag(i), &[1.0]);
-                } else {
-                    let _ = rank.recv_f64s(0, Tag(i));
+        let traces = hetsim_mpi::run_spmd(
+            &cluster,
+            &net,
+            hetsim_mpi::RunSpec { trace: true, faults: Some(&plan) },
+            |rank| {
+                for i in 0..16 {
+                    if rank.rank() == 0 {
+                        rank.send_f64s(1, Tag(i), &[1.0]);
+                    } else {
+                        let _ = rank.recv_f64s(0, Tag(i));
+                    }
+                    rank.barrier();
                 }
-                rank.barrier();
-            }
-        })
+            },
+        )
         .traces;
         let annex = RobustnessAnnex::from_comparison(0.8, 0.6, &traces, 0.0, vec![]);
         assert!((annex.psi_retention - 0.75).abs() < 1e-12);

@@ -8,6 +8,7 @@
 //! ```
 
 use hetscale::hetsim_cluster::sunwulf;
+use hetscale::hetsim_mpi::RunSpec;
 use hetscale::kernels::ge::ge_parallel_timed;
 use hetscale::kernels::workload::ge_work;
 use hetscale::scalability::baselines::isoefficiency::parallel_efficiency;
@@ -29,8 +30,8 @@ fn main() {
     let n1 = required_n_for_efficiency(&sys_small, 0.3, &sizes, 3).unwrap().round() as usize;
     let n2 = required_n_for_efficiency(&sys_big, 0.3, &sizes, 3).unwrap().round() as usize;
     let (w1, w2) = (ge_work(n1), ge_work(n2));
-    let t1 = ge_parallel_timed(&small, &net, n1).makespan.as_secs();
-    let t2 = ge_parallel_timed(&big, &net, n2).makespan.as_secs();
+    let t1 = ge_parallel_timed(&small, &net, n1, RunSpec::default()).makespan.as_secs();
+    let t2 = ge_parallel_timed(&big, &net, n2, RunSpec::default()).makespan.as_secs();
 
     println!("scenario: GE, {} -> {}", small.label, big.label);
     println!("required N for E_s = 0.3: {n1} -> {n2}\n");

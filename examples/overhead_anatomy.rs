@@ -7,18 +7,19 @@
 //! ```
 
 use hetscale::hetsim_cluster::sunwulf;
-use hetscale::hetsim_mpi::timeline_text;
 use hetscale::hetsim_mpi::trace::OverheadBreakdown;
-use hetscale::kernels::ge::ge_parallel_timed_traced;
+use hetscale::hetsim_mpi::{timeline_text, RunSpec};
+use hetscale::kernels::ge::ge_parallel_timed;
 
 fn main() {
     let net = sunwulf::sunwulf_network();
     let n = 256;
+    let traced = RunSpec { trace: true, faults: None };
 
     for p in [2usize, 4, 8, 16] {
         let cluster = sunwulf::ge_config(p);
-        let (outcome, traces) = ge_parallel_timed_traced(&cluster, &net, n);
-        let breakdown = OverheadBreakdown::from_traces(&traces);
+        let outcome = ge_parallel_timed(&cluster, &net, n, traced);
+        let breakdown = OverheadBreakdown::from_traces(&outcome.traces);
         println!(
             "== GE, N = {n}, {p} nodes (T = {:.4} s, overhead {:.1}% of rank time) ==",
             outcome.makespan.as_secs(),
@@ -31,7 +32,7 @@ fn main() {
     // Timeline of the small configuration, where individual operations
     // are still visible.
     let cluster = sunwulf::ge_config(4);
-    let (_, traces) = ge_parallel_timed_traced(&cluster, &net, 64);
+    let traces = ge_parallel_timed(&cluster, &net, 64, traced).traces;
     println!("== timeline: GE, N = 64, 4 nodes ==");
     print!("{}", timeline_text(&traces, 100));
     println!();

@@ -12,8 +12,7 @@ use hetscale::hetsim_cluster::network::{
 };
 use hetscale::hetsim_cluster::{ClassedCluster, ClusterSpec, NodeSpec};
 use hetscale::hetsim_mpi::{
-    record_spmd, run_spmd, run_spmd_fast, run_spmd_fast_faulted_traced, run_spmd_faulted_traced,
-    OpKind, SpmdOutcome, SpmdTimer, Tag,
+    record_spmd, run_spmd, run_spmd_fast, OpKind, RunSpec, SpmdOutcome, SpmdTimer, Tag,
 };
 use hetscale::kernels::ge::ge_timed_body;
 use hetscale::kernels::mega::{ge_mega, mm_mega, power_mega};
@@ -103,22 +102,22 @@ proptest! {
             0 => {
                 let net = MpichEthernet::new(2e-4, 9e7);
                 (
-                    run_spmd_fast(&cluster, &net, |t| mixed_body(t, rounds, n)),
-                    run_spmd(&cluster, &net, |r| mixed_body(r, rounds, n)),
+                    run_spmd_fast(&cluster, &net, RunSpec::default(), |t| mixed_body(t, rounds, n)),
+                    run_spmd(&cluster, &net, RunSpec::default(), |r| mixed_body(r, rounds, n)),
                 )
             }
             1 => {
                 let net = SharedEthernet::new(1.5e-4, 1.1e8);
                 (
-                    run_spmd_fast(&cluster, &net, |t| mixed_body(t, rounds, n)),
-                    run_spmd(&cluster, &net, |r| mixed_body(r, rounds, n)),
+                    run_spmd_fast(&cluster, &net, RunSpec::default(), |t| mixed_body(t, rounds, n)),
+                    run_spmd(&cluster, &net, RunSpec::default(), |r| mixed_body(r, rounds, n)),
                 )
             }
             _ => {
                 let net = ConstantLatency::new(3e-4);
                 (
-                    run_spmd_fast(&cluster, &net, |t| mixed_body(t, rounds, n)),
-                    run_spmd(&cluster, &net, |r| mixed_body(r, rounds, n)),
+                    run_spmd_fast(&cluster, &net, RunSpec::default(), |t| mixed_body(t, rounds, n)),
+                    run_spmd(&cluster, &net, RunSpec::default(), |r| mixed_body(r, rounds, n)),
                 )
             }
         };
@@ -144,10 +143,9 @@ proptest! {
         let plan = FaultPlan::new(fault_seed)
             .with_straggler(straggler % p, slowdown)
             .with_link_drops(drops);
-        let fast =
-            run_spmd_fast_faulted_traced(&cluster, &net, &plan, |t| mixed_body(t, rounds, n));
-        let threaded =
-            run_spmd_faulted_traced(&cluster, &net, &plan, |r| mixed_body(r, rounds, n));
+        let spec = RunSpec { trace: true, faults: Some(&plan) };
+        let fast = run_spmd_fast(&cluster, &net, spec, |t| mixed_body(t, rounds, n));
+        let threaded = run_spmd(&cluster, &net, spec, |r| mixed_body(r, rounds, n));
         assert_times_match(&fast, &threaded);
         prop_assert_eq!(&fast.traces, &threaded.traces, "traces diverged");
         // Retry charges specifically: same drop schedule must be hit on
@@ -191,16 +189,16 @@ proptest! {
             let plan = FaultPlan::new(fault_seed)
                 .with_straggler(fault_seed as usize % p, slowdown)
                 .with_link_drops(drops);
-            let fast =
-                run_spmd_fast_faulted_traced(&cluster, &net, &plan, |t| mixed_body(t, rounds, n));
-            let threaded =
-                run_spmd_faulted_traced(&cluster, &net, &plan, |r| mixed_body(r, rounds, n));
+            let spec = RunSpec { trace: true, faults: Some(&plan) };
+            let fast = run_spmd_fast(&cluster, &net, spec, |t| mixed_body(t, rounds, n));
+            let threaded = run_spmd(&cluster, &net, spec, |r| mixed_body(r, rounds, n));
             assert_times_match(&fast, &threaded);
             prop_assert_eq!(&fast.traces, &threaded.traces, "traces diverged");
             prop_assert_eq!(retry_counts(&fast.traces), retry_counts(&threaded.traces));
         } else {
-            let fast = run_spmd_fast(&cluster, &net, |t| mixed_body(t, rounds, n));
-            let threaded = run_spmd(&cluster, &net, |r| mixed_body(r, rounds, n));
+            let spec = RunSpec::default();
+            let fast = run_spmd_fast(&cluster, &net, spec, |t| mixed_body(t, rounds, n));
+            let threaded = run_spmd(&cluster, &net, spec, |r| mixed_body(r, rounds, n));
             assert_times_match(&fast, &threaded);
             prop_assert_eq!(fast.makespan(), threaded.makespan());
             prop_assert_eq!(fast.total_overhead(), threaded.total_overhead());
@@ -255,10 +253,14 @@ proptest! {
         prop_assert_eq!(analytic.total_overhead(), event_driven.total_overhead());
         prop_assert_eq!(analytic.total_wait(), event_driven.total_wait());
         let threaded = match kernel {
-            0 => run_spmd(&cluster, &net, |r| ge_timed_body(r, &cyclic, n)),
-            1 => run_spmd(&cluster, &net, |r| mm_timed_body(r, &block, n)),
-            2 => run_spmd(&cluster, &net, |r| stencil_timed_body(r, &block, n, iters)),
-            _ => run_spmd(&cluster, &net, |r| power_timed_body(r, &block, n, iters)),
+            0 => run_spmd(&cluster, &net, RunSpec::default(), |r| ge_timed_body(r, &cyclic, n)),
+            1 => run_spmd(&cluster, &net, RunSpec::default(), |r| mm_timed_body(r, &block, n)),
+            2 => run_spmd(&cluster, &net, RunSpec::default(), |r| {
+                stencil_timed_body(r, &block, n, iters)
+            }),
+            _ => run_spmd(&cluster, &net, RunSpec::default(), |r| {
+                power_timed_body(r, &block, n, iters)
+            }),
         };
         assert_times_match(&analytic, &threaded);
     }
@@ -307,7 +309,7 @@ proptest! {
         let auto = program.simulate(&cluster, &net);
         let event_driven = program.simulate_event_driven(&cluster, &net);
         assert_times_match(&auto, &event_driven);
-        let threaded = run_spmd(&cluster, &net, |r| crossing_body(r, n));
+        let threaded = run_spmd(&cluster, &net, RunSpec::default(), |r| crossing_body(r, n));
         assert_times_match(&auto, &threaded);
     }
 
@@ -355,7 +357,7 @@ proptest! {
             (
                 mm_mega(&cluster, &net, n).expect("classed network"),
                 record_spmd(&spec, |t| mm_timed_body(t, &block, n)),
-                run_spmd(&spec, &net, |r| mm_timed_body(r, &block, n)),
+                run_spmd(&spec, &net, RunSpec::default(), |r| mm_timed_body(r, &block, n)),
             )
         } else if kernel == 1 {
             // The round-batched GE form replays the same fine cyclic
@@ -363,7 +365,7 @@ proptest! {
             (
                 ge_mega(&cluster, &net, n).expect("classed network"),
                 record_spmd(&spec, |t| ge_timed_body(t, &cyclic, n)),
-                run_spmd(&spec, &net, |r| ge_timed_body(r, &cyclic, n)),
+                run_spmd(&spec, &net, RunSpec::default(), |r| ge_timed_body(r, &cyclic, n)),
             )
         } else {
             // `iters` may be 0: the scatter-only protocol the mega
@@ -371,7 +373,9 @@ proptest! {
             (
                 power_mega(&cluster, &net, n, iters).expect("classed network"),
                 record_spmd(&spec, |t| power_timed_body(t, &block, n, iters)),
-                run_spmd(&spec, &net, |r| power_timed_body(r, &block, n, iters)),
+                run_spmd(&spec, &net, RunSpec::default(), |r| {
+                    power_timed_body(r, &block, n, iters)
+                }),
             )
         };
         let event_driven = program.simulate_event_driven(&spec, &net);

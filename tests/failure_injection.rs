@@ -10,8 +10,9 @@ use hetscale::hetsim_cluster::faults::FaultPlan;
 use hetscale::hetsim_cluster::sunwulf;
 use hetscale::hetsim_cluster::time::SimTime;
 use hetscale::hetsim_cluster::{ClusterSpec, NodeSpec};
-use hetscale::kernels::ge::{ge_parallel_timed, ge_parallel_timed_faulted};
-use hetscale::kernels::mm::{mm_parallel_timed, mm_parallel_timed_faulted};
+use hetscale::hetsim_mpi::RunSpec;
+use hetscale::kernels::ge::ge_parallel_timed;
+use hetscale::kernels::mm::mm_parallel_timed;
 use hetscale::kernels::workload::ge_work;
 use hetscale::scalability::measure::speed_efficiency;
 use proptest::prelude::*;
@@ -38,8 +39,8 @@ fn straggler_node_drags_efficiency() {
     .unwrap();
     assert_eq!(balanced.marked_speed_mflops(), straggling.marked_speed_mflops());
 
-    let t_bal = ge_parallel_timed(&balanced, &net, n).makespan.as_secs();
-    let t_str = ge_parallel_timed(&straggling, &net, n).makespan.as_secs();
+    let t_bal = ge_parallel_timed(&balanced, &net, n, RunSpec::default()).makespan.as_secs();
+    let t_str = ge_parallel_timed(&straggling, &net, n, RunSpec::default()).makespan.as_secs();
     let c = balanced.marked_speed_flops();
     let e_bal = speed_efficiency(ge_work(n), t_bal, c);
     let e_str = speed_efficiency(ge_work(n), t_str, c);
@@ -56,8 +57,8 @@ fn upgrading_a_node_increases_system_size_and_helps() {
     let base = sunwulf::mm_config(4);
     let upgraded = base.with_upgraded_node(1, sunwulf::v210_node(70, 2));
     assert!(upgraded.marked_speed_mflops() > base.marked_speed_mflops());
-    let t_base = mm_parallel_timed(&base, &net, n).makespan.as_secs();
-    let t_up = mm_parallel_timed(&upgraded, &net, n).makespan.as_secs();
+    let t_base = mm_parallel_timed(&base, &net, n, RunSpec::default()).makespan.as_secs();
+    let t_up = mm_parallel_timed(&upgraded, &net, n, RunSpec::default()).makespan.as_secs();
     assert!(t_up < t_base, "upgrade must shorten the run: {t_up} vs {t_base}");
 }
 
@@ -71,7 +72,7 @@ fn near_zero_speed_node_does_not_deadlock() {
         vec![NodeSpec::synthetic("ok", 100.0), NodeSpec::synthetic("dying", 1e-3)],
     )
     .unwrap();
-    let out = ge_parallel_timed(&cluster, &net, 32);
+    let out = ge_parallel_timed(&cluster, &net, 32, RunSpec::default());
     assert!(out.makespan.as_secs().is_finite());
 }
 
@@ -79,7 +80,7 @@ fn near_zero_speed_node_does_not_deadlock() {
 fn single_node_cluster_runs_whole_pipeline() {
     let net = sunwulf::sunwulf_network();
     let cluster = ClusterSpec::homogeneous(1, 50.0);
-    let out = ge_parallel_timed(&cluster, &net, 64);
+    let out = ge_parallel_timed(&cluster, &net, 64, RunSpec::default());
     assert_eq!(out.total_overhead.as_secs(), 0.0);
     let e = speed_efficiency(ge_work(64), out.makespan.as_secs(), cluster.marked_speed_flops());
     // One node, no communication: speed-efficiency is essentially 1
@@ -93,7 +94,7 @@ fn trivial_problem_sizes_do_not_break_distributions() {
     for p in [2usize, 4, 8] {
         let cluster = sunwulf::ge_config(p);
         for n in [1usize, 2, 3] {
-            let out = ge_parallel_timed(&cluster, &net, n);
+            let out = ge_parallel_timed(&cluster, &net, n, RunSpec::default());
             assert!(out.makespan.as_secs() >= 0.0, "p = {p}, n = {n}");
         }
     }
@@ -103,7 +104,7 @@ fn trivial_problem_sizes_do_not_break_distributions() {
 fn zero_size_mm_is_degenerate_but_sound() {
     let net = sunwulf::sunwulf_network();
     let cluster = sunwulf::mm_config(2);
-    let out = mm_parallel_timed(&cluster, &net, 0);
+    let out = mm_parallel_timed(&cluster, &net, 0, RunSpec::default());
     assert!(out.makespan.as_secs().is_finite());
 }
 
@@ -121,8 +122,9 @@ fn fault_plan_straggler_matches_handbuilt_cluster() {
     let net = sunwulf::sunwulf_network();
     let cluster = ClusterSpec::homogeneous(4, 55.0);
     let plan = FaultPlan::new(1).with_straggler(3, 0.5);
-    let clean = ge_parallel_timed(&cluster, &net, 192);
-    let faulted = ge_parallel_timed_faulted(&cluster, &net, &plan, 192);
+    let clean = ge_parallel_timed(&cluster, &net, 192, RunSpec::default());
+    let faulted =
+        ge_parallel_timed(&cluster, &net, 192, RunSpec { trace: false, faults: Some(&plan) });
     assert!(faulted.makespan > clean.makespan, "straggler must slow the run");
     // Compute time inflates only on the straggling rank.
     for r in 0..3 {
@@ -143,7 +145,12 @@ fn declared_death_repartitions_and_completes() {
     let speeds: Vec<f64> = cluster.nodes().iter().map(|n| n.marked_speed_mflops).collect();
     let moved = repartition_after_deaths(256, &speeds, &[2], 8 * 257);
     assert!(moved.moved_rows > 0, "the dead rank's rows must move");
-    let out = ge_parallel_timed_faulted(&survivors, &net, &plan.for_survivors(4), 256);
+    let out = ge_parallel_timed(
+        &survivors,
+        &net,
+        256,
+        RunSpec { trace: false, faults: Some(&plan.for_survivors(4)) },
+    );
     assert!(out.makespan.as_secs().is_finite());
     assert_eq!(out.times.len(), 3);
 }
@@ -160,8 +167,9 @@ proptest! {
         let net = sunwulf::sunwulf_network();
         let cluster = sunwulf::ge_config(4);
         let plan = FaultPlan::new(seed).with_straggler(1, multiplier).with_link_drops(drops);
-        let a = ge_parallel_timed_faulted(&cluster, &net, &plan, 96);
-        let b = ge_parallel_timed_faulted(&cluster, &net, &plan, 96);
+        let spec = RunSpec { trace: false, faults: Some(&plan) };
+        let a = ge_parallel_timed(&cluster, &net, 96, spec);
+        let b = ge_parallel_timed(&cluster, &net, 96, spec);
         prop_assert_eq!(a, b);
     }
 
@@ -172,13 +180,13 @@ proptest! {
         prop_assert!(plan.is_empty());
         let ge_cluster = sunwulf::ge_config(4);
         prop_assert_eq!(
-            ge_parallel_timed(&ge_cluster, &net, 96),
-            ge_parallel_timed_faulted(&ge_cluster, &net, &plan, 96)
+            ge_parallel_timed(&ge_cluster, &net, 96, RunSpec::default()),
+            ge_parallel_timed(&ge_cluster, &net, 96, RunSpec { trace: false, faults: Some(&plan) })
         );
         let mm_cluster = sunwulf::mm_config(4);
         prop_assert_eq!(
-            mm_parallel_timed(&mm_cluster, &net, 64),
-            mm_parallel_timed_faulted(&mm_cluster, &net, &plan, 64)
+            mm_parallel_timed(&mm_cluster, &net, 64, RunSpec::default()),
+            mm_parallel_timed(&mm_cluster, &net, 64, RunSpec { trace: false, faults: Some(&plan) })
         );
     }
 }

@@ -9,7 +9,7 @@
 
 use hetscale::hetsim_cluster::network::ConstantLatency;
 use hetscale::hetsim_cluster::ClusterSpec;
-use hetscale::hetsim_mpi::run_spmd;
+use hetscale::hetsim_mpi::{run_spmd, RunSpec};
 use hetscale::scalability::baselines::isospeed::isospeed_psi;
 use hetscale::scalability::function::isospeed_efficiency_scalability;
 use hetscale::scalability::metric::{
@@ -20,7 +20,7 @@ use hetscale::scalability::metric::{
 /// exactly `W/p` flops, then one barrier. Returns the measured makespan.
 fn perfectly_parallel_time(cluster: &ClusterSpec, net: &ConstantLatency, work: f64) -> f64 {
     let p = cluster.size() as f64;
-    let outcome = run_spmd(cluster, net, |rank| {
+    let outcome = run_spmd(cluster, net, RunSpec::default(), |rank| {
         rank.compute_flops(work / p);
         rank.barrier();
     });

@@ -4,7 +4,7 @@
 use hetscale::hetpart::{proportional_counts, BlockDistribution, CyclicDistribution, Distribution};
 use hetscale::hetsim_cluster::network::ConstantLatency;
 use hetscale::hetsim_cluster::ClusterSpec;
-use hetscale::hetsim_mpi::run_spmd;
+use hetscale::hetsim_mpi::{run_spmd, RunSpec};
 use hetscale::scalability::function::{ideal_scaled_work, isospeed_efficiency_scalability};
 use hetscale::scalability::theorem::{psi_theorem1, scaled_work_from_condition};
 use proptest::prelude::*;
@@ -197,10 +197,15 @@ proptest! {
         let fast = ClusterSpec::homogeneous(1, speed * factor);
         let net = ConstantLatency::new(0.0);
         let work = mflop * 1e6;
-        let t_slow = run_spmd(&slow, &net, |r| { r.compute_flops(work); r.clock().as_secs() })
-            .results[0];
-        let t_fast = run_spmd(&fast, &net, |r| { r.compute_flops(work); r.clock().as_secs() })
-            .results[0];
+        let clock = |cluster: &ClusterSpec| {
+            run_spmd(cluster, &net, RunSpec::default(), |r| {
+                r.compute_flops(work);
+                r.clock().as_secs()
+            })
+            .results[0]
+        };
+        let t_slow = clock(&slow);
+        let t_fast = clock(&fast);
         prop_assert!((t_slow / t_fast - factor).abs() / factor < 1e-9);
     }
 }

@@ -1,16 +1,18 @@
-//! Observability must be a pure read of the simulation: attaching a
-//! metrics sink changes no virtual time, repeated runs export
-//! byte-identical files, and the Chrome exporter's output is pinned to
-//! a golden fixture so accidental format drift is caught.
+//! Observability must be a pure read of the simulation: tracing a run
+//! changes no virtual time, repeated runs export byte-identical files,
+//! and the Chrome exporter's output is pinned to a golden fixture so
+//! accidental format drift is caught.
 
 use hetscale::hetsim_cluster::sunwulf;
 use hetscale::hetsim_cluster::time::SimTime;
 use hetscale::hetsim_mpi::trace::{OpKind, RankTrace, TraceRecord};
-use hetscale::hetsim_mpi::{run_spmd, run_spmd_observed, Rank, Tag};
+use hetscale::hetsim_mpi::{run_spmd, Rank, RunSpec, Tag};
 use hetscale::hetsim_obs::{
-    chrome_trace_json, critical_path, parse_trace_jsonl, trace_jsonl, MetricsRegistry,
+    chrome_trace_json, critical_path, parse_trace_jsonl, trace_jsonl, MetricsSnapshot,
 };
-use hetscale::kernels::ge::ge_parallel_timed_traced;
+use hetscale::kernels::ge::ge_parallel_timed;
+
+const TRACED: RunSpec<'static> = RunSpec { trace: true, faults: None };
 
 /// A small SPMD program exercising every operation family: p2p pipeline,
 /// broadcast, compute, barrier, gather.
@@ -35,19 +37,18 @@ fn mixed_body(rank: &mut Rank) {
 fn observing_a_run_does_not_change_its_timing() {
     let cluster = sunwulf::ge_config(4);
     let net = sunwulf::sunwulf_network();
-    let plain = run_spmd(&cluster, &net, mixed_body);
-    let registry = MetricsRegistry::new(cluster.size());
-    let observed = run_spmd_observed(&cluster, &net, &registry, mixed_body);
+    let plain = run_spmd(&cluster, &net, RunSpec::default(), mixed_body);
+    let observed = run_spmd(&cluster, &net, TRACED, mixed_body);
     // Bit-identical virtual times: observation is a pure read.
     assert_eq!(plain.times, observed.times);
     assert_eq!(plain.compute_times, observed.compute_times);
     assert_eq!(plain.comm_times, observed.comm_times);
     assert_eq!(plain.makespan(), observed.makespan());
-    // And the sink saw every traced span.
-    let snap = registry.snapshot();
+    // And the metrics snapshot accounts for every traced span.
+    let snap = MetricsSnapshot::from_traces(&observed.traces);
     let traced_total: f64 = observed.traces.iter().map(|t| t.total().as_secs()).sum();
-    let sink_total: f64 = snap.seconds_by_kind().values().sum();
-    assert!((traced_total - sink_total).abs() < 1e-12);
+    let metrics_total: f64 = snap.seconds_by_kind().values().sum();
+    assert!((traced_total - metrics_total).abs() < 1e-12);
 }
 
 #[test]
@@ -55,12 +56,11 @@ fn repeated_observed_runs_export_identical_bytes() {
     let cluster = sunwulf::ge_config(4);
     let net = sunwulf::sunwulf_network();
     let run = || {
-        let registry = MetricsRegistry::new(cluster.size());
-        let outcome = run_spmd_observed(&cluster, &net, &registry, mixed_body);
+        let outcome = run_spmd(&cluster, &net, TRACED, mixed_body);
         (
             chrome_trace_json(&outcome.traces),
             trace_jsonl(&outcome.traces),
-            registry.snapshot().to_json().to_string(),
+            MetricsSnapshot::from_traces(&outcome.traces).to_json().to_string(),
         )
     };
     let (chrome_a, jsonl_a, metrics_a) = run();
@@ -74,7 +74,7 @@ fn repeated_observed_runs_export_identical_bytes() {
 fn kernel_traces_roundtrip_and_analyze_deterministically() {
     let cluster = sunwulf::ge_config(4);
     let net = sunwulf::sunwulf_network();
-    let (_, traces) = ge_parallel_timed_traced(&cluster, &net, 64);
+    let traces = ge_parallel_timed(&cluster, &net, 64, TRACED).traces;
     // JSONL round-trip is bit-exact on a real kernel trace.
     let parsed = parse_trace_jsonl(&trace_jsonl(&traces)).unwrap();
     assert_eq!(parsed, traces);

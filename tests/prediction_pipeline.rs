@@ -5,6 +5,7 @@
 
 use hetscale::hetsim_cluster::calibrate::calibrate;
 use hetscale::hetsim_cluster::sunwulf;
+use hetscale::hetsim_mpi::RunSpec;
 use hetscale::kernels::ge::ge_parallel_timed;
 use hetscale::kernels::workload::ge_work;
 use hetscale::numfit::stats::relative_error;
@@ -24,7 +25,8 @@ fn predicted_time_tracks_simulated_time() {
         let cluster = sunwulf::ge_config(p);
         let predictor = GePredictor::new(&cluster, machine);
         for n in [120usize, 300, 600] {
-            let simulated = ge_parallel_timed(&cluster, &net, n).makespan.as_secs();
+            let simulated =
+                ge_parallel_timed(&cluster, &net, n, RunSpec::default()).makespan.as_secs();
             let predicted = predictor.predicted_time_secs(n);
             let err = relative_error(predicted, simulated);
             assert!(
@@ -43,7 +45,7 @@ fn predicted_efficiency_tracks_simulated_efficiency() {
     let cluster = sunwulf::ge_config(4);
     let predictor = GePredictor::new(&cluster, machine);
     for n in [200usize, 500, 900] {
-        let t = ge_parallel_timed(&cluster, &net, n).makespan.as_secs();
+        let t = ge_parallel_timed(&cluster, &net, n, RunSpec::default()).makespan.as_secs();
         let measured = speed_efficiency(ge_work(n), t, cluster.marked_speed_flops());
         let predicted = predictor.predicted_efficiency(n);
         assert!(

@@ -4,7 +4,7 @@
 
 use hetscale::hetsim_cluster::network::MpichEthernet;
 use hetscale::hetsim_cluster::ClusterSpec;
-use hetscale::hetsim_mpi::{run_spmd, Tag};
+use hetscale::hetsim_mpi::{run_spmd, RunSpec, Tag};
 use proptest::prelude::*;
 
 fn net() -> MpichEthernet {
@@ -25,7 +25,7 @@ proptest! {
         speeds_seed in 1u64..100,
     ) {
         let cluster = het_cluster(p, speeds_seed);
-        let outcome = run_spmd(&cluster, &net(), |rank| {
+        let outcome = run_spmd(&cluster, &net(), RunSpec::default(), |rank| {
             if rank.rank() == 0 {
                 rank.broadcast_f64s(0, Some(&data))
             } else {
@@ -45,7 +45,7 @@ proptest! {
     ) {
         let cluster = het_cluster(p, speeds_seed);
         let parts = &parts_seed[..p];
-        let outcome = run_spmd(&cluster, &net(), |rank| {
+        let outcome = run_spmd(&cluster, &net(), RunSpec::default(), |rank| {
             rank.gather_f64s(0, &parts[rank.rank()])
         });
         let gathered = outcome.results[0].as_ref().expect("root result");
@@ -63,7 +63,7 @@ proptest! {
         let cluster = het_cluster(p, speeds_seed);
         let parts: Vec<Vec<f64>> = parts_seed[..p].to_vec();
         let parts_for_run = parts.clone();
-        let outcome = run_spmd(&cluster, &net(), move |rank| {
+        let outcome = run_spmd(&cluster, &net(), RunSpec::default(), move |rank| {
             let mine = if rank.rank() == 0 {
                 rank.scatter_f64s(0, Some(&parts_for_run))
             } else {
@@ -83,7 +83,7 @@ proptest! {
     ) {
         let cluster = het_cluster(p, speeds_seed);
         let parts = &parts_seed[..p];
-        let outcome = run_spmd(&cluster, &net(), |rank| {
+        let outcome = run_spmd(&cluster, &net(), RunSpec::default(), |rank| {
             rank.allgather_f64s(&parts[rank.rank()])
         });
         for got in &outcome.results {
@@ -101,7 +101,7 @@ proptest! {
         speeds_seed in 1u64..100,
     ) {
         let cluster = het_cluster(p, speeds_seed);
-        let outcome = run_spmd(&cluster, &net(), |rank| {
+        let outcome = run_spmd(&cluster, &net(), RunSpec::default(), |rank| {
             let mine: Vec<f64> =
                 (0..len).map(|j| (rank.rank() * 31 + j) as f64).collect();
             rank.reduce_sum_f64s(0, &mine)
@@ -120,7 +120,7 @@ proptest! {
         speeds_seed in 1u64..100,
     ) {
         let cluster = het_cluster(2, speeds_seed);
-        let outcome = run_spmd(&cluster, &net(), |rank| {
+        let outcome = run_spmd(&cluster, &net(), RunSpec::default(), |rank| {
             let mut data: Vec<f64> = (0..len).map(|i| i as f64).collect();
             for r in 0..rounds as u32 {
                 if rank.rank() == 0 {
@@ -147,7 +147,7 @@ proptest! {
     ) {
         let cluster = het_cluster(p, speeds_seed);
         let run = || {
-            run_spmd(&cluster, &net(), |rank| {
+            run_spmd(&cluster, &net(), RunSpec::default(), |rank| {
                 for (i, &op) in ops.iter().enumerate() {
                     match op {
                         0 => rank.barrier(),

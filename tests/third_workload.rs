@@ -2,6 +2,7 @@
 //! baselines (memory-bounded speedup, execution-time relations).
 
 use hetscale::hetsim_cluster::sunwulf;
+use hetscale::hetsim_mpi::RunSpec;
 use hetscale::kernels::matrix::Matrix;
 use hetscale::kernels::stencil::{jacobi_sequential, stencil_parallel, stencil_work};
 use hetscale::scalability::baselines::memory_bounded::{
@@ -42,11 +43,14 @@ fn stencil_efficiency_beats_ge_at_matched_size() {
     let iters = n / 8;
     let e_st = speed_efficiency(
         stencil_work(n, iters),
-        stencil_parallel_timed(&cluster, &net, n, iters).makespan.as_secs(),
+        stencil_parallel_timed(&cluster, &net, n, iters, RunSpec::default()).makespan.as_secs(),
         c,
     );
-    let e_ge =
-        speed_efficiency(ge_work(n), ge_parallel_timed(&cluster, &net, n).makespan.as_secs(), c);
+    let e_ge = speed_efficiency(
+        ge_work(n),
+        ge_parallel_timed(&cluster, &net, n, RunSpec::default()).makespan.as_secs(),
+        c,
+    );
     assert!(e_st > e_ge, "stencil {e_st} vs GE {e_ge}");
 }
 
@@ -99,13 +103,15 @@ fn stencil_required_size_grows_slower_than_ge() {
                 let iters = (n / 8).max(1);
                 speed_efficiency(
                     stencil_work(n, iters),
-                    stencil_parallel_timed(&cluster, &net, n, iters).makespan.as_secs(),
+                    stencil_parallel_timed(&cluster, &net, n, iters, RunSpec::default())
+                        .makespan
+                        .as_secs(),
                     c,
                 )
             } else {
                 speed_efficiency(
                     ge_work(n),
-                    ge_parallel_timed(&cluster, &net, n).makespan.as_secs(),
+                    ge_parallel_timed(&cluster, &net, n, RunSpec::default()).makespan.as_secs(),
                     c,
                 )
             }

@@ -2,23 +2,53 @@
 //! every virtual second, agree with the untraced accounting, and change
 //! nothing about the timing itself.
 
+use hetscale::hetsim_cluster::faults::FaultPlan;
 use hetscale::hetsim_cluster::sunwulf;
 use hetscale::hetsim_cluster::ClusterSpec;
 use hetscale::hetsim_mpi::trace::OpKind;
-use hetscale::hetsim_mpi::{run_spmd, run_spmd_traced, Tag};
-use hetscale::kernels::ge::{ge_parallel_timed, ge_parallel_timed_traced};
+use hetscale::hetsim_mpi::{run_spmd, RunSpec, Tag};
+use hetscale::kernels::ge::ge_parallel_timed;
+use hetscale::kernels::mm::mm_parallel_timed;
+use hetscale::kernels::power::power_parallel_timed;
+use hetscale::kernels::stencil::stencil_parallel_timed;
+use hetscale::kernels::TimingOutcome;
 
+const TRACED: RunSpec<'static> = RunSpec { trace: true, faults: None };
+
+/// One timed kernel at a fixed configuration, priced under a spec.
+type TimedRun<'a> = &'a dyn Fn(RunSpec<'_>) -> TimingOutcome;
+
+/// The tier rule, checked on every timed kernel: the default spec takes
+/// the closed form, tracing and an (empty) fault plan take the fast
+/// engine, and all three give bit-identical clocks. Only the traced run
+/// carries traces.
 #[test]
 fn traced_and_untraced_runs_have_identical_timing() {
-    let cluster = sunwulf::ge_config(4);
+    let p = 4;
+    let ge = sunwulf::ge_config(p);
+    let mm = sunwulf::mm_config(p);
     let net = sunwulf::sunwulf_network();
-    let n = 96;
-    let plain = ge_parallel_timed(&cluster, &net, n);
-    let (traced, traces) = ge_parallel_timed_traced(&cluster, &net, n);
-    assert_eq!(plain.makespan, traced.makespan);
-    assert_eq!(plain.times, traced.times);
-    assert_eq!(plain.compute_times, traced.compute_times);
-    assert_eq!(traces.len(), cluster.size());
+    let kernels: [(&str, TimedRun); 4] = [
+        ("ge", &|spec: RunSpec<'_>| ge_parallel_timed(&ge, &net, 96, spec)),
+        ("mm", &|spec: RunSpec<'_>| mm_parallel_timed(&mm, &net, 64, spec)),
+        ("power", &|spec: RunSpec<'_>| power_parallel_timed(&ge, &net, 64, 5, spec)),
+        ("stencil", &|spec: RunSpec<'_>| stencil_parallel_timed(&ge, &net, 64, 5, spec)),
+    ];
+    let empty_plan = FaultPlan::new(0x5eed);
+    for (name, run) in kernels {
+        let plain = run(RunSpec::default());
+        let traced = run(TRACED);
+        let faulted = run(RunSpec { trace: false, faults: Some(&empty_plan) });
+        for (mode, other) in [("traced", &traced), ("faulted", &faulted)] {
+            assert_eq!(plain.makespan, other.makespan, "{name}, {mode}: makespan");
+            assert_eq!(plain.times, other.times, "{name}, {mode}: times");
+            assert_eq!(plain.compute_times, other.compute_times, "{name}, {mode}: compute");
+        }
+        assert!(plain.traces.is_empty(), "{name}: untraced run carries traces");
+        assert!(faulted.traces.is_empty(), "{name}: untraced faulted run carries traces");
+        assert_eq!(traced.traces.len(), p, "{name}: one trace per rank");
+        assert!(traced.traces.iter().all(|t| !t.records.is_empty()), "{name}: empty trace");
+    }
 }
 
 #[test]
@@ -27,7 +57,7 @@ fn trace_spans_are_contiguous_and_exhaustive() {
     // overlaps: the runtime accounts for every virtual second.
     let cluster = sunwulf::ge_config(3);
     let net = sunwulf::sunwulf_network();
-    let (_outcome, traces) = ge_parallel_timed_traced(&cluster, &net, 40);
+    let traces = ge_parallel_timed(&cluster, &net, 40, TRACED).traces;
     for (rank, trace) in traces.iter().enumerate() {
         let mut cursor = 0.0f64;
         for r in &trace.records {
@@ -46,7 +76,7 @@ fn trace_spans_are_contiguous_and_exhaustive() {
 fn trace_sums_match_runtime_accounting() {
     let cluster = sunwulf::ge_config(4);
     let net = sunwulf::sunwulf_network();
-    let outcome = run_spmd_traced(&cluster, &net, |rank| {
+    let outcome = run_spmd(&cluster, &net, TRACED, |rank| {
         rank.compute_flops(2e6);
         if rank.rank() == 0 {
             rank.broadcast_f64s(0, Some(&[1.0; 64]));
@@ -78,7 +108,7 @@ fn trace_sums_match_runtime_accounting() {
 fn untraced_runs_collect_no_records() {
     let cluster = ClusterSpec::homogeneous(2, 50.0);
     let net = sunwulf::sunwulf_network();
-    let outcome = run_spmd(&cluster, &net, |rank| {
+    let outcome = run_spmd(&cluster, &net, RunSpec::default(), |rank| {
         rank.compute_flops(1e6);
         if rank.rank() == 0 {
             rank.send_f64s(1, Tag::DATA, &[1.0]);
@@ -93,7 +123,7 @@ fn untraced_runs_collect_no_records() {
 fn ge_trace_shows_the_expected_operation_mix() {
     let cluster = sunwulf::ge_config(4);
     let net = sunwulf::sunwulf_network();
-    let (_outcome, traces) = ge_parallel_timed_traced(&cluster, &net, 64);
+    let traces = ge_parallel_timed(&cluster, &net, 64, TRACED).traces;
     // Rank 1 (a worker) must show compute, bcast, barrier, recv (its
     // block) and gather (its contribution).
     let kinds = traces[1].by_kind();
@@ -111,7 +141,7 @@ fn ge_trace_shows_the_expected_operation_mix() {
 fn timeline_renders_for_a_real_kernel() {
     let cluster = sunwulf::ge_config(3);
     let net = sunwulf::sunwulf_network();
-    let (_outcome, traces) = ge_parallel_timed_traced(&cluster, &net, 48);
+    let traces = ge_parallel_timed(&cluster, &net, 48, TRACED).traces;
     let text = hetscale::hetsim_mpi::timeline_text(&traces, 80);
     assert_eq!(text.matches("rank").count(), 3);
     assert!(text.contains('.'), "compute must appear in the timeline");
