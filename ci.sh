@@ -5,6 +5,12 @@
 # rustfmt.toml.
 set -eux
 
+# Scratch files live in a directory of this run's own, so two runs on one
+# host (say, two commits checked side by side) never compare each
+# other's outputs.
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc gate: no broken or private intra-doc link survives a rename.
@@ -24,23 +30,23 @@ cargo run --release -p bench-tables -- --list
 # sweeps; this is the cheap end-to-end re-check.)
 BIN=target/release/bench-tables
 cargo build --release -p bench-tables
-"$BIN" --quick > /tmp/ci_quick_analytic.txt
-"$BIN" --quick --no-analytic > /tmp/ci_quick_engine.txt
-cmp /tmp/ci_quick_analytic.txt /tmp/ci_quick_engine.txt || {
+"$BIN" --quick > "$TMP"/quick_analytic.txt
+"$BIN" --quick --no-analytic > "$TMP"/quick_engine.txt
+cmp "$TMP"/quick_analytic.txt "$TMP"/quick_engine.txt || {
     echo "--no-analytic output diverged from the closed-form path" >&2
     exit 1
 }
-"$BIN" --quick --faults > /tmp/ci_faults_analytic.txt
-"$BIN" --quick --faults --no-analytic > /tmp/ci_faults_engine.txt
-cmp /tmp/ci_faults_analytic.txt /tmp/ci_faults_engine.txt || {
+"$BIN" --quick --faults > "$TMP"/faults_analytic.txt
+"$BIN" --quick --faults --no-analytic > "$TMP"/faults_engine.txt
+cmp "$TMP"/faults_analytic.txt "$TMP"/faults_engine.txt || {
     echo "--no-analytic output diverged on the fault sweep" >&2
     exit 1
 }
 # Recovery sweep smoke (DESIGN.md §12): runs, and holds the same
 # engine-equivalence contract.
-"$BIN" --quick recover > /tmp/ci_recover_analytic.txt
-"$BIN" --quick recover --no-analytic > /tmp/ci_recover_engine.txt
-cmp /tmp/ci_recover_analytic.txt /tmp/ci_recover_engine.txt || {
+"$BIN" --quick recover > "$TMP"/recover_analytic.txt
+"$BIN" --quick recover --no-analytic > "$TMP"/recover_engine.txt
+cmp "$TMP"/recover_analytic.txt "$TMP"/recover_engine.txt || {
     echo "--no-analytic output diverged on the recovery sweep" >&2
     exit 1
 }
@@ -50,9 +56,9 @@ cmp /tmp/ci_recover_analytic.txt /tmp/ci_recover_engine.txt || {
 # configuration: `--no-analytic` materializes every quick preset (up to
 # 10^5 ranks) and prices it per rank, except GE's Theta(N*P) replay,
 # which is gated at 10^3 ranks (larger presets stay aggregated).
-"$BIN" --quick mega > /tmp/ci_mega_aggregated.txt
-"$BIN" --quick mega --no-analytic > /tmp/ci_mega_per_rank.txt
-cmp /tmp/ci_mega_aggregated.txt /tmp/ci_mega_per_rank.txt || {
+"$BIN" --quick mega > "$TMP"/mega_aggregated.txt
+"$BIN" --quick mega --no-analytic > "$TMP"/mega_per_rank.txt
+cmp "$TMP"/mega_aggregated.txt "$TMP"/mega_per_rank.txt || {
     echo "--no-analytic output diverged on the mega sweep" >&2
     exit 1
 }
@@ -116,14 +122,14 @@ test "$best_us" -le "$MEGA_BUDGET_US" || {
 # fully analytic (closed forms + lockstep evaluator, no event-driven
 # fallbacks), and the full suite's memo hit rate must not drop below
 # the recorded baseline (36.5% — EXPERIMENTS.md "Telemetry baseline").
-"$BIN" --quick --stats-out /tmp/ci_stats_quick.json > /dev/null
-grep -q '"analytic_coverage_percent":100,' /tmp/ci_stats_quick.json || {
+"$BIN" --quick --stats-out "$TMP"/stats_quick.json > /dev/null
+grep -q '"analytic_coverage_percent":100,' "$TMP"/stats_quick.json || {
     echo "quick ladder lost full analytic coverage" >&2
     exit 1
 }
 MEMO_HIT_FLOOR=36
-"$BIN" --stats-out /tmp/ci_stats_full.json > /dev/null
-hit=$(sed -n 's/.*"memo_hit_percent":\([0-9]*\).*/\1/p' /tmp/ci_stats_full.json)
+"$BIN" --stats-out "$TMP"/stats_full.json > /dev/null
+hit=$(sed -n 's/.*"memo_hit_percent":\([0-9]*\).*/\1/p' "$TMP"/stats_full.json)
 test -n "$hit" || { echo "memo_hit_percent missing from stats document" >&2; exit 1; }
 test "$hit" -ge "$MEMO_HIT_FLOOR" || {
     echo "full-suite memo hit rate ${hit}% dropped below the ${MEMO_HIT_FLOOR}% baseline" >&2
@@ -132,16 +138,16 @@ test "$hit" -ge "$MEMO_HIT_FLOOR" || {
 # Recovery telemetry gate (DESIGN.md §12): the lockstep analyzer must
 # reject recovery cells with the *typed* fallback reason — if the tag
 # vanishes, recovery runs are being mis-priced by the closed forms.
-"$BIN" --quick recover --stats-out /tmp/ci_stats_recover.json > /dev/null
-grep -q 'recovery-ops' /tmp/ci_stats_recover.json || {
+"$BIN" --quick recover --stats-out "$TMP"/stats_recover.json > /dev/null
+grep -q 'recovery-ops' "$TMP"/stats_recover.json || {
     echo "recovery runs no longer report the typed recovery-ops fallback" >&2
     exit 1
 }
 # Determinism smoke: a repeated run must reproduce the document byte
 # for byte. (The documents themselves are pinned against golden
 # fixtures by crates/bench-tables/tests/cli.rs.)
-"$BIN" --quick --stats-out /tmp/ci_stats_quick2.json > /dev/null
-cmp /tmp/ci_stats_quick.json /tmp/ci_stats_quick2.json || {
+"$BIN" --quick --stats-out "$TMP"/stats_quick2.json > /dev/null
+cmp "$TMP"/stats_quick.json "$TMP"/stats_quick2.json || {
     echo "--stats-out document is not byte-stable across runs" >&2
     exit 1
 }

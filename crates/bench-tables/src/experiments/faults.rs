@@ -96,7 +96,7 @@ impl Severity {
     /// seed derives from the process-wide base (`--seed N`, default the
     /// historical `0x5eed_0000` — `crate::seed`).
     pub fn plan(self, p: usize) -> FaultPlan {
-        let seed = crate::seed::plan_seed() + p as u64;
+        let seed = crate::seed::plan_seed_plus(p as u64);
         let stragglers = |mut plan: FaultPlan| {
             for r in (0..p).filter(|r| r % 4 == 1) {
                 plan = plan.with_straggler(r, STRAGGLER_MULTIPLIER);

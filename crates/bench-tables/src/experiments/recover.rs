@@ -31,16 +31,13 @@
 use crate::params::ExperimentParams;
 use crate::systems::{GeSystem, MmSystem};
 use crate::table::{fnum, Table};
-use hetpart::{BlockDistribution, CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::{
     checkpoint_cost_secs, daly_interval, FaultPlan, RecoveryPolicy, DETECT_TIMEOUT_SECS,
 };
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::sunwulf;
-use kernels::ge::ge_parallel_timed_recoverable;
-use kernels::mm::mm_parallel_timed_recoverable;
-use kernels::recover::estimated_run_secs;
+use kernels::recover::{estimated_run_secs, timed_recoverable, RecoverableKernel};
 use kernels::workload::{ge_work, mm_work};
 use kernels::RecoveryOutcome;
 use scalability::metric::{AlgorithmSystem, ScalabilityLadder};
@@ -74,6 +71,13 @@ impl Kernel {
         match self {
             Kernel::Ge => "GE",
             Kernel::Mm => "MM",
+        }
+    }
+
+    fn recoverable(self) -> RecoverableKernel {
+        match self {
+            Kernel::Ge => RecoverableKernel::Ge,
+            Kernel::Mm => RecoverableKernel::Mm,
         }
     }
 
@@ -123,25 +127,11 @@ impl Kernel {
     }
 
     /// Per-checkpoint makespan cost δ at size `n`: the slowest rank's
-    /// coordinated checkpoint write, the exact bytes the recoverable
-    /// kernels charge (GE: cyclic rows of `n + 1` doubles; MM:
-    /// proportional block rows of `n` doubles).
+    /// coordinated checkpoint write, of the bytes the recoverable kernel
+    /// charges.
     fn checkpoint_delta_secs(self, cluster: &ClusterSpec, n: usize) -> f64 {
-        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-        let p = cluster.size();
-        let bytes = |r: usize| -> u64 {
-            match self {
-                Kernel::Ge => {
-                    let dist = CyclicDistribution::fine(n, &speeds);
-                    dist.rows_of(r).len() as u64 * ((n + 1) * 8) as u64
-                }
-                Kernel::Mm => {
-                    let dist = BlockDistribution::proportional(n, &speeds);
-                    dist.range_of(r).len() as u64 * (n * 8) as u64
-                }
-            }
-        };
-        (0..p).map(|r| checkpoint_cost_secs(bytes(r))).fold(0.0, f64::max)
+        let bytes = self.recoverable().checkpoint_bytes(cluster, n);
+        bytes.into_iter().map(checkpoint_cost_secs).fold(0.0, f64::max)
     }
 }
 
@@ -177,7 +167,7 @@ impl PolicyKind {
 
 /// Plan seed of the recovery sweep for a `p`-rank scaled configuration.
 fn recover_seed(p: usize) -> u64 {
-    crate::seed::plan_seed() + RECOVER_SEED_SALT + p as u64
+    crate::seed::plan_seed_plus(RECOVER_SEED_SALT + p as u64)
 }
 
 /// A kernel bound to the scaled configuration under an MTBF death
@@ -239,30 +229,8 @@ impl<N: NetworkModel> AlgorithmSystem for RecoverableSystem<'_, N> {
         let policy = self.policy_for(n);
         let label = self.policy.memo_label(self.kernel);
         crate::memo::cached(label, &self.cluster, self.network, n, Some(&plan), || {
-            match self.kernel {
-                Kernel::Ge => {
-                    ge_parallel_timed_recoverable(
-                        &self.cluster,
-                        self.network,
-                        &plan,
-                        policy,
-                        n,
-                        false,
-                    )
-                    .timing
-                }
-                Kernel::Mm => {
-                    mm_parallel_timed_recoverable(
-                        &self.cluster,
-                        self.network,
-                        &plan,
-                        policy,
-                        n,
-                        false,
-                    )
-                    .timing
-                }
-            }
+            let kernel = self.kernel.recoverable();
+            timed_recoverable(kernel, &self.cluster, self.network, &plan, policy, n, false).timing
         })
         .makespan
         .as_secs()
@@ -333,24 +301,15 @@ fn measure_kernel<N: NetworkModel>(
         // The row keeps the outcome but not its traces.
         let plan = system.plan_for(repr_n);
         let cell_policy = system.policy_for(repr_n);
-        let mut outcome = match kernel {
-            Kernel::Ge => ge_parallel_timed_recoverable(
-                &system.cluster,
-                net,
-                &plan,
-                cell_policy,
-                repr_n,
-                true,
-            ),
-            Kernel::Mm => mm_parallel_timed_recoverable(
-                &system.cluster,
-                net,
-                &plan,
-                cell_policy,
-                repr_n,
-                true,
-            ),
-        };
+        let mut outcome = timed_recoverable(
+            kernel.recoverable(),
+            &system.cluster,
+            net,
+            &plan,
+            cell_policy,
+            repr_n,
+            true,
+        );
         let traces = std::mem::take(&mut outcome.timing.traces);
         let dead: Vec<usize> = outcome.death.map(|ev| ev.rank).into_iter().collect();
         let mut annex = RobustnessAnnex::from_comparison(
@@ -436,12 +395,10 @@ fn daly_check(kernel: Kernel, p: usize, quick: bool) -> DalyCheck {
     let cells: Vec<(usize, u64)> =
         (0..DALY_GRID.len()).flat_map(|mi| (0..seeds).map(move |s| (mi, s))).collect();
     let makespans = crate::pool::run_indexed(&cells, |_, &(mi, s)| {
-        let plan = FaultPlan::new(crate::seed::plan_seed() + DALY_SEED_SALT + s).with_mtbf(mtbf);
+        let plan = FaultPlan::new(crate::seed::plan_seed_plus(DALY_SEED_SALT + s)).with_mtbf(mtbf);
         let policy = RecoveryPolicy::CheckpointRestart { interval_secs: DALY_GRID[mi] * daly };
-        let outcome = match kernel {
-            Kernel::Ge => ge_parallel_timed_recoverable(&cluster, &net, &plan, policy, n, false),
-            Kernel::Mm => mm_parallel_timed_recoverable(&cluster, &net, &plan, policy, n, false),
-        };
+        let outcome =
+            timed_recoverable(kernel.recoverable(), &cluster, &net, &plan, policy, n, false);
         outcome.timing.makespan.as_secs()
     });
 
@@ -704,28 +661,17 @@ mod tests {
     #[test]
     fn observed_inputs_fire_recovery_spans() {
         use hetsim_mpi::trace::OpKind;
+        let net = sunwulf::sunwulf_network();
         let (cluster, plan, policy, n) = ge_observed_inputs(true);
-        let outcome = ge_parallel_timed_recoverable(
-            &cluster,
-            &sunwulf::sunwulf_network(),
-            &plan,
-            policy,
-            n,
-            true,
-        );
+        let outcome =
+            timed_recoverable(RecoverableKernel::Ge, &cluster, &net, &plan, policy, n, true);
         let kinds: Vec<OpKind> =
             outcome.timing.traces.iter().flat_map(|t| t.records.iter().map(|r| r.kind)).collect();
         assert!(kinds.contains(&OpKind::Checkpoint), "GE obs run must checkpoint");
 
         let (cluster, plan, policy, n) = mm_observed_inputs(true);
-        let outcome = mm_parallel_timed_recoverable(
-            &cluster,
-            &sunwulf::sunwulf_network(),
-            &plan,
-            policy,
-            n,
-            true,
-        );
+        let outcome =
+            timed_recoverable(RecoverableKernel::Mm, &cluster, &net, &plan, policy, n, true);
         assert!(outcome.death.is_some(), "MM obs run must lose a rank");
         let kinds: Vec<OpKind> =
             outcome.timing.traces.iter().flat_map(|t| t.records.iter().map(|r| r.kind)).collect();

@@ -11,7 +11,7 @@
 //! validated against the engine that actually executes the protocol.
 
 use crate::systems::{power_iters, stencil_iters};
-use crate::table::{fnum, Table};
+use crate::table::Table;
 use hetsim_cluster::calibrate::calibrate;
 use hetsim_cluster::sunwulf;
 use hetsim_mpi::RunSpec;
@@ -95,7 +95,6 @@ pub fn model_validation(ladder: &[usize], sizes: &[usize]) -> Table {
                 worst_n.to_string(),
             ]);
         }
-        let _ = fnum(0.0); // keep the formatting helper linked for CSV use
     }
     t.push_note("simulated = virtual-time SPMD protocol run; predicted = closed-form model");
     t.push_note("per-workload models share one machine calibration (T_send/T_bcast/T_barrier)");

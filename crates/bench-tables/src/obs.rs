@@ -123,39 +123,35 @@ pub fn observed_runs_faulted(quick: bool) -> Vec<ObservedRun> {
 /// share the byte-stability guarantee.
 pub fn observed_runs_recovered(quick: bool) -> Vec<ObservedRun> {
     use crate::experiments::recover::{ge_observed_inputs, mm_observed_inputs};
-    use kernels::ge::ge_parallel_timed_recoverable;
-    use kernels::mm::mm_parallel_timed_recoverable;
+    use kernels::recover::{timed_recoverable, RecoverableKernel};
     let net = sunwulf::sunwulf_network();
     let (ge_cluster, ge_plan, ge_policy, ge_n) = ge_observed_inputs(quick);
     let (mm_cluster, mm_plan, mm_policy, mm_n) = mm_observed_inputs(quick);
     let ge_p = ge_cluster.size();
     let mm_p = mm_cluster.size();
+    let ge = timed_recoverable(
+        RecoverableKernel::Ge,
+        &ge_cluster,
+        &net,
+        &ge_plan,
+        ge_policy,
+        ge_n,
+        true,
+    );
+    let mm = timed_recoverable(
+        RecoverableKernel::Mm,
+        &mm_cluster,
+        &net,
+        &mm_plan,
+        mm_policy,
+        mm_n,
+        true,
+    );
     vec![
-        ObservedRun {
-            name: format!("ge-p{ge_p}-n{ge_n}-recover-ckpt"),
-            traces: ge_parallel_timed_recoverable(
-                &ge_cluster,
-                &net,
-                &ge_plan,
-                ge_policy,
-                ge_n,
-                true,
-            )
-            .timing
-            .traces,
-        },
+        ObservedRun { name: format!("ge-p{ge_p}-n{ge_n}-recover-ckpt"), traces: ge.timing.traces },
         ObservedRun {
             name: format!("mm-p{mm_p}-n{mm_n}-recover-shrink"),
-            traces: mm_parallel_timed_recoverable(
-                &mm_cluster,
-                &net,
-                &mm_plan,
-                mm_policy,
-                mm_n,
-                true,
-            )
-            .timing
-            .traces,
+            traces: mm.timing.traces,
         },
     ]
 }

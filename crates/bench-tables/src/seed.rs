@@ -46,6 +46,12 @@ pub fn plan_seed() -> u64 {
     *SEED.get_or_init(|| DEFAULT_PLAN_SEED)
 }
 
+/// A plan seed derived from the base: [`plan_seed`] plus `offset`,
+/// wrapping at `u64::MAX` so every base a user can pass is valid.
+pub fn plan_seed_plus(offset: u64) -> u64 {
+    plan_seed().wrapping_add(offset)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

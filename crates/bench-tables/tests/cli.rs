@@ -192,6 +192,12 @@ fn faults_flag_emits_the_fault_sweep_table() {
 // ready-queue work) change only with `--no-analytic`.
 
 fn stats_doc(dir: &std::path::Path, name: &str, args: &[&str]) -> Vec<u8> {
+    stats_run(dir, name, args).1
+}
+
+/// Runs `args` plus `--stats-out DIR/NAME`; returns stdout and the
+/// stats document.
+fn stats_run(dir: &std::path::Path, name: &str, args: &[&str]) -> (Vec<u8>, Vec<u8>) {
     let path = dir.join(name);
     let path_str = path.to_str().expect("utf-8 temp path");
     let mut full: Vec<&str> = args.to_vec();
@@ -199,7 +205,7 @@ fn stats_doc(dir: &std::path::Path, name: &str, args: &[&str]) -> Vec<u8> {
     let out = run(&full);
     assert!(out.status.success(), "{full:?} exited with {:?}: {}", out.status, stderr(&out));
     assert!(stderr(&out).contains(&format!("wrote {path_str}")), "missing wrote line");
-    std::fs::read(&path).expect("stats file written")
+    (out.stdout, std::fs::read(&path).expect("stats file written"))
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -282,8 +288,10 @@ fn quick_stats_doc_reports_full_analytic_coverage_inline() {
 // Engine routing is pinned across commits: each document counts the
 // calls priced per engine path (closed forms, event-driven fallback /
 // faulted / forced / traced, typed fallback reasons), so a call that
-// reaches a different tier changes its bytes. Regenerate the fixtures
-// with UPDATE_GOLDEN=1 only for an intended routing change, and review
+// reaches a different tier changes its bytes. The traced recovery run
+// also pins its stdout and its metrics document, so a moved recovery
+// span or an overhead shifted by one ulp shows too. Regenerate the
+// fixtures with UPDATE_GOLDEN=1 only for an intended change, and review
 // the diff.
 #[test]
 fn stats_docs_match_golden_fixtures() {
@@ -299,26 +307,34 @@ fn stats_docs_match_golden_fixtures() {
         "--metrics-out",
         metrics.to_str().expect("utf-8 temp path"),
     ];
+    let fixture = "stats_quick_faults_recover_obs.json";
+    let (stdout, doc) = stats_run(&dir, fixture, &obs);
+    assert_golden(fixture, &doc, &obs);
+    assert_golden("stdout_quick_faults_recover_obs.txt", &stdout, &obs);
+    let metrics_doc = std::fs::read(&metrics).expect("metrics written");
+    assert_golden("metrics_quick_faults_recover_obs.json", &metrics_doc, &obs);
     for (fixture, args) in [
         ("stats_quick.json", &["--quick"][..]),
         ("stats_full.json", &[][..]),
-        ("stats_quick_faults_recover_obs.json", &obs[..]),
         ("stats_surface.json", &["surface"][..]),
         ("stats_quick_mega.json", &["--quick", "mega"][..]),
     ] {
-        let doc = stats_doc(&dir, fixture, args);
-        let path = format!("{}/tests/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
-        if std::env::var_os("UPDATE_GOLDEN").is_some() {
-            std::fs::write(&path, &doc).expect("write fixture");
-        }
-        let golden = std::fs::read(&path).expect("golden fixture present");
-        assert!(
-            doc == golden,
-            "{args:?}: --stats-out drifted from tests/fixtures/{fixture}; if the routing \
-             change is intentional, rerun with UPDATE_GOLDEN=1 and review the diff"
-        );
+        assert_golden(fixture, &stats_doc(&dir, fixture, args), args);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+fn assert_golden(fixture: &str, bytes: &[u8], args: &[&str]) {
+    let path = format!("{}/tests/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, bytes).expect("write fixture");
+    }
+    let golden = std::fs::read(&path).expect("golden fixture present");
+    assert!(
+        bytes == golden,
+        "{args:?}: output drifted from tests/fixtures/{fixture}; if the change is \
+         intentional, rerun with UPDATE_GOLDEN=1 and review the diff"
+    );
 }
 
 #[test]
@@ -391,6 +407,17 @@ fn seed_default_reproduces_historical_bytes_and_reseeding_moves_them() {
     // The faults sweep re-seeds through the same base.
     let faults = stdout_of(&["--quick", "--faults"]);
     assert_ne!(faults, stdout_of(&["--quick", "--faults", "--seed", "7"]), "faults ignore --seed");
+}
+
+#[test]
+fn largest_seed_wraps_instead_of_overflowing() {
+    // Plan seeds are the base plus small salts and rank counts; at
+    // u64::MAX they wrap (what a release build always printed) rather
+    // than panic on overflow in a debug build.
+    let out = run(&["--quick", "--seed", "18446744073709551615", "faults", "recover"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(0), "got: {err}");
+    assert!(!err.contains("panicked"), "must not panic: {err}");
 }
 
 #[test]

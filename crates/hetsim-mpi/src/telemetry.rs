@@ -71,15 +71,11 @@ pub enum FallbackReason {
     /// member rank order, so tracking one representative clock per
     /// class would lose the tail.
     ClassOrderDiverged,
-    /// The data distribution is not run-length classable — its dealing
-    /// granularity breaks the per-class round-robin structure the
-    /// aggregated GE form (DESIGN.md §13) replays in O(classes).
-    UnclassedDistribution,
 }
 
 impl FallbackReason {
     /// Every variant, in stable report order.
-    pub const ALL: [FallbackReason; 15] = [
+    pub const ALL: [FallbackReason; 14] = [
         FallbackReason::ClassExhausted,
         FallbackReason::CollectiveIdMismatch,
         FallbackReason::MixedCollectiveKinds,
@@ -94,7 +90,6 @@ impl FallbackReason {
         FallbackReason::AsymmetricP2p,
         FallbackReason::UnclassedNetwork,
         FallbackReason::ClassOrderDiverged,
-        FallbackReason::UnclassedDistribution,
     ];
 
     /// Stable kebab-case key used in the telemetry document.
@@ -114,7 +109,6 @@ impl FallbackReason {
             FallbackReason::AsymmetricP2p => "asymmetric-p2p",
             FallbackReason::UnclassedNetwork => "unclassed-network",
             FallbackReason::ClassOrderDiverged => "class-order-diverged",
-            FallbackReason::UnclassedDistribution => "unclassed-distribution",
         }
     }
 
@@ -165,9 +159,6 @@ impl fmt::Display for FallbackReason {
             }
             FallbackReason::ClassOrderDiverged => {
                 "message order within a rank class diverges from member rank order"
-            }
-            FallbackReason::UnclassedDistribution => {
-                "the data distribution's dealing granularity is not run-length classable"
             }
         };
         write!(f, "{what} ({})", self.name())
@@ -276,23 +267,8 @@ static CLASSES_SIMULATED: AtomicU64 = AtomicU64::new(0);
 static RETRY_EVENTS: AtomicU64 = AtomicU64::new(0);
 static RETRY_ATTEMPTS: AtomicU64 = AtomicU64::new(0);
 static RETRY_CHARGE_US: AtomicU64 = AtomicU64::new(0);
-static FALLBACKS: [AtomicU64; FallbackReason::ALL.len()] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static FALLBACKS: [AtomicU64; FallbackReason::ALL.len()] =
+    [const { AtomicU64::new(0) }; FallbackReason::ALL.len()];
 static CLOSED_FORM: Mutex<BTreeMap<&'static str, ClosedFormStats>> = Mutex::new(BTreeMap::new());
 // Wall-clock accumulators — profile export only, never in the
 // deterministic document.

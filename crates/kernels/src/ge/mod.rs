@@ -1,12 +1,10 @@
 //! Gaussian elimination: sequential reference and parallel SPMD kernel.
 
 mod parallel;
-pub mod recover;
 mod seq;
 pub mod timed;
 
 pub use parallel::{ge_parallel, GeOutcome};
-pub use recover::ge_parallel_timed_recoverable;
 pub use seq::ge_sequential;
 pub use timed::{
     ge_parallel_timed, ge_parallel_timed_many, ge_parallel_timed_with, ge_timed_body, TimingOutcome,

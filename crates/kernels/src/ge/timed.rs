@@ -21,6 +21,7 @@
 //! body*.
 
 use crate::analytic::{elimination_flops, ge_closed_form};
+use crate::recover::Segment;
 use hetpart::{CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
@@ -157,43 +158,63 @@ pub fn ge_parallel_timed_many<N: NetworkModel>(
 /// single source of truth the engines, the threaded oracle, and the
 /// closed form ([`crate::analytic::ge_closed_form`]) are all pinned to.
 pub fn ge_timed_body<T: SpmdTimer>(rank: &mut T, dist: &CyclicDistribution, n: usize) {
+    ge_segment_body(rank, dist, n, &Segment::whole(n.saturating_sub(1)));
+}
+
+/// One segment of the GE protocol: the whole run ([`ge_timed_body`]) or
+/// a piece of a recoverable run ([`crate::recover`]) — the segment says
+/// which elimination rounds to record, how the recording opens and
+/// closes, and where recovery charges land.
+pub(crate) fn ge_segment_body<T: SpmdTimer>(
+    rank: &mut T,
+    dist: &CyclicDistribution,
+    n: usize,
+    seg: &Segment,
+) {
     let me = rank.rank();
     let p = rank.size();
-    let my_row_ids = dist.rows_of(me);
+    let my_rows = dist.rows_of(me); // ascending
 
     // Stage 1: distribution — same payload sizes, zero-filled.
-    if me == 0 {
-        for peer in 1..p {
-            let count = dist.rows_of(peer).len() * (n + 1);
-            rank.send_count(peer, Tag::DATA, count);
+    seg.open(rank, |rank| {
+        if me == 0 {
+            for peer in 1..p {
+                let count = dist.rows_of(peer).len() * (n + 1);
+                rank.send_count(peer, Tag::DATA, count);
+            }
+        } else {
+            rank.recv_count(0, Tag::DATA, my_rows.len() * (n + 1));
         }
-    } else {
-        rank.recv_count(0, Tag::DATA, my_row_ids.len() * (n + 1));
-    }
+    });
 
     // Stage 2: elimination — same broadcasts, barriers, and charged
     // flops; no arithmetic on row contents.
-    // Precompute this rank's rows in sorted order for fast counting
-    // of "my rows strictly below pivot i".
-    let my_rows_sorted = my_row_ids; // rows_of is ascending
-    let mut below_idx = 0usize; // first owned row index > i (monotone in i)
-    for i in 0..n.saturating_sub(1) {
-        let owner = dist.owner(i);
-        let payload_len = n - i + 1;
-        rank.broadcast_count(owner, payload_len);
-        while below_idx < my_rows_sorted.len() && my_rows_sorted[below_idx] <= i {
-            below_idx += 1;
-        }
-        let rows_below = (my_rows_sorted.len() - below_idx) as f64;
-        rank.compute_flops(rows_below * elimination_flops(n - i));
+    let mut below = 0usize;
+    for i in seg.iters.clone() {
+        seg.at_iteration(rank, i);
+        rank.broadcast_count(dist.owner(i), n - i + 1);
+        rank.compute_flops(round_flops(&my_rows, n, i, &mut below));
         rank.barrier();
     }
 
     // Stage 3: collection + sequential back substitution at rank 0.
-    rank.gather_count(0, my_rows_sorted.len() * (n + 1));
-    if me == 0 {
-        rank.compute_flops((n * n) as f64);
+    if seg.gather {
+        rank.gather_count(0, my_rows.len() * (n + 1));
+        if me == 0 {
+            rank.compute_flops((n * n) as f64);
+        }
     }
+}
+
+/// A rank's elimination flops in pivot round `i`: its rows strictly
+/// below the pivot times the per-row update cost. `below` indexes the
+/// first of the ascending `rows` not yet passed; it only moves forward,
+/// so rounds must be visited in ascending order.
+pub(crate) fn round_flops(rows: &[usize], n: usize, i: usize, below: &mut usize) -> f64 {
+    while *below < rows.len() && rows[*below] <= i {
+        *below += 1;
+    }
+    (rows.len() - *below) as f64 * elimination_flops(n - i)
 }
 
 #[cfg(test)]

@@ -243,25 +243,8 @@ pub fn ge_mega<N: NetworkModel>(
     network: &N,
     n: usize,
 ) -> Result<MegaOutcome, FallbackReason> {
-    ge_mega_with(cluster, network, n, 1)
-}
-
-/// [`ge_mega`] with an explicit dealing block size. Only `block = 1`
-/// (the fine interleave the GE kernel uses) keeps each class's rows in
-/// the round-robin runs the aggregation replays; any coarser
-/// granularity returns [`FallbackReason::UnclassedDistribution`].
-pub fn ge_mega_with<N: NetworkModel>(
-    cluster: &ClassedCluster,
-    network: &N,
-    n: usize,
-    block: usize,
-) -> Result<MegaOutcome, FallbackReason> {
     let simulate_started = std::time::Instant::now();
-    let outcome = if block == 1 {
-        ge_mega_eval(cluster, network, n)
-    } else {
-        Err(FallbackReason::UnclassedDistribution)
-    };
+    let outcome = ge_mega_eval(cluster, network, n);
     telemetry::add_simulate_wall_ns(simulate_started.elapsed().as_nanos() as u64);
     match &outcome {
         Ok(out) => {
@@ -578,16 +561,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn coarse_deals_report_the_unclassed_distribution_fallback() {
-        // Block-2 dealing breaks the member-0 round-robin structure the
-        // aggregation replays; the typed fallback says so.
-        let cluster = ClassedCluster::heet(40, 5, 50.0, 2.2);
-        let net = MpichEthernet::new(0.3e-3, 1e8);
-        assert_eq!(ge_mega_with(&cluster, &net, 16, 2), Err(FallbackReason::UnclassedDistribution));
-        assert_eq!(ge_mega_with(&cluster, &net, 16, 1), ge_mega(&cluster, &net, 16));
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Matrix multiplication: sequential reference and parallel HoHe kernel.
 
 mod parallel;
-pub mod recover;
 mod seq;
 pub mod timed;
 
 pub use parallel::{mm_parallel, MmOutcome};
-pub use recover::mm_parallel_timed_recoverable;
 pub use seq::mm_sequential;
 pub use timed::{mm_parallel_timed, mm_parallel_timed_with, mm_timed_body};
 

@@ -5,6 +5,7 @@
 use crate::analytic::mm_closed_form;
 use crate::ge::timed::price;
 use crate::ge::TimingOutcome;
+use crate::recover::Segment;
 use hetpart::{BlockDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
@@ -58,30 +59,58 @@ pub fn mm_parallel_timed_with<N: NetworkModel>(
 /// the single source of truth the engines, the threaded oracle, and
 /// the closed form ([`crate::analytic::mm_closed_form`]) are pinned to.
 pub fn mm_timed_body<T: SpmdTimer>(rank: &mut T, dist: &BlockDistribution, n: usize) {
+    mm_segment_body(rank, dist, n, &Segment::whole(n));
+}
+
+/// One segment of the MM protocol (see [`crate::ge::timed`]'s segment
+/// body). The whole run charges each rank's multiply as one flop block;
+/// recovery needs intermediate states to checkpoint and to interrupt,
+/// so every other segment splits the multiply into `n` virtual
+/// column-chunks of `flops / n` each and walks the chunks in its range.
+pub(crate) fn mm_segment_body<T: SpmdTimer>(
+    rank: &mut T,
+    dist: &BlockDistribution,
+    n: usize,
+    seg: &Segment,
+) {
     let me = rank.rank();
     let p = rank.size();
-    let my_range = dist.range_of(me);
+    let rows = dist.range_of(me).len();
 
-    // A-block distribution.
-    if me == 0 {
-        for peer in 1..p {
-            let r = dist.range_of(peer);
-            rank.send_count(peer, Tag::DATA, r.len() * n);
+    seg.open(rank, |rank| {
+        // A-block distribution.
+        if me == 0 {
+            for peer in 1..p {
+                rank.send_count(peer, Tag::DATA, dist.range_of(peer).len() * n);
+            }
+        } else {
+            rank.recv_count(0, Tag::DATA, rows * n);
         }
-    } else {
-        rank.recv_count(0, Tag::DATA, my_range.len() * n);
-    }
-
-    // B broadcast.
-    rank.broadcast_count(0, n * n);
+        // B broadcast.
+        rank.broadcast_count(0, n * n);
+    });
 
     // Local multiply: charged, not executed.
-    let rows = my_range.len();
-    let flops = (2 * rows * n * n).saturating_sub(rows * n) as f64;
-    rank.compute_flops(flops);
+    let flops = multiply_flops(rows, n);
+    if *seg == Segment::whole(n) {
+        rank.compute_flops(flops);
+    } else {
+        let chunk = flops / n as f64;
+        for j in seg.iters.clone() {
+            seg.at_iteration(rank, j);
+            rank.compute_flops(chunk);
+        }
+    }
 
     // C collection.
-    rank.gather_count(0, rows * n);
+    if seg.gather {
+        rank.gather_count(0, rows * n);
+    }
+}
+
+/// Flops of a `rows × n` by `n × n` block multiply.
+pub(crate) fn multiply_flops(rows: usize, n: usize) -> f64 {
+    (2 * rows * n * n).saturating_sub(rows * n) as f64
 }
 
 #[cfg(test)]
