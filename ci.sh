@@ -17,7 +17,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # The repository benchmark (benchmark/, a workspace of its own) builds
 # against the crates' public API, so an API change it needs fails here.
+# Its own tests run a quick traced set end to end: a change that breaks
+# the traced run's byte check or `compare` fails here too.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --workspace --release
 
 # CLI smoke: `--list` must enumerate the ids and exit 0.

@@ -2,10 +2,11 @@
 //! configurations — the concrete algorithm–system combinations the
 //! paper evaluates.
 //!
-//! Both adapters run the *timing-mode* kernels (proven timing-equivalent
-//! to the real ones by the kernels crate's tests), so curve sweeps over
-//! thousands of matrix ranks stay cheap while producing exactly the
-//! virtual times the arithmetic-executing kernels would.
+//! All seven adapters run the *timing-mode* kernels or their
+//! class-aggregated forms (proven timing-equivalent to the real ones by
+//! the kernels crate's tests), so curve sweeps over thousands of matrix
+//! ranks stay cheap while producing exactly the virtual times the
+//! arithmetic-executing kernels would.
 
 use crate::params::MEGA_POWER_ITERS;
 use hetsim_cluster::classed::ClassedCluster;
@@ -181,7 +182,7 @@ impl<N: NetworkModel> AlgorithmSystem for PowerSystem<'_, N> {
 
 /// HoHe MM on a class-compressed mega machine (X4). The analytic path
 /// prices the cell in O(classes) through [`mm_mega`] — no rank vector,
-/// no `BlockDistribution` — so 10⁷-rank cells cost the same as 10³;
+/// no per-rank `BlockDistribution` — so 10⁷-rank cells cost as much as 10³;
 /// under `--no-analytic` the cluster is materialized and priced per
 /// rank (the oracle reference, affordable only at the small presets).
 /// Mega cells bypass the memo cache on purpose: its fingerprint walks

@@ -492,3 +492,50 @@ fn profile_doc_declares_itself_non_deterministic() {
     assert!(ids.contains_key("t2"), "t2 lap missing: {text}");
     assert!(doc["total_us"].as_num().expect("total") >= 0.0);
 }
+
+#[test]
+fn fuzzed_argument_vectors_exit_cleanly() {
+    // 64 fixed-seed vectors from the CLI's own vocabulary — cheap ids,
+    // flags, junk, and good or bad flag values — must each exit 0, 1 or
+    // 2 without panicking.
+    const IDS: [&str; 4] = ["t1", "t2", "ext-mp", "ablate-sched"];
+    const OTHER: [&str; 7] = ["--quick", "--no-analytic", "--list", "--help", "t99", "-", "--"];
+    const VALUED: [&str; 4] = ["--jobs", "--seed", "--csv", "--stats-out"];
+    const VALUES: [&str; 5] = ["2", "0", "-1", "18446744073709551616", "banana"];
+    let tokens = [&IDS[..], &OTHER, &VALUED].concat();
+    let dir = temp_dir("fuzz");
+    let mut state = 0x5eed_f022u64;
+    let mut draw = |bound: usize| {
+        // splitmix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    };
+    let mut codes = [0usize; 3];
+    for _ in 0..64 {
+        // A cheap id first, so no vector falls through to the full suite.
+        let mut args = vec![IDS[draw(IDS.len())]];
+        for _ in 0..draw(6) {
+            let token = tokens[draw(tokens.len())];
+            args.push(token);
+            // A valued flag may go without: the next token, if any, is
+            // then taken as its value. Relative paths land in `dir`.
+            let value = draw(VALUES.len() + 1);
+            if VALUED.contains(&token) && value < VALUES.len() {
+                args.push(VALUES[value]);
+            }
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_bench-tables"))
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn bench-tables");
+        let (code, err) = (out.status.code(), stderr(&out));
+        assert!(matches!(code, Some(0..=2)), "{args:?} exited with {:?}: {err}", out.status);
+        assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
+        codes[code.unwrap() as usize] += 1;
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(codes[0] > 0 && codes[2] > 0, "the draw must reach both outcomes: {codes:?}");
+}

@@ -16,6 +16,9 @@
 //! frozen-noise ablation leans on — one shared elimination pass priced
 //! under 12 jittered networks at once, versus 12 standalone calls.
 //!
+//! Both rungs also run `closed_form_vs_recorded`: do the hand-derived
+//! forms pay for themselves?
+//!
 //! Numbers from this bench (plus suite wall-clocks) are recorded in
 //! `BENCH_ANALYTIC.json` at the repo root.
 
@@ -23,11 +26,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetpart::{BlockDistribution, CyclicDistribution};
 use hetsim_cluster::network::{JitteredNetwork, MpichEthernet};
 use hetsim_cluster::{sunwulf, ClusterSpec};
-use hetsim_mpi::record_spmd;
+use hetsim_mpi::{record_spmd, run_spmd_fast, RecordTimer, RunSpec};
 use kernels::ge::{ge_parallel_timed_many, ge_timed_body};
 use kernels::mm::mm_timed_body;
 use kernels::power::power_timed_body;
 use kernels::stencil::stencil_timed_body;
+use kernels::{mm_closed_form, power_closed_form, stencil_closed_form, TimingOutcome};
 use std::hint::black_box;
 
 fn net() -> MpichEthernet {
@@ -39,17 +43,20 @@ fn speeds(cluster: &ClusterSpec) -> Vec<f64> {
 }
 
 /// Record all four kernel bodies on `cluster` at size `n` and bench the
-/// analytic and event-driven evaluations of each recording.
+/// analytic and event-driven evaluations of each recording. Then, in
+/// the `closed_form_vs_recorded` group, price MM, power and stencil by
+/// their `*_closed_form` and by [`run_spmd_fast`] (record + lockstep
+/// plan + evaluate: the path a cell takes without its hand form).
 fn bench_pairs(c: &mut Criterion, group_name: &str, cluster: &ClusterSpec, n: usize) {
     let sp = speeds(cluster);
     let cyclic = CyclicDistribution::fine(n, &sp);
     let block = BlockDistribution::proportional(n, &sp);
-    let iters = n.div_ceil(8);
+    let (iters, power_iters) = (n.div_ceil(8), n.div_ceil(4));
     let programs = [
         ("ge", record_spmd(cluster, |t| ge_timed_body(t, &cyclic, n))),
         ("mm", record_spmd(cluster, |t| mm_timed_body(t, &block, n))),
         ("stencil", record_spmd(cluster, |t| stencil_timed_body(t, &block, n, iters))),
-        ("power", record_spmd(cluster, |t| power_timed_body(t, &block, n, n.div_ceil(4)))),
+        ("power", record_spmd(cluster, |t| power_timed_body(t, &block, n, power_iters))),
     ];
     let mut group = c.benchmark_group(group_name);
     for (kernel, program) in &programs {
@@ -61,6 +68,26 @@ fn bench_pairs(c: &mut Criterion, group_name: &str, cluster: &ClusterSpec, n: us
             b.iter(|| black_box(program.simulate_event_driven(cluster, &net()).makespan()))
         });
     }
+    group.finish();
+
+    let mut group = c.benchmark_group("closed_form_vs_recorded");
+    let mut pair =
+        |kernel: &str, closed_form: &dyn Fn() -> TimingOutcome, body: &dyn Fn(&mut RecordTimer)| {
+            let id = format!("{kernel}/{}", cluster.size());
+            group.bench_function(BenchmarkId::new("closed_form", &id), |b| {
+                b.iter(|| black_box(closed_form().makespan))
+            });
+            group.bench_function(BenchmarkId::new("recorded", &id), |b| {
+                b.iter(|| black_box(run_spmd_fast(cluster, &net(), RunSpec::default(), body)))
+            });
+        };
+    pair("mm", &|| mm_closed_form(cluster, &net(), n, &block), &|t| mm_timed_body(t, &block, n));
+    pair("power", &|| power_closed_form(cluster, &net(), n, power_iters, &block), &|t| {
+        power_timed_body(t, &block, n, power_iters)
+    });
+    pair("stencil", &|| stencil_closed_form(cluster, &net(), n, iters, &block), &|t| {
+        stencil_timed_body(t, &block, n, iters)
+    });
     group.finish();
 }
 

@@ -452,11 +452,14 @@ mod tests {
         #[test]
         fn classed_deal_matches_per_rank_on_random_runs(
             n in 0usize..600,
-            picks in proptest::collection::vec((0usize..6, 1u64..9), 1..6),
+            picks in proptest::collection::vec((0usize..8, 1u64..9), 1..6),
         ) {
-            // A small speed palette (with repeats and a zero) makes
-            // cross-class deficit ties and skipped classes common.
-            let palette = [50.0, 90.0, 150.0, 50.0, 0.0, 1.0];
+            // A small speed palette (with repeats, a zero, and speeds
+            // one ulp either side of 50) makes cross-class deficit ties,
+            // near-ties, and skipped classes common.
+            let up = f64::from_bits(50f64.to_bits() + 1);
+            let down = f64::from_bits(50f64.to_bits() - 1);
+            let palette = [50.0, 90.0, 150.0, 50.0, 0.0, 1.0, up, down];
             let classes: Vec<(f64, u64)> =
                 picks.iter().map(|&(i, m)| (palette[i], m)).collect();
             if classes.iter().any(|&(s, _)| s > 0.0) {

@@ -22,8 +22,8 @@
 //!   behind one [`network::NetworkModel`] trait. These give deterministic
 //!   costs to the SPMD runtime.
 //! * [`engine`] / [`netsim`] — a classic discrete-event simulation core
-//!   plus a message-level shared-link simulator used to validate the
-//!   analytic models and to study contention (the `ablate-net` study).
+//!   plus a message-level shared-link simulator, used by their own tests
+//!   and the `runtime` bench; no experiment id runs them.
 //! * [`faults`] — deterministic, seed-driven fault plans: degraded-node
 //!   speed windows, lossy links with retry/timeout/backoff charges, and
 //!   declared deaths resolved into a surviving cluster before launch.

@@ -5,9 +5,9 @@
 //! because the medium serializes. This module simulates that medium one
 //! transfer at a time: transfers queue for the wire in arrival order
 //! (ties by request order), each occupying it for `alpha + bytes/beta`.
-//! The experiment harness uses it to validate the closed-form collective
-//! costs and to study contention beyond what the closed forms capture
-//! (e.g. staggered arrivals from heterogeneous compute phases).
+//! Its tests use it to validate the closed-form collective costs and to
+//! probe contention beyond what the closed forms capture (e.g.
+//! staggered arrivals from heterogeneous compute phases).
 
 use crate::engine::Simulator;
 use crate::time::SimTime;

@@ -58,6 +58,12 @@
 //! `engine_equivalence` proptests pin the aggregated makespan and
 //! per-class tail clocks against both the event-driven engine and the
 //! threaded oracle.
+//!
+//! A recording needs only one rank per run of ranks that record the
+//! same op stream: weighted by the run's length, it stands for all of
+//! them ([`SpmdProgram::simulate_aggregated`]). `kernels::mega` prices
+//! MM and power at 10⁷ ranks this way, from one recorded rank per
+//! subclass.
 
 use super::analytic::{P2pStep, Phase};
 use super::{Op, SpmdProgram};
@@ -69,13 +75,11 @@ use hetsim_cluster::time::SimTime;
 
 /// A recording's class-aggregated evaluation plan.
 ///
-/// Built once in O(P) by [`SpmdProgram::aggregate_plan`]; evaluated
-/// against any size-priced network in O(classes + phases) by
-/// [`AggregatePlan::evaluate`]. The same plan can be re-priced under
-/// several network models, which is how the `megascale` bench
-/// separates build cost from per-evaluation cost.
+/// Built once in O(recorded ranks) by [`SpmdProgram::aggregate_plan`];
+/// evaluated against any size-priced network in O(classes + phases) by
+/// [`AggregatePlan::evaluate`].
 #[derive(Debug)]
-pub struct AggregatePlan {
+pub(crate) struct AggregatePlan {
     p: usize,
     /// Members per class (aggregation multiplicity).
     members: Vec<u64>,
@@ -140,30 +144,34 @@ pub struct AggregateOutcome {
     pub ranks: u64,
 }
 
-/// Rank-order RLE of an iterator of values.
-fn rle<T: PartialEq, I: Iterator<Item = T>>(values: I) -> Vec<(T, u64)> {
-    let mut runs: Vec<(T, u64)> = Vec::new();
-    for v in values {
-        match runs.last_mut() {
-            Some((last, n)) if *last == v => *n += 1,
-            _ => runs.push((v, 1)),
-        }
+/// Appends `count` copies of `value` to a rank-order run-length
+/// encoding, merging into the last run when the value repeats.
+fn push_run(runs: &mut Vec<(u64, u64)>, value: u64, count: u64) {
+    match runs.last_mut() {
+        Some((last, n)) if *last == value => *n += count,
+        _ => runs.push((value, count)),
     }
-    runs
 }
 
 impl<R> SpmdProgram<R> {
     /// Builds the class-aggregated evaluation plan, or returns the
-    /// typed reason the recording's shape cannot be aggregated. O(P)
-    /// once; the plan then prices in O(classes + phases) per network.
+    /// typed reason the recording's shape cannot be aggregated. O(recorded
+    /// ranks) once; the plan then prices in O(classes + phases) per
+    /// network. `cluster` and `weights` are as for
+    /// [`simulate_aggregated`](Self::simulate_aggregated).
     ///
-    /// `cluster` must agree with the recording's rank classes: same
-    /// size, and one marked speed per class (the recording cluster
-    /// always does; a re-pricing cluster that splits a class returns
-    /// [`FallbackReason::ClassOrderDiverged`]).
-    pub fn aggregate_plan(&self, cluster: &ClusterSpec) -> Result<AggregatePlan, FallbackReason> {
+    /// # Panics
+    /// When `cluster` or `weights` disagree with the recording's rank
+    /// count, or a weight is zero.
+    pub(crate) fn aggregate_plan(
+        &self,
+        cluster: &ClusterSpec,
+        weights: &[u64],
+    ) -> Result<AggregatePlan, FallbackReason> {
         let p = self.p;
         assert_eq!(cluster.size(), p, "cluster size disagrees with the recording's rank count");
+        assert_eq!(weights.len(), p, "one weight per recorded rank");
+        assert!(weights.iter().all(|&w| w > 0), "every recorded rank stands for at least one rank");
         let lockstep = self.lockstep_result().as_ref().map_err(|&e| e)?;
         let nc = self.classes.len();
 
@@ -178,8 +186,19 @@ impl<R> SpmdProgram<R> {
                 // recording class; the class is no longer one clock.
                 return Err(FallbackReason::ClassOrderDiverged);
             }
-            members[c] += 1;
+            members[c] += weights[r];
         }
+        let ranks: u64 = members.iter().sum();
+        // A collective root's class is one rank only when the root
+        // stands for itself alone (the analyzer already checked that
+        // no other recorded rank shares its class).
+        let root_class = |root: u32| {
+            if weights[root as usize] == 1 {
+                Ok(self.class_of[root as usize] as u32)
+            } else {
+                Err(FallbackReason::MultiMemberRootClass)
+            }
+        };
 
         // Statically resolved allgather-derived broadcast counts: the
         // packed size is `p + Σ gathered counts` of the root's most
@@ -206,83 +225,116 @@ impl<R> SpmdProgram<R> {
                     AggPhase::Compute { flops }
                 }
                 Phase::Barrier => AggPhase::Barrier,
-                Phase::Bcast { root, count } => AggPhase::Bcast {
-                    root_class: self.class_of[*root as usize] as u32,
-                    count: *count,
-                },
+                Phase::Bcast { root, count } => {
+                    AggPhase::Bcast { root_class: root_class(*root)?, count: *count }
+                }
                 Phase::BcastDerived { root } => AggPhase::Bcast {
-                    root_class: self.class_of[*root as usize] as u32,
-                    count: p + gather_total[*root as usize],
+                    root_class: root_class(*root)?,
+                    count: ranks as usize + gather_total[*root as usize],
                 },
                 Phase::Gather { root, counts, sizes, .. } => {
+                    let root_class = root_class(*root)?;
                     let root = *root as usize;
-                    gather_total[root] = counts.iter().sum();
-                    let size_runs = rle(sizes.iter().copied());
-                    // Locate the run containing the root rank.
+                    gather_total[root] =
+                        counts.iter().zip(weights).map(|(&c, &w)| c * w as usize).sum();
+                    let mut size_runs = Vec::new();
                     let mut root_run = 0usize;
-                    let mut covered = 0u64;
-                    for (i, &(_, n)) in size_runs.iter().enumerate() {
-                        if (root as u64) < covered + n {
-                            root_run = i;
-                            break;
-                        }
-                        covered += n;
-                    }
                     let mut leaf_bytes = vec![0u64; nc];
-                    for (r, &c) in self.class_of.iter().enumerate() {
-                        leaf_bytes[c] = sizes[r];
+                    for (r, (&bytes, &w)) in sizes.iter().zip(weights).enumerate() {
+                        push_run(&mut size_runs, bytes, w);
+                        if r == root {
+                            root_run = size_runs.len() - 1;
+                        }
+                        leaf_bytes[self.class_of[r]] = bytes;
                     }
-                    AggPhase::Gather {
-                        root_class: self.class_of[root] as u32,
-                        size_runs,
-                        root_run,
-                        leaf_bytes,
-                    }
+                    AggPhase::Gather { root_class, size_runs, root_run, leaf_bytes }
                 }
-                Phase::P2p { steps } => self.scatter_phase(steps)?,
+                Phase::P2p { steps } => self.scatter_phase(steps, weights)?,
             });
         }
 
+        // The per-rank op counts one evaluation covers (telemetry):
+        // every collective involves each priced rank, and every hub
+        // send pairs with one receive.
+        let mut collective_ops = 0u64;
+        let mut p2p_ops = 0u64;
+        for phase in &phases {
+            match phase {
+                AggPhase::Compute { .. } => {}
+                AggPhase::Barrier | AggPhase::Bcast { .. } | AggPhase::Gather { .. } => {
+                    collective_ops += ranks
+                }
+                AggPhase::Scatter { send_runs, .. } => {
+                    p2p_ops += 2 * send_runs.iter().map(|&(_, n)| n).sum::<u64>()
+                }
+            }
+        }
+
         Ok(AggregatePlan {
-            p,
+            p: ranks as usize,
             members,
             speed_flops,
             phases,
-            collective_ops: lockstep.collective_ops,
-            p2p_ops: lockstep.p2p_ops,
+            collective_ops,
+            p2p_ops,
         })
     }
 
     /// Folds a lockstep P2P batch into a hub scatter, or reports why
-    /// it cannot be: sends from more than one rank (or a sending rank
-    /// that also receives) are [`FallbackReason::AsymmetricP2p`], and
-    /// deliveries that do not follow member rank order within a class
-    /// are [`FallbackReason::ClassOrderDiverged`].
-    fn scatter_phase(&self, steps: &[P2pStep]) -> Result<AggPhase, FallbackReason> {
+    /// it cannot be: sends from more than one rank, a sending rank that
+    /// also receives, a hub standing for more than one rank, or a
+    /// second send to a rank of weight > 1 are
+    /// [`FallbackReason::AsymmetricP2p`], and deliveries that do not
+    /// follow member rank order within a class are
+    /// [`FallbackReason::ClassOrderDiverged`]. A send to a rank of
+    /// weight `m` expands into `m` back-to-back sends, one per member —
+    /// the materialized hub's order only while it sends to each
+    /// member once per batch.
+    fn scatter_phase(
+        &self,
+        steps: &[P2pStep],
+        weights: &[u64],
+    ) -> Result<AggPhase, FallbackReason> {
         let mut hub: Option<u32> = None;
-        let mut send_bytes: Vec<u64> = Vec::new();
+        let mut send_runs: Vec<(u64, u64)> = Vec::new();
+        // Expanded slot of each recorded send's last copy: the one its
+        // destination's tail member receives.
+        let mut tail_slot: Vec<u64> = Vec::new();
+        let mut sent = 0u64;
+        // Weighted ranks already sent to in this batch.
+        let mut sent_to = vec![false; self.p];
         // Highest-slot message each rank receives (u64::MAX = none);
         // per-rank exits fold `max(clock, arrival)`, and arrivals are
         // non-decreasing in slot, so only the last message matters.
         let mut last_slot = vec![u64::MAX; self.p];
         for step in steps {
             match *step {
-                P2pStep::Send { rank, count, .. } => {
+                P2pStep::Send { rank, dest, count } => {
                     if *hub.get_or_insert(rank) != rank {
                         return Err(FallbackReason::AsymmetricP2p);
                     }
-                    send_bytes.push((count * 8) as u64);
+                    let copies = weights[dest as usize];
+                    if copies > 1 && std::mem::replace(&mut sent_to[dest as usize], true) {
+                        return Err(FallbackReason::AsymmetricP2p);
+                    }
+                    push_run(&mut send_runs, (count * 8) as u64, copies);
+                    sent += copies;
+                    tail_slot.push(sent - 1);
                 }
                 P2pStep::Recv { rank, slot, .. } => {
                     if hub == Some(rank) {
                         return Err(FallbackReason::AsymmetricP2p);
                     }
+                    let slot = tail_slot[slot as usize];
                     let cell = &mut last_slot[rank as usize];
-                    *cell = if *cell == u64::MAX { slot as u64 } else { (*cell).max(slot as u64) };
+                    *cell = if *cell == u64::MAX { slot } else { (*cell).max(slot) };
                 }
             }
         }
         let hub = hub.ok_or(FallbackReason::AsymmetricP2p)?;
+        if weights[hub as usize] != 1 {
+            return Err(FallbackReason::AsymmetricP2p);
+        }
         let hub_class = self.class_of[hub as usize] as u32;
 
         // Tail sampling is sound only when, within each class, the
@@ -306,27 +358,49 @@ impl<R> SpmdProgram<R> {
             .filter_map(|(c, s)| s.map(|slot| (slot, c as u32)))
             .collect();
         samples.sort_unstable();
-        Ok(AggPhase::Scatter { hub_class, send_runs: rle(send_bytes.into_iter()), samples })
+        Ok(AggPhase::Scatter { hub_class, send_runs, samples })
     }
 
-    /// Class-aggregated pricing of the recording: builds the plan and
-    /// evaluates it, recording [`EnginePath::Aggregated`] telemetry on
-    /// success and the typed [`FallbackReason`] on rejection (callers
+    /// Class-aggregated pricing of the recording: builds the plan in
+    /// O(recorded ranks) and evaluates it in O(classes + phases),
+    /// recording [`EnginePath::Aggregated`] telemetry on success and the
+    /// typed [`FallbackReason`] on a plan or network rejection (callers
     /// then fall back to [`simulate`](Self::simulate)).
+    ///
+    /// `cluster` must agree with the recording's rank classes: same
+    /// size, and one marked speed per class (the recording cluster
+    /// always does; a re-pricing cluster that splits a class returns
+    /// [`FallbackReason::ClassOrderDiverged`]).
+    ///
+    /// `weights[r]` is how many ranks of the priced machine recorded
+    /// rank `r` stands for (all ones: the recording itself). The
+    /// caller's contract: a recorded rank with weight `m` stands for `m`
+    /// consecutive ranks that would have recorded the same op stream.
+    /// Its hub receives and gather contributions then expand into `m`
+    /// copies in member order, and `Σ weights` ranks enter the costs and
+    /// the telemetry. A collective root of weight > 1 returns
+    /// [`FallbackReason::MultiMemberRootClass`]; a scatter hub of
+    /// weight > 1, or a P2P batch that sends to a rank of weight > 1
+    /// more than once, returns [`FallbackReason::AsymmetricP2p`].
+    ///
+    /// # Panics
+    /// When `cluster` or `weights` disagree with the recording's rank
+    /// count, or a weight is zero.
     pub fn simulate_aggregated<N: NetworkModel>(
         &self,
         cluster: &ClusterSpec,
         network: &N,
+        weights: &[u64],
     ) -> Result<AggregateOutcome, FallbackReason> {
-        let result = self.aggregate_plan(cluster).and_then(|plan| {
+        let result = self.aggregate_plan(cluster, weights).and_then(|plan| {
             let simulate_started = std::time::Instant::now();
             let outcome = plan.evaluate(network);
             telemetry::add_simulate_wall_ns(simulate_started.elapsed().as_nanos() as u64);
             if outcome.is_ok() {
                 let mut report = EngineReport::new(
                     EnginePath::Aggregated,
-                    self.p as u64,
-                    self.classes.len() as u64,
+                    plan.p as u64,
+                    plan.members.len() as u64,
                 );
                 report.collective_events = plan.collective_ops;
                 report.p2p_events = plan.p2p_ops;
@@ -341,170 +415,14 @@ impl<R> SpmdProgram<R> {
     }
 }
 
-/// Constructs an [`AggregatePlan`] directly from a class description —
-/// no recording, no O(P) pass. This is the entry point for *synthetic*
-/// plans whose phase structure is known statically (the kernels crate's
-/// mega-scale closed forms): the caller lists the classes in rank order
-/// (`members[c]` contiguous ranks at `speed_flops[c]`) and appends
-/// phases; [`build`](Self::build) yields a plan whose evaluation
-/// performs exactly the float-op sequence the per-rank engines would,
-/// restricted to class tails.
-///
-/// The builder trusts its caller on the monotonicity contract the
-/// recording path verifies: phases must keep member clocks
-/// non-decreasing in rank order within every class (all the phase
-/// shapes offered here do).
-#[derive(Debug)]
-pub struct AggregatePlanBuilder {
-    p: usize,
-    members: Vec<u64>,
-    speed_flops: Vec<f64>,
-    phases: Vec<AggPhase>,
-    collective_ops: u64,
-    p2p_ops: u64,
-}
-
-impl AggregatePlanBuilder {
-    /// Starts a plan over `members[c]` contiguous ranks per class at
-    /// `speed_flops[c]` flop/s. Panics on empty or mismatched inputs,
-    /// non-positive speeds, or zero-member classes.
-    pub fn new(members: &[u64], speed_flops: &[f64]) -> AggregatePlanBuilder {
-        assert!(!members.is_empty(), "a plan needs at least one class");
-        assert_eq!(members.len(), speed_flops.len(), "one speed per class");
-        assert!(members.iter().all(|&m| m > 0), "classes must be inhabited");
-        assert!(speed_flops.iter().all(|&s| s > 0.0 && s.is_finite()), "speeds must be positive");
-        let p = members.iter().map(|&m| m as usize).sum();
-        AggregatePlanBuilder {
-            p,
-            members: members.to_vec(),
-            speed_flops: speed_flops.to_vec(),
-            phases: Vec::new(),
-            collective_ops: 0,
-            p2p_ops: 0,
-        }
-    }
-
-    fn nc(&self) -> usize {
-        self.members.len()
-    }
-
-    /// One compute op of `flops[c]` floating-point operations per class.
-    pub fn compute(&mut self, flops: Vec<f64>) -> &mut Self {
-        assert_eq!(flops.len(), self.nc(), "one flop count per class");
-        // Merge into a preceding compute phase the way the lockstep
-        // analyzer coalesces maximal compute runs.
-        if let Some(AggPhase::Compute { flops: runs }) = self.phases.last_mut() {
-            for (run, f) in runs.iter_mut().zip(flops) {
-                run.push(f);
-            }
-        } else {
-            self.phases
-                .push(AggPhase::Compute { flops: flops.into_iter().map(|f| vec![f]).collect() });
-        }
-        self
-    }
-
-    /// A full barrier.
-    pub fn barrier(&mut self) -> &mut Self {
-        self.collective_ops += self.p as u64;
-        self.phases.push(AggPhase::Barrier);
-        self
-    }
-
-    /// A broadcast of `count` elements from `root_class`.
-    pub fn bcast(&mut self, root_class: usize, count: usize) -> &mut Self {
-        assert!(root_class < self.nc());
-        self.collective_ops += self.p as u64;
-        self.phases.push(AggPhase::Bcast { root_class: root_class as u32, count });
-        self
-    }
-
-    /// A gather of `class_counts[c]` elements per member of class `c`
-    /// to (the first member of) `root_class`.
-    pub fn gather(&mut self, root_class: usize, class_counts: &[usize]) -> &mut Self {
-        assert_eq!(class_counts.len(), self.nc(), "one count per class");
-        assert!(root_class < self.nc());
-        self.collective_ops += self.p as u64;
-        let leaf_bytes: Vec<u64> = class_counts.iter().map(|&c| (c * 8) as u64).collect();
-        // Rank-order RLE of the per-rank size vector: classes are
-        // contiguous rank runs, so adjacent equal-byte classes merge.
-        let mut size_runs: Vec<(u64, u64)> = Vec::new();
-        let mut root_run = 0usize;
-        for (c, (&bytes, &m)) in leaf_bytes.iter().zip(self.members.iter()).enumerate() {
-            match size_runs.last_mut() {
-                Some((last, n)) if *last == bytes => *n += m,
-                _ => size_runs.push((bytes, m)),
-            }
-            if c == root_class {
-                root_run = size_runs.len() - 1;
-            }
-        }
-        self.phases.push(AggPhase::Gather {
-            root_class: root_class as u32,
-            size_runs,
-            root_run,
-            leaf_bytes,
-        });
-        self
-    }
-
-    /// A root-serialized scatter: the (singleton) `hub_class` sends
-    /// `class_counts[c]` elements to every member of every other class,
-    /// in rank order, back to back on its own clock.
-    pub fn scatter(&mut self, hub_class: usize, class_counts: &[usize]) -> &mut Self {
-        assert_eq!(class_counts.len(), self.nc(), "one count per class");
-        assert_eq!(self.members[hub_class], 1, "the hub must be a singleton class");
-        self.p2p_ops += 2 * (self.p as u64 - 1);
-        let mut send_runs: Vec<(u64, u64)> = Vec::new();
-        let mut samples: Vec<(u64, u32)> = Vec::new();
-        let mut slot = 0u64;
-        for (c, (&count, &m)) in class_counts.iter().zip(self.members.iter()).enumerate() {
-            if c == hub_class {
-                continue;
-            }
-            let bytes = (count * 8) as u64;
-            match send_runs.last_mut() {
-                Some((last, n)) if *last == bytes => *n += m,
-                _ => send_runs.push((bytes, m)),
-            }
-            slot += m;
-            samples.push((slot - 1, c as u32));
-        }
-        self.phases.push(AggPhase::Scatter { hub_class: hub_class as u32, send_runs, samples });
-        self
-    }
-
-    /// Finalizes the plan.
-    pub fn build(self) -> AggregatePlan {
-        AggregatePlan {
-            p: self.p,
-            members: self.members,
-            speed_flops: self.speed_flops,
-            phases: self.phases,
-            collective_ops: self.collective_ops,
-            p2p_ops: self.p2p_ops,
-        }
-    }
-}
-
 impl AggregatePlan {
-    /// Number of ranks one evaluation prices.
-    pub fn size(&self) -> usize {
-        self.p
-    }
-
-    /// Number of rank classes actually walked per evaluation.
-    pub fn class_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// Prices the plan against `network` in O(classes + phases).
     ///
     /// Returns [`FallbackReason::UnclassedNetwork`] when the model
     /// prices endpoints individually (no per-class costs exist);
     /// otherwise the outcome's makespan and tail clocks are
     /// bit-identical to the per-rank engines on the same recording.
-    pub fn evaluate<N: NetworkModel>(
+    pub(crate) fn evaluate<N: NetworkModel>(
         &self,
         network: &N,
     ) -> Result<AggregateOutcome, FallbackReason> {
@@ -594,39 +512,11 @@ impl AggregatePlan {
             ranks: self.p as u64,
         })
     }
-
-    /// [`evaluate`](Self::evaluate) plus telemetry: records an
-    /// [`EnginePath::Aggregated`] simulation (with the plan's op
-    /// counts) on success and the typed fallback on rejection — the
-    /// entry point for builder-made plans, which have no
-    /// [`SpmdProgram`] to report through.
-    pub fn evaluate_recorded<N: NetworkModel>(
-        &self,
-        network: &N,
-    ) -> Result<AggregateOutcome, FallbackReason> {
-        let simulate_started = std::time::Instant::now();
-        let outcome = self.evaluate(network);
-        telemetry::add_simulate_wall_ns(simulate_started.elapsed().as_nanos() as u64);
-        match &outcome {
-            Ok(_) => {
-                let mut report = EngineReport::new(
-                    EnginePath::Aggregated,
-                    self.p as u64,
-                    self.members.len() as u64,
-                );
-                report.collective_events = self.collective_ops;
-                report.p2p_events = self.p2p_ops;
-                telemetry::record_simulation(&report);
-            }
-            Err(reason) => telemetry::record_fallback(*reason),
-        }
-        outcome
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{record_spmd, SpmdTimer};
+    use super::super::{record_spmd, RecordTimer, SpmdTimer};
     use super::*;
     use crate::message::Tag;
     use crate::runtime::SpmdOutcome;
@@ -637,39 +527,69 @@ mod tests {
 
     type Program = super::super::SpmdProgram<()>;
 
-    fn het3() -> ClusterSpec {
-        ClusterSpec::new(
-            "het3",
-            vec![
-                NodeSpec::synthetic("a", 90.0),
-                NodeSpec::synthetic("b", 50.0),
-                NodeSpec::synthetic("c", 110.0),
-            ],
-        )
-        .unwrap()
+    /// Every op kind the aggregator folds, over per-rank row counts:
+    /// barrier, compute, hub scatter, compute, broadcast, gathers to
+    /// rank 0 and to `root`, allgather (gather + derived bcast) — the
+    /// master–worker shape MM and power iteration record. The first
+    /// compute prices by speed alone, so a receiver slower than the hub
+    /// is still computing when its message arrives (its clock wins the
+    /// scatter's `max`) and a faster one is not (the arrival wins). The
+    /// second prices by rows, so a receiver with more rows than the hub
+    /// carries its arrival past the hub's clock into the makespan.
+    fn body<T: SpmdTimer>(t: &mut T, rows: &[usize], root: usize) {
+        let me = t.rank();
+        t.barrier();
+        t.compute_flops(1e6);
+        if me == 0 {
+            for (peer, &r) in rows.iter().enumerate().skip(1) {
+                t.send_count(peer, Tag(5), r * 4);
+            }
+        } else {
+            t.recv_count(0, Tag(5), rows[me] * 4);
+        }
+        t.compute_flops(rows[me] as f64 * 1e5);
+        t.broadcast_count(0, 33);
+        t.gather_count(0, rows[me] * 4);
+        t.gather_count(root, rows[me]);
+        t.allgather_count(rows[me]);
     }
 
-    /// Every op kind the aggregator folds: compute, hub scatter,
-    /// barrier, broadcast, gather, allgather (gather + derived bcast).
-    fn body<T: SpmdTimer>(t: &mut T) {
-        let me = t.rank();
-        let p = t.size();
-        t.compute_flops(1e6);
-        if p > 1 {
-            if me == 0 {
-                for peer in 1..p {
-                    t.send_count(peer, Tag(5), 64);
-                }
-            } else {
-                t.recv_count(0, Tag(5), 64);
+    /// [`body`] recorded on `(speed, rows, members)` runs, rooting its
+    /// second gather at run `root_run`: materialized with unit weights,
+    /// or as a skeleton of one rank per run weighted by its members.
+    fn recorded(
+        runs: &[(f64, usize, u64)],
+        root_run: usize,
+        skeleton: bool,
+    ) -> (Program, ClusterSpec, Vec<u64>) {
+        let (mut nodes, mut rows, mut weights, mut root) = (Vec::new(), Vec::new(), Vec::new(), 0);
+        for (i, &(speed, r, m)) in runs.iter().enumerate() {
+            if i == root_run {
+                root = nodes.len();
+            }
+            let (copies, weight) = if skeleton { (1, m) } else { (m, 1) };
+            for _ in 0..copies {
+                nodes.push(NodeSpec::synthetic(format!("n{}", nodes.len()), speed));
+                rows.push(r);
+                weights.push(weight);
             }
         }
-        t.barrier();
-        t.broadcast_count(0, 33);
-        t.compute_flops(2.5e5);
-        t.gather_count(0, 7);
-        t.allgather_count(2);
-        t.barrier();
+        let cluster = ClusterSpec::new("runs", nodes).unwrap();
+        (record_spmd(&cluster, |t| body(t, &rows, root)), cluster, weights)
+    }
+
+    /// `batch` then a barrier, recorded on `weights.len()` equal ranks
+    /// and priced under `weights` on a constant-latency network.
+    fn priced_batch(
+        weights: &[u64],
+        batch: impl Fn(&mut RecordTimer),
+    ) -> Result<AggregateOutcome, FallbackReason> {
+        let cluster = ClusterSpec::homogeneous(weights.len(), 50.0);
+        let program: Program = record_spmd(&cluster, |t| {
+            batch(t);
+            t.barrier();
+        });
+        program.simulate_aggregated(&cluster, &ConstantLatency::new(1e-3), weights)
     }
 
     /// Checks the aggregated outcome against a per-rank outcome: the
@@ -697,50 +617,66 @@ mod tests {
 
     #[test]
     fn aggregated_matches_event_driven_across_networks() {
-        for cluster in
-            [het3(), ClusterSpec::homogeneous(5, 80.0), ClusterSpec::homogeneous(1, 70.0)]
-        {
-            let program: Program = record_spmd(&cluster, body);
-            let shared = SharedEthernet::new(0.3e-3, 1.25e7);
-            let mpich = MpichEthernet::new(0.2e-3, 1e8);
-            let switched = SwitchedNetwork::new(0.1e-3, 1.2e7);
-            let constant = ConstantLatency::new(1e-3);
-            macro_rules! check {
-                ($net:expr) => {
-                    let agg = program.simulate_aggregated(&cluster, $net).expect("aggregatable");
-                    let event = program.simulate_event_driven(&cluster, $net);
-                    assert_agg_matches(&program, &agg, &event);
-                };
+        // Distinct speeds, one speed, one rank, and two (50, 2) runs
+        // that dedup into one class across the mid-machine root; each
+        // materialized and as a skeleton, one plan under every network.
+        // The row-heavy runs at the hub's speed put a weighted class's
+        // scatter arrival into the makespan.
+        let machines = [
+            (&[(90.0, 2, 1), (50.0, 1, 1), (110.0, 3, 1)][..], 2),
+            (&[(80.0, 2, 1), (80.0, 5, 4)], 0),
+            (&[(70.0, 3, 1)], 0),
+            (&[(90.0, 3, 1), (90.0, 6, 2), (50.0, 2, 2), (110.0, 4, 1), (50.0, 2, 3)], 3),
+        ];
+        let nets: [&dyn NetworkModel; 4] = [
+            &SharedEthernet::new(0.3e-3, 1.25e7),
+            &MpichEthernet::new(0.2e-3, 1e8),
+            &SwitchedNetwork::new(0.1e-3, 1.2e7),
+            &ConstantLatency::new(1e-3),
+        ];
+        for (runs, root_run) in machines {
+            let (full, full_cluster, ones) = recorded(runs, root_run, false);
+            let (skel, skel_cluster, weights) = recorded(runs, root_run, true);
+            let full_plan = full.aggregate_plan(&full_cluster, &ones).expect("aggregatable");
+            let skel_plan = skel.aggregate_plan(&skel_cluster, &weights).expect("aggregatable");
+            assert_eq!(skel_plan.collective_ops, full_plan.collective_ops, "collective ops");
+            let sends = 2 * (full.size() as u64 - 1);
+            assert_eq!((skel_plan.p2p_ops, full_plan.p2p_ops), (sends, sends), "p2p ops");
+            for net in nets {
+                // Makespan, every class tail, members and rank count.
+                let agg = skel_plan.evaluate(&net).expect("classed network");
+                assert_eq!(agg, full_plan.evaluate(&net).expect("classed network"));
+                assert_agg_matches(&full, &agg, &full.simulate_event_driven(&full_cluster, &net));
             }
-            check!(&shared);
-            check!(&mpich);
-            check!(&switched);
-            check!(&constant);
         }
     }
 
     #[test]
-    fn plan_builds_once_and_reprices_per_network() {
-        let cluster = ClusterSpec::homogeneous(6, 80.0);
-        let program: Program = record_spmd(&cluster, body);
-        let plan = program.aggregate_plan(&cluster).expect("aggregatable");
-        assert_eq!(plan.size(), 6);
-        assert_eq!(plan.class_count(), program.distinct_classes());
-        for alpha in [1e-4, 2e-4, 5e-4] {
-            let net = MpichEthernet::new(alpha, 1e8);
-            let agg = plan.evaluate(&net).expect("classed network");
-            let event = program.simulate_event_driven(&cluster, &net);
-            assert_agg_matches(&program, &agg, &event);
-        }
+    fn second_send_to_a_weighted_rank_is_asymmetric() {
+        // The hub sends each peer two messages back to back. Weighted,
+        // the expansion would put a member's copies of one message
+        // together, but the materialized hub alternates the two.
+        let batch = |t: &mut RecordTimer| {
+            if t.rank() == 0 {
+                for peer in 1..3 {
+                    t.send_count(peer, Tag(1), 4);
+                    t.send_count(peer, Tag(2), 9);
+                }
+            } else {
+                t.recv_count(0, Tag(1), 4);
+                t.recv_count(0, Tag(2), 9);
+            }
+        };
+        assert!(priced_batch(&[1; 3], batch).is_ok());
+        assert_eq!(priced_batch(&[1, 1, 3], batch), Err(FallbackReason::AsymmetricP2p));
     }
 
     #[test]
     fn endpoint_priced_networks_are_rejected_as_unclassed() {
-        let cluster = ClusterSpec::homogeneous(4, 80.0);
-        let program: Program = record_spmd(&cluster, body);
+        let (program, cluster, weights) = recorded(&[(80.0, 2, 4)], 0, false);
         let net = JitteredNetwork::new(MpichEthernet::new(0.2e-3, 1e8), 0.25, 99);
         assert_eq!(
-            program.simulate_aggregated(&cluster, &net),
+            program.simulate_aggregated(&cluster, &net, &weights),
             Err(FallbackReason::UnclassedNetwork)
         );
     }
@@ -748,8 +684,7 @@ mod tests {
     #[test]
     fn non_lockstep_recordings_keep_their_typed_reason() {
         // Sent before the barrier, received after: not even lockstep.
-        let cluster = ClusterSpec::homogeneous(2, 50.0);
-        let program: Program = record_spmd(&cluster, |t| {
+        let batch = |t: &mut RecordTimer| {
             if t.rank() == 0 {
                 t.send_count(1, Tag(7), 5);
             }
@@ -757,89 +692,78 @@ mod tests {
             if t.rank() == 1 {
                 t.recv_count(0, Tag(7), 5);
             }
-        });
-        let net = ConstantLatency::new(1e-3);
-        assert_eq!(
-            program.simulate_aggregated(&cluster, &net),
-            Err(FallbackReason::SendAcrossSync)
-        );
+        };
+        assert_eq!(priced_batch(&[1; 2], batch), Err(FallbackReason::SendAcrossSync));
     }
 
     #[test]
     fn multi_sender_batches_are_asymmetric() {
-        let cluster = ClusterSpec::homogeneous(3, 50.0);
-        let program: Program = record_spmd(&cluster, |t| {
-            match t.rank() {
-                0 => t.send_count(2, Tag(1), 4),
-                1 => t.send_count(2, Tag(2), 4),
-                _ => {
-                    t.recv_count(0, Tag(1), 4);
-                    t.recv_count(1, Tag(2), 4);
-                }
+        let batch = |t: &mut RecordTimer| match t.rank() {
+            0 => t.send_count(2, Tag(1), 4),
+            1 => t.send_count(2, Tag(2), 4),
+            _ => {
+                t.recv_count(0, Tag(1), 4);
+                t.recv_count(1, Tag(2), 4);
             }
-            t.barrier();
-        });
-        let net = ConstantLatency::new(1e-3);
-        assert_eq!(program.simulate_aggregated(&cluster, &net), Err(FallbackReason::AsymmetricP2p));
+        };
+        assert_eq!(priced_batch(&[1; 3], batch), Err(FallbackReason::AsymmetricP2p));
     }
 
     #[test]
     fn out_of_order_delivery_within_a_class_is_rejected() {
         // Ranks 1 and 2 share a class, but the hub serves rank 2 first:
-        // the class tail no longer owns the latest arrival.
-        let cluster = ClusterSpec::homogeneous(3, 50.0);
-        let program: Program = record_spmd(&cluster, |t| {
+        // the class tail no longer owns the latest arrival (a reason
+        // only a class of two or more recorded ranks can return).
+        let batch = |t: &mut RecordTimer| {
             if t.rank() == 0 {
                 t.send_count(2, Tag(1), 4);
                 t.send_count(1, Tag(1), 4);
             } else {
                 t.recv_count(0, Tag(1), 4);
             }
-            t.barrier();
-        });
-        assert_eq!(program.distinct_classes(), 2, "receivers share a recording");
-        let net = ConstantLatency::new(1e-3);
-        assert_eq!(
-            program.simulate_aggregated(&cluster, &net),
-            Err(FallbackReason::ClassOrderDiverged)
-        );
+        };
+        assert_eq!(priced_batch(&[1; 3], batch), Err(FallbackReason::ClassOrderDiverged));
     }
 
     #[test]
     fn repricing_cluster_that_splits_a_class_is_rejected() {
-        let recorded = ClusterSpec::homogeneous(4, 80.0);
-        let program: Program = record_spmd(&recorded, body);
-        let reprice = ClusterSpec::new(
-            "split",
-            vec![
-                NodeSpec::synthetic("a", 80.0),
-                NodeSpec::synthetic("b", 80.0),
-                NodeSpec::synthetic("c", 90.0),
-                NodeSpec::synthetic("d", 80.0),
-            ],
-        )
-        .unwrap();
+        let (program, recorded_on, weights) = recorded(&[(80.0, 2, 4)], 0, false);
+        // Speeds 80, 80, 90, 80: rank 2 leaves the class of ranks 1 and 3.
+        let (_, reprice, _) = recorded(&[(80.0, 2, 2), (90.0, 2, 1), (80.0, 2, 1)], 0, false);
         let net = ConstantLatency::new(1e-3);
         assert_eq!(
-            program.aggregate_plan(&reprice).err(),
+            program.aggregate_plan(&reprice, &weights).err(),
             Some(FallbackReason::ClassOrderDiverged)
         );
-        assert!(program.simulate_aggregated(&recorded, &net).is_ok());
+        assert!(program.simulate_aggregated(&recorded_on, &net, &weights).is_ok());
     }
 
     #[test]
     fn aggregation_records_telemetry() {
-        let cluster = ClusterSpec::homogeneous(8, 80.0);
-        let program: Program = record_spmd(&cluster, body);
+        // A skeleton of 1 + 6 + 1 ranks; rank 2 roots the second gather.
+        let (program, cluster, weights) =
+            recorded(&[(80.0, 2, 1), (80.0, 2, 6), (90.0, 1, 1)], 2, true);
         let net = MpichEthernet::new(0.2e-3, 1e8);
         let before = telemetry::snapshot();
-        program.simulate_aggregated(&cluster, &net).expect("aggregatable");
+        program.simulate_aggregated(&cluster, &net, &weights).expect("aggregatable");
         let after = telemetry::snapshot();
         assert!(after.aggregated_sims > before.aggregated_sims);
-        assert!(after.aggregated_ranks >= before.aggregated_ranks + 8);
+        assert!(after.aggregated_ranks >= before.aggregated_ranks + 8, "weighted ranks");
         assert!(
             after.aggregated_classes
                 >= before.aggregated_classes + program.distinct_classes() as u64
         );
+        // A hub or a root standing for more than one rank is rejected
+        // with its typed reason, and the rejection is counted.
+        for (heavy, reason) in
+            [(0, FallbackReason::AsymmetricP2p), (2, FallbackReason::MultiMemberRootClass)]
+        {
+            let mut heavier = weights.clone();
+            heavier[heavy] = 2;
+            let count = || telemetry::snapshot().fallback_reasons.get(reason.name()).copied();
+            let before = count().unwrap_or(0);
+            assert_eq!(program.simulate_aggregated(&cluster, &net, &heavier), Err(reason));
+            assert!(count().unwrap_or(0) > before, "{reason:?} is counted");
+        }
     }
 }

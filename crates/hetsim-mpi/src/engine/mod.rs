@@ -55,7 +55,7 @@ use std::sync::OnceLock;
 mod aggregate;
 mod analytic;
 
-pub use aggregate::{AggregateOutcome, AggregatePlan, AggregatePlanBuilder};
+pub use aggregate::AggregateOutcome;
 use analytic::LockstepProgram;
 
 /// Process-wide switch for the lockstep analytic evaluator (default

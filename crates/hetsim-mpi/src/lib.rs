@@ -84,7 +84,7 @@ pub mod trace;
 pub use context::Rank;
 pub use engine::{
     analytic_enabled, record_spmd, run_spmd_fast, set_analytic_enabled, AggregateOutcome,
-    AggregatePlan, AggregatePlanBuilder, RecordTimer, SpmdProgram, SpmdTimer,
+    RecordTimer, SpmdProgram, SpmdTimer,
 };
 pub use message::Tag;
 pub use runtime::{run_spmd, RunSpec, SpmdOutcome};

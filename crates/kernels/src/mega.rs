@@ -1,43 +1,42 @@
-//! Mega-scale classed closed forms: MM and power iteration priced on a
-//! [`ClassedCluster`] in O(classes) per cell, without materializing a
-//! rank vector (DESIGN.md §13).
+//! Mega-scale classed pricing: MM, power iteration and GE on a
+//! [`ClassedCluster`] in O(classes) state per cell, without
+//! materializing a rank vector (DESIGN.md §13).
 //!
-//! [`mm_closed_form`](crate::mm_closed_form) and
-//! [`power_closed_form`](crate::power_closed_form) walk one clock per
-//! rank. At 10⁵–10⁷ ranks that walk — and the `BlockDistribution` it
-//! prices — is the whole cost of a cell. These evaluators rebuild the
-//! same protocols on class-aggregated state instead:
+//! MM and power record their own timed bodies ([`mm_timed_body`],
+//! [`power_timed_body`]) on a *class skeleton*: a [`ClusterSpec`] with
+//! one synthetic rank per *(speed, rows)* subclass and a block
+//! distribution of the subclass row counts (the bodies read only block
+//! lengths). [`proportional_counts_classed`] splits every speed class
+//! into at most two such subclasses, expanding bit for bit to the
+//! per-rank proportional distribution, and rank 0 — root and hub of
+//! every collective — gets a subclass of its own. Every member of a
+//! subclass would record the same op stream, so
+//! [`SpmdProgram::simulate_aggregated`] prices the skeleton recording
+//! with each rank weighted by its member count.
 //!
-//! * The row distribution comes from
-//!   [`proportional_counts_classed`], which splits every speed class
-//!   into at most two *(rows, members)* sub-runs and expands, bit for
-//!   bit, to the per-rank `proportional_counts` the block distribution
-//!   uses.
-//! * Rank 0 (root and hub of every collective) is split into its own
-//!   singleton subclass — its clock diverges from its speed class at
-//!   the first scatter, exactly as its op stream diverges in a
-//!   recording.
-//! * The phase schedule is handed to
-//!   [`hetsim_mpi::AggregatePlanBuilder`], whose evaluation performs
-//!   the per-rank engines' float-op sequence restricted to class tails
-//!   (scatter chains batched through exact repeated addition, gather
-//!   serialization priced over run-length-encoded sizes).
+//! GE keeps a hand-written form, [`ge_mega`]: its cyclic deal gives the
+//! members of one class different row positions, so no per-subclass
+//! recording exists, and its Θ(N) rounds are batched by hand.
 //!
-//! The `mega_matches_per_rank_*` tests pin both kernels against the
-//! per-rank closed forms — and transitively, via
+//! The `mega_matches_per_rank_*` tests pin all three kernels against
+//! the per-rank closed forms — and transitively, via
 //! `closed_form_matches_engine_*`, against the event-driven engine and
 //! the threaded oracle — at every materializable size. Networks that
 //! price endpoints individually (jittered, segmented) have no per-class
 //! costs and return [`FallbackReason::UnclassedNetwork`].
 
 use crate::analytic::elimination_flops;
-use hetpart::{proportional_counts_classed, ClassedCyclicDeal};
+use crate::mm::mm_timed_body;
+use crate::power::power_timed_body;
+use hetpart::{proportional_counts_classed, BlockDistribution, ClassedCyclicDeal};
 use hetsim_cluster::classed::ClassedCluster;
+use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
+use hetsim_cluster::node::NodeSpec;
 use hetsim_cluster::repeat_add;
 use hetsim_cluster::time::SimTime;
 use hetsim_mpi::telemetry::{self, EnginePath, EngineReport};
-use hetsim_mpi::{AggregatePlanBuilder, FallbackReason};
+use hetsim_mpi::{record_spmd, FallbackReason, RecordTimer, SpmdProgram};
 
 /// The compact result of one mega-scale evaluation: no per-rank
 /// vectors, by construction.
@@ -46,115 +45,91 @@ pub struct MegaOutcome {
     /// Virtual completion time — bit-identical to the per-rank closed
     /// form's makespan on the materialized cluster.
     pub makespan: SimTime,
-    /// Subclasses actually walked (≤ 2 · speed classes + 1).
+    /// Classes actually walked (≤ 2 · speed classes + 1): MM and power
+    /// walk the skeleton's distinct recordings, GE its row runs.
     pub classes: usize,
     /// Ranks the evaluation priced.
     pub ranks: u64,
 }
 
-/// The (speed × row-count) subclass decomposition of a classed cluster
-/// under the proportional row distribution, rank 0 split off.
-struct Subclasses {
+/// The class skeleton of a classed cluster under the proportional row
+/// distribution: one synthetic rank per (speed × row-count) subclass,
+/// rank 0 split off, each standing for `members` consecutive ranks.
+struct Skeleton {
+    cluster: ClusterSpec,
+    /// One block per skeleton rank, of its subclass's per-member rows.
+    dist: BlockDistribution,
     members: Vec<u64>,
-    speed_flops: Vec<f64>,
-    rows: Vec<usize>,
-    p: usize,
 }
 
-fn subclasses(cluster: &ClassedCluster, n: usize) -> Subclasses {
+fn skeleton(cluster: &ClassedCluster, n: usize) -> Skeleton {
     let weight_runs: Vec<(f64, usize)> =
         cluster.classes().iter().map(|c| (c.speed_mflops, c.count)).collect();
-    let row_runs = proportional_counts_classed(n, &weight_runs);
-
-    let total = cluster.size();
-    let mut members = Vec::with_capacity(row_runs.len() + 1);
-    let mut speed_flops = Vec::with_capacity(row_runs.len() + 1);
-    let mut rows = Vec::with_capacity(row_runs.len() + 1);
-    let mut runs = row_runs.into_iter();
-    let mut first = true;
+    let mut runs = proportional_counts_classed(n, &weight_runs).into_iter();
+    let (mut nodes, mut rows, mut members) = (Vec::new(), Vec::new(), Vec::new());
     for class in cluster.classes() {
-        // Same float op the materialized NodeSpec performs.
-        let speed = class.speed_mflops * 1e6;
         let mut covered = 0usize;
         while covered < class.count {
             let (r, m) = runs.next().expect("runs cover every member");
-            if first {
-                // Rank 0 is the root and hub of every collective; its
-                // clock leaves its speed class at the first scatter.
-                members.push(1);
-                speed_flops.push(speed);
-                rows.push(r);
-                if m > 1 {
-                    members.push((m - 1) as u64);
-                    speed_flops.push(speed);
-                    rows.push(r);
-                }
-                first = false;
-            } else {
-                members.push(m as u64);
-                speed_flops.push(speed);
-                rows.push(r);
-            }
             covered += m;
+            // Rank 0 is the root and hub of every collective.
+            let split = if nodes.is_empty() { [1, m - 1] } else { [m, 0] };
+            for m in split.into_iter().filter(|&m| m > 0) {
+                nodes.push(NodeSpec::synthetic(format!("s{}", nodes.len()), class.speed_mflops));
+                rows.push(r);
+                members.push(m as u64);
+            }
         }
     }
     debug_assert!(runs.next().is_none(), "runs must not outlive the classes");
-    Subclasses { members, speed_flops, rows, p: total }
+    let dist = BlockDistribution::from_counts(rows.iter().sum(), &rows);
+    let cluster =
+        ClusterSpec::new(&cluster.label, nodes).expect("a classed cluster is never empty");
+    Skeleton { cluster, dist, members }
 }
 
-/// Classed-cluster MM (HoHe) timing: A-block scatter, B broadcast,
-/// local multiply, C gather — the same protocol
-/// [`crate::mm_closed_form`] prices per rank, evaluated in O(classes).
+impl Skeleton {
+    /// Records `body` once per subclass and prices the weighted
+    /// recording on the class-aggregated tier.
+    fn price<N: NetworkModel>(
+        &self,
+        network: &N,
+        body: impl Fn(&mut RecordTimer),
+    ) -> Result<MegaOutcome, FallbackReason> {
+        let program: SpmdProgram<()> = record_spmd(&self.cluster, body);
+        let outcome = program.simulate_aggregated(&self.cluster, network, &self.members)?;
+        Ok(MegaOutcome {
+            makespan: outcome.makespan,
+            classes: outcome.class_members.len(),
+            ranks: outcome.ranks,
+        })
+    }
+}
+
+/// Classed-cluster MM (HoHe) timing: [`mm_timed_body`] — A-block
+/// scatter, B broadcast, local multiply, C gather — recorded on the
+/// class skeleton and priced in O(classes).
 pub fn mm_mega<N: NetworkModel>(
     cluster: &ClassedCluster,
     network: &N,
     n: usize,
 ) -> Result<MegaOutcome, FallbackReason> {
-    let sc = subclasses(cluster, n);
-    let block_counts: Vec<usize> = sc.rows.iter().map(|&r| r * n).collect();
-    let flops: Vec<f64> =
-        sc.rows.iter().map(|&r| (2 * r * n * n).saturating_sub(r * n) as f64).collect();
-
-    let mut plan = AggregatePlanBuilder::new(&sc.members, &sc.speed_flops);
-    plan.scatter(0, &block_counts);
-    plan.bcast(0, n * n);
-    plan.compute(flops);
-    plan.gather(0, &block_counts);
-
-    let outcome = plan.build().evaluate_recorded(network)?;
-    Ok(MegaOutcome { makespan: outcome.makespan, classes: sc.members.len(), ranks: sc.p as u64 })
+    let sk = skeleton(cluster, n);
+    sk.price(network, |t| mm_timed_body(t, &sk.dist, n))
 }
 
-/// Classed-cluster power-iteration timing: scatter, then `iters` sweeps
-/// of local matvec → allgather (gather + packed rebroadcast) →
-/// normalization — the protocol of [`crate::power_closed_form`],
-/// evaluated in O(classes + iters · classes).
+/// Classed-cluster power-iteration timing: [`power_timed_body`] —
+/// scatter, then `iters` sweeps of local matvec → allgather →
+/// normalization — recorded on the class skeleton and priced in
+/// O(classes + iters · classes).
 pub fn power_mega<N: NetworkModel>(
     cluster: &ClassedCluster,
     network: &N,
     n: usize,
     iters: usize,
 ) -> Result<MegaOutcome, FallbackReason> {
-    let sc = subclasses(cluster, n);
-    let block_counts: Vec<usize> = sc.rows.iter().map(|&r| r * n).collect();
-    let matvec: Vec<f64> = sc.rows.iter().map(|&r| 2.0 * (r * n) as f64).collect();
-    let normalize: Vec<f64> = vec![2.0 * n as f64; sc.members.len()];
-    // The allgather's closing broadcast carries `p` length headers plus
-    // the packed contributions (row counts sum to `n` exactly).
-    let packed =
-        sc.p + sc.rows.iter().zip(sc.members.iter()).map(|(&r, &m)| r * m as usize).sum::<usize>();
-
-    let mut plan = AggregatePlanBuilder::new(&sc.members, &sc.speed_flops);
-    plan.scatter(0, &block_counts);
-    for _sweep in 0..iters {
-        plan.compute(matvec.clone());
-        plan.gather(0, &sc.rows);
-        plan.bcast(0, packed);
-        plan.compute(normalize.clone());
-    }
-
-    let outcome = plan.build().evaluate_recorded(network)?;
-    Ok(MegaOutcome { makespan: outcome.makespan, classes: sc.members.len(), ranks: sc.p as u64 })
+    let sk = skeleton(cluster, n);
+    sk.price(network, |t| power_timed_body(t, &sk.dist, n, iters))
 }
 
 /// One run of consecutive *peer* ranks (rank 0 excluded) sharing a
@@ -464,12 +439,14 @@ mod tests {
     use super::*;
     use crate::{ge_closed_form, mm_closed_form, power_closed_form};
     use hetpart::{BlockDistribution, CyclicDistribution};
+    use hetsim_cluster::classed::SpeedClass;
     use hetsim_cluster::network::{
         ConstantLatency, JitteredNetwork, MpichEthernet, SharedEthernet, SwitchedNetwork,
     };
 
     /// Class-structure extremes, all materializable: single rank,
-    /// homogeneous, two tiers, many tiers at the 85-node scale.
+    /// homogeneous, two tiers, many tiers at the 85-node scale, and
+    /// classes that repeat a speed or sit one ulp apart.
     fn clusters() -> Vec<ClassedCluster> {
         vec![
             ClassedCluster::heet(1, 1, 50.0, 1.0),
@@ -477,7 +454,20 @@ mod tests {
             ClassedCluster::heet(7, 2, 50.0, 3.0),
             ClassedCluster::heet(40, 5, 50.0, 2.2),
             ClassedCluster::heet(85, 8, 45.0, 2.4),
+            palette(),
         ]
+    }
+
+    /// Speeds 50, 50 + 1 ulp, 50, 80, 50 − 1 ulp, 50: the repeated
+    /// 50s give skeleton subclasses that share a recording.
+    fn palette() -> ClassedCluster {
+        let up = f64::from_bits(50f64.to_bits() + 1);
+        let down = f64::from_bits(50f64.to_bits() - 1);
+        let classes = [(50.0, 3), (up, 2), (50.0, 4), (80.0, 2), (down, 3), (50.0, 5)]
+            .into_iter()
+            .map(|(speed_mflops, count)| SpeedClass { speed_mflops, count })
+            .collect();
+        ClassedCluster::new("palette", classes).unwrap()
     }
 
     fn networks() -> Vec<(&'static str, Box<dyn NetworkModel>)> {
@@ -568,14 +558,21 @@ mod tests {
         // 10⁶ ranks in 8 tiers: at most 2 row-runs per tier plus the
         // split-off root, and evaluation never materializes a rank.
         let cluster = ClassedCluster::heet(1_000_000, 8, 50.0, 2.4);
+        let subclasses = skeleton(&cluster, 64).members.len();
+        assert!(subclasses <= 2 * 8 + 1, "got {subclasses} subclasses");
         let out = mm_mega(&cluster, &MpichEthernet::new(0.29e-3, 1.07e8), 64).expect("classed");
         assert_eq!(out.ranks, 1_000_000);
-        assert!(out.classes <= 2 * 8 + 1, "got {} subclasses", out.classes);
+        assert!(out.classes <= subclasses, "got {} recorded classes", out.classes);
         assert!(out.makespan > SimTime::ZERO);
         let ge = ge_mega(&cluster, &MpichEthernet::new(0.29e-3, 1.07e8), 2048).expect("classed");
         assert_eq!(ge.ranks, 1_000_000);
         assert!(ge.classes <= 2 * 8 + 1, "got {} ge runs", ge.classes);
         assert!(ge.makespan > SimTime::ZERO);
+        // Subclasses that repeat a speed and a row count share one
+        // recorded class.
+        let shared =
+            mm_mega(&palette(), &MpichEthernet::new(0.29e-3, 1.07e8), 64).expect("classed");
+        assert!(shared.classes < skeleton(&palette(), 64).members.len());
     }
 
     #[test]
@@ -591,21 +588,28 @@ mod tests {
     fn row_subclasses_expand_to_the_block_distribution() {
         for cluster in &clusters() {
             for n in [0usize, 1, 17, 64, 200] {
-                let sc = subclasses(cluster, n);
+                let sk = skeleton(cluster, n);
                 let dist = BlockDistribution::proportional(n, &mflops(cluster));
+                let spec = cluster.materialize();
                 let mut rank = 0usize;
-                for (c, &m) in sc.members.iter().enumerate() {
+                for (c, &m) in sk.members.iter().enumerate() {
                     for _ in 0..m {
                         assert_eq!(
-                            sc.rows[c],
+                            sk.dist.range_of(c).len(),
                             dist.range_of(rank).len(),
                             "{} rank {rank} n={n}",
                             cluster.label
+                        );
+                        assert_eq!(
+                            sk.cluster.nodes()[c].marked_speed_flops().to_bits(),
+                            spec.nodes()[rank].marked_speed_flops().to_bits()
                         );
                         rank += 1;
                     }
                 }
                 assert_eq!(rank, cluster.size());
+                assert_eq!(sk.members[0], 1, "rank 0 stands alone");
+                assert!(sk.members.len() <= 2 * cluster.class_count() + 1);
             }
         }
     }

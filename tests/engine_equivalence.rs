@@ -10,7 +10,7 @@ use hetscale::hetsim_cluster::faults::FaultPlan;
 use hetscale::hetsim_cluster::network::{
     ConstantLatency, MpichEthernet, NetworkModel, SharedEthernet,
 };
-use hetscale::hetsim_cluster::{ClassedCluster, ClusterSpec, NodeSpec};
+use hetscale::hetsim_cluster::{ClassedCluster, ClusterSpec, NodeSpec, SpeedClass};
 use hetscale::hetsim_mpi::{
     record_spmd, run_spmd, run_spmd_fast, OpKind, RunSpec, SpmdOutcome, SpmdTimer, Tag,
 };
@@ -50,6 +50,21 @@ fn all_distinct_cluster(p: usize, seed: u64) -> ClusterSpec {
 fn homogeneous_cluster(p: usize) -> ClusterSpec {
     let nodes = (0..p).map(|i| NodeSpec::synthetic(format!("h{i}"), 55.0)).collect();
     ClusterSpec::new(format!("homog-{p}"), nodes).expect("non-empty")
+}
+
+/// `k` classes whose speeds come from a palette with repeated and
+/// ulp-adjacent entries, two bits of `seed` each: neighbours may share
+/// a speed (so mega skeleton subclasses dedup into one recorded class)
+/// or sit one ulp apart. `ClassedCluster::heet` never repeats a speed.
+fn palette_cluster(p: usize, k: usize, seed: u64) -> ClassedCluster {
+    let palette =
+        [50.0, f64::from_bits(50f64.to_bits() + 1), f64::from_bits(50f64.to_bits() - 1), 80.0];
+    let k = k.min(p);
+    let class = |j: usize| SpeedClass {
+        speed_mflops: palette[(seed >> (2 * j) & 3) as usize],
+        count: p / k + usize::from(j < p % k),
+    };
+    ClassedCluster::new("palette", (0..k).map(class).collect()).expect("valid palette")
 }
 
 /// A parameterized SPMD program exercising every operation kind:
@@ -317,9 +332,10 @@ proptest! {
     /// per-rank event-driven engine against the threaded oracle, for
     /// all three mega kernel protocols × the class-structure extremes of
     /// the HEET generator (one class, one class *per rank*, mixed
-    /// tiers) × the classed network models. Makespans must be
-    /// bit-identical on all three paths — the contract that lets the
-    /// mega sweep drop the rank walk entirely (DESIGN.md §13).
+    /// tiers) plus repeated and ulp-adjacent class speeds × the classed
+    /// network models. Makespans must be bit-identical on all three
+    /// paths — the contract that lets the mega sweep drop the rank walk
+    /// entirely (DESIGN.md §13).
     #[test]
     fn aggregated_matches_event_driven_and_threaded_oracle(
         p in 1usize..16,
@@ -330,7 +346,8 @@ proptest! {
         iters in 0usize..4,
         kernel in 0usize..3,
         net_choice in 0usize..3,
-        cluster_kind in 0usize..3,
+        cluster_kind in 0usize..4,
+        palette in 0u64..65_536,
     ) {
         let cluster = match cluster_kind {
             // Dedup collapses to a single class tail.
@@ -338,6 +355,8 @@ proptest! {
             // Every rank its own class: aggregation degenerates to
             // per-rank state and must still match.
             1 => ClassedCluster::heet(p, p, base, 1.0 + spread),
+            // Repeated and ulp-adjacent class speeds.
+            3 => palette_cluster(p, k, palette),
             _ => ClassedCluster::heet(p, k, base, spread),
         };
         let spec = cluster.materialize();
