@@ -23,7 +23,7 @@ use hetsim_cluster::time::SimTime;
 use hetsim_mpi::trace::RankTrace;
 use hetsim_mpi::RunSpec;
 use hetsim_obs::{
-    chrome_trace_json, critical_path, load_imbalance, rank_activity, trace_jsonl, Json,
+    critical_path, load_imbalance, rank_activity, write_chrome_trace, write_trace_jsonl, Json,
     MetricsSnapshot,
 };
 use kernels::ge::ge_parallel_timed;
@@ -31,7 +31,8 @@ use kernels::mm::mm_parallel_timed;
 use kernels::power::power_parallel_timed;
 use kernels::stencil::stencil_parallel_timed;
 use std::collections::BTreeMap;
-use std::io;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// One traced benchmark run, named after the output files it produces.
@@ -157,19 +158,31 @@ pub fn observed_runs_recovered(quick: bool) -> Vec<ObservedRun> {
 }
 
 /// Writes the two trace files per run into `dir` (created if missing)
-/// and returns the paths written.
+/// and returns the paths written. Each file is streamed span by span.
 pub fn write_trace_dir(dir: &Path, runs: &[ObservedRun]) -> io::Result<Vec<String>> {
     std::fs::create_dir_all(dir)?;
     let mut written = Vec::new();
     for run in runs {
         let chrome = dir.join(format!("{}.trace.json", run.name));
-        std::fs::write(&chrome, chrome_trace_json(&run.traces))?;
+        write_file(&chrome, |out| write_chrome_trace(out, &run.traces))?;
         written.push(chrome.display().to_string());
         let jsonl = dir.join(format!("{}.jsonl", run.name));
-        std::fs::write(&jsonl, trace_jsonl(&run.traces))?;
+        write_file(&jsonl, |out| write_trace_jsonl(out, &run.traces))?;
         written.push(jsonl.display().to_string());
     }
     Ok(written)
+}
+
+/// Creates `path` and writes `body` into it through a buffer, flushed
+/// here: dropping a `BufWriter` would discard the error of its last
+/// write.
+fn write_file(
+    path: &Path,
+    body: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut out = BufWriter::new(File::create(path)?);
+    body(&mut out)?;
+    out.flush()
 }
 
 /// Builds the combined metrics document for a set of observed runs.
@@ -223,7 +236,7 @@ pub fn write_metrics(path: &Path, runs: &[ObservedRun]) -> io::Result<()> {
             std::fs::create_dir_all(parent)?;
         }
     }
-    std::fs::write(path, format!("{}\n", metrics_json(runs)))
+    write_file(path, |out| writeln!(out, "{}", metrics_json(runs)))
 }
 
 #[cfg(test)]

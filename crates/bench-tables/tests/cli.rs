@@ -95,6 +95,39 @@ fn unwritable_trace_dir_exits_one() {
     assert!(!err.contains("panicked"), "must not panic: {err}");
 }
 
+// The exports go through buffered writers, and dropping one discards
+// the error of its last write, so each must be flushed explicitly.
+// /dev/full accepts the open and fails every write with ENOSPC: the t1
+// metrics document (~27 KB) fails mid-write, and a small trace file
+// fails only when its buffer is flushed.
+
+#[cfg(target_os = "linux")]
+#[test]
+fn full_device_metrics_path_exits_one() {
+    let out = run(&["--quick", "t1", "--metrics-out", "/dev/full"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("error: cannot write metrics file /dev/full"), "got: {err}");
+    assert_eq!(err.lines().filter(|l| l.starts_with("error:")).count(), 1, "got: {err}");
+    assert!(!err.contains("panicked"), "must not panic: {err}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn full_device_trace_file_exits_one() {
+    // The MM JSONL export (4,279 bytes) fits in the write buffer, so its
+    // error appears only when the buffer is flushed.
+    let dir = temp_dir("full-trace");
+    std::os::unix::fs::symlink("/dev/full", dir.join("mm-p8-n128.jsonl")).expect("symlink");
+    let out = run(&["--quick", "t1", "--trace-out", dir.to_str().expect("utf-8 temp path")]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("error: cannot write trace directory"), "got: {err}");
+    assert_eq!(err.lines().filter(|l| l.starts_with("error:")).count(), 1, "got: {err}");
+    assert!(!err.contains("panicked"), "must not panic: {err}");
+}
+
 #[test]
 fn surface_id_emits_the_psi_surface_tables() {
     let out = run(&["--quick", "surface"]);
@@ -289,10 +322,11 @@ fn quick_stats_doc_reports_full_analytic_coverage_inline() {
 // calls priced per engine path (closed forms, event-driven fallback /
 // faulted / forced / traced, typed fallback reasons), so a call that
 // reaches a different tier changes its bytes. The traced recovery run
-// also pins its stdout and its metrics document, so a moved recovery
-// span or an overhead shifted by one ulp shows too. Regenerate the
-// fixtures with UPDATE_GOLDEN=1 only for an intended change, and review
-// the diff.
+// also pins its stdout, its metrics document and, through a manifest
+// of lengths and hashes, every trace file it writes, so a moved
+// recovery span, an overhead shifted by one ulp or a drifted exporter
+// byte shows too. Regenerate the fixtures with UPDATE_GOLDEN=1 only for
+// an intended change, and review the diff.
 #[test]
 fn stats_docs_match_golden_fixtures() {
     let dir = temp_dir("golden");
@@ -313,6 +347,7 @@ fn stats_docs_match_golden_fixtures() {
     assert_golden("stdout_quick_faults_recover_obs.txt", &stdout, &obs);
     let metrics_doc = std::fs::read(&metrics).expect("metrics written");
     assert_golden("metrics_quick_faults_recover_obs.json", &metrics_doc, &obs);
+    assert_golden("traces_quick_faults_recover_obs.manifest", &trace_manifest(&traces), &obs);
     for (fixture, args) in [
         ("stats_quick.json", &["--quick"][..]),
         ("stats_full.json", &[][..]),
@@ -322,6 +357,36 @@ fn stats_docs_match_golden_fixtures() {
         assert_golden(fixture, &stats_doc(&dir, fixture, args), args);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One `name length fnv1a64` line per file in `dir`, sorted by name: a
+/// fixture that pins megabytes of exports in a few lines.
+fn trace_manifest(dir: &std::path::Path) -> Vec<u8> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("trace directory written")
+        .map(|entry| entry.expect("directory entry").file_name().into_string().expect("utf-8"))
+        .collect();
+    names.sort_unstable();
+    let mut manifest = String::new();
+    for name in names {
+        let bytes = std::fs::read(dir.join(&name)).expect("trace file readable");
+        manifest.push_str(&format!("{name} {} {:016x}\n", bytes.len(), fnv1a64(&bytes)));
+    }
+    manifest.into_bytes()
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn fnv1a64_matches_published_vectors() {
+    assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
 }
 
 fn assert_golden(fixture: &str, bytes: &[u8], args: &[&str]) {

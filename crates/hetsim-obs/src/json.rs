@@ -8,9 +8,67 @@
 //! * numbers use Rust's shortest round-trip `f64` formatting, which is a
 //!   pure function of the bits — parsing the text recovers the exact
 //!   value, so traces survive an export/import cycle losslessly.
+//!
+//! How a number, an exact integer and a string are written is decided
+//! once, in three crate-private primitives over [`fmt::Write`]. `Json`'s
+//! `Display` and the streaming trace writers of [`crate::export`] both
+//! call them, so a document rendered from a tree and a trace streamed
+//! field by field agree byte for byte.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The largest integer every `f64` holds exactly (2^53), and so the
+/// largest [`Json::int`] and the trace writers accept: readers that
+/// parse JSON numbers as `f64` would round anything above it.
+pub(crate) const MAX_EXACT_INT: u64 = 1 << 53;
+
+/// Writes a number in Rust's shortest round-trip form, which parses
+/// back to the same bits.
+///
+/// # Panics
+/// On a non-finite value, which JSON cannot represent.
+pub(crate) fn write_num<W: fmt::Write + ?Sized>(out: &mut W, v: f64) -> fmt::Result {
+    assert!(v.is_finite(), "non-finite number {v} cannot be serialized");
+    write!(out, "{v}")
+}
+
+/// Writes an exact integer: the same bytes as [`write_num`] of `v as
+/// f64`, without the float formatting.
+///
+/// # Panics
+/// Above [`MAX_EXACT_INT`].
+pub(crate) fn write_int<W: fmt::Write + ?Sized>(out: &mut W, v: u64) -> fmt::Result {
+    assert_exact(v);
+    write!(out, "{v}")
+}
+
+fn assert_exact(v: u64) {
+    assert!(v <= MAX_EXACT_INT, "integer {v} exceeds exact f64 range");
+}
+
+/// Writes `s` as a quoted string, escaping quotes, backslashes and
+/// control characters; every other character is written as is.
+pub(crate) fn write_str<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut rest = s;
+    // Every character that needs an escape is ASCII, so `i` is a char
+    // boundary and the escaped character is the byte at `i`.
+    while let Some(i) = rest.find(|c: char| c == '"' || c == '\\' || c < ' ') {
+        out.write_str(&rest[..i])?;
+        match rest.as_bytes()[i] {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            b => write!(out, "\\u{b:04x}")?,
+        }
+        rest = &rest[i + 1..];
+    }
+    out.write_str(rest)?;
+    out.write_char('"')
+}
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +97,7 @@ impl Json {
     /// above 2^53 would lose precision; the simulator never produces
     /// them, and the assert keeps that assumption honest.
     pub fn int(v: u64) -> Json {
-        assert!(v <= (1u64 << 53), "integer {v} exceeds exact f64 range");
+        assert_exact(v);
         Json::Num(v as f64)
     }
 
@@ -94,11 +152,8 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => {
-                assert!(v.is_finite(), "non-finite number {v} cannot be serialized");
-                write!(f, "{v}")
-            }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Num(v) => write_num(f, *v),
+            Json::Str(s) => write_str(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -115,7 +170,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
+                    write_str(f, k)?;
                     f.write_str(":")?;
                     write!(f, "{v}")?;
                 }
@@ -123,22 +178,6 @@ impl fmt::Display for Json {
             }
         }
     }
-}
-
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    f.write_str("\"")
 }
 
 struct Parser<'a> {
@@ -385,6 +424,39 @@ mod tests {
     fn integers_print_without_fraction() {
         assert_eq!(Json::int(24).to_string(), "24");
         assert_eq!(Json::Num(1.0).to_string(), "1");
+    }
+
+    #[test]
+    fn exact_integers_write_the_bytes_of_their_f64() {
+        // `write_int` skips the float formatter; its bytes must still be
+        // what `Json::int`'s `Num` renders, or the trace writers would
+        // drift from documents built as trees.
+        let mut state = 0x5eed_u64;
+        let mut draw = || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut cases = vec![0, MAX_EXACT_INT - 1, MAX_EXACT_INT];
+        cases.extend((0..54).map(|k| 1u64 << k));
+        cases.extend((0..16).map(|k| 7 * 10u64.pow(k)));
+        cases.extend((0..2000).map(|i| (draw() % (MAX_EXACT_INT + 1)) >> (i % 53)));
+        for v in cases {
+            let (mut int, mut num) = (String::new(), String::new());
+            write_int(&mut int, v).unwrap();
+            write_num(&mut num, v as f64).unwrap();
+            assert_eq!(int, num, "{v}");
+            assert_eq!(int, Json::int(v).to_string());
+        }
+    }
+
+    #[test]
+    fn control_characters_escape_as_unicode() {
+        let j = Json::str("a\u{1}b\u{1f}\u{7f}é\r");
+        assert_eq!(j.to_string(), "\"a\\u0001b\\u001f\u{7f}é\\r\"");
+        assert_eq!(roundtrip(&j), j);
     }
 
     #[test]

@@ -15,9 +15,13 @@
 //!   gauges, and fixed-bucket duration histograms keyed by
 //!   `(rank, OpKind)`.
 //! * [`export`] — byte-stable trace serialization:
-//!   [`chrome_trace_json`] for `chrome://tracing`/Perfetto, and
-//!   [`trace_jsonl`]/[`parse_trace_jsonl`] for lossless archive and
-//!   re-analysis.
+//!   [`write_chrome_trace`] for `chrome://tracing`/Perfetto, and
+//!   [`write_trace_jsonl`]/[`parse_trace_jsonl`] for lossless archive
+//!   and re-analysis. The writers stream each span's fields straight to
+//!   an `io::Write`, through the same number, integer and string
+//!   formatting as [`Json`]'s `Display` ([`json`]), so no per-span value
+//!   tree is built; [`chrome_trace_json`] and [`trace_jsonl`] render
+//!   the same bytes into a `String`.
 //! * [`analysis`] — [`critical_path`] extraction (the dependency chain
 //!   that decides the makespan), [`rank_activity`] (compute vs. engaged
 //!   transfer vs. idle-wait per rank), and the [`load_imbalance`]
@@ -56,7 +60,9 @@ pub mod telemetry;
 pub use analysis::{
     critical_path, load_imbalance, rank_activity, CriticalPath, CriticalStep, RankActivity,
 };
-pub use export::{chrome_trace_json, parse_trace_jsonl, trace_jsonl};
+pub use export::{
+    chrome_trace_json, parse_trace_jsonl, trace_jsonl, write_chrome_trace, write_trace_jsonl,
+};
 pub use json::Json;
 pub use metrics::{
     bucket_index, bucket_label, KindStats, MetricsSnapshot, RankSnapshot, HISTOGRAM_BUCKETS,
