@@ -15,6 +15,36 @@ cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc gate: no broken or private intra-doc link survives a rename.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+# Dead-API gate: fail on a `pub fn` or `pub const` that only its own
+# file's tests reach. That is one no other .rs file under the scanned
+# directories names as a whole word, and whose every other mention in
+# its own file sits at or below that file's first #[cfg(test)]. Each
+# one is printed as `file:line name`. The paper's two definitions stay
+# even where nothing calls them: the metric library is what this
+# repository delivers, so exactly those two are allowlisted. The rule
+# is textual, so a name that is a common word (`processed`, `pending`)
+# or that some other file's comment happens to use slips past it.
+set +x
+DEAD_API_DIRS="crates src tests examples benchmark"
+grep -rn --include='*.rs' --exclude-dir=target -E '^[[:space:]]*pub (const )?(fn|const) [A-Za-z_]' $DEAD_API_DIRS |
+    sed -E 's/^([^:]*):([0-9]*):[[:space:]]*pub (const fn|fn|const) ([A-Za-z_][A-Za-z0-9_]*).*/\1 \2 \4/' |
+    while read -r file line name; do
+        case "$name" in isospeed_scalability | scaled_execution_time) continue ;; esac
+        grep -rlw --include='*.rs' --exclude-dir=target "$name" $DEAD_API_DIRS |
+            grep -qvxF "$file" && continue
+        tests_at=$(grep -n -m1 '#\[cfg(test)\]' "$file" | cut -d: -f1)
+        grep -nw "$name" "$file" | cut -d: -f1 |
+            awk -v def="$line" -v t="${tests_at:-0}" \
+                '$1 != def && (t == 0 || $1 < t) { live = 1 } END { exit !live }' &&
+            continue
+        echo "$file:$line $name"
+    done > "$TMP"/dead_api.txt
+set -x
+test ! -s "$TMP"/dead_api.txt || {
+    echo "pub items only their own file's tests reach (delete them, or give them a caller):" >&2
+    cat "$TMP"/dead_api.txt >&2
+    exit 1
+}
 # The repository benchmark (benchmark/, a workspace of its own) builds
 # against the crates' public API, so an API change it needs fails here.
 # Its own tests run a quick traced set end to end: a change that breaks
@@ -85,16 +115,17 @@ test "$elapsed" -le "$BUDGET_SECS" || {
 }
 
 # Perf gate, fine: the full ladders must keep their closed-form speed.
-# The binary reports its own wall-clock via BENCH_TABLES_STOPWATCH=1
-# (excluding exec/linker startup, which is not ladder cost); take the
-# minimum of a few runs so single-core load spikes cannot flake the
-# gate. ~26 ms expected (BENCH_ANALYTIC.json); 30 ms trips on losing
-# any closed form or the batched noise path.
+# The binary reports its own wall-clock as the `total_us` of its
+# --profile-out document (excluding exec/linker startup, which is not
+# ladder cost); take the minimum of a few runs so single-core load
+# spikes cannot flake the gate. ~26 ms expected (BENCH_ANALYTIC.json);
+# 30 ms trips on losing any closed form or the batched noise path.
 LADDER_BUDGET_US=30000
 best_us=
 for _ in 1 2 3 4 5 6 7 8; do
-    us=$(BENCH_TABLES_STOPWATCH=1 "$BIN" 2>&1 >/dev/null | sed -n 's/^stopwatch: \([0-9]*\) us$/\1/p')
-    test -n "$us" || { echo "stopwatch line missing from stderr" >&2; exit 1; }
+    "$BIN" --profile-out "$TMP"/ladder_profile.json > /dev/null 2>&1
+    us=$(sed -n 's/.*"total_us":\([0-9]*\).*/\1/p' "$TMP"/ladder_profile.json)
+    test -n "$us" || { echo "total_us missing from the profile document" >&2; exit 1; }
     if [ -z "$best_us" ] || [ "$us" -lt "$best_us" ]; then best_us=$us; fi
 done
 test "$best_us" -le "$LADDER_BUDGET_US" || {
@@ -111,8 +142,9 @@ test "$best_us" -le "$LADDER_BUDGET_US" || {
 MEGA_BUDGET_US=100000
 best_us=
 for _ in 1 2 3 4 5; do
-    us=$(BENCH_TABLES_STOPWATCH=1 "$BIN" --quick mega 2>&1 >/dev/null | sed -n 's/^stopwatch: \([0-9]*\) us$/\1/p')
-    test -n "$us" || { echo "stopwatch line missing from stderr" >&2; exit 1; }
+    "$BIN" --quick mega --profile-out "$TMP"/mega_profile.json > /dev/null 2>&1
+    us=$(sed -n 's/.*"total_us":\([0-9]*\).*/\1/p' "$TMP"/mega_profile.json)
+    test -n "$us" || { echo "total_us missing from the profile document" >&2; exit 1; }
     if [ -z "$best_us" ] || [ "$us" -lt "$best_us" ]; then best_us=$us; fi
 done
 test "$best_us" -le "$MEGA_BUDGET_US" || {

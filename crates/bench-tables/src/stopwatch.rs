@@ -1,9 +1,9 @@
 //! Single wall-clock source for the binary's self-timing.
 //!
-//! Two consumers share it: the `BENCH_TABLES_STOPWATCH=1` stderr line
-//! the ci.sh perf gate thresholds, and the `--profile-out` document's
-//! total and per-id laps. Both read the *same* [`Stopwatch`], so the
-//! gate and the profile can never disagree about what was measured.
+//! It feeds the `--profile-out` document's total and per-id laps; the
+//! ci.sh perf gates threshold that document's `total_us` and `ids`, so
+//! the gates and the profile can never disagree about what was
+//! measured.
 //!
 //! Wall-clock is inherently non-deterministic; everything here is
 //! excluded from the byte-identity guarantees (DESIGN.md §11) and never
@@ -43,11 +43,6 @@ impl Stopwatch {
     pub fn total_us(&self) -> u64 {
         self.start.elapsed().as_micros() as u64
     }
-
-    /// The exact stderr line the ci.sh perf gate parses.
-    pub fn stderr_line(&self) -> String {
-        format!("stopwatch: {} us", self.total_us())
-    }
 }
 
 #[cfg(test)]
@@ -55,17 +50,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn laps_accumulate_in_order_and_line_has_gate_shape() {
+    fn laps_accumulate_in_order() {
         let mut watch = Stopwatch::new();
         watch.lap("first");
         watch.lap("second");
         assert_eq!(watch.laps().len(), 2);
         assert_eq!(watch.laps()[0].0, "first");
         assert_eq!(watch.laps()[1].0, "second");
-        let line = watch.stderr_line();
-        assert!(line.starts_with("stopwatch: "));
-        assert!(line.ends_with(" us"));
-        let middle = &line["stopwatch: ".len()..line.len() - " us".len()];
-        assert!(middle.parse::<u64>().is_ok(), "gate parses {middle:?} as an integer");
     }
 }

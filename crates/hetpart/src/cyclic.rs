@@ -23,7 +23,6 @@ use hetsim_cluster::repeat_add;
 pub struct CyclicDistribution {
     n: usize,
     p: usize,
-    block: usize,
     /// Owner of each row, precomputed (`n` entries).
     owners: Vec<u32>,
 }
@@ -77,17 +76,12 @@ impl CyclicDistribution {
             assigned[best] += 1;
             dealt += 1;
         }
-        CyclicDistribution { n, p, block, owners }
+        CyclicDistribution { n, p, owners }
     }
 
     /// Single-row dealing — the finest interleave, used by the GE kernel.
     pub fn fine(n: usize, speeds: &[f64]) -> CyclicDistribution {
         Self::new(n, speeds, 1)
-    }
-
-    /// The dealing block size.
-    pub fn block_size(&self) -> usize {
-        self.block
     }
 }
 
@@ -197,11 +191,6 @@ impl ClassedCyclicDeal {
         self.wrap[class]
     }
 
-    /// Total rows dealt so far.
-    pub fn rows_dealt(&self) -> u64 {
-        self.step
-    }
-
     /// Per-class row totals after dealing `n` rows — the classed
     /// equivalent of aggregating [`CyclicDistribution::fine`] counts,
     /// in O(runs) memory.
@@ -269,7 +258,6 @@ mod tests {
         let d = CyclicDistribution::new(12, &[1.0, 1.0], 3);
         assert_eq!(d.rows_of(0), vec![0, 1, 2, 6, 7, 8]);
         assert_eq!(d.rows_of(1), vec![3, 4, 5, 9, 10, 11]);
-        assert_eq!(d.block_size(), 3);
         check_conformance(&d);
     }
 
@@ -396,7 +384,7 @@ mod tests {
             .map(|(&b, &(_, m))| (b..b + m as usize).map(|r| fine.counts()[r] as u64).sum())
             .collect();
         assert_eq!(deal.class_counts(), per_class, "counts ({classes:?})");
-        assert_eq!(deal.rows_dealt(), n as u64);
+        assert_eq!(deal.class_counts().iter().sum::<u64>(), n as u64);
     }
 
     #[test]

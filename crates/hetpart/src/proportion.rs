@@ -123,20 +123,6 @@ pub fn proportional_counts_classed(n: usize, weight_runs: &[(f64, usize)]) -> Ve
     runs
 }
 
-/// Like [`proportional_counts`], but guarantees every positive-weight
-/// participant at least one unit when `n` allows it (`n ≥` number of
-/// positive weights). Used for distributions where a rank with zero rows
-/// would deadlock a collective protocol.
-pub fn proportional_counts_min_one(n: usize, weights: &[f64]) -> Vec<usize> {
-    let positive: usize = weights.iter().filter(|&&w| w > 0.0).count();
-    if n < positive || positive == 0 {
-        return proportional_counts(n, weights);
-    }
-    // Reserve one unit per positive weight, apportion the rest, add back.
-    let rest = proportional_counts(n - positive, weights);
-    rest.iter().zip(weights).map(|(&c, &w)| if w > 0.0 { c + 1 } else { c }).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,6 +167,8 @@ mod tests {
         let c = proportional_counts(310, &[90.0, 50.0]);
         assert!(c[0] > c[1]);
         assert_eq!(c.iter().sum::<usize>(), 310);
+        // A very slow node gets no rows at all under pure apportionment.
+        assert_eq!(proportional_counts(5, &[1000.0, 1.0]), vec![5, 0]);
     }
 
     #[test]
@@ -218,30 +206,6 @@ mod tests {
         // Two equal weights, odd total: the extra unit goes to index 0.
         assert_eq!(proportional_counts(3, &[1.0, 1.0]), vec![2, 1]);
         assert_eq!(proportional_counts(5, &[1.0, 1.0, 1.0]), vec![2, 2, 1]);
-    }
-
-    #[test]
-    fn min_one_guarantees_nonzero_shares() {
-        // A very slow node would get 0 rows under pure apportionment.
-        let w = [1000.0, 1.0];
-        assert_eq!(proportional_counts(5, &w)[1], 0);
-        let c = proportional_counts_min_one(5, &w);
-        assert_eq!(c[1], 1);
-        assert_eq!(c.iter().sum::<usize>(), 5);
-    }
-
-    #[test]
-    fn min_one_falls_back_when_n_too_small() {
-        // Cannot give 3 nodes one row each out of 2 rows.
-        let c = proportional_counts_min_one(2, &[1.0, 1.0, 1.0]);
-        assert_eq!(c.iter().sum::<usize>(), 2);
-    }
-
-    #[test]
-    fn min_one_skips_zero_weights() {
-        let c = proportional_counts_min_one(4, &[1.0, 0.0, 1.0]);
-        assert_eq!(c[1], 0);
-        assert_eq!(c.iter().sum::<usize>(), 4);
     }
 
     /// Expands `(weight, members)` runs to the per-rank weight vector.

@@ -158,17 +158,6 @@ impl ClassedCluster {
         self.marked_speed_mflops() * 1e6
     }
 
-    /// HEET-style normalized heterogeneity: mean relative shortfall
-    /// from the fastest tier, `(Σᵢ (1 − Cᵢ/C_max)) / p`. Zero for a
-    /// homogeneous machine, approaching 1 as the slow tail dominates.
-    pub fn heterogeneity_index(&self) -> f64 {
-        let max = self.classes.iter().map(|c| c.speed_mflops).fold(0.0, f64::max);
-        let p = self.size() as f64;
-        let shortfall: f64 =
-            self.classes.iter().map(|c| c.count as f64 * (1.0 - c.speed_mflops / max)).sum();
-        shortfall / p
-    }
-
     /// Structural identity for memoization keys: `(speed bits, count)`
     /// per class, flattened — O(classes), unlike
     /// [`ClusterSpec::fingerprint`]'s per-rank encoding.
@@ -298,7 +287,6 @@ mod tests {
         let homo = ClassedCluster::heet(64, 1, 50.0, 4.0);
         assert_eq!(homo.class_count(), 1);
         assert_eq!(homo.classes()[0].speed_mflops, 50.0);
-        assert_eq!(homo.heterogeneity_index(), 0.0);
     }
 
     #[test]
@@ -314,7 +302,7 @@ mod tests {
         assert_eq!(zipf.classes()[0].speed_mflops, lin.classes()[0].speed_mflops);
         assert_eq!(zipf.classes()[7].speed_mflops, lin.classes()[7].speed_mflops);
         // Harmonic decay: every interior tier is slower than linear,
-        // so the machine's marked speed drops and heterogeneity rises.
+        // so the machine's marked speed drops.
         for j in 1..7 {
             assert!(
                 zipf.classes()[j].speed_mflops < lin.classes()[j].speed_mflops,
@@ -322,7 +310,6 @@ mod tests {
             );
         }
         assert!(zipf.marked_speed_mflops() < lin.marked_speed_mflops());
-        assert!(zipf.heterogeneity_index() > lin.heterogeneity_index());
         assert_eq!(zipf.label, "heet-zipf-30000x8");
     }
 
@@ -341,15 +328,6 @@ mod tests {
             c.classes().iter().map(|s| s.speed_mflops.to_bits()).collect()
         };
         assert_eq!(speeds(&flat_lin), speeds(&flat_zipf));
-    }
-
-    #[test]
-    fn heterogeneity_index_grows_with_spread() {
-        let narrow = ClassedCluster::heet(10_000, 8, 50.0, 2.0);
-        let wide = ClassedCluster::heet(10_000, 8, 50.0, 16.0);
-        assert!(narrow.heterogeneity_index() > 0.0);
-        assert!(wide.heterogeneity_index() > narrow.heterogeneity_index());
-        assert!(wide.heterogeneity_index() < 1.0);
     }
 
     #[test]

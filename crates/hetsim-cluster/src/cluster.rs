@@ -82,21 +82,6 @@ impl ClusterSpec {
         self.nodes.iter().all(|n| n.marked_speed_mflops == first)
     }
 
-    /// The slowest node's marked speed in Mflop/s.
-    pub fn min_node_speed_mflops(&self) -> f64 {
-        self.nodes.iter().map(|n| n.marked_speed_mflops).fold(f64::INFINITY, f64::min)
-    }
-
-    /// The fastest node's marked speed in Mflop/s.
-    pub fn max_node_speed_mflops(&self) -> f64 {
-        self.nodes.iter().map(|n| n.marked_speed_mflops).fold(0.0, f64::max)
-    }
-
-    /// Heterogeneity ratio: fastest/slowest marked speed (1.0 = homogeneous).
-    pub fn heterogeneity_ratio(&self) -> f64 {
-        self.max_node_speed_mflops() / self.min_node_speed_mflops()
-    }
-
     /// Count of nodes of a given hardware kind.
     pub fn count_kind(&self, kind: NodeKind) -> usize {
         self.nodes.iter().filter(|n| n.kind == kind).count()
@@ -185,12 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneity_ratio() {
-        assert!((het_cluster().heterogeneity_ratio() - 110.0 / 50.0).abs() < 1e-12);
-        assert_eq!(ClusterSpec::homogeneous(3, 10.0).heterogeneity_ratio(), 1.0);
-    }
-
-    #[test]
     fn with_node_grows_system() {
         let base = het_cluster();
         let grown = base.with_node(NodeSpec::synthetic("d", 50.0));
@@ -205,13 +184,6 @@ mod tests {
         let upgraded = het_cluster().with_upgraded_node(1, NodeSpec::synthetic("b2", 200.0));
         assert_eq!(upgraded.size(), 3);
         assert_eq!(upgraded.marked_speed_mflops(), 400.0);
-    }
-
-    #[test]
-    fn min_max_speeds() {
-        let c = het_cluster();
-        assert_eq!(c.min_node_speed_mflops(), 50.0);
-        assert_eq!(c.max_node_speed_mflops(), 110.0);
     }
 
     #[test]

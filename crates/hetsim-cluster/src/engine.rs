@@ -3,9 +3,8 @@
 //! A minimal but complete DES kernel: a priority queue of timestamped
 //! events with deterministic FIFO tie-breaking (events scheduled earlier
 //! fire first at equal timestamps), a monotone virtual clock, and a
-//! handler-driven run loop. The network simulator ([`crate::netsim`])
-//! and several tests are built on it; it is exposed publicly so
-//! downstream experiments can script their own event-level studies.
+//! handler-driven run loop. Its one production user is the dynamic
+//! self-scheduler of [`crate::selfsched`] (A5).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -79,7 +78,6 @@ pub struct Simulator<E> {
     queue: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     now: SimTime,
-    processed: u64,
 }
 
 impl<E> Default for Simulator<E> {
@@ -91,7 +89,7 @@ impl<E> Default for Simulator<E> {
 impl<E> Simulator<E> {
     /// An empty simulator at time zero.
     pub fn new() -> Self {
-        Simulator { queue: BinaryHeap::new(), next_seq: 0, now: SimTime::ZERO, processed: 0 }
+        Simulator { queue: BinaryHeap::new(), next_seq: 0, now: SimTime::ZERO }
     }
 
     /// Seeds an initial event at absolute time `at`.
@@ -104,16 +102,6 @@ impl<E> Simulator<E> {
     /// Current simulation time: the timestamp of the last event processed.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Runs until the queue drains or `max_events` have fired, whichever
@@ -136,7 +124,6 @@ impl<E> Simulator<E> {
                 self.next_seq += 1;
             }
             fired += 1;
-            self.processed += 1;
         }
         fired
     }
@@ -193,7 +180,7 @@ mod tests {
         let mut sim = Simulator::new();
         sim.schedule(SimTime::ZERO, 5u32);
         let mut seen = Vec::new();
-        sim.run_to_completion(|_, n, sched| {
+        let fired = sim.run_to_completion(|_, n, sched| {
             seen.push(n);
             if n > 0 {
                 sched.schedule_in(SimTime::from_secs(1.0), n - 1);
@@ -201,7 +188,7 @@ mod tests {
         });
         assert_eq!(seen, vec![5, 4, 3, 2, 1, 0]);
         assert_eq!(sim.now(), SimTime::from_secs(5.0));
-        assert_eq!(sim.processed(), 6);
+        assert_eq!(fired, 6);
     }
 
     #[test]
@@ -227,7 +214,10 @@ mod tests {
             sched.schedule_in(SimTime::from_secs(1.0), n + 1);
         });
         assert_eq!(fired, 100);
-        assert_eq!(sim.pending(), 1);
+        assert_eq!(sim.now(), SimTime::from_secs(99.0));
+        // The chain's next event is still queued: one more step fires it.
+        assert_eq!(sim.run(1, |_, _, _| {}), 1);
+        assert_eq!(sim.now(), SimTime::from_secs(100.0));
     }
 
     #[test]

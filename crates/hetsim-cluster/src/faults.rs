@@ -291,18 +291,6 @@ impl FaultPlan {
         self.with_degradation(rank, SpeedWindow { start: SimTime::ZERO, end: None, multiplier })
     }
 
-    /// Brown-out: `rank` runs at `multiplier × ` marked speed over
-    /// `[start, end)`.
-    pub fn with_brownout(
-        self,
-        rank: usize,
-        start: SimTime,
-        end: SimTime,
-        multiplier: f64,
-    ) -> FaultPlan {
-        self.with_degradation(rank, SpeedWindow { start, end: Some(end), multiplier })
-    }
-
     /// Makes every point-to-point link drop each attempt with
     /// probability `per_mille / 1000` (independently, per the seeded
     /// schedule).
@@ -445,23 +433,6 @@ impl FaultPlan {
         match self.degradations.get(&rank) {
             Some(w) if !w.is_empty() => Some(w),
             _ => None,
-        }
-    }
-
-    /// End of a compute span of `flops` starting at `start` on a node of
-    /// nominal speed `speed_flops`, integrating the rank's degradation
-    /// windows piecewise. Without windows this is exactly
-    /// `start + flops / speed_flops`.
-    pub fn degraded_compute_end(
-        &self,
-        rank: usize,
-        start: SimTime,
-        flops: f64,
-        speed_flops: f64,
-    ) -> SimTime {
-        match self.windows_for(rank) {
-            Some(windows) => degraded_end(windows, start, flops, speed_flops),
-            None => start + SimTime::from_secs(flops / speed_flops),
         }
     }
 
@@ -621,6 +592,15 @@ fn attempt_roll(seed: u64, source: usize, dest: usize, msg_index: u64, attempt: 
 mod tests {
     use super::*;
 
+    /// A finite degradation window `[start, end)` at `multiplier`.
+    fn brownout(start: f64, end: f64, multiplier: f64) -> SpeedWindow {
+        SpeedWindow {
+            start: SimTime::from_secs(start),
+            end: Some(SimTime::from_secs(end)),
+            multiplier,
+        }
+    }
+
     #[test]
     fn empty_plan_is_empty_and_charges_nothing() {
         let plan = FaultPlan::new(7);
@@ -636,9 +616,14 @@ mod tests {
     fn undegraded_rank_end_is_exactly_nominal() {
         // Bit-equality, not approximate equality: the fault-free path
         // must reproduce the baseline arithmetic operation-for-operation.
+        // An undegraded rank has no windows, so both engines take their
+        // nominal branch; integrating over no windows lands on the same
+        // bits.
         let plan = FaultPlan::new(1).with_straggler(2, 0.5);
+        assert!(plan.windows_for(0).is_none());
+        assert!(plan.windows_for(2).is_some());
         let start = SimTime::from_secs(0.1);
-        let end = plan.degraded_compute_end(0, start, 1e8, 7e7);
+        let end = degraded_end(&[], start, 1e8, 7e7);
         assert_eq!(end, start + SimTime::from_secs(1e8 / 7e7));
     }
 
@@ -646,7 +631,7 @@ mod tests {
     fn straggler_halves_speed_forever() {
         let plan = FaultPlan::new(1).with_straggler(0, 0.5);
         // 1e8 flop at 1e8 flop/s nominal = 1 s; at half speed 2 s.
-        let end = plan.degraded_compute_end(0, SimTime::ZERO, 1e8, 1e8);
+        let end = degraded_end(plan.windows_for(0).unwrap(), SimTime::ZERO, 1e8, 1e8);
         assert!((end.as_secs() - 2.0).abs() < 1e-12);
     }
 
@@ -655,33 +640,25 @@ mod tests {
         // Half speed over [1, 2): 1 s of work before the window, 0.5 s
         // of work inside costs 1 s, remaining 0.5 s after → ends at 3.0
         // for 2 s of nominal work starting at 0.5.
-        let plan = FaultPlan::new(1).with_brownout(
-            0,
-            SimTime::from_secs(1.0),
-            SimTime::from_secs(2.0),
-            0.5,
-        );
-        let end = plan.degraded_compute_end(0, SimTime::from_secs(0.5), 2e8, 1e8);
+        let plan = FaultPlan::new(1).with_degradation(0, brownout(1.0, 2.0, 0.5));
+        let windows = plan.windows_for(0).unwrap();
+        let end = degraded_end(windows, SimTime::from_secs(0.5), 2e8, 1e8);
         assert!((end.as_secs() - 3.0).abs() < 1e-12, "end = {}", end.as_secs());
     }
 
     #[test]
     fn compute_entirely_after_brownout_is_nominal_speed() {
-        let plan = FaultPlan::new(1).with_brownout(
-            0,
-            SimTime::from_secs(1.0),
-            SimTime::from_secs(2.0),
-            0.5,
-        );
-        let end = plan.degraded_compute_end(0, SimTime::from_secs(5.0), 1e8, 1e8);
+        let plan = FaultPlan::new(1).with_degradation(0, brownout(1.0, 2.0, 0.5));
+        let windows = plan.windows_for(0).unwrap();
+        let end = degraded_end(windows, SimTime::from_secs(5.0), 1e8, 1e8);
         assert!((end.as_secs() - 6.0).abs() < 1e-12);
     }
 
     #[test]
     fn windows_merge_sorted_and_reject_overlap() {
         let plan = FaultPlan::new(1)
-            .with_brownout(0, SimTime::from_secs(2.0), SimTime::from_secs(3.0), 0.5)
-            .with_brownout(0, SimTime::from_secs(0.0), SimTime::from_secs(1.0), 0.25);
+            .with_degradation(0, brownout(2.0, 3.0, 0.5))
+            .with_degradation(0, brownout(0.0, 1.0, 0.25));
         let windows = plan.windows_for(0).unwrap();
         assert_eq!(windows.len(), 2);
         assert!(windows[0].start < windows[1].start);
@@ -691,8 +668,8 @@ mod tests {
     #[should_panic(expected = "overlapping")]
     fn overlapping_windows_panic() {
         let _ = FaultPlan::new(1)
-            .with_brownout(0, SimTime::from_secs(0.0), SimTime::from_secs(2.0), 0.5)
-            .with_brownout(0, SimTime::from_secs(1.0), SimTime::from_secs(3.0), 0.5);
+            .with_degradation(0, brownout(0.0, 2.0, 0.5))
+            .with_degradation(0, brownout(1.0, 3.0, 0.5));
     }
 
     #[test]
@@ -910,18 +887,14 @@ mod tests {
     fn degraded_end_composes_across_a_split() {
         // Splitting a compute span at any point lands at the same end
         // time: the integrator conserves work.
-        let plan = FaultPlan::new(1).with_brownout(
-            0,
-            SimTime::from_secs(0.5),
-            SimTime::from_secs(1.5),
-            0.3,
-        );
+        let plan = FaultPlan::new(1).with_degradation(0, brownout(0.5, 1.5, 0.3));
+        let windows = plan.windows_for(0).unwrap();
         let speed = 1e8;
         for split in [0.0, 0.1, 0.37, 0.5, 0.93, 1.0] {
             let flops = 2.4e8;
-            let whole = plan.degraded_compute_end(0, SimTime::ZERO, flops, speed);
-            let first = plan.degraded_compute_end(0, SimTime::ZERO, flops * split, speed);
-            let both = plan.degraded_compute_end(0, first, flops * (1.0 - split), speed);
+            let whole = degraded_end(windows, SimTime::ZERO, flops, speed);
+            let first = degraded_end(windows, SimTime::ZERO, flops * split, speed);
+            let both = degraded_end(windows, first, flops * (1.0 - split), speed);
             assert!(
                 (whole.as_secs() - both.as_secs()).abs() < 1e-9,
                 "split {split}: whole {} vs split {}",

@@ -21,9 +21,8 @@
 //!   switched latency+bandwidth, shared-Ethernet with serialization),
 //!   behind one [`network::NetworkModel`] trait. These give deterministic
 //!   costs to the SPMD runtime.
-//! * [`engine`] / [`netsim`] — a classic discrete-event simulation core
-//!   plus a message-level shared-link simulator, used by their own tests
-//!   and the `runtime` bench; no experiment id runs them.
+//! * [`engine`] — a classic discrete-event simulation core; the
+//!   dynamic self-scheduler of [`selfsched`] (A5) runs on it.
 //! * [`faults`] — deterministic, seed-driven fault plans: degraded-node
 //!   speed windows, lossy links with retry/timeout/backoff charges, and
 //!   declared deaths resolved into a surviving cluster before launch.
@@ -56,7 +55,6 @@ pub mod engine;
 pub mod faults;
 pub mod flrepeat;
 pub mod memory;
-pub mod netsim;
 pub mod network;
 pub mod node;
 pub mod selfsched;

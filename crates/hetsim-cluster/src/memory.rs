@@ -9,11 +9,8 @@
 //! problem cannot even be *stored* on one node).
 //!
 //! Per-node footprints assume speed-proportional distribution (share
-//! `Cᵢ/C` of the rows) and 8-byte elements:
-//!
-//! * GE: the node's share of the augmented matrix, `shareᵢ·N·(N+1)·8`.
-//! * MM: the node's shares of `A` and `C` **plus a full replica of
-//!   `B`** (`N²·8`) — the HoHe algorithm's binding constraint.
+//! `Cᵢ/C` of the rows) and 8-byte elements: for GE, the node's share of
+//! the augmented matrix, `shareᵢ·N·(N+1)·8`.
 
 use crate::cluster::ClusterSpec;
 
@@ -27,13 +24,6 @@ pub fn ge_bytes_per_node(cluster: &ClusterSpec, n: usize) -> Vec<f64> {
     cluster.speed_fractions().iter().map(|f| f * total).collect()
 }
 
-/// Bytes node `i` needs for its MM shares plus the replicated `B`.
-pub fn mm_bytes_per_node(cluster: &ClusterSpec, n: usize) -> Vec<f64> {
-    let nf = n as f64;
-    let b_replica = nf * nf * 8.0;
-    cluster.speed_fractions().iter().map(|f| 2.0 * f * nf * nf * 8.0 + b_replica).collect()
-}
-
 fn fits(cluster: &ClusterSpec, bytes: &[f64]) -> bool {
     cluster
         .nodes()
@@ -45,11 +35,6 @@ fn fits(cluster: &ClusterSpec, bytes: &[f64]) -> bool {
 /// True when every node can hold its GE share at rank `n`.
 pub fn ge_feasible(cluster: &ClusterSpec, n: usize) -> bool {
     fits(cluster, &ge_bytes_per_node(cluster, n))
-}
-
-/// True when every node can hold its MM shares at rank `n`.
-pub fn mm_feasible(cluster: &ClusterSpec, n: usize) -> bool {
-    fits(cluster, &mm_bytes_per_node(cluster, n))
 }
 
 /// Largest rank for which `feasible(cluster, n)` holds, up to a search
@@ -90,26 +75,6 @@ mod tests {
     fn small_problems_fit_everywhere() {
         let c = sunwulf::ge_config(8);
         assert!(ge_feasible(&c, 300));
-        assert!(mm_feasible(&sunwulf::mm_config(8), 300));
-    }
-
-    #[test]
-    fn mm_b_replica_binds_on_the_sunblade() {
-        // 128 MB SunBlade, 75% usable = 96 MB; B alone is 8·N² bytes, so
-        // N ≈ 3500 is the outer limit regardless of the A/C shares.
-        let c = sunwulf::mm_config(8);
-        let max = max_feasible(&c, mm_feasible);
-        assert!((2500..4000).contains(&max), "max feasible MM rank = {max}");
-        assert!(!mm_feasible(&c, 4100));
-    }
-
-    #[test]
-    fn ge_scales_further_than_mm_on_the_same_nodes() {
-        // GE stores only a share of one matrix; MM replicates B.
-        let c = sunwulf::mm_config(8);
-        let max_ge = max_feasible(&c, ge_feasible);
-        let max_mm = max_feasible(&c, mm_feasible);
-        assert!(max_ge > 2 * max_mm, "GE {max_ge} vs MM {max_mm}");
     }
 
     #[test]

@@ -583,10 +583,24 @@ mod tests {
 
     #[test]
     fn ethernet_bcast_grows_linearly() {
-        let m = SharedEthernet::new(1e-4, 1.25e7);
+        let (alpha, beta) = (1e-4, 1.25e7);
+        let m = SharedEthernet::new(alpha, beta);
         let t2 = m.bcast_time(2, 1000);
         let t16 = m.bcast_time(16, 1000);
         assert!((t16 / t2 - 15.0).abs() < 1e-9, "(16−1)/(2−1) = 15");
+        // On one shared medium the root's p − 1 copies, all ready at
+        // once, go out back to back: the broadcast ends when the last
+        // one does.
+        for p in [1, 2, 4, 8, 16, 32] {
+            for bytes in [0u64, 800, 8000, 80_000] {
+                let mut wire_free = 0.0;
+                for _ in 1..p {
+                    wire_free += alpha + bytes as f64 / beta;
+                }
+                let t = m.bcast_time(p, bytes);
+                assert!((t - wire_free).abs() < 1e-12, "p={p} bytes={bytes}: {t} vs {wire_free}");
+            }
+        }
     }
 
     #[test]

@@ -84,13 +84,6 @@ impl NodeSpec {
         self.marked_speed_mflops * 1e6
     }
 
-    /// Time in seconds to execute `flops` floating-point operations at
-    /// this node's marked speed.
-    pub fn compute_seconds(&self, flops: f64) -> f64 {
-        assert!(flops >= 0.0, "negative work");
-        flops / self.marked_speed_flops()
-    }
-
     /// A synthetic node with the given speed, for generated experiments.
     pub fn synthetic(name: impl Into<String>, marked_speed_mflops: f64) -> NodeSpec {
         NodeSpec::new(name, NodeKind::Synthetic, marked_speed_mflops, 1, 1024)
@@ -130,27 +123,6 @@ mod tests {
     #[test]
     fn rejects_zero_cpus() {
         assert!(NodeSpec::new("x", NodeKind::Synthetic, 10.0, 0, 1).is_err());
-    }
-
-    #[test]
-    fn compute_seconds_scales_inversely_with_speed() {
-        let slow = NodeSpec::synthetic("slow", 10.0);
-        let fast = NodeSpec::synthetic("fast", 100.0);
-        let w = 1e8; // 100 Mflop
-        assert!((slow.compute_seconds(w) - 10.0).abs() < 1e-12);
-        assert!((fast.compute_seconds(w) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_work_takes_zero_time() {
-        let n = NodeSpec::synthetic("n", 42.0);
-        assert_eq!(n.compute_seconds(0.0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "negative work")]
-    fn negative_work_panics() {
-        NodeSpec::synthetic("n", 42.0).compute_seconds(-1.0);
     }
 
     #[test]

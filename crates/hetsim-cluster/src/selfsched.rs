@@ -45,7 +45,6 @@ pub fn static_schedule(
     assert!(true_speeds_flops.iter().all(|&s| s > 0.0), "true speeds must be positive");
     assert!(chunk_flops.iter().all(|&w| w >= 0.0), "chunk work must be ≥ 0");
 
-    let total_work: f64 = chunk_flops.iter().sum();
     let p = estimated_speeds_flops.len();
     let counts = hetpart_counts(chunk_flops.len(), estimated_speeds_flops);
     let mut chunks_per_worker = vec![0usize; p];
@@ -61,7 +60,6 @@ pub fn static_schedule(
     debug_assert_eq!(cursor, chunk_flops.len());
     let makespan =
         work_per_worker.iter().zip(true_speeds_flops).map(|(&w, &s)| w / s).fold(0.0f64, f64::max);
-    let _ = total_work;
     ScheduleOutcome { makespan: SimTime::from_secs(makespan), chunks_per_worker, work_per_worker }
 }
 

@@ -19,10 +19,6 @@ pub struct Tag(pub u32);
 impl Tag {
     /// Conventional tag for bulk data distribution.
     pub const DATA: Tag = Tag(0);
-    /// Conventional tag for pivot/broadcast traffic.
-    pub const PIVOT: Tag = Tag(1);
-    /// Conventional tag for result collection.
-    pub const RESULT: Tag = Tag(2);
 }
 
 /// A message in flight.
@@ -118,12 +114,12 @@ mod tests {
         let mb = Mailbox::new();
         mb.push(msg(1, Tag::DATA, 1.0));
         mb.push(msg(2, Tag::DATA, 2.0));
-        mb.push(msg(1, Tag::PIVOT, 3.0));
-        let got = mb.recv_matching(1, Tag::PIVOT);
+        mb.push(msg(1, Tag(1), 3.0));
+        let got = mb.recv_matching(1, Tag(1));
         assert_eq!(got.arrival, SimTime::from_secs(3.0));
         assert_eq!(mb.len(), 2);
         assert!(mb.probe(2, Tag::DATA));
-        assert!(!mb.probe(2, Tag::PIVOT));
+        assert!(!mb.probe(2, Tag(1)));
     }
 
     #[test]
@@ -142,10 +138,10 @@ mod tests {
     fn recv_blocks_until_push() {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
-        let handle = std::thread::spawn(move || mb2.recv_matching(7, Tag::RESULT));
+        let handle = std::thread::spawn(move || mb2.recv_matching(7, Tag(2)));
         // Give the receiver a chance to block, then deliver.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        mb.push(msg(7, Tag::RESULT, 9.0));
+        mb.push(msg(7, Tag(2), 9.0));
         let got = handle.join().expect("receiver thread");
         assert_eq!(got.source, 7);
     }
@@ -161,12 +157,5 @@ mod tests {
         assert_eq!(handle.join().unwrap().source, 4);
         // The non-matching message is still queued.
         assert!(mb.probe(3, Tag::DATA));
-    }
-
-    #[test]
-    fn tag_constants_are_distinct() {
-        assert_ne!(Tag::DATA, Tag::PIVOT);
-        assert_ne!(Tag::PIVOT, Tag::RESULT);
-        assert_ne!(Tag::DATA, Tag::RESULT);
     }
 }

@@ -187,11 +187,6 @@ impl RankTrace {
             .filter(|r| r.kind == OpKind::Wait)
             .fold(SimTime::ZERO, |acc, r| acc + r.duration())
     }
-
-    /// Bytes moved by this rank (sends + receives + collective shares).
-    pub fn bytes_moved(&self) -> u64 {
-        self.records.iter().map(|r| r.bytes).sum()
-    }
 }
 
 /// Aggregated decomposition across all ranks of a run.
@@ -353,11 +348,6 @@ mod tests {
         let t = sample_trace();
         assert!((t.overhead().as_secs() - 0.5).abs() < 1e-12);
         assert!((t.total().as_secs() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bytes_moved_accumulates() {
-        assert_eq!(sample_trace().bytes_moved(), 800);
     }
 
     #[test]

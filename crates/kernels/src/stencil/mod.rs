@@ -28,10 +28,6 @@ pub fn stencil_work(n: usize, iters: usize) -> f64 {
     iters as f64 * 4.0 * interior
 }
 
-/// Default sweep count used by the scalability experiments: enough for
-/// communication to matter, small enough to sweep `n` widely.
-pub const DEFAULT_ITERS: usize = 8;
-
 #[cfg(test)]
 mod tests {
     use super::*;

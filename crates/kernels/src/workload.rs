@@ -26,40 +26,6 @@ pub fn mm_work(n: usize) -> f64 {
     2.0 * nf * nf * nf - nf * nf
 }
 
-/// Inverts a work polynomial: the (real-valued) problem size whose work
-/// is closest to `w` from below, found by monotone bisection. Returns a
-/// fractional `N`; callers round as appropriate.
-///
-/// # Panics
-/// Panics when `w` is negative or not finite.
-pub fn invert_work(work_fn: impl Fn(usize) -> f64, w: f64) -> f64 {
-    assert!(w.is_finite() && w >= 0.0, "work must be finite and non-negative");
-    if w == 0.0 {
-        return 0.0;
-    }
-    // Bracket by doubling.
-    let mut hi = 1usize;
-    while work_fn(hi) < w {
-        hi *= 2;
-        assert!(hi < 1 << 40, "work target {w} is implausibly large");
-    }
-    let mut lo = hi / 2;
-    // Integer bisection, then linear interpolation inside the final cell.
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if work_fn(mid) < w {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let (wl, wh) = (work_fn(lo), work_fn(hi));
-    if wh == wl {
-        return lo as f64;
-    }
-    lo as f64 + (w - wl) / (wh - wl)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,33 +49,6 @@ mod tests {
             assert!(ge_work(n + 1) > ge_work(n));
             assert!(mm_work(n + 1) > mm_work(n));
         }
-    }
-
-    #[test]
-    fn invert_work_roundtrips_integer_sizes() {
-        for n in [10usize, 97, 310, 480] {
-            let w = ge_work(n);
-            let back = invert_work(ge_work, w);
-            assert!((back - n as f64).abs() < 1e-6, "n={n}, back={back}");
-        }
-    }
-
-    #[test]
-    fn invert_work_interpolates_between_sizes() {
-        let w = (ge_work(100) + ge_work(101)) / 2.0;
-        let n = invert_work(ge_work, w);
-        assert!(n > 100.0 && n < 101.0);
-    }
-
-    #[test]
-    fn invert_zero_work_is_zero() {
-        assert_eq!(invert_work(mm_work, 0.0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn invert_negative_work_panics() {
-        invert_work(ge_work, -1.0);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! * [`stats`] — descriptive statistics and simple linear regression used
 //!   when calibrating machine parameters.
 //! * [`series`] — utilities over sampled `(x, y)` series: sorting,
-//!   deduplication, piecewise-linear interpolation and inversion.
+//!   deduplication, and piecewise-linear inversion.
 //!
 //! The crate is deliberately small and fully deterministic; every routine
 //! is pure and panics only on programmer error (documented per function).

@@ -80,19 +80,6 @@ impl Polynomial {
         Polynomial::new(coeffs)
     }
 
-    /// Antiderivative with integration constant 0.
-    pub fn antiderivative(&self) -> Polynomial {
-        if self.coeffs.is_empty() {
-            return Polynomial::zero();
-        }
-        let mut coeffs = Vec::with_capacity(self.coeffs.len() + 1);
-        coeffs.push(0.0);
-        for (k, &c) in self.coeffs.iter().enumerate() {
-            coeffs.push(c / (k as f64 + 1.0));
-        }
-        Polynomial::new(coeffs)
-    }
-
     /// Composes with an affine substitution, returning `p(a·x + b)`.
     ///
     /// Used to undo the variable scaling applied by the least-squares
@@ -225,12 +212,6 @@ mod tests {
         // 5 + 4x + 3x² + 2x³ → 4 + 6x + 6x²
         let poly = p(&[5.0, 4.0, 3.0, 2.0]);
         assert_eq!(poly.derivative(), p(&[4.0, 6.0, 6.0]));
-    }
-
-    #[test]
-    fn antiderivative_then_derivative_roundtrips() {
-        let poly = p(&[1.0, -2.0, 0.5, 4.0]);
-        assert_eq!(poly.antiderivative().derivative(), poly);
     }
 
     #[test]

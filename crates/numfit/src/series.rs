@@ -1,10 +1,11 @@
-//! Sampled `(x, y)` series with piecewise-linear interpolation, inversion,
-//! and fitting helpers.
+//! Sampled `(x, y)` series with piecewise-linear inversion and fitting
+//! helpers.
 //!
 //! A [`Series`] is the in-memory form of one trend-line dataset from the
 //! paper's figures: one speed-efficiency curve per system configuration.
-//! The experiment harness accumulates samples, then either interpolates
-//! directly or fits a polynomial through the series.
+//! The experiment harness accumulates samples, then either inverts the
+//! piecewise-linear curve directly or fits a polynomial through the
+//! series.
 
 use crate::error::FitError;
 use crate::lsq::{polyfit, FitReport};
@@ -92,29 +93,6 @@ impl Series {
         self.xs.iter().copied().zip(self.ys.iter().copied())
     }
 
-    /// Piecewise-linear interpolation at `x`. Clamps to the endpoint
-    /// values outside the sampled range. `None` for an empty series.
-    pub fn interpolate(&self, x: f64) -> Option<f64> {
-        if self.xs.is_empty() {
-            return None;
-        }
-        if x <= self.xs[0] {
-            return Some(self.ys[0]);
-        }
-        if x >= *self.xs.last().unwrap() {
-            return Some(*self.ys.last().unwrap());
-        }
-        // Binary search for the containing segment.
-        let idx = match self.xs.binary_search_by(|v| v.total_cmp(&x)) {
-            Ok(i) => return Some(self.ys[i]),
-            Err(i) => i,
-        };
-        let (x0, x1) = (self.xs[idx - 1], self.xs[idx]);
-        let (y0, y1) = (self.ys[idx - 1], self.ys[idx]);
-        let t = (x - x0) / (x1 - x0);
-        Some(y0 + t * (y1 - y0))
-    }
-
     /// Inverts the piecewise-linear interpolant: the smallest `x` in the
     /// sampled range with interpolated value `target`. Errors if the
     /// target is never crossed.
@@ -172,7 +150,7 @@ mod tests {
     fn duplicate_abscissae_are_averaged() {
         let s = series(&[(1.0, 10.0), (1.0, 20.0), (2.0, 5.0)]);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.interpolate(1.0), Some(15.0));
+        assert_eq!(s.ys(), &[15.0, 5.0]);
     }
 
     #[test]
@@ -186,30 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn interpolation_is_linear_between_samples() {
-        let s = series(&[(0.0, 0.0), (10.0, 100.0)]);
-        assert_eq!(s.interpolate(5.0), Some(50.0));
-        assert_eq!(s.interpolate(2.5), Some(25.0));
-    }
-
-    #[test]
-    fn interpolation_clamps_outside_range() {
-        let s = series(&[(1.0, 10.0), (2.0, 20.0)]);
-        assert_eq!(s.interpolate(0.0), Some(10.0));
-        assert_eq!(s.interpolate(5.0), Some(20.0));
-    }
-
-    #[test]
-    fn interpolation_exact_at_samples() {
-        let s = series(&[(1.0, 10.0), (2.0, 20.0), (3.0, 15.0)]);
-        for (x, y) in s.iter() {
-            assert_eq!(s.interpolate(x), Some(y));
-        }
-    }
-
-    #[test]
-    fn empty_series_interpolates_to_none() {
-        assert_eq!(Series::new().interpolate(1.0), None);
+    fn empty_series_has_no_range() {
         assert!(Series::new().is_empty());
         assert_eq!(Series::new().x_range(), None);
     }
@@ -220,8 +175,10 @@ mod tests {
         let s = series(&[(100.0, 0.1), (200.0, 0.22), (400.0, 0.35), (800.0, 0.42)]);
         let n = s.invert_linear(0.3).unwrap();
         assert!((200.0..400.0).contains(&n), "n = {n}");
-        // Value at the inverse should be the target.
-        assert!((s.interpolate(n).unwrap() - 0.3).abs() < 1e-12);
+        // The line through the samples either side of the crossing,
+        // (200, 0.22) and (400, 0.35), reads the target at the inverse.
+        let y = 0.22 + (n - 200.0) / (400.0 - 200.0) * (0.35 - 0.22);
+        assert!((y - 0.3).abs() < 1e-12, "y = {y}");
     }
 
     #[test]

@@ -18,26 +18,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
     }
 }
 
-/// Population variance (divides by `n`). Returns `None` for an empty slice.
-pub fn variance(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    Some(xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
-}
-
-/// Population standard deviation.
-pub fn stddev(xs: &[f64]) -> Option<f64> {
-    variance(xs).map(f64::sqrt)
-}
-
-/// Coefficient of variation `σ/μ`; `None` if empty or the mean is 0.
-pub fn coefficient_of_variation(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    if m == 0.0 {
-        return None;
-    }
-    Some(stddev(xs)? / m.abs())
-}
-
 /// Minimum of a slice, ignoring nothing. `None` when empty.
 pub fn min(xs: &[f64]) -> Option<f64> {
     xs.iter().copied().reduce(f64::min)
@@ -124,54 +104,6 @@ pub fn linear_regression(x: &[f64], y: &[f64]) -> Result<LinearFit> {
     Ok(LinearFit { intercept, slope, r })
 }
 
-/// A linear regression with coefficient standard errors — calibration
-/// quality reporting for the §4.5 machine-parameter fits.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearFitWithErrors {
-    /// The point estimates.
-    pub fit: LinearFit,
-    /// Standard error of the intercept.
-    pub intercept_se: f64,
-    /// Standard error of the slope.
-    pub slope_se: f64,
-    /// Residual standard deviation (`s` in the usual OLS notation).
-    pub residual_sd: f64,
-}
-
-impl LinearFitWithErrors {
-    /// Approximate 95% confidence interval for the slope
-    /// (`±1.96·SE`; adequate for the ≥ 5-point calibration sweeps).
-    pub fn slope_ci95(&self) -> (f64, f64) {
-        (self.fit.slope - 1.96 * self.slope_se, self.fit.slope + 1.96 * self.slope_se)
-    }
-}
-
-/// Ordinary least squares with coefficient standard errors.
-///
-/// Requires at least three points (so the residual degrees of freedom
-/// `n − 2` are positive); otherwise errors like [`linear_regression`].
-pub fn linear_regression_with_errors(x: &[f64], y: &[f64]) -> Result<LinearFitWithErrors> {
-    if x.len() < 3 {
-        return Err(FitError::InsufficientData { got: x.len(), need: 3 });
-    }
-    let fit = linear_regression(x, y)?;
-    let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n;
-    let sxx: f64 = x.iter().map(|&xi| (xi - mx) * (xi - mx)).sum();
-    let ss_res: f64 = x
-        .iter()
-        .zip(y)
-        .map(|(&xi, &yi)| {
-            let e = yi - fit.predict(xi);
-            e * e
-        })
-        .sum();
-    let residual_sd = (ss_res / (n - 2.0)).sqrt();
-    let slope_se = residual_sd / sxx.sqrt();
-    let intercept_se = residual_sd * (1.0 / n + mx * mx / sxx).sqrt();
-    Ok(LinearFitWithErrors { fit, intercept_se, slope_se, residual_sd })
-}
-
 /// Relative error `|measured − reference| / |reference|`; `measured`
 /// absolute error if the reference is zero. Used throughout the
 /// experiment harness to compare predicted against measured scalability.
@@ -188,17 +120,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_variance_stddev() {
+    fn mean_of_samples() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), Some(5.0));
-        assert_eq!(variance(&xs), Some(4.0));
-        assert_eq!(stddev(&xs), Some(2.0));
     }
 
     #[test]
     fn empty_slices_yield_none() {
         assert_eq!(mean(&[]), None);
-        assert_eq!(variance(&[]), None);
         assert_eq!(median(&[]), None);
         assert_eq!(min(&[]), None);
         assert_eq!(max(&[]), None);
@@ -252,46 +181,6 @@ mod tests {
             linear_regression(&[1.0], &[2.0]).unwrap_err(),
             FitError::InsufficientData { .. }
         ));
-    }
-
-    #[test]
-    fn exact_line_has_zero_standard_errors() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y: Vec<f64> = x.iter().map(|&v| 2.0 * v + 1.0).collect();
-        let f = linear_regression_with_errors(&x, &y).unwrap();
-        assert!(f.slope_se < 1e-12);
-        assert!(f.intercept_se < 1e-12);
-        assert!(f.residual_sd < 1e-12);
-        let (lo, hi) = f.slope_ci95();
-        assert!(lo <= 2.0 && 2.0 <= hi);
-    }
-
-    #[test]
-    fn noisy_line_has_positive_errors_and_covering_ci() {
-        let x: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let y: Vec<f64> = x
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| 3.0 * v + if i % 2 == 0 { 0.5 } else { -0.5 })
-            .collect();
-        let f = linear_regression_with_errors(&x, &y).unwrap();
-        assert!(f.slope_se > 0.0);
-        let (lo, hi) = f.slope_ci95();
-        assert!(lo < 3.0 && 3.0 < hi, "true slope inside the CI: [{lo}, {hi}]");
-    }
-
-    #[test]
-    fn errors_need_three_points() {
-        assert!(matches!(
-            linear_regression_with_errors(&[1.0, 2.0], &[1.0, 2.0]).unwrap_err(),
-            FitError::InsufficientData { .. }
-        ));
-    }
-
-    #[test]
-    fn cv_of_constant_data_is_zero() {
-        assert_eq!(coefficient_of_variation(&[3.0, 3.0, 3.0]), Some(0.0));
-        assert_eq!(coefficient_of_variation(&[0.0, 0.0]), None);
     }
 
     #[test]
