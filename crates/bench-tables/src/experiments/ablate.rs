@@ -10,11 +10,11 @@
 
 use crate::systems::GeSystem;
 use crate::table::{fnum, Table};
+use hetpart::selfsched::{dynamic_schedule, static_schedule};
 use hetpart::{BlockDistribution, CyclicDistribution};
 use hetsim_cluster::network::{
     ConstantLatency, MpichEthernet, NetworkModel, SharedEthernet, SwitchedNetwork,
 };
-use hetsim_cluster::selfsched::{dynamic_schedule, static_schedule};
 use hetsim_cluster::sunwulf;
 use hetsim_cluster::time::SimTime;
 use hetsim_cluster::topology::SegmentedNetwork;

@@ -348,13 +348,15 @@ fn stats_docs_match_golden_fixtures() {
     let metrics_doc = std::fs::read(&metrics).expect("metrics written");
     assert_golden("metrics_quick_faults_recover_obs.json", &metrics_doc, &obs);
     assert_golden("traces_quick_faults_recover_obs.manifest", &trace_manifest(&traces), &obs);
-    for (fixture, args) in [
-        ("stats_quick.json", &["--quick"][..]),
-        ("stats_full.json", &[][..]),
-        ("stats_surface.json", &["surface"][..]),
-        ("stats_quick_mega.json", &["--quick", "mega"][..]),
+    for (fixture, stdout_fixture, args) in [
+        ("stats_quick.json", "stdout_quick.txt", &["--quick"][..]),
+        ("stats_full.json", "stdout_full.txt", &[][..]),
+        ("stats_surface.json", "stdout_surface.txt", &["surface"][..]),
+        ("stats_quick_mega.json", "stdout_quick_mega.txt", &["--quick", "mega"][..]),
     ] {
-        assert_golden(fixture, &stats_doc(&dir, fixture, args), args);
+        let (stdout, doc) = stats_run(&dir, fixture, args);
+        assert_golden(fixture, &doc, args);
+        assert_golden(stdout_fixture, &stdout, args);
     }
     std::fs::remove_dir_all(&dir).ok();
 }

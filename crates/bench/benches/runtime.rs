@@ -1,10 +1,9 @@
 //! Runtime micro-benchmarks: hetsim-mpi point-to-point and collective
-//! throughput, and the discrete-event engine's event rate.
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hetsim_cluster::engine::Simulator;
 use hetsim_cluster::network::MpichEthernet;
-use hetsim_cluster::{ClusterSpec, SimTime};
+use hetsim_cluster::ClusterSpec;
 use hetsim_mpi::{run_spmd, RunSpec, Tag};
 use std::hint::black_box;
 
@@ -70,22 +69,9 @@ fn bench_collectives(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_event_engine(c: &mut Criterion) {
-    c.bench_function("des_engine_100k_events", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::new();
-            sim.schedule(SimTime::ZERO, 0u64);
-            sim.run(100_000, |_, n, sched| {
-                sched.schedule_in(SimTime::from_micros(1.0), n + 1);
-            });
-            black_box(sim.now())
-        })
-    });
-}
-
 criterion_group! {
     name = runtime_benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_p2p_pingpong, bench_collectives, bench_event_engine
+    targets = bench_p2p_pingpong, bench_collectives
 }
 criterion_main!(runtime_benches);

@@ -2,8 +2,8 @@
 //! the static/dynamic scheduling simulations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hetpart::selfsched::{dynamic_schedule, static_schedule};
 use hetsim_cluster::network::MpichEthernet;
-use hetsim_cluster::selfsched::{dynamic_schedule, static_schedule};
 use hetsim_cluster::{ClusterSpec, SimTime};
 use hetsim_mpi::RunSpec;
 use kernels::matrix::Matrix;

@@ -151,8 +151,8 @@ impl ClassedCyclicDeal {
 
     /// Deals the next row and returns the winning class index.
     ///
-    /// The row lands on member `front_member()` of that class (its
-    /// pre-deal value): each class is served round-robin from member 0.
+    /// The row lands on the class's member at its round-robin cursor
+    /// (`wrap`, before the deal): each class is served from member 0.
     pub fn deal(&mut self) -> usize {
         let next_total = (self.step + 1) as f64;
         let mut best = usize::MAX;
@@ -184,11 +184,6 @@ impl ClassedCyclicDeal {
     /// Rows dealt so far, per class.
     pub fn class_counts(&self) -> &[u64] {
         &self.dealt
-    }
-
-    /// Member index (within `class`) that receives the class's next row.
-    pub fn front_member(&self, class: usize) -> u64 {
-        self.wrap[class]
     }
 
     /// Per-class row totals after dealing `n` rows — the classed
@@ -374,7 +369,7 @@ mod tests {
         for row in 0..n {
             let owner = fine.owner(row);
             let class = base.iter().rposition(|&b| b <= owner).unwrap();
-            let member = deal.front_member(class);
+            let member = deal.wrap[class];
             assert_eq!(deal.deal(), class, "row {row}: class ({classes:?})");
             assert_eq!(base[class] + member as usize, owner, "row {row}: member ({classes:?})");
         }

@@ -16,8 +16,10 @@
 //! distribution used as the ablation baseline, behind one
 //! [`Distribution`] trait. Integer apportionment uses the
 //! largest-remainder method ([`proportion`]), which preserves the row sum
-//! exactly. [`balance`] quantifies how good an assignment is for a given
-//! speed vector.
+//! exactly. [`selfsched`] sets that static split against its dynamic
+//! alternative, master–worker self-scheduling at true speeds (the A5
+//! ablation), and [`rebalance`] re-splits the rows over the survivors
+//! of declared node deaths.
 
 //! ## Example
 //!
@@ -38,13 +40,12 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod balance;
 pub mod block;
 pub mod cyclic;
 pub mod proportion;
 pub mod rebalance;
+pub mod selfsched;
 
-pub use balance::{imbalance, parallel_time_estimate};
 pub use block::{BlockDistribution, RowRange};
 pub use cyclic::{ClassedCyclicDeal, CyclicDistribution};
 pub use proportion::{proportional_counts, proportional_counts_classed};

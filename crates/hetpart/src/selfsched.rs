@@ -1,5 +1,5 @@
-//! Dynamic self-scheduling on the discrete-event core — the classic
-//! alternative to the paper's static speed-proportional distribution.
+//! Dynamic self-scheduling — the classic alternative to the paper's
+//! static speed-proportional distribution.
 //!
 //! The paper's methodology rests on marked speeds being "used as a
 //! constant parameter": data is distributed proportionally *once*, so
@@ -11,8 +11,10 @@
 //! speeds static wins (no grant traffic); as a node's true speed drifts
 //! from its rating, dynamic scheduling overtakes it.
 
-use crate::engine::Simulator;
-use crate::time::SimTime;
+use crate::proportion::proportional_counts;
+use hetsim_cluster::time::SimTime;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Result of one scheduling simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,11 +28,13 @@ pub struct ScheduleOutcome {
 }
 
 /// Static schedule: chunk `i` goes to the worker owning it under a
-/// proportional split by *estimated* speeds; execution runs at *true*
-/// speeds. Workers start all their chunks back-to-back at `t = 0`.
+/// proportional split by *estimated* speeds ([`proportional_counts`]);
+/// execution runs at *true* speeds. Workers start all their chunks
+/// back-to-back at `t = 0`.
 ///
 /// # Panics
-/// Panics on empty inputs, non-positive speeds, or negative chunk work.
+/// Panics on empty inputs, non-positive true speeds, negative chunk
+/// work, or estimates [`proportional_counts`] rejects.
 pub fn static_schedule(
     estimated_speeds_flops: &[f64],
     true_speeds_flops: &[f64],
@@ -46,7 +50,7 @@ pub fn static_schedule(
     assert!(chunk_flops.iter().all(|&w| w >= 0.0), "chunk work must be ≥ 0");
 
     let p = estimated_speeds_flops.len();
-    let counts = hetpart_counts(chunk_flops.len(), estimated_speeds_flops);
+    let counts = proportional_counts(chunk_flops.len(), estimated_speeds_flops);
     let mut chunks_per_worker = vec![0usize; p];
     let mut work_per_worker = vec![0.0f64; p];
     let mut cursor = 0usize;
@@ -63,44 +67,11 @@ pub fn static_schedule(
     ScheduleOutcome { makespan: SimTime::from_secs(makespan), chunks_per_worker, work_per_worker }
 }
 
-/// Largest-remainder apportionment (local copy: `hetpart` sits above
-/// this crate in the dependency graph, and the six-line core is not
-/// worth inverting the layering for).
-fn hetpart_counts(n: usize, weights: &[f64]) -> Vec<usize> {
-    let total: f64 = weights.iter().sum();
-    assert!(total > 0.0, "estimated speeds must not all be zero");
-    let ideal: Vec<f64> = weights.iter().map(|w| n as f64 * w / total).collect();
-    let mut counts: Vec<usize> = ideal.iter().map(|x| x.floor() as usize).collect();
-    let mut leftover = n - counts.iter().sum::<usize>();
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by(|&a, &b| {
-        let fa = ideal[a] - ideal[a].floor();
-        let fb = ideal[b] - ideal[b].floor();
-        fb.total_cmp(&fa).then(a.cmp(&b))
-    });
-    for &i in &order {
-        if leftover == 0 {
-            break;
-        }
-        counts[i] += 1;
-        leftover -= 1;
-    }
-    counts
-}
-
-/// Events of the self-scheduling simulation.
-#[derive(Debug)]
-enum Ev {
-    /// Worker `w` is ready for its next chunk (initially, or after
-    /// finishing one).
-    Ready(usize),
-}
-
 /// Dynamic self-scheduling: a master hands out chunks in order; each
 /// grant costs `grant_latency` (request + reply on the wire), then the
 /// worker computes the chunk at its *true* speed and comes back.
-/// Deterministic: simultaneous requests are served in event-scheduling
-/// order (worker index at t = 0, completion order afterwards).
+/// Deterministic: simultaneous requests are served in queue order
+/// (worker index at t = 0, completion order afterwards).
 ///
 /// # Panics
 /// Panics on empty workers, non-positive speeds or latency < 0.
@@ -114,28 +85,22 @@ pub fn dynamic_schedule(
     assert!(grant_latency.as_secs() >= 0.0, "grant latency must be ≥ 0");
 
     let p = true_speeds_flops.len();
-    let mut sim: Simulator<Ev> = Simulator::new();
-    for w in 0..p {
-        sim.schedule(SimTime::ZERO, Ev::Ready(w));
-    }
-    let mut next_chunk = 0usize;
+    // (ready time, queue order, worker): the order counter breaks ties
+    // first-come first-served, so the worker index is never compared.
+    let mut ready: BinaryHeap<Reverse<(SimTime, usize, usize)>> =
+        (0..p).map(|w| Reverse((SimTime::ZERO, w, w))).collect();
     let mut chunks_per_worker = vec![0usize; p];
     let mut work_per_worker = vec![0.0f64; p];
     let mut makespan = SimTime::ZERO;
-    sim.run_to_completion(|now, ev, sched| {
-        let Ev::Ready(w) = ev;
-        if next_chunk >= chunk_flops.len() {
-            return; // nothing left; worker retires
-        }
-        let work = chunk_flops[next_chunk];
-        next_chunk += 1;
+    for (order, &work) in (p..).zip(chunk_flops) {
+        let Reverse((now, _, w)) = ready.pop().expect("every worker is queued between grants");
         chunks_per_worker[w] += 1;
         work_per_worker[w] += work;
         let compute = SimTime::from_secs(work / true_speeds_flops[w]);
         let done = now + grant_latency + compute;
         makespan = makespan.max(done);
-        sched.schedule_at(done, Ev::Ready(w));
-    });
+        ready.push(Reverse((done, order, w)));
+    }
     ScheduleOutcome { makespan, chunks_per_worker, work_per_worker }
 }
 
@@ -222,6 +187,17 @@ mod tests {
             let expected: f64 = chunks.iter().sum();
             assert!((total - expected).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn simultaneous_requests_are_served_first_come_first_served() {
+        // Both workers ask again at t = 2, but worker 1 queued first (its
+        // first chunk ends there; worker 0's second chunk does too), so it
+        // gets the last chunk. A worker-index tie-break would give it to
+        // worker 0 and end at t = 3.
+        let out = dynamic_schedule(&[1.0, 2.0], &[1.0, 4.0, 1.0, 1.0], SimTime::ZERO);
+        assert_eq!(out.chunks_per_worker, vec![2, 2]);
+        assert_eq!(out.makespan, SimTime::from_secs(2.5));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! [`hetsim_mpi`]: ../hetsim_mpi/index.html
 //!
-//! It provides four layers:
+//! It is a machine model with no simulator in it: it prices compute and
+//! messages, and the runtime advances the clocks. It provides four
+//! layers:
 //!
 //! * [`time`] — virtual time ([`time::SimTime`]): a totally ordered,
 //!   non-negative simulated clock in seconds.
@@ -21,8 +23,6 @@
 //!   switched latency+bandwidth, shared-Ethernet with serialization),
 //!   behind one [`network::NetworkModel`] trait. These give deterministic
 //!   costs to the SPMD runtime.
-//! * [`engine`] — a classic discrete-event simulation core; the
-//!   dynamic self-scheduler of [`selfsched`] (A5) runs on it.
 //! * [`faults`] — deterministic, seed-driven fault plans: degraded-node
 //!   speed windows, lossy links with retry/timeout/backoff charges, and
 //!   declared deaths resolved into a surviving cluster before launch.
@@ -51,13 +51,11 @@
 pub mod calibrate;
 pub mod classed;
 pub mod cluster;
-pub mod engine;
 pub mod faults;
 pub mod flrepeat;
 pub mod memory;
 pub mod network;
 pub mod node;
-pub mod selfsched;
 pub mod sunwulf;
 pub mod time;
 pub mod topology;

@@ -48,12 +48,6 @@ pub trait NetworkModel: Send + Sync {
         self.gather_time(sizes, root)
     }
 
-    /// Reduction of `bytes` per process to a root (combining cost is
-    /// charged by the caller as compute work).
-    fn reduce_time(&self, p: usize, bytes: u64) -> f64 {
-        self.bcast_time(p, bytes)
-    }
-
     /// Class-collapsed point-to-point cost: `Some(t)` iff the model
     /// prices a `bytes`-sized message between *every* endpoint pair at
     /// exactly `t` — bit-identical to
@@ -112,9 +106,6 @@ impl<T: NetworkModel + ?Sized> NetworkModel for &T {
     fn scatter_time(&self, sizes: &[u64], root: usize) -> f64 {
         (**self).scatter_time(sizes, root)
     }
-    fn reduce_time(&self, p: usize, bytes: u64) -> f64 {
-        (**self).reduce_time(p, bytes)
-    }
     fn p2p_time_class(&self, bytes: u64) -> Option<f64> {
         (**self).p2p_time_class(bytes)
     }
@@ -147,9 +138,6 @@ impl<T: NetworkModel + ?Sized> NetworkModel for Box<T> {
     }
     fn scatter_time(&self, sizes: &[u64], root: usize) -> f64 {
         (**self).scatter_time(sizes, root)
-    }
-    fn reduce_time(&self, p: usize, bytes: u64) -> f64 {
-        (**self).reduce_time(p, bytes)
     }
     fn p2p_time_class(&self, bytes: u64) -> Option<f64> {
         (**self).p2p_time_class(bytes)

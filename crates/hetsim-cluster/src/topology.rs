@@ -37,23 +37,6 @@ impl<L: NetworkModel, U: NetworkModel> SegmentedNetwork<L, U> {
         SegmentedNetwork { segment_of, local, uplink }
     }
 
-    /// Builds the map for `p` ranks split into `segments` equal,
-    /// contiguous groups (the "racked in order" layout).
-    pub fn contiguous(p: usize, segments: usize, local: L, uplink: U) -> Self {
-        assert!(segments > 0 && p > 0, "need ranks and segments");
-        let per = p.div_ceil(segments);
-        let map = (0..p).map(|r| r / per).collect();
-        Self::new(map, local, uplink)
-    }
-
-    /// Segment of a rank.
-    ///
-    /// # Panics
-    /// Panics when `rank` is out of range.
-    pub fn segment_of(&self, rank: usize) -> usize {
-        self.segment_of[rank]
-    }
-
     /// True when ranks `0..p` all sit in one segment.
     fn first_p_local(&self, p: usize) -> bool {
         let p = p.min(self.segment_of.len());
@@ -144,39 +127,9 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_layout_groups_in_order() {
-        let net = SegmentedNetwork::contiguous(
-            8,
-            2,
-            MpichEthernet::new(1e-4, 1e8),
-            MpichEthernet::new(1e-3, 1e7),
-        );
-        for r in 0..4 {
-            assert_eq!(net.segment_of(r), 0);
-        }
-        for r in 4..8 {
-            assert_eq!(net.segment_of(r), 1);
-        }
-    }
-
-    #[test]
-    fn uneven_contiguous_split_covers_all_ranks() {
-        let net = SegmentedNetwork::contiguous(
-            5,
-            2,
-            MpichEthernet::new(1e-4, 1e8),
-            MpichEthernet::new(1e-3, 1e7),
-        );
-        assert_eq!(net.segment_of(2), 0);
-        assert_eq!(net.segment_of(3), 1);
-        assert_eq!(net.segment_of(4), 1);
-    }
-
-    #[test]
     fn single_segment_degenerates_to_local() {
-        let net = SegmentedNetwork::contiguous(
-            4,
-            1,
+        let net = SegmentedNetwork::new(
+            vec![0; 4],
             MpichEthernet::new(1e-4, 1e8),
             MpichEthernet::new(1e-3, 1e7),
         );

@@ -77,11 +77,6 @@ impl Mailbox {
         }
     }
 
-    /// Non-blocking probe: true if a matching message is queued.
-    pub fn probe(&self, source: usize, tag: Tag) -> bool {
-        self.inner.lock().iter().any(|m| m.source == source && m.tag == tag)
-    }
-
     /// Number of queued messages (for diagnostics and leak checks).
     pub fn len(&self) -> usize {
         self.inner.lock().len()
@@ -118,8 +113,9 @@ mod tests {
         let got = mb.recv_matching(1, Tag(1));
         assert_eq!(got.arrival, SimTime::from_secs(3.0));
         assert_eq!(mb.len(), 2);
-        assert!(mb.probe(2, Tag::DATA));
-        assert!(!mb.probe(2, Tag(1)));
+        assert_eq!(mb.recv_matching(2, Tag::DATA).arrival, SimTime::from_secs(2.0));
+        assert_eq!(mb.recv_matching(1, Tag::DATA).arrival, SimTime::from_secs(1.0));
+        assert!(mb.is_empty());
     }
 
     #[test]
@@ -156,6 +152,7 @@ mod tests {
         mb.push(msg(4, Tag::DATA, 2.0));
         assert_eq!(handle.join().unwrap().source, 4);
         // The non-matching message is still queued.
-        assert!(mb.probe(3, Tag::DATA));
+        assert_eq!(mb.len(), 1);
+        assert_eq!(mb.recv_matching(3, Tag::DATA).arrival, SimTime::from_secs(1.0));
     }
 }

@@ -48,18 +48,6 @@ impl<R> SpmdOutcome<R> {
     pub fn total_wait(&self) -> SimTime {
         self.wait_times.iter().fold(SimTime::ZERO, |acc, &t| acc + t)
     }
-
-    /// Largest per-rank compute-time imbalance, as `(max − min) / max`;
-    /// 0 for a perfectly balanced run.
-    pub fn compute_imbalance(&self) -> f64 {
-        let max = self.compute_times.iter().map(|t| t.as_secs()).fold(0.0, f64::max);
-        let min = self.compute_times.iter().map(|t| t.as_secs()).fold(f64::INFINITY, f64::min);
-        if max == 0.0 {
-            0.0
-        } else {
-            (max - min) / max
-        }
-    }
 }
 
 /// What one rank thread hands back when it joins.
@@ -458,16 +446,6 @@ mod tests {
             assert!((outcome.comm_times[r].as_secs() - 1e-2).abs() < 1e-12);
         }
         assert!((outcome.total_overhead().as_secs() - 2e-2).abs() < 1e-12);
-        assert_eq!(outcome.compute_imbalance(), 0.0);
-    }
-
-    #[test]
-    fn compute_imbalance_detects_skew() {
-        let cluster = ClusterSpec::homogeneous(2, 100.0);
-        let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
-            rank.compute_flops(if rank.rank() == 0 { 2e8 } else { 1e8 });
-        });
-        assert!((outcome.compute_imbalance() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -30,17 +30,14 @@
 //! kernel entry points select automatically, honouring
 //! [`hetsim_mpi::set_analytic_enabled`] (`--no-analytic`).
 
-use crate::ge::TimingOutcome;
+use crate::ge::{back_substitution_flops, elimination_flops, TimingOutcome};
+use crate::mm::multiply_flops;
+use crate::power::{matvec_flops, normalize_flops};
+use crate::stencil::update_flops;
 use hetpart::{BlockDistribution, CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-
-/// Flops charged for eliminating one row of length `len` — must match
-/// `ge::parallel::elimination_flops` (pinned by the equivalence test).
-pub(crate) fn elimination_flops(len: usize) -> f64 {
-    (2 * len + 1) as f64
-}
 
 /// Root-serialized distribution: rank 0's sends occupy its clock back
 /// to back; each receiver's recv completes at the message's arrival
@@ -321,7 +318,7 @@ pub fn ge_closed_form_many<N: NetworkModel>(
     }
 
     // Stage 3: gather to rank 0, then sequential back substitution.
-    let backsub = SimTime::from_secs((n * n) as f64 / speeds[0]);
+    let backsub = SimTime::from_secs(back_substitution_flops(n) / speeds[0]);
     let gather_sizes = byte_sizes(&scatter_counts);
     networks
         .iter()
@@ -358,8 +355,7 @@ pub fn mm_closed_form<N: NetworkModel>(
     scatter_from_root(network, &mut clock, &mut comm, &block_counts);
     bcast_from(network, &mut clock, &mut comm, 0, n * n);
     for r in 0..p {
-        let flops = (2 * rows[r] * n * n).saturating_sub(rows[r] * n) as f64;
-        let dt = SimTime::from_secs(flops / speeds[r]);
+        let dt = SimTime::from_secs(multiply_flops(rows[r], n) / speeds[r]);
         clock[r] += dt;
         compute[r] += dt;
     }
@@ -394,9 +390,9 @@ pub fn power_closed_form<N: NetworkModel>(
     // Per-sweep costs are sweep-invariant (pure functions of sizes and
     // speeds); compute them once.
     let matvec: Vec<SimTime> =
-        (0..p).map(|r| SimTime::from_secs(2.0 * (rows[r] * n) as f64 / speeds[r])).collect();
+        (0..p).map(|r| SimTime::from_secs(matvec_flops(rows[r], n) / speeds[r])).collect();
     let normalize: Vec<SimTime> =
-        (0..p).map(|r| SimTime::from_secs(2.0 * n as f64 / speeds[r])).collect();
+        (0..p).map(|r| SimTime::from_secs(normalize_flops(n) / speeds[r])).collect();
     // The allgather's closing broadcast carries `p` length headers plus
     // the packed gathered contributions.
     let packed = p + rows.iter().sum::<usize>();
@@ -465,7 +461,7 @@ pub fn stencil_closed_form<N: NetworkModel>(
             .map(|r| {
                 let range = dist.range_of(r);
                 let interior = (range.start.max(1)..range.end.min(n - 1)).count();
-                SimTime::from_secs(4.0 * (interior * (n - 2)) as f64 / speeds[r])
+                SimTime::from_secs(update_flops(interior * (n - 2)) / speeds[r])
             })
             .collect();
         // Per-sweep message bookkeeping: (sent_at, arrival) of each

@@ -10,6 +10,19 @@ pub use timed::{
     ge_parallel_timed, ge_parallel_timed_many, ge_parallel_timed_with, ge_timed_body, TimingOutcome,
 };
 
+/// Flops charged for eliminating one row of length `len` (from the pivot
+/// column to the augmented column): one divide for the factor, then a
+/// multiply-subtract per remaining element.
+pub(crate) fn elimination_flops(len: usize) -> f64 {
+    (2 * len + 1) as f64
+}
+
+/// Flops charged for rank 0's back substitution at size `n`: the
+/// algorithm's sequential portion, ~n².
+pub(crate) fn back_substitution_flops(n: usize) -> f64 {
+    (n * n) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -22,6 +35,14 @@ mod tests {
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 1.0).collect();
         let b = a.matvec(&x_true);
         (a, b)
+    }
+
+    #[test]
+    fn elimination_flops_counts_mul_sub_pairs() {
+        // len elements each take a multiply and a subtract, plus the
+        // factor's divide.
+        assert_eq!(elimination_flops(10), 21.0);
+        assert_eq!(elimination_flops(1), 3.0);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! clock, so the reported times follow the machine model exactly.
 
 use crate::ge::seq::back_substitute;
+use crate::ge::{back_substitution_flops, elimination_flops};
 use crate::matrix::Matrix;
 use hetpart::{CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
@@ -36,13 +37,6 @@ pub struct GeOutcome {
     pub times: Vec<SimTime>,
     /// Per-rank pure-compute time.
     pub compute_times: Vec<SimTime>,
-}
-
-/// Flops charged for eliminating one row of length `len` (from the pivot
-/// column to the augmented column): one divide for the factor, then a
-/// multiply-subtract per remaining element.
-fn elimination_flops(len: usize) -> f64 {
-    (2 * len + 1) as f64
 }
 
 /// Runs the paper's parallel GE on `cluster` over `network`.
@@ -175,7 +169,7 @@ fn ge_rank_body(
         }
         // Back substitution: the sequential portion, ~n² flops at rank 0.
         let x = back_substitute(&aug);
-        rank.compute_flops((n * n) as f64);
+        rank.compute_flops(back_substitution_flops(n));
         Some(x)
     } else {
         None
@@ -185,14 +179,6 @@ fn ge_rank_body(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn elimination_flops_counts_mul_sub_pairs() {
-        // len elements each take a multiply and a subtract, plus the
-        // factor's divide.
-        assert_eq!(elimination_flops(10), 21.0);
-        assert_eq!(elimination_flops(1), 3.0);
-    }
 
     #[test]
     fn overhead_grows_with_cluster_size() {

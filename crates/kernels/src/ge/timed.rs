@@ -20,7 +20,8 @@
 //! the fast result to the threaded oracle executing the *same generic
 //! body*.
 
-use crate::analytic::{elimination_flops, ge_closed_form};
+use crate::analytic::ge_closed_form;
+use crate::ge::{back_substitution_flops, elimination_flops};
 use crate::recover::Segment;
 use hetpart::{CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
@@ -201,7 +202,7 @@ pub(crate) fn ge_segment_body<T: SpmdTimer>(
     if seg.gather {
         rank.gather_count(0, my_rows.len() * (n + 1));
         if me == 0 {
-            rank.compute_flops((n * n) as f64);
+            rank.compute_flops(back_substitution_flops(n));
         }
     }
 }

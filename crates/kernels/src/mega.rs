@@ -25,7 +25,7 @@
 //! price endpoints individually (jittered, segmented) have no per-class
 //! costs and return [`FallbackReason::UnclassedNetwork`].
 
-use crate::analytic::elimination_flops;
+use crate::ge::{back_substitution_flops, elimination_flops};
 use crate::mm::mm_timed_body;
 use crate::power::power_timed_body;
 use hetpart::{proportional_counts_classed, BlockDistribution, ClassedCyclicDeal};
@@ -412,7 +412,7 @@ fn ge_mega_eval<N: NetworkModel>(
     let gather_cost = SimTime::from_secs(
         network.gather_time_classed(&gather_runs, 0).ok_or(FallbackReason::UnclassedNetwork)?,
     );
-    let backsub = SimTime::from_secs((n * n) as f64 / class_speed_flops[0]);
+    let backsub = SimTime::from_secs(back_substitution_flops(n) / class_speed_flops[0]);
     let mut makespan;
     if n >= 2 {
         // Clocks equalized at `clk`: the root waits for the latest

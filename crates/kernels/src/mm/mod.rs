@@ -8,6 +8,12 @@ pub use parallel::{mm_parallel, MmOutcome};
 pub use seq::mm_sequential;
 pub use timed::{mm_parallel_timed, mm_parallel_timed_with, mm_timed_body};
 
+/// Flops charged for a `rows × n` by `n × n` block multiply: `rows × n`
+/// inner products of length `n`, `2·rows·n² − rows·n` flops.
+pub(crate) fn multiply_flops(rows: usize, n: usize) -> f64 {
+    (2 * rows * n * n).saturating_sub(rows * n) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,6 +10,7 @@
 //! communication during computation, which is why MM out-scales GE.
 
 use crate::matrix::Matrix;
+use crate::mm::multiply_flops;
 use hetpart::BlockDistribution;
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
@@ -97,7 +98,6 @@ fn mm_rank_body(
     assert_eq!(b_local.len(), n * n, "B size mismatch");
 
     // ---- local block multiply -------------------------------------------
-    // rows × n inner products of length n: 2·rows·n² − rows·n flops.
     let rows = my_range.len();
     let mut c_block = vec![0.0f64; rows * n];
     for i in 0..rows {
@@ -113,8 +113,7 @@ fn mm_rank_body(
             }
         }
     }
-    let flops = (2 * rows * n * n).saturating_sub(rows * n) as f64;
-    rank.compute_flops(flops);
+    rank.compute_flops(multiply_flops(rows, n));
 
     // ---- collection -------------------------------------------------------
     let gathered = rank.gather_f64s(0, &c_block);

@@ -5,6 +5,7 @@
 use crate::analytic::mm_closed_form;
 use crate::ge::timed::price;
 use crate::ge::TimingOutcome;
+use crate::mm::multiply_flops;
 use crate::recover::Segment;
 use hetpart::{BlockDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
@@ -106,11 +107,6 @@ pub(crate) fn mm_segment_body<T: SpmdTimer>(
     if seg.gather {
         rank.gather_count(0, rows * n);
     }
-}
-
-/// Flops of a `rows × n` by `n × n` block multiply.
-pub(crate) fn multiply_flops(rows: usize, n: usize) -> f64 {
-    (2 * rows * n * n).saturating_sub(rows * n) as f64
 }
 
 #[cfg(test)]

@@ -23,7 +23,18 @@ pub use timed::{power_parallel_timed, power_timed_body};
 /// Work model: `iters` sweeps of an `n × n` matvec (`2n²` flops) plus
 /// the infinity-norm and renormalization passes (`2n` flops).
 pub fn power_work(n: usize, iters: usize) -> f64 {
-    iters as f64 * (2.0 * (n * n) as f64 + 2.0 * n as f64)
+    iters as f64 * (matvec_flops(n, n) + normalize_flops(n))
+}
+
+/// Flops charged for a rank's `rows`-row slice of `y = A·x` at size `n`.
+pub(crate) fn matvec_flops(rows: usize, n: usize) -> f64 {
+    2.0 * (rows * n) as f64
+}
+
+/// Flops charged for the infinity norm and renormalization of the
+/// length-`n` iterate.
+pub(crate) fn normalize_flops(n: usize) -> f64 {
+    2.0 * n as f64
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 //! across ranks, which the tests pin against the sequential oracle.
 
 use crate::matrix::Matrix;
+use crate::power::{matvec_flops, normalize_flops};
 use hetpart::BlockDistribution;
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
@@ -97,7 +98,7 @@ fn power_rank_body(
             let row = &my_a[i * n..(i + 1) * n];
             *yv = row.iter().zip(&x).map(|(&aij, &xj)| aij * xj).sum();
         }
-        rank.compute_flops(2.0 * (rows * n) as f64);
+        rank.compute_flops(matvec_flops(rows, n));
 
         // Replicate the full y everywhere.
         let slices = rank.allgather_f64s(&y_local);
@@ -114,7 +115,7 @@ fn power_rank_body(
         for v in x.iter_mut() {
             *v /= lambda;
         }
-        rank.compute_flops(2.0 * n as f64);
+        rank.compute_flops(normalize_flops(n));
     }
     (lambda, x)
 }

@@ -6,6 +6,7 @@
 use crate::analytic::power_closed_form;
 use crate::ge::timed::price;
 use crate::ge::TimingOutcome;
+use crate::power::{matvec_flops, normalize_flops};
 use hetpart::BlockDistribution;
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
@@ -54,9 +55,9 @@ pub fn power_timed_body<T: SpmdTimer>(
     }
 
     for _sweep in 0..iters {
-        rank.compute_flops(2.0 * (rows * n) as f64);
+        rank.compute_flops(matvec_flops(rows, n));
         rank.allgather_count(rows);
-        rank.compute_flops(2.0 * n as f64);
+        rank.compute_flops(normalize_flops(n));
     }
 }
 

@@ -47,7 +47,8 @@
 //! sees the recovery ops and records its typed `recovery-ops` fallback.
 
 use crate::ge::timed::{ge_segment_body, round_flops, TimingOutcome};
-use crate::mm::timed::{mm_segment_body, multiply_flops};
+use crate::mm::multiply_flops;
+use crate::mm::timed::mm_segment_body;
 use crate::workload::{ge_work, mm_work};
 use hetpart::{repartition_after_deaths, BlockDistribution, CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;

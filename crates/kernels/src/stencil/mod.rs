@@ -28,6 +28,12 @@ pub fn stencil_work(n: usize, iters: usize) -> f64 {
     iters as f64 * 4.0 * interior
 }
 
+/// Flops charged for one sweep's update of `points` interior grid
+/// points, 4 per point.
+pub(crate) fn update_flops(points: usize) -> f64 {
+    4.0 * points as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,6 +8,7 @@
 //! the per-iteration overhead does not grow with the process count.
 
 use crate::matrix::Matrix;
+use crate::stencil::update_flops;
 use hetpart::{BlockDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
@@ -151,7 +152,7 @@ fn stencil_rank_body(
                 }
                 points += n - 2;
             }
-            rank.compute_flops(4.0 * points as f64);
+            rank.compute_flops(update_flops(points));
             std::mem::swap(&mut block, &mut scratch);
         }
     }

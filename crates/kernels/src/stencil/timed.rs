@@ -6,6 +6,7 @@
 use crate::analytic::stencil_closed_form;
 use crate::ge::timed::price;
 use crate::ge::TimingOutcome;
+use crate::stencil::update_flops;
 use hetpart::BlockDistribution;
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
@@ -76,7 +77,7 @@ pub fn stencil_timed_body<T: SpmdTimer>(
             if let Some(nxt) = next {
                 rank.recv_count(nxt, TAG_UP, n);
             }
-            rank.compute_flops(4.0 * (interior_rows * (n - 2)) as f64);
+            rank.compute_flops(update_flops(interior_rows * (n - 2)));
         }
     }
 

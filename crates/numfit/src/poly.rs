@@ -35,13 +35,6 @@ impl Polynomial {
         Polynomial::new(vec![c])
     }
 
-    /// The monomial `x^k`.
-    pub fn monomial(k: usize) -> Self {
-        let mut coeffs = vec![0.0; k + 1];
-        coeffs[k] = 1.0;
-        Polynomial { coeffs }
-    }
-
     /// Ascending coefficients (`coeffs()[k]` multiplies `x^k`).
     pub fn coeffs(&self) -> &[f64] {
         &self.coeffs
@@ -69,15 +62,6 @@ impl Polynomial {
     /// Evaluates the polynomial at every point of `xs`.
     pub fn eval_many(&self, xs: &[f64]) -> Vec<f64> {
         xs.iter().map(|&x| self.eval(x)).collect()
-    }
-
-    /// First derivative.
-    pub fn derivative(&self) -> Polynomial {
-        if self.coeffs.len() <= 1 {
-            return Polynomial::zero();
-        }
-        let coeffs = self.coeffs.iter().enumerate().skip(1).map(|(k, &c)| c * k as f64).collect();
-        Polynomial::new(coeffs)
     }
 
     /// Composes with an affine substitution, returning `p(a·x + b)`.
@@ -196,7 +180,6 @@ mod tests {
         assert!(z.is_zero());
         assert_eq!(z.degree(), 0);
         assert_eq!(z.eval(123.0), 0.0);
-        assert_eq!(z.derivative(), Polynomial::zero());
         assert_eq!(format!("{z}"), "0");
     }
 
@@ -205,13 +188,6 @@ mod tests {
         let poly = Polynomial::new(vec![1.0, 2.0, 0.0, 0.0]);
         assert_eq!(poly.degree(), 1);
         assert_eq!(poly.coeffs(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn derivative_of_cubic() {
-        // 5 + 4x + 3x² + 2x³ → 4 + 6x + 6x²
-        let poly = p(&[5.0, 4.0, 3.0, 2.0]);
-        assert_eq!(poly.derivative(), p(&[4.0, 6.0, 6.0]));
     }
 
     #[test]
@@ -231,8 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn monomial_and_constant_constructors() {
-        assert_eq!(Polynomial::monomial(3).eval(2.0), 8.0);
+    fn constant_constructor() {
         assert_eq!(Polynomial::constant(7.5).eval(100.0), 7.5);
         assert_eq!(Polynomial::constant(0.0), Polynomial::zero());
     }
@@ -247,7 +222,7 @@ mod tests {
     #[test]
     fn compose_affine_shifts_argument() {
         // p(x) = x², composed with (x + 1) → (x+1)² = 1 + 2x + x².
-        let poly = Polynomial::monomial(2);
+        let poly = p(&[0.0, 0.0, 1.0]);
         let composed = poly.compose_affine(1.0, 1.0);
         assert_eq!(composed, p(&[1.0, 2.0, 1.0]));
         // Spot check evaluation consistency at several points.

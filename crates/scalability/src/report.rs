@@ -9,7 +9,6 @@ use crate::execution_time::{
 };
 use crate::metric::ScalabilityLadder;
 use hetsim_mpi::trace::{OpKind, OverheadBreakdown, RankTrace};
-use hetsim_obs::{critical_path, load_imbalance, rank_activity};
 use std::fmt;
 
 /// One analyzed ladder step.
@@ -27,111 +26,15 @@ pub struct StepAnalysis {
     /// The work the iso-efficiency condition actually demands.
     pub required_work: f64,
     /// Qualitative classification.
-    pub behaviour: Behaviour,
+    pub behaviour: TimeBehaviour,
 }
 
-/// Serializable mirror of [`TimeBehaviour`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Behaviour {
-    /// ψ > 1: scaled runs get faster.
-    Shrinking,
-    /// ψ ≈ 1: constant execution time.
-    Constant,
-    /// ψ < 1: scaled runs slow down by 1/ψ.
-    Growing,
-}
-
-impl From<TimeBehaviour> for Behaviour {
-    fn from(b: TimeBehaviour) -> Behaviour {
-        match b {
-            TimeBehaviour::Shrinking => Behaviour::Shrinking,
-            TimeBehaviour::Constant => Behaviour::Constant,
-            TimeBehaviour::Growing => Behaviour::Growing,
-        }
-    }
-}
-
-impl Behaviour {
-    fn verdict(self) -> &'static str {
-        match self {
-            Behaviour::Shrinking => "super-scalable (scaled runs get faster)",
-            Behaviour::Constant => "perfectly scalable (constant execution time)",
-            Behaviour::Growing => "scalable with growing execution time",
-        }
-    }
-}
-
-/// Where one traced run's time went — the observability annex printed
-/// next to the ψ table, built from the same per-rank traces the
-/// overhead-decomposition experiment uses. ψ says *whether* the system
-/// scales; this says *why not* when it doesn't.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObservabilityAnnex {
-    /// Fraction of total traced time per operation kind, in
-    /// [`OpKind::ALL`] order with zero entries omitted. Includes
-    /// compute, so the fractions sum to 1.
-    pub fractions: Vec<(String, f64)>,
-    /// The idle-wait share of total overhead `T_o`: the part of the
-    /// overhead that is pure load imbalance rather than wire time.
-    pub wait_share_of_overhead: f64,
-    /// Load imbalance `max(T_compute) / mean(T_compute)` across ranks.
-    pub compute_imbalance: f64,
-    /// Fraction of the critical path spent in overhead operations —
-    /// how communication-bound the makespan itself is.
-    pub critical_path_overhead_fraction: f64,
-}
-
-impl ObservabilityAnnex {
-    /// Builds the annex from one traced run.
-    pub fn from_traces(traces: &[RankTrace]) -> ObservabilityAnnex {
-        let breakdown = OverheadBreakdown::from_traces(traces);
-        let fractions = OpKind::ALL
-            .iter()
-            .map(|&k| (k.name().to_string(), breakdown.fraction(k)))
-            .filter(|&(_, f)| f > 0.0)
-            .collect();
-        let activity = rank_activity(traces);
-        let total_wait: f64 = activity.iter().map(|a| a.wait.as_secs()).sum();
-        let total_overhead: f64 = activity.iter().map(|a| (a.transfer + a.wait).as_secs()).sum();
-        let compute_times: Vec<_> = activity.iter().map(|a| a.compute).collect();
-        let path = critical_path(traces);
-        let path_total = path.covered().as_secs();
-        let path_overhead: f64 =
-            path.time_by_kind().into_iter().filter(|(k, _)| k.is_overhead()).map(|(_, s)| s).sum();
-        ObservabilityAnnex {
-            fractions,
-            wait_share_of_overhead: if total_overhead == 0.0 {
-                0.0
-            } else {
-                total_wait / total_overhead
-            },
-            compute_imbalance: load_imbalance(&compute_times),
-            critical_path_overhead_fraction: if path_total == 0.0 {
-                0.0
-            } else {
-                path_overhead / path_total
-            },
-        }
-    }
-}
-
-impl fmt::Display for ObservabilityAnnex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let split = self
-            .fractions
-            .iter()
-            .map(|(name, frac)| format!("{name} {:.1}%", frac * 100.0))
-            .collect::<Vec<_>>()
-            .join("  ");
-        writeln!(f, "  where the time went: {split}")?;
-        writeln!(
-            f,
-            "  idle-wait share of T_o = {:.1}%   compute imbalance max/mean = {:.3}   \
-             critical path {:.1}% overhead",
-            self.wait_share_of_overhead * 100.0,
-            self.compute_imbalance,
-            self.critical_path_overhead_fraction * 100.0
-        )
+/// The report's one-line reading of a [`TimeBehaviour`].
+fn verdict(behaviour: TimeBehaviour) -> &'static str {
+    match behaviour {
+        TimeBehaviour::Shrinking => "super-scalable (scaled runs get faster)",
+        TimeBehaviour::Constant => "perfectly scalable (constant execution time)",
+        TimeBehaviour::Growing => "scalable with growing execution time",
     }
 }
 
@@ -258,22 +161,12 @@ pub struct ScalabilityReport {
     pub steps: Vec<StepAnalysis>,
     /// Geometric-mean ψ across the ladder.
     pub geometric_mean_psi: f64,
-    /// Optional traced-run breakdown (see
-    /// [`ScalabilityReport::with_observability`]).
-    pub observability: Option<ObservabilityAnnex>,
     /// Optional faulted-vs-baseline comparison (see
     /// [`ScalabilityReport::with_robustness`]).
     pub robustness: Option<RobustnessAnnex>,
 }
 
 impl ScalabilityReport {
-    /// Attaches an observability annex built from a traced run of the
-    /// workload (usually at the ladder's largest configuration).
-    pub fn with_observability(mut self, traces: &[RankTrace]) -> ScalabilityReport {
-        self.observability = Some(ObservabilityAnnex::from_traces(traces));
-        self
-    }
-
     /// Attaches a robustness annex comparing this (faulted) ladder to a
     /// fault-free baseline.
     pub fn with_robustness(mut self, annex: RobustnessAnnex) -> ScalabilityReport {
@@ -298,7 +191,7 @@ pub fn analyze(ladder: &ScalabilityLadder) -> ScalabilityReport {
                 time_ratio: execution_time_ratio(s.psi),
                 fixed_time_work_budget: budget,
                 required_work: required,
-                behaviour: classify(s.psi, CONSTANT_TOLERANCE).into(),
+                behaviour: classify(s.psi, CONSTANT_TOLERANCE),
             }
         })
         .collect();
@@ -306,7 +199,6 @@ pub fn analyze(ladder: &ScalabilityLadder) -> ScalabilityReport {
         target_efficiency: ladder.target_efficiency,
         steps,
         geometric_mean_psi: ladder.geometric_mean_psi(),
-        observability: None,
         robustness: None,
     }
 }
@@ -321,7 +213,7 @@ impl fmt::Display for ScalabilityReport {
                 "    psi = {:.4}   T'/T = {:.2}x   {}",
                 s.psi,
                 s.time_ratio,
-                s.behaviour.verdict()
+                verdict(s.behaviour)
             )?;
             writeln!(
                 f,
@@ -332,9 +224,6 @@ impl fmt::Display for ScalabilityReport {
             )?;
         }
         writeln!(f, "  geometric mean psi = {:.4}", self.geometric_mean_psi)?;
-        if let Some(annex) = &self.observability {
-            write!(f, "{annex}")?;
-        }
         if let Some(annex) = &self.robustness {
             write!(f, "{annex}")?;
         }
@@ -378,9 +267,9 @@ mod tests {
         let report = analyze(&ladder_with(&[0.5, 1.0, 1.25]));
         assert_eq!(report.steps.len(), 3);
         assert_eq!(report.steps[0].time_ratio, 2.0);
-        assert_eq!(report.steps[0].behaviour, Behaviour::Growing);
-        assert_eq!(report.steps[1].behaviour, Behaviour::Constant);
-        assert_eq!(report.steps[2].behaviour, Behaviour::Shrinking);
+        assert_eq!(report.steps[0].behaviour, TimeBehaviour::Growing);
+        assert_eq!(report.steps[1].behaviour, TimeBehaviour::Constant);
+        assert_eq!(report.steps[2].behaviour, TimeBehaviour::Shrinking);
     }
 
     #[test]
@@ -405,42 +294,6 @@ mod tests {
     fn geometric_mean_carries_over() {
         let report = analyze(&ladder_with(&[0.25, 1.0]));
         assert!((report.geometric_mean_psi - 0.5).abs() < 1e-12);
-    }
-
-    fn traced_run() -> Vec<RankTrace> {
-        use hetsim_cluster::cluster::ClusterSpec;
-        use hetsim_cluster::network::SharedEthernet;
-        use hetsim_cluster::node::NodeSpec;
-        let cluster = ClusterSpec::new(
-            "het2",
-            vec![NodeSpec::synthetic("fast", 100.0), NodeSpec::synthetic("slow", 25.0)],
-        )
-        .unwrap();
-        let net = SharedEthernet::new(1e-3, 1e6);
-        hetsim_mpi::run_spmd(
-            &cluster,
-            &net,
-            hetsim_mpi::RunSpec { trace: true, faults: None },
-            |rank| {
-                rank.compute_flops(1e8);
-                rank.barrier();
-            },
-        )
-        .traces
-    }
-
-    #[test]
-    fn observability_annex_summarizes_a_traced_run() {
-        let traces = traced_run();
-        let annex = ObservabilityAnnex::from_traces(&traces);
-        // Fractions (compute included) sum to 1.
-        let total: f64 = annex.fractions.iter().map(|(_, f)| f).sum();
-        assert!((total - 1.0).abs() < 1e-9, "sum = {total}");
-        // The fast rank waits 3 s of the 3 s + barrier-cost overhead.
-        assert!(annex.wait_share_of_overhead > 0.9, "{}", annex.wait_share_of_overhead);
-        // Equal flops at 4x speed ratio: compute times 1 s vs 4 s.
-        assert!((annex.compute_imbalance - 1.6).abs() < 1e-9, "{}", annex.compute_imbalance);
-        assert!(annex.critical_path_overhead_fraction < 0.5);
     }
 
     #[test]
@@ -524,18 +377,5 @@ mod tests {
         assert!(text.contains("checkpoint 0.5000s"));
         assert!(text.contains("lost work 0.2500s"));
         assert!(text.contains("rebalance 0.1500s"));
-    }
-
-    #[test]
-    fn report_display_includes_annex_when_attached() {
-        let traces = traced_run();
-        let report = analyze(&ladder_with(&[0.5])).with_observability(&traces);
-        let text = format!("{report}");
-        assert!(text.contains("where the time went"));
-        assert!(text.contains("idle-wait share"));
-        assert!(text.contains("compute"));
-        // Without the annex, the extra lines are absent.
-        let bare = format!("{}", analyze(&ladder_with(&[0.5])));
-        assert!(!bare.contains("where the time went"));
     }
 }

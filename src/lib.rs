@@ -7,12 +7,13 @@
 //! * [`scalability`] — the paper's contribution: marked speed,
 //!   speed-efficiency, isospeed-efficiency scalability, prediction, and
 //!   baseline metrics.
-//! * [`hetsim_cluster`] — heterogeneous cluster models and the
-//!   discrete-event network simulator.
+//! * [`hetsim_cluster`] — heterogeneous cluster models: nodes,
+//!   networks, faults, virtual time.
 //! * [`hetsim_mpi`] — SPMD message-passing runtime with virtual time.
 //! * [`hetsim_obs`] — observability: deterministic metrics registry,
 //!   Chrome-trace/JSONL export, critical-path and imbalance analysis.
-//! * [`hetpart`] — heterogeneous data-distribution strategies.
+//! * [`hetpart`] — heterogeneous data-distribution strategies and
+//!   static vs dynamic self-scheduling.
 //! * [`kernels`] — Gaussian elimination and matrix multiplication,
 //!   sequential and parallel.
 //! * [`marked_speed`] — per-node benchmarked marked-speed measurement.
