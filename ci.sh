@@ -26,8 +26,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # the paper's two definitions (the metric library is what this
 # repository delivers) and the §2 baselines' two defining required-work
 # procedures, each tested in its own file. The rule is textual, so a
-# name that is a common word (`processed`, `pending`) or that also names
-# a field somewhere slips past it.
+# name that is a common word (`processed`, `pending`), that also names
+# a field somewhere, or that a same-named function or method elsewhere
+# shadows (`label`, `median`, `advance`) slips past it.
 set +x
 DEAD_API_DIRS="crates src tests examples benchmark"
 find $DEAD_API_DIRS -name target -prune -o -name '*.rs' -print | while read -r file; do

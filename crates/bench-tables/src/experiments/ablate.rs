@@ -37,7 +37,7 @@ pub fn ablate_distribution(n: usize) -> Table {
     for &p in &[4usize, 8] {
         // GE on the GE ladder.
         let cluster = sunwulf::ge_config(p);
-        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+        let speeds = cluster.speeds_mflops();
         let c = cluster.marked_speed_flops();
         let strategies = [
             ("heterogeneous", CyclicDistribution::fine(n, &speeds)),
@@ -57,7 +57,7 @@ pub fn ablate_distribution(n: usize) -> Table {
 
         // MM on the MM ladder.
         let cluster = sunwulf::mm_config(p);
-        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+        let speeds = cluster.speeds_mflops();
         let c = cluster.marked_speed_flops();
         let strategies = [
             ("heterogeneous", BlockDistribution::proportional(n, &speeds)),
@@ -96,8 +96,7 @@ pub fn ablate_network(n: usize) -> Table {
     for (name, net) in &models {
         for &p in &[2usize, 8] {
             let cluster = sunwulf::ge_config(p);
-            let speeds: Vec<f64> =
-                cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+            let speeds = cluster.speeds_mflops();
             let dist = CyclicDistribution::fine(n, &speeds);
             let out = ge_parallel_timed_with(&cluster, &net.as_ref(), n, &dist);
             let time = out.makespan.as_secs();
@@ -160,7 +159,7 @@ pub fn ablate_placement(n: usize) -> Table {
 pub fn ablate_scheduling() -> Table {
     // The 8-node MM configuration's marked speeds, as flop/s.
     let cluster = sunwulf::mm_config(8);
-    let rated: Vec<f64> = cluster.nodes().iter().map(|n| n.marked_speed_flops()).collect();
+    let rated = cluster.speeds_flops();
     // 512 chunks of 2 Mflop each (a 1024-rank MM row-block at 2 rows per
     // chunk is the same order).
     let chunks = vec![2e6f64; 512];

@@ -164,14 +164,12 @@ impl<N: NetworkModel> AlgorithmSystem for FaultedSystem<'_, N> {
                 crate::memo::cached("ge", &self.cluster, self.network, n, Some(&self.plan), || {
                     ge_parallel_timed(&self.cluster, self.network, n, spec)
                 })
-                .makespan
                 .as_secs()
             }
             Kernel::Mm => {
                 crate::memo::cached("mm", &self.cluster, self.network, n, Some(&self.plan), || {
                     mm_parallel_timed(&self.cluster, self.network, n, spec)
                 })
-                .makespan
                 .as_secs()
             }
         }
@@ -239,7 +237,7 @@ fn measure_kernel<N: NetworkModel>(
                 Kernel::Ge => sunwulf::ge_config(p_scaled),
                 Kernel::Mm => sunwulf::mm_config(p_scaled),
             };
-            let speeds: Vec<f64> = full.nodes().iter().map(|nd| nd.marked_speed_flops()).collect();
+            let speeds = full.speeds_flops();
             let row_bytes = 8 * (repr_n + 1) as u64;
             let moved = repartition_after_deaths(repr_n, &speeds, &dead, row_bytes);
             // Priced as one bulk survivor-to-survivor transfer.

@@ -31,6 +31,7 @@
 //! with `--quick`, `--jobs`, `--csv`, and the observability exports
 //! like any other id.
 
+use super::surface::{render_psi, Rung};
 use crate::params::{
     mega_ge_sizes, mega_mm_sizes, mega_power_sizes, mega_presets, ExperimentParams, MegaPreset,
     MEGA_BASE_MFLOPS, MEGA_MAX_CLASSES, MEGA_SPREAD,
@@ -40,16 +41,7 @@ use crate::systems::{MegaGeSystem, MegaMmSystem, MegaPowerSystem};
 use crate::table::{fnum, Table};
 use hetsim_cluster::classed::ClassedCluster;
 use hetsim_cluster::sunwulf;
-use scalability::isospeed_efficiency_scalability;
-use scalability::metric::{AlgorithmSystem, EfficiencyCurve};
-
-/// One measured MM preset: the fitted-trend inversion, or `None` when
-/// the grid never brackets the target efficiency.
-struct Rung {
-    label: String,
-    c_flops: f64,
-    inverted: Option<(usize, f64)>, // (required N, W at N)
-}
+use scalability::metric::AlgorithmSystem;
 
 /// One measured power preset: the efficiency at the grid ends, the
 /// serial-scatter bound, and the scatter's share of the wall clock.
@@ -87,26 +79,18 @@ fn measure_cell(kernel: &'static str, preset: MegaPreset, params: &ExperimentPar
     match kernel {
         "mm" => {
             let sys = MegaMmSystem::new(&cluster, &net);
-            let curve = EfficiencyCurve::measure(&sys, &mega_mm_sizes(p));
-            let inverted = curve
-                .required_n(params.mm_target, params.fit_degree)
-                .ok()
-                .map(|n| n.round().max(1.0) as usize)
-                .map(|n| (n, sys.work(n)));
-            Cell::Mm(Rung { label: sys.label(), c_flops: sys.marked_speed_flops(), inverted })
+            Cell::Mm(Rung::measure(&sys, &mega_mm_sizes(p), |c| {
+                c.required_n(params.mm_target, params.fit_degree).ok()
+            }))
         }
         "ge" => {
             // GE's crossing (N* ≈ 150·p) is unaffordable to sample at
             // mega scale, so the inversion extrapolates the reciprocal
             // trend past the measured band (see `mega_ge_sizes`).
             let sys = MegaGeSystem::new(&cluster, &net);
-            let curve = EfficiencyCurve::measure(&sys, &mega_ge_sizes(p));
-            let inverted = curve
-                .required_n_extrapolated(params.ge_target, params.fit_degree)
-                .ok()
-                .map(|n| n.round().max(1.0) as usize)
-                .map(|n| (n, sys.work(n)));
-            Cell::Ge(Rung { label: sys.label(), c_flops: sys.marked_speed_flops(), inverted })
+            Cell::Ge(Rung::measure(&sys, &mega_ge_sizes(p), |c| {
+                c.required_n_extrapolated(params.ge_target, params.fit_degree).ok()
+            }))
         }
         "power" => {
             let sys = MegaPowerSystem::new(&cluster, &net);
@@ -127,58 +111,6 @@ fn measure_cell(kernel: &'static str, preset: MegaPreset, params: &ExperimentPar
         }
         other => unreachable!("unknown mega kernel {other}"),
     }
-}
-
-/// Renders one kernel's inversion table and ψ matrix. `trend` names
-/// how the required `N` was read off the efficiency curve (MM brackets
-/// its crossing, GE extrapolates the reciprocal trend past its band).
-fn render_inversions(
-    kernel: &str,
-    trend: &str,
-    target: f64,
-    presets: &[MegaPreset],
-    measured: &[Rung],
-) -> (Table, Table) {
-    // Titles keep a distinct pre-dash prefix per table so the `--csv`
-    // slugs (title up to the em-dash) do not collide.
-    let mut inv = Table::new(
-        format!("X4 {kernel} mega inversions — {trend} required N per preset (E_s = {target})"),
-        &["System", "Marked speed (Mflop/s)", "Required N", "Workload W (flop)"],
-    );
-    for r in measured {
-        let (n_cell, w_cell) = match r.inverted {
-            Some((n, w)) => (n.to_string(), fnum(w)),
-            None => ("-".to_string(), "-".to_string()),
-        };
-        inv.push_row(vec![r.label.clone(), fnum(r.c_flops / 1e6), n_cell, w_cell]);
-    }
-    inv.push_note("`-`: the preset's trend never reaches the target efficiency");
-
-    let headers: Vec<String> = std::iter::once("p".to_string())
-        .chain(presets.iter().map(|p| format!("p' = {}", p.tag())))
-        .collect();
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut matrix = Table::new(
-        format!("X4 {kernel} mega surface — psi(C, C') over HEET presets (E_s = {target})"),
-        &header_refs,
-    );
-    for (i, from) in measured.iter().enumerate() {
-        let mut row = vec![presets[i].tag()];
-        for (j, to) in measured.iter().enumerate() {
-            row.push(match (i.cmp(&j), &from.inverted, &to.inverted) {
-                (std::cmp::Ordering::Equal, _, _) => "1.0000".to_string(),
-                (std::cmp::Ordering::Greater, _, _) => String::new(),
-                (_, Some((_, w)), Some((_, w_prime))) => {
-                    fnum(isospeed_efficiency_scalability(from.c_flops, *w, to.c_flops, *w_prime))
-                }
-                _ => "-".to_string(),
-            });
-        }
-        matrix.push_row(row);
-    }
-    matrix.push_note("rows: base configuration C; columns: scaled configuration C'");
-    matrix.push_note("psi is directional (C scaled up to C'): the lower triangle is undefined");
-    (inv, matrix)
 }
 
 /// Renders the power saturation-ceiling table.
@@ -233,10 +165,26 @@ pub fn mega_sweep(params: &ExperimentParams, quick: bool) -> Vec<Table> {
             Cell::Power(c) => power.push(c),
         }
     }
-    let (mm_inv, mm_mat) = render_inversions("MM", "fitted-trend", params.mm_target, &presets, &mm);
-    let (ge_inv, ge_mat) =
-        render_inversions("GE", "reciprocal-trend", params.ge_target, &presets, &ge);
-    vec![mm_inv, mm_mat, ge_inv, ge_mat, render_power(&power)]
+    // `trend` names how the required `N` was read off the efficiency
+    // curve (MM brackets its crossing, GE extrapolates the reciprocal
+    // trend past its band).
+    let tags: Vec<String> = presets.iter().map(MegaPreset::tag).collect();
+    let mut tables = Vec::new();
+    for (name, trend, target, measured) in [
+        ("MM", "fitted-trend", params.mm_target, &mm),
+        ("GE", "reciprocal-trend", params.ge_target, &ge),
+    ] {
+        let (inv, matrix) = render_psi(
+            format!("X4 {name} mega inversions — {trend} required N per preset (E_s = {target})"),
+            "`-`: the preset's trend never reaches the target efficiency",
+            format!("X4 {name} mega surface — psi(C, C') over HEET presets (E_s = {target})"),
+            &tags,
+            measured,
+        );
+        tables.extend([inv, matrix]);
+    }
+    tables.push(render_power(&power));
+    tables
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ use kernels::recover::{estimated_run_secs, timed_recoverable, RecoverableKernel}
 use kernels::workload::{ge_work, mm_work};
 use kernels::RecoveryOutcome;
 use scalability::metric::{AlgorithmSystem, ScalabilityLadder};
-use scalability::report::{analyze, RecoveryBreakdown, RobustnessAnnex, ScalabilityReport};
+use scalability::report::{analyze, RobustnessAnnex, ScalabilityReport};
 
 /// MTBF severities, as multiples of the cell's estimated run time
 /// `T(n)`: from "a failure is unlikely but possible" down to "the
@@ -232,7 +232,6 @@ impl<N: NetworkModel> AlgorithmSystem for RecoverableSystem<'_, N> {
             let kernel = self.kernel.recoverable();
             timed_recoverable(kernel, &self.cluster, self.network, &plan, policy, n, false).timing
         })
-        .makespan
         .as_secs()
     }
 }
@@ -320,12 +319,7 @@ fn measure_kernel<N: NetworkModel>(
             dead,
         );
         if mtbf_factor.is_some() {
-            annex = annex.with_recovery(RecoveryBreakdown {
-                checkpoint_tax_secs: outcome.overhead.checkpoint_secs,
-                detect_secs: outcome.overhead.detect_secs,
-                lost_work_secs: outcome.overhead.lost_work_secs,
-                rebalance_cost_secs: outcome.overhead.rebalance_secs,
-            });
+            annex = annex.with_recovery(outcome.overhead);
         }
         let interval_secs = match cell_policy {
             RecoveryPolicy::CheckpointRestart { interval_secs } if mtbf_factor.is_some() => {
@@ -621,7 +615,7 @@ mod tests {
         // The demo report carries the recovery decomposition.
         let annex = report.robustness.as_ref().expect("annex attached");
         let recovery = annex.recovery.as_ref().expect("recovery breakdown attached");
-        assert!(recovery.checkpoint_tax_secs > 0.0);
+        assert!(recovery.checkpoint_secs > 0.0);
         let text = format!("{report}");
         assert!(text.contains("recovery overhead"), "report misses recovery line: {text}");
     }

@@ -28,52 +28,68 @@ use hetsim_cluster::sunwulf;
 use scalability::isospeed_efficiency_scalability;
 use scalability::metric::{AlgorithmSystem, EfficiencyCurve};
 
-/// One measured rung of the surface: the fitted-trend inversion, or
-/// `None` when the grid never brackets the target efficiency.
-struct Rung {
-    label: String,
-    c_flops: f64,
-    inverted: Option<(usize, f64)>, // (required N, W at N)
+/// One measured rung (an X3 rung or an X4 preset): the system's label
+/// and marked speed, and its required-`N` inversion — `None` when the
+/// trend never reaches the target efficiency.
+pub(crate) struct Rung {
+    pub(crate) label: String,
+    pub(crate) c_flops: f64,
+    pub(crate) inverted: Option<(usize, f64)>, // (required N, W at N)
 }
 
-/// Measures one kernel's rungs (each an independent pool cell — the
-/// caller flattens both kernels into one cell list) and reads the
-/// required `N` off the trend line.
+impl Rung {
+    /// Measures `sys` over `sizes` and reads the required `N` off the
+    /// curve with `invert` (a fitted-trend or extrapolated read-off).
+    pub(crate) fn measure(
+        sys: &dyn AlgorithmSystem,
+        sizes: &[usize],
+        invert: impl FnOnce(&EfficiencyCurve) -> Option<f64>,
+    ) -> Rung {
+        let curve = EfficiencyCurve::measure(sys, sizes);
+        let inverted =
+            invert(&curve).map(|n| n.round().max(1.0) as usize).map(|n| (n, sys.work(n)));
+        Rung { label: sys.label(), c_flops: sys.marked_speed_flops(), inverted }
+    }
+}
+
+/// Measures one kernel's rung (each an independent pool cell — the
+/// caller flattens both kernels into one cell list).
 fn measure_rung(kernel: &'static str, p: usize, params: &ExperimentParams) -> Rung {
     let net = sunwulf::sunwulf_network();
+    let degree = params.fit_degree;
     match kernel {
         "ge" => {
             let cluster = sunwulf::ge_config(p);
             let sys = GeSystem::new(&cluster, &net);
-            let curve = EfficiencyCurve::measure(&sys, &surface_ge_sizes(p));
-            let inverted = curve
-                .required_n(params.ge_target, params.fit_degree)
-                .ok()
-                .map(|n| n.round().max(1.0) as usize)
-                .map(|n| (n, sys.work(n)));
-            Rung { label: sys.label(), c_flops: sys.marked_speed_flops(), inverted }
+            Rung::measure(&sys, &surface_ge_sizes(p), |c| {
+                c.required_n(params.ge_target, degree).ok()
+            })
         }
         "mm" => {
             let cluster = sunwulf::mm_config(p);
             let sys = MmSystem::new(&cluster, &net);
-            let curve = EfficiencyCurve::measure(&sys, &surface_mm_sizes(p));
-            let inverted = curve
-                .required_n(params.mm_target, params.fit_degree)
-                .ok()
-                .map(|n| n.round().max(1.0) as usize)
-                .map(|n| (n, sys.work(n)));
-            Rung { label: sys.label(), c_flops: sys.marked_speed_flops(), inverted }
+            Rung::measure(&sys, &surface_mm_sizes(p), |c| {
+                c.required_n(params.mm_target, degree).ok()
+            })
         }
         other => unreachable!("unknown surface kernel {other}"),
     }
 }
 
-/// Renders one kernel's inversion table and ψ matrix.
-fn render(kernel_name: &str, target: f64, rungs: &[usize], measured: &[Rung]) -> (Table, Table) {
-    // Titles keep a distinct pre-dash prefix per table so the `--csv`
-    // slugs (title up to the em-dash) do not collide.
+/// Renders one kernel's inversion table (`inv_title`, with `inv_note`
+/// explaining a `-` row) and its ψ matrix (`matrix_title`) over the
+/// measured rungs, which `tags` label in the matrix. Callers keep a
+/// distinct pre-dash prefix per title so the `--csv` slugs (title up to
+/// the em-dash) do not collide.
+pub(crate) fn render_psi(
+    inv_title: String,
+    inv_note: &str,
+    matrix_title: String,
+    tags: &[String],
+    measured: &[Rung],
+) -> (Table, Table) {
     let mut inv = Table::new(
-        format!("X3 {kernel_name} inversions — fitted-trend required N per rung (E_s = {target})"),
+        inv_title,
         &["System", "Marked speed (Mflop/s)", "Required N", "Workload W (flop)"],
     );
     for r in measured {
@@ -83,17 +99,14 @@ fn render(kernel_name: &str, target: f64, rungs: &[usize], measured: &[Rung]) ->
         };
         inv.push_row(vec![r.label.clone(), fnum(r.c_flops / 1e6), n_cell, w_cell]);
     }
-    inv.push_note("`-`: the rung's size grid never brackets the target efficiency");
+    inv.push_note(inv_note);
 
     let headers: Vec<String> =
-        std::iter::once("p".to_string()).chain(rungs.iter().map(|p| format!("p' = {p}"))).collect();
+        std::iter::once("p".to_string()).chain(tags.iter().map(|t| format!("p' = {t}"))).collect();
     let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut matrix = Table::new(
-        format!("X3 {kernel_name} surface — psi(C, C') over scaled Sunwulf rungs (E_s = {target})"),
-        &header_refs,
-    );
+    let mut matrix = Table::new(matrix_title, &header_refs);
     for (i, from) in measured.iter().enumerate() {
-        let mut row = vec![rungs[i].to_string()];
+        let mut row = vec![tags[i].clone()];
         for (j, to) in measured.iter().enumerate() {
             row.push(match (i.cmp(&j), &from.inverted, &to.inverted) {
                 (std::cmp::Ordering::Equal, _, _) => "1.0000".to_string(),
@@ -122,9 +135,19 @@ pub fn psi_surface(params: &ExperimentParams, quick: bool) -> Vec<Table> {
     let measured: Vec<Rung> =
         pool::run_indexed(&cells, |_, &(kernel, p)| measure_rung(kernel, p, params));
     let (ge, mm) = measured.split_at(rungs.len());
-    let (ge_inv, ge_mat) = render("GE", params.ge_target, &rungs, ge);
-    let (mm_inv, mm_mat) = render("MM", params.mm_target, &rungs, mm);
-    vec![ge_inv, ge_mat, mm_inv, mm_mat]
+    let tags: Vec<String> = rungs.iter().map(usize::to_string).collect();
+    let mut tables = Vec::new();
+    for (name, target, measured) in [("GE", params.ge_target, ge), ("MM", params.mm_target, mm)] {
+        let (inv, matrix) = render_psi(
+            format!("X3 {name} inversions — fitted-trend required N per rung (E_s = {target})"),
+            "`-`: the rung's size grid never brackets the target efficiency",
+            format!("X3 {name} surface — psi(C, C') over scaled Sunwulf rungs (E_s = {target})"),
+            &tags,
+            measured,
+        );
+        tables.extend([inv, matrix]);
+    }
+    tables
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! `bench-tables` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! bench-tables [--quick] [--faults] [--no-analytic] [--jobs N] [--list] [--csv DIR] [--trace-out DIR] [--metrics-out FILE] [--stats-out FILE] [--profile-out FILE] [ids...]
-//!   ids: t1 t2 f1 t3 t4 f2 t5 t6 t7 compare x2 decomp ablate-dist
-//!        ablate-net ablate-fit ablate-place ext-mp faults surface mega all   (default: all)
+//! bench-tables [--quick] [--faults] [--no-analytic] [--jobs N] [--seed N] [--list] [--csv DIR] [--trace-out DIR] [--metrics-out FILE] [--stats-out FILE] [--profile-out FILE] [ids...]
+//!   ids: t1 t2 f1 t3 t4 f2 t5 t6 t7 compare x2 decomp ablate-dist ablate-net
+//!        ablate-fit ablate-place ablate-sched ablate-noise validate baselines
+//!        ext-mp faults recover surface mega all   (default: all)
 //! ```
 //!
 //! `--list` prints every id with a one-line description and exits.
@@ -76,9 +77,11 @@ impl Checkpoints {
     }
 }
 
-/// Every experiment id the CLI accepts, with the one-line description
-/// `--list` prints. `faults` (via the id or `--faults`) and `surface`
-/// are opt-in: neither is part of `all`.
+/// Every experiment id the CLI accepts, in `--list` and usage order,
+/// with the one-line description `--list` prints. The four opt-in ids
+/// (`faults`, also reachable as `--faults`, `recover`, `surface` and
+/// `mega`) are marked by their description's `opt-in` prefix; `all`
+/// expands to every other id (see [`opt_in`]).
 const KNOWN_IDS_WITH_DESCRIPTIONS: &[(&str, &str)] = &[
     ("t1", "Table 1 — the Sunwulf node inventory and marked speeds"),
     ("t2", "Table 2 — GE speed-efficiency samples on the two-node system"),
@@ -110,6 +113,11 @@ const KNOWN_IDS_WITH_DESCRIPTIONS: &[(&str, &str)] = &[
 
 fn known_id(id: &str) -> bool {
     KNOWN_IDS_WITH_DESCRIPTIONS.iter().any(|(known, _)| *known == id)
+}
+
+/// Whether the id `description` belongs to is opt-in: left out of `all`.
+fn opt_in(description: &str) -> bool {
+    description.starts_with("opt-in")
 }
 
 fn main() {
@@ -182,32 +190,11 @@ fn main() {
     let surface_requested = ids.contains("surface");
     let mega_requested = ids.contains("mega");
     if ids.is_empty() || ids.contains("all") {
-        ids = [
-            "t1",
-            "t2",
-            "f1",
-            "t3",
-            "t4",
-            "f2",
-            "t5",
-            "t6",
-            "t7",
-            "compare",
-            "x2",
-            "decomp",
-            "ablate-dist",
-            "ablate-net",
-            "ablate-fit",
-            "ablate-place",
-            "ablate-sched",
-            "ablate-noise",
-            "validate",
-            "baselines",
-            "ext-mp",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ids = KNOWN_IDS_WITH_DESCRIPTIONS
+            .iter()
+            .filter(|&&(id, description)| !opt_in(description) && id != "all")
+            .map(|(id, _)| id.to_string())
+            .collect();
     }
 
     let params = if quick { ExperimentParams::quick() } else { ExperimentParams::full() };
@@ -407,10 +394,10 @@ fn main() {
     }
 
     if let Some(path) = &stats_path {
-        let report = stats::report();
-        stats::write_stats(Path::new(path), &report)
+        let engine = hetsim_mpi::telemetry::snapshot();
+        stats::write_stats(Path::new(path), &engine)
             .unwrap_or_else(|e| fail(&format!("cannot write stats file {path}: {e}")));
-        for warning in report.warnings() {
+        for warning in stats::warnings(&engine) {
             eprintln!("{warning}");
         }
         eprintln!("wrote {path}");
@@ -441,16 +428,18 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
+    let ids: Vec<&str> = KNOWN_IDS_WITH_DESCRIPTIONS.iter().map(|(id, _)| *id).collect();
     eprintln!(
         "usage: bench-tables [--quick] [--faults] [--no-analytic] [--jobs N] [--seed N] [--list] [--csv DIR] [--trace-out DIR] [--metrics-out FILE] [--stats-out FILE] [--profile-out FILE] [ids...]\n\
-         ids: t1 t2 f1 t3 t4 f2 t5 t6 t7 compare x2 decomp ablate-dist ablate-net ablate-fit ablate-place ablate-sched ablate-noise validate baselines ext-mp faults recover surface mega all\n\
+         ids: {}\n\
          `faults` (or --faults) runs the fault-injection sweep; `recover` runs the mid-run failure-recovery sweep (checkpoint/restart vs shrink-rebalance under MTBF death streams); `surface` runs the psi-surface sweep on scaled Sunwulf rungs; `mega` runs the class-aggregated psi sweep on HEET machines up to 10^7 ranks. All four are opt-in and not part of `all`.\n\
          `--no-analytic` forces the event-driven engine on every cell (output is byte-identical to the default closed-form path).\n\
          `--jobs N` caps the experiment worker pool (default: available parallelism; output is byte-identical for every N).\n\
          `--seed N` re-bases every fault-plan seed (faults + recover sweeps; default 1592590336 = 0x5eed0000 reproduces the historical bytes; same seed twice => same bytes).\n\
          `--stats-out FILE` writes the deterministic telemetry document (engine paths, fallback reasons, memo and pool counters) and prints per-id summaries on stderr.\n\
          `--profile-out FILE` writes the wall-clock profile (non-deterministic by nature; the document says so).\n\
-         `--list` prints every id with a one-line description and exits."
+         `--list` prints every id with a one-line description and exits.",
+        ids.join(" ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

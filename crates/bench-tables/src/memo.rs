@@ -6,8 +6,9 @@
 //! baselines re-measure the curves the tables already produced. Every
 //! such cell is a pure function of its structural inputs (the timing
 //! engines are deterministic), so a process-wide cache returns the
-//! previously computed [`TimingOutcome`] — bit-identical by
-//! construction, which is why memoization cannot perturb any table.
+//! previously computed makespan — bit-identical by construction, which
+//! is why memoization cannot perturb any table. Every caller reads only
+//! the makespan, so that is all a cell stores.
 //!
 //! Keys are *structural fingerprints*, not labels: the cluster's
 //! per-rank speed bits ([`ClusterSpec::fingerprint`]), the network
@@ -33,6 +34,7 @@ use std::sync::{Arc, OnceLock};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
+use hetsim_cluster::time::SimTime;
 use kernels::TimingOutcome;
 use parking_lot::Mutex;
 
@@ -48,7 +50,7 @@ struct MemoKey {
 
 /// One cell: the result slot plus how many lookups landed on it.
 struct Slot {
-    cell: Arc<OnceLock<TimingOutcome>>,
+    cell: Arc<OnceLock<SimTime>>,
     touches: u64,
 }
 
@@ -66,7 +68,15 @@ pub struct MemoCounts {
     pub bypasses: u64,
 }
 
-/// Returns the memoized outcome for the cell, computing (and caching)
+impl MemoCounts {
+    /// Touches served from an existing cell: every touch after a cell's
+    /// first.
+    pub(crate) fn hits(&self) -> u64 {
+        self.touches - self.entries
+    }
+}
+
+/// Returns the memoized makespan for the cell, computing (and caching)
 /// it on first touch. `compute` must be the pure timed-kernel run the
 /// key describes; `kernel` must also pin any hidden size parameters
 /// (e.g. the stencil's `iters(n)` sweep count, a pure function of `n`).
@@ -77,10 +87,10 @@ pub fn cached<N: NetworkModel>(
     n: usize,
     faults: Option<&FaultPlan>,
     compute: impl FnOnce() -> TimingOutcome,
-) -> TimingOutcome {
+) -> SimTime {
     let Some(net_fp) = network.fingerprint() else {
         *BYPASSES.lock().entry(kernel).or_insert(0) += 1;
-        return compute();
+        return compute().makespan;
     };
     let key = MemoKey {
         kernel,
@@ -97,7 +107,7 @@ pub fn cached<N: NetworkModel>(
         slot.touches += 1;
         Arc::clone(&slot.cell)
     };
-    cell.get_or_init(compute).clone()
+    *cell.get_or_init(|| compute().makespan)
 }
 
 /// Per-kernel counters: touches, entries (distinct cells), bypasses.
@@ -144,7 +154,7 @@ mod tests {
         let second = run();
         assert_eq!(calls.load(Ordering::Relaxed), 1, "second touch must hit the cache");
         assert_eq!(first, second);
-        assert_eq!(first, ge_parallel_timed(&cluster, &net, 97, RunSpec::default()));
+        assert_eq!(first, ge_parallel_timed(&cluster, &net, 97, RunSpec::default()).makespan);
     }
 
     #[test]
@@ -158,8 +168,8 @@ mod tests {
         let rb = cached("ge", &cluster, &b, 83, None, || {
             ge_parallel_timed(&cluster, &b, 83, RunSpec::default())
         });
-        assert_ne!(ra.makespan, rb.makespan, "different seeds must key different cells");
-        assert_eq!(rb, ge_parallel_timed(&cluster, &b, 83, RunSpec::default()));
+        assert_ne!(ra, rb, "different seeds must key different cells");
+        assert_eq!(rb, ge_parallel_timed(&cluster, &b, 83, RunSpec::default()).makespan);
     }
 
     #[test]
@@ -177,9 +187,6 @@ mod tests {
             }
             fn gather_time(&self, _sizes: &[u64], _root: usize) -> f64 {
                 1e-4
-            }
-            fn label(&self) -> &'static str {
-                "opaque"
             }
         }
         let cluster = sunwulf::ge_config(2);

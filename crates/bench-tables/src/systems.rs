@@ -63,7 +63,6 @@ impl<N: NetworkModel> AlgorithmSystem for GeSystem<'_, N> {
         crate::memo::cached("ge", self.cluster, self.network, n, None, || {
             ge_parallel_timed(self.cluster, self.network, n, RunSpec::default())
         })
-        .makespan
         .as_secs()
     }
 }
@@ -97,7 +96,6 @@ impl<N: NetworkModel> AlgorithmSystem for MmSystem<'_, N> {
         crate::memo::cached("mm", self.cluster, self.network, n, None, || {
             mm_parallel_timed(self.cluster, self.network, n, RunSpec::default())
         })
-        .makespan
         .as_secs()
     }
 }
@@ -140,7 +138,6 @@ impl<N: NetworkModel> AlgorithmSystem for StencilSystem<'_, N> {
                 RunSpec::default(),
             )
         })
-        .makespan
         .as_secs()
     }
 }
@@ -175,7 +172,6 @@ impl<N: NetworkModel> AlgorithmSystem for PowerSystem<'_, N> {
         crate::memo::cached("power", self.cluster, self.network, n, None, || {
             power_parallel_timed(self.cluster, self.network, n, power_iters(n), RunSpec::default())
         })
-        .makespan
         .as_secs()
     }
 }

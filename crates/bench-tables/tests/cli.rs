@@ -228,17 +228,21 @@ fn stats_doc(dir: &std::path::Path, name: &str, args: &[&str]) -> Vec<u8> {
     stats_run(dir, name, args).1
 }
 
-/// Runs `args` plus `--stats-out DIR/NAME`; returns stdout and the
-/// stats document.
-fn stats_run(dir: &std::path::Path, name: &str, args: &[&str]) -> (Vec<u8>, Vec<u8>) {
+/// Runs `args` plus `--stats-out DIR/NAME`; returns stdout, the stats
+/// document and stderr without its `wrote …` lines (which name
+/// temporary paths).
+fn stats_run(dir: &std::path::Path, name: &str, args: &[&str]) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     let path = dir.join(name);
     let path_str = path.to_str().expect("utf-8 temp path");
     let mut full: Vec<&str> = args.to_vec();
     full.extend_from_slice(&["--stats-out", path_str]);
     let out = run(&full);
-    assert!(out.status.success(), "{full:?} exited with {:?}: {}", out.status, stderr(&out));
-    assert!(stderr(&out).contains(&format!("wrote {path_str}")), "missing wrote line");
-    (out.stdout, std::fs::read(&path).expect("stats file written"))
+    let err = stderr(&out);
+    assert!(out.status.success(), "{full:?} exited with {:?}: {err}", out.status);
+    assert!(err.contains(&format!("wrote {path_str}")), "missing wrote line");
+    let kept: String =
+        err.split_inclusive('\n').filter(|line| !line.starts_with("wrote ")).collect();
+    (out.stdout, std::fs::read(&path).expect("stats file written"), kept.into_bytes())
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -321,11 +325,12 @@ fn quick_stats_doc_reports_full_analytic_coverage_inline() {
 // Engine routing is pinned across commits: each document counts the
 // calls priced per engine path (closed forms, event-driven fallback /
 // faulted / forced / traced, typed fallback reasons), so a call that
-// reaches a different tier changes its bytes. The traced recovery run
-// also pins its stdout, its metrics document and, through a manifest
-// of lengths and hashes, every trace file it writes, so a moved
-// recovery span, an overhead shifted by one ulp or a drifted exporter
-// byte shows too. Regenerate the fixtures with UPDATE_GOLDEN=1 only for
+// reaches a different tier changes its bytes. Every run also pins its
+// stdout and its stderr (the per-id `telemetry` lines and fallback
+// warnings). The traced recovery run also pins its metrics document
+// and, through a manifest of lengths and hashes, every trace file it
+// writes, so a moved recovery span, an overhead shifted by one ulp or a
+// drifted exporter byte shows too. Regenerate the fixtures with UPDATE_GOLDEN=1 only for
 // an intended change, and review the diff.
 #[test]
 fn stats_docs_match_golden_fixtures() {
@@ -342,21 +347,24 @@ fn stats_docs_match_golden_fixtures() {
         metrics.to_str().expect("utf-8 temp path"),
     ];
     let fixture = "stats_quick_faults_recover_obs.json";
-    let (stdout, doc) = stats_run(&dir, fixture, &obs);
+    let (stdout, doc, err) = stats_run(&dir, fixture, &obs);
     assert_golden(fixture, &doc, &obs);
     assert_golden("stdout_quick_faults_recover_obs.txt", &stdout, &obs);
+    assert_golden("stderr_quick_faults_recover_obs.txt", &err, &obs);
     let metrics_doc = std::fs::read(&metrics).expect("metrics written");
     assert_golden("metrics_quick_faults_recover_obs.json", &metrics_doc, &obs);
     assert_golden("traces_quick_faults_recover_obs.manifest", &trace_manifest(&traces), &obs);
-    for (fixture, stdout_fixture, args) in [
-        ("stats_quick.json", "stdout_quick.txt", &["--quick"][..]),
-        ("stats_full.json", "stdout_full.txt", &[][..]),
-        ("stats_surface.json", "stdout_surface.txt", &["surface"][..]),
-        ("stats_quick_mega.json", "stdout_quick_mega.txt", &["--quick", "mega"][..]),
+    for (run_name, args) in [
+        ("quick", &["--quick"][..]),
+        ("full", &[][..]),
+        ("surface", &["surface"][..]),
+        ("quick_mega", &["--quick", "mega"][..]),
     ] {
-        let (stdout, doc) = stats_run(&dir, fixture, args);
-        assert_golden(fixture, &doc, args);
-        assert_golden(stdout_fixture, &stdout, args);
+        let fixture = format!("stats_{run_name}.json");
+        let (stdout, doc, err) = stats_run(&dir, &fixture, args);
+        assert_golden(&fixture, &doc, args);
+        assert_golden(&format!("stdout_{run_name}.txt"), &stdout, args);
+        assert_golden(&format!("stderr_{run_name}.txt"), &err, args);
     }
     std::fs::remove_dir_all(&dir).ok();
 }

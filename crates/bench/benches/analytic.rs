@@ -38,17 +38,13 @@ fn net() -> MpichEthernet {
     MpichEthernet::new(0.3e-3, 1e8)
 }
 
-fn speeds(cluster: &ClusterSpec) -> Vec<f64> {
-    cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect()
-}
-
 /// Record all four kernel bodies on `cluster` at size `n` and bench the
 /// analytic and event-driven evaluations of each recording. Then, in
 /// the `closed_form_vs_recorded` group, price MM, power and stencil by
 /// their `*_closed_form` and by [`run_spmd_fast`] (record + lockstep
 /// plan + evaluate: the path a cell takes without its hand form).
 fn bench_pairs(c: &mut Criterion, group_name: &str, cluster: &ClusterSpec, n: usize) {
-    let sp = speeds(cluster);
+    let sp = cluster.speeds_mflops();
     let cyclic = CyclicDistribution::fine(n, &sp);
     let block = BlockDistribution::proportional(n, &sp);
     let (iters, power_iters) = (n.div_ceil(8), n.div_ceil(4));

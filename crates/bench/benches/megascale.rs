@@ -48,7 +48,7 @@ fn bench_megascale(c: &mut Criterion) {
         // The grid anchor — the size whose crossing the sweep inverts.
         let n = mega_mm_sizes(p)[4];
         let spec = cluster.materialize();
-        let speeds: Vec<f64> = spec.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+        let speeds = spec.speeds_mflops();
         let dist = BlockDistribution::proportional(n, &speeds);
 
         group.bench_with_input(BenchmarkId::new("mm_aggregated", p), &p, |b, _| {

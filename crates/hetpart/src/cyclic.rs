@@ -2,14 +2,14 @@
 //!
 //! Gaussian elimination shrinks its active submatrix from the top down,
 //! so a contiguous block layout would idle the ranks owning early rows.
-//! A cyclic layout instead *deals* rows out in small blocks so that any
+//! A cyclic layout instead *deals* rows out one at a time so that any
 //! suffix of the rows (an active submatrix) remains distributed
 //! approximately proportionally to the node speeds.
 //!
 //! The dealing order is the greedy largest-deficit sequence: before each
-//! block, the rank whose assigned share lags furthest behind its ideal
-//! cumulative share `k·Cᵢ/C` receives the next block. This keeps every
-//! rank's assignment within about one block of ideal on **every prefix**
+//! row, the rank whose assigned share lags furthest behind its ideal
+//! cumulative share `k·Cᵢ/C` receives the next row. This keeps every
+//! rank's assignment within about one row of ideal on **every prefix**
 //! (and hence every suffix) — a strictly stronger balance guarantee than
 //! fixed per-round shares, whose rounding bias compounds with `n`.
 //! (For many unequal weights the worst-case prefix deviation can exceed
@@ -18,7 +18,8 @@
 use crate::Distribution;
 use hetsim_cluster::repeat_add;
 
-/// Heterogeneous block-cyclic distribution of rows over ranks.
+/// Heterogeneous cyclic distribution of rows over ranks, dealt one row
+/// at a time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CyclicDistribution {
     n: usize,
@@ -29,16 +30,13 @@ pub struct CyclicDistribution {
 
 impl CyclicDistribution {
     /// Builds the distribution for `n` rows over ranks with the given
-    /// marked speeds, dealing `block` consecutive rows at a time.
-    ///
-    /// `block = 1` interleaves at single-row granularity (best balance);
-    /// larger blocks trade balance for fewer, larger messages.
+    /// marked speeds, dealing single rows — the finest interleave, used
+    /// by the GE kernel.
     ///
     /// # Panics
-    /// Panics when `block` is 0, `speeds` is empty, or any speed is
-    /// non-finite, negative, or all are zero.
-    pub fn new(n: usize, speeds: &[f64], block: usize) -> CyclicDistribution {
-        assert!(block > 0, "block size must be positive");
+    /// Panics when `speeds` is empty, or any speed is non-finite,
+    /// negative, or all are zero.
+    pub fn fine(n: usize, speeds: &[f64]) -> CyclicDistribution {
         assert!(!speeds.is_empty(), "need at least one rank");
         assert!(
             speeds.iter().all(|s| s.is_finite() && *s >= 0.0),
@@ -51,11 +49,9 @@ impl CyclicDistribution {
         let fractions: Vec<f64> = speeds.iter().map(|s| s / total).collect();
         let mut assigned = vec![0u64; p];
         let mut owners = Vec::with_capacity(n);
-        let mut dealt: u64 = 0;
-        while owners.len() < n {
+        for next_total in 1..=n as u64 {
             // Largest deficit: ideal share of the next state minus what
             // the rank already holds; ties to the lower index.
-            let next_total = dealt + 1;
             let mut best = usize::MAX;
             let mut best_deficit = f64::NEG_INFINITY;
             for i in 0..p {
@@ -69,19 +65,10 @@ impl CyclicDistribution {
                 }
             }
             debug_assert!(best != usize::MAX);
-            let take = block.min(n - owners.len());
-            for _ in 0..take {
-                owners.push(best as u32);
-            }
+            owners.push(best as u32);
             assigned[best] += 1;
-            dealt += 1;
         }
         CyclicDistribution { n, p, owners }
-    }
-
-    /// Single-row dealing — the finest interleave, used by the GE kernel.
-    pub fn fine(n: usize, speeds: &[f64]) -> CyclicDistribution {
-        Self::new(n, speeds, 1)
     }
 }
 
@@ -100,7 +87,7 @@ impl CyclicDistribution {
 /// (`front = ⌊dealt/members⌋`), and that member's index within the
 /// class (`wrap = dealt mod members`).
 ///
-/// Every float operation mirrors [`CyclicDistribution::new`] exactly:
+/// Every float operation mirrors [`CyclicDistribution::fine`] exactly:
 /// the speed total is the same sequential fold (batched per run through
 /// [`repeat_add`]), fractions are the same `s / total`, and the deficit
 /// `t·f − count` is evaluated with the identical expression, strict `>`
@@ -123,7 +110,7 @@ impl ClassedCyclicDeal {
     /// # Panics
     /// Panics when `classes` is empty, any run is empty, or any speed is
     /// non-finite, negative, or all are zero — the same contract as
-    /// [`CyclicDistribution::new`] on the expanded speed vector.
+    /// [`CyclicDistribution::fine`] on the expanded speed vector.
     pub fn new(classes: &[(f64, u64)]) -> ClassedCyclicDeal {
         assert!(!classes.is_empty(), "need at least one class");
         assert!(classes.iter().all(|&(_, m)| m > 0), "every class needs at least one member");
@@ -233,7 +220,7 @@ mod tests {
         let d = CyclicDistribution::fine(100, &[90.0, 50.0, 110.0]);
         let counts = d.counts();
         assert_eq!(counts.iter().sum::<usize>(), 100);
-        // Within one block of the ideal 36 / 20 / 44 split.
+        // Within one row of the ideal 36 / 20 / 44 split.
         assert!((counts[0] as i64 - 36).unsigned_abs() <= 1);
         assert!((counts[1] as i64 - 20).unsigned_abs() <= 1);
         assert!((counts[2] as i64 - 44).unsigned_abs() <= 1);
@@ -249,17 +236,9 @@ mod tests {
     }
 
     #[test]
-    fn blocks_keep_consecutive_rows_together() {
-        let d = CyclicDistribution::new(12, &[1.0, 1.0], 3);
-        assert_eq!(d.rows_of(0), vec![0, 1, 2, 6, 7, 8]);
-        assert_eq!(d.rows_of(1), vec![3, 4, 5, 9, 10, 11]);
-        check_conformance(&d);
-    }
-
-    #[test]
     fn every_prefix_is_balanced() {
-        // The greedy-deficit guarantee: every prefix of the dealt blocks
-        // is within one block of proportional for every rank.
+        // The greedy-deficit guarantee: every prefix of the dealt rows
+        // is within one row of proportional for every rank.
         let speeds = [90.0, 50.0, 110.0, 50.0];
         let total: f64 = speeds.iter().sum();
         let d = CyclicDistribution::fine(400, &speeds);
@@ -314,12 +293,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "block size must be positive")]
-    fn zero_block_rejected() {
-        CyclicDistribution::new(10, &[1.0], 0);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one speed must be positive")]
     fn all_zero_speeds_rejected() {
         CyclicDistribution::fine(10, &[0.0, 0.0]);
@@ -332,17 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn partial_last_block_is_truncated() {
-        let d = CyclicDistribution::new(7, &[1.0, 1.0], 3);
-        assert_eq!(d.counts().iter().sum::<usize>(), 7);
-        check_conformance(&d);
-    }
-
-    #[test]
     fn determinism() {
         let speeds = [90.0, 50.0, 110.0];
-        let a = CyclicDistribution::new(313, &speeds, 2);
-        let b = CyclicDistribution::new(313, &speeds, 2);
+        let a = CyclicDistribution::fine(313, &speeds);
+        let b = CyclicDistribution::fine(313, &speeds);
         assert_eq!(a, b);
     }
 
@@ -453,14 +419,14 @@ mod tests {
 
     #[test]
     fn conformance_on_many_shapes() {
-        for (n, speeds, block) in [
-            (1usize, vec![5.0], 1usize),
-            (313, vec![90.0, 50.0], 4),
-            (100, vec![45.0, 50.0, 110.0, 110.0], 11),
-            (97, vec![1.0, 2.0, 3.0, 4.0, 5.0], 2),
-            (0, vec![1.0, 2.0], 3),
+        for (n, speeds) in [
+            (1usize, vec![5.0]),
+            (313, vec![90.0, 50.0]),
+            (100, vec![45.0, 50.0, 110.0, 110.0]),
+            (97, vec![1.0, 2.0, 3.0, 4.0, 5.0]),
+            (0, vec![1.0, 2.0]),
         ] {
-            check_conformance(&CyclicDistribution::new(n, &speeds, block));
+            check_conformance(&CyclicDistribution::fine(n, &speeds));
         }
     }
 }

@@ -59,6 +59,16 @@ impl ClusterSpec {
         self.marked_speed_mflops() * 1e6
     }
 
+    /// Per-rank marked speeds `Cᵢ` in Mflop/s, in rank order.
+    pub fn speeds_mflops(&self) -> Vec<f64> {
+        self.nodes.iter().map(|n| n.marked_speed_mflops).collect()
+    }
+
+    /// Per-rank marked speeds in flop/s, in rank order.
+    pub fn speeds_flops(&self) -> Vec<f64> {
+        self.nodes.iter().map(NodeSpec::marked_speed_flops).collect()
+    }
+
     /// Structural identity for memoization keys: the per-rank marked
     /// speed bits, in rank order. Two clusters with equal fingerprints
     /// produce identical virtual timings for any kernel, because the

@@ -227,6 +227,46 @@ pub fn daly_interval(mtbf_secs: f64, delta_secs: f64) -> f64 {
     (2.0 * delta_secs * mtbf_secs).sqrt()
 }
 
+/// Where a mid-run recovery's overhead went, in virtual seconds summed
+/// over ranks: the quantities the runtime charges as `Checkpoint`,
+/// `Detect`, `LostWork` and `Rebalance` spans, recomputed in closed form
+/// by the recovery driver for reporting (DESIGN.md §12).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RecoveryOverhead {
+    /// Checkpoint I/O tax: every coordinated checkpoint, every rank,
+    /// paid whether or not anything fails.
+    pub checkpoint_secs: f64,
+    /// Failure-detector timeouts charged when a death fires.
+    pub detect_secs: f64,
+    /// Work rolled back and replayed (checkpoint/restart) or recomputed
+    /// for the dead rank (shrink-rebalance).
+    pub lost_work_secs: f64,
+    /// Repartition traffic absorbed by the survivors.
+    pub rebalance_secs: f64,
+}
+
+impl RecoveryOverhead {
+    /// Sum of all four components.
+    pub fn total_secs(&self) -> f64 {
+        self.checkpoint_secs + self.detect_secs + self.lost_work_secs + self.rebalance_secs
+    }
+}
+
+impl fmt::Display for RecoveryOverhead {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "recovery overhead {:.4}s = checkpoint {:.4}s + detect {:.4}s + lost work {:.4}s \
+             + rebalance {:.4}s",
+            self.total_secs(),
+            self.checkpoint_secs,
+            self.detect_secs,
+            self.lost_work_secs,
+            self.rebalance_secs
+        )
+    }
+}
+
 /// The virtual-time cost of a send's failed attempts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryCharge {

@@ -72,9 +72,6 @@ pub trait NetworkModel: Send + Sync {
         None
     }
 
-    /// Short label for reports.
-    fn label(&self) -> &'static str;
-
     /// Structural identity of the model, for memoization keys: two
     /// models with equal fingerprints must assign identical costs to
     /// every operation. The encoding is a tag word followed by the
@@ -111,42 +108,6 @@ impl<T: NetworkModel + ?Sized> NetworkModel for &T {
     }
     fn gather_time_classed(&self, runs: &[(u64, u64)], root_run: usize) -> Option<f64> {
         (**self).gather_time_classed(runs, root_run)
-    }
-    fn label(&self) -> &'static str {
-        (**self).label()
-    }
-    fn fingerprint(&self) -> Option<Vec<u64>> {
-        (**self).fingerprint()
-    }
-}
-
-impl<T: NetworkModel + ?Sized> NetworkModel for Box<T> {
-    fn p2p_time(&self, bytes: u64) -> f64 {
-        (**self).p2p_time(bytes)
-    }
-    fn p2p_time_between(&self, from: usize, to: usize, bytes: u64) -> f64 {
-        (**self).p2p_time_between(from, to, bytes)
-    }
-    fn bcast_time(&self, p: usize, bytes: u64) -> f64 {
-        (**self).bcast_time(p, bytes)
-    }
-    fn barrier_time(&self, p: usize) -> f64 {
-        (**self).barrier_time(p)
-    }
-    fn gather_time(&self, sizes: &[u64], root: usize) -> f64 {
-        (**self).gather_time(sizes, root)
-    }
-    fn scatter_time(&self, sizes: &[u64], root: usize) -> f64 {
-        (**self).scatter_time(sizes, root)
-    }
-    fn p2p_time_class(&self, bytes: u64) -> Option<f64> {
-        (**self).p2p_time_class(bytes)
-    }
-    fn gather_time_classed(&self, runs: &[(u64, u64)], root_run: usize) -> Option<f64> {
-        (**self).gather_time_classed(runs, root_run)
-    }
-    fn label(&self) -> &'static str {
-        (**self).label()
     }
     fn fingerprint(&self) -> Option<Vec<u64>> {
         (**self).fingerprint()
@@ -226,9 +187,6 @@ impl NetworkModel for ConstantLatency {
     fn gather_time_classed(&self, runs: &[(u64, u64)], _root_run: usize) -> Option<f64> {
         Some(if classed_len(runs) <= 1 { 0.0 } else { self.latency })
     }
-    fn label(&self) -> &'static str {
-        "constant-latency"
-    }
     fn fingerprint(&self) -> Option<Vec<u64>> {
         Some(vec![1, self.latency.to_bits()])
     }
@@ -290,9 +248,6 @@ impl NetworkModel for SwitchedNetwork {
         }
         let total = classed_total_excl_root(runs, root_run)?;
         Some(ceil_log2(usize::try_from(len).ok()?) * self.alpha + total as f64 / self.beta)
-    }
-    fn label(&self) -> &'static str {
-        "switched"
     }
     fn fingerprint(&self) -> Option<Vec<u64>> {
         Some(vec![2, self.alpha.to_bits(), self.beta.to_bits()])
@@ -367,9 +322,6 @@ impl NetworkModel for SharedEthernet {
         }
         Some(t)
     }
-    fn label(&self) -> &'static str {
-        "shared-ethernet"
-    }
     fn fingerprint(&self) -> Option<Vec<u64>> {
         Some(vec![3, self.alpha.to_bits(), self.beta.to_bits()])
     }
@@ -442,9 +394,6 @@ impl NetworkModel for MpichEthernet {
         let total = classed_total_excl_root(runs, root_run)?;
         Some((usize::try_from(len).ok()? - 1) as f64 * self.alpha + total as f64 / self.beta)
     }
-    fn label(&self) -> &'static str {
-        "mpich-ethernet"
-    }
     fn fingerprint(&self) -> Option<Vec<u64>> {
         Some(vec![4, self.alpha.to_bits(), self.beta.to_bits()])
     }
@@ -512,9 +461,6 @@ impl<M: NetworkModel> NetworkModel for JitteredNetwork<M> {
     fn gather_time(&self, sizes: &[u64], root: usize) -> f64 {
         let total: u64 = sizes.iter().sum();
         self.inner.gather_time(sizes, root) * self.factor(5, total, root as u64)
-    }
-    fn label(&self) -> &'static str {
-        "jittered"
     }
     fn fingerprint(&self) -> Option<Vec<u64>> {
         let mut fp = vec![5, self.sigma.to_bits(), self.seed];
@@ -649,13 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn models_expose_labels() {
-        assert_eq!(ConstantLatency::new(0.0).label(), "constant-latency");
-        assert_eq!(SwitchedNetwork::new(0.0, 1.0).label(), "switched");
-        assert_eq!(SharedEthernet::new(0.0, 1.0).label(), "shared-ethernet");
-    }
-
-    #[test]
     fn mpich_bcast_reduces_to_p2p_at_two_ranks() {
         let m = MpichEthernet::new(3e-4, 1e8);
         assert!((m.bcast_time(2, 1000) - m.p2p_time(1000)).abs() < 1e-15);
@@ -754,14 +693,14 @@ mod tests {
             Box::new(SharedEthernet::new(1e-4, 1.25e7)),
             Box::new(MpichEthernet::new(0.30e-3, 1.0e8)),
         ];
-        for m in &models {
+        for (model, m) in models.iter().enumerate() {
             for root_run in 0..runs.len() {
                 let classed = m.gather_time_classed(&runs, root_run).expect("flat model prices");
                 // The root's position inside its run must not matter.
                 for offset in [0, runs[root_run].1 - 1] {
                     let (sizes, root) = expand(&runs, root_run, offset);
                     let expanded = m.gather_time(&sizes, root);
-                    assert_eq!(classed.to_bits(), expanded.to_bits(), "{} root {root}", m.label());
+                    assert_eq!(classed.to_bits(), expanded.to_bits(), "model {model} root {root}");
                 }
             }
         }

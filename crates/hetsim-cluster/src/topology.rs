@@ -81,10 +81,6 @@ impl<L: NetworkModel, U: NetworkModel> NetworkModel for SegmentedNetwork<L, U> {
             self.uplink.gather_time(sizes, root)
         }
     }
-
-    fn label(&self) -> &'static str {
-        "segmented"
-    }
 }
 
 #[cfg(test)]

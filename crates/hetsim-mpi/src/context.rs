@@ -159,15 +159,6 @@ impl<'a> Rank<'a> {
         self.record(OpKind::Compute, start, 0, None);
     }
 
-    /// Advances the clock by an explicit duration of local work that is
-    /// *not* floating-point (I/O, bookkeeping). Counted as compute.
-    pub fn advance(&mut self, dt: SimTime) {
-        let start = self.clock;
-        self.clock += dt;
-        self.compute_time += dt;
-        self.record(OpKind::Compute, start, 0, None);
-    }
-
     /// Charges retry/timeout/backoff time for one logical message to
     /// `dest` when a lossy-link fault plan is active; no-op (and no
     /// counter advance) otherwise, keeping fault-free runs bit-identical.
@@ -499,50 +490,6 @@ impl<'a> Rank<'a> {
                 cursor += len;
             }
             out
-        }
-    }
-
-    /// All-to-all personalized exchange: rank `i` sends `parts[j]` to
-    /// rank `j` and receives one part from every rank (its own part is
-    /// kept locally). Implemented as `p·(p−1)` point-to-point messages
-    /// in a deterministic schedule (each rank sends in destination
-    /// order), each priced individually — the faithful cost structure
-    /// on a non-combining fabric.
-    ///
-    /// # Panics
-    /// Panics unless `parts.len() == size()`.
-    pub fn alltoall_f64s(&mut self, parts: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let p = self.size();
-        assert_eq!(parts.len(), p, "alltoall needs one part per rank");
-        const TAG_A2A: Tag = Tag(0xA2A);
-        for (dest, part) in parts.iter().enumerate() {
-            if dest != self.id {
-                self.send_f64s(dest, TAG_A2A, part);
-            }
-        }
-        let mut out: Vec<Vec<f64>> = Vec::with_capacity(p);
-        for source in 0..p {
-            if source == self.id {
-                out.push(parts[self.id].clone());
-            } else {
-                out.push(self.recv_f64s(source, TAG_A2A));
-            }
-        }
-        out
-    }
-
-    /// All-reduce of a scalar maximum: reduce to rank 0 then broadcast.
-    pub fn allreduce_max(&mut self, value: f64) -> f64 {
-        let gathered = self.gather_f64s(0, &[value]);
-        if self.id == 0 {
-            let m = gathered
-                .expect("rank 0 is the gather root")
-                .iter()
-                .map(|v| v[0])
-                .fold(f64::NEG_INFINITY, f64::max);
-            self.broadcast_f64s(0, Some(&[m]))[0]
-        } else {
-            self.broadcast_f64s(0, None)[0]
         }
     }
 }

@@ -337,15 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_max_agrees_everywhere() {
-        let cluster = ClusterSpec::homogeneous(5, 50.0);
-        let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
-            rank.allreduce_max(rank.rank() as f64 * 1.5)
-        });
-        assert!(outcome.results.iter().all(|&m| m == 6.0));
-    }
-
-    #[test]
     fn allgather_delivers_everything_everywhere() {
         let cluster = ClusterSpec::homogeneous(4, 50.0);
         let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
@@ -374,41 +365,6 @@ mod tests {
         });
         let t0 = outcome.results[0];
         assert!(outcome.results.iter().all(|&t| t == t0), "{:?}", outcome.results);
-    }
-
-    #[test]
-    fn alltoall_transposes_the_part_matrix() {
-        let cluster = ClusterSpec::homogeneous(3, 50.0);
-        let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
-            let me = rank.rank() as f64;
-            // parts[j] = [10·me + j]
-            let parts: Vec<Vec<f64>> = (0..3).map(|j| vec![10.0 * me + j as f64]).collect();
-            rank.alltoall_f64s(&parts)
-        });
-        for (i, got) in outcome.results.iter().enumerate() {
-            for (j, v) in got.iter().enumerate() {
-                // Received from rank j its part for me: 10·j + i.
-                assert_eq!(v, &vec![10.0 * j as f64 + i as f64], "cell ({i}, {j})");
-            }
-        }
-    }
-
-    #[test]
-    fn alltoall_single_rank_is_identity() {
-        let cluster = ClusterSpec::homogeneous(1, 50.0);
-        let outcome = run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
-            rank.alltoall_f64s(&[vec![7.0, 8.0]])
-        });
-        assert_eq!(outcome.results[0], vec![vec![7.0, 8.0]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one part per rank")]
-    fn alltoall_wrong_part_count_panics() {
-        let cluster = ClusterSpec::homogeneous(2, 50.0);
-        run_spmd(&cluster, &small_net(), RunSpec::default(), |rank| {
-            rank.alltoall_f64s(&[vec![1.0]]);
-        });
     }
 
     #[test]

@@ -12,16 +12,18 @@
 //! real elapsed time for the profile export and is excluded from every
 //! byte-identity guarantee (DESIGN.md §11).
 //!
-//! Counters are process-global atomics: simulations may run
-//! concurrently on the experiment worker pool, and integer addition is
-//! associative, so accumulation order cannot perturb totals. Anything
-//! order-sensitive (float time) is rounded to integer microseconds
-//! *per rank* before entering the pool of atomics.
+//! The counters are one process-global [`EngineTelemetry`] behind one
+//! lock. Simulations may run concurrently on the experiment worker
+//! pool; each takes the lock once to fold in its report, and integer
+//! addition is associative and commutative, so fold order cannot
+//! perturb totals. Anything order-sensitive (float time) is rounded to
+//! integer microseconds *per rank* before it is folded in.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::LazyLock;
 
 /// Why the lockstep analyzer refused a recording (DESIGN.md §10) and
 /// the simulation fell back to the event-driven ready-queue scheduler.
@@ -110,10 +112,6 @@ impl FallbackReason {
             FallbackReason::UnclassedNetwork => "unclassed-network",
             FallbackReason::ClassOrderDiverged => "class-order-diverged",
         }
-    }
-
-    fn index(self) -> usize {
-        FallbackReason::ALL.iter().position(|&r| r == self).expect("listed in ALL")
     }
 }
 
@@ -249,79 +247,60 @@ pub struct ClosedFormStats {
     pub cells: u64,
 }
 
-static ANALYTIC_SIMS: AtomicU64 = AtomicU64::new(0);
-static AGGREGATED_SIMS: AtomicU64 = AtomicU64::new(0);
-static AGGREGATED_RANKS: AtomicU64 = AtomicU64::new(0);
-static AGGREGATED_CLASSES: AtomicU64 = AtomicU64::new(0);
-static EVENT_FALLBACK: AtomicU64 = AtomicU64::new(0);
-static EVENT_FORCED: AtomicU64 = AtomicU64::new(0);
-static EVENT_TRACED: AtomicU64 = AtomicU64::new(0);
-static EVENT_FAULTED: AtomicU64 = AtomicU64::new(0);
-static THREADED_SIMS: AtomicU64 = AtomicU64::new(0);
-static PARKS: AtomicU64 = AtomicU64::new(0);
-static WAKES: AtomicU64 = AtomicU64::new(0);
-static P2P_EVENTS: AtomicU64 = AtomicU64::new(0);
-static COLLECTIVE_EVENTS: AtomicU64 = AtomicU64::new(0);
-static RANKS_SIMULATED: AtomicU64 = AtomicU64::new(0);
-static CLASSES_SIMULATED: AtomicU64 = AtomicU64::new(0);
-static RETRY_EVENTS: AtomicU64 = AtomicU64::new(0);
-static RETRY_ATTEMPTS: AtomicU64 = AtomicU64::new(0);
-static RETRY_CHARGE_US: AtomicU64 = AtomicU64::new(0);
-static FALLBACKS: [AtomicU64; FallbackReason::ALL.len()] =
-    [const { AtomicU64::new(0) }; FallbackReason::ALL.len()];
-static CLOSED_FORM: Mutex<BTreeMap<&'static str, ClosedFormStats>> = Mutex::new(BTreeMap::new());
-// Wall-clock accumulators — profile export only, never in the
-// deterministic document.
+// Every deterministic counter. The wall-clock accumulators stay
+// atomics — profile export only, never in the deterministic document.
+static ENGINE: LazyLock<Mutex<EngineTelemetry>> = LazyLock::new(Mutex::default);
 static RECORD_WALL_NS: AtomicU64 = AtomicU64::new(0);
 static SIMULATE_WALL_NS: AtomicU64 = AtomicU64::new(0);
 
 /// Folds one simulation's [`EngineReport`] into the process totals.
 pub fn record_simulation(report: &EngineReport) {
+    let mut e = ENGINE.lock();
     match report.path {
-        EnginePath::Analytic => ANALYTIC_SIMS.fetch_add(1, Ordering::Relaxed),
+        EnginePath::Analytic => e.analytic_sims += 1,
         EnginePath::Aggregated => {
-            AGGREGATED_RANKS.fetch_add(report.ranks, Ordering::Relaxed);
-            AGGREGATED_CLASSES.fetch_add(report.classes, Ordering::Relaxed);
-            AGGREGATED_SIMS.fetch_add(1, Ordering::Relaxed)
+            e.aggregated_sims += 1;
+            e.aggregated_ranks += report.ranks;
+            e.aggregated_classes += report.classes;
         }
-        EnginePath::EventDriven(EventDrivenMode::Fallback) => {
-            EVENT_FALLBACK.fetch_add(1, Ordering::Relaxed)
-        }
-        EnginePath::EventDriven(EventDrivenMode::Forced) => {
-            EVENT_FORCED.fetch_add(1, Ordering::Relaxed)
-        }
-        EnginePath::EventDriven(EventDrivenMode::Traced) => {
-            EVENT_TRACED.fetch_add(1, Ordering::Relaxed)
-        }
-        EnginePath::EventDriven(EventDrivenMode::Faulted) => {
-            EVENT_FAULTED.fetch_add(1, Ordering::Relaxed)
-        }
-        EnginePath::Threaded => THREADED_SIMS.fetch_add(1, Ordering::Relaxed),
-    };
-    RANKS_SIMULATED.fetch_add(report.ranks, Ordering::Relaxed);
-    CLASSES_SIMULATED.fetch_add(report.classes, Ordering::Relaxed);
-    PARKS.fetch_add(report.parks, Ordering::Relaxed);
-    WAKES.fetch_add(report.wakes, Ordering::Relaxed);
-    P2P_EVENTS.fetch_add(report.p2p_events, Ordering::Relaxed);
-    COLLECTIVE_EVENTS.fetch_add(report.collective_events, Ordering::Relaxed);
-    RETRY_EVENTS.fetch_add(report.retry_events, Ordering::Relaxed);
-    RETRY_ATTEMPTS.fetch_add(report.retry_attempts, Ordering::Relaxed);
-    RETRY_CHARGE_US.fetch_add(report.retry_charge_us, Ordering::Relaxed);
+        EnginePath::EventDriven(EventDrivenMode::Fallback) => e.event_driven_fallback += 1,
+        EnginePath::EventDriven(EventDrivenMode::Forced) => e.event_driven_forced += 1,
+        EnginePath::EventDriven(EventDrivenMode::Traced) => e.event_driven_traced += 1,
+        EnginePath::EventDriven(EventDrivenMode::Faulted) => e.event_driven_faulted += 1,
+        EnginePath::Threaded => e.threaded_sims += 1,
+    }
+    e.ranks_simulated += report.ranks;
+    e.classes_simulated += report.classes;
+    e.parks += report.parks;
+    e.wakes += report.wakes;
+    e.p2p_events += report.p2p_events;
+    e.collective_events += report.collective_events;
+    e.retry_events += report.retry_events;
+    e.retry_attempts += report.retry_attempts;
+    e.retry_charge_us += report.retry_charge_us;
 }
 
 /// Counts one analyzer rejection under `reason` (the simulation itself
 /// is reported separately as an event-driven fallback).
 pub fn record_fallback(reason: FallbackReason) {
-    FALLBACKS[reason.index()].fetch_add(1, Ordering::Relaxed);
+    let mut e = ENGINE.lock();
+    if let Some(count) = e.fallback_reasons.get_mut(reason.name()) {
+        *count += 1;
+    } else {
+        e.fallback_reasons.insert(reason.name().to_string(), 1);
+    }
 }
 
 /// Counts one kernel-level closed-form batch of `cells` cells
 /// (`kernels::analytic` — these bypass the engine entirely).
 pub fn record_closed_form(kernel: &'static str, cells: u64) {
-    let mut map = CLOSED_FORM.lock();
-    let entry = map.entry(kernel).or_default();
-    entry.batches += 1;
-    entry.cells += cells;
+    let mut e = ENGINE.lock();
+    if let Some(stats) = e.closed_form.get_mut(kernel) {
+        stats.batches += 1;
+        stats.cells += cells;
+    } else {
+        e.closed_form.insert(kernel.to_string(), ClosedFormStats { batches: 1, cells });
+    }
 }
 
 /// Accumulates record-phase wall-clock (profile export only).
@@ -340,7 +319,9 @@ pub fn wall_clock_ns() -> (u64, u64) {
     (RECORD_WALL_NS.load(Ordering::Relaxed), SIMULATE_WALL_NS.load(Ordering::Relaxed))
 }
 
-/// A point-in-time copy of every deterministic engine counter.
+/// Every deterministic engine counter. The process keeps one behind a
+/// lock that [`record_simulation`], [`record_fallback`] and
+/// [`record_closed_form`] fold into; [`snapshot`] returns a copy.
 ///
 /// Deterministic contract: equal sets of simulations produce equal
 /// snapshots, regardless of thread interleaving or worker count. Which
@@ -441,37 +422,7 @@ impl EngineTelemetry {
 
 /// Snapshots every deterministic counter.
 pub fn snapshot() -> EngineTelemetry {
-    let mut fallback_reasons = BTreeMap::new();
-    for reason in FallbackReason::ALL {
-        let count = FALLBACKS[reason.index()].load(Ordering::Relaxed);
-        if count > 0 {
-            fallback_reasons.insert(reason.name().to_string(), count);
-        }
-    }
-    let closed_form =
-        CLOSED_FORM.lock().iter().map(|(&k, &v)| (k.to_string(), v)).collect::<BTreeMap<_, _>>();
-    EngineTelemetry {
-        closed_form,
-        analytic_sims: ANALYTIC_SIMS.load(Ordering::Relaxed),
-        aggregated_sims: AGGREGATED_SIMS.load(Ordering::Relaxed),
-        aggregated_ranks: AGGREGATED_RANKS.load(Ordering::Relaxed),
-        aggregated_classes: AGGREGATED_CLASSES.load(Ordering::Relaxed),
-        event_driven_fallback: EVENT_FALLBACK.load(Ordering::Relaxed),
-        event_driven_forced: EVENT_FORCED.load(Ordering::Relaxed),
-        event_driven_traced: EVENT_TRACED.load(Ordering::Relaxed),
-        event_driven_faulted: EVENT_FAULTED.load(Ordering::Relaxed),
-        threaded_sims: THREADED_SIMS.load(Ordering::Relaxed),
-        fallback_reasons,
-        parks: PARKS.load(Ordering::Relaxed),
-        wakes: WAKES.load(Ordering::Relaxed),
-        p2p_events: P2P_EVENTS.load(Ordering::Relaxed),
-        collective_events: COLLECTIVE_EVENTS.load(Ordering::Relaxed),
-        ranks_simulated: RANKS_SIMULATED.load(Ordering::Relaxed),
-        classes_simulated: CLASSES_SIMULATED.load(Ordering::Relaxed),
-        retry_events: RETRY_EVENTS.load(Ordering::Relaxed),
-        retry_attempts: RETRY_ATTEMPTS.load(Ordering::Relaxed),
-        retry_charge_us: RETRY_CHARGE_US.load(Ordering::Relaxed),
-    }
+    ENGINE.lock().clone()
 }
 
 #[cfg(test)]

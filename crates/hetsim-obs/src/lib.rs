@@ -55,7 +55,6 @@ pub mod analysis;
 pub mod export;
 pub mod json;
 pub mod metrics;
-pub mod telemetry;
 
 pub use analysis::{
     critical_path, load_imbalance, rank_activity, CriticalPath, CriticalStep, RankActivity,
@@ -67,4 +66,3 @@ pub use json::Json;
 pub use metrics::{
     bucket_index, bucket_label, KindStats, MetricsSnapshot, RankSnapshot, HISTOGRAM_BUCKETS,
 };
-pub use telemetry::{MemoKernelStats, PoolStats, TelemetryReport};

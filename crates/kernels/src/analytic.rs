@@ -132,10 +132,6 @@ fn finish(clock: Vec<SimTime>, compute: Vec<SimTime>, comm: Vec<SimTime>) -> Tim
     }
 }
 
-fn marked_speeds(cluster: &ClusterSpec) -> Vec<f64> {
-    cluster.nodes().iter().map(|nd| nd.marked_speed_flops()).collect()
-}
-
 /// Closed-form GE timings: bit-identical to the engine pricing
 /// `ge::timed`'s skeleton (scatter, per-pivot bcast → eliminate →
 /// barrier rounds, gather, root back-substitution).
@@ -185,7 +181,7 @@ pub fn ge_closed_form_many<N: NetworkModel>(
 ) -> Vec<TimingOutcome> {
     hetsim_mpi::telemetry::record_closed_form("ge", networks.len() as u64);
     let p = cluster.size();
-    let speeds = marked_speeds(cluster);
+    let speeds = cluster.speeds_flops();
     // Row counts per rank in one O(n) ownership pass (materializing
     // each rank's row list would be O(n · p)).
     let mut rows = vec![0usize; p];
@@ -344,7 +340,7 @@ pub fn mm_closed_form<N: NetworkModel>(
 ) -> TimingOutcome {
     hetsim_mpi::telemetry::record_closed_form("mm", 1);
     let p = cluster.size();
-    let speeds = marked_speeds(cluster);
+    let speeds = cluster.speeds_flops();
     let rows: Vec<usize> = (0..p).map(|r| dist.range_of(r).len()).collect();
 
     let mut clock = vec![SimTime::ZERO; p];
@@ -377,7 +373,7 @@ pub fn power_closed_form<N: NetworkModel>(
 ) -> TimingOutcome {
     hetsim_mpi::telemetry::record_closed_form("power", 1);
     let p = cluster.size();
-    let speeds = marked_speeds(cluster);
+    let speeds = cluster.speeds_flops();
     let rows: Vec<usize> = (0..p).map(|r| dist.range_of(r).len()).collect();
 
     let mut clock = vec![SimTime::ZERO; p];
@@ -425,7 +421,7 @@ pub fn stencil_closed_form<N: NetworkModel>(
 ) -> TimingOutcome {
     hetsim_mpi::telemetry::record_closed_form("stencil", 1);
     let p = cluster.size();
-    let speeds = marked_speeds(cluster);
+    let speeds = cluster.speeds_flops();
     let rows: Vec<usize> = (0..p).map(|r| dist.range_of(r).len()).collect();
 
     let mut clock = vec![SimTime::ZERO; p];
@@ -568,10 +564,6 @@ mod tests {
         ]
     }
 
-    fn speeds(cluster: &ClusterSpec) -> Vec<f64> {
-        cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect()
-    }
-
     /// Every closed form must be bit-identical to the *event-driven*
     /// scheduler (not the engine's own analytic path) across cluster
     /// shapes × networks × sizes.
@@ -579,7 +571,7 @@ mod tests {
     fn closed_form_matches_engine_mm() {
         for cluster in &clusters() {
             for n in [1usize, 2, 3, 17, 64] {
-                let dist = BlockDistribution::proportional(n, &speeds(cluster));
+                let dist = BlockDistribution::proportional(n, &cluster.speeds_mflops());
                 let program = record_spmd(cluster, |t| mm_timed_body(t, &dist, n));
                 for (tag, net) in &networks() {
                     let net: &dyn NetworkModel = net.as_ref();
@@ -596,7 +588,7 @@ mod tests {
     fn closed_form_matches_engine_power() {
         for cluster in &clusters() {
             for (n, iters) in [(1usize, 1usize), (2, 2), (3, 1), (17, 4), (64, 3)] {
-                let dist = BlockDistribution::proportional(n, &speeds(cluster));
+                let dist = BlockDistribution::proportional(n, &cluster.speeds_mflops());
                 let program = record_spmd(cluster, |t| power_timed_body(t, &dist, n, iters));
                 for (tag, net) in &networks() {
                     let net: &dyn NetworkModel = net.as_ref();
@@ -620,7 +612,7 @@ mod tests {
             // n < 3 skips the sweep block; n = 17 at p = 8 leaves some
             // ranks with single rows; 64 exercises long halo chains.
             for (n, iters) in [(1usize, 2usize), (2, 2), (3, 1), (17, 4), (64, 3)] {
-                let dist = BlockDistribution::proportional(n, &speeds(cluster));
+                let dist = BlockDistribution::proportional(n, &cluster.speeds_mflops());
                 let program = record_spmd(cluster, |t| stencil_timed_body(t, &dist, n, iters));
                 for (tag, net) in &networks() {
                     let net: &dyn NetworkModel = net.as_ref();
@@ -664,7 +656,7 @@ mod tests {
     #[test]
     fn many_matches_one_by_one() {
         for cluster in &clusters() {
-            let sp = speeds(cluster);
+            let sp = cluster.speeds_mflops();
             let nets: Vec<JitteredNetwork<MpichEthernet>> = (0..5)
                 .map(|i| {
                     JitteredNetwork::new(
@@ -692,7 +684,7 @@ mod tests {
     fn kernel_recordings_are_lockstep() {
         let cluster = clusters().pop().expect("non-empty");
         let n = 17usize;
-        let sp = speeds(&cluster);
+        let sp = cluster.speeds_mflops();
         let cyc = CyclicDistribution::fine(n, &sp);
         let blk = BlockDistribution::proportional(n, &sp);
         assert!(record_spmd::<(), _>(&cluster, |t| ge_timed_body(t, &cyc, n)).is_lockstep());

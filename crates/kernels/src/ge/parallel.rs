@@ -56,7 +56,7 @@ pub fn ge_parallel<N: NetworkModel>(
     assert_eq!(a.cols(), n, "matrix must be square");
     assert_eq!(b.len(), n, "rhs length must equal n");
 
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+    let speeds = cluster.speeds_mflops();
     let dist = CyclicDistribution::fine(n, &speeds);
 
     let outcome =

@@ -99,7 +99,7 @@ pub fn ge_parallel_timed<N: NetworkModel>(
     n: usize,
     spec: RunSpec<'_>,
 ) -> TimingOutcome {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+    let speeds = cluster.speeds_mflops();
     let dist = CyclicDistribution::fine(n, &speeds);
     price(
         cluster,
@@ -146,7 +146,7 @@ pub fn ge_parallel_timed_many<N: NetworkModel>(
     networks: &[N],
     n: usize,
 ) -> Vec<TimingOutcome> {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+    let speeds = cluster.speeds_mflops();
     let dist = CyclicDistribution::fine(n, &speeds);
     if closed_form_applies(RunSpec::default()) {
         crate::analytic::ge_closed_form_many(cluster, networks, n, &dist)
@@ -266,8 +266,7 @@ mod tests {
         let cluster = het3();
         let net = SharedEthernet::new(0.3e-3, 1.25e7);
         for n in [5usize, 17, 40] {
-            let speeds: Vec<f64> =
-                cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+            let speeds = cluster.speeds_mflops();
             let dist = CyclicDistribution::fine(n, &speeds);
             let fast = ge_parallel_timed(&cluster, &net, n, RunSpec::default());
             let threaded =
@@ -284,7 +283,7 @@ mod tests {
         let net = SharedEthernet::new(0.3e-3, 1.25e7);
         let plan = FaultPlan::new(11).with_straggler(2, 0.5).with_link_drops(120);
         let n = 23usize;
-        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+        let speeds = cluster.speeds_mflops();
         let dist = CyclicDistribution::fine(n, &speeds);
         let fast =
             ge_parallel_timed(&cluster, &net, n, RunSpec { trace: false, faults: Some(&plan) });
@@ -326,8 +325,7 @@ mod tests {
             ClusterSpec::homogeneous(8, 70.0),
         ];
         for cluster in &clusters {
-            let speeds: Vec<f64> =
-                cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+            let speeds = cluster.speeds_mflops();
             for n in [1usize, 2, 3, 17, 64, 129] {
                 let dist = CyclicDistribution::fine(n, &speeds);
                 let check = |tag: &str, closed: TimingOutcome, engine: TimingOutcome| {

@@ -480,7 +480,7 @@ mod tests {
     }
 
     fn mflops(cluster: &ClassedCluster) -> Vec<f64> {
-        cluster.materialize().nodes().iter().map(|nd| nd.marked_speed_mflops).collect()
+        cluster.materialize().speeds_mflops()
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn mm_parallel<N: NetworkModel>(
     assert_eq!(a.cols(), n, "A must be square");
     assert!(b.rows() == n && b.cols() == n, "A and B must be square and the same size");
 
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+    let speeds = cluster.speeds_mflops();
     let dist = BlockDistribution::proportional(n, &speeds);
 
     let outcome =

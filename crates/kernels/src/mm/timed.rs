@@ -21,7 +21,7 @@ pub fn mm_parallel_timed<N: NetworkModel>(
     n: usize,
     spec: RunSpec<'_>,
 ) -> TimingOutcome {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+    let speeds = cluster.speeds_mflops();
     let dist = BlockDistribution::proportional(n, &speeds);
     price(
         cluster,
@@ -152,8 +152,7 @@ mod tests {
         let cluster = het3();
         let net = SharedEthernet::new(0.3e-3, 1.25e7);
         for n in [4usize, 15, 33] {
-            let speeds: Vec<f64> =
-                cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+            let speeds = cluster.speeds_mflops();
             let dist = BlockDistribution::proportional(n, &speeds);
             let fast = mm_parallel_timed(&cluster, &net, n, RunSpec::default());
             let threaded =
@@ -170,7 +169,7 @@ mod tests {
         let net = SharedEthernet::new(0.3e-3, 1.25e7);
         let plan = FaultPlan::new(21).with_link_drops(500).with_straggler(0, 0.6);
         let n = 48usize;
-        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+        let speeds = cluster.speeds_mflops();
         let dist = BlockDistribution::proportional(n, &speeds);
         let fast =
             mm_parallel_timed(&cluster, &net, n, RunSpec { trace: false, faults: Some(&plan) });

@@ -46,7 +46,7 @@ pub fn power_parallel<N: NetworkModel>(
     let n = a.rows();
     assert_eq!(a.cols(), n, "matrix must be square");
 
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+    let speeds = cluster.speeds_mflops();
     let dist = BlockDistribution::proportional(n, &speeds);
 
     let outcome = run_spmd(cluster, network, RunSpec::default(), |rank| {

@@ -61,6 +61,8 @@ use hetsim_cluster::time::SimTime;
 use hetsim_mpi::{run_spmd_fast, RunSpec, SpmdOutcome, SpmdTimer};
 use std::ops::Range;
 
+pub use hetsim_cluster::faults::RecoveryOverhead;
+
 /// The plan's earliest sampled death, resolved onto the driver's
 /// iteration axis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,30 +74,6 @@ pub struct DeathEvent {
     /// The kernel iteration the death interrupts, on the
     /// work-proportional progress estimate.
     pub iteration: usize,
-}
-
-/// Recovery overhead decomposition, summed over ranks in virtual
-/// seconds — the same quantities the runtime charges as `Checkpoint`,
-/// `Detect`, `LostWork`, and `Rebalance` spans, recomputed in closed
-/// form by the driver for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RecoveryOverhead {
-    /// Checkpoint I/O tax: every coordinated checkpoint, every rank.
-    pub checkpoint_secs: f64,
-    /// Failure-detector timeouts charged when a death fires.
-    pub detect_secs: f64,
-    /// Work rolled back and replayed (checkpoint/restart) or recomputed
-    /// for the dead rank (shrink-rebalance).
-    pub lost_work_secs: f64,
-    /// Repartition traffic absorbed by the survivors.
-    pub rebalance_secs: f64,
-}
-
-impl RecoveryOverhead {
-    /// Sum of all four components.
-    pub fn total_secs(&self) -> f64 {
-        self.checkpoint_secs + self.detect_secs + self.lost_work_secs + self.rebalance_secs
-    }
 }
 
 /// Outcome of one recoverable timed-kernel run.
@@ -378,7 +356,7 @@ impl RecoverableKernel {
     /// on `cluster` — each rank's rows under the kernel's standard
     /// distribution, exactly what [`timed_recoverable`] charges.
     pub fn checkpoint_bytes(self, cluster: &ClusterSpec, n: usize) -> Vec<u64> {
-        let speeds = speeds_mflops(cluster);
+        let speeds = cluster.speeds_mflops();
         match self {
             RecoverableKernel::Ge => {
                 checkpoint_bytes::<GeProtocol>(&GeProtocol::distribute(n, &speeds), n)
@@ -392,14 +370,6 @@ impl RecoverableKernel {
 
 fn checkpoint_bytes<K: Protocol>(dist: &K::Dist, n: usize) -> Vec<u64> {
     dist.counts().iter().map(|&rows| rows as u64 * K::row_bytes(n)).collect()
-}
-
-fn speeds_mflops(cluster: &ClusterSpec) -> Vec<f64> {
-    cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect()
-}
-
-fn speeds_flops(cluster: &ClusterSpec) -> Vec<f64> {
-    cluster.nodes().iter().map(|nd| nd.marked_speed_flops()).collect()
 }
 
 /// Seconds to replay `flops[r]` at `speeds[r]`, summed over ranks.
@@ -478,7 +448,7 @@ fn drive<K: Protocol, R: Runtime, N: NetworkModel>(
         R::record::<K, N>(cluster, network, RunSpec { trace, faults }, dist, n, seg)
     };
     let p = cluster.size();
-    let speeds = speeds_mflops(cluster);
+    let speeds = cluster.speeds_mflops();
     let dist = K::distribute(n, &speeds);
     let iters = K::iterations(n);
     let total_flops = K::work(n);
@@ -509,7 +479,7 @@ fn drive<K: Protocol, R: Runtime, N: NetworkModel>(
                 checkpoint_secs: num_ckpts as f64
                     * bytes.iter().map(|&b| checkpoint_cost_secs(b)).sum::<f64>(),
                 detect_secs: if death.is_some() { p as f64 * DETECT_TIMEOUT_SECS } else { 0.0 },
-                lost_work_secs: replay_secs(&lost_flops, &speeds_flops(cluster)),
+                lost_work_secs: replay_secs(&lost_flops, &cluster.speeds_flops()),
                 rebalance_secs: 0.0,
             };
             let seg = Segment {
@@ -533,8 +503,8 @@ fn drive<K: Protocol, R: Runtime, N: NetworkModel>(
                 .expect("shrink-rebalance needs at least one survivor");
             let surv_plan = death_plan.for_survivors(p);
             let repart = repartition_after_deaths(n, &speeds, &[ev.rank], K::row_bytes(n));
-            let surv_dist = K::distribute(n, &speeds_mflops(&surv_cluster));
-            let surv_speeds = speeds_flops(&surv_cluster);
+            let surv_dist = K::distribute(n, &surv_cluster.speeds_mflops());
+            let surv_speeds = surv_cluster.speeds_flops();
             let lost_share = survivor_shares(K::flops(&dist, ev.rank, n, 0, k), &surv_speeds);
             let moved_in_bytes =
                 repart.moved_in_rows.iter().map(|&r| r as u64 * K::row_bytes(n)).collect();

@@ -55,7 +55,7 @@ pub fn stencil_parallel<N: NetworkModel>(
     let n = u0.rows();
     assert_eq!(u0.cols(), n, "grid must be square");
 
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+    let speeds = cluster.speeds_mflops();
     let dist = BlockDistribution::proportional(n, &speeds);
 
     let outcome = run_spmd(cluster, network, RunSpec::default(), |rank| {

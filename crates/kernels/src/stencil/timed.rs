@@ -24,7 +24,7 @@ pub fn stencil_parallel_timed<N: NetworkModel>(
     iters: usize,
     spec: RunSpec<'_>,
 ) -> TimingOutcome {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+    let speeds = cluster.speeds_mflops();
     let dist = BlockDistribution::proportional(n, &speeds);
     price(
         cluster,
@@ -121,8 +121,7 @@ mod tests {
         let plan = FaultPlan::new(17).with_straggler(1, 0.5).with_link_drops(200);
         let faulted = RunSpec { trace: true, faults: Some(&plan) };
         for (n, iters) in [(9usize, 2usize), (48, 6)] {
-            let speeds: Vec<f64> =
-                cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+            let speeds = cluster.speeds_mflops();
             let dist = BlockDistribution::proportional(n, &speeds);
             for spec in [RunSpec::default(), faulted] {
                 let fast = stencil_parallel_timed(&cluster, &net, n, iters, spec);

@@ -21,8 +21,8 @@
 //!   elimination) used by the fitter and exposed for reuse.
 //! * [`invert`] — bracketing + bisection root finding and monotone
 //!   inversion of fitted curves.
-//! * [`stats`] — descriptive statistics and simple linear regression used
-//!   when calibrating machine parameters.
+//! * [`stats`] — simple linear regression used when calibrating machine
+//!   parameters, and the relative error predictions are judged by.
 //! * [`series`] — utilities over sampled `(x, y)` series: sorting,
 //!   deduplication, and piecewise-linear inversion.
 //!

@@ -3,9 +3,8 @@
 //! The normal-equation systems arising from polynomial fitting are tiny
 //! (degree + 1 unknowns, typically ≤ 7), so a straightforward
 //! partial-pivot Gaussian elimination is both adequate and easy to audit.
-//! The same routine doubles as the sequential reference implementation
-//! for the parallel Gaussian elimination kernel tests elsewhere in the
-//! workspace.
+//! (The parallel Gaussian elimination kernel has its own sequential
+//! reference, `kernels::ge::ge_sequential`.)
 
 use crate::error::FitError;
 use crate::Result;
@@ -101,25 +100,24 @@ pub fn solve_dense(system: &DenseSystem) -> Result<Vec<f64>> {
     Ok(x)
 }
 
-/// Computes the residual infinity norm `‖A x − b‖∞` for a candidate
-/// solution; handy for asserting solve quality in tests.
-pub fn residual_inf_norm(system: &DenseSystem, x: &[f64]) -> f64 {
-    let n = system.n;
-    assert_eq!(x.len(), n, "solution length must equal system dimension");
-    let mut worst = 0.0f64;
-    for i in 0..n {
-        let mut acc = 0.0;
-        for (j, &xj) in x.iter().enumerate() {
-            acc += system.a[i * n + j] * xj;
-        }
-        worst = worst.max((acc - system.b[i]).abs());
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The residual infinity norm `‖A x − b‖∞` of a candidate solution.
+    fn residual_inf_norm(system: &DenseSystem, x: &[f64]) -> f64 {
+        let n = system.n;
+        assert_eq!(x.len(), n, "solution length must equal system dimension");
+        let mut worst = 0.0f64;
+        for i in 0..n {
+            let mut acc = 0.0;
+            for (j, &xj) in x.iter().enumerate() {
+                acc += system.a[i * n + j] * xj;
+            }
+            worst = worst.max((acc - system.b[i]).abs());
+        }
+        worst
+    }
 
     fn sys(a: &[f64], b: &[f64]) -> DenseSystem {
         DenseSystem::new(a.to_vec(), b.to_vec()).unwrap()

@@ -1,56 +1,14 @@
-//! Descriptive statistics and simple linear regression.
+//! Simple linear regression and relative error.
 //!
-//! Used by the machine-parameter calibration step of the scalability
-//! predictor: point-to-point message times are regressed against message
-//! size (`T = a + b·N`), and collective times against `log₂ p`, exactly
-//! as the paper calibrates `T_send`, `T_bcast` and `T_barrier` on the
-//! Sunwulf cluster (§4.5).
+//! The regression serves the machine-parameter calibration step of the
+//! scalability predictor: point-to-point message times are regressed
+//! against message size (`T = a + b·N`), and collective times against
+//! `log₂ p`, exactly as the paper calibrates `T_send`, `T_bcast` and
+//! `T_barrier` on the Sunwulf cluster (§4.5). The relative error is how
+//! the experiments compare predicted against measured scalability.
 
 use crate::error::FitError;
 use crate::Result;
-
-/// Arithmetic mean. Returns `None` for an empty slice.
-pub fn mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() {
-        None
-    } else {
-        Some(xs.iter().sum::<f64>() / xs.len() as f64)
-    }
-}
-
-/// Minimum of a slice, ignoring nothing. `None` when empty.
-pub fn min(xs: &[f64]) -> Option<f64> {
-    xs.iter().copied().reduce(f64::min)
-}
-
-/// Maximum of a slice. `None` when empty.
-pub fn max(xs: &[f64]) -> Option<f64> {
-    xs.iter().copied().reduce(f64::max)
-}
-
-/// Linear interpolated percentile in `[0, 100]`. `None` when empty or the
-/// percentile is out of range.
-pub fn percentile(xs: &[f64], pct: f64) -> Option<f64> {
-    if xs.is_empty() || !(0.0..=100.0).contains(&pct) {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let rank = pct / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        Some(sorted[lo])
-    } else {
-        let frac = rank - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-    }
-}
-
-/// Median (50th percentile).
-pub fn median(xs: &[f64]) -> Option<f64> {
-    percentile(xs, 50.0)
-}
 
 /// Result of a simple linear regression `y ≈ intercept + slope·x`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,35 +76,6 @@ pub fn relative_error(measured: f64, reference: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_of_samples() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert_eq!(mean(&xs), Some(5.0));
-    }
-
-    #[test]
-    fn empty_slices_yield_none() {
-        assert_eq!(mean(&[]), None);
-        assert_eq!(median(&[]), None);
-        assert_eq!(min(&[]), None);
-        assert_eq!(max(&[]), None);
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0), Some(1.0));
-        assert_eq!(percentile(&xs, 100.0), Some(4.0));
-        assert_eq!(median(&xs), Some(2.5));
-        assert_eq!(percentile(&xs, 200.0), None);
-    }
-
-    #[test]
-    fn percentile_handles_unsorted_input() {
-        let xs = [9.0, 1.0, 5.0];
-        assert_eq!(median(&xs), Some(5.0));
-    }
 
     #[test]
     fn regression_recovers_exact_line() {

@@ -8,6 +8,7 @@ use crate::execution_time::{
     classify, execution_time_ratio, fixed_time_work_budget, TimeBehaviour,
 };
 use crate::metric::ScalabilityLadder;
+use hetsim_cluster::faults::RecoveryOverhead;
 use hetsim_mpi::trace::{OpKind, OverheadBreakdown, RankTrace};
 use std::fmt;
 
@@ -38,46 +39,6 @@ fn verdict(behaviour: TimeBehaviour) -> &'static str {
     }
 }
 
-/// Where a mid-run recovery's overhead went, in virtual seconds summed
-/// over ranks — the decomposition of the recovery tax the runtime
-/// charges as `Checkpoint`, `Detect`, `LostWork`, and `Rebalance`
-/// spans (DESIGN.md §12).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RecoveryBreakdown {
-    /// Checkpoint I/O paid whether or not anything fails.
-    pub checkpoint_tax_secs: f64,
-    /// Failure-detector timeouts charged when a death fired.
-    pub detect_secs: f64,
-    /// Work rolled back to the last checkpoint, or recomputed for the
-    /// dead rank by the survivors.
-    pub lost_work_secs: f64,
-    /// Repartition traffic absorbed by the survivors under
-    /// shrink-and-rebalance.
-    pub rebalance_cost_secs: f64,
-}
-
-impl RecoveryBreakdown {
-    /// Sum of all four components.
-    pub fn total_secs(&self) -> f64 {
-        self.checkpoint_tax_secs + self.detect_secs + self.lost_work_secs + self.rebalance_cost_secs
-    }
-}
-
-impl fmt::Display for RecoveryBreakdown {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "recovery overhead {:.4}s = checkpoint {:.4}s + detect {:.4}s + lost work {:.4}s \
-             + rebalance {:.4}s",
-            self.total_secs(),
-            self.checkpoint_tax_secs,
-            self.detect_secs,
-            self.lost_work_secs,
-            self.rebalance_cost_secs
-        )
-    }
-}
-
 /// How a faulted run compares to its fault-free baseline — the
 /// robustness annex printed next to the ψ table. ψ retention is the
 /// headline: the fraction of fault-free scalability the system keeps
@@ -97,7 +58,7 @@ pub struct RobustnessAnnex {
     pub dead_ranks: Vec<usize>,
     /// Mid-run recovery overhead decomposition, present when the run
     /// recovered from an MTBF-sampled death (DESIGN.md §12).
-    pub recovery: Option<RecoveryBreakdown>,
+    pub recovery: Option<RecoveryOverhead>,
 }
 
 impl RobustnessAnnex {
@@ -122,7 +83,7 @@ impl RobustnessAnnex {
     }
 
     /// Attaches a mid-run recovery overhead decomposition.
-    pub fn with_recovery(mut self, recovery: RecoveryBreakdown) -> RobustnessAnnex {
+    pub fn with_recovery(mut self, recovery: RecoveryOverhead) -> RobustnessAnnex {
         self.recovery = Some(recovery);
         self
     }
@@ -364,11 +325,11 @@ mod tests {
         let text = format!("{annex}");
         assert!(!text.contains("recovery overhead"));
 
-        let with = annex.clone().with_recovery(RecoveryBreakdown {
-            checkpoint_tax_secs: 0.5,
+        let with = annex.clone().with_recovery(RecoveryOverhead {
+            checkpoint_secs: 0.5,
             detect_secs: 0.1,
             lost_work_secs: 0.25,
-            rebalance_cost_secs: 0.15,
+            rebalance_secs: 0.15,
         });
         let recovery = with.recovery.unwrap();
         assert!((recovery.total_secs() - 1.0).abs() < 1e-12);
