@@ -162,13 +162,13 @@ impl<N: NetworkModel> AlgorithmSystem for FaultedSystem<'_, N> {
         match self.kernel {
             Kernel::Ge => {
                 crate::memo::cached("ge", &self.cluster, self.network, n, Some(&self.plan), || {
-                    ge_parallel_timed(&self.cluster, self.network, n, spec)
+                    ge_parallel_timed(&self.cluster, self.network, n, spec).makespan
                 })
                 .as_secs()
             }
             Kernel::Mm => {
                 crate::memo::cached("mm", &self.cluster, self.network, n, Some(&self.plan), || {
-                    mm_parallel_timed(&self.cluster, self.network, n, spec)
+                    mm_parallel_timed(&self.cluster, self.network, n, spec).makespan
                 })
                 .as_secs()
             }

@@ -230,7 +230,9 @@ impl<N: NetworkModel> AlgorithmSystem for RecoverableSystem<'_, N> {
         let label = self.policy.memo_label(self.kernel);
         crate::memo::cached(label, &self.cluster, self.network, n, Some(&plan), || {
             let kernel = self.kernel.recoverable();
-            timed_recoverable(kernel, &self.cluster, self.network, &plan, policy, n, false).timing
+            timed_recoverable(kernel, &self.cluster, self.network, &plan, policy, n, false)
+                .timing
+                .makespan
         })
         .as_secs()
     }

@@ -15,7 +15,7 @@ use crate::table::Table;
 use hetsim_cluster::calibrate::calibrate;
 use hetsim_cluster::sunwulf;
 use hetsim_mpi::RunSpec;
-use kernels::ge::ge_parallel_timed;
+use kernels::ge_makespan;
 use kernels::mm::mm_parallel_timed;
 use kernels::power::power_parallel_timed;
 use kernels::stencil::stencil_parallel_timed;
@@ -45,9 +45,7 @@ pub fn model_validation(ladder: &[usize], sizes: &[usize]) -> Table {
             (
                 "GE",
                 Box::new(move |n| ge_pred.predicted_time_secs(n)),
-                Box::new(|n| {
-                    ge_parallel_timed(&cluster, &net, n, RunSpec::default()).makespan.as_secs()
-                }),
+                Box::new(|n| ge_makespan(&cluster, &net, n).as_secs()),
             ),
             (
                 "MM",

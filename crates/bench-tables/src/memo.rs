@@ -35,7 +35,6 @@ use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-use kernels::TimingOutcome;
 use parking_lot::Mutex;
 
 /// Structural identity of one timed-kernel cell.
@@ -77,8 +76,8 @@ impl MemoCounts {
 }
 
 /// Returns the memoized makespan for the cell, computing (and caching)
-/// it on first touch. `compute` must be the pure timed-kernel run the
-/// key describes; `kernel` must also pin any hidden size parameters
+/// it on first touch. `compute` must return the makespan of the pure
+/// timed-kernel run the key describes; `kernel` must also pin any hidden size parameters
 /// (e.g. the stencil's `iters(n)` sweep count, a pure function of `n`).
 pub fn cached<N: NetworkModel>(
     kernel: &'static str,
@@ -86,11 +85,11 @@ pub fn cached<N: NetworkModel>(
     network: &N,
     n: usize,
     faults: Option<&FaultPlan>,
-    compute: impl FnOnce() -> TimingOutcome,
+    compute: impl FnOnce() -> SimTime,
 ) -> SimTime {
     let Some(net_fp) = network.fingerprint() else {
         *BYPASSES.lock().entry(kernel).or_insert(0) += 1;
-        return compute().makespan;
+        return compute();
     };
     let key = MemoKey {
         kernel,
@@ -107,7 +106,7 @@ pub fn cached<N: NetworkModel>(
         slot.touches += 1;
         Arc::clone(&slot.cell)
     };
-    *cell.get_or_init(|| compute().makespan)
+    *cell.get_or_init(compute)
 }
 
 /// Per-kernel counters: touches, entries (distinct cells), bypasses.
@@ -147,7 +146,7 @@ mod tests {
         let run = || {
             cached("ge", &cluster, &net, 97, None, || {
                 calls.fetch_add(1, Ordering::Relaxed);
-                ge_parallel_timed(&cluster, &net, 97, RunSpec::default())
+                ge_parallel_timed(&cluster, &net, 97, RunSpec::default()).makespan
             })
         };
         let first = run();
@@ -163,10 +162,10 @@ mod tests {
         let a = JitteredNetwork::new(sunwulf::sunwulf_network(), 0.05, 1);
         let b = JitteredNetwork::new(sunwulf::sunwulf_network(), 0.05, 2);
         let ra = cached("ge", &cluster, &a, 83, None, || {
-            ge_parallel_timed(&cluster, &a, 83, RunSpec::default())
+            ge_parallel_timed(&cluster, &a, 83, RunSpec::default()).makespan
         });
         let rb = cached("ge", &cluster, &b, 83, None, || {
-            ge_parallel_timed(&cluster, &b, 83, RunSpec::default())
+            ge_parallel_timed(&cluster, &b, 83, RunSpec::default()).makespan
         });
         assert_ne!(ra, rb, "different seeds must key different cells");
         assert_eq!(rb, ge_parallel_timed(&cluster, &b, 83, RunSpec::default()).makespan);
@@ -194,7 +193,7 @@ mod tests {
         for _ in 0..2 {
             cached("memo-bypass-test", &cluster, &Opaque, 61, None, || {
                 calls.fetch_add(1, Ordering::Relaxed);
-                ge_parallel_timed(&cluster, &Opaque, 61, RunSpec::default())
+                ge_parallel_timed(&cluster, &Opaque, 61, RunSpec::default()).makespan
             });
         }
         assert_eq!(calls.load(Ordering::Relaxed), 2, "no fingerprint — every touch computes");
@@ -213,7 +212,7 @@ mod tests {
         for ladder in [[40usize, 56], [40, 72]] {
             for n in ladder {
                 cached("memo-stats-test", &cluster, &net, n, None, || {
-                    ge_parallel_timed(&cluster, &net, n, RunSpec::default())
+                    ge_parallel_timed(&cluster, &net, n, RunSpec::default()).makespan
                 });
             }
         }

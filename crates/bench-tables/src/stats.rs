@@ -171,6 +171,7 @@ fn obj<const K: usize>(entries: [(&str, Json); K]) -> Json {
 /// itself (`"deterministic": false`).
 pub fn write_profile(path: &Path, watch: &Stopwatch) -> io::Result<()> {
     let (record_ns, simulate_ns) = hetsim_mpi::telemetry::wall_clock_ns();
+    let analyze_ns = hetsim_mpi::telemetry::analyze_wall_ns();
     let ids = watch
         .laps()
         .iter()
@@ -183,6 +184,7 @@ pub fn write_profile(path: &Path, watch: &Stopwatch) -> io::Result<()> {
         (
             "phases",
             obj([
+                ("analyze_us", Json::int(analyze_ns / 1_000)),
                 ("record_us", Json::int(record_ns / 1_000)),
                 ("simulate_us", Json::int(simulate_ns / 1_000)),
             ]),

@@ -6,7 +6,9 @@
 //! class-aggregated forms (proven timing-equivalent to the real ones by
 //! the kernels crate's tests), so curve sweeps over thousands of matrix
 //! ranks stay cheap while producing exactly the virtual times the
-//! arithmetic-executing kernels would.
+//! arithmetic-executing kernels would. [`GeSystem`] reads only the
+//! makespan, so it prices through [`ge_makespan`], the class-aggregated
+//! GE form on a per-rank cluster.
 
 use crate::params::MEGA_POWER_ITERS;
 use hetsim_cluster::classed::ClassedCluster;
@@ -14,7 +16,7 @@ use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_mpi::RunSpec;
 use kernels::ge::ge_parallel_timed;
-use kernels::mega::{ge_mega, mm_mega, power_mega};
+use kernels::mega::{ge_makespan, ge_mega, mm_mega, power_mega};
 use kernels::mm::mm_parallel_timed;
 use kernels::power::{power_parallel_timed, power_work};
 use kernels::stencil::{stencil_parallel_timed, stencil_work};
@@ -34,7 +36,11 @@ pub fn power_iters(n: usize) -> usize {
     n.div_ceil(4).max(1)
 }
 
-/// Parallel GE on one cluster configuration.
+/// Parallel GE on one cluster configuration, priced through
+/// [`ge_makespan`]: the cluster's maximal equal-speed runs become
+/// classes and [`ge_mega`] prices them in Θ(N·classes) — two classes on
+/// every Sunwulf GE rung — with the per-rank closed form's bits, or the
+/// per-rank engine under `--no-analytic`.
 pub struct GeSystem<'a, N: NetworkModel> {
     /// The configuration.
     pub cluster: &'a ClusterSpec,
@@ -61,7 +67,7 @@ impl<N: NetworkModel> AlgorithmSystem for GeSystem<'_, N> {
     }
     fn execute(&self, n: usize) -> f64 {
         crate::memo::cached("ge", self.cluster, self.network, n, None, || {
-            ge_parallel_timed(self.cluster, self.network, n, RunSpec::default())
+            ge_makespan(self.cluster, self.network, n)
         })
         .as_secs()
     }
@@ -94,7 +100,7 @@ impl<N: NetworkModel> AlgorithmSystem for MmSystem<'_, N> {
     }
     fn execute(&self, n: usize) -> f64 {
         crate::memo::cached("mm", self.cluster, self.network, n, None, || {
-            mm_parallel_timed(self.cluster, self.network, n, RunSpec::default())
+            mm_parallel_timed(self.cluster, self.network, n, RunSpec::default()).makespan
         })
         .as_secs()
     }
@@ -137,6 +143,7 @@ impl<N: NetworkModel> AlgorithmSystem for StencilSystem<'_, N> {
                 stencil_iters(n),
                 RunSpec::default(),
             )
+            .makespan
         })
         .as_secs()
     }
@@ -171,6 +178,7 @@ impl<N: NetworkModel> AlgorithmSystem for PowerSystem<'_, N> {
     fn execute(&self, n: usize) -> f64 {
         crate::memo::cached("power", self.cluster, self.network, n, None, || {
             power_parallel_timed(self.cluster, self.network, n, power_iters(n), RunSpec::default())
+                .makespan
         })
         .as_secs()
     }
@@ -404,6 +412,27 @@ mod tests {
         assert_eq!(stencil_iters(64), 8);
         assert_eq!(stencil_iters(65), 9);
         assert!(stencil_iters(1) >= 1);
+    }
+
+    #[test]
+    fn ge_route_matches_per_rank_on_every_surface_cell() {
+        // Every X3 GE cell, as `GeSystem` prices it, against the
+        // per-rank closed form: same bits at each rung up to 85 ranks.
+        use crate::params::{surface_ge_sizes, surface_rungs};
+        use hetpart::CyclicDistribution;
+        let net = sunwulf::sunwulf_network();
+        for p in surface_rungs(false) {
+            let cluster = sunwulf::ge_config(p);
+            for n in surface_ge_sizes(p) {
+                let dist = CyclicDistribution::fine(n, &cluster.speeds_mflops());
+                let per_rank = kernels::ge_closed_form(&cluster, &net, n, &dist).makespan;
+                assert_eq!(
+                    ge_makespan(&cluster, &net, n).as_secs().to_bits(),
+                    per_rank.as_secs().to_bits(),
+                    "p={p} n={n}"
+                );
+            }
+        }
     }
 
     #[test]

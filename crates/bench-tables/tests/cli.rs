@@ -566,6 +566,13 @@ fn profile_doc_declares_itself_non_deterministic() {
     let ids = doc["ids"].as_obj().expect("ids object");
     assert!(ids.contains_key("t2"), "t2 lap missing: {text}");
     assert!(doc["total_us"].as_num().expect("total") >= 0.0);
+    // Lockstep analysis is its own phase, beside recording and
+    // simulation.
+    let phases = doc["phases"].as_obj().expect("phases object");
+    for phase in ["analyze_us", "record_us", "simulate_us"] {
+        let us = phases.get(phase).and_then(Json::as_num);
+        assert!(us.is_some_and(|us| us >= 0.0), "{phase} missing: {text}");
+    }
 }
 
 #[test]

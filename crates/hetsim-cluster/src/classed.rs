@@ -73,6 +73,25 @@ impl ClassedCluster {
         Ok(ClassedCluster { classes, label: label.into() })
     }
 
+    /// The run-length encoding of a per-rank cluster: one class per
+    /// maximal run of consecutive ranks whose marked speeds are
+    /// bit-equal, in rank order, so [`ClassedCluster::materialize`]
+    /// reproduces every rank's speed bits. Errors as
+    /// [`ClassedCluster::new`] does: a `ClusterSpec` built from
+    /// struct-literal [`NodeSpec`]s can hold a zero, negative or
+    /// non-finite speed.
+    pub fn from_spec(spec: &ClusterSpec) -> Result<ClassedCluster, String> {
+        let mut classes: Vec<SpeedClass> = Vec::new();
+        for node in spec.nodes() {
+            let speed_mflops = node.marked_speed_mflops;
+            match classes.last_mut() {
+                Some(run) if run.speed_mflops.to_bits() == speed_mflops.to_bits() => run.count += 1,
+                _ => classes.push(SpeedClass { speed_mflops, count: 1 }),
+            }
+        }
+        ClassedCluster::new(spec.label.clone(), classes)
+    }
+
     /// A HEET-parameterized machine: `p` ranks in at most
     /// `max_classes` speed tiers, marked speeds descending linearly
     /// from `base_mflops · spread` (class 0, rank 0) to `base_mflops`,
@@ -328,6 +347,48 @@ mod tests {
             c.classes().iter().map(|s| s.speed_mflops.to_bits()).collect()
         };
         assert_eq!(speeds(&flat_lin), speeds(&flat_zipf));
+    }
+
+    #[test]
+    fn from_spec_encodes_maximal_runs_and_round_trips() {
+        let up = f64::from_bits(50f64.to_bits() + 1);
+        let down = f64::from_bits(50f64.to_bits() - 4);
+        let shapes: [&[f64]; 5] = [
+            &[50.0],
+            &[108.0, 50.0, 50.0, 50.0],
+            // Single-member classes everywhere, ulp neighbours included.
+            &[50.0, up, 50.0, down, 50.0],
+            // A speed that repeats after another run is a new class.
+            &[50.0, 50.0, 80.0, 50.0, 50.0, 50.0, up, up],
+            &[45.0; 40],
+        ];
+        for speeds in shapes {
+            let nodes = speeds
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| NodeSpec::synthetic(format!("n{i}"), s))
+                .collect();
+            let spec = ClusterSpec::new("spec", nodes).unwrap();
+            let classed = ClassedCluster::from_spec(&spec).unwrap();
+            let runs = 1 + speeds.windows(2).filter(|w| w[0].to_bits() != w[1].to_bits()).count();
+            assert_eq!(classed.class_count(), runs, "{speeds:?}");
+            assert_eq!(classed.size(), spec.size());
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(classed.materialize().speeds_flops()), bits(spec.speeds_flops()));
+            assert_eq!(classed.marked_speed_flops().to_bits(), spec.marked_speed_flops().to_bits());
+            assert_eq!(classed.label, spec.label);
+        }
+    }
+
+    #[test]
+    fn from_spec_rejects_speeds_a_classed_cluster_rejects() {
+        for bad in [0.0, -3.0, f64::NAN, f64::INFINITY] {
+            let mut node = NodeSpec::synthetic("a", 50.0);
+            node.marked_speed_mflops = bad;
+            let spec =
+                ClusterSpec::new("bad", vec![NodeSpec::synthetic("r0", 50.0), node]).unwrap();
+            assert!(ClassedCluster::from_spec(&spec).is_err(), "speed {bad} accepted");
+        }
     }
 
     #[test]

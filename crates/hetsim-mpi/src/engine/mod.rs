@@ -1076,9 +1076,15 @@ impl<R> SpmdProgram<R> {
     }
 
     /// The recording's lockstep phase plan (or the analyzer's rejection
-    /// reason), computed once on first use.
+    /// reason), computed once on first use; the analysis is timed for
+    /// the profile export's `analyze_us` phase.
     fn lockstep_result(&self) -> &Result<LockstepProgram, FallbackReason> {
-        self.lockstep.get_or_init(|| analytic::analyze(self.p, &self.classes, &self.class_of))
+        self.lockstep.get_or_init(|| {
+            let analyze_started = std::time::Instant::now();
+            let result = analytic::analyze(self.p, &self.classes, &self.class_of);
+            telemetry::add_analyze_wall_ns(analyze_started.elapsed().as_nanos() as u64);
+            result
+        })
     }
 
     /// The recording's lockstep phase plan, computed once on first use.

@@ -8,7 +8,8 @@
 //! fault plans — never of thread scheduling or wall-clock, so process
 //! totals are byte-stable across runs and worker counts as long as the
 //! same set of simulations executes. One deliberate exception, the
-//! record/simulate wall clocks read by [`wall_clock_ns`], accumulates
+//! record/simulate wall clocks read by [`wall_clock_ns`] and the
+//! lockstep-analysis clock read by [`analyze_wall_ns`], accumulates
 //! real elapsed time for the profile export and is excluded from every
 //! byte-identity guarantee (DESIGN.md §11).
 //!
@@ -252,6 +253,7 @@ pub struct ClosedFormStats {
 static ENGINE: LazyLock<Mutex<EngineTelemetry>> = LazyLock::new(Mutex::default);
 static RECORD_WALL_NS: AtomicU64 = AtomicU64::new(0);
 static SIMULATE_WALL_NS: AtomicU64 = AtomicU64::new(0);
+static ANALYZE_WALL_NS: AtomicU64 = AtomicU64::new(0);
 
 /// Folds one simulation's [`EngineReport`] into the process totals.
 pub fn record_simulation(report: &EngineReport) {
@@ -313,10 +315,23 @@ pub fn add_simulate_wall_ns(ns: u64) {
     SIMULATE_WALL_NS.fetch_add(ns, Ordering::Relaxed);
 }
 
+/// Accumulates lockstep-analysis wall-clock: the one-time structure
+/// check of a recording, outside both the record and simulate phases
+/// (profile export only).
+pub(crate) fn add_analyze_wall_ns(ns: u64) {
+    ANALYZE_WALL_NS.fetch_add(ns, Ordering::Relaxed);
+}
+
 /// `(record_ns, simulate_ns)` wall-clock totals. **Not deterministic**
 /// — profile export only, excluded from byte-identity guarantees.
 pub fn wall_clock_ns() -> (u64, u64) {
     (RECORD_WALL_NS.load(Ordering::Relaxed), SIMULATE_WALL_NS.load(Ordering::Relaxed))
+}
+
+/// Lockstep-analysis wall-clock total. **Not deterministic** — profile
+/// export only, like [`wall_clock_ns`].
+pub fn analyze_wall_ns() -> u64 {
+    ANALYZE_WALL_NS.load(Ordering::Relaxed)
 }
 
 /// Every deterministic engine counter. The process keeps one behind a

@@ -67,7 +67,7 @@ pub use analytic::{
 };
 pub use ge::{ge_parallel, ge_parallel_timed, ge_sequential, GeOutcome, TimingOutcome};
 pub use matrix::Matrix;
-pub use mega::{ge_mega, mm_mega, power_mega, MegaOutcome};
+pub use mega::{ge_makespan, ge_mega, mm_mega, power_mega, MegaOutcome};
 pub use mm::{mm_parallel, mm_parallel_timed, mm_sequential, MmOutcome};
 pub use power::{power_parallel, power_parallel_timed, power_sequential, power_work, PowerOutcome};
 pub use recover::{

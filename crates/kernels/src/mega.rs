@@ -18,6 +18,11 @@
 //! members of one class different row positions, so no per-subclass
 //! recording exists, and its Θ(N) rounds are batched by hand.
 //!
+//! [`ge_makespan`] brings the same pricing to a per-rank
+//! [`ClusterSpec`]: it run-length encodes the cluster
+//! ([`ClassedCluster::from_spec`]) and prices through [`ge_mega`], so a
+//! makespan-only GE cell costs O(N · runs) instead of O(N · P).
+//!
 //! The `mega_matches_per_rank_*` tests pin all three kernels against
 //! the per-rank closed forms — and transitively, via
 //! `closed_form_matches_engine_*`, against the event-driven engine and
@@ -25,7 +30,8 @@
 //! price endpoints individually (jittered, segmented) have no per-class
 //! costs and return [`FallbackReason::UnclassedNetwork`].
 
-use crate::ge::{back_substitution_flops, elimination_flops};
+use crate::ge::timed::closed_form_applies;
+use crate::ge::{back_substitution_flops, elimination_flops, ge_parallel_timed};
 use crate::mm::mm_timed_body;
 use crate::power::power_timed_body;
 use hetpart::{proportional_counts_classed, BlockDistribution, ClassedCyclicDeal};
@@ -36,7 +42,7 @@ use hetsim_cluster::node::NodeSpec;
 use hetsim_cluster::repeat_add;
 use hetsim_cluster::time::SimTime;
 use hetsim_mpi::telemetry::{self, EnginePath, EngineReport};
-use hetsim_mpi::{record_spmd, FallbackReason, RecordTimer, SpmdProgram};
+use hetsim_mpi::{record_spmd, FallbackReason, RecordTimer, RunSpec, SpmdProgram};
 
 /// The compact result of one mega-scale evaluation: no per-rank
 /// vectors, by construction.
@@ -236,6 +242,28 @@ pub fn ge_mega<N: NetworkModel>(
         Err(reason) => telemetry::record_fallback(*reason),
     }
     outcome
+}
+
+/// GE's makespan on a per-rank cluster: exactly the bits of
+/// `ge_parallel_timed(cluster, network, n, RunSpec::default()).makespan`,
+/// for callers that read nothing else.
+///
+/// Where the closed-form tier applies, the cluster is run-length
+/// encoded ([`ClassedCluster::from_spec`]) and priced through
+/// [`ge_mega`] in O(N · runs): a Sunwulf rung is two runs (the server
+/// and the SunBlades) at any rank count. It prices per rank instead
+/// under `--no-analytic`, when the cluster holds a speed a classed
+/// cluster rejects, and when the network has no per-class costs —
+/// [`FallbackReason::UnclassedNetwork`], which [`ge_mega`] counts in the
+/// engine telemetry like every other rejection.
+pub fn ge_makespan<N: NetworkModel>(cluster: &ClusterSpec, network: &N, n: usize) -> SimTime {
+    if closed_form_applies(RunSpec::default()) {
+        let classed = ClassedCluster::from_spec(cluster).ok();
+        if let Some(out) = classed.and_then(|c| ge_mega(&c, network, n).ok()) {
+            return out.makespan;
+        }
+    }
+    ge_parallel_timed(cluster, network, n, RunSpec::default()).makespan
 }
 
 fn ge_mega_eval<N: NetworkModel>(
@@ -443,6 +471,8 @@ mod tests {
     use hetsim_cluster::network::{
         ConstantLatency, JitteredNetwork, MpichEthernet, SharedEthernet, SwitchedNetwork,
     };
+    use hetsim_cluster::topology::SegmentedNetwork;
+    use proptest::prelude::*;
 
     /// Class-structure extremes, all materializable: single rank,
     /// homogeneous, two tiers, many tiers at the 85-node scale, and
@@ -582,6 +612,93 @@ mod tests {
         assert_eq!(mm_mega(&cluster, &net, 16), Err(FallbackReason::UnclassedNetwork));
         assert_eq!(power_mega(&cluster, &net, 16, 2), Err(FallbackReason::UnclassedNetwork));
         assert_eq!(ge_mega(&cluster, &net, 16), Err(FallbackReason::UnclassedNetwork));
+        // `ge_makespan` prices such cells per rank, with the same bits.
+        let spec = palette_spec(12, &[(0, 3), (1, 2), (5, 4), (0, 3)], false);
+        let classed = ClassedCluster::from_spec(&spec).expect("valid speeds");
+        let segmented = SegmentedNetwork::new(
+            (0..12).map(|r| r / 6).collect(),
+            MpichEthernet::new(0.1e-3, 1e8),
+            MpichEthernet::new(0.8e-3, 1.25e7),
+        );
+        let nets: [(&str, &dyn NetworkModel); 2] = [("jittered", &net), ("segmented", &segmented)];
+        for (tag, net) in nets {
+            for n in [0usize, 5, 12, 40] {
+                assert_eq!(ge_mega(&classed, &net, n), Err(FallbackReason::UnclassedNetwork));
+                assert_eq!(
+                    ge_makespan(&spec, &net, n).as_secs().to_bits(),
+                    per_rank_ge(&spec, &net, n).as_secs().to_bits(),
+                    "{tag} n={n}"
+                );
+            }
+        }
+    }
+
+    /// 50 Mflop/s, its ±1-ulp and ±4-ulp neighbours, and two far
+    /// speeds: runs the encoding must keep apart although every
+    /// deficit and elimination time differs from 50's by about an ulp.
+    fn ulp_palette() -> [f64; 7] {
+        let ulps = |k: i64| f64::from_bits(50f64.to_bits().wrapping_add_signed(k));
+        [50.0, ulps(1), ulps(-1), ulps(4), ulps(-4), 80.0, 110.0]
+    }
+
+    /// `p` ranks laid out from `(palette index, run length)` draws. With
+    /// `singles`, every run has one member and differs from the last, so
+    /// every class is a single rank and speeds repeat only apart.
+    fn palette_spec(p: usize, draws: &[(usize, usize)], singles: bool) -> ClusterSpec {
+        let palette = ulp_palette();
+        let mut speeds: Vec<f64> = Vec::with_capacity(p);
+        let mut last = palette.len();
+        for &(idx, len) in draws.iter().cycle() {
+            let (idx, len) = if singles {
+                ((last + 1 + idx % (palette.len() - 1)) % palette.len(), 1)
+            } else {
+                (idx, len)
+            };
+            last = idx;
+            speeds.extend(std::iter::repeat_n(palette[idx], len.min(p - speeds.len())));
+            if speeds.len() == p {
+                break;
+            }
+        }
+        let nodes = speeds
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| NodeSpec::synthetic(format!("r{i}"), s))
+            .collect();
+        ClusterSpec::new("palette-spec", nodes).expect("p >= 1")
+    }
+
+    fn per_rank_ge<N: NetworkModel>(spec: &ClusterSpec, net: &N, n: usize) -> SimTime {
+        let dist = CyclicDistribution::fine(n, &spec.speeds_mflops());
+        ge_closed_form(spec, net, n, &dist).makespan
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `ge_makespan` on any run layout — maximal runs of random
+        /// length, all-singleton classes, speeds that repeat after
+        /// other runs, ulp-adjacent neighbours — returns the per-rank
+        /// closed form's makespan bit for bit, N < P included.
+        #[test]
+        fn ge_makespan_matches_per_rank_on_adversarial_layouts(
+            p in 1usize..41,
+            draws in prop::collection::vec((0usize..7, 1usize..9), 1..12),
+            singles in 0usize..3,
+        ) {
+            let spec = palette_spec(p, &draws, singles == 0);
+            let classed = ClassedCluster::from_spec(&spec).expect("palette speeds are valid");
+            for n in [0, 1, 2, p - 1, p, 3 * p] {
+                for (tag, net) in &networks() {
+                    let net: &dyn NetworkModel = net.as_ref();
+                    let want = per_rank_ge(&spec, &net, n).as_secs().to_bits();
+                    let routed = ge_makespan(&spec, &net, n).as_secs().to_bits();
+                    let mega = ge_mega(&classed, &net, n).expect("classed network");
+                    prop_assert_eq!(routed, want, "{} p={} n={} {:?}", tag, p, n, spec.speeds_mflops());
+                    prop_assert_eq!(mega.makespan.as_secs().to_bits(), want);
+                }
+            }
+        }
     }
 
     #[test]
