@@ -127,82 +127,75 @@ test "$elapsed" -le "$BUDGET_SECS" || {
     exit 1
 }
 
-# Perf gate, fine: the full ladders must keep their closed-form speed.
-# The binary reports its own wall-clock as the `total_us` of its
+# Perf gates, fine: each reads the binary's own wall-clock from its
 # --profile-out document (excluding exec/linker startup, which is not
-# ladder cost); take the minimum of a few runs so single-core load
-# spikes cannot flake the gate. ~23 ms expected on a 2-vCPU host since
-# makespan-only GE cells price through ge_mega (~28 ms before); 30 ms
-# trips on losing any closed form, the aggregated GE route or the
-# batched noise path.
+# sweep cost) and keeps the best of a few runs, so single-core load
+# spikes cannot flake a gate. `best_us KEY RUNS ARGS...` runs
+# "$BIN" ARGS --profile-out FILE RUNS times and prints the smallest
+# "KEY":<us>. The document is deleted before each run, so a run that
+# writes none fails the gate instead of re-reading the previous run's.
+best_us() {
+    key=$1 runs=$2
+    shift 2
+    best=
+    while [ "$runs" -gt 0 ]; do
+        rm -f "$TMP"/profile.json
+        "$BIN" "$@" --profile-out "$TMP"/profile.json > /dev/null 2>&1 || exit 1
+        us=$(sed -n "s/.*\"$key\":\([0-9]*\).*/\1/p" "$TMP"/profile.json)
+        test -n "$us" || { echo "$key missing from the profile document" >&2; exit 1; }
+        if [ -z "$best" ] || [ "$us" -lt "$best" ]; then best=$us; fi
+        runs=$((runs - 1))
+    done
+    echo "$best"
+}
+
+# The full ladders must keep their closed-form speed: ~23 ms expected
+# on a 2-vCPU host since makespan-only GE cells price through ge_mega
+# (~28 ms before); 30 ms trips on losing any closed form, the
+# aggregated GE route or the batched noise path.
 LADDER_BUDGET_US=30000
-best_us=
-for _ in 1 2 3 4 5 6 7 8; do
-    "$BIN" --profile-out "$TMP"/ladder_profile.json > /dev/null 2>&1
-    us=$(sed -n 's/.*"total_us":\([0-9]*\).*/\1/p' "$TMP"/ladder_profile.json)
-    test -n "$us" || { echo "total_us missing from the profile document" >&2; exit 1; }
-    if [ -z "$best_us" ] || [ "$us" -lt "$best_us" ]; then best_us=$us; fi
-done
-test "$best_us" -le "$LADDER_BUDGET_US" || {
-    echo "full ladders took ${best_us}us internally (budget ${LADDER_BUDGET_US}us)" >&2
+best=$(best_us total_us 8)
+test "$best" -le "$LADDER_BUDGET_US" || {
+    echo "full ladders took ${best}us internally (budget ${LADDER_BUDGET_US}us)" >&2
     exit 1
 }
 
-# Perf gate, mega: the quick mega sweep (which includes a 10^5-rank
-# preset) must stay on the O(classes) aggregated path. ~84 ms expected
+# Mega: the quick mega sweep (which includes a 10^5-rank preset) must
+# stay on the O(classes) aggregated path. ~84 ms expected
 # (BENCH_MEGASCALE.json) — nearly all of it GE's Theta(N*classes)
 # rounds, ~35 ns each over the 2.4M-round quick grids — so 100 ms
 # trips on any per-round regression or a cell sliding back to an O(P)
 # walk (the per-rank oracle needs ~4 s for the same sweep).
 MEGA_BUDGET_US=100000
-best_us=
-for _ in 1 2 3 4 5; do
-    "$BIN" --quick mega --profile-out "$TMP"/mega_profile.json > /dev/null 2>&1
-    us=$(sed -n 's/.*"total_us":\([0-9]*\).*/\1/p' "$TMP"/mega_profile.json)
-    test -n "$us" || { echo "total_us missing from the profile document" >&2; exit 1; }
-    if [ -z "$best_us" ] || [ "$us" -lt "$best_us" ]; then best_us=$us; fi
-done
-test "$best_us" -le "$MEGA_BUDGET_US" || {
-    echo "quick mega sweep took ${best_us}us internally (budget ${MEGA_BUDGET_US}us)" >&2
+best=$(best_us total_us 5 --quick mega)
+test "$best" -le "$MEGA_BUDGET_US" || {
+    echo "quick mega sweep took ${best}us internally (budget ${MEGA_BUDGET_US}us)" >&2
     exit 1
 }
 
-# Perf gate, surface: every X3 GE rung (the server plus p-1 SunBlades)
-# is two speed classes, so each makespan-only GE cell prices through
-# ge_mega in Theta(N*classes) rounds (DESIGN.md §13). ~6-9 ms expected
-# on a 2-vCPU host; the per-rank Theta(N*P) walk took ~95-150 ms, so
-# 30 ms trips if any rung slides back to it.
+# Surface: every X3 GE rung (the server plus p-1 SunBlades) is two
+# speed classes, so each makespan-only GE cell prices through ge_mega
+# in Theta(N*classes) rounds (DESIGN.md §13). ~6-9 ms expected on a
+# 2-vCPU host; the per-rank Theta(N*P) walk took ~95-150 ms, so 30 ms
+# trips if any rung slides back to it.
 SURFACE_BUDGET_US=30000
-best_us=
-for _ in 1 2 3 4 5; do
-    "$BIN" surface --profile-out "$TMP"/surface_profile.json > /dev/null 2>&1
-    us=$(sed -n 's/.*"total_us":\([0-9]*\).*/\1/p' "$TMP"/surface_profile.json)
-    test -n "$us" || { echo "total_us missing from the profile document" >&2; exit 1; }
-    if [ -z "$best_us" ] || [ "$us" -lt "$best_us" ]; then best_us=$us; fi
-done
-test "$best_us" -le "$SURFACE_BUDGET_US" || {
-    echo "surface sweep took ${best_us}us internally (budget ${SURFACE_BUDGET_US}us)" >&2
+best=$(best_us total_us 5 surface)
+test "$best" -le "$SURFACE_BUDGET_US" || {
+    echo "surface sweep took ${best}us internally (budget ${SURFACE_BUDGET_US}us)" >&2
     exit 1
 }
 
-# Perf gate, obs: the quick fault + recovery run exports ~10.6 MB of
-# traces, streamed span by span through the direct JSON writers of
+# Obs: the quick fault + recovery run exports ~10.6 MB of traces,
+# streamed span by span through the direct JSON writers of
 # hetsim_obs::export (DESIGN.md §7). The `obs` lap of --profile-out
 # (the traced runs plus both exports) is ~55-85 ms at best on a 2-vCPU
 # host; it was ~300-370 ms when every span was built as a Json tree and
 # each file held whole in memory, so 150 ms trips on a return to that.
 OBS_BUDGET_US=150000
-best_us=
-for _ in 1 2 3 4 5; do
-    "$BIN" --quick --faults recover --trace-out "$TMP"/obs_traces \
-        --metrics-out "$TMP"/obs_metrics.json --profile-out "$TMP"/obs_profile.json \
-        > /dev/null 2>&1
-    us=$(sed -n 's/.*"obs":\([0-9]*\).*/\1/p' "$TMP"/obs_profile.json)
-    test -n "$us" || { echo "obs lap missing from the profile document" >&2; exit 1; }
-    if [ -z "$best_us" ] || [ "$us" -lt "$best_us" ]; then best_us=$us; fi
-done
-test "$best_us" -le "$OBS_BUDGET_US" || {
-    echo "obs layer (traced runs + trace and metrics export) took ${best_us}us at best (budget ${OBS_BUDGET_US}us)" >&2
+best=$(best_us obs 5 --quick --faults recover --trace-out "$TMP"/obs_traces \
+    --metrics-out "$TMP"/obs_metrics.json)
+test "$best" -le "$OBS_BUDGET_US" || {
+    echo "obs layer (traced runs + trace and metrics export) took ${best}us at best (budget ${OBS_BUDGET_US}us)" >&2
     exit 1
 }
 

@@ -9,6 +9,7 @@
 //! plan retains exactly 1 because the faulted runtime path is
 //! bit-identical to the baseline without a plan.
 
+use super::Kernel;
 use crate::params::ExperimentParams;
 use crate::systems::{GeSystem, MmSystem};
 use crate::table::{fnum, Table};
@@ -21,7 +22,6 @@ use hetsim_cluster::time::SimTime;
 use hetsim_mpi::RunSpec;
 use kernels::ge::ge_parallel_timed;
 use kernels::mm::mm_parallel_timed;
-use kernels::workload::{ge_work, mm_work};
 use scalability::metric::{AlgorithmSystem, ScalabilityLadder};
 use scalability::report::{analyze, RobustnessAnnex, ScalabilityReport};
 
@@ -38,22 +38,6 @@ pub const GE_FAULTS_TARGET: f64 = 0.25;
 
 /// Straggler speed multiplier: affected ranks run at half speed.
 pub const STRAGGLER_MULTIPLIER: f64 = 0.5;
-
-/// Which kernel a faulted system wraps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernel {
-    Ge,
-    Mm,
-}
-
-impl Kernel {
-    fn name(self) -> &'static str {
-        match self {
-            Kernel::Ge => "GE",
-            Kernel::Mm => "MM",
-        }
-    }
-}
 
 /// The fault severities swept, in escalating order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,10 +113,7 @@ impl<'a, N: NetworkModel> FaultedSystem<'a, N> {
     /// Binds `kernel` on the `p`-rank scaled configuration under
     /// `severity`, resolving declared deaths into the surviving cluster.
     fn new(kernel: Kernel, severity: Severity, p: usize, network: &'a N) -> Self {
-        let cluster = match kernel {
-            Kernel::Ge => sunwulf::ge_config(p),
-            Kernel::Mm => sunwulf::mm_config(p),
-        };
+        let cluster = kernel.config(p);
         let plan = severity.plan(p);
         let (cluster, plan) = if plan.deaths().is_empty() {
             (cluster, plan)
@@ -152,10 +133,7 @@ impl<N: NetworkModel> AlgorithmSystem for FaultedSystem<'_, N> {
         self.cluster.marked_speed_flops()
     }
     fn work(&self, n: usize) -> f64 {
-        match self.kernel {
-            Kernel::Ge => ge_work(n),
-            Kernel::Mm => mm_work(n),
-        }
+        self.kernel.work(n)
     }
     fn execute(&self, n: usize) -> f64 {
         let spec = RunSpec { trace: false, faults: Some(&self.plan) };
@@ -197,10 +175,7 @@ fn measure_kernel<N: NetworkModel>(
         Kernel::Ge => (GE_FAULTS_TARGET, &params.ge_sizes),
         Kernel::Mm => (params.mm_target, &params.mm_sizes),
     };
-    let base_cluster = match kernel {
-        Kernel::Ge => sunwulf::ge_config(p_base),
-        Kernel::Mm => sunwulf::mm_config(p_base),
-    };
+    let base_cluster = kernel.config(p_base);
 
     let base_ge = GeSystem { cluster: &base_cluster, network: net };
     let base_mm = MmSystem { cluster: &base_cluster, network: net };
@@ -233,11 +208,7 @@ fn measure_kernel<N: NetworkModel>(
         let repartition_cost_secs = if dead.is_empty() {
             0.0
         } else {
-            let full = match kernel {
-                Kernel::Ge => sunwulf::ge_config(p_scaled),
-                Kernel::Mm => sunwulf::mm_config(p_scaled),
-            };
-            let speeds = full.speeds_flops();
+            let speeds = kernel.config(p_scaled).speeds_flops();
             let row_bytes = 8 * (repr_n + 1) as u64;
             let moved = repartition_after_deaths(repr_n, &speeds, &dead, row_bytes);
             // Priced as one bulk survivor-to-survivor transfer.

@@ -28,6 +28,7 @@
 //! agree with the prediction within one grid step (pinned by tests and
 //! EXPERIMENTS.md "R2").
 
+use super::Kernel;
 use crate::params::ExperimentParams;
 use crate::systems::{GeSystem, MmSystem};
 use crate::table::{fnum, Table};
@@ -38,7 +39,6 @@ use hetsim_cluster::faults::{
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::sunwulf;
 use kernels::recover::{estimated_run_secs, timed_recoverable, RecoverableKernel};
-use kernels::workload::{ge_work, mm_work};
 use kernels::RecoveryOutcome;
 use scalability::metric::{AlgorithmSystem, ScalabilityLadder};
 use scalability::report::{analyze, RobustnessAnnex, ScalabilityReport};
@@ -59,39 +59,11 @@ pub const RECOVER_SEED_SALT: u64 = 0x7ec0;
 /// Salt separating the Daly seed campaign's streams from the ladder's.
 pub const DALY_SEED_SALT: u64 = 0xda10;
 
-/// Which kernel a recoverable system wraps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernel {
-    Ge,
-    Mm,
-}
-
 impl Kernel {
-    fn name(self) -> &'static str {
-        match self {
-            Kernel::Ge => "GE",
-            Kernel::Mm => "MM",
-        }
-    }
-
     fn recoverable(self) -> RecoverableKernel {
         match self {
             Kernel::Ge => RecoverableKernel::Ge,
             Kernel::Mm => RecoverableKernel::Mm,
-        }
-    }
-
-    fn config(self, p: usize) -> ClusterSpec {
-        match self {
-            Kernel::Ge => sunwulf::ge_config(p),
-            Kernel::Mm => sunwulf::mm_config(p),
-        }
-    }
-
-    fn work(self, n: usize) -> f64 {
-        match self {
-            Kernel::Ge => ge_work(n),
-            Kernel::Mm => mm_work(n),
         }
     }
 

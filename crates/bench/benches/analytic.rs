@@ -56,7 +56,7 @@ fn bench_pairs(c: &mut Criterion, group_name: &str, cluster: &ClusterSpec, n: us
     ];
     let mut group = c.benchmark_group(group_name);
     for (kernel, program) in &programs {
-        assert!(program.is_lockstep(), "{kernel} recording must be lockstep");
+        assert_eq!(program.fallback_reason(), None, "{kernel} recording must be lockstep");
         group.bench_with_input(BenchmarkId::new("analytic", kernel), program, |b, program| {
             b.iter(|| black_box(program.simulate_analytic(cluster, &net()).unwrap().makespan()))
         });

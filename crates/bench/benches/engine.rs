@@ -5,8 +5,8 @@
 //! scheduler) — and the bench groups mirror that split:
 //!
 //! * `record_phase` — [`record_spmd`] alone;
-//! * `simulate_phase` — replaying a pre-recorded [`SpmdProgram`], the
-//!   cost the cross-cell memo and the noise campaigns amortize down to;
+//! * `simulate_phase` — replaying a pre-recorded [`SpmdProgram`] on the
+//!   ready-queue scheduler ([`SpmdProgram::simulate_event_driven`]);
 //! * `end_to_end` — record + simulate ([`run_spmd_fast`]) next to the
 //!   threaded oracle and the production timed kernels.
 //!
@@ -74,7 +74,7 @@ fn bench_simulate_phase(c: &mut Criterion) {
     for (label, cluster) in clusters() {
         let program = record_spmd(&cluster, |t| mixed_body(t, 16));
         group.bench_with_input(BenchmarkId::new("mixed_x16", label), &cluster, |b, cluster| {
-            b.iter(|| black_box(program.simulate(cluster, &net()).makespan()))
+            b.iter(|| black_box(program.simulate_event_driven(cluster, &net()).makespan()))
         });
     }
     group.finish();

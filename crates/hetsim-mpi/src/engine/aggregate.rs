@@ -9,8 +9,12 @@
 //! [`super::record_spmd`]) are priced through a single representative:
 //! the class's **last member in rank order** (its "tail"). Collectives
 //! become O(classes) folds, and hub fan-outs collapse to closed-form
-//! repeated-addition chains, so evaluating a plan costs
-//! O(classes + phases), independent of P.
+//! repeated-addition chains. There is no second plan: the tier walks
+//! the lockstep phase plan once, checking each phase for class symmetry
+//! and folding it over the class tails as it goes, so a walk costs
+//! O(phases · recorded ranks) — independent of the P the weights stand
+//! for. The first phase it cannot fold decides the typed reason it
+//! returns.
 //!
 //! # Why the tail is enough, and exact
 //!
@@ -26,7 +30,7 @@
 //! - **Gather** advances each leaf by one class-constant p2p cost and
 //!   needs only the *maximum* deposit clock at the root.
 //! - **Hub scatter** delivers messages whose arrivals are
-//!   non-decreasing in send order; the plan verifies delivery order
+//!   non-decreasing in send order; the walk verifies delivery order
 //!   follows member rank order within each class
 //!   ([`FallbackReason::ClassOrderDiverged`] otherwise), so
 //!   `max(clock, arrival)` stays monotone.
@@ -35,8 +39,8 @@
 //! rendezvous fold (`max` over all ranks, in rank order) equals the
 //! fold over class tails — the same `f64` values, hence bit-equal.
 //! Costs are class-constant only when the network prices transfers
-//! by size alone; models that price endpoints individually make
-//! [`AggregatePlan::evaluate`] return
+//! by size alone; models that price endpoints individually make the
+//! first gather or scatter phase return
 //! [`FallbackReason::UnclassedNetwork`].
 //!
 //! # Fan-out corrections
@@ -65,68 +69,13 @@
 //! MM and power at 10⁷ ranks this way, from one recorded rank per
 //! subclass.
 
-use super::analytic::{P2pStep, Phase};
-use super::{Op, SpmdProgram};
+use super::analytic::{run_flops, LockstepProgram, P2pStep, Phase};
+use super::SpmdProgram;
 use crate::telemetry::{self, EnginePath, EngineReport, FallbackReason};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::flrepeat::repeat_add;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-
-/// A recording's class-aggregated evaluation plan.
-///
-/// Built once in O(recorded ranks) by [`SpmdProgram::aggregate_plan`];
-/// evaluated against any size-priced network in O(classes + phases) by
-/// [`AggregatePlan::evaluate`].
-#[derive(Debug)]
-pub(crate) struct AggregatePlan {
-    p: usize,
-    /// Members per class (aggregation multiplicity).
-    members: Vec<u64>,
-    /// Marked speed per class, flop/s.
-    speed_flops: Vec<f64>,
-    phases: Vec<AggPhase>,
-    /// Per-rank op counts one evaluation covers (telemetry).
-    collective_ops: u64,
-    p2p_ops: u64,
-}
-
-/// One aggregated phase: exit tails are a pure function of entry tails.
-#[derive(Debug)]
-enum AggPhase {
-    /// Per-class compute runs (the per-op flops, charged individually —
-    /// same `fl` sequence as one member walking its op list).
-    Compute {
-        flops: Vec<Vec<f64>>,
-    },
-    Barrier,
-    /// Broadcast of `count` elements from the (singleton) root class;
-    /// allgather-derived counts are resolved statically at build time.
-    Bcast {
-        root_class: u32,
-        count: usize,
-    },
-    Gather {
-        root_class: u32,
-        /// `(bytes, count)` rank-order RLE of contribution sizes.
-        size_runs: Vec<(u64, u64)>,
-        /// Index of the run containing the root rank.
-        root_run: usize,
-        /// Per class: own contribution wire bytes (root entry unused).
-        leaf_bytes: Vec<u64>,
-    },
-    /// A single-hub scatter: every send originates from the singleton
-    /// hub class; arrivals are sampled at each receiving class's tail.
-    Scatter {
-        hub_class: u32,
-        /// `(bytes, count)` send-order RLE of the hub's send sizes.
-        send_runs: Vec<(u64, u64)>,
-        /// `(slot, class)` tail sample points, ascending by slot: the
-        /// hub-chain value after send `slot` is class `class`'s last
-        /// arrival.
-        samples: Vec<(u64, u32)>,
-    },
-}
 
 /// The result of one aggregated evaluation. Communication/wait splits
 /// are per-member quantities the tail cannot represent, so the outcome
@@ -144,6 +93,12 @@ pub struct AggregateOutcome {
     pub ranks: u64,
 }
 
+/// A single-hub scatter folded for tail sampling: the hub's class, the
+/// `(bytes, count)` send-order RLE of its send sizes, and the
+/// `(slot, class)` tail sample points, ascending by slot (the hub-chain
+/// value after send `slot` is class `class`'s last arrival).
+type HubScatter = (usize, Vec<(u64, u64)>, Vec<(u64, usize)>);
+
 /// Appends `count` copies of `value` to a rank-order run-length
 /// encoding, merging into the last run when the value repeats.
 fn push_run(runs: &mut Vec<(u64, u64)>, value: u64, count: u64) {
@@ -154,25 +109,75 @@ fn push_run(runs: &mut Vec<(u64, u64)>, value: u64, count: u64) {
 }
 
 impl<R> SpmdProgram<R> {
-    /// Builds the class-aggregated evaluation plan, or returns the
-    /// typed reason the recording's shape cannot be aggregated. O(recorded
-    /// ranks) once; the plan then prices in O(classes + phases) per
-    /// network. `cluster` and `weights` are as for
-    /// [`simulate_aggregated`](Self::simulate_aggregated).
+    /// Class-aggregated pricing of the recording: walks its lockstep
+    /// plan once, folding each phase over class tails in O(recorded
+    /// ranks), and records [`EnginePath::Aggregated`] telemetry on
+    /// success and the typed [`FallbackReason`] on a rejection (callers
+    /// then price on another tier). The first phase the tier cannot fold
+    /// decides the reason, so a network without per-class costs
+    /// ([`FallbackReason::UnclassedNetwork`]) can be reported before a
+    /// shape a later phase would reject. Only the walk is timed as the
+    /// profile's simulate phase; the lockstep analysis is timed apart.
+    ///
+    /// `cluster` must agree with the recording's rank classes: same
+    /// size, and one marked speed per class (the recording cluster
+    /// always does; a re-pricing cluster that splits a class returns
+    /// [`FallbackReason::ClassOrderDiverged`]).
+    ///
+    /// `weights[r]` is how many ranks of the priced machine recorded
+    /// rank `r` stands for (all ones: the recording itself). The
+    /// caller's contract: a recorded rank with weight `m` stands for `m`
+    /// consecutive ranks that would have recorded the same op stream.
+    /// Its hub receives and gather contributions then expand into `m`
+    /// copies in member order, and `Σ weights` ranks enter the costs and
+    /// the telemetry. A collective root of weight > 1 returns
+    /// [`FallbackReason::MultiMemberRootClass`]; a scatter hub of
+    /// weight > 1, or a P2P batch that sends to a rank of weight > 1
+    /// more than once, returns [`FallbackReason::AsymmetricP2p`].
     ///
     /// # Panics
     /// When `cluster` or `weights` disagree with the recording's rank
     /// count, or a weight is zero.
-    pub(crate) fn aggregate_plan(
+    pub fn simulate_aggregated<N: NetworkModel>(
         &self,
         cluster: &ClusterSpec,
+        network: &N,
         weights: &[u64],
-    ) -> Result<AggregatePlan, FallbackReason> {
+    ) -> Result<AggregateOutcome, FallbackReason> {
         let p = self.p;
         assert_eq!(cluster.size(), p, "cluster size disagrees with the recording's rank count");
         assert_eq!(weights.len(), p, "one weight per recorded rank");
         assert!(weights.iter().all(|&w| w > 0), "every recorded rank stands for at least one rank");
-        let lockstep = self.lockstep_result().as_ref().map_err(|&e| e)?;
+        let walked = self.lockstep_result().as_ref().map_err(|&e| e).and_then(|plan| {
+            let simulate_started = std::time::Instant::now();
+            let walked = self.aggregate_walk(plan, cluster, network, weights);
+            telemetry::add_simulate_wall_ns(simulate_started.elapsed().as_nanos() as u64);
+            walked
+        });
+        match walked {
+            Ok((outcome, report)) => {
+                telemetry::record_simulation(&report);
+                Ok(outcome)
+            }
+            Err(reason) => {
+                telemetry::record_fallback(reason);
+                Err(reason)
+            }
+        }
+    }
+
+    /// The walk behind [`simulate_aggregated`](Self::simulate_aggregated),
+    /// on its checked inputs, untimed and unrecorded: the outcome plus
+    /// the engine report of the per-rank op counts it covers (every
+    /// collective involves each priced rank, and every hub send pairs
+    /// with one receive).
+    fn aggregate_walk<N: NetworkModel>(
+        &self,
+        plan: &LockstepProgram,
+        cluster: &ClusterSpec,
+        network: &N,
+        weights: &[u64],
+    ) -> Result<(AggregateOutcome, EngineReport), FallbackReason> {
         let nc = self.classes.len();
 
         let mut members = vec![0u64; nc];
@@ -194,49 +199,58 @@ impl<R> SpmdProgram<R> {
         // no other recorded rank shares its class).
         let root_class = |root: u32| {
             if weights[root as usize] == 1 {
-                Ok(self.class_of[root as usize] as u32)
+                Ok(self.class_of[root as usize])
             } else {
                 Err(FallbackReason::MultiMemberRootClass)
             }
         };
 
-        // Statically resolved allgather-derived broadcast counts: the
-        // packed size is `p + Σ gathered counts` of the root's most
-        // recent gather, and counts are recording constants.
-        let mut gather_total = vec![0usize; p];
-        let mut phases = Vec::with_capacity(lockstep.phases.len());
-        for phase in &lockstep.phases {
-            phases.push(match phase {
+        let mut report = EngineReport::new(EnginePath::Aggregated, ranks, nc as u64);
+        let mut last = vec![SimTime::ZERO; nc];
+        // Hoisted once per evaluation, as both per-rank engines do.
+        let barrier_cost = SimTime::from_secs(network.barrier_time(ranks as usize));
+        // The root's most recent weighted gather total: an
+        // allgather-derived broadcast packs `p + Σ gathered counts`.
+        let mut gather_total = vec![0usize; self.p];
+        for phase in &plan.phases {
+            match phase {
                 Phase::Compute { runs } => {
-                    let flops = (0..nc)
-                        .map(|c| {
-                            let (start, end) = runs[c];
-                            self.classes[c][start as usize..end as usize]
-                                .iter()
-                                .map(|op| {
-                                    let Op::Compute { flops } = *op else {
-                                        unreachable!("compute runs hold only compute ops")
-                                    };
-                                    flops
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    AggPhase::Compute { flops }
+                    // The per-op flops, charged individually — same `fl`
+                    // sequence as one member walking its op list.
+                    for (c, l) in last.iter_mut().enumerate() {
+                        for flops in run_flops(&self.classes[c], runs[c]) {
+                            *l += SimTime::from_secs(flops / speed_flops[c]);
+                        }
+                    }
                 }
-                Phase::Barrier => AggPhase::Barrier,
-                Phase::Bcast { root, count } => {
-                    AggPhase::Bcast { root_class: root_class(*root)?, count: *count }
+                Phase::Barrier => {
+                    report.collective_events += ranks;
+                    let rendezvous = *last.iter().max().expect("classes >= 1");
+                    last.fill(rendezvous + barrier_cost);
                 }
-                Phase::BcastDerived { root } => AggPhase::Bcast {
-                    root_class: root_class(*root)?,
-                    count: ranks as usize + gather_total[*root as usize],
-                },
+                Phase::Bcast { root, .. } | Phase::BcastDerived { root } => {
+                    let rc = root_class(*root)?;
+                    report.collective_events += ranks;
+                    let count = match phase {
+                        Phase::Bcast { count, .. } => *count,
+                        _ => ranks as usize + gather_total[*root as usize],
+                    };
+                    let bytes = (count * 8) as u64;
+                    let cost = SimTime::from_secs(network.bcast_time(ranks as usize, bytes));
+                    let departure = last[rc] + cost;
+                    for (c, l) in last.iter_mut().enumerate() {
+                        *l = if c == rc { departure } else { (*l).max(departure) };
+                    }
+                }
                 Phase::Gather { root, counts, sizes, .. } => {
-                    let root_class = root_class(*root)?;
+                    let rc = root_class(*root)?;
+                    report.collective_events += ranks;
                     let root = *root as usize;
                     gather_total[root] =
                         counts.iter().zip(weights).map(|(&c, &w)| c * w as usize).sum();
+                    // `(bytes, count)` rank-order RLE of contribution
+                    // sizes, the run holding the root, and each class's
+                    // own contribution (the root's entry unused).
                     let mut size_runs = Vec::new();
                     let mut root_run = 0usize;
                     let mut leaf_bytes = vec![0u64; nc];
@@ -247,37 +261,55 @@ impl<R> SpmdProgram<R> {
                         }
                         leaf_bytes[self.class_of[r]] = bytes;
                     }
-                    AggPhase::Gather { root_class, size_runs, root_run, leaf_bytes }
+                    // Deposit clocks fold to the class tails (root
+                    // included — its class is singleton).
+                    let max_entry = *last.iter().max().expect("classes >= 1");
+                    let cost = network
+                        .gather_time_classed(&size_runs, root_run)
+                        .ok_or(FallbackReason::UnclassedNetwork)?;
+                    let ready = last[rc].max(max_entry);
+                    let root_exit = ready + SimTime::from_secs(cost);
+                    for (c, l) in last.iter_mut().enumerate() {
+                        if c != rc {
+                            let leg = network
+                                .p2p_time_class(leaf_bytes[c])
+                                .ok_or(FallbackReason::UnclassedNetwork)?;
+                            *l += SimTime::from_secs(leg);
+                        }
+                    }
+                    last[rc] = root_exit;
                 }
-                Phase::P2p { steps } => self.scatter_phase(steps, weights)?,
-            });
-        }
-
-        // The per-rank op counts one evaluation covers (telemetry):
-        // every collective involves each priced rank, and every hub
-        // send pairs with one receive.
-        let mut collective_ops = 0u64;
-        let mut p2p_ops = 0u64;
-        for phase in &phases {
-            match phase {
-                AggPhase::Compute { .. } => {}
-                AggPhase::Barrier | AggPhase::Bcast { .. } | AggPhase::Gather { .. } => {
-                    collective_ops += ranks
-                }
-                AggPhase::Scatter { send_runs, .. } => {
-                    p2p_ops += 2 * send_runs.iter().map(|&(_, n)| n).sum::<u64>()
+                Phase::P2p { steps } => {
+                    let (hub, send_runs, samples) = self.hub_scatter(steps, weights)?;
+                    report.p2p_events += 2 * send_runs.iter().map(|&(_, n)| n).sum::<u64>();
+                    // The hub clock chains one fl-addition per send;
+                    // equal-size runs batch through repeat_add, and
+                    // each class tail's arrival is the chain sampled
+                    // at its slot (chain splits compose exactly).
+                    let mut chain = last[hub].as_secs();
+                    let mut slot_base = 0u64;
+                    let mut next_sample = samples.into_iter().peekable();
+                    for (bytes, count) in send_runs {
+                        let cost = network
+                            .p2p_time_class(bytes)
+                            .ok_or(FallbackReason::UnclassedNetwork)?;
+                        while let Some((slot, c)) =
+                            next_sample.next_if(|&(slot, _)| slot < slot_base + count)
+                        {
+                            let arrival = repeat_add(chain, cost, slot - slot_base + 1);
+                            last[c] = last[c].max(SimTime::from_secs(arrival));
+                        }
+                        chain = repeat_add(chain, cost, count);
+                        slot_base += count;
+                    }
+                    last[hub] = SimTime::from_secs(chain);
                 }
             }
         }
-
-        Ok(AggregatePlan {
-            p: ranks as usize,
-            members,
-            speed_flops,
-            phases,
-            collective_ops,
-            p2p_ops,
-        })
+        let makespan = *last.iter().max().expect("classes >= 1");
+        let outcome =
+            AggregateOutcome { makespan, class_times: last, class_members: members, ranks };
+        Ok((outcome, report))
     }
 
     /// Folds a lockstep P2P batch into a hub scatter, or reports why
@@ -290,11 +322,11 @@ impl<R> SpmdProgram<R> {
     /// weight `m` expands into `m` back-to-back sends, one per member —
     /// the materialized hub's order only while it sends to each
     /// member once per batch.
-    fn scatter_phase(
+    fn hub_scatter(
         &self,
         steps: &[P2pStep],
         weights: &[u64],
-    ) -> Result<AggPhase, FallbackReason> {
+    ) -> Result<HubScatter, FallbackReason> {
         let mut hub: Option<u32> = None;
         let mut send_runs: Vec<(u64, u64)> = Vec::new();
         // Expanded slot of each recorded send's last copy: the one its
@@ -335,13 +367,11 @@ impl<R> SpmdProgram<R> {
         if weights[hub as usize] != 1 {
             return Err(FallbackReason::AsymmetricP2p);
         }
-        let hub_class = self.class_of[hub as usize] as u32;
 
         // Tail sampling is sound only when, within each class, the
         // last-message slot increases with member rank order (the tail
         // then owns the class's latest arrival).
-        let nc = self.classes.len();
-        let mut class_last: Vec<Option<u64>> = vec![None; nc];
+        let mut class_last: Vec<Option<u64>> = vec![None; self.classes.len()];
         for (r, &c) in self.class_of.iter().enumerate() {
             let slot = last_slot[r];
             if slot == u64::MAX {
@@ -352,165 +382,10 @@ impl<R> SpmdProgram<R> {
             }
             class_last[c] = Some(slot);
         }
-        let mut samples: Vec<(u64, u32)> = class_last
-            .iter()
-            .enumerate()
-            .filter_map(|(c, s)| s.map(|slot| (slot, c as u32)))
-            .collect();
+        let mut samples: Vec<(u64, usize)> =
+            class_last.iter().enumerate().filter_map(|(c, s)| s.map(|slot| (slot, c))).collect();
         samples.sort_unstable();
-        Ok(AggPhase::Scatter { hub_class, send_runs, samples })
-    }
-
-    /// Class-aggregated pricing of the recording: builds the plan in
-    /// O(recorded ranks) and evaluates it in O(classes + phases),
-    /// recording [`EnginePath::Aggregated`] telemetry on success and the
-    /// typed [`FallbackReason`] on a plan or network rejection (callers
-    /// then fall back to [`simulate`](Self::simulate)).
-    ///
-    /// `cluster` must agree with the recording's rank classes: same
-    /// size, and one marked speed per class (the recording cluster
-    /// always does; a re-pricing cluster that splits a class returns
-    /// [`FallbackReason::ClassOrderDiverged`]).
-    ///
-    /// `weights[r]` is how many ranks of the priced machine recorded
-    /// rank `r` stands for (all ones: the recording itself). The
-    /// caller's contract: a recorded rank with weight `m` stands for `m`
-    /// consecutive ranks that would have recorded the same op stream.
-    /// Its hub receives and gather contributions then expand into `m`
-    /// copies in member order, and `Σ weights` ranks enter the costs and
-    /// the telemetry. A collective root of weight > 1 returns
-    /// [`FallbackReason::MultiMemberRootClass`]; a scatter hub of
-    /// weight > 1, or a P2P batch that sends to a rank of weight > 1
-    /// more than once, returns [`FallbackReason::AsymmetricP2p`].
-    ///
-    /// # Panics
-    /// When `cluster` or `weights` disagree with the recording's rank
-    /// count, or a weight is zero.
-    pub fn simulate_aggregated<N: NetworkModel>(
-        &self,
-        cluster: &ClusterSpec,
-        network: &N,
-        weights: &[u64],
-    ) -> Result<AggregateOutcome, FallbackReason> {
-        let result = self.aggregate_plan(cluster, weights).and_then(|plan| {
-            let simulate_started = std::time::Instant::now();
-            let outcome = plan.evaluate(network);
-            telemetry::add_simulate_wall_ns(simulate_started.elapsed().as_nanos() as u64);
-            if outcome.is_ok() {
-                let mut report = EngineReport::new(
-                    EnginePath::Aggregated,
-                    plan.p as u64,
-                    plan.members.len() as u64,
-                );
-                report.collective_events = plan.collective_ops;
-                report.p2p_events = plan.p2p_ops;
-                telemetry::record_simulation(&report);
-            }
-            outcome
-        });
-        if let Err(reason) = result {
-            telemetry::record_fallback(reason);
-        }
-        result
-    }
-}
-
-impl AggregatePlan {
-    /// Prices the plan against `network` in O(classes + phases).
-    ///
-    /// Returns [`FallbackReason::UnclassedNetwork`] when the model
-    /// prices endpoints individually (no per-class costs exist);
-    /// otherwise the outcome's makespan and tail clocks are
-    /// bit-identical to the per-rank engines on the same recording.
-    pub(crate) fn evaluate<N: NetworkModel>(
-        &self,
-        network: &N,
-    ) -> Result<AggregateOutcome, FallbackReason> {
-        let nc = self.members.len();
-        let mut last = vec![SimTime::ZERO; nc];
-        // Hoisted once per evaluation, as both per-rank engines do.
-        let barrier_cost = SimTime::from_secs(network.barrier_time(self.p));
-        for phase in &self.phases {
-            match phase {
-                AggPhase::Compute { flops } => {
-                    for (c, run) in flops.iter().enumerate() {
-                        for &f in run {
-                            last[c] += SimTime::from_secs(f / self.speed_flops[c]);
-                        }
-                    }
-                }
-                AggPhase::Barrier => {
-                    let rendezvous = *last.iter().max().expect("classes >= 1");
-                    let exit = rendezvous + barrier_cost;
-                    for l in last.iter_mut() {
-                        *l = exit;
-                    }
-                }
-                AggPhase::Bcast { root_class, count } => {
-                    let rc = *root_class as usize;
-                    let bytes = (count * 8) as u64;
-                    let cost = SimTime::from_secs(network.bcast_time(self.p, bytes));
-                    let departure = last[rc] + cost;
-                    for (c, l) in last.iter_mut().enumerate() {
-                        *l = if c == rc { departure } else { (*l).max(departure) };
-                    }
-                }
-                AggPhase::Gather { root_class, size_runs, root_run, leaf_bytes } => {
-                    let rc = *root_class as usize;
-                    // Deposit clocks fold to the class tails (root
-                    // included — its class is singleton).
-                    let max_entry = *last.iter().max().expect("classes >= 1");
-                    let cost = network
-                        .gather_time_classed(size_runs, *root_run)
-                        .ok_or(FallbackReason::UnclassedNetwork)?;
-                    let ready = last[rc].max(max_entry);
-                    let root_exit = ready + SimTime::from_secs(cost);
-                    for (c, l) in last.iter_mut().enumerate() {
-                        if c != rc {
-                            let leg = network
-                                .p2p_time_class(leaf_bytes[c])
-                                .ok_or(FallbackReason::UnclassedNetwork)?;
-                            *l += SimTime::from_secs(leg);
-                        }
-                    }
-                    last[rc] = root_exit;
-                }
-                AggPhase::Scatter { hub_class, send_runs, samples } => {
-                    let hub = *hub_class as usize;
-                    // The hub clock chains one fl-addition per send;
-                    // equal-size runs batch through repeat_add, and
-                    // each class tail's arrival is the chain sampled
-                    // at its slot (chain splits compose exactly).
-                    let mut chain = last[hub].as_secs();
-                    let mut slot_base = 0u64;
-                    let mut next_sample = samples.iter().peekable();
-                    for &(bytes, count) in send_runs {
-                        let cost = network
-                            .p2p_time_class(bytes)
-                            .ok_or(FallbackReason::UnclassedNetwork)?;
-                        while let Some(&&(slot, c)) = next_sample.peek() {
-                            if slot >= slot_base + count {
-                                break;
-                            }
-                            let arrival = repeat_add(chain, cost, slot - slot_base + 1);
-                            let c = c as usize;
-                            last[c] = last[c].max(SimTime::from_secs(arrival));
-                            next_sample.next();
-                        }
-                        chain = repeat_add(chain, cost, count);
-                        slot_base += count;
-                    }
-                    last[hub] = SimTime::from_secs(chain);
-                }
-            }
-        }
-        let makespan = *last.iter().max().expect("classes >= 1");
-        Ok(AggregateOutcome {
-            makespan,
-            class_times: last,
-            class_members: self.members.clone(),
-            ranks: self.p as u64,
-        })
+        Ok((self.class_of[hub as usize], send_runs, samples))
     }
 }
 
@@ -619,7 +494,7 @@ mod tests {
     fn aggregated_matches_event_driven_across_networks() {
         // Distinct speeds, one speed, one rank, and two (50, 2) runs
         // that dedup into one class across the mid-machine root; each
-        // materialized and as a skeleton, one plan under every network.
+        // materialized and as a skeleton, walked under every network.
         // The row-heavy runs at the hub's speed put a weighted class's
         // scatter arrival into the makespan.
         let machines = [
@@ -634,18 +509,24 @@ mod tests {
             &SwitchedNetwork::new(0.1e-3, 1.2e7),
             &ConstantLatency::new(1e-3),
         ];
+        let walk = |program: &Program, cluster: &ClusterSpec, weights: &[u64], net| {
+            let plan = program.lockstep_result().as_ref().expect("lockstep");
+            program.aggregate_walk(plan, cluster, &net, weights).expect("aggregatable")
+        };
         for (runs, root_run) in machines {
             let (full, full_cluster, ones) = recorded(runs, root_run, false);
             let (skel, skel_cluster, weights) = recorded(runs, root_run, true);
-            let full_plan = full.aggregate_plan(&full_cluster, &ones).expect("aggregatable");
-            let skel_plan = skel.aggregate_plan(&skel_cluster, &weights).expect("aggregatable");
-            assert_eq!(skel_plan.collective_ops, full_plan.collective_ops, "collective ops");
             let sends = 2 * (full.size() as u64 - 1);
-            assert_eq!((skel_plan.p2p_ops, full_plan.p2p_ops), (sends, sends), "p2p ops");
             for net in nets {
+                let (agg, skel_ops) = walk(&skel, &skel_cluster, &weights, net);
+                let (full_agg, full_ops) = walk(&full, &full_cluster, &ones, net);
+                assert_eq!(
+                    skel_ops.collective_events, full_ops.collective_events,
+                    "collective ops"
+                );
+                assert_eq!((skel_ops.p2p_events, full_ops.p2p_events), (sends, sends), "p2p ops");
                 // Makespan, every class tail, members and rank count.
-                let agg = skel_plan.evaluate(&net).expect("classed network");
-                assert_eq!(agg, full_plan.evaluate(&net).expect("classed network"));
+                assert_eq!(agg, full_agg);
                 assert_agg_matches(&full, &agg, &full.simulate_event_driven(&full_cluster, &net));
             }
         }
@@ -732,8 +613,8 @@ mod tests {
         let (_, reprice, _) = recorded(&[(80.0, 2, 2), (90.0, 2, 1), (80.0, 2, 1)], 0, false);
         let net = ConstantLatency::new(1e-3);
         assert_eq!(
-            program.aggregate_plan(&reprice, &weights).err(),
-            Some(FallbackReason::ClassOrderDiverged)
+            program.simulate_aggregated(&reprice, &net, &weights),
+            Err(FallbackReason::ClassOrderDiverged)
         );
         assert!(program.simulate_aggregated(&recorded_on, &net, &weights).is_ok());
     }

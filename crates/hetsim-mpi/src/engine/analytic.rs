@@ -13,6 +13,12 @@
 //! whole schedule phase by phase ([`LockstepProgram::evaluate`]) with
 //! no mailboxes, slots, park/wake chains, or program counters.
 //!
+//! The phase plan is the engine's only plan. Two tiers walk it: the
+//! per-rank evaluator here, and the class-aggregated walk
+//! (`aggregate.rs`, DESIGN.md §13), which folds each phase over class
+//! tails instead of ranks. Both read a compute run's flops through
+//! [`run_flops`].
+//!
 //! # What "lockstep" means
 //!
 //! A recording is lockstep when its per-class op lists factor into a
@@ -64,7 +70,7 @@ use crate::trace::OpKind;
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A recording's lockstep phase plan, produced by [`analyze`].
 #[derive(Debug)]
@@ -106,6 +112,18 @@ pub(super) enum P2pStep {
     Recv { rank: u32, source: u32, count: usize, slot: u32 },
 }
 
+/// A message in flight during analysis: `(source, tag, slot, count)`.
+type Pending = (usize, Tag, u32, usize);
+
+/// The per-op flops of compute run `run` (a [`Phase::Compute`] range)
+/// of `ops`, in program order.
+pub(super) fn run_flops(ops: &[Op], (start, end): (u32, u32)) -> impl Iterator<Item = f64> + '_ {
+    ops[start as usize..end as usize].iter().map(|op| {
+        let Op::Compute { flops } = *op else { unreachable!("compute runs hold only compute ops") };
+        flops
+    })
+}
+
 /// Detects lockstep phase structure in a recording's per-class op
 /// lists. Returns the [`FallbackReason`] — *fall back to the
 /// ready-queue scheduler* — for any shape it cannot prove lockstep.
@@ -126,6 +144,9 @@ pub(super) fn analyze(
 
     let mut cursor = vec![0usize; nc];
     let mut phases = Vec::new();
+    // One mailbox per rank for p2p matching, empty again after every
+    // accepted phase.
+    let mut mailboxes: Vec<VecDeque<Pending>> = vec![VecDeque::new(); p];
     loop {
         // Absorb per-class compute runs greedily.
         let mut runs = vec![(0u32, 0u32); nc];
@@ -165,7 +186,7 @@ pub(super) fn analyze(
         let any_p2p = (0..nc)
             .any(|c| matches!(classes[c].get(cursor[c]), Some(Op::Send { .. } | Op::Recv { .. })));
         if any_p2p {
-            phases.push(p2p_phase(p, classes, class_of, &mut cursor)?);
+            phases.push(p2p_phase(classes, class_of, &mut cursor, &mut mailboxes)?);
             continue;
         }
         if done > 0 {
@@ -323,17 +344,20 @@ fn collective_phase(
 /// Closes a P2P phase by Kahn-style scheduling: repeatedly drain each
 /// rank's sends (always executable) and receives whose matching send
 /// was already emitted *within this phase*, preserving per-rank program
-/// order and the engine's per-`(source, tag)` FIFO matching. Rejects
-/// stalls (a receive whose send never materializes here) and leftovers
-/// (a send consumed only after the next synchronization point).
+/// order. Messages wait in the destination's mailbox (empty on entry),
+/// and a receive takes the first one matching its `(source, tag)` —
+/// the event-driven engine's rule, so each `(source, dest, tag)`
+/// stream stays FIFO. Rejects stalls (a receive whose send never
+/// materializes here) and leftovers (a send consumed only after the
+/// next synchronization point).
 fn p2p_phase(
-    p: usize,
     classes: &[Vec<Op>],
     class_of: &[usize],
     cursor: &mut [usize],
+    mailboxes: &mut [VecDeque<Pending>],
 ) -> Result<Phase, FallbackReason> {
+    let p = class_of.len();
     let mut pc: Vec<usize> = (0..p).map(|r| cursor[class_of[r]]).collect();
-    let mut pending: HashMap<(usize, usize, Tag), VecDeque<(u32, usize)>> = HashMap::new();
     let mut steps = Vec::new();
     let mut sends = 0u32;
     let mut progress = true;
@@ -345,17 +369,18 @@ fn p2p_phase(
                 match ops.get(pc[r]) {
                     Some(&Op::Send { dest, tag, count }) => {
                         steps.push(P2pStep::Send { rank: r as u32, dest: dest as u32, count });
-                        pending.entry((r, dest, tag)).or_default().push_back((sends, count));
+                        mailboxes[dest].push_back((r, tag, sends, count));
                         sends += 1;
                         pc[r] += 1;
                         progress = true;
                     }
                     Some(&Op::Recv { source, tag, expect }) => {
-                        let Some((slot, count)) =
-                            pending.get_mut(&(source, r, tag)).and_then(|q| q.pop_front())
+                        let mailbox = &mut mailboxes[r];
+                        let Some(i) = mailbox.iter().position(|m| (m.0, m.1) == (source, tag))
                         else {
                             break;
                         };
+                        let (_, _, slot, count) = mailbox.remove(i).expect("index just found");
                         if count != expect {
                             // The engine's size assert owns this
                             // diagnostic; fall back.
@@ -375,7 +400,7 @@ fn p2p_phase(
             }
         }
     }
-    if pending.values().any(|q| !q.is_empty()) {
+    if mailboxes.iter().any(|m| !m.is_empty()) {
         return Err(FallbackReason::SendAcrossSync);
     }
     for r in 0..p {
@@ -432,11 +457,7 @@ impl LockstepProgram {
                 Phase::Compute { runs } => {
                     for (r, rank) in ranks.iter_mut().enumerate() {
                         let c = class_of[r];
-                        let (start, end) = runs[c];
-                        for op in &classes[c][start as usize..end as usize] {
-                            let Op::Compute { flops } = *op else {
-                                unreachable!("compute runs hold only compute ops")
-                            };
+                        for flops in run_flops(&classes[c], runs[c]) {
                             rank.compute(false, None, flops);
                         }
                     }

@@ -35,6 +35,16 @@
 //!    that makes the threaded runtime scheduling-independent), so the
 //!    visit order change cannot perturb a single bit.
 //!
+//! Lockstep recordings skip the scheduler: `analytic` factors a
+//! recording once into a phase plan, the engine's only plan, which two
+//! tiers walk — the per-rank lockstep evaluator (DESIGN.md §10) and the
+//! class-aggregated walk of `aggregate` (DESIGN.md §13). Each tier
+//! has one way to ask for it: [`run_spmd_fast`] records and routes,
+//! and a recorded [`SpmdProgram`] prices on one tier through
+//! [`simulate_analytic`](SpmdProgram::simulate_analytic),
+//! [`simulate_event_driven`](SpmdProgram::simulate_event_driven) or
+//! [`simulate_aggregated`](SpmdProgram::simulate_aggregated).
+//!
 //! The threaded runtime remains the semantic oracle: any new operation
 //! must land in [`crate::context::Rank`] first and be mirrored here,
 //! guarded by an equality test.
@@ -64,8 +74,8 @@ static ANALYTIC_ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Globally enables or disables the lockstep analytic evaluator
 /// (`bench-tables`' `--no-analytic` flag). With it disabled,
-/// [`SpmdProgram::simulate`] and [`run_spmd_fast`] always use the
-/// event-driven ready-queue scheduler. Both paths are bit-identical by
+/// [`run_spmd_fast`] always uses the event-driven ready-queue
+/// scheduler. Both paths are bit-identical by
 /// construction (the analytic evaluator mirrors the scheduler's float-op
 /// sequences), so flipping this mid-run changes cost, never results.
 pub fn set_analytic_enabled(enabled: bool) {
@@ -986,7 +996,7 @@ fn class_hash(speed_bits: u64, ops: &[Op]) -> u64 {
 }
 
 /// A recorded SPMD program: per-rank results plus rank-class
-/// deduplicated op lists, ready for [`SpmdProgram::simulate`].
+/// deduplicated op lists, ready to price on any tier.
 ///
 /// Produced by [`record_spmd`]. Ranks whose recorded op streams and
 /// marked node speeds coincide share a single stored recording — on a
@@ -1087,63 +1097,19 @@ impl<R> SpmdProgram<R> {
         })
     }
 
-    /// The recording's lockstep phase plan, computed once on first use.
-    fn lockstep_plan(&self) -> Option<&LockstepProgram> {
-        self.lockstep_result().as_ref().ok()
-    }
-
-    /// True when the recording has the lockstep phase structure the
-    /// analytic evaluator accepts (DESIGN.md §10).
-    pub fn is_lockstep(&self) -> bool {
-        self.lockstep_plan().is_some()
-    }
-
     /// Why the lockstep analyzer rejected this recording, or `None`
-    /// when it is lockstep. Forces the (cached) structure check.
+    /// when it is lockstep (DESIGN.md §10). Forces the (cached)
+    /// structure check.
     pub fn fallback_reason(&self) -> Option<FallbackReason> {
         self.lockstep_result().as_ref().err().copied()
     }
 
-    /// Phase 2 of the fast engine: prices the recording against
-    /// `network`, bit-identical to [`run_spmd_fast`] on the same body.
+    /// Phase 2 of the fast engine on the event-driven ready-queue
+    /// scheduler, regardless of the global analytic toggle:
+    /// bit-identical to [`run_spmd_fast`] on the same body, and the
+    /// reference path equivalence tests and benches compare against.
     /// `cluster` must be the recording's cluster (or one of identical
     /// size — per-rank speeds are re-read from it).
-    ///
-    /// Lockstep recordings are evaluated analytically (DESIGN.md §10)
-    /// unless disabled via [`set_analytic_enabled`];
-    /// everything else takes the event-driven ready-queue scheduler.
-    /// The two paths are bit-identical.
-    pub fn simulate<N: NetworkModel>(&self, cluster: &ClusterSpec, network: &N) -> SpmdOutcome<R>
-    where
-        R: Clone,
-    {
-        if analytic_enabled() {
-            match self.lockstep_result() {
-                Ok(plan) => {
-                    return self.replay_analytic(plan, cluster, network, self.results.clone())
-                }
-                Err(reason) => telemetry::record_fallback(*reason),
-            }
-            return self.replay(
-                cluster,
-                network,
-                RunSpec::default(),
-                EventDrivenMode::Fallback,
-                self.results.clone(),
-            );
-        }
-        self.replay(
-            cluster,
-            network,
-            RunSpec::default(),
-            EventDrivenMode::Forced,
-            self.results.clone(),
-        )
-    }
-
-    /// [`simulate`](Self::simulate), forced onto the event-driven
-    /// ready-queue scheduler regardless of the global analytic toggle —
-    /// the reference path equivalence tests and benches compare against.
     pub fn simulate_event_driven<N: NetworkModel>(
         &self,
         cluster: &ClusterSpec,
@@ -1174,7 +1140,7 @@ impl<R> SpmdProgram<R> {
     where
         R: Clone,
     {
-        let plan = self.lockstep_plan()?;
+        let plan = self.lockstep_result().as_ref().ok()?;
         Some(self.replay_analytic(plan, cluster, network, self.results.clone()))
     }
 
@@ -1595,7 +1561,7 @@ mod tests {
         let net = MpichEthernet::new(0.3e-3, 1e8);
         let program = record_spmd(&cluster, two_class_body);
         assert_eq!(program.distinct_classes(), 2);
-        let fast: SpmdOutcome<()> = program.simulate(&cluster, &net);
+        let fast: SpmdOutcome<()> = program.simulate_analytic(&cluster, &net).expect("lockstep");
         let threaded =
             crate::runtime::run_spmd(&cluster, &net, RunSpec::default(), |r| two_class_body(r));
         assert_eq!(fast.times, threaded.times, "clocks");
@@ -1611,8 +1577,8 @@ mod tests {
         let cluster = het3();
         let net = MpichEthernet::new(0.2e-3, 1e8);
         let program = record_spmd(&cluster, mixed_body);
-        let a: SpmdOutcome<()> = program.simulate(&cluster, &net);
-        let b: SpmdOutcome<()> = program.simulate(&cluster, &net);
+        let a: SpmdOutcome<()> = program.simulate_analytic(&cluster, &net).expect("lockstep");
+        let b: SpmdOutcome<()> = program.simulate_event_driven(&cluster, &net);
         let direct = run_spmd_fast(&cluster, &net, RunSpec::default(), mixed_body);
         assert_eq!(a.times, b.times);
         assert_eq!(a.times, direct.times);
@@ -1624,8 +1590,9 @@ mod tests {
         let cluster = het3();
         let net = MpichEthernet::new(0.2e-3, 1e8);
         let program: SpmdProgram<()> = record_spmd(&cluster, mixed_body);
-        assert!(program.is_lockstep(), "mixed_body alternates collectives with closed p2p");
-        let analytic = program.simulate_analytic(&cluster, &net).expect("lockstep");
+        let analytic = program
+            .simulate_analytic(&cluster, &net)
+            .expect("mixed_body alternates collectives with closed p2p");
         let event = program.simulate_event_driven(&cluster, &net);
         assert_eq!(analytic.times, event.times, "clocks");
         assert_eq!(analytic.compute_times, event.compute_times, "compute");
@@ -1638,7 +1605,6 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(5, 80.0);
         let net = MpichEthernet::new(0.3e-3, 1e8);
         let program: SpmdProgram<()> = record_spmd(&cluster, two_class_body);
-        assert!(program.is_lockstep());
         let analytic = program.simulate_analytic(&cluster, &net).expect("lockstep");
         let event = program.simulate_event_driven(&cluster, &net);
         assert_eq!(analytic.times, event.times);
@@ -1664,12 +1630,12 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(2, 50.0);
         let net = ConstantLatency::new(1e-3);
         let program: SpmdProgram<()> = record_spmd(&cluster, crossing_body);
-        assert!(!program.is_lockstep(), "in-flight message across a barrier is not lockstep");
+        // An in-flight message across a barrier is not lockstep.
         assert_eq!(program.fallback_reason(), Some(FallbackReason::SendAcrossSync));
         assert!(program.simulate_analytic(&cluster, &net).is_none());
         // The auto-selecting path must still price it, via fallback,
         // matching the scheduler and the threaded oracle exactly.
-        let auto = program.simulate(&cluster, &net);
+        let auto = run_spmd_fast(&cluster, &net, RunSpec::default(), crossing_body);
         let event = program.simulate_event_driven(&cluster, &net);
         assert_eq!(auto.times, event.times);
         assert_eq!(auto.comm_times, event.comm_times);
@@ -1684,10 +1650,9 @@ mod tests {
     fn disabling_analytic_forces_the_scheduler_with_identical_results() {
         let cluster = het3();
         let net = MpichEthernet::new(0.2e-3, 1e8);
-        let program: SpmdProgram<()> = record_spmd(&cluster, mixed_body);
-        let on = program.simulate(&cluster, &net);
+        let on = run_spmd_fast(&cluster, &net, RunSpec::default(), mixed_body);
         set_analytic_enabled(false);
-        let off = program.simulate(&cluster, &net);
+        let off = run_spmd_fast(&cluster, &net, RunSpec::default(), mixed_body);
         set_analytic_enabled(true);
         assert_eq!(on.times, off.times);
         assert_eq!(on.compute_times, off.compute_times);
@@ -1705,7 +1670,7 @@ mod tests {
                 t.barrier();
             }
         });
-        assert!(!program.is_lockstep());
+        assert_eq!(program.fallback_reason(), Some(FallbackReason::ClassExhausted));
     }
 
     #[test]
@@ -1781,12 +1746,12 @@ mod tests {
         let cluster = het3();
         let net = MpichEthernet::new(0.2e-3, 1e8);
         let program: SpmdProgram<()> = record_spmd(&cluster, recovery_body);
-        assert!(!program.is_lockstep(), "recovery ops have no lockstep phase grammar");
+        // Recovery ops have no lockstep phase grammar.
         assert_eq!(program.fallback_reason(), Some(FallbackReason::RecoveryOps));
         assert!(program.simulate_analytic(&cluster, &net).is_none());
         // The auto-selecting path still prices it via fallback, matching
         // the scheduler and the threaded oracle exactly.
-        let auto = program.simulate(&cluster, &net);
+        let auto = run_spmd_fast(&cluster, &net, RunSpec::default(), recovery_body);
         let event = program.simulate_event_driven(&cluster, &net);
         assert_eq!(auto.times, event.times);
         assert_eq!(auto.comm_times, event.comm_times);

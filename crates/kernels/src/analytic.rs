@@ -527,7 +527,7 @@ mod tests {
         ConstantLatency, JitteredNetwork, MpichEthernet, SharedEthernet, SwitchedNetwork,
     };
     use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::record_spmd;
+    use hetsim_mpi::{record_spmd, RecordTimer};
 
     /// Cluster extremes for the class-structure sweep: single rank,
     /// server + blade, all-distinct speeds, wide homogeneous (the
@@ -687,9 +687,11 @@ mod tests {
         let sp = cluster.speeds_mflops();
         let cyc = CyclicDistribution::fine(n, &sp);
         let blk = BlockDistribution::proportional(n, &sp);
-        assert!(record_spmd::<(), _>(&cluster, |t| ge_timed_body(t, &cyc, n)).is_lockstep());
-        assert!(record_spmd::<(), _>(&cluster, |t| mm_timed_body(t, &blk, n)).is_lockstep());
-        assert!(record_spmd::<(), _>(&cluster, |t| power_timed_body(t, &blk, n, 3)).is_lockstep());
-        assert!(record_spmd::<(), _>(&cluster, |t| stencil_timed_body(t, &blk, n, 3)).is_lockstep());
+        let reason =
+            |body: &dyn Fn(&mut RecordTimer)| record_spmd(&cluster, body).fallback_reason();
+        assert_eq!(reason(&|t| ge_timed_body(t, &cyc, n)), None);
+        assert_eq!(reason(&|t| mm_timed_body(t, &blk, n)), None);
+        assert_eq!(reason(&|t| power_timed_body(t, &blk, n, 3)), None);
+        assert_eq!(reason(&|t| stencil_timed_body(t, &blk, n, 3)), None);
     }
 }

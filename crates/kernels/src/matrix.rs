@@ -4,9 +4,6 @@
 //! reference multiply, and deterministic random generation (seeded), not
 //! a full linear-algebra library.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 /// Dense row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -50,10 +47,20 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Deterministic uniform random matrix in `[-1, 1)`, seeded.
+    /// Deterministic uniform random matrix in `[-1, 1)`, seeded: a
+    /// splitmix64 stream from `seed`, each draw's top 53 bits scaled to
+    /// `[0, 1)`. Only determinism per seed matters — virtual timings
+    /// never read matrix values.
     pub fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Matrix::from_fn(rows, cols, |_, _| rng.random_range(-1.0..1.0))
+        let mut state = seed;
+        Matrix::from_fn(rows, cols, |_, _| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            let unit = ((z ^ (z >> 31)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+            -1.0 + 2.0 * unit
+        })
     }
 
     /// Deterministic random *strictly diagonally dominant* square matrix,
@@ -288,6 +295,8 @@ mod tests {
     fn random_is_seeded_deterministic() {
         assert_eq!(Matrix::random(5, 5, 1), Matrix::random(5, 5, 1));
         assert_ne!(Matrix::random(5, 5, 1), Matrix::random(5, 5, 2));
+        let draws = Matrix::random(40, 25, 42);
+        assert!(draws.data().iter().all(|x| (-1.0..1.0).contains(x)), "draws stay in [-1, 1)");
     }
 
     #[test]

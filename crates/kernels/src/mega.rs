@@ -701,6 +701,27 @@ mod tests {
         }
     }
 
+    /// More classes than a byte can name: on an alternating-speed
+    /// machine every rank is its own class, so `ge_mega` keeps no
+    /// winner table and re-deals each round's pivot owner.
+    #[test]
+    fn ge_makespan_matches_per_rank_past_the_winner_table() {
+        for p in [256usize, 300] {
+            let spec = palette_spec(p, &[(0, 1), (5, 1)], false);
+            assert_eq!(ClassedCluster::from_spec(&spec).expect("valid speeds").class_count(), p);
+            for n in [0, 1, 2, p - 1, p, 2 * p + 3] {
+                for (tag, net) in &networks() {
+                    let net: &dyn NetworkModel = net.as_ref();
+                    assert_eq!(
+                        ge_makespan(&spec, &net, n).as_secs().to_bits(),
+                        per_rank_ge(&spec, &net, n).as_secs().to_bits(),
+                        "{tag} p={p} n={n}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn row_subclasses_expand_to_the_block_distribution() {
         for cluster in &clusters() {

@@ -12,7 +12,8 @@ use hetscale::hetsim_cluster::network::{
 };
 use hetscale::hetsim_cluster::{ClassedCluster, ClusterSpec, NodeSpec, SpeedClass};
 use hetscale::hetsim_mpi::{
-    record_spmd, run_spmd, run_spmd_fast, OpKind, RunSpec, SpmdOutcome, SpmdTimer, Tag,
+    record_spmd, run_spmd, run_spmd_fast, FallbackReason, OpKind, RunSpec, SpmdOutcome, SpmdTimer,
+    Tag,
 };
 use hetscale::kernels::ge::ge_timed_body;
 use hetscale::kernels::mega::{ge_mega, mm_mega, power_mega};
@@ -259,9 +260,9 @@ proptest! {
             2 => record_spmd(&cluster, |t| stencil_timed_body(t, &block, n, iters)),
             _ => record_spmd(&cluster, |t| power_timed_body(t, &block, n, iters)),
         };
-        prop_assert!(program.is_lockstep(), "kernel {kernel} recording must be lockstep");
-        let analytic =
-            program.simulate_analytic(&cluster, &net).expect("lockstep plan evaluates");
+        let analytic = program
+            .simulate_analytic(&cluster, &net)
+            .expect("every kernel recording is lockstep");
         let event_driven = program.simulate_event_driven(&cluster, &net);
         assert_times_match(&analytic, &event_driven);
         prop_assert_eq!(analytic.makespan(), event_driven.makespan());
@@ -314,14 +315,11 @@ proptest! {
             t.compute_flops(2e3);
         }
         let program = record_spmd(&cluster, |t| crossing_body(t, n));
-        prop_assert!(
-            !program.is_lockstep(),
-            "a send crossing a barrier must be rejected by the analyzer"
-        );
+        prop_assert_eq!(program.fallback_reason(), Some(FallbackReason::SendAcrossSync));
         prop_assert!(program.simulate_analytic(&cluster, &net).is_none());
         // The auto path (analytic enabled by default) must fall back to
         // the ready queue and still match both references.
-        let auto = program.simulate(&cluster, &net);
+        let auto = run_spmd_fast(&cluster, &net, RunSpec::default(), |t| crossing_body(t, n));
         let event_driven = program.simulate_event_driven(&cluster, &net);
         assert_times_match(&auto, &event_driven);
         let threaded = run_spmd(&cluster, &net, RunSpec::default(), |r| crossing_body(r, n));
@@ -413,7 +411,6 @@ proptest! {
 /// `--stats-out` warning line can carry verbatim.
 #[test]
 fn send_across_barrier_reports_the_expected_fallback_reason() {
-    use hetscale::hetsim_mpi::FallbackReason;
     let cluster = het_cluster(3, 7);
     fn crossing_body<T: SpmdTimer>(t: &mut T) {
         let me = t.rank();
@@ -440,5 +437,4 @@ fn send_across_barrier_reports_the_expected_fallback_reason() {
         t.barrier();
     });
     assert_eq!(lockstep.fallback_reason(), None);
-    assert!(lockstep.is_lockstep());
 }
