@@ -161,11 +161,11 @@ test "$best" -le "$LADDER_BUDGET_US" || {
 }
 
 # Mega: the quick mega sweep (which includes a 10^5-rank preset) must
-# stay on the O(classes) aggregated path. ~84 ms expected
-# (BENCH_MEGASCALE.json) — nearly all of it GE's Theta(N*classes)
-# rounds, ~35 ns each over the 2.4M-round quick grids — so 100 ms
-# trips on any per-round regression or a cell sliding back to an O(P)
-# walk (the per-rank oracle needs ~4 s for the same sweep).
+# stay on the O(classes) aggregated path. Best of 5 reads ~53-68 ms on
+# a 2-vCPU host — nearly all of it GE's Theta(N*classes) rounds, each
+# machine dealt once per thread to its largest N — so 100 ms still
+# trips on a cell sliding back to an O(P) walk (the per-rank oracle
+# needs ~4 s for the same sweep).
 MEGA_BUDGET_US=100000
 best=$(best_us total_us 5 --quick mega)
 test "$best" -le "$MEGA_BUDGET_US" || {
@@ -175,9 +175,9 @@ test "$best" -le "$MEGA_BUDGET_US" || {
 
 # Surface: every X3 GE rung (the server plus p-1 SunBlades) is two
 # speed classes, so each makespan-only GE cell prices through ge_mega
-# in Theta(N*classes) rounds (DESIGN.md §13). ~6-9 ms expected on a
-# 2-vCPU host; the per-rank Theta(N*P) walk took ~95-150 ms, so 30 ms
-# trips if any rung slides back to it.
+# in Theta(N*classes) rounds (DESIGN.md §13). Best of 5 reads ~2.8-4.5
+# ms on a 2-vCPU host; the per-rank Theta(N*P) walk took ~95-150 ms,
+# so 30 ms still trips if any rung slides back to it.
 SURFACE_BUDGET_US=30000
 best=$(best_us total_us 5 surface)
 test "$best" -le "$SURFACE_BUDGET_US" || {

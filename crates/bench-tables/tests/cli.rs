@@ -260,12 +260,16 @@ fn stats_doc_is_byte_identical_across_runs_and_jobs() {
         ("mega", vec!["--quick", "mega"]),
     ] {
         let dir = temp_dir(tag);
-        let j1 = stats_doc(&dir, "j1.json", &[&base[..], &["--jobs", "1"]].concat());
-        let j4 = stats_doc(&dir, "j4.json", &[&base[..], &["--jobs", "4"]].concat());
-        let j4b = stats_doc(&dir, "j4b.json", &[&base[..], &["--jobs", "4"]].concat());
-        assert!(!j1.is_empty());
-        assert_eq!(j1, j4, "{tag}: --jobs changed the stats document");
-        assert_eq!(j4, j4b, "{tag}: repeated run changed the stats document");
+        let j1 = stats_run(&dir, "j1.json", &[&base[..], &["--jobs", "1"]].concat());
+        let j4 = stats_run(&dir, "j4.json", &[&base[..], &["--jobs", "4"]].concat());
+        let j4b = stats_run(&dir, "j4b.json", &[&base[..], &["--jobs", "4"]].concat());
+        assert!(!j1.1.is_empty());
+        // Which worker priced a cell (and so which thread's GE winner
+        // table it read) must not reach any of the three outputs.
+        assert_eq!(j1.0, j4.0, "{tag}: --jobs changed stdout");
+        assert_eq!(j1.1, j4.1, "{tag}: --jobs changed the stats document");
+        assert_eq!(j1.2, j4.2, "{tag}: --jobs changed stderr");
+        assert_eq!(j4, j4b, "{tag}: a repeated run changed its outputs");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

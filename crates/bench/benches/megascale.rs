@@ -71,7 +71,10 @@ fn bench_megascale(c: &mut Criterion) {
         // Θ(N · P). At the grid anchor N = 2P that is 2P² rank-rounds:
         // affordable to 10⁴ ranks, a multi-minute cell at 10⁵, so the
         // per-rank reference stops at 10⁴ (the aggregated path runs
-        // everywhere).
+        // everywhere). Every aggregated iteration after the first reads
+        // the machine's deal from this thread's winner table, so it
+        // times the round pricing without the deal, as a sweep's later
+        // sizes on one machine run.
         let ge_n = mega_ge_sizes(p)[0];
         let cyclic = CyclicDistribution::fine(ge_n, &speeds);
         group.bench_with_input(BenchmarkId::new("ge_aggregated", p), &p, |b, _| {

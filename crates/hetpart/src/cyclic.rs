@@ -168,11 +168,6 @@ impl ClassedCyclicDeal {
         best
     }
 
-    /// Rows dealt so far, per class.
-    pub fn class_counts(&self) -> &[u64] {
-        &self.dealt
-    }
-
     /// Per-class row totals after dealing `n` rows — the classed
     /// equivalent of aggregating [`CyclicDistribution::fine`] counts,
     /// in O(runs) memory.
@@ -344,8 +339,9 @@ mod tests {
             .zip(classes)
             .map(|(&b, &(_, m))| (b..b + m as usize).map(|r| fine.counts()[r] as u64).sum())
             .collect();
-        assert_eq!(deal.class_counts(), per_class, "counts ({classes:?})");
-        assert_eq!(deal.class_counts().iter().sum::<u64>(), n as u64);
+        assert_eq!(deal.dealt, per_class, "counts ({classes:?})");
+        assert_eq!(deal.dealt.iter().sum::<u64>(), n as u64);
+        assert_eq!(ClassedCyclicDeal::counts(n, classes), per_class);
     }
 
     #[test]

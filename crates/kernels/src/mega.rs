@@ -16,7 +16,11 @@
 //!
 //! GE keeps a hand-written form, [`ge_mega`]: its cyclic deal gives the
 //! members of one class different row positions, so no per-subclass
-//! recording exists, and its Θ(N) rounds are batched by hand.
+//! recording exists, and its Θ(N) rounds are batched by hand. The deal
+//! does not depend on N, so each thread keeps the winner table of the
+//! last machine it priced and reads every size's winners, and their
+//! per-class totals, from a prefix of it: a sweep over one machine's
+//! size grid deals the machine once, to its largest N.
 //!
 //! [`ge_makespan`] brings the same pricing to a per-rank
 //! [`ClusterSpec`]: it run-length encodes the cluster
@@ -43,6 +47,7 @@ use hetsim_cluster::repeat_add;
 use hetsim_cluster::time::SimTime;
 use hetsim_mpi::telemetry::{self, EnginePath, EngineReport};
 use hetsim_mpi::{record_spmd, FallbackReason, RecordTimer, RunSpec, SpmdProgram};
+use std::cell::Cell;
 
 /// The compact result of one mega-scale evaluation: no per-rank
 /// vectors, by construction.
@@ -219,6 +224,12 @@ struct ChainRun {
 /// repeated addition and the classed network hooks. Bit-identical to
 /// the per-rank closed form — and transitively the event-driven engine
 /// and the threaded oracle — at every materializable size.
+///
+/// The pivot owners come from this thread's winner table: a call on
+/// the machine priced last deals only the rows past the table's end,
+/// and its per-class row totals are one byte scan of an N-row prefix.
+/// A machine of more than 255 classes has no table; its call deals N
+/// rows to count them and N more to replay them.
 pub fn ge_mega<N: NetworkModel>(
     cluster: &ClassedCluster,
     network: &N,
@@ -266,39 +277,105 @@ pub fn ge_makespan<N: NetworkModel>(cluster: &ClusterSpec, network: &N, n: usize
     ge_parallel_timed(cluster, network, n, RunSpec::default()).makespan
 }
 
+/// The fine cyclic deal of the last machine [`ge_mega`] priced on this
+/// thread, grown on demand. The deal's state is a function of the
+/// classes and the step count only, so the first N winners of a longer
+/// deal are exactly an N-row deal's winners: a sweep that prices one
+/// machine at a grid of sizes deals it once, to its largest N, instead
+/// of once per size.
+struct WinnerTable {
+    /// `(speed_mflops.to_bits(), count)` per class, in class order —
+    /// exactly the inputs of [`ClassedCyclicDeal::new`], so no other
+    /// machine's winners are ever read.
+    key: Vec<(u64, u64)>,
+    /// The deal after `winners.len()` rows.
+    deal: ClassedCyclicDeal,
+    /// The winning class of each dealt row, one byte per row.
+    winners: Vec<u8>,
+}
+
+thread_local! {
+    /// One winner table per thread, so no lock: every caller prices a
+    /// machine's whole size grid on one thread (one pool cell, or a
+    /// sequential loop), and pool workers drop theirs with their batch.
+    static WINNERS: Cell<Option<WinnerTable>> = const { Cell::new(None) };
+}
+
+impl WinnerTable {
+    /// Takes this thread's table for `classes` (at most 255 of them):
+    /// the kept one when it holds this machine's deal, else an empty
+    /// one, dropping the other machine's, so a thread holds at most one
+    /// machine's largest N. The caller puts it back after pricing, so
+    /// no borrow of the thread's table spans the network calls.
+    fn take(classes: &[(f64, u64)]) -> WinnerTable {
+        debug_assert!(classes.len() <= usize::from(u8::MAX), "a byte names every class");
+        let key: Vec<(u64, u64)> = classes.iter().map(|&(s, m)| (s.to_bits(), m)).collect();
+        match WINNERS.take() {
+            Some(table) if table.key == key => table,
+            _ => WinnerTable { key, deal: ClassedCyclicDeal::new(classes), winners: Vec::new() },
+        }
+    }
+
+    /// The first `n` winners, dealing only rows not dealt yet.
+    fn prefix(&mut self, n: usize) -> &[u8] {
+        if n > self.winners.len() {
+            let more = n - self.winners.len();
+            // Exactly to the N asked for, never doubled: the 10⁷-rank
+            // preset's table is 50 MB.
+            self.winners.reserve_exact(more);
+            let deal = &mut self.deal;
+            self.winners.extend((0..more).map(|_| deal.deal() as u8));
+        }
+        &self.winners[..n]
+    }
+}
+
 fn ge_mega_eval<N: NetworkModel>(
     cluster: &ClassedCluster,
     network: &N,
     n: usize,
 ) -> Result<MegaOutcome, FallbackReason> {
-    let p = cluster.size();
-    let k = cluster.class_count();
     // The deal sees marked MFLOPS — the speeds the per-rank kernel
-    // hands to `CyclicDistribution::fine`; compute times divide flop/s.
+    // hands to `CyclicDistribution::fine`.
     let deal_classes: Vec<(f64, u64)> =
         cluster.classes().iter().map(|c| (c.speed_mflops, c.count as u64)).collect();
+    let k = deal_classes.len();
+    if k > usize::from(u8::MAX) {
+        // More classes than a byte can name: no table. One deal counts
+        // the rows, a fresh one replays the pivot owners (same state
+        // machine, same sequence).
+        let class_rows = ClassedCyclicDeal::counts(n, &deal_classes);
+        let mut deal = ClassedCyclicDeal::new(&deal_classes);
+        return ge_price(cluster, network, n, &class_rows, std::iter::repeat_with(|| deal.deal()));
+    }
+    let mut table = WinnerTable::take(&deal_classes);
+    let winners = table.prefix(n);
+    let mut class_rows = [0u64; 256];
+    for &w in winners {
+        class_rows[usize::from(w)] += 1;
+    }
+    let winners = winners.iter().map(|&w| usize::from(w));
+    let outcome = ge_price(cluster, network, n, &class_rows[..k], winners);
+    WINNERS.set(Some(table));
+    outcome
+}
+
+/// Prices GE on `cluster` from its per-class row totals under an
+/// `n`-row deal and that deal's winners, the pivot owner of each row in
+/// row order.
+fn ge_price<N: NetworkModel>(
+    cluster: &ClassedCluster,
+    network: &N,
+    n: usize,
+    class_rows: &[u64],
+    mut winners: impl Iterator<Item = usize>,
+) -> Result<MegaOutcome, FallbackReason> {
+    let p = cluster.size();
+    let members: Vec<u64> = cluster.classes().iter().map(|c| c.count as u64).collect();
+    // Compute times divide flop/s.
     let class_speed_flops: Vec<f64> =
         cluster.classes().iter().map(|c| c.speed_mflops * 1e6).collect();
-
-    // Pass 1 of the deal: per-class row totals, O(n · classes). The
-    // winner sequence is recorded on the way (one byte per row) so the
-    // stage-2 replay is a table read instead of a second full scan —
-    // the deal costs as much as the whole rendezvous pricing, so
-    // re-running it would nearly double the round loop.
-    let mut pass1 = ClassedCyclicDeal::new(&deal_classes);
-    let mut winners: Vec<u8> = Vec::new();
-    if k <= usize::from(u8::MAX) {
-        winners.reserve_exact(n);
-        for _ in 0..n {
-            winners.push(pass1.deal() as u8);
-        }
-    } else {
-        for _ in 0..n {
-            pass1.deal();
-        }
-    }
-    let class_rows = pass1.class_counts().to_vec();
-    let layout = ge_layout(cluster, &class_rows);
+    let layout = ge_layout(cluster, class_rows);
     let GeLayout { rank0_rows, runs, first_run } = &layout;
 
     // Stage 1: root-serialized scatter. Within a run every message
@@ -315,28 +392,8 @@ fn ge_mega_eval<N: NetworkModel>(
     }
     let a_last = chain; // rank 0's clock after stage 1
 
-    // Stage 2: elimination rounds, replaying the classed deal (pass 2)
-    // for pivot owners — from the recorded winner table when it fits
-    // in bytes, else by re-running the deal (same state machine, same
-    // sequence either way).
-    enum Replay<'a> {
-        Recorded(std::slice::Iter<'a, u8>),
-        Fresh(ClassedCyclicDeal),
-    }
-    impl Replay<'_> {
-        #[inline]
-        fn next_winner(&mut self) -> usize {
-            match self {
-                Replay::Recorded(it) => usize::from(*it.next().expect("pass 1 recorded n winners")),
-                Replay::Fresh(deal) => deal.deal(),
-            }
-        }
-    }
-    let mut replay = if winners.is_empty() && n > 0 {
-        Replay::Fresh(ClassedCyclicDeal::new(&deal_classes))
-    } else {
-        Replay::Recorded(winners.iter())
-    };
+    // Stage 2: elimination rounds, reading the deal's winners for the
+    // pivot owners.
     let barrier_cost = SimTime::from_secs(network.barrier_time(p));
     let mut clk = SimTime::ZERO;
     if n >= 2 {
@@ -346,7 +403,7 @@ fn ge_mega_eval<N: NetworkModel>(
         // member's `max(arrival, departure) + dt`. The owner (its
         // class's member 0, the run's first peer) departs off its own
         // arrival and eliminates one fewer row.
-        let w0 = replay.next_winner();
+        let w0 = winners.next().expect("an n-row deal has n winners");
         let elim = elimination_flops(n);
         let bytes = ((n + 1) * 8) as u64;
         let bcast = SimTime::from_secs(network.bcast_time(p, bytes));
@@ -381,13 +438,12 @@ fn ge_mega_eval<N: NetworkModel>(
         // member of class `c` still owns (`⌈remaining/members⌉` — the
         // residue counts of an interval); `cnt[c]` is how many more of
         // the class's pivots drain before `v[c]` drops.
-        let mut v = vec![0u64; k];
-        let mut cnt = vec![0u64; k];
-        for c in 0..k {
-            let m = deal_classes[c].1;
-            if class_rows[c] > 0 {
-                v[c] = class_rows[c].div_ceil(m);
-                cnt[c] = class_rows[c] - (v[c] - 1) * m;
+        let mut v = vec![0u64; members.len()];
+        let mut cnt = vec![0u64; members.len()];
+        for (c, (&rows, &m)) in class_rows.iter().zip(&members).enumerate() {
+            if rows > 0 {
+                v[c] = rows.div_ceil(m);
+                cnt[c] = rows - (v[c] - 1) * m;
             }
         }
         let drain = |w: usize, v: &mut [u64], cnt: &mut [u64]| {
@@ -395,7 +451,7 @@ fn ge_mega_eval<N: NetworkModel>(
             cnt[w] -= 1;
             if cnt[w] == 0 {
                 v[w] -= 1;
-                cnt[w] = deal_classes[w].1;
+                cnt[w] = members[w];
             }
         };
         drain(w0, &mut v, &mut cnt);
@@ -412,8 +468,7 @@ fn ge_mega_eval<N: NetworkModel>(
         // so no class is ever far enough from critical to skip.)
         let barrier_secs = barrier_cost.as_secs();
         let mut clk_secs = clk.as_secs();
-        for i in 1..(n - 1) {
-            let w = replay.next_winner();
+        for (i, w) in (1..(n - 1)).zip(winners) {
             drain(w, &mut v, &mut cnt);
             let elim = elimination_flops(n - i);
             let bytes = ((n - i + 1) * 8) as u64;
@@ -688,7 +743,9 @@ mod tests {
         ) {
             let spec = palette_spec(p, &draws, singles == 0);
             let classed = ClassedCluster::from_spec(&spec).expect("palette speeds are valid");
-            for n in [0, 1, 2, p - 1, p, 3 * p] {
+            // Leading with the largest size makes every later size
+            // read a prefix of this thread's winner table.
+            for n in [3 * p, 0, 1, 2, p - 1, p, 3 * p] {
                 for (tag, net) in &networks() {
                     let net: &dyn NetworkModel = net.as_ref();
                     let want = per_rank_ge(&spec, &net, n).as_secs().to_bits();
@@ -698,6 +755,42 @@ mod tests {
                     prop_assert_eq!(mega.makespan.as_secs().to_bits(), want);
                 }
             }
+        }
+    }
+
+    /// The winner table is keyed by every class's exact speed and
+    /// member count: three machines priced interleaved on one thread,
+    /// at sizes that shrink and grow, each match the per-rank closed
+    /// form. B is A with its second class one ulp faster (same member
+    /// counts); C moves one member between A's two 50 Mflop/s classes
+    /// (same speeds, and the same per-rank deal under other class
+    /// indices).
+    #[test]
+    fn winner_table_never_reads_another_machines_deal() {
+        let classed = |classes: [(f64, usize); 3]| {
+            let classes = classes
+                .into_iter()
+                .map(|(speed_mflops, count)| SpeedClass { speed_mflops, count })
+                .collect();
+            ClassedCluster::new("interleaved", classes).unwrap()
+        };
+        let up = f64::from_bits(50f64.to_bits() + 1);
+        let a = classed([(50.0, 3), (50.0, 2), (80.0, 2)]);
+        let b = classed([(50.0, 3), (up, 2), (80.0, 2)]);
+        let c = classed([(50.0, 2), (50.0, 3), (80.0, 2)]);
+        let net = MpichEthernet::new(0.30e-3, 1.0e8);
+        let order =
+            [(&a, 40), (&a, 9), (&b, 9), (&b, 40), (&c, 17), (&a, 17), (&c, 60), (&b, 3), (&a, 60)];
+        for (cluster, n) in order {
+            let dist = CyclicDistribution::fine(n, &mflops(cluster));
+            let want = ge_closed_form(&cluster.materialize(), &net, n, &dist).makespan;
+            let mega = ge_mega(cluster, &net, n).expect("classed network");
+            assert_eq!(
+                mega.makespan.as_secs().to_bits(),
+                want.as_secs().to_bits(),
+                "{:?} n={n}",
+                cluster.classes()
+            );
         }
     }
 
