@@ -111,7 +111,9 @@ cmp "$TMP"/mega_aggregated.txt "$TMP"/mega_per_rank.txt || {
 
 # Perf gate, coarse: the experiment sweeps must stay on the fast timing
 # engine. The *full* ladders plus the fault and surface sweeps complete
-# in well under a second (see BENCH_ANALYTIC.json); a generous 60 s
+# in well under a second (see BENCH_ANALYTIC.json); the gate also runs
+# `recover` (~0.4-0.9 s) and the full `mega` sweep (~2-3.5 s, nearly
+# all of it the 10^7-rank GE column) on a 2-vCPU host. A generous 60 s
 # budget only trips on order-of-magnitude regressions, e.g. kernels
 # silently falling back to the thread-per-rank oracle.
 BUDGET_SECS=60
@@ -161,7 +163,7 @@ test "$best" -le "$LADDER_BUDGET_US" || {
 }
 
 # Mega: the quick mega sweep (which includes a 10^5-rank preset) must
-# stay on the O(classes) aggregated path. Best of 5 reads ~53-68 ms on
+# stay on the O(classes) aggregated path. Best of 5 reads ~20-36 ms on
 # a 2-vCPU host — nearly all of it GE's Theta(N*classes) rounds, each
 # machine dealt once per thread to its largest N — so 100 ms still
 # trips on a cell sliding back to an O(P) walk (the per-rank oracle

@@ -16,7 +16,7 @@
 //! one unit by a hair; the property tests bound it by two.)
 
 use crate::Distribution;
-use hetsim_cluster::repeat_add;
+use hetsim_cluster::{lanes, repeat_add, LANES};
 
 /// Heterogeneous cyclic distribution of rows over ranks, dealt one row
 /// at a time.
@@ -89,17 +89,27 @@ impl CyclicDistribution {
 ///
 /// Every float operation mirrors [`CyclicDistribution::fine`] exactly:
 /// the speed total is the same sequential fold (batched per run through
-/// [`repeat_add`]), fractions are the same `s / total`, and the deficit
-/// `t·f − count` is evaluated with the identical expression, strict `>`
-/// comparison, and class-order tie-breaking — so the winner sequence is
-/// bit-for-bit the per-rank one (pinned by the tests below and the
-/// kernel-level equivalence suite).
+/// [`repeat_add`]), fractions are the same `s / total`, and each deficit
+/// is the same `t·f − count` — so the winner sequence is bit-for-bit
+/// the per-rank one (pinned by the tests below and the kernel-level
+/// equivalence suite).
+///
+/// The scan runs two classes at a time: fractions and front counts sit
+/// in [`LANES`]-wide lanes, the largest deficit is taken lane by lane,
+/// and the winner is the first class whose deficit equals it — the
+/// class the per-rank strict-`>` scan returns. A front count is exact
+/// in `f64` (it never exceeds the step count). A class whose fraction
+/// is `0.0` (a zero speed, or a positive one that underflows against
+/// the total) and every padding slot hold `front = +∞`, so their
+/// deficit is `−∞` and never wins, as the per-rank scan skips them.
+/// A lane is written only when a front advances, once per `members`
+/// wins of its class.
 #[derive(Debug, Clone)]
 pub struct ClassedCyclicDeal {
-    fractions: Vec<f64>,
+    fractions: Vec<[f64; LANES]>,
+    front: Vec<[f64; LANES]>,
     members: Vec<u64>,
     dealt: Vec<u64>,
-    front: Vec<u64>,
     wrap: Vec<u64>,
     step: u64,
 }
@@ -107,17 +117,20 @@ pub struct ClassedCyclicDeal {
 impl ClassedCyclicDeal {
     /// Builds the deal state for rank-order speed runs `(speed, members)`.
     ///
-    /// # Panics
-    /// Panics when `classes` is empty, any run is empty, or any speed is
-    /// non-finite, negative, or all are zero — the same contract as
-    /// [`CyclicDistribution::fine`] on the expanded speed vector.
-    pub fn new(classes: &[(f64, u64)]) -> ClassedCyclicDeal {
-        assert!(!classes.is_empty(), "need at least one class");
-        assert!(classes.iter().all(|&(_, m)| m > 0), "every class needs at least one member");
-        assert!(
-            classes.iter().all(|&(s, _)| s.is_finite() && s >= 0.0),
-            "speeds must be finite and non-negative"
-        );
+    /// Errors when `classes` is empty, any run is empty, any speed is
+    /// non-finite or negative, all are zero, or their total overflows —
+    /// the inputs on which [`CyclicDistribution::fine`] panics on the
+    /// expanded speed vector.
+    pub fn new(classes: &[(f64, u64)]) -> Result<ClassedCyclicDeal, String> {
+        if classes.is_empty() {
+            return Err("need at least one class".to_string());
+        }
+        if classes.iter().any(|&(_, m)| m == 0) {
+            return Err("every class needs at least one member".to_string());
+        }
+        if !classes.iter().all(|&(s, _)| s.is_finite() && s >= 0.0) {
+            return Err("speeds must be finite and non-negative".to_string());
+        }
         // The same left fold as `speeds.iter().sum()` over the expanded
         // vector: within a run every step adds the same value, so the
         // run collapses to one exact repeat_add hop.
@@ -125,15 +138,24 @@ impl ClassedCyclicDeal {
         for &(s, m) in classes {
             total = repeat_add(total, s, m);
         }
-        assert!(total > 0.0, "at least one speed must be positive");
-        ClassedCyclicDeal {
-            fractions: classes.iter().map(|&(s, _)| s / total).collect(),
+        if total == 0.0 {
+            return Err("at least one speed must be positive".to_string());
+        }
+        if !total.is_finite() {
+            return Err("the speed total must be finite".to_string());
+        }
+        // A finite total leaves the fastest class a fraction of about
+        // 1/P or more, so some deficit is finite and wins every deal.
+        let fractions: Vec<f64> = classes.iter().map(|&(s, _)| s / total).collect();
+        let front = fractions.iter().map(|&f| if f == 0.0 { f64::INFINITY } else { 0.0 });
+        Ok(ClassedCyclicDeal {
+            front: lanes(front, f64::INFINITY),
+            fractions: lanes(fractions, 0.0),
             members: classes.iter().map(|&(_, m)| m).collect(),
             dealt: vec![0; classes.len()],
-            front: vec![0; classes.len()],
             wrap: vec![0; classes.len()],
             step: 0,
-        }
+        })
     }
 
     /// Deals the next row and returns the winning class index.
@@ -141,28 +163,29 @@ impl ClassedCyclicDeal {
     /// The row lands on the class's member at its round-robin cursor
     /// (`wrap`, before the deal): each class is served from member 0.
     pub fn deal(&mut self) -> usize {
-        let next_total = (self.step + 1) as f64;
-        let mut best = usize::MAX;
-        let mut best_deficit = f64::NEG_INFINITY;
-        // Zipped iteration keeps the O(n · classes) replay loops free
-        // of bounds checks (this is the hot path of the aggregated GE
-        // form, run once per matrix row).
-        for (c, (&f, &front)) in self.fractions.iter().zip(self.front.iter()).enumerate() {
-            if f == 0.0 {
-                continue;
-            }
-            let deficit = next_total * f - front as f64;
-            if deficit > best_deficit {
-                best_deficit = deficit;
-                best = c;
+        let t = (self.step + 1) as f64;
+        // This is the hot path of the aggregated GE form, run once per
+        // matrix row: the lane loop packs into one register.
+        let mut top = [f64::NEG_INFINITY; LANES];
+        for (f, front) in self.fractions.iter().zip(&self.front) {
+            for ((top, &f), &front) in top.iter_mut().zip(f).zip(front) {
+                let deficit = t * f - front;
+                *top = if deficit > *top { deficit } else { *top };
             }
         }
-        debug_assert!(best != usize::MAX);
+        let top = top.into_iter().fold(f64::NEG_INFINITY, |a, d| if d > a { d } else { a });
+        let best = self
+            .fractions
+            .as_flattened()
+            .iter()
+            .zip(self.front.as_flattened())
+            .position(|(&f, &front)| t * f - front == top)
+            .expect("the largest deficit is some class's");
         self.dealt[best] += 1;
         self.wrap[best] += 1;
         if self.wrap[best] == self.members[best] {
             self.wrap[best] = 0;
-            self.front[best] += 1;
+            self.front.as_flattened_mut()[best] += 1.0;
         }
         self.step += 1;
         best
@@ -170,13 +193,13 @@ impl ClassedCyclicDeal {
 
     /// Per-class row totals after dealing `n` rows — the classed
     /// equivalent of aggregating [`CyclicDistribution::fine`] counts,
-    /// in O(runs) memory.
-    pub fn counts(n: usize, classes: &[(f64, u64)]) -> Vec<u64> {
-        let mut deal = ClassedCyclicDeal::new(classes);
+    /// in O(runs) memory. Errors as [`ClassedCyclicDeal::new`] does.
+    pub fn counts(n: usize, classes: &[(f64, u64)]) -> Result<Vec<u64>, String> {
+        let mut deal = ClassedCyclicDeal::new(classes)?;
         for _ in 0..n {
             deal.deal();
         }
-        deal.dealt
+        Ok(deal.dealt)
     }
 }
 
@@ -326,7 +349,7 @@ mod tests {
                 Some(b)
             })
             .collect();
-        let mut deal = ClassedCyclicDeal::new(classes);
+        let mut deal = ClassedCyclicDeal::new(classes).expect("a valid class list");
         for row in 0..n {
             let owner = fine.owner(row);
             let class = base.iter().rposition(|&b| b <= owner).unwrap();
@@ -341,7 +364,7 @@ mod tests {
             .collect();
         assert_eq!(deal.dealt, per_class, "counts ({classes:?})");
         assert_eq!(deal.dealt.iter().sum::<u64>(), n as u64);
-        assert_eq!(ClassedCyclicDeal::counts(n, classes), per_class);
+        assert_eq!(ClassedCyclicDeal::counts(n, classes), Ok(per_class));
     }
 
     #[test]
@@ -379,16 +402,35 @@ mod tests {
         assert_eq!(total.to_bits(), seq.to_bits());
     }
 
-    #[test]
-    #[should_panic(expected = "at least one speed must be positive")]
-    fn classed_all_zero_speeds_rejected() {
-        ClassedCyclicDeal::new(&[(0.0, 2), (0.0, 1)]);
+    /// The error `ClassedCyclicDeal::new` and `counts` return, if any.
+    fn rejection(classes: &[(f64, u64)]) -> Option<String> {
+        let err = ClassedCyclicDeal::new(classes).err();
+        assert_eq!(ClassedCyclicDeal::counts(5, classes).err(), err);
+        err
     }
 
     #[test]
-    #[should_panic(expected = "every class needs at least one member")]
+    fn classed_all_zero_speeds_rejected() {
+        let zero = rejection(&[(0.0, 2), (0.0, 1)]);
+        assert_eq!(zero.as_deref(), Some("at least one speed must be positive"));
+        // Non-finite and negative speeds are rejected before the total.
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let err = rejection(&[(50.0, 2), (bad, 1)]);
+            assert_eq!(err.as_deref(), Some("speeds must be finite and non-negative"), "{bad}");
+        }
+        // Finite speeds whose total overflows would leave every
+        // fraction zero: no class could win a row.
+        let overflow = rejection(&[(f64::MAX, 2)]);
+        assert_eq!(overflow.as_deref(), Some("the speed total must be finite"));
+    }
+
+    #[test]
     fn classed_empty_run_rejected() {
-        ClassedCyclicDeal::new(&[(50.0, 0)]);
+        for classes in [&[(50.0, 0)][..], &[(50.0, 3), (50.0, 0)]] {
+            let err = rejection(classes);
+            assert_eq!(err.as_deref(), Some("every class needs at least one member"));
+        }
+        assert_eq!(rejection(&[]).as_deref(), Some("need at least one class"));
     }
 
     proptest::proptest! {
@@ -397,7 +439,7 @@ mod tests {
         #[test]
         fn classed_deal_matches_per_rank_on_random_runs(
             n in 0usize..600,
-            picks in proptest::collection::vec((0usize..8, 1u64..9), 1..6),
+            picks in proptest::collection::vec((0usize..8, 1u64..9), 1..12),
         ) {
             // A small speed palette (with repeats, a zero, and speeds
             // one ulp either side of 50) makes cross-class deficit ties,

@@ -24,6 +24,9 @@
 //! is bit-identical to the naive `for _ in 0..k { s += c }` loop —
 //! the property the tests below pin, and the reason class-aggregated
 //! simulation can price a 10⁷-member fan-out without walking it.
+//!
+//! [`LANES`] and [`lanes`] fix the two-wide per-class layout that the
+//! same pricing's per-row loops fold in (DESIGN.md §13).
 
 /// One ulp of a positive, finite `f64`: the spacing of representable
 /// values in the constant-ulp region containing `s`.
@@ -113,6 +116,26 @@ pub fn repeat_add(mut s: f64, c: f64, mut k: u64) -> f64 {
         }
     }
     s
+}
+
+/// Width of the `[f64; LANES]` lanes that the class-aggregated hot
+/// loops (GE's round fold and the classed cyclic deal) keep per-class
+/// state in. The compiler packs a loop over one lane's slots into one
+/// SSE2 or NEON register; four-wide lanes measured slower.
+pub const LANES: usize = 2;
+
+/// Packs per-class values into lanes, class `c` at
+/// `lanes[c / LANES][c % LANES]` (so `as_flattened` reads them back in
+/// class order), with `pad` filling the last lane's unused slots.
+pub fn lanes(values: impl IntoIterator<Item = f64>, pad: f64) -> Vec<[f64; LANES]> {
+    let mut out: Vec<[f64; LANES]> = Vec::new();
+    for (c, x) in values.into_iter().enumerate() {
+        if c % LANES == 0 {
+            out.push([pad; LANES]);
+        }
+        out[c / LANES][c % LANES] = x;
+    }
+    out
 }
 
 #[cfg(test)]

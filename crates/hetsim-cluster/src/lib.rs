@@ -63,7 +63,7 @@ pub mod topology;
 pub use classed::{ClassedCluster, SpeedClass};
 pub use cluster::ClusterSpec;
 pub use faults::{FaultError, FaultPlan, RetryCharge, RetryPolicy, SpeedWindow};
-pub use flrepeat::repeat_add;
+pub use flrepeat::{lanes, repeat_add, LANES};
 pub use network::{
     ConstantLatency, JitteredNetwork, MpichEthernet, NetworkModel, SharedEthernet, SwitchedNetwork,
 };

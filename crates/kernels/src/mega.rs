@@ -20,7 +20,10 @@
 //! does not depend on N, so each thread keeps the winner table of the
 //! last machine it priced and reads every size's winners, and their
 //! per-class totals, from a prefix of it: a sweep over one machine's
-//! size grid deals the machine once, to its largest N.
+//! size grid deals the machine once, to its largest N. Both per-row
+//! loops — a round's fold over classes and the deal's deficit scan —
+//! run two classes at a time in [`LANES`]-wide lanes, with the same
+//! IEEE operations per class as the per-rank form.
 //!
 //! [`ge_makespan`] brings the same pricing to a per-rank
 //! [`ClusterSpec`]: it run-length encodes the cluster
@@ -43,8 +46,8 @@ use hetsim_cluster::classed::ClassedCluster;
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::node::NodeSpec;
-use hetsim_cluster::repeat_add;
 use hetsim_cluster::time::SimTime;
+use hetsim_cluster::{lanes, repeat_add, LANES};
 use hetsim_mpi::telemetry::{self, EnginePath, EngineReport};
 use hetsim_mpi::{record_spmd, FallbackReason, RecordTimer, RunSpec, SpmdProgram};
 use std::cell::Cell;
@@ -216,9 +219,10 @@ struct ChainRun {
 ///
 /// After round 0 every rank leaves the barrier with one shared scalar
 /// clock, so a round's rendezvous collapses to the broadcast departure
-/// plus the *largest* elimination time — and within a speed class the
-/// largest below-pivot row count is `⌈remaining/members⌉`, maintained
-/// by a ceil countdown as the replayed classed deal drains pivots.
+/// plus the *largest* elimination time, folded over the classes two at
+/// a time — and within a speed class the largest below-pivot row count
+/// is `⌈remaining/members⌉`, maintained by a ceil countdown as the
+/// replayed classed deal drains pivots.
 /// Round 0 (where scatter leaves rank clocks unequal) and the
 /// scatter/gather stages are priced per peer run through exact batched
 /// repeated addition and the classed network hooks. Bit-identical to
@@ -294,6 +298,9 @@ struct WinnerTable {
     winners: Vec<u8>,
 }
 
+/// Why the deal of a [`ClassedCluster`]'s classes is never rejected.
+const VALIDATED: &str = "a ClassedCluster has classes, members and positive finite speeds";
+
 thread_local! {
     /// One winner table per thread, so no lock: every caller prices a
     /// machine's whole size grid on one thread (one pool cell, or a
@@ -312,7 +319,10 @@ impl WinnerTable {
         let key: Vec<(u64, u64)> = classes.iter().map(|&(s, m)| (s.to_bits(), m)).collect();
         match WINNERS.take() {
             Some(table) if table.key == key => table,
-            _ => WinnerTable { key, deal: ClassedCyclicDeal::new(classes), winners: Vec::new() },
+            _ => {
+                let deal = ClassedCyclicDeal::new(classes).expect(VALIDATED);
+                WinnerTable { key, deal, winners: Vec::new() }
+            }
         }
     }
 
@@ -344,8 +354,8 @@ fn ge_mega_eval<N: NetworkModel>(
         // More classes than a byte can name: no table. One deal counts
         // the rows, a fresh one replays the pivot owners (same state
         // machine, same sequence).
-        let class_rows = ClassedCyclicDeal::counts(n, &deal_classes);
-        let mut deal = ClassedCyclicDeal::new(&deal_classes);
+        let class_rows = ClassedCyclicDeal::counts(n, &deal_classes).expect(VALIDATED);
+        let mut deal = ClassedCyclicDeal::new(&deal_classes).expect(VALIDATED);
         return ge_price(cluster, network, n, &class_rows, std::iter::repeat_with(|| deal.deal()));
     }
     let mut table = WinnerTable::take(&deal_classes);
@@ -434,53 +444,72 @@ fn ge_price<N: NetworkModel>(
         }
         clk = rendezvous + barrier_cost;
 
-        // Ceil-countdown state: `v[c]` is the most below-pivot rows any
-        // member of class `c` still owns (`⌈remaining/members⌉` — the
-        // residue counts of an interval); `cnt[c]` is how many more of
-        // the class's pivots drain before `v[c]` drops.
-        let mut v = vec![0u64; members.len()];
-        let mut cnt = vec![0u64; members.len()];
-        for (c, (&rows, &m)) in class_rows.iter().zip(&members).enumerate() {
-            if rows > 0 {
-                v[c] = rows.div_ceil(m);
-                cnt[c] = rows - (v[c] - 1) * m;
-            }
-        }
-        let drain = |w: usize, v: &mut [u64], cnt: &mut [u64]| {
+        // Ceil-countdown state: `v` holds, per class, the most
+        // below-pivot rows any member still owns (`⌈remaining/members⌉`
+        // — the residue counts of an interval) as an exact `f64`
+        // (`v ≤ n < 2⁵³`), in lanes beside the class speeds; `cnt[c]` is
+        // how many more of class `c`'s pivots drain before its `v`
+        // drops. A padding slot holds 0 rows at speed 1.0.
+        let (v, mut cnt): (Vec<f64>, Vec<u64>) = class_rows
+            .iter()
+            .zip(&members)
+            .map(|(&rows, &m)| {
+                let v = rows.div_ceil(m);
+                (v as f64, if rows > 0 { rows - (v - 1) * m } else { 0 })
+            })
+            .unzip();
+        let mut v = lanes(v, 0.0);
+        let speed_lanes = lanes(class_speed_flops.iter().copied(), 1.0);
+        // A lane is written only when a countdown drops: rewriting the
+        // winner's lane every round stalls the next round's packed
+        // load on store forwarding.
+        let mut drain = |w: usize, v: &mut [[f64; LANES]]| {
             debug_assert!(cnt[w] > 0, "a winning class always has rows left");
             cnt[w] -= 1;
             if cnt[w] == 0 {
-                v[w] -= 1;
+                v.as_flattened_mut()[w] -= 1.0;
                 cnt[w] = members[w];
             }
         };
-        drain(w0, &mut v, &mut cnt);
+        drain(w0, &mut v);
 
         // Rounds 1…: every rank leaves the barrier with the shared
         // scalar `clk`, so the rendezvous is the departure plus the
         // largest elimination time over classes. This is the hot loop
-        // — once per remaining matrix row — so it runs on raw f64
-        // state: `SimTime + SimTime` is the plain f64 add and
-        // `SimTime::max` the `>`-replace below, so the bits match the
-        // wrapped arithmetic exactly. (A padded-reciprocal screen that
-        // prunes divisions was tried and measured slower: the cyclic
-        // deal balances `v·elim/spd` across classes by construction,
-        // so no class is ever far enough from critical to skip.)
+        // — once per remaining matrix row — so it runs on raw f64 state
+        // (`SimTime + SimTime` is the plain f64 add, `SimTime::max` a
+        // `>`-replace), two classes per lane, and stays bit-identical
+        // to the per-rank fold `max_c fl(d + q_c)` seeded at 0.0:
+        // - each quotient `q_c = fl(fl(v·elim)/spd)` is the per-rank
+        //   form's two operations, on an exact integer `v`;
+        // - round-to-nearest addition is monotone in each operand, so
+        //   `max_c fl(d + q_c) = fl(d + max_c q_c)`: the departure is
+        //   added once, to the longest quotient;
+        // - every `q_c` is finite and ≥ +0.0 (a padding slot's is +0.0)
+        //   and `d ≥ 0`, so the 0.0 seed changes nothing and the max
+        //   does not depend on the order the lanes fold in.
+        // Tried and measured slower: a padded-reciprocal screen that
+        // prunes divisions (the deal balances `v·elim/spd` across
+        // classes, so none is far from critical), four-wide lanes, and
+        // the hoist over a scalar fold. Re-dividing only the critical
+        // classes slowed two-class machines: a one-member class's
+        // countdown drops on every win.
         let barrier_secs = barrier_cost.as_secs();
         let mut clk_secs = clk.as_secs();
         for (i, w) in (1..(n - 1)).zip(winners) {
-            drain(w, &mut v, &mut cnt);
+            drain(w, &mut v);
             let elim = elimination_flops(n - i);
             let bytes = ((n - i + 1) * 8) as u64;
             let departure = clk_secs + network.bcast_time(p, bytes);
-            let mut rendezvous = 0.0f64;
-            for (&vc, &spd) in v.iter().zip(class_speed_flops.iter()) {
-                let t = departure + vc as f64 * elim / spd;
-                if t > rendezvous {
-                    rendezvous = t;
+            let mut longest = [0.0f64; LANES];
+            for (v, spd) in v.iter().zip(&speed_lanes) {
+                for ((longest, &v), &spd) in longest.iter_mut().zip(v).zip(spd) {
+                    let q = v * elim / spd;
+                    *longest = if q > *longest { q } else { *longest };
                 }
             }
-            clk_secs = rendezvous + barrier_secs;
+            let longest = longest.into_iter().fold(0.0, |a, q| if q > a { q } else { a });
+            clk_secs = (departure + longest) + barrier_secs;
         }
         clk = SimTime::from_secs(clk_secs);
     }
@@ -754,6 +783,115 @@ mod tests {
                     prop_assert_eq!(routed, want, "{} p={} n={} {:?}", tag, p, n, spec.speeds_mflops());
                     prop_assert_eq!(mega.makespan.as_secs().to_bits(), want);
                 }
+            }
+        }
+
+        /// `mm_mega` and `power_mega` on the same run layouts return the
+        /// per-rank closed forms' makespans bit for bit: the class
+        /// skeleton must survive ulp-adjacent runs, repeats and N < P.
+        #[test]
+        fn mm_and_power_mega_match_per_rank_on_adversarial_layouts(
+            p in 1usize..41,
+            draws in prop::collection::vec((0usize..7, 1usize..9), 1..12),
+            singles in 0usize..3,
+        ) {
+            let spec = palette_spec(p, &draws, singles == 0);
+            let classed = ClassedCluster::from_spec(&spec).expect("palette speeds are valid");
+            for n in [1, 2, p - 1, p, 3 * p].into_iter().filter(|&n| n > 0) {
+                let dist = BlockDistribution::proportional(n, &spec.speeds_mflops());
+                for (tag, net) in &networks() {
+                    let net: &dyn NetworkModel = net.as_ref();
+                    let want = mm_closed_form(&spec, &net, n, &dist).makespan;
+                    let mega = mm_mega(&classed, &net, n).expect("classed network").makespan;
+                    prop_assert_eq!(
+                        mega.as_secs().to_bits(), want.as_secs().to_bits(),
+                        "mm {} p={} n={} {:?}", tag, p, n, spec.speeds_mflops()
+                    );
+                    for iters in [0, 1, 3] {
+                        let want = power_closed_form(&spec, &net, n, iters, &dist).makespan;
+                        let mega = power_mega(&classed, &net, n, iters).expect("classed").makespan;
+                        prop_assert_eq!(
+                            mega.as_secs().to_bits(), want.as_secs().to_bits(),
+                            "power {} p={} n={} iters={}", tag, p, n, iters
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `cluster` with class `i` split into two adjacent classes of the
+    /// same speed at member `at(i, count)` (0 or `count` keeps it whole).
+    fn split(cluster: &ClassedCluster, at: impl Fn(usize, usize) -> usize) -> ClassedCluster {
+        let mut classes = Vec::new();
+        for (i, c) in cluster.classes().iter().enumerate() {
+            let cut = at(i, c.count);
+            for count in [cut, c.count - cut].into_iter().filter(|&m| m > 0) {
+                classes.push(SpeedClass { speed_mflops: c.speed_mflops, count });
+            }
+        }
+        ClassedCluster::new("split", classes).expect("split classes stay valid")
+    }
+
+    /// The makespan bits of GE at `ge_sizes`, then of MM and 3-sweep
+    /// power at `block_sizes`, under every classed network.
+    fn makespans(cluster: &ClassedCluster, ge_sizes: &[usize], block_sizes: &[usize]) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for (_, net) in &networks() {
+            let net: &dyn NetworkModel = net.as_ref();
+            for &n in ge_sizes {
+                bits.push(ge_mega(cluster, &net, n).expect("classed network").makespan);
+            }
+            for &n in block_sizes {
+                bits.push(mm_mega(cluster, &net, n).expect("classed network").makespan);
+                bits.push(power_mega(cluster, &net, n, 3).expect("classed network").makespan);
+            }
+        }
+        bits.into_iter().map(|t| t.as_secs().to_bits()).collect()
+    }
+
+    /// Splitting a class into two adjacent classes of the same speed
+    /// describes the same per-rank machine, so every kernel returns the
+    /// same makespan bits — checked on machines too large for the
+    /// per-rank oracle: 10⁵ ranks, a class of 2³² + 1 members, and
+    /// equal-speed HEET ladders (spread 1) against one class.
+    #[test]
+    fn splitting_a_class_keeps_every_makespan() {
+        let midpoint = |_: usize, count: usize| count / 2;
+        let scattered = |i: usize, count: usize| (7919 * i) % count;
+        let huge = ClassedCluster::new(
+            "huge",
+            vec![
+                SpeedClass { speed_mflops: 90.0, count: 1 },
+                SpeedClass { speed_mflops: 45.0, count: (1 << 32) + 1 },
+            ],
+        )
+        .unwrap();
+        let machines = [
+            (
+                ClassedCluster::heet(100_000, 8, 45.0, 2.4),
+                &[2, 1000, 100_000, 300_000][..],
+                &[1, 2, 64, 4096][..],
+            ),
+            (huge, &[2, 3, 5000], &[2, 3, 5000]),
+        ];
+        for (cluster, ge_sizes, block_sizes) in &machines {
+            let want = makespans(cluster, ge_sizes, block_sizes);
+            for halves in [split(cluster, midpoint), split(cluster, scattered)] {
+                assert!(halves.class_count() > cluster.class_count());
+                assert_eq!(halves.size(), cluster.size());
+                let got = makespans(&halves, ge_sizes, block_sizes);
+                assert_eq!(got, want, "{} split into {:?}", cluster.label, halves.classes());
+            }
+        }
+        // `max_classes` 8 exceeds p at p = 1 and 7.
+        for p in [1, 7, 1000, 100_000] {
+            let one = ClassedCluster::heet(p, 1, 45.0, 1.0);
+            let ladder = ClassedCluster::heet(p, 8, 45.0, 1.0);
+            assert_eq!(ladder.class_count(), p.min(8));
+            let want = makespans(&one, &[2, 1000], &[1, 2, 64, 4096]);
+            for same in [ladder.clone(), split(&one, midpoint), split(&ladder, scattered)] {
+                assert_eq!(makespans(&same, &[2, 1000], &[1, 2, 64, 4096]), want, "p={p}");
             }
         }
     }
