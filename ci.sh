@@ -89,7 +89,9 @@ cmp "$TMP"/faults_analytic.txt "$TMP"/faults_engine.txt || {
     exit 1
 }
 # Recovery sweep smoke (DESIGN.md §12): runs, and holds the same
-# engine-equivalence contract.
+# engine-equivalence contract — `--no-analytic` records every recovery
+# segment and replays it on the event-driven engine, so the cmp pins the
+# GE and MM closed forms' bytes on recovery programs.
 "$BIN" --quick recover > "$TMP"/recover_analytic.txt
 "$BIN" --quick recover --no-analytic > "$TMP"/recover_engine.txt
 cmp "$TMP"/recover_analytic.txt "$TMP"/recover_engine.txt || {
@@ -112,10 +114,11 @@ cmp "$TMP"/mega_aggregated.txt "$TMP"/mega_per_rank.txt || {
 # Perf gate, coarse: the experiment sweeps must stay on the fast timing
 # engine. The *full* ladders plus the fault and surface sweeps complete
 # in well under a second (see BENCH_ANALYTIC.json); the gate also runs
-# `recover` (~0.4-0.9 s) and the full `mega` sweep (~2-3.5 s, nearly
-# all of it the 10^7-rank GE column) on a 2-vCPU host. A generous 60 s
-# budget only trips on order-of-magnitude regressions, e.g. kernels
-# silently falling back to the thread-per-rank oracle.
+# `recover` (~0.14-0.19 s, its untraced segments on the closed forms)
+# and the full `mega` sweep (~2-3.5 s, nearly all of it the 10^7-rank
+# GE column) on a 2-vCPU host. A generous 60 s budget only trips on
+# order-of-magnitude regressions, e.g. kernels silently falling back to
+# the thread-per-rank oracle.
 BUDGET_SECS=60
 start=$(date +%s)
 "$BIN"
@@ -220,14 +223,17 @@ test "$hit" -ge "$MEMO_HIT_FLOOR" || {
     echo "full-suite memo hit rate ${hit}% dropped below the ${MEMO_HIT_FLOOR}% baseline" >&2
     exit 1
 }
-# Recovery telemetry gate (DESIGN.md §12): the lockstep analyzer must
-# reject recovery cells with the *typed* fallback reason — if the tag
-# vanishes, recovery runs are being mis-priced by the closed forms.
+# Recovery telemetry gate (DESIGN.md §12): every untraced recovery
+# segment prices through the GE and MM closed forms, like every other
+# untraced fault-free run. Full coverage and both recovery closed-form
+# keys trip if a segment slides back to recording and replaying.
 "$BIN" --quick recover --stats-out "$TMP"/stats_recover.json > /dev/null
-grep -q 'recovery-ops' "$TMP"/stats_recover.json || {
-    echo "recovery runs no longer report the typed recovery-ops fallback" >&2
-    exit 1
-}
+for key in '"analytic_coverage_percent":100,' '"ge-recover":{' '"mm-recover":{'; do
+    grep -q "$key" "$TMP"/stats_recover.json || {
+        echo "recovery segments left the closed forms: no $key in the stats document" >&2
+        exit 1
+    }
+done
 # Determinism smoke: a repeated run must reproduce the document byte
 # for byte. (The documents themselves are pinned against golden
 # fixtures by crates/bench-tables/tests/cli.rs.)

@@ -18,9 +18,10 @@
 //! fitted-trend inversion. Everything — death placement, checkpoint
 //! cadence, repartition — is a pure function of (plan seed base,
 //! cluster, n), so the sweep is byte-identical across runs, `--jobs`
-//! worker counts, and `--no-analytic` (recovery programs reject the
-//! lockstep analyzer with the typed `recovery-ops` fallback and price
-//! on the event-driven engine either way).
+//! worker counts, and `--no-analytic` (untraced recovery segments price
+//! through the GE and MM closed forms, which read the same segment the
+//! recorded body does; `--no-analytic` records and replays every one on
+//! the event-driven engine).
 //!
 //! The second table is the Daly check: at a fixed representative size,
 //! mean makespan over a deterministic seed campaign across interval

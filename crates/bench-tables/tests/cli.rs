@@ -530,15 +530,26 @@ fn usage_and_list_cover_recover_and_seed() {
 }
 
 #[test]
-fn recover_stats_doc_reports_the_typed_recovery_fallback() {
-    // The lockstep closed forms reject recovery ops, so every recovery
-    // cell must surface the typed `recovery-ops` fallback reason in the
-    // telemetry document — the tag ci.sh greps for.
+fn recover_stats_doc_prices_every_recovery_segment_in_closed_form() {
+    // Untraced recovery segments price through the GE and MM closed
+    // forms under their own keys, so no recovery cell falls back to the
+    // event-driven engine: full coverage (the byte sequence ci.sh greps
+    // for) and no fallback reason.
+    use hetsim_obs::Json;
     let dir = temp_dir("recover");
     let doc = stats_doc(&dir, "recover.json", &["--quick", "recover"]);
     std::fs::remove_dir_all(&dir).ok();
     let text = String::from_utf8(doc).expect("utf-8 stats");
-    assert!(text.contains("recovery-ops"), "typed fallback reason missing: {text}");
+    assert!(text.contains("\"analytic_coverage_percent\":100,"), "coverage below 100%: {text}");
+    let doc = Json::parse(&text).expect("stats parses");
+    let engine = doc.as_obj().expect("object")["engine"].as_obj().expect("engine object").clone();
+    let closed_form = engine["closed_form"].as_obj().expect("closed_form object");
+    for key in ["ge-recover", "mm-recover"] {
+        let cells = closed_form.get(key).and_then(|s| s.as_obj()?.get("cells")?.as_num());
+        assert!(cells.is_some_and(|c| c > 0.0), "no {key} closed-form cells: {text}");
+    }
+    let reasons = engine["fallback_reasons"].as_obj().expect("fallback_reasons object");
+    assert!(reasons.is_empty(), "recovery cells fell back: {text}");
 }
 
 #[test]

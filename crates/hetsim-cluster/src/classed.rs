@@ -51,7 +51,9 @@ pub struct ClassedCluster {
 
 impl ClassedCluster {
     /// Builds a classed cluster. Errors on an empty class list, an
-    /// empty class, or a non-positive / non-finite speed.
+    /// empty class, a non-positive / non-finite speed, or a machine
+    /// whose marked speed ([`ClassedCluster::marked_speed_flops`])
+    /// overflows — which also keeps every class's flop/s speed finite.
     pub fn new(
         label: impl Into<String>,
         classes: Vec<SpeedClass>,
@@ -59,6 +61,7 @@ impl ClassedCluster {
         if classes.is_empty() {
             return Err("a classed cluster needs at least one class".to_string());
         }
+        let mut total_mflops = 0.0;
         for c in &classes {
             if !c.speed_mflops.is_finite() || c.speed_mflops <= 0.0 {
                 return Err(format!(
@@ -68,6 +71,15 @@ impl ClassedCluster {
             }
             if c.count == 0 {
                 return Err("a speed class needs at least one member".to_string());
+            }
+            // The fold of `marked_speed_mflops`, stopped at the first
+            // overflow (`repeat_add` takes finite operands only).
+            total_mflops = repeat_add(total_mflops, c.speed_mflops, c.count as u64);
+            if !(total_mflops * 1e6).is_finite() {
+                return Err(format!(
+                    "the machine's marked speed must be finite, but {} ranks of {} Mflop/s overflow it",
+                    c.count, c.speed_mflops
+                ));
             }
         }
         Ok(ClassedCluster { classes, label: label.into() })
@@ -389,6 +401,32 @@ mod tests {
                 ClusterSpec::new("bad", vec![NodeSpec::synthetic("r0", 50.0), node]).unwrap();
             assert!(ClassedCluster::from_spec(&spec).is_err(), "speed {bad} accepted");
         }
+    }
+
+    #[test]
+    fn an_overflowing_marked_speed_is_rejected() {
+        let class = |speed_mflops, count| SpeedClass { speed_mflops, count };
+        for classes in [
+            vec![class(1e308, 2)],
+            // Finite in Mflop/s, infinite in flop/s.
+            vec![class(1e303, 1)],
+            // Overflows in a later class, whose fold would otherwise
+            // take the infinite total as an operand.
+            vec![class(1e308, 1), class(1e308, 1), class(50.0, 3)],
+        ] {
+            let err = ClassedCluster::new("huge", classes.clone()).unwrap_err();
+            assert!(err.contains("marked speed must be finite"), "{classes:?}: {err}");
+        }
+        let edge = ClassedCluster::new("edge", vec![class(1e302, 1), class(50.0, 1)]).unwrap();
+        assert!(edge.marked_speed_flops().is_finite());
+    }
+
+    #[test]
+    fn from_spec_rejects_an_overflowing_marked_speed() {
+        let nodes = (0..2).map(|i| NodeSpec::synthetic(format!("r{i}"), 1e308)).collect();
+        let spec = ClusterSpec::new("huge", nodes).unwrap();
+        let err = ClassedCluster::from_spec(&spec).unwrap_err();
+        assert!(err.contains("marked speed must be finite"), "{err}");
     }
 
     #[test]

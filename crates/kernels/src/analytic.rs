@@ -28,11 +28,17 @@
 //! The closed forms serve the untraced, fault-free path only; traces
 //! and fault plans keep the engine, whose generality they need. The
 //! kernel entry points select automatically, honouring
-//! [`hetsim_mpi::set_analytic_enabled`] (`--no-analytic`).
+//! [`hetsim_mpi::set_analytic_enabled`] (`--no-analytic`). The GE and
+//! MM forms also price each segment of a recoverable run
+//! (`crate::recover`): its MTBF stream is resolved before pricing, so
+//! its checkpoint, detect, lost-work and rebalance charges are local
+//! clock spans at known iterations, read from the same segment the
+//! body records.
 
 use crate::ge::{back_substitution_flops, elimination_flops, TimingOutcome};
 use crate::mm::multiply_flops;
 use crate::power::{matvec_flops, normalize_flops};
+use crate::recover::Segment;
 use crate::stencil::update_flops;
 use hetpart::{BlockDistribution, CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
@@ -146,6 +152,21 @@ pub fn ge_closed_form<N: NetworkModel>(
         .expect("one network in, one outcome out")
 }
 
+/// The closed form of one GE [`Segment`] — a piece of a recoverable run
+/// (`crate::recover`) or the whole run — bit-identical to the engine
+/// pricing `ge::timed`'s segment body.
+pub(crate) fn ge_segment_closed_form<N: NetworkModel>(
+    cluster: &ClusterSpec,
+    network: &N,
+    n: usize,
+    dist: &CyclicDistribution,
+    seg: &Segment,
+) -> TimingOutcome {
+    ge_segment_many(cluster, std::slice::from_ref(network), n, dist, seg)
+        .pop()
+        .expect("one network in, one outcome out")
+}
+
 /// Per-campaign mutable state of the batched GE evaluation. Campaigns
 /// share no float state: only the network-independent inputs (row
 /// ownership, `remaining` counts, elimination `dt`s) are computed once
@@ -155,8 +176,21 @@ struct GeCampaign {
     compute: Vec<SimTime>,
     comm: Vec<SimTime>,
     /// Shared post-barrier clock (all ranks leave a barrier with the
-    /// same f64), valid from the end of round 0 onwards.
+    /// same f64), valid from the end of a segment's first round onwards.
     clk: SimTime,
+}
+
+impl GeCampaign {
+    /// Charges the deferred barrier of the last round walked — the
+    /// rendezvous entry in `clock[r]` up to the shared exit `clk` — and
+    /// equalizes the clocks.
+    fn flush_barrier(&mut self) {
+        let clk = self.clk;
+        for (c, cm) in self.clock.iter_mut().zip(self.comm.iter_mut()) {
+            *cm += clk - *c;
+            *c = clk;
+        }
+    }
 }
 
 /// [`ge_closed_form`] over many network models at once — the same
@@ -179,7 +213,25 @@ pub fn ge_closed_form_many<N: NetworkModel>(
     n: usize,
     dist: &CyclicDistribution,
 ) -> Vec<TimingOutcome> {
-    hetsim_mpi::telemetry::record_closed_form("ge", networks.len() as u64);
+    ge_segment_many(cluster, networks, n, dist, &Segment::whole(n.saturating_sub(1)))
+}
+
+/// The one GE round walk behind [`ge_closed_form_many`] and
+/// [`ge_segment_closed_form`]: `seg` says which rounds to walk, how the
+/// segment opens and closes, and which rounds carry recovery charges at
+/// their heads.
+fn ge_segment_many<N: NetworkModel>(
+    cluster: &ClusterSpec,
+    networks: &[N],
+    n: usize,
+    dist: &CyclicDistribution,
+    seg: &Segment,
+) -> Vec<TimingOutcome> {
+    let whole = *seg == Segment::whole(n.saturating_sub(1));
+    hetsim_mpi::telemetry::record_closed_form(
+        if whole { "ge" } else { "ge-recover" },
+        networks.len() as u64,
+    );
     let p = cluster.size();
     let speeds = cluster.speeds_flops();
     // Row counts per rank in one O(n) ownership pass (materializing
@@ -190,13 +242,16 @@ pub fn ge_closed_form_many<N: NetworkModel>(
     }
     let scatter_counts: Vec<usize> = rows.iter().map(|&r| r * (n + 1)).collect();
 
-    // Stage 1: root-serialized distribution of row blocks, per campaign.
+    // Stage 1: root-serialized distribution of row blocks (or a shrink
+    // run's resume prologue), per campaign.
     let mut campaigns: Vec<GeCampaign> = networks
         .iter()
         .map(|net| {
             let mut clock = vec![SimTime::ZERO; p];
             let mut comm = vec![SimTime::ZERO; p];
-            scatter_from_root(net, &mut clock, &mut comm, &scatter_counts);
+            seg.open_priced(&speeds, &mut clock, &mut comm, |clock, comm| {
+                scatter_from_root(net, clock, comm, &scatter_counts)
+            });
             GeCampaign { clock, compute: vec![SimTime::ZERO; p], comm, clk: SimTime::ZERO }
         })
         .collect();
@@ -205,24 +260,31 @@ pub fn ge_closed_form_many<N: NetworkModel>(
     // `p` — hoisted once per campaign, exactly as the engine hoists it
     // per replay. `remaining[r]` tracks rank `r`'s rows strictly below
     // the pivot: row `i` leaves its owner's count at round `i`, which
-    // reproduces the body's sorted-row scan bit for bit. `dts[r]` is
+    // reproduces the body's sorted-row scan bit for bit (a segment
+    // starting at round `k` starts from the rows `k..`). `dts[r]` is
     // the round's elimination time — network-free, so shared.
     let barrier_costs: Vec<SimTime> =
         networks.iter().map(|net| SimTime::from_secs(net.barrier_time(p))).collect();
     let mut remaining = rows;
+    for i in 0..seg.iters.start {
+        remaining[dist.owner(i)] -= 1;
+    }
     let mut dts = vec![SimTime::ZERO; p];
     // The elimination-flops ladder is a pure function of the round —
     // precomputed once per batch and shared by every campaign.
-    let elims: Vec<f64> = (0..n.saturating_sub(1)).map(|i| elimination_flops(n - i)).collect();
-    let mut rounds = 0..n.saturating_sub(1);
-    // Round 0 runs generically: the scatter leaves rank clocks
-    // unequal, so receivers genuinely race the pivot broadcast. Its
-    // barrier *comm* charge is deferred: each campaign records the
-    // barrier exit in `clk` and leaves `clock[r]` at the rendezvous
-    // entries; the next round (or the final flush) charges
-    // `clk − clock[r]` before the round's own broadcast charge, which
-    // is the same operand pair in the same per-accumulator order.
-    if let Some(i) = rounds.next() {
+    let elims: Vec<f64> = (0..seg.iters.end).map(|i| elimination_flops(n - i)).collect();
+    let mut next = seg.iters.start;
+    while next < seg.iters.end {
+        // A segment's first round, and every round that carries a
+        // recovery charge at its head, runs generically: rank clocks
+        // are unequal (after the scatter, the prologue or the charges),
+        // so receivers genuinely race the pivot broadcast. A previous
+        // round's barrier *comm* charge is deferred: each campaign
+        // records the barrier exit in `clk` and leaves `clock[r]` at
+        // the rendezvous entries; the next round (or the final flush)
+        // charges `clk − clock[r]` first, which is the same operand
+        // pair in the same per-accumulator order as the engine.
+        let i = next;
         let owner = dist.owner(i);
         let bytes = ((n - i + 1) * 8) as u64;
         remaining[owner] -= 1;
@@ -233,6 +295,12 @@ pub fn ge_closed_form_many<N: NetworkModel>(
         for ((net, cpn), &barrier_cost) in
             networks.iter().zip(campaigns.iter_mut()).zip(barrier_costs.iter())
         {
+            if i > seg.iters.start {
+                cpn.flush_barrier();
+            }
+            for (r, &spd) in speeds.iter().enumerate() {
+                seg.price_head(i, r, spd, &mut cpn.clock[r], &mut cpn.comm[r]);
+            }
             let cost = SimTime::from_secs(net.bcast_time(p, bytes));
             let departure = cpn.clock[owner] + cost;
             cpn.comm[owner] += departure - cpn.clock[owner];
@@ -254,66 +322,62 @@ pub fn ge_closed_form_many<N: NetworkModel>(
             }
             cpn.clk = rendezvous + barrier_cost;
         }
-    }
-    // Rounds 1…: every rank left the previous barrier with the *same*
-    // clock (`rendezvous + barrier_cost` is one f64 written to all),
-    // so the per-rank clock is the scalar `clk` until the next
-    // compute. The broadcast then departs at `clk + cost ≥ clk`,
-    // making every receiver's `max(clock, departure)` collapse to
-    // `departure` (on a zero-cost tie, `SimTime::max` keeps `self`,
-    // whose bits equal `departure`'s) and the per-rank comm charge
-    // `departure − clock` collapse to one shared sub. Each rank then
-    // computes `departure + dt[r]` — the exact add the engine performs.
-    // `clock[r]` holds the previous round's rendezvous entry, so the
-    // deferred barrier charge `clk − clock[r]` lands here, first in
-    // the per-accumulator order; the zipped iterators keep the hot
-    // loop free of bounds checks.
-    for i in rounds {
-        let owner = dist.owner(i);
-        let bytes = ((n - i + 1) * 8) as u64;
-        remaining[owner] -= 1;
-        let elim = elims[i];
-        for (d, (&rem, &spd)) in dts.iter_mut().zip(remaining.iter().zip(speeds.iter())) {
-            *d = SimTime::from_secs(rem as f64 * elim / spd);
-        }
-        for ((net, cpn), &barrier_cost) in
-            networks.iter().zip(campaigns.iter_mut()).zip(barrier_costs.iter())
-        {
-            let cost = SimTime::from_secs(net.bcast_time(p, bytes));
-            let prev_exit = cpn.clk;
-            let departure = prev_exit + cost;
-            let delta = departure - prev_exit;
-            let mut rendezvous = SimTime::ZERO;
-            for (((c, cm), cp), &dt) in cpn
-                .clock
-                .iter_mut()
-                .zip(cpn.comm.iter_mut())
-                .zip(cpn.compute.iter_mut())
-                .zip(dts.iter())
-            {
-                *cm += prev_exit - *c;
-                let t = departure + dt;
-                *c = t;
-                *cm += delta;
-                *cp += dt;
-                rendezvous = rendezvous.max(t);
+        // The rounds up to the next charged head: every rank left the
+        // previous barrier with the *same* clock (`rendezvous +
+        // barrier_cost` is one f64 written to all), so the per-rank
+        // clock is the scalar `clk` until the next compute. The
+        // broadcast then departs at `clk + cost ≥ clk`, making every
+        // receiver's `max(clock, departure)` collapse to `departure`
+        // (on a zero-cost tie, `SimTime::max` keeps `self`, whose bits
+        // equal `departure`'s) and the per-rank comm charge `departure
+        // − clock` collapse to one shared sub. Each rank then computes
+        // `departure + dt[r]` — the exact add the engine performs.
+        // `clock[r]` holds the previous round's rendezvous entry, so
+        // the deferred barrier charge `clk − clock[r]` lands here,
+        // first in the per-accumulator order; the zipped iterators
+        // keep the hot loop free of bounds checks.
+        next = seg.next_charged(i + 1);
+        for (i, &elim) in (i + 1..next).zip(&elims[i + 1..next]) {
+            let owner = dist.owner(i);
+            let bytes = ((n - i + 1) * 8) as u64;
+            remaining[owner] -= 1;
+            for (d, (&rem, &spd)) in dts.iter_mut().zip(remaining.iter().zip(speeds.iter())) {
+                *d = SimTime::from_secs(rem as f64 * elim / spd);
             }
-            cpn.clk = rendezvous + barrier_cost;
+            for ((net, cpn), &barrier_cost) in
+                networks.iter().zip(campaigns.iter_mut()).zip(barrier_costs.iter())
+            {
+                let cost = SimTime::from_secs(net.bcast_time(p, bytes));
+                let prev_exit = cpn.clk;
+                let departure = prev_exit + cost;
+                let delta = departure - prev_exit;
+                let mut rendezvous = SimTime::ZERO;
+                for (((c, cm), cp), &dt) in cpn
+                    .clock
+                    .iter_mut()
+                    .zip(cpn.comm.iter_mut())
+                    .zip(cpn.compute.iter_mut())
+                    .zip(dts.iter())
+                {
+                    *cm += prev_exit - *c;
+                    let t = departure + dt;
+                    *c = t;
+                    *cm += delta;
+                    *cp += dt;
+                    rendezvous = rendezvous.max(t);
+                }
+                cpn.clk = rendezvous + barrier_cost;
+            }
         }
     }
     // Flush the last round's deferred barrier charge and materialize
-    // the equalized clocks (round 0 also lands here when n = 2).
-    if n >= 2 {
-        for cpn in campaigns.iter_mut() {
-            let clk = cpn.clk;
-            for (c, cm) in cpn.clock.iter_mut().zip(cpn.comm.iter_mut()) {
-                *cm += clk - *c;
-                *c = clk;
-            }
-        }
+    // the equalized clocks.
+    if !seg.iters.is_empty() {
+        campaigns.iter_mut().for_each(GeCampaign::flush_barrier);
     }
 
-    // Stage 3: gather to rank 0, then sequential back substitution.
+    // Stage 3: gather to rank 0, then sequential back substitution —
+    // unless the segment is an interrupted prefix.
     let backsub = SimTime::from_secs(back_substitution_flops(n) / speeds[0]);
     let gather_sizes = byte_sizes(&scatter_counts);
     networks
@@ -321,9 +385,11 @@ pub fn ge_closed_form_many<N: NetworkModel>(
         .zip(campaigns)
         .map(|(net, cpn)| {
             let GeCampaign { mut clock, mut compute, mut comm, .. } = cpn;
-            gather_to(net, &mut clock, &mut comm, 0, &gather_sizes);
-            clock[0] += backsub;
-            compute[0] += backsub;
+            if seg.gather {
+                gather_to(net, &mut clock, &mut comm, 0, &gather_sizes);
+                clock[0] += backsub;
+                compute[0] += backsub;
+            }
             finish(clock, compute, comm)
         })
         .collect()
@@ -338,7 +404,22 @@ pub fn mm_closed_form<N: NetworkModel>(
     n: usize,
     dist: &BlockDistribution,
 ) -> TimingOutcome {
-    hetsim_mpi::telemetry::record_closed_form("mm", 1);
+    mm_segment_closed_form(cluster, network, n, dist, &Segment::whole(n))
+}
+
+/// The closed form of one MM [`Segment`], bit-identical to the engine
+/// pricing `mm::timed`'s segment body: the whole run charges each
+/// rank's multiply as one block, every other segment walks its chunks
+/// of `flops / n`, each after its head's recovery charges.
+pub(crate) fn mm_segment_closed_form<N: NetworkModel>(
+    cluster: &ClusterSpec,
+    network: &N,
+    n: usize,
+    dist: &BlockDistribution,
+    seg: &Segment,
+) -> TimingOutcome {
+    let whole = *seg == Segment::whole(n);
+    hetsim_mpi::telemetry::record_closed_form(if whole { "mm" } else { "mm-recover" }, 1);
     let p = cluster.size();
     let speeds = cluster.speeds_flops();
     let rows: Vec<usize> = (0..p).map(|r| dist.range_of(r).len()).collect();
@@ -348,14 +429,30 @@ pub fn mm_closed_form<N: NetworkModel>(
     let mut comm = vec![SimTime::ZERO; p];
 
     let block_counts: Vec<usize> = rows.iter().map(|&r| r * n).collect();
-    scatter_from_root(network, &mut clock, &mut comm, &block_counts);
-    bcast_from(network, &mut clock, &mut comm, 0, n * n);
+    seg.open_priced(&speeds, &mut clock, &mut comm, |clock, comm| {
+        scatter_from_root(network, clock, comm, &block_counts);
+        bcast_from(network, clock, comm, 0, n * n);
+    });
+    // Ranks share nothing between the opening and the gather, so each
+    // walks its own chunks.
     for r in 0..p {
-        let dt = SimTime::from_secs(multiply_flops(rows[r], n) / speeds[r]);
-        clock[r] += dt;
-        compute[r] += dt;
+        let flops = multiply_flops(rows[r], n);
+        if whole {
+            let dt = SimTime::from_secs(flops / speeds[r]);
+            clock[r] += dt;
+            compute[r] += dt;
+        } else {
+            let dt = SimTime::from_secs(flops / n as f64 / speeds[r]);
+            for j in seg.iters.clone() {
+                seg.price_head(j, r, speeds[r], &mut clock[r], &mut comm[r]);
+                clock[r] += dt;
+                compute[r] += dt;
+            }
+        }
     }
-    gather_to(network, &mut clock, &mut comm, 0, &byte_sizes(&block_counts));
+    if seg.gather {
+        gather_to(network, &mut clock, &mut comm, 0, &byte_sizes(&block_counts));
+    }
 
     finish(clock, compute, comm)
 }
@@ -517,7 +614,7 @@ pub fn stencil_closed_form<N: NetworkModel>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ge::ge_timed_body;
     use crate::mm::mm_timed_body;
@@ -532,7 +629,7 @@ mod tests {
     /// Cluster extremes for the class-structure sweep: single rank,
     /// server + blade, all-distinct speeds, wide homogeneous (the
     /// shape where rank classes actually dedup).
-    fn clusters() -> Vec<ClusterSpec> {
+    pub(crate) fn clusters() -> Vec<ClusterSpec> {
         vec![
             ClusterSpec::homogeneous(1, 50.0),
             ClusterSpec::new(
@@ -551,7 +648,7 @@ mod tests {
         ]
     }
 
-    fn networks() -> Vec<(&'static str, Box<dyn NetworkModel>)> {
+    pub(crate) fn networks() -> Vec<(&'static str, Box<dyn NetworkModel>)> {
         vec![
             ("const", Box::new(ConstantLatency::new(2.5e-4))),
             ("switched", Box::new(SwitchedNetwork::new(1.2e-4, 9.0e-9))),

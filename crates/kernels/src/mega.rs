@@ -299,7 +299,8 @@ struct WinnerTable {
 }
 
 /// Why the deal of a [`ClassedCluster`]'s classes is never rejected.
-const VALIDATED: &str = "a ClassedCluster has classes, members and positive finite speeds";
+const VALIDATED: &str =
+    "a ClassedCluster has classes, members, positive finite speeds and a finite speed total";
 
 thread_local! {
     /// One winner table per thread, so no lock: every caller prices a

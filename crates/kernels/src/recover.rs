@@ -43,10 +43,17 @@
 //! every `--jobs` worker price the identical program and the recovery
 //! sweep stays byte-stable. The same estimated clock converts a
 //! checkpoint *interval* into an iteration stride
-//! ([`checkpoint_stride`]). On the plain fast path the lockstep analyzer
-//! sees the recovery ops and records its typed `recovery-ops` fallback.
+//! ([`checkpoint_stride`]).
+//!
+//! Each segment is priced by the tier rule every timed kernel shares
+//! (`ge::timed::price`): an untraced run without runtime faults takes
+//! the kernel's closed form ([`crate::analytic`]), which reads the same
+//! `Segment` the body records, so a recovery charge lands at the same
+//! iteration on every tier; traced, faulted and `--no-analytic` runs
+//! record the body on the fast engine.
 
-use crate::ge::timed::{ge_segment_body, round_flops, TimingOutcome};
+use crate::analytic::{ge_segment_closed_form, mm_segment_closed_form};
+use crate::ge::timed::{ge_segment_body, price, round_flops, TimingOutcome};
 use crate::mm::multiply_flops;
 use crate::mm::timed::mm_segment_body;
 use crate::workload::{ge_work, mm_work};
@@ -58,7 +65,7 @@ use hetsim_cluster::faults::{
 };
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-use hetsim_mpi::{run_spmd_fast, RunSpec, SpmdOutcome, SpmdTimer};
+use hetsim_mpi::{RunSpec, SpmdTimer};
 use std::ops::Range;
 
 pub use hetsim_cluster::faults::RecoveryOverhead;
@@ -152,9 +159,8 @@ fn survivor_shares(lost_flops: f64, survivor_speeds: &[f64]) -> Vec<f64> {
 
 /// Whether `plan` injects anything the *runtime* must price per-op
 /// (degradation windows or lossy links). An MTBF stream alone does not
-/// count: it is resolved by the driver, so pure checkpoint/restart runs
-/// take the plain fast path — where the lockstep analyzer sees the
-/// recovery ops and records its typed `recovery-ops` fallback.
+/// count: it is resolved by the driver, so an untraced run under it
+/// prices through the closed forms.
 fn runtime_faults_active(plan: &FaultPlan, p: usize) -> bool {
     plan.drop_per_mille() > 0 || (0..p).any(|r| plan.windows_for(r).is_some())
 }
@@ -166,9 +172,9 @@ fn runtime_faults_active(plan: &FaultPlan, p: usize) -> bool {
 /// segments' communication time. Traced segments merge into one trace
 /// per rank, segment-B spans offset by the segment-A makespan so the
 /// composed timeline is monotone per rank.
-fn compose_segments(a: SpmdOutcome<()>, b: SpmdOutcome<()>, survivors: &[usize]) -> TimingOutcome {
-    let shift = a.makespan();
-    let total_overhead = a.total_overhead() + b.total_overhead();
+fn compose_segments(a: TimingOutcome, b: TimingOutcome, survivors: &[usize]) -> TimingOutcome {
+    let shift = a.makespan;
+    let total_overhead = a.total_overhead + b.total_overhead;
     let mut times = a.times;
     let mut compute_times = a.compute_times;
     let mut traces = a.traces;
@@ -184,7 +190,7 @@ fn compose_segments(a: SpmdOutcome<()>, b: SpmdOutcome<()>, survivors: &[usize])
             }
         }
     }
-    TimingOutcome { makespan: shift + b.makespan(), total_overhead, times, compute_times, traces }
+    TimingOutcome { makespan: shift + b.makespan, total_overhead, times, compute_times, traces }
 }
 
 /// What one recording of a kernel protocol runs: a range of iterations,
@@ -230,42 +236,144 @@ struct Death {
     lost_flops: Vec<f64>,
 }
 
+/// One recovery op a segment charges on one rank.
+#[derive(Clone, Copy)]
+enum Charge {
+    /// A coordinated checkpoint of this many bytes.
+    Checkpoint(u64),
+    /// The failure detector's timeout.
+    Detect,
+    /// A replay of this many lost flops, then this many moved-in bytes.
+    Recover(f64, u64),
+}
+
+impl Charge {
+    /// Records the op on `rank`.
+    fn record<T: SpmdTimer>(self, rank: &mut T) {
+        match self {
+            Charge::Checkpoint(bytes) => rank.checkpoint(bytes),
+            Charge::Detect => rank.detect_failure(DETECT_TIMEOUT_SECS),
+            Charge::Recover(lost_flops, moved_bytes) => rank.recover(lost_flops, moved_bytes),
+        }
+    }
+
+    /// Prices the op on a closed form's clock and comm accumulator for a
+    /// rank of `speed_flops`, with the runtime's own float ops: each span
+    /// is `new = clock + dt; comm += new − clock`, and a zero-operand
+    /// replay or rebalance charges no span.
+    fn price(self, speed_flops: f64, clock: &mut SimTime, comm: &mut SimTime) {
+        let mut span = |secs: f64| {
+            let new = *clock + SimTime::from_secs(secs);
+            *comm += new - *clock;
+            *clock = new;
+        };
+        match self {
+            Charge::Checkpoint(bytes) => span(checkpoint_cost_secs(bytes)),
+            Charge::Detect => span(DETECT_TIMEOUT_SECS),
+            Charge::Recover(lost_flops, moved_bytes) => {
+                if lost_flops > 0.0 {
+                    span(lost_flops / speed_flops);
+                }
+                if moved_bytes > 0 {
+                    span(moved_bytes as f64 / REBALANCE_BANDWIDTH_BYTES_PER_SEC);
+                }
+            }
+        }
+    }
+}
+
 impl Segment {
     /// The whole fault-free run of a kernel with `iters` iterations.
     pub(crate) fn whole(iters: usize) -> Segment {
         Segment { iters: 0..iters, resume: None, checkpoints: None, death: None, gather: true }
     }
 
+    /// The resume prologue's ops on rank `me`; none when the segment
+    /// opens with the root's data distribution.
+    fn prologue(&self, me: usize) -> impl Iterator<Item = Charge> + '_ {
+        self.resume.iter().flat_map(move |resume| {
+            [Charge::Detect, Charge::Recover(resume.lost_share[me], resume.moved_in_bytes[me])]
+        })
+    }
+
+    /// The ops due on rank `me` at the head of iteration `i`, in order:
+    /// the coordinated checkpoint, then the death's detect and replay.
+    fn head(&self, i: usize, me: usize) -> impl Iterator<Item = Charge> + '_ {
+        let checkpoint = self
+            .checkpoints
+            .iter()
+            .filter(move |ckpt| i > 0 && i.is_multiple_of(ckpt.stride))
+            .map(move |ckpt| Charge::Checkpoint(ckpt.bytes[me]));
+        let death = self
+            .death
+            .iter()
+            .filter(move |death| death.iteration == i)
+            .flat_map(move |death| [Charge::Detect, Charge::Recover(death.lost_flops[me], 0)]);
+        checkpoint.chain(death)
+    }
+
+    /// The first iteration at or after `from` whose head carries an op,
+    /// or `iters.end` when none does: the closed forms walk the rounds
+    /// in between on their uniform path.
+    pub(crate) fn next_charged(&self, from: usize) -> usize {
+        let mut next = self.iters.end;
+        if let Some(ckpt) = &self.checkpoints {
+            next = next.min(from.max(1).div_ceil(ckpt.stride).saturating_mul(ckpt.stride));
+        }
+        if let Some(death) = &self.death {
+            if death.iteration >= from {
+                next = next.min(death.iteration);
+            }
+        }
+        next
+    }
+
     /// Opens the segment on `rank`: `distribute` charges the kernel's
     /// data distribution, unless the segment resumes a shrink run, which
     /// charges the recovery prologue instead.
     pub(crate) fn open<T: SpmdTimer>(&self, rank: &mut T, distribute: impl FnOnce(&mut T)) {
-        match &self.resume {
-            None => distribute(rank),
-            Some(resume) => {
-                let me = rank.rank();
-                rank.detect_failure(DETECT_TIMEOUT_SECS);
-                rank.recover(resume.lost_share[me], resume.moved_in_bytes[me]);
-            }
+        if self.resume.is_none() {
+            distribute(rank);
+        }
+        let me = rank.rank();
+        self.prologue(me).for_each(|op| op.record(rank));
+    }
+
+    /// Charges the recovery ops due at the head of iteration `i`.
+    pub(crate) fn at_iteration<T: SpmdTimer>(&self, rank: &mut T, i: usize) {
+        let me = rank.rank();
+        self.head(i, me).for_each(|op| op.record(rank));
+    }
+
+    /// [`Segment::open`] on a closed form's per-rank clocks and comm
+    /// accumulators: `distribute` prices the data distribution, or every
+    /// rank of `speeds_flops` prices the resume prologue.
+    pub(crate) fn open_priced(
+        &self,
+        speeds_flops: &[f64],
+        clock: &mut [SimTime],
+        comm: &mut [SimTime],
+        distribute: impl FnOnce(&mut [SimTime], &mut [SimTime]),
+    ) {
+        if self.resume.is_none() {
+            distribute(clock, comm);
+        }
+        for (me, ((&speed, c), cm)) in speeds_flops.iter().zip(clock).zip(comm).enumerate() {
+            self.prologue(me).for_each(|op| op.price(speed, c, cm));
         }
     }
 
-    /// Charges the recovery ops due at the head of iteration `i`: the
-    /// coordinated checkpoint, then the death's detect and replay.
-    pub(crate) fn at_iteration<T: SpmdTimer>(&self, rank: &mut T, i: usize) {
-        if let Some(ckpt) = &self.checkpoints {
-            if i > 0 && i.is_multiple_of(ckpt.stride) {
-                let me = rank.rank();
-                rank.checkpoint(ckpt.bytes[me]);
-            }
-        }
-        if let Some(death) = &self.death {
-            if death.iteration == i {
-                let me = rank.rank();
-                rank.detect_failure(DETECT_TIMEOUT_SECS);
-                rank.recover(death.lost_flops[me], 0);
-            }
-        }
+    /// [`Segment::at_iteration`] on a closed form's clock and comm
+    /// accumulator for rank `me` of `speed_flops`.
+    pub(crate) fn price_head(
+        &self,
+        i: usize,
+        me: usize,
+        speed_flops: f64,
+        clock: &mut SimTime,
+        comm: &mut SimTime,
+    ) {
+        self.head(i, me).for_each(|op| op.price(speed_flops, clock, comm));
     }
 }
 
@@ -286,6 +394,14 @@ trait Protocol {
     fn flops(dist: &Self::Dist, rank: usize, n: usize, lo: usize, hi: usize) -> f64;
     /// The protocol body, recording `seg`.
     fn body<T: SpmdTimer>(rank: &mut T, dist: &Self::Dist, n: usize, seg: &Segment);
+    /// The closed form of [`Protocol::body`], pricing `seg`.
+    fn closed_form<N: NetworkModel>(
+        cluster: &ClusterSpec,
+        network: &N,
+        dist: &Self::Dist,
+        n: usize,
+        seg: &Segment,
+    ) -> TimingOutcome;
 }
 
 /// Gaussian elimination: `n - 1` pivot rounds over cyclic rows of
@@ -314,6 +430,15 @@ impl Protocol for GeProtocol {
     fn body<T: SpmdTimer>(rank: &mut T, dist: &CyclicDistribution, n: usize, seg: &Segment) {
         ge_segment_body(rank, dist, n, seg);
     }
+    fn closed_form<N: NetworkModel>(
+        cluster: &ClusterSpec,
+        network: &N,
+        dist: &CyclicDistribution,
+        n: usize,
+        seg: &Segment,
+    ) -> TimingOutcome {
+        ge_segment_closed_form(cluster, network, n, dist, seg)
+    }
 }
 
 /// Matrix multiplication: `n` column-chunks over proportional block
@@ -339,6 +464,15 @@ impl Protocol for MmProtocol {
     }
     fn body<T: SpmdTimer>(rank: &mut T, dist: &BlockDistribution, n: usize, seg: &Segment) {
         mm_segment_body(rank, dist, n, seg);
+    }
+    fn closed_form<N: NetworkModel>(
+        cluster: &ClusterSpec,
+        network: &N,
+        dist: &BlockDistribution,
+        n: usize,
+        seg: &Segment,
+    ) -> TimingOutcome {
+        mm_segment_closed_form(cluster, network, n, dist, seg)
     }
 }
 
@@ -377,8 +511,8 @@ fn replay_secs(flops: &[f64], speeds: &[f64]) -> f64 {
     flops.iter().zip(speeds).map(|(&l, &s)| l / s).sum()
 }
 
-/// Where the driver records a segment: the fast engine in production,
-/// the threaded oracle in the tests.
+/// Where the driver prices a segment: the timed kernels' tier rule in
+/// production, the threaded oracle in the tests.
 trait Runtime {
     fn record<K: Protocol, N: NetworkModel>(
         cluster: &ClusterSpec,
@@ -387,10 +521,12 @@ trait Runtime {
         dist: &K::Dist,
         n: usize,
         seg: &Segment,
-    ) -> SpmdOutcome<()>;
+    ) -> TimingOutcome;
 }
 
-/// The fast engine ([`run_spmd_fast`]).
+/// The tier rule every timed kernel shares (`ge::timed::price`): the
+/// closed form when the run is untraced, fault-free and the analytic
+/// tier is on, the fast engine otherwise.
 struct Fast;
 
 impl Runtime for Fast {
@@ -401,8 +537,14 @@ impl Runtime for Fast {
         dist: &K::Dist,
         n: usize,
         seg: &Segment,
-    ) -> SpmdOutcome<()> {
-        run_spmd_fast(cluster, network, spec, |t| K::body(t, dist, n, seg))
+    ) -> TimingOutcome {
+        price(
+            cluster,
+            network,
+            spec,
+            || K::closed_form(cluster, network, dist, n, seg),
+            |t| K::body(t, dist, n, seg),
+        )
     }
 }
 
@@ -411,8 +553,9 @@ impl Runtime for Fast {
 /// lost-work, and rebalance charges appear as typed spans in
 /// `timing.traces`; a shrink run's survivor-segment spans are offset
 /// past the death boundary. The plan's degradation windows and link
-/// drops, if any, are priced per op; an MTBF stream alone is resolved
-/// here and keeps the run on the plain fast path.
+/// drops, if any, are priced per op on the fast engine; an MTBF stream
+/// alone is resolved here, so an untraced run under it takes the
+/// closed forms.
 pub fn timed_recoverable<N: NetworkModel>(
     kernel: RecoverableKernel,
     cluster: &ClusterSpec,
@@ -454,7 +597,7 @@ fn drive<K: Protocol, R: Runtime, N: NetworkModel>(
     let total_flops = K::work(n);
     let death = death_iteration(plan, cluster, iters, total_flops);
     let plain = || RecoveryOutcome {
-        timing: TimingOutcome::from_spmd(record(cluster, plan, &dist, &Segment::whole(iters))),
+        timing: record(cluster, plan, &dist, &Segment::whole(iters)),
         overhead: RecoveryOverhead::default(),
         death: None,
     };
@@ -489,7 +632,7 @@ fn drive<K: Protocol, R: Runtime, N: NetworkModel>(
                 death: death.map(|ev| Death { iteration: ev.iteration, lost_flops }),
                 gather: true,
             };
-            let timing = TimingOutcome::from_spmd(record(cluster, plan, &dist, &seg));
+            let timing = record(cluster, plan, &dist, &seg);
             RecoveryOutcome { timing, overhead, death }
         }
         RecoveryPolicy::ShrinkRebalance => {
@@ -535,12 +678,14 @@ fn drive<K: Protocol, R: Runtime, N: NetworkModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analytic::tests::{clusters, networks};
     use crate::ge::ge_parallel_timed;
     use crate::mm::mm_parallel_timed;
     use hetsim_cluster::network::SharedEthernet;
     use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::run_spmd;
     use hetsim_mpi::trace::OpKind;
+    use hetsim_mpi::{record_spmd, run_spmd};
+    use proptest::prelude::*;
 
     const KERNELS: [RecoverableKernel; 2] = [RecoverableKernel::Ge, RecoverableKernel::Mm];
 
@@ -727,14 +872,17 @@ mod tests {
             dist: &K::Dist,
             n: usize,
             seg: &Segment,
-        ) -> SpmdOutcome<()> {
-            run_spmd(cluster, network, spec, |rank| K::body(rank, dist, n, seg))
+        ) -> TimingOutcome {
+            TimingOutcome::from_spmd(run_spmd(cluster, network, spec, |rank| {
+                K::body(rank, dist, n, seg)
+            }))
         }
     }
 
     /// Prices every run the driver decides — both policies, with and
-    /// without runtime faults, traced and untraced — on the fast engine
-    /// and on the threaded oracle.
+    /// without runtime faults, traced and untraced — on the production
+    /// tiers (the closed forms for the untraced MTBF-only runs, the fast
+    /// engine for the rest) and on the threaded oracle.
     fn assert_fast_matches_threaded<K: Protocol>(kernel: RecoverableKernel, n: usize) {
         let cluster = cluster(kernel);
         let mtbf_only = deadly_plan(kernel, n, 42);
@@ -765,6 +913,170 @@ mod tests {
     fn fast_matches_threaded_on_every_recovery_run() {
         assert_fast_matches_threaded::<GeProtocol>(RecoverableKernel::Ge, 20);
         assert_fast_matches_threaded::<MmProtocol>(RecoverableKernel::Mm, 18);
+    }
+
+    /// A checkpoint-restart segment over all `iters` iterations of
+    /// kernel `K`, checkpointing every `stride` iterations and, with
+    /// `death_at`, dying there with every rank losing its work since its
+    /// last checkpoint — the driver's construction.
+    fn checkpointed<K: Protocol>(
+        dist: &K::Dist,
+        n: usize,
+        p: usize,
+        stride: usize,
+        death_at: Option<usize>,
+    ) -> Segment {
+        let death = death_at.map(|iteration| {
+            let last_ckpt = (iteration / stride) * stride;
+            let lost_flops = (0..p).map(|r| K::flops(dist, r, n, last_ckpt, iteration)).collect();
+            Death { iteration, lost_flops }
+        });
+        Segment {
+            iters: 0..K::iterations(n),
+            resume: None,
+            checkpoints: Some(Checkpoints { stride, bytes: checkpoint_bytes::<K>(dist, n) }),
+            death,
+            gather: true,
+        }
+    }
+
+    /// A shrink run split at iteration `k`: the interrupted prefix and
+    /// the survivors' resume. The resume replays a speed-proportional
+    /// share of rank 0's lost work and moves rows into every rank but
+    /// rank 0, so both zero-operand spans are skipped somewhere.
+    fn shrink<K: Protocol>(
+        cluster: &ClusterSpec,
+        dist: &K::Dist,
+        n: usize,
+        k: usize,
+    ) -> [Segment; 2] {
+        let iters = K::iterations(n);
+        let lost_share = survivor_shares(K::flops(dist, 0, n, 0, k), &cluster.speeds_flops());
+        let moved_in_bytes = (0..cluster.size()).map(|r| r as u64 * K::row_bytes(n)).collect();
+        [
+            Segment { iters: 0..k, gather: false, ..Segment::whole(iters) },
+            Segment {
+                iters: k..iters,
+                resume: Some(Resume { lost_share, moved_in_bytes }),
+                ..Segment::whole(iters)
+            },
+        ]
+    }
+
+    /// Every segment shape the driver builds for kernel `K` at size `n`:
+    /// the whole run; checkpoints every iteration, every other one and at
+    /// strides of at least the iteration count, each without a death and
+    /// with one at iteration 0, at a checkpoint iteration and at the last
+    /// iteration; and, on two or more ranks, shrink prefixes and resumes
+    /// at `k = 0`, a middle `k` and `k = iters − 1`.
+    fn segment_shapes<K: Protocol>(
+        cluster: &ClusterSpec,
+        dist: &K::Dist,
+        n: usize,
+    ) -> Vec<(String, Segment)> {
+        let (p, iters) = (cluster.size(), K::iterations(n));
+        let mut shapes = vec![("whole".to_string(), Segment::whole(iters))];
+        let deaths = [None, Some(0), Some(2), Some(iters.saturating_sub(1))];
+        for stride in [1, 2, iters.max(1), iters + 3] {
+            for death_at in deaths.into_iter().filter(|d| d.is_none_or(|it| it < iters)) {
+                let seg = checkpointed::<K>(dist, n, p, stride, death_at);
+                shapes.push((format!("stride {stride} death {death_at:?}"), seg));
+            }
+        }
+        if p >= 2 && iters > 0 {
+            for k in [0, iters / 2, iters - 1] {
+                let [prefix, resume] = shrink::<K>(cluster, dist, n, k);
+                shapes.push((format!("prefix k={k}"), prefix));
+                shapes.push((format!("resume k={k}"), resume));
+            }
+        }
+        shapes
+    }
+
+    /// `K`'s closed form prices `seg` bit for bit like the event-driven
+    /// engine replaying the recorded body, under every network family.
+    fn assert_closed_form_matches_event_driven<K: Protocol>(
+        cluster: &ClusterSpec,
+        dist: &K::Dist,
+        n: usize,
+        shape: &str,
+        seg: &Segment,
+    ) {
+        let program = record_spmd(cluster, |t| K::body(t, dist, n, seg));
+        for (tag, net) in &networks() {
+            let net: &dyn NetworkModel = net.as_ref();
+            let engine = TimingOutcome::from_spmd(program.simulate_event_driven(cluster, &net));
+            let closed = K::closed_form(cluster, &net, dist, n, seg);
+            assert_eq!(closed, engine, "{shape} ({tag}, p = {}, n = {n})", cluster.size());
+        }
+    }
+
+    fn assert_every_shape_matches<K: Protocol>() {
+        for cluster in &clusters() {
+            for n in [2, 3, 17] {
+                let dist = K::distribute(n, &cluster.speeds_mflops());
+                for (shape, seg) in segment_shapes::<K>(cluster, &dist, n) {
+                    assert_closed_form_matches_event_driven::<K>(cluster, &dist, n, &shape, &seg);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ge_closed_form_matches_event_driven_on_every_segment_shape() {
+        assert_every_shape_matches::<GeProtocol>();
+    }
+
+    #[test]
+    fn mm_closed_form_matches_event_driven_on_every_segment_shape() {
+        assert_every_shape_matches::<MmProtocol>();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random machines (speeds drawn from a palette with an
+        /// ulp-adjacent pair), sizes, checkpoint strides, death
+        /// iterations and shrink points: both closed forms stay
+        /// bit-identical to the event-driven engine.
+        #[test]
+        fn closed_forms_match_event_driven_on_random_segments(
+            picks in prop::collection::vec(0usize..4, 1..7),
+            n in 2usize..40,
+            stride in 1usize..48,
+            death in 0usize..48,
+            k in 0usize..48,
+        ) {
+            let palette = [50.0, f64::from_bits(50f64.to_bits() + 1), 80.0, 110.0];
+            let nodes = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| NodeSpec::synthetic(format!("r{i}"), palette[c]))
+                .collect();
+            let cluster = ClusterSpec::new("palette", nodes).expect("p >= 1");
+            let p = cluster.size();
+            let speeds = cluster.speeds_mflops();
+
+            let dist = GeProtocol::distribute(n, &speeds);
+            let iters = GeProtocol::iterations(n);
+            let seg = checkpointed::<GeProtocol>(&dist, n, p, stride, Some(death % iters));
+            assert_closed_form_matches_event_driven::<GeProtocol>(&cluster, &dist, n, "ge", &seg);
+            for seg in shrink::<GeProtocol>(&cluster, &dist, n, k % iters) {
+                assert_closed_form_matches_event_driven::<GeProtocol>(
+                    &cluster, &dist, n, "ge shrink", &seg,
+                );
+            }
+
+            let dist = MmProtocol::distribute(n, &speeds);
+            let iters = MmProtocol::iterations(n);
+            let seg = checkpointed::<MmProtocol>(&dist, n, p, stride, Some(death % iters));
+            assert_closed_form_matches_event_driven::<MmProtocol>(&cluster, &dist, n, "mm", &seg);
+            for seg in shrink::<MmProtocol>(&cluster, &dist, n, k % iters) {
+                assert_closed_form_matches_event_driven::<MmProtocol>(
+                    &cluster, &dist, n, "mm shrink", &seg,
+                );
+            }
+        }
     }
 
     #[test]
