@@ -114,7 +114,8 @@ cmp "$TMP"/mega_aggregated.txt "$TMP"/mega_per_rank.txt || {
 # Perf gate, coarse: the experiment sweeps must stay on the fast timing
 # engine. The *full* ladders plus the fault and surface sweeps complete
 # in well under a second (see BENCH_ANALYTIC.json); the gate also runs
-# `recover` (~0.14-0.19 s, its untraced segments on the closed forms)
+# `recover` (~0.07-0.1 s, its segments and representative runs on the
+# closed forms)
 # and the full `mega` sweep (~2-3.5 s, nearly all of it the 10^7-rank
 # GE column) on a 2-vCPU host. A generous 60 s budget only trips on
 # order-of-magnitude regressions, e.g. kernels silently falling back to
@@ -193,9 +194,11 @@ test "$best" -le "$SURFACE_BUDGET_US" || {
 # Obs: the quick fault + recovery run exports ~10.6 MB of traces,
 # streamed span by span through the direct JSON writers of
 # hetsim_obs::export (DESIGN.md §7). The `obs` lap of --profile-out
-# (the traced runs plus both exports) is ~55-85 ms at best on a 2-vCPU
-# host; it was ~300-370 ms when every span was built as a Json tree and
-# each file held whole in memory, so 150 ms trips on a return to that.
+# (the traced runs plus both exports) reads ~35-45 ms at best of 5 on a
+# 2-vCPU host with the Ryu number writer of hetsim_obs::digits (~55 ms
+# with `{}` formatting every number); it was ~300-370 ms when every span
+# was built as a Json tree and each file held whole in memory, so 150 ms
+# trips on a return to that.
 OBS_BUDGET_US=150000
 best=$(best_us obs 5 --quick --faults recover --trace-out "$TMP"/obs_traces \
     --metrics-out "$TMP"/obs_metrics.json)

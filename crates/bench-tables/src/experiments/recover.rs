@@ -68,8 +68,8 @@ impl Kernel {
         }
     }
 
-    /// Representative size for the traced decomposition run and the
-    /// Daly campaign: large enough that the estimated run dwarfs the
+    /// Representative size for the decomposition run and the Daly
+    /// campaign: large enough that the estimated run dwarfs the
     /// fixed checkpoint latency (`T ≫ δ`), so interval choice matters.
     /// Checkpointing only pays when `T ≳ 20 δ` (below that, the ~0.26 T
     /// a single expected failure loses without checkpoints is cheaper
@@ -223,6 +223,17 @@ struct SweepRow {
     ladder: ScalabilityLadder,
 }
 
+/// The sweep's rows per kernel: the clean baseline first, then each
+/// MTBF severity under both policies.
+fn sweep_specs() -> Vec<(Option<f64>, PolicyKind)> {
+    let mut specs = vec![(None, PolicyKind::ShrinkRebalance)];
+    for factor in MTBF_FACTORS {
+        specs.push((Some(factor), PolicyKind::CheckpointRestart));
+        specs.push((Some(factor), PolicyKind::ShrinkRebalance));
+    }
+    specs
+}
+
 fn measure_kernel<N: NetworkModel>(
     kernel: Kernel,
     params: &ExperimentParams,
@@ -242,15 +253,9 @@ fn measure_kernel<N: NetworkModel>(
     let base_ge = GeSystem { cluster: &base_cluster, network: net };
     let base_mm = MmSystem { cluster: &base_cluster, network: net };
 
-    let mut specs: Vec<(Option<f64>, PolicyKind)> = vec![(None, PolicyKind::ShrinkRebalance)];
-    for factor in MTBF_FACTORS {
-        specs.push((Some(factor), PolicyKind::CheckpointRestart));
-        specs.push((Some(factor), PolicyKind::ShrinkRebalance));
-    }
-
     let mut rows = Vec::new();
     let mut psi_baseline = f64::NAN;
-    for (mtbf_factor, policy) in specs {
+    for (mtbf_factor, policy) in sweep_specs() {
         let system = RecoverableSystem {
             kernel,
             mtbf_factor,
@@ -269,27 +274,26 @@ fn measure_kernel<N: NetworkModel>(
             psi_baseline = psi;
         }
 
-        // Representative traced run: the recovery spans feed the annex's
-        // overhead breakdown; the typed decomposition comes from the
-        // driver's own accounting.
-        // The row keeps the outcome but not its traces.
+        // Representative run: the typed decomposition comes from the
+        // driver's own accounting. Untraced: only link drops record the
+        // `Retry` spans the annex reads, and no sweep plan has any
+        // (`drop_free_plans_trace_no_retry_span`).
         let plan = system.plan_for(repr_n);
         let cell_policy = system.policy_for(repr_n);
-        let mut outcome = timed_recoverable(
+        let outcome = timed_recoverable(
             kernel.recoverable(),
             &system.cluster,
             net,
             &plan,
             cell_policy,
             repr_n,
-            true,
+            false,
         );
-        let traces = std::mem::take(&mut outcome.timing.traces);
         let dead: Vec<usize> = outcome.death.map(|ev| ev.rank).into_iter().collect();
         let mut annex = RobustnessAnnex::from_comparison(
             psi_baseline,
             psi,
-            &traces,
+            &[],
             outcome.overhead.rebalance_secs,
             dead,
         );
@@ -618,6 +622,48 @@ mod tests {
                 "{}: right edge not worse",
                 check.kernel
             );
+        }
+    }
+
+    #[test]
+    fn drop_free_plans_trace_no_retry_span() {
+        // The sweep's representative runs go untraced, and their annex
+        // reads a retry share of 0 from no spans. That holds only while
+        // the sweep's plans have no link drops and a traced run under the
+        // same plan, or under one with runtime faults but no drops,
+        // records no retry either.
+        use hetsim_mpi::trace::OpKind;
+        let net = sunwulf::sunwulf_network();
+        for kernel in [Kernel::Ge, Kernel::Mm] {
+            for (mtbf_factor, policy) in sweep_specs() {
+                let system = RecoverableSystem {
+                    kernel,
+                    mtbf_factor,
+                    policy,
+                    cluster: kernel.config(8),
+                    network: &net,
+                };
+                let n = kernel.repr_n(true);
+                let sweep_plan = system.plan_for(n);
+                assert_eq!(sweep_plan.drop_per_mille(), 0);
+                for plan in [sweep_plan.clone(), sweep_plan.with_straggler(1, 0.5)] {
+                    let traced = timed_recoverable(
+                        kernel.recoverable(),
+                        &system.cluster,
+                        &net,
+                        &plan,
+                        system.policy_for(n),
+                        n,
+                        true,
+                    );
+                    let traces = &traced.timing.traces;
+                    let mut spans = traces.iter().flat_map(|t| &t.records).peekable();
+                    assert!(spans.peek().is_some(), "the run must trace");
+                    assert!(spans.all(|r| r.kind != OpKind::Retry));
+                    let annex = RobustnessAnnex::from_comparison(1.0, 1.0, traces, 0.0, vec![]);
+                    assert_eq!(annex.retry_overhead_fraction, 0.0);
+                }
+            }
         }
     }
 

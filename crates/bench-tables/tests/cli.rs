@@ -333,9 +333,10 @@ fn quick_stats_doc_reports_full_analytic_coverage_inline() {
 // stdout and its stderr (the per-id `telemetry` lines and fallback
 // warnings). The traced recovery run also pins its metrics document
 // and, through a manifest of lengths and hashes, every trace file it
-// writes, so a moved recovery span, an overhead shifted by one ulp or a
-// drifted exporter byte shows too. Regenerate the fixtures with UPDATE_GOLDEN=1 only for
-// an intended change, and review the diff.
+// writes, at the quick and the full preset, so a moved recovery span,
+// an overhead shifted by one ulp or a drifted exporter byte shows too.
+// Regenerate the fixtures with UPDATE_GOLDEN=1 only for an intended
+// change, and review the diff.
 #[test]
 fn stats_docs_match_golden_fixtures() {
     let dir = temp_dir("golden");
@@ -358,6 +359,25 @@ fn stats_docs_match_golden_fixtures() {
     let metrics_doc = std::fs::read(&metrics).expect("metrics written");
     assert_golden("metrics_quick_faults_recover_obs.json", &metrics_doc, &obs);
     assert_golden("traces_quick_faults_recover_obs.manifest", &trace_manifest(&traces), &obs);
+    // Without --quick the same exports hold about four times the numbers:
+    // 16 trace files (~41 MB) and the metrics document, written into one
+    // directory so one manifest pins all 17.
+    let full_exports = dir.join("full_exports");
+    let full_metrics = full_exports.join("metrics.json");
+    let full_obs = [
+        "--faults",
+        "recover",
+        "--trace-out",
+        full_exports.to_str().expect("utf-8 temp path"),
+        "--metrics-out",
+        full_metrics.to_str().expect("utf-8 temp path"),
+    ];
+    let out = run(&full_obs);
+    assert!(out.status.success(), "{full_obs:?} exited with {:?}: {}", out.status, stderr(&out));
+    let manifest = trace_manifest(&full_exports);
+    // Removed before the comparison, so a drift leaves no 41 MB behind.
+    std::fs::remove_dir_all(&full_exports).ok();
+    assert_golden("exports_full_faults_recover_obs.manifest", &manifest, &full_obs);
     for (run_name, args) in [
         ("quick", &["--quick"][..]),
         ("full", &[][..]),
@@ -409,10 +429,23 @@ fn assert_golden(fixture: &str, bytes: &[u8], args: &[&str]) {
         std::fs::write(&path, bytes).expect("write fixture");
     }
     let golden = std::fs::read(&path).expect("golden fixture present");
-    assert!(
-        bytes == golden,
+    if bytes == golden {
+        return;
+    }
+    // A manifest names the files that drifted: its lines on one side only.
+    let mut drifted = String::new();
+    if fixture.ends_with(".manifest") {
+        let (new, old) = (String::from_utf8_lossy(bytes), String::from_utf8_lossy(&golden));
+        for line in old.lines().filter(|line| !new.lines().any(|l| l == *line)) {
+            drifted.push_str(&format!("\n- {line}"));
+        }
+        for line in new.lines().filter(|line| !old.lines().any(|l| l == *line)) {
+            drifted.push_str(&format!("\n+ {line}"));
+        }
+    }
+    panic!(
         "{args:?}: output drifted from tests/fixtures/{fixture}; if the change is \
-         intentional, rerun with UPDATE_GOLDEN=1 and review the diff"
+         intentional, rerun with UPDATE_GOLDEN=1 and review the diff{drifted}"
     );
 }
 

@@ -154,14 +154,10 @@ fn num(value: &Json, key: &str, line: usize) -> Result<f64, String> {
     value.as_num().ok_or_else(|| format!("line {line}: field '{key}' is not a number"))
 }
 
-/// A span time: any finite number (JSON text like `1e400` parses as
-/// infinity, which no writer could export again).
+/// A span time: any number, since [`Json::parse`] rejects text like
+/// `1e400` whose value is not finite.
 fn time_field(obj: &BTreeMap<String, Json>, key: &str, line: usize) -> Result<SimTime, String> {
-    let v = num(field(obj, key, line)?, key, line)?;
-    if !v.is_finite() {
-        return Err(format!("line {line}: field '{key}' is not finite"));
-    }
-    Ok(SimTime::from_secs(v))
+    Ok(SimTime::from_secs(num(field(obj, key, line)?, key, line)?))
 }
 
 /// A count or index: JSON numbers are `f64`, so a negative, fractional

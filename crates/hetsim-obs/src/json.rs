@@ -15,6 +15,7 @@
 //! call them, so a document rendered from a tree and a trace streamed
 //! field by field agree byte for byte.
 
+use crate::digits;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -24,13 +25,18 @@ use std::fmt;
 pub(crate) const MAX_EXACT_INT: u64 = 1 << 53;
 
 /// Writes a number in Rust's shortest round-trip form, which parses
-/// back to the same bits.
+/// back to the same bits: the bytes of `f64`'s `Display`, from the Ryu
+/// digits of [`digits::shortest`] where it decides them and from `{}`
+/// everywhere else.
 ///
 /// # Panics
 /// On a non-finite value, which JSON cannot represent.
 pub(crate) fn write_num<W: fmt::Write + ?Sized>(out: &mut W, v: f64) -> fmt::Result {
     assert!(v.is_finite(), "non-finite number {v} cannot be serialized");
-    write!(out, "{v}")
+    match digits::shortest(v, &mut [0; digits::LAYOUT_BYTES]) {
+        Some(text) => out.write_str(text),
+        None => write!(out, "{v}"),
+    }
 }
 
 /// Writes an exact integer: the same bytes as [`write_num`] of `v as
@@ -40,7 +46,7 @@ pub(crate) fn write_num<W: fmt::Write + ?Sized>(out: &mut W, v: f64) -> fmt::Res
 /// Above [`MAX_EXACT_INT`].
 pub(crate) fn write_int<W: fmt::Write + ?Sized>(out: &mut W, v: u64) -> fmt::Result {
     assert_exact(v);
-    write!(out, "{v}")
+    out.write_str(digits::integer(v, &mut [0; 20]))
 }
 
 fn assert_exact(v: u64) {
@@ -354,35 +360,53 @@ impl Parser<'_> {
         Ok(code)
     }
 
+    /// A number: text in RFC 8259's grammar whose value is finite. The
+    /// scan takes every byte a number can hold, so `01`, `1.` or `-.5`
+    /// is one invalid number, not a number and trailing data.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        while matches!(self.peek(), Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')) {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII bytes");
+        let value =
+            if is_rfc8259_number(text.as_bytes()) { text.parse::<f64>().ok() } else { None };
+        match value {
+            Some(v) if v.is_finite() => Ok(Json::Num(v)),
+            _ => Err(format!("invalid number '{text}' at byte {start}")),
         }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "invalid number")?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number '{text}' at byte {start}"))
     }
+}
+
+/// Whether `text` is one number of RFC 8259:
+/// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`.
+fn is_rfc8259_number(text: &[u8]) -> bool {
+    let digits = |from: usize| text[from..].iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut at = usize::from(text.first() == Some(&b'-'));
+    match text.get(at) {
+        Some(b'0') => at += 1,
+        Some(b'1'..=b'9') => at += digits(at),
+        _ => return false,
+    }
+    if text.get(at) == Some(&b'.') {
+        let fraction = digits(at + 1);
+        if fraction == 0 {
+            return false;
+        }
+        at += 1 + fraction;
+    }
+    if matches!(text.get(at), Some(b'e' | b'E')) {
+        at += 1;
+        if matches!(text.get(at), Some(b'+' | b'-')) {
+            at += 1;
+        }
+        let exponent = digits(at);
+        if exponent == 0 {
+            return false;
+        }
+        at += exponent;
+    }
+    at == text.len()
 }
 
 #[cfg(test)]
@@ -429,26 +453,99 @@ mod tests {
     #[test]
     fn exact_integers_write_the_bytes_of_their_f64() {
         // `write_int` skips the float formatter; its bytes must still be
-        // what `Json::int`'s `Num` renders, or the trace writers would
-        // drift from documents built as trees.
+        // the standard library's, and what `Json::int`'s `Num` renders,
+        // or the trace writers would drift from documents built as trees.
         let mut state = 0x5eed_u64;
-        let mut draw = || {
-            // splitmix64
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
         let mut cases = vec![0, MAX_EXACT_INT - 1, MAX_EXACT_INT];
         cases.extend((0..54).map(|k| 1u64 << k));
         cases.extend((0..16).map(|k| 7 * 10u64.pow(k)));
-        cases.extend((0..2000).map(|i| (draw() % (MAX_EXACT_INT + 1)) >> (i % 53)));
+        cases.extend((1..16).flat_map(|k| [10u64.pow(k) - 1, 10u64.pow(k), 10u64.pow(k) + 1]));
+        cases.extend((0..2000).map(|i| (draw(&mut state) % (MAX_EXACT_INT + 1)) >> (i % 53)));
         for v in cases {
             let (mut int, mut num) = (String::new(), String::new());
             write_int(&mut int, v).unwrap();
             write_num(&mut num, v as f64).unwrap();
+            assert_eq!(int, v.to_string());
             assert_eq!(int, num, "{v}");
             assert_eq!(int, Json::int(v).to_string());
+        }
+    }
+
+    /// splitmix64 over `state`.
+    fn draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (*state ^ (*state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Checks `write_num` against the standard library's `Display`, the
+    /// oracle for its bytes, on `v` and `-v`.
+    fn assert_num_bytes(v: f64) {
+        for v in [v, -v] {
+            let mut text = String::new();
+            write_num(&mut text, v).unwrap();
+            assert_eq!(text, format!("{v}"), "bits {:#018x}", v.to_bits());
+        }
+    }
+
+    #[test]
+    fn numbers_write_the_bytes_of_display_on_random_bits() {
+        let mut state = 0xd1ce_5eed_0000_0001;
+        let mut finite = 0;
+        while finite < 1_000_000 {
+            let v = f64::from_bits(draw(&mut state));
+            if v.is_finite() {
+                assert_num_bytes(v);
+                finite += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn numbers_write_the_bytes_of_display_on_edge_values() {
+        // `v` and its one-ulp neighbours (zero's lower one is itself).
+        let neighbours = |v: f64| {
+            let bits = v.to_bits();
+            [f64::from_bits(bits.saturating_sub(1)), v, f64::from_bits(bits + 1)]
+        };
+        for v in
+            [0.0, f64::from_bits(1), f64::from_bits((1 << 52) - 1), f64::MIN_POSITIVE, f64::MAX]
+        {
+            assert_num_bytes(v);
+        }
+        for k in -1074i64..=1023 {
+            let bits = if k < -1022 { 1u64 << (k + 1074) } else { ((k + 1023) as u64) << 52 };
+            neighbours(f64::from_bits(bits)).into_iter().for_each(assert_num_bytes);
+        }
+        for k in -323..=308 {
+            let v: f64 = format!("1e{k}").parse().unwrap();
+            neighbours(v).into_iter().for_each(assert_num_bytes);
+        }
+        // Integers and half-integers around 2^53, 2^54 and 2^64, and the
+        // representable values 64 ulps either side of each.
+        for base in [2f64.powi(53), 2f64.powi(54), 2f64.powi(64)] {
+            for step in -128i32..=128 {
+                assert_num_bytes(base + f64::from(step) * 0.5);
+                assert_num_bytes(f64::from_bits(
+                    base.to_bits().wrapping_add_signed(i64::from(step / 2)),
+                ));
+            }
+        }
+        // Decimals of every length a shortest form can have, at every
+        // magnitude: the digit selection must agree, not just the
+        // round trip.
+        let mut state = 0x5eed_0000_0000_0017;
+        for digits in 1..=17u32 {
+            for _ in 0..4000 {
+                let lo = 10u64.pow(digits - 1);
+                let mantissa = lo + draw(&mut state) % (9 * lo);
+                let exp = (draw(&mut state) % 650) as i64 - 340;
+                let v: f64 = format!("{mantissa}e{exp}").parse().unwrap();
+                if v.is_finite() {
+                    neighbours(v.max(f64::from_bits(1))).into_iter().for_each(assert_num_bytes);
+                }
+            }
         }
     }
 
@@ -504,8 +601,96 @@ mod tests {
     }
 
     #[test]
+    fn numbers_parse_by_the_rfc_8259_grammar() {
+        for (good, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("-1.25", -1.25),
+            ("0.5e-3", 0.5e-3),
+            ("1E+2", 100.0),
+            ("2e0", 2.0),
+            ("1e-400", 0.0),
+            ("1.7976931348623157e308", f64::MAX),
+        ] {
+            assert_eq!(Json::parse(good), Ok(Json::Num(value)), "{good}");
+        }
+        // Outside the grammar, or beyond f64: `Display` would panic on
+        // the infinity that `1e400` used to parse as.
+        for (bad, number, at) in [
+            ("-.5", "-.5", 0),
+            ("1.", "1.", 0),
+            ("01", "01", 0),
+            ("00", "00", 0),
+            ("1.e3", "1.e3", 0),
+            ("-", "-", 0),
+            ("1e", "1e", 0),
+            ("1e+", "1e+", 0),
+            ("1-2", "1-2", 0),
+            ("[0, 1e400]", "1e400", 4),
+            ("-1e400", "-1e400", 0),
+            ("1.8e308", "1.8e308", 0),
+        ] {
+            let want = format!("invalid number '{number}' at byte {at}");
+            assert_eq!(Json::parse(bad), Err(want), "{bad}");
+        }
+    }
+
+    #[test]
+    fn every_parsed_document_renders_and_parses_back_equal() {
+        let mut state = 0x0bad_5eed_0000_0003;
+        let (mut ok, mut err) = (0, 0);
+        for _ in 0..20_000 {
+            let text = random_document(&mut state, 0);
+            match Json::parse(&text) {
+                Ok(value) => {
+                    let rendered = value.to_string();
+                    assert_eq!(Json::parse(&rendered), Ok(value), "{text} -> {rendered}");
+                    ok += 1;
+                }
+                Err(_) => err += 1,
+            }
+        }
+        assert!(ok > 2_000 && err > 2_000, "{ok} parsed, {err} rejected");
+    }
+
+    #[test]
     #[should_panic(expected = "non-finite")]
     fn non_finite_numbers_refuse_to_serialize() {
         let _ = Json::Num(f64::NAN).to_string();
+    }
+
+    /// A random document, mostly well formed, whose numbers are drawn
+    /// from sign, integer, fraction and exponent parts in and outside
+    /// RFC 8259's grammar and f64's range.
+    fn random_document(state: &mut u64, depth: usize) -> String {
+        fn pick(state: &mut u64, items: &[&str]) -> String {
+            items[(draw(state) % items.len() as u64) as usize].to_string()
+        }
+        match draw(state) % if depth < 3 { 6 } else { 4 } {
+            0 | 1 => {
+                let sign = pick(state, &["", "", "-", "+"]);
+                let int = pick(state, &["0", "7", "42", "1234567890123456789", "00", "01", ""]);
+                let fraction = pick(state, &["", "", ".5", ".000", ".", ".25e"]);
+                let exponent = pick(
+                    state,
+                    &["", "", "e5", "E+3", "e-7", "e308", "e309", "e-400", "e400", "e", "e+"],
+                );
+                format!("{sign}{int}{fraction}{exponent}")
+            }
+            2 => pick(state, &["null", "true", "false", "\"a\"", "\"\\u00e9\"", "nul"]),
+            3 => pick(state, &["[]", "{}", " 1 ", "[1,]", "\"\""]),
+            4 => {
+                let items: Vec<String> =
+                    (0..draw(state) % 4).map(|_| random_document(state, depth + 1)).collect();
+                format!("[{}]", items.join(","))
+            }
+            _ => {
+                let items: Vec<String> = (0..draw(state) % 4)
+                    .map(|i| format!("\"k{i}\":{}", random_document(state, depth + 1)))
+                    .collect();
+                format!("{{{}}}", items.join(","))
+            }
+        }
     }
 }

@@ -52,6 +52,7 @@
 #![deny(unsafe_code)]
 
 pub mod analysis;
+mod digits;
 pub mod export;
 pub mod json;
 pub mod metrics;
