@@ -1,19 +1,21 @@
 //! D1 (extension) — overhead decomposition by operation kind.
 //!
-//! Theorem 1 attributes lost scalability to `t₀ + T_o`; per-operation
-//! tracing splits `T_o` into broadcast, barrier and point-to-point
-//! (distribution/collection) time, showing *which* mechanism burns the
-//! budget at each ladder rung — and why GE's ψ behaves as it does (the
-//! barrier term grows linearly in `p`, the broadcast in `log p`).
+//! Theorem 1 attributes lost scalability to `t₀ + T_o`; splitting each
+//! rank's time by operation kind separates `T_o` into broadcast,
+//! barrier, idle-wait and point-to-point (distribution/collection)
+//! time, showing *which* mechanism burns the budget at each ladder rung
+//! — and why GE's ψ behaves as it does (the barrier term grows linearly
+//! in `p`, the broadcast in `log p`). The GE closed form charges the
+//! split without recording a span; `--no-analytic` traces the engine
+//! run instead, with the same bytes.
 
 use crate::table::{fnum, Table};
 use hetsim_cluster::sunwulf;
-use hetsim_mpi::trace::{OpKind, OverheadBreakdown};
-use hetsim_mpi::RunSpec;
-use kernels::ge::ge_parallel_timed;
+use hetsim_mpi::trace::OpKind;
+use kernels::ge::ge_overhead_breakdown;
 
-/// Runs traced GE at problem size `n` on each ladder rung and tabulates
-/// the share of total rank-time per operation kind.
+/// Prices GE at problem size `n` on each ladder rung and tabulates the
+/// share of total rank-time per operation kind.
 pub fn overhead_decomposition(ladder: &[usize], n: usize) -> Table {
     let net = sunwulf::sunwulf_network();
     let mut t = Table::new(
@@ -21,9 +23,7 @@ pub fn overhead_decomposition(ladder: &[usize], n: usize) -> Table {
         &["Nodes", "compute %", "bcast %", "barrier %", "wait %", "p2p %", "other %", "T_o %"],
     );
     for &p in ladder {
-        let cluster = sunwulf::ge_config(p);
-        let traced = ge_parallel_timed(&cluster, &net, n, RunSpec { trace: true, faults: None });
-        let b = OverheadBreakdown::from_traces(&traced.traces);
+        let b = ge_overhead_breakdown(&sunwulf::ge_config(p), &net, n);
         let pct = |k: OpKind| b.fraction(k) * 100.0;
         let p2p = pct(OpKind::Send) + pct(OpKind::Recv);
         let other = pct(OpKind::Gather) + pct(OpKind::Scatter);

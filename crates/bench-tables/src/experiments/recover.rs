@@ -502,7 +502,7 @@ pub fn recovery_sweep(params: &ExperimentParams, quick: bool) -> (Vec<Table>, Sc
          per surviving rank when a death fires"
     ));
     sweep.push_note(
-        "decomposition columns price the representative traced run; MTBF `-` is the clean \
+        "decomposition columns price the representative run; MTBF `-` is the clean \
          baseline: the recoverable path degenerates to the bit-exact baseline op stream",
     );
 

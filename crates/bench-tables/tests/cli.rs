@@ -120,7 +120,6 @@ fn full_device_trace_file_exits_one() {
     let dir = temp_dir("full-trace");
     std::os::unix::fs::symlink("/dev/full", dir.join("mm-p8-n128.jsonl")).expect("symlink");
     let out = run(&["--quick", "t1", "--trace-out", dir.to_str().expect("utf-8 temp path")]);
-    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(out.status.code(), Some(1));
     let err = stderr(&out);
     assert!(err.contains("error: cannot write trace directory"), "got: {err}");
@@ -245,10 +244,29 @@ fn stats_run(dir: &std::path::Path, name: &str, args: &[&str]) -> (Vec<u8>, Vec<
     (out.stdout, std::fs::read(&path).expect("stats file written"), kept.into_bytes())
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
+/// A scratch directory under the system temp directory, removed when
+/// the guard drops: at the end of its scope, or while a failed assert
+/// unwinds.
+struct TempDir(std::path::PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("bench-tables-stats-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
+    TempDir(dir)
 }
 
 #[test]
@@ -270,7 +288,6 @@ fn stats_doc_is_byte_identical_across_runs_and_jobs() {
         assert_eq!(j1.1, j4.1, "{tag}: --jobs changed the stats document");
         assert_eq!(j1.2, j4.2, "{tag}: --jobs changed stderr");
         assert_eq!(j4, j4b, "{tag}: a repeated run changed its outputs");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -280,7 +297,6 @@ fn stats_doc_splits_engine_dependent_from_engine_independent() {
     let dir = temp_dir("engines");
     let fast = stats_doc(&dir, "fast.json", &["--quick"]);
     let slow = stats_doc(&dir, "slow.json", &["--quick", "--no-analytic"]);
-    std::fs::remove_dir_all(&dir).ok();
     let parse = |bytes: &[u8]| {
         Json::parse(std::str::from_utf8(bytes).expect("utf-8 stats")).expect("stats parses")
     };
@@ -317,7 +333,6 @@ fn quick_stats_doc_reports_full_analytic_coverage_inline() {
     // The exact byte sequence the ci.sh coverage gate greps for.
     let dir = temp_dir("coverage");
     let doc = stats_doc(&dir, "quick.json", &["--quick"]);
-    std::fs::remove_dir_all(&dir).ok();
     let text = String::from_utf8(doc).expect("utf-8 stats");
     assert!(
         text.contains("\"analytic_coverage_percent\":100,"),
@@ -375,8 +390,6 @@ fn stats_docs_match_golden_fixtures() {
     let out = run(&full_obs);
     assert!(out.status.success(), "{full_obs:?} exited with {:?}: {}", out.status, stderr(&out));
     let manifest = trace_manifest(&full_exports);
-    // Removed before the comparison, so a drift leaves no 41 MB behind.
-    std::fs::remove_dir_all(&full_exports).ok();
     assert_golden("exports_full_faults_recover_obs.manifest", &manifest, &full_obs);
     for (run_name, args) in [
         ("quick", &["--quick"][..]),
@@ -390,7 +403,6 @@ fn stats_docs_match_golden_fixtures() {
         assert_golden(&format!("stdout_{run_name}.txt"), &stdout, args);
         assert_golden(&format!("stderr_{run_name}.txt"), &err, args);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// One `name length fnv1a64` line per file in `dir`, sorted by name: a
@@ -458,7 +470,6 @@ fn stats_out_prints_per_id_summaries_on_stderr() {
     let err = stderr(&out);
     assert!(err.contains("telemetry t2: analytic "), "missing per-id summary: {err}");
     assert!(err.contains(", memo hit "), "missing memo half: {err}");
-    std::fs::remove_dir_all(&dir).ok();
     // Without the flag, no telemetry chatter reaches stderr.
     let silent = run(&["--quick", "t2"]);
     assert!(!stderr(&silent).contains("telemetry "), "summaries must be opt-in");
@@ -571,7 +582,6 @@ fn recover_stats_doc_prices_every_recovery_segment_in_closed_form() {
     use hetsim_obs::Json;
     let dir = temp_dir("recover");
     let doc = stats_doc(&dir, "recover.json", &["--quick", "recover"]);
-    std::fs::remove_dir_all(&dir).ok();
     let text = String::from_utf8(doc).expect("utf-8 stats");
     assert!(text.contains("\"analytic_coverage_percent\":100,"), "coverage below 100%: {text}");
     let doc = Json::parse(&text).expect("stats parses");
@@ -591,7 +601,6 @@ fn recover_stats_doc_is_byte_identical_across_runs_and_jobs() {
     let j1 = stats_doc(&dir, "j1.json", &["--quick", "recover", "--jobs", "1"]);
     let j4 = stats_doc(&dir, "j4.json", &["--quick", "recover", "--jobs", "4"]);
     let j4b = stats_doc(&dir, "j4b.json", &["--quick", "recover", "--jobs", "4"]);
-    std::fs::remove_dir_all(&dir).ok();
     assert!(!j1.is_empty());
     assert_eq!(j1, j4, "recover: --jobs changed the stats document");
     assert_eq!(j4, j4b, "recover: repeated run changed the stats document");
@@ -606,7 +615,6 @@ fn profile_doc_declares_itself_non_deterministic() {
     let out = run(&["--quick", "t2", "--profile-out", path_str]);
     assert!(out.status.success(), "exit: {:?}: {}", out.status, stderr(&out));
     let text = std::fs::read_to_string(&path).expect("profile written");
-    std::fs::remove_dir_all(&dir).ok();
     let doc = Json::parse(&text).expect("profile parses");
     let doc = doc.as_obj().expect("object top level");
     assert_eq!(doc["deterministic"], Json::Bool(false));
@@ -658,7 +666,7 @@ fn fuzzed_argument_vectors_exit_cleanly() {
         }
         let out = Command::new(env!("CARGO_BIN_EXE_bench-tables"))
             .args(&args)
-            .current_dir(&dir)
+            .current_dir(&*dir)
             .output()
             .expect("spawn bench-tables");
         let (code, err) = (out.status.code(), stderr(&out));
@@ -666,6 +674,5 @@ fn fuzzed_argument_vectors_exit_cleanly() {
         assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
         codes[code.unwrap() as usize] += 1;
     }
-    std::fs::remove_dir_all(&dir).ok();
     assert!(codes[0] > 0 && codes[2] > 0, "the draw must reach both outcomes: {codes:?}");
 }

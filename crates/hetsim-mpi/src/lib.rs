@@ -89,7 +89,7 @@ pub use engine::{
 pub use message::Tag;
 pub use runtime::{run_spmd, RunSpec, SpmdOutcome};
 pub use telemetry::{EngineTelemetry, FallbackReason};
-pub use trace::{timeline_text, OpKind, OverheadBreakdown, RankTrace, TraceRecord};
+pub use trace::{timeline_text, KindTotals, OpKind, OverheadBreakdown, RankTrace, TraceRecord};
 
 // Re-exported for doc links and downstream convenience.
 pub use hetsim_cluster::network::NetworkModel;

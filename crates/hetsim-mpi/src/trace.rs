@@ -157,14 +157,45 @@ pub struct RankTrace {
     pub records: Vec<TraceRecord>,
 }
 
+/// One rank's time per operation kind: each span's `end − start` added
+/// to its kind's total in program order. A zero-length span still makes
+/// its kind present. [`RankTrace::by_kind`] folds recorded spans through
+/// it; a closed form charges it directly, without recording a span.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KindTotals {
+    /// Indexed by `OpKind as usize`, which is the kind's place in
+    /// [`OpKind::ALL`].
+    secs: [SimTime; OpKind::ALL.len()],
+    /// Bit `OpKind as usize` is set once a span of that kind is added.
+    present: u16,
+}
+
+impl KindTotals {
+    /// Adds the span `[start, end]` of `kind`.
+    #[inline]
+    pub fn add(&mut self, kind: OpKind, start: SimTime, end: SimTime) {
+        let k = kind as usize;
+        self.secs[k] += end - start;
+        self.present |= 1 << k;
+    }
+
+    /// Each present kind with its total, in [`OpKind`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (OpKind, SimTime)> + '_ {
+        OpKind::ALL
+            .into_iter()
+            .filter(|&k| self.present & (1 << k as usize) != 0)
+            .map(|k| (k, self.secs[k as usize]))
+    }
+}
+
 impl RankTrace {
     /// Total time per operation kind.
     pub fn by_kind(&self) -> BTreeMap<OpKind, SimTime> {
-        let mut map = BTreeMap::new();
+        let mut totals = KindTotals::default();
         for r in &self.records {
-            *map.entry(r.kind).or_insert(SimTime::ZERO) += r.duration();
+            totals.add(r.kind, r.start, r.end);
         }
-        map
+        totals.iter().collect()
     }
 
     /// Total traced time.
@@ -201,13 +232,23 @@ pub struct OverheadBreakdown {
 impl OverheadBreakdown {
     /// Builds the breakdown from per-rank traces.
     pub fn from_traces(traces: &[RankTrace]) -> OverheadBreakdown {
+        OverheadBreakdown::from_rank_totals(traces.iter().map(RankTrace::by_kind))
+    }
+
+    /// Builds the breakdown from each rank's time per kind, in rank
+    /// order: a traced run's [`RankTrace::by_kind`], or the
+    /// [`KindTotals`] a closed form charges. The fold runs rank by rank,
+    /// then kind by kind in [`OpKind`] order, so equal per-rank totals
+    /// give an equal breakdown, bit for bit.
+    pub fn from_rank_totals<R>(ranks: impl IntoIterator<Item = R>) -> OverheadBreakdown
+    where
+        R: IntoIterator<Item = (OpKind, SimTime)>,
+    {
         let mut per_kind: BTreeMap<OpKind, f64> = BTreeMap::new();
         let mut total = 0.0;
-        for t in traces {
-            for (kind, dur) in t.by_kind() {
-                *per_kind.entry(kind).or_insert(0.0) += dur.as_secs();
-                total += dur.as_secs();
-            }
+        for (kind, dur) in ranks.into_iter().flatten() {
+            *per_kind.entry(kind).or_insert(0.0) += dur.as_secs();
+            total += dur.as_secs();
         }
         OverheadBreakdown { per_kind, total }
     }
@@ -341,6 +382,25 @@ mod tests {
         assert!((map[&OpKind::Compute].as_secs() - 2.0).abs() < 1e-12);
         assert!((map[&OpKind::Bcast].as_secs() - 0.2).abs() < 1e-12);
         assert!((map[&OpKind::Barrier].as_secs() - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn kind_totals_index_kinds_in_display_order() {
+        for (i, &k) in OpKind::ALL.iter().enumerate() {
+            assert_eq!(k as usize, i, "{k}");
+        }
+    }
+
+    #[test]
+    fn kind_totals_keep_zero_length_spans_present() {
+        let mut totals = KindTotals::default();
+        totals.add(OpKind::Barrier, SimTime::from_secs(1.0), SimTime::from_secs(1.0));
+        totals.add(OpKind::Compute, SimTime::ZERO, SimTime::from_secs(0.5));
+        let kinds: Vec<(OpKind, SimTime)> = totals.iter().collect();
+        assert_eq!(
+            kinds,
+            [(OpKind::Compute, SimTime::from_secs(0.5)), (OpKind::Barrier, SimTime::ZERO)]
+        );
     }
 
     #[test]

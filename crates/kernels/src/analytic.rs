@@ -25,8 +25,9 @@
 //! scheduler, and transitively (via each kernel's
 //! `fast_matches_threaded`) against the thread-per-rank oracle.
 //!
-//! The closed forms serve the untraced, fault-free path only; traces
-//! and fault plans keep the engine, whose generality they need. The
+//! The closed forms serve the untraced, fault-free path only; span
+//! traces and fault plans keep the engine, whose generality they need
+//! (the per-kind totals of a trace do not: see below). The
 //! kernel entry points select automatically, honouring
 //! [`hetsim_mpi::set_analytic_enabled`] (`--no-analytic`). The GE and
 //! MM forms also price each segment of a recoverable run
@@ -34,6 +35,12 @@
 //! its checkpoint, detect, lost-work and rebalance charges are local
 //! clock spans at known iterations, read from the same segment the
 //! body records.
+//!
+//! The GE round walk also charges each span it prices to a sink: `()`
+//! everywhere a caller wants clocks only (the charges compile away), or
+//! one [`KindTotals`] per rank for the overhead decomposition, which
+//! then holds exactly the per-kind totals a traced engine run reports
+//! through `RankTrace::by_kind` — without recording a span.
 
 use crate::ge::{back_substitution_flops, elimination_flops, TimingOutcome};
 use crate::mm::multiply_flops;
@@ -44,24 +51,71 @@ use hetpart::{BlockDistribution, CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
+use hetsim_mpi::trace::{KindTotals, OpKind};
+
+/// Where a closed form charges the spans the traced engine would record
+/// for each rank, with the same operands.
+trait SpanSink {
+    /// The sink of a `p`-rank run.
+    fn for_ranks(p: usize) -> Self;
+
+    /// Charges the span `[start, end]` of `kind` on `rank`.
+    fn span(&mut self, rank: usize, kind: OpKind, start: SimTime, end: SimTime);
+
+    /// Charges what the engine's waited exit records for a rank entering
+    /// at `entry`, its peer ready at `ready` and its clock leaving at
+    /// `exit`: the idle `Wait` up to `ready` (only when it has length),
+    /// then `kind` to `exit`.
+    fn waited(&mut self, rank: usize, kind: OpKind, entry: SimTime, ready: SimTime, exit: SimTime) {
+        let wait_end = ready.max(entry).min(exit);
+        if wait_end > entry {
+            self.span(rank, OpKind::Wait, entry, wait_end);
+        }
+        self.span(rank, kind, wait_end, exit);
+    }
+}
+
+/// Clocks only: no span is charged.
+impl SpanSink for () {
+    fn for_ranks(_: usize) {}
+
+    #[inline(always)]
+    fn span(&mut self, _: usize, _: OpKind, _: SimTime, _: SimTime) {}
+}
+
+/// Each rank's time per kind.
+impl SpanSink for Vec<KindTotals> {
+    fn for_ranks(p: usize) -> Self {
+        vec![KindTotals::default(); p]
+    }
+
+    fn span(&mut self, rank: usize, kind: OpKind, start: SimTime, end: SimTime) {
+        self[rank].add(kind, start, end);
+    }
+}
 
 /// Root-serialized distribution: rank 0's sends occupy its clock back
 /// to back; each receiver's recv completes at the message's arrival
-/// (`max` with its own clock, zero here). `counts[peer]` is the
-/// element count sent to `peer` (`counts[0]` unused).
-fn scatter_from_root<N: NetworkModel>(
+/// (`max` with its own clock, zero here), idle from its entry until
+/// the root starts that send. `counts[peer]` is the element count sent
+/// to `peer` (`counts[0]` unused).
+fn scatter_from_root<N: NetworkModel, S: SpanSink>(
     network: &N,
     clock: &mut [SimTime],
     comm: &mut [SimTime],
     counts: &[usize],
+    sink: &mut S,
 ) {
     for peer in 1..clock.len() {
         let bytes = (counts[peer] * 8) as u64;
         let cost = SimTime::from_secs(network.p2p_time_between(0, peer, bytes));
-        let arrival = clock[0] + cost;
-        comm[0] += arrival - clock[0];
+        let sent_at = clock[0];
+        let arrival = sent_at + cost;
+        sink.span(0, OpKind::Send, sent_at, arrival);
+        comm[0] += arrival - sent_at;
         clock[0] = arrival;
         let exit = clock[peer].max(arrival);
+        sink.waited(peer, OpKind::Recv, clock[peer], sent_at, exit);
         comm[peer] += exit - clock[peer];
         clock[peer] = exit;
     }
@@ -102,12 +156,13 @@ fn byte_sizes(counts: &[usize]) -> Vec<u64> {
 /// each rank's *entry* clock; leaves then pay their p2p cost while the
 /// root waits for the latest deposit plus the gather cost over the
 /// size vector (rank-indexed, like the engine).
-fn gather_to<N: NetworkModel>(
+fn gather_to<N: NetworkModel, S: SpanSink>(
     network: &N,
     clock: &mut [SimTime],
     comm: &mut [SimTime],
     root: usize,
     sizes: &[u64],
+    sink: &mut S,
 ) {
     let p = clock.len();
     let max_entry = *clock.iter().max().expect("p >= 1");
@@ -115,6 +170,7 @@ fn gather_to<N: NetworkModel>(
         if r != root {
             let cost = SimTime::from_secs(network.p2p_time_between(r, root, sizes[r]));
             let exit = clock[r] + cost;
+            sink.span(r, OpKind::Gather, clock[r], exit);
             comm[r] += exit - clock[r];
             clock[r] = exit;
         }
@@ -122,6 +178,7 @@ fn gather_to<N: NetworkModel>(
     let gather_cost = SimTime::from_secs(network.gather_time(sizes, root));
     let ready = clock[root].max(max_entry);
     let exit = ready + gather_cost;
+    sink.waited(root, OpKind::Gather, clock[root], ready, exit);
     comm[root] += exit - clock[root];
     clock[root] = exit;
 }
@@ -152,6 +209,22 @@ pub fn ge_closed_form<N: NetworkModel>(
         .expect("one network in, one outcome out")
 }
 
+/// Each rank's time per operation kind in [`ge_closed_form`]'s run:
+/// entry `r` holds, bit for bit, what `RankTrace::by_kind` reports for
+/// rank `r` of the traced engine run of `ge::timed`'s skeleton.
+pub(crate) fn ge_kind_totals<N: NetworkModel>(
+    cluster: &ClusterSpec,
+    network: &N,
+    n: usize,
+    dist: &CyclicDistribution,
+) -> Vec<KindTotals> {
+    let seg = Segment::whole(n.saturating_sub(1));
+    let (_, totals) = ge_segment_many(cluster, std::slice::from_ref(network), n, dist, &seg)
+        .pop()
+        .expect("one network in, one outcome out");
+    totals
+}
+
 /// The closed form of one GE [`Segment`] — a piece of a recoverable run
 /// (`crate::recover`) or the whole run — bit-identical to the engine
 /// pricing `ge::timed`'s segment body.
@@ -162,31 +235,38 @@ pub(crate) fn ge_segment_closed_form<N: NetworkModel>(
     dist: &CyclicDistribution,
     seg: &Segment,
 ) -> TimingOutcome {
-    ge_segment_many(cluster, std::slice::from_ref(network), n, dist, seg)
+    let (outcome, ()) = ge_segment_many(cluster, std::slice::from_ref(network), n, dist, seg)
         .pop()
-        .expect("one network in, one outcome out")
+        .expect("one network in, one outcome out");
+    outcome
 }
 
 /// Per-campaign mutable state of the batched GE evaluation. Campaigns
 /// share no float state: only the network-independent inputs (row
 /// ownership, `remaining` counts, elimination `dt`s) are computed once
 /// and read by all.
-struct GeCampaign {
+struct GeCampaign<S> {
     clock: Vec<SimTime>,
     compute: Vec<SimTime>,
     comm: Vec<SimTime>,
-    /// Shared post-barrier clock (all ranks leave a barrier with the
-    /// same f64), valid from the end of a segment's first round onwards.
+    /// The last walked round's barrier rendezvous (its latest entry)
+    /// and the shared post-barrier clock `rendezvous + barrier_cost`
+    /// (all ranks leave a barrier with the same f64), valid from the
+    /// end of a segment's first round onwards.
+    rendezvous: SimTime,
     clk: SimTime,
+    /// Where this campaign's spans are charged.
+    sink: S,
 }
 
-impl GeCampaign {
+impl<S: SpanSink> GeCampaign<S> {
     /// Charges the deferred barrier of the last round walked — the
     /// rendezvous entry in `clock[r]` up to the shared exit `clk` — and
     /// equalizes the clocks.
     fn flush_barrier(&mut self) {
-        let clk = self.clk;
-        for (c, cm) in self.clock.iter_mut().zip(self.comm.iter_mut()) {
+        let (rendezvous, clk) = (self.rendezvous, self.clk);
+        for (r, (c, cm)) in self.clock.iter_mut().zip(self.comm.iter_mut()).enumerate() {
+            self.sink.waited(r, OpKind::Barrier, *c, rendezvous, clk);
             *cm += clk - *c;
             *c = clk;
         }
@@ -214,19 +294,26 @@ pub fn ge_closed_form_many<N: NetworkModel>(
     dist: &CyclicDistribution,
 ) -> Vec<TimingOutcome> {
     ge_segment_many(cluster, networks, n, dist, &Segment::whole(n.saturating_sub(1)))
+        .into_iter()
+        .map(|(outcome, ())| outcome)
+        .collect()
 }
 
-/// The one GE round walk behind [`ge_closed_form_many`] and
-/// [`ge_segment_closed_form`]: `seg` says which rounds to walk, how the
-/// segment opens and closes, and which rounds carry recovery charges at
-/// their heads.
-fn ge_segment_many<N: NetworkModel>(
+/// The one GE round walk behind [`ge_closed_form_many`],
+/// [`ge_segment_closed_form`] and [`ge_kind_totals`]: `seg` says which
+/// rounds to walk, how the segment opens and closes, and which rounds
+/// carry recovery charges at their heads. Each campaign also charges
+/// its distribution, broadcast, compute, barrier and gather spans to a
+/// sink of type `S`, in program order per rank; a segment's recovery
+/// charges are not spans of the sink, so only whole runs (which carry
+/// none) take a sink that keeps anything.
+fn ge_segment_many<N: NetworkModel, S: SpanSink>(
     cluster: &ClusterSpec,
     networks: &[N],
     n: usize,
     dist: &CyclicDistribution,
     seg: &Segment,
-) -> Vec<TimingOutcome> {
+) -> Vec<(TimingOutcome, S)> {
     let whole = *seg == Segment::whole(n.saturating_sub(1));
     hetsim_mpi::telemetry::record_closed_form(
         if whole { "ge" } else { "ge-recover" },
@@ -244,15 +331,23 @@ fn ge_segment_many<N: NetworkModel>(
 
     // Stage 1: root-serialized distribution of row blocks (or a shrink
     // run's resume prologue), per campaign.
-    let mut campaigns: Vec<GeCampaign> = networks
+    let mut campaigns: Vec<GeCampaign<S>> = networks
         .iter()
         .map(|net| {
             let mut clock = vec![SimTime::ZERO; p];
             let mut comm = vec![SimTime::ZERO; p];
+            let mut sink = S::for_ranks(p);
             seg.open_priced(&speeds, &mut clock, &mut comm, |clock, comm| {
-                scatter_from_root(net, clock, comm, &scatter_counts)
+                scatter_from_root(net, clock, comm, &scatter_counts, &mut sink)
             });
-            GeCampaign { clock, compute: vec![SimTime::ZERO; p], comm, clk: SimTime::ZERO }
+            GeCampaign {
+                clock,
+                compute: vec![SimTime::ZERO; p],
+                comm,
+                rendezvous: SimTime::ZERO,
+                clk: SimTime::ZERO,
+                sink,
+            }
         })
         .collect();
 
@@ -303,6 +398,7 @@ fn ge_segment_many<N: NetworkModel>(
             }
             let cost = SimTime::from_secs(net.bcast_time(p, bytes));
             let departure = cpn.clock[owner] + cost;
+            cpn.sink.span(owner, OpKind::Bcast, cpn.clock[owner], departure);
             cpn.comm[owner] += departure - cpn.clock[owner];
             cpn.clock[owner] = departure;
             // Fused receiver-exit + elimination + rendezvous pass. The
@@ -313,13 +409,17 @@ fn ge_segment_many<N: NetworkModel>(
             for (r, &dt) in dts.iter().enumerate() {
                 if r != owner {
                     let exit = cpn.clock[r].max(departure);
+                    cpn.sink.span(r, OpKind::Bcast, cpn.clock[r], exit);
                     cpn.comm[r] += exit - cpn.clock[r];
                     cpn.clock[r] = exit;
                 }
+                let start = cpn.clock[r];
                 cpn.clock[r] += dt;
+                cpn.sink.span(r, OpKind::Compute, start, cpn.clock[r]);
                 cpn.compute[r] += dt;
                 rendezvous = rendezvous.max(cpn.clock[r]);
             }
+            cpn.rendezvous = rendezvous;
             cpn.clk = rendezvous + barrier_cost;
         }
         // The rounds up to the next charged head: every rank left the
@@ -334,8 +434,10 @@ fn ge_segment_many<N: NetworkModel>(
         // `departure + dt[r]` — the exact add the engine performs.
         // `clock[r]` holds the previous round's rendezvous entry, so
         // the deferred barrier charge `clk − clock[r]` lands here,
-        // first in the per-accumulator order; the zipped iterators
-        // keep the hot loop free of bounds checks.
+        // first in the per-accumulator order (the sink splits it at the
+        // previous `rendezvous` into idle wait and the barrier's own
+        // cost); the zipped iterators keep the hot loop free of bounds
+        // checks.
         next = seg.next_charged(i + 1);
         for (i, &elim) in (i + 1..next).zip(&elims[i + 1..next]) {
             let owner = dist.owner(i);
@@ -348,24 +450,29 @@ fn ge_segment_many<N: NetworkModel>(
                 networks.iter().zip(campaigns.iter_mut()).zip(barrier_costs.iter())
             {
                 let cost = SimTime::from_secs(net.bcast_time(p, bytes));
-                let prev_exit = cpn.clk;
+                let (prev_rendezvous, prev_exit) = (cpn.rendezvous, cpn.clk);
                 let departure = prev_exit + cost;
                 let delta = departure - prev_exit;
                 let mut rendezvous = SimTime::ZERO;
-                for (((c, cm), cp), &dt) in cpn
+                for (r, (((c, cm), cp), &dt)) in cpn
                     .clock
                     .iter_mut()
                     .zip(cpn.comm.iter_mut())
                     .zip(cpn.compute.iter_mut())
                     .zip(dts.iter())
+                    .enumerate()
                 {
+                    cpn.sink.waited(r, OpKind::Barrier, *c, prev_rendezvous, prev_exit);
                     *cm += prev_exit - *c;
                     let t = departure + dt;
+                    cpn.sink.span(r, OpKind::Bcast, prev_exit, departure);
+                    cpn.sink.span(r, OpKind::Compute, departure, t);
                     *c = t;
                     *cm += delta;
                     *cp += dt;
                     rendezvous = rendezvous.max(t);
                 }
+                cpn.rendezvous = rendezvous;
                 cpn.clk = rendezvous + barrier_cost;
             }
         }
@@ -384,13 +491,15 @@ fn ge_segment_many<N: NetworkModel>(
         .iter()
         .zip(campaigns)
         .map(|(net, cpn)| {
-            let GeCampaign { mut clock, mut compute, mut comm, .. } = cpn;
+            let GeCampaign { mut clock, mut compute, mut comm, mut sink, .. } = cpn;
             if seg.gather {
-                gather_to(net, &mut clock, &mut comm, 0, &gather_sizes);
+                gather_to(net, &mut clock, &mut comm, 0, &gather_sizes, &mut sink);
+                let start = clock[0];
                 clock[0] += backsub;
+                sink.span(0, OpKind::Compute, start, clock[0]);
                 compute[0] += backsub;
             }
-            finish(clock, compute, comm)
+            (finish(clock, compute, comm), sink)
         })
         .collect()
 }
@@ -430,7 +539,7 @@ pub(crate) fn mm_segment_closed_form<N: NetworkModel>(
 
     let block_counts: Vec<usize> = rows.iter().map(|&r| r * n).collect();
     seg.open_priced(&speeds, &mut clock, &mut comm, |clock, comm| {
-        scatter_from_root(network, clock, comm, &block_counts);
+        scatter_from_root(network, clock, comm, &block_counts, &mut ());
         bcast_from(network, clock, comm, 0, n * n);
     });
     // Ranks share nothing between the opening and the gather, so each
@@ -451,7 +560,7 @@ pub(crate) fn mm_segment_closed_form<N: NetworkModel>(
         }
     }
     if seg.gather {
-        gather_to(network, &mut clock, &mut comm, 0, &byte_sizes(&block_counts));
+        gather_to(network, &mut clock, &mut comm, 0, &byte_sizes(&block_counts), &mut ());
     }
 
     finish(clock, compute, comm)
@@ -478,7 +587,7 @@ pub fn power_closed_form<N: NetworkModel>(
     let mut comm = vec![SimTime::ZERO; p];
 
     let block_counts: Vec<usize> = rows.iter().map(|&r| r * n).collect();
-    scatter_from_root(network, &mut clock, &mut comm, &block_counts);
+    scatter_from_root(network, &mut clock, &mut comm, &block_counts, &mut ());
 
     // Per-sweep costs are sweep-invariant (pure functions of sizes and
     // speeds); compute them once.
@@ -495,7 +604,7 @@ pub fn power_closed_form<N: NetworkModel>(
             clock[r] += matvec[r];
             compute[r] += matvec[r];
         }
-        gather_to(network, &mut clock, &mut comm, 0, &gather_sizes);
+        gather_to(network, &mut clock, &mut comm, 0, &gather_sizes, &mut ());
         bcast_from(network, &mut clock, &mut comm, 0, packed);
         for r in 0..p {
             clock[r] += normalize[r];
@@ -526,7 +635,7 @@ pub fn stencil_closed_form<N: NetworkModel>(
     let mut comm = vec![SimTime::ZERO; p];
 
     let block_counts: Vec<usize> = rows.iter().map(|&r| r * n).collect();
-    scatter_from_root(network, &mut clock, &mut comm, &block_counts);
+    scatter_from_root(network, &mut clock, &mut comm, &block_counts, &mut ());
 
     if n >= 3 && iters > 0 {
         // Halo neighbours skip empty ranks; a rank with no rows sits
@@ -608,7 +717,7 @@ pub fn stencil_closed_form<N: NetworkModel>(
         }
     }
 
-    gather_to(network, &mut clock, &mut comm, 0, &byte_sizes(&block_counts));
+    gather_to(network, &mut clock, &mut comm, 0, &byte_sizes(&block_counts), &mut ());
 
     finish(clock, compute, comm)
 }
@@ -623,8 +732,9 @@ pub(crate) mod tests {
     use hetsim_cluster::network::{
         ConstantLatency, JitteredNetwork, MpichEthernet, SharedEthernet, SwitchedNetwork,
     };
-    use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::{record_spmd, RecordTimer};
+    use hetsim_cluster::{sunwulf, NodeSpec};
+    use hetsim_mpi::{record_spmd, run_spmd_fast, RecordTimer, RunSpec};
+    use std::collections::BTreeMap;
 
     /// Cluster extremes for the class-structure sweep: single rank,
     /// server + blade, all-distinct speeds, wide homogeneous (the
@@ -771,6 +881,52 @@ pub(crate) mod tests {
                     assert_eq!(out, &single, "batch diverged (p={}, n={n})", cluster.size());
                 }
             }
+        }
+    }
+
+    /// A rank's time per kind as a map of bit patterns.
+    fn bits(kinds: impl IntoIterator<Item = (OpKind, SimTime)>) -> BTreeMap<OpKind, u64> {
+        kinds.into_iter().map(|(k, t)| (k, t.as_secs().to_bits())).collect()
+    }
+
+    /// Checks, rank by rank, that the closed form's time per kind is
+    /// what `RankTrace::by_kind` reports for the traced engine run of
+    /// the same GE skeleton: the same kinds present and the same bits.
+    fn assert_kind_totals_match(cluster: &ClusterSpec, net: &dyn NetworkModel, n: usize) {
+        let dist = CyclicDistribution::fine(n, &cluster.speeds_mflops());
+        let traced = run_spmd_fast(cluster, &net, RunSpec { trace: true, faults: None }, |t| {
+            ge_timed_body(t, &dist, n)
+        });
+        let closed = ge_kind_totals(cluster, &net, n, &dist);
+        assert_eq!(closed.len(), traced.traces.len());
+        for (r, (totals, trace)) in closed.iter().zip(&traced.traces).enumerate() {
+            assert_eq!(
+                bits(totals.iter()),
+                bits(trace.by_kind()),
+                "rank {r} of {} diverged at n = {n}",
+                cluster.size()
+            );
+        }
+    }
+
+    #[test]
+    fn kind_totals_match_engine_traces() {
+        for cluster in &clusters() {
+            for n in [0usize, 1, 2, 3, 17, 64, 129] {
+                for (_, net) in &networks() {
+                    assert_kind_totals_match(cluster, net.as_ref(), n);
+                }
+            }
+        }
+    }
+
+    /// The overhead decomposition's own cells: every Sunwulf GE rung at
+    /// its problem size.
+    #[test]
+    fn kind_totals_match_engine_traces_on_sunwulf_rungs() {
+        let net = sunwulf::sunwulf_network();
+        for p in 2..=32 {
+            assert_kind_totals_match(&sunwulf::ge_config(p), &net, 384);
         }
     }
 

@@ -7,7 +7,8 @@ pub mod timed;
 pub use parallel::{ge_parallel, GeOutcome};
 pub use seq::ge_sequential;
 pub use timed::{
-    ge_parallel_timed, ge_parallel_timed_many, ge_parallel_timed_with, ge_timed_body, TimingOutcome,
+    ge_overhead_breakdown, ge_parallel_timed, ge_parallel_timed_many, ge_parallel_timed_with,
+    ge_timed_body, TimingOutcome,
 };
 
 /// Flops charged for eliminating one row of length `len` (from the pivot

@@ -20,14 +20,14 @@
 //! the fast result to the threaded oracle executing the *same generic
 //! body*.
 
-use crate::analytic::ge_closed_form;
+use crate::analytic::{ge_closed_form, ge_kind_totals};
 use crate::ge::{back_substitution_flops, elimination_flops};
 use crate::recover::Segment;
 use hetpart::{CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-use hetsim_mpi::trace::RankTrace;
+use hetsim_mpi::trace::{KindTotals, OverheadBreakdown, RankTrace};
 use hetsim_mpi::{run_spmd_fast, RecordTimer, RunSpec, SpmdOutcome, SpmdTimer, Tag};
 
 /// Timing result of a protocol-skeleton run.
@@ -108,6 +108,27 @@ pub fn ge_parallel_timed<N: NetworkModel>(
         || ge_closed_form(cluster, network, n, &dist),
         |t| ge_timed_body(t, &dist, n),
     )
+}
+
+/// The overhead decomposition of [`ge_parallel_timed`]'s run: each
+/// rank's time per operation kind, folded in rank order. By the tier
+/// rule every timed kernel shares, the closed form charges the totals
+/// without recording a span; under `--no-analytic` the traced
+/// engine records the spans and [`OverheadBreakdown::from_traces`]
+/// folds them. Both give the same bits.
+pub fn ge_overhead_breakdown<N: NetworkModel>(
+    cluster: &ClusterSpec,
+    network: &N,
+    n: usize,
+) -> OverheadBreakdown {
+    if closed_form_applies(RunSpec::default()) {
+        let dist = CyclicDistribution::fine(n, &cluster.speeds_mflops());
+        let totals = ge_kind_totals(cluster, network, n, &dist);
+        OverheadBreakdown::from_rank_totals(totals.iter().map(KindTotals::iter))
+    } else {
+        let traced = ge_parallel_timed(cluster, network, n, RunSpec { trace: true, faults: None });
+        OverheadBreakdown::from_traces(&traced.traces)
+    }
 }
 
 /// Runs the GE skeleton with an explicit row distribution — the hook the

@@ -2,16 +2,19 @@
 //! every virtual second, agree with the untraced accounting, and change
 //! nothing about the timing itself.
 
-use hetscale::hetsim_cluster::faults::FaultPlan;
+use hetscale::hetsim_cluster::faults::{FaultPlan, RecoveryPolicy};
 use hetscale::hetsim_cluster::sunwulf;
+use hetscale::hetsim_cluster::time::SimTime;
 use hetscale::hetsim_cluster::ClusterSpec;
-use hetscale::hetsim_mpi::trace::OpKind;
+use hetscale::hetsim_mpi::trace::{KindTotals, OpKind, OverheadBreakdown, RankTrace};
 use hetscale::hetsim_mpi::{run_spmd, RunSpec, Tag};
 use hetscale::kernels::ge::ge_parallel_timed;
 use hetscale::kernels::mm::mm_parallel_timed;
 use hetscale::kernels::power::power_parallel_timed;
+use hetscale::kernels::recover::{estimated_run_secs, timed_recoverable, RecoverableKernel};
 use hetscale::kernels::stencil::stencil_parallel_timed;
-use hetscale::kernels::TimingOutcome;
+use hetscale::kernels::{ge_work, TimingOutcome};
+use std::collections::{BTreeMap, BTreeSet};
 
 const TRACED: RunSpec<'static> = RunSpec { trace: true, faults: None };
 
@@ -146,4 +149,87 @@ fn timeline_renders_for_a_real_kernel() {
     assert_eq!(text.matches("rank").count(), 3);
     assert!(text.contains('.'), "compute must appear in the timeline");
     assert!(text.contains('b') || text.contains('B'), "collectives must appear");
+}
+
+/// The overhead decomposition written out longhand: per rank, each
+/// present kind's spans summed in program order, then added rank by
+/// rank in kind order.
+fn longhand_breakdown(traces: &[RankTrace]) -> OverheadBreakdown {
+    let mut per_kind = BTreeMap::new();
+    let mut total = 0.0;
+    for trace in traces {
+        for kind in OpKind::ALL {
+            let mut spans = trace.records.iter().filter(|r| r.kind == kind).peekable();
+            if spans.peek().is_none() {
+                continue;
+            }
+            let secs = spans.fold(SimTime::ZERO, |acc, r| acc + (r.end - r.start)).as_secs();
+            *per_kind.entry(kind).or_insert(0.0) += secs;
+            total += secs;
+        }
+    }
+    OverheadBreakdown { per_kind, total }
+}
+
+/// The fold a closed form feeds ([`OverheadBreakdown::from_rank_totals`]
+/// over per-rank [`KindTotals`]) and the traced one
+/// ([`OverheadBreakdown::from_traces`]) give the longhand decomposition
+/// on traced GE, MM, power, stencil, faulted and recovery runs, which
+/// between them record every kind the engine records.
+#[test]
+fn shared_fold_matches_the_traced_decomposition_for_every_kind() {
+    let net = sunwulf::sunwulf_network();
+    let ge = sunwulf::ge_config(4);
+    let mm = sunwulf::mm_config(4);
+    let lossy = FaultPlan::new(11).with_straggler(2, 0.5).with_link_drops(120);
+    let mut runs: Vec<(&str, Vec<RankTrace>)> = vec![
+        ("ge", ge_parallel_timed(&ge, &net, 96, TRACED).traces),
+        ("mm", mm_parallel_timed(&mm, &net, 64, TRACED).traces),
+        ("power", power_parallel_timed(&ge, &net, 64, 5, TRACED).traces),
+        ("stencil", stencil_parallel_timed(&ge, &net, 64, 5, TRACED).traces),
+        (
+            "faulted ge",
+            ge_parallel_timed(&ge, &net, 96, RunSpec { trace: true, faults: Some(&lossy) }).traces,
+        ),
+    ];
+    let n = 96;
+    let est = estimated_run_secs(&ge, ge_work(n));
+    let deadly = (0..64)
+        .map(|seed| FaultPlan::new(seed).with_mtbf(est * 0.5))
+        .find(|plan| {
+            let policy = RecoveryPolicy::ShrinkRebalance;
+            let run = timed_recoverable(RecoverableKernel::Ge, &ge, &net, plan, policy, n, false);
+            run.death.is_some()
+        })
+        .expect("some seed fires a death inside the run");
+    for policy in [
+        RecoveryPolicy::CheckpointRestart { interval_secs: est / 8.0 },
+        RecoveryPolicy::ShrinkRebalance,
+    ] {
+        let run = timed_recoverable(RecoverableKernel::Ge, &ge, &net, &deadly, policy, n, true);
+        runs.push((policy.label(), run.timing.traces));
+    }
+    let mut seen = BTreeSet::new();
+    for (name, traces) in &runs {
+        let longhand = longhand_breakdown(traces);
+        assert_eq!(OverheadBreakdown::from_traces(traces), longhand, "{name}");
+        let charged: Vec<KindTotals> = traces
+            .iter()
+            .map(|trace| {
+                let mut totals = KindTotals::default();
+                for r in &trace.records {
+                    totals.add(r.kind, r.start, r.end);
+                }
+                totals
+            })
+            .collect();
+        let folded = OverheadBreakdown::from_rank_totals(charged.iter().map(KindTotals::iter));
+        assert_eq!(folded, longhand, "{name}");
+        seen.extend(longhand.per_kind.keys().copied());
+    }
+    // Scatter spans come only from the threaded runtime's scatter
+    // collective; the kernels distribute with point-to-point sends.
+    let engine_kinds: BTreeSet<OpKind> =
+        OpKind::ALL.into_iter().filter(|&k| k != OpKind::Scatter).collect();
+    assert_eq!(seen, engine_kinds);
 }
