@@ -184,8 +184,10 @@ test "$best" -le "$LADDER_BUDGET_US" || {
 #   back to recording traced runs (~6-10 ms);
 # - ablate-noise (~9-18.5 ms): ~765k jittered GE campaign-rounds on the
 #   batched closed form; 22 ms trips on losing the batching (~2.9x);
-# - t1 (~3.2-3.7 ms): 5.3 ms.
-for lap in decomp:800 ablate-noise:22000 t1:5300; do
+# - t1 (~0.05-0.1 ms): each modeled node's kernels are rated as its
+#   nominal speed x their efficiency, with no kernel run; 1 ms trips if
+#   Table 1 goes back to running LU, FFT and BT per node (~3.2-3.7 ms).
+for lap in decomp:800 ablate-noise:22000 t1:1000; do
     id=${lap%:*} budget=${lap#*:}
     best=$(best_us "$id")
     test "$best" -le "$budget" || {

@@ -29,13 +29,12 @@
 //! across runs and `--jobs` values (DESIGN.md §11).
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-use parking_lot::Mutex;
 
 /// Structural identity of one timed-kernel cell.
 #[derive(Hash, PartialEq, Eq)]
@@ -88,7 +87,7 @@ pub fn cached<N: NetworkModel>(
     compute: impl FnOnce() -> SimTime,
 ) -> SimTime {
     let Some(net_fp) = network.fingerprint() else {
-        *BYPASSES.lock().entry(kernel).or_insert(0) += 1;
+        *BYPASSES.lock().unwrap_or_else(PoisonError::into_inner).entry(kernel).or_insert(0) += 1;
         return compute();
     };
     let key = MemoKey {
@@ -100,7 +99,7 @@ pub fn cached<N: NetworkModel>(
     };
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let cell = {
-        let mut map = cache.lock();
+        let mut map = cache.lock().unwrap_or_else(PoisonError::into_inner);
         let slot =
             map.entry(key).or_insert_with(|| Slot { cell: Arc::new(OnceLock::new()), touches: 0 });
         slot.touches += 1;
@@ -115,13 +114,13 @@ pub fn cached<N: NetworkModel>(
 pub fn snapshot() -> BTreeMap<&'static str, MemoCounts> {
     let mut out: BTreeMap<&'static str, MemoCounts> = BTreeMap::new();
     if let Some(cache) = CACHE.get() {
-        for (key, slot) in cache.lock().iter() {
+        for (key, slot) in cache.lock().unwrap_or_else(PoisonError::into_inner).iter() {
             let counts = out.entry(key.kernel).or_default();
             counts.touches += slot.touches;
             counts.entries += 1;
         }
     }
-    for (&kernel, &bypasses) in BYPASSES.lock().iter() {
+    for (&kernel, &bypasses) in BYPASSES.lock().unwrap_or_else(PoisonError::into_inner).iter() {
         out.entry(kernel).or_default().bypasses += bypasses;
     }
     out

@@ -19,7 +19,7 @@
 //! scope joins, exactly like the sequential loop.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 static JOBS: OnceLock<usize> = OnceLock::new();
 
@@ -30,7 +30,7 @@ static BATCHES: AtomicU64 = AtomicU64::new(0);
 static CELLS: AtomicU64 = AtomicU64::new(0);
 static QUEUE_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
 // Per-worker cell counts — scheduling-dependent, profile export only.
-static WORKER_CELLS: parking_lot::Mutex<Vec<u64>> = parking_lot::Mutex::new(Vec::new());
+static WORKER_CELLS: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
 /// Deterministic worker-pool counters (see [`snapshot`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,11 +55,11 @@ pub fn snapshot() -> PoolCounts {
 /// Cells executed per worker slot. **Not deterministic** — which worker
 /// pulls which cell depends on OS scheduling; profile export only.
 pub fn worker_cells() -> Vec<u64> {
-    WORKER_CELLS.lock().clone()
+    WORKER_CELLS.lock().unwrap_or_else(PoisonError::into_inner).clone()
 }
 
 fn add_worker_cells(worker: usize, cells: u64) {
-    let mut counts = WORKER_CELLS.lock();
+    let mut counts = WORKER_CELLS.lock().unwrap_or_else(PoisonError::into_inner);
     if counts.len() <= worker {
         counts.resize(worker + 1, 0);
     }

@@ -42,12 +42,6 @@ pub trait NetworkModel: Send + Sync {
     /// (`sizes[root]` is transferred locally and free).
     fn gather_time(&self, sizes: &[u64], root: usize) -> f64;
 
-    /// Scatter from a root: process `i` receives `sizes[i]` bytes.
-    /// Defaults to the gather cost (symmetric on all provided models).
-    fn scatter_time(&self, sizes: &[u64], root: usize) -> f64 {
-        self.gather_time(sizes, root)
-    }
-
     /// Class-collapsed point-to-point cost: `Some(t)` iff the model
     /// prices a `bytes`-sized message between *every* endpoint pair at
     /// exactly `t` — bit-identical to
@@ -99,9 +93,6 @@ impl<T: NetworkModel + ?Sized> NetworkModel for &T {
     }
     fn gather_time(&self, sizes: &[u64], root: usize) -> f64 {
         (**self).gather_time(sizes, root)
-    }
-    fn scatter_time(&self, sizes: &[u64], root: usize) -> f64 {
-        (**self).scatter_time(sizes, root)
     }
     fn p2p_time_class(&self, bytes: u64) -> Option<f64> {
         (**self).p2p_time_class(bytes)
@@ -564,13 +555,6 @@ mod tests {
         let sizes = [0u64, 1_000_000, 2_000_000];
         assert!((m.gather_time(&sizes, 0) - 3.0).abs() < 1e-12);
         assert!((m.gather_time(&sizes, 2) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scatter_defaults_to_gather_cost() {
-        let m = SwitchedNetwork::new(1e-4, 1e7);
-        let sizes = [100u64, 200, 300, 400];
-        assert_eq!(m.scatter_time(&sizes, 0), m.gather_time(&sizes, 0));
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! the cost model needs only the element count, and skipping the
 //! encode/decode round-trip removes two full copies per contribution.
 
+use crate::{lock, wait_while};
 use hetsim_cluster::time::SimTime;
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
+use std::sync::{Condvar, Mutex};
 
 /// One in-flight collective. The variant doubles as a misuse check: two
 /// ranks disagreeing on the sequence of collective types is a program
@@ -23,7 +24,6 @@ enum Slot {
     Barrier { entries: Vec<Option<SimTime>>, result: Option<SimTime>, reads: usize },
     Gather { deposits: Vec<Option<(SimTime, Vec<f64>)>>, count: usize },
     Bcast { deposit: Option<(SimTime, Vec<f64>)>, reads: usize },
-    Scatter { departure: SimTime, parts: Vec<Option<Vec<f64>>>, taken: usize, deposited: bool },
 }
 
 /// Rendezvous point shared by all ranks of one SPMD run.
@@ -40,11 +40,6 @@ impl CollectiveHub {
         CollectiveHub { p, slots: Mutex::new(HashMap::new()), cond: Condvar::new() }
     }
 
-    /// Number of participating ranks.
-    pub fn size(&self) -> usize {
-        self.p
-    }
-
     /// Barrier rendezvous: deposits this rank's entry clock and blocks
     /// until all `p` ranks have arrived; returns the rendezvous time
     /// `max(entry clocks)`. The caller adds the barrier's network cost
@@ -52,7 +47,7 @@ impl CollectiveHub {
     /// the wait-for-stragglers span and the barrier proper stay
     /// separately attributable.
     pub fn barrier(&self, op: u64, rank: usize, entry: SimTime) -> SimTime {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         let slot = slots.entry(op).or_insert_with(|| Slot::Barrier {
             entries: vec![None; self.p],
             result: None,
@@ -70,25 +65,24 @@ impl CollectiveHub {
         }
         // Wait for the result, then count reads and clean up after the
         // last reader.
-        loop {
-            match slots.get_mut(&op) {
-                Some(Slot::Barrier { result: Some(r), reads, .. }) => {
-                    let out = *r;
-                    *reads += 1;
-                    if *reads == self.p {
-                        slots.remove(&op);
-                    }
-                    return out;
-                }
-                Some(Slot::Barrier { .. }) => self.cond.wait(&mut slots),
-                _ => unreachable!("barrier slot vanished before all ranks read it"),
-            }
+        let mut slots = wait_while(&self.cond, slots, |slots| match slots.get(&op) {
+            Some(Slot::Barrier { result, .. }) => result.is_none(),
+            _ => unreachable!("barrier slot vanished before all ranks read it"),
+        });
+        let Some(Slot::Barrier { result: Some(out), reads, .. }) = slots.get_mut(&op) else {
+            unreachable!("the wait returns on a barrier with a result")
+        };
+        let out = *out;
+        *reads += 1;
+        if *reads == self.p {
+            slots.remove(&op);
         }
+        out
     }
 
     /// Deposits one rank's gather contribution (entry clock + payload).
     pub fn gather_deposit(&self, op: u64, rank: usize, entry: SimTime, payload: Vec<f64>) {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         let slot = slots
             .entry(op)
             .or_insert_with(|| Slot::Gather { deposits: vec![None; self.p], count: 0 });
@@ -106,16 +100,13 @@ impl CollectiveHub {
     /// Root side of a gather: blocks until all `p` deposits are present
     /// and returns them indexed by rank. Consumes the slot.
     pub fn gather_collect(&self, op: u64) -> Vec<(SimTime, Vec<f64>)> {
-        let mut slots = self.slots.lock();
-        loop {
-            match slots.get(&op) {
-                Some(Slot::Gather { count, .. }) if *count == self.p => break,
-                Some(Slot::Gather { .. }) | None => self.cond.wait(&mut slots),
-                Some(_) => panic!("collective sequence mismatch: op {op} is not a gather"),
-            }
-        }
+        let mut slots = wait_while(&self.cond, lock(&self.slots), |slots| match slots.get(&op) {
+            Some(Slot::Gather { count, .. }) => *count < self.p,
+            None => true,
+            Some(_) => panic!("collective sequence mismatch: op {op} is not a gather"),
+        });
         let Some(Slot::Gather { deposits, .. }) = slots.remove(&op) else {
-            unreachable!("checked above")
+            unreachable!("the wait returns on a full gather")
         };
         deposits.into_iter().map(|d| d.expect("count == p")).collect()
     }
@@ -123,7 +114,7 @@ impl CollectiveHub {
     /// Root side of a broadcast: publishes the payload and the root's
     /// departure time.
     pub fn bcast_deposit(&self, op: u64, departure: SimTime, payload: Vec<f64>) {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         let slot = slots.entry(op).or_insert_with(|| Slot::Bcast { deposit: None, reads: 0 });
         let Slot::Bcast { deposit, .. } = slot else {
             panic!("collective sequence mismatch: op {op} is not a bcast");
@@ -141,71 +132,25 @@ impl CollectiveHub {
     /// returns (root departure, payload). The last of the `p − 1`
     /// receivers frees the slot.
     pub fn bcast_wait(&self, op: u64) -> (SimTime, Vec<f64>) {
-        let mut slots = self.slots.lock();
-        loop {
-            match slots.get_mut(&op) {
-                Some(Slot::Bcast { deposit: Some((t, payload)), reads }) => {
-                    let out = (*t, payload.clone());
-                    *reads += 1;
-                    if *reads == self.p - 1 {
-                        slots.remove(&op);
-                    }
-                    return out;
-                }
-                Some(Slot::Bcast { deposit: None, .. }) | None => self.cond.wait(&mut slots),
-                Some(_) => panic!("collective sequence mismatch: op {op} is not a bcast"),
-            }
-        }
-    }
-
-    /// Root side of a scatter: publishes one payload per rank plus the
-    /// root's departure time. `parts[root]` should be the root's own
-    /// share; it is returned to the root by [`CollectiveHub::scatter_take`].
-    pub fn scatter_deposit(&self, op: u64, departure: SimTime, parts: Vec<Vec<f64>>) {
-        assert_eq!(parts.len(), self.p, "scatter needs one part per rank");
-        let mut slots = self.slots.lock();
-        let slot = slots.entry(op).or_insert_with(|| Slot::Scatter {
-            departure: SimTime::ZERO,
-            parts: vec![None; self.p],
-            taken: 0,
-            deposited: false,
+        let mut slots = wait_while(&self.cond, lock(&self.slots), |slots| match slots.get(&op) {
+            Some(Slot::Bcast { deposit, .. }) => deposit.is_none(),
+            None => true,
+            Some(_) => panic!("collective sequence mismatch: op {op} is not a bcast"),
         });
-        let Slot::Scatter { departure: dep, parts: slot_parts, deposited, .. } = slot else {
-            panic!("collective sequence mismatch: op {op} is not a scatter");
+        let Some(Slot::Bcast { deposit: Some((t, payload)), reads }) = slots.get_mut(&op) else {
+            unreachable!("the wait returns on a deposited bcast")
         };
-        assert!(!*deposited, "two roots deposited into scatter {op}");
-        *dep = departure;
-        for (dst, part) in slot_parts.iter_mut().zip(parts) {
-            *dst = Some(part);
+        let out = (*t, payload.clone());
+        *reads += 1;
+        if *reads == self.p - 1 {
+            slots.remove(&op);
         }
-        *deposited = true;
-        self.cond.notify_all();
-    }
-
-    /// Takes rank `rank`'s share of a scatter, blocking for the deposit.
-    /// Returns (root departure, payload). The last taker frees the slot.
-    pub fn scatter_take(&self, op: u64, rank: usize) -> (SimTime, Vec<f64>) {
-        let mut slots = self.slots.lock();
-        loop {
-            match slots.get_mut(&op) {
-                Some(Slot::Scatter { departure, parts, taken, deposited: true }) => {
-                    let payload = parts[rank].take().expect("each rank takes its part once");
-                    let out = (*departure, payload);
-                    *taken += 1;
-                    if *taken == self.p {
-                        slots.remove(&op);
-                    }
-                    return out;
-                }
-                Some(Slot::Scatter { deposited: false, .. }) | None => self.cond.wait(&mut slots),
-                Some(_) => panic!("collective sequence mismatch: op {op} is not a scatter"),
-            }
-        }
+        out
     }
 
     /// Number of live slots (diagnostics; zero after a clean run).
     pub fn live_slots(&self) -> usize {
-        self.slots.lock().len()
+        lock(&self.slots).len()
     }
 }
 
@@ -302,28 +247,31 @@ mod tests {
     }
 
     #[test]
-    fn scatter_gives_each_rank_its_part() {
-        let hub = Arc::new(CollectiveHub::new(3));
-        let handles: Vec<_> = (0..3usize)
-            .map(|r| {
-                let hub = Arc::clone(&hub);
-                std::thread::spawn(move || hub.scatter_take(9, r))
-            })
-            .collect();
-        let parts: Vec<Vec<f64>> = (0..3).map(|r| vec![r as f64 * 10.0]).collect();
-        hub.scatter_deposit(9, t(1.5), parts);
-        let mut got: Vec<Vec<f64>> = handles.into_iter().map(|h| h.join().unwrap().1).collect();
-        got.sort_by(|a, b| a[0].total_cmp(&b[0]));
-        assert_eq!(got, vec![vec![0.0], vec![10.0], vec![20.0]]);
-        assert_eq!(hub.live_slots(), 0);
-    }
-
-    #[test]
     fn single_rank_barrier_completes_immediately() {
         let hub = CollectiveHub::new(1);
         let out = hub.barrier(0, 0, t(3.0));
         assert_eq!(out, t(3.0));
         assert_eq!(hub.live_slots(), 0);
+    }
+
+    #[test]
+    fn a_panicked_holder_leaves_the_hub_working() {
+        let hub = CollectiveHub::new(2);
+        // A protocol bug (a barrier on the slot the program broadcast
+        // on) panics while holding the hub's lock.
+        hub.bcast_deposit(0, t(0.0), vec![1.0]);
+        let bug = std::panic::catch_unwind(|| hub.barrier(0, 0, t(0.0)));
+        assert!(bug.is_err() && hub.slots.is_poisoned());
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| hub.barrier(1, 1, t(1.0)));
+            // The waiter opens the slot and starts waiting under one hold
+            // of the lock, so once the slot shows, the waiter is waiting.
+            while !lock(&hub.slots).contains_key(&1) && !waiter.is_finished() {
+                std::thread::yield_now();
+            }
+            assert_eq!(hub.barrier(1, 0, t(2.0)), t(2.0));
+            assert_eq!(waiter.join().unwrap(), t(2.0));
+        });
     }
 
     #[test]
@@ -340,12 +288,5 @@ mod tests {
         let hub = CollectiveHub::new(2);
         hub.bcast_deposit(0, t(0.0), vec![1.0]);
         let _ = hub.barrier(0, 0, t(0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "one part per rank")]
-    fn scatter_wrong_part_count_panics() {
-        let hub = CollectiveHub::new(3);
-        hub.scatter_deposit(0, t(0.0), vec![vec![1.0]]);
     }
 }

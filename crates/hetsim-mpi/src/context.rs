@@ -9,7 +9,6 @@ use crate::trace::{OpKind, RankTrace, TraceRecord};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
-use hetsim_cluster::node::NodeSpec;
 use hetsim_cluster::time::SimTime;
 
 /// State shared by every rank of one SPMD run.
@@ -96,16 +95,6 @@ impl<'a> Rank<'a> {
         self.shared.cluster.size()
     }
 
-    /// The node this rank is placed on.
-    pub fn node(&self) -> &NodeSpec {
-        &self.shared.cluster.nodes()[self.id]
-    }
-
-    /// The whole cluster specification (marked speeds drive distribution).
-    pub fn cluster(&self) -> &ClusterSpec {
-        self.shared.cluster
-    }
-
     /// Current virtual time of this rank.
     pub fn clock(&self) -> SimTime {
         self.clock
@@ -163,7 +152,7 @@ impl<'a> Rank<'a> {
     /// `dest` when a lossy-link fault plan is active; no-op (and no
     /// counter advance) otherwise, keeping fault-free runs bit-identical.
     /// Point-to-point sends and the transmitting side of collectives
-    /// (broadcast/scatter roots, gather contributors) all funnel through
+    /// (broadcast roots, gather contributors) all funnel through
     /// here, so the drop schedule covers every wire crossing.
     ///
     /// # Panics
@@ -409,56 +398,6 @@ impl<'a> Rank<'a> {
             self.charge_comm(self.clock + cost, OpKind::Gather, bytes, Some(root));
             None
         }
-    }
-
-    /// Scatter from `root`: the root passes one slice per rank (`parts`)
-    /// and receives its own share; receivers pass `None` and receive
-    /// theirs. The root leaves at `entry + scatter_time(sizes)`;
-    /// receiver `i` leaves at `max(own entry, root departure)`.
-    pub fn scatter_f64s(&mut self, root: usize, parts: Option<&[Vec<f64>]>) -> Vec<f64> {
-        assert!(root < self.size(), "root rank {root} out of range");
-        let op = self.next_op();
-        if self.id == root {
-            let parts = parts.expect("root must supply scatter parts");
-            assert_eq!(parts.len(), self.size(), "scatter needs one part per rank");
-            let payloads: Vec<Vec<f64>> = parts.to_vec();
-            let sizes: Vec<u64> = payloads.iter().map(|v| (v.len() * 8) as u64).collect();
-            for (peer, &size) in sizes.iter().enumerate() {
-                if peer != self.id {
-                    self.charge_link_retries(peer, size);
-                }
-            }
-            let cost = SimTime::from_secs(self.shared.network.scatter_time(&sizes, root));
-            let departure = self.clock + cost;
-            let total_bytes: u64 = sizes.iter().sum();
-            self.shared.hub.scatter_deposit(op, departure, payloads);
-            let (_, own) = self.shared.hub.scatter_take(op, self.id);
-            self.charge_comm(departure, OpKind::Scatter, total_bytes, None);
-            own
-        } else {
-            assert!(parts.is_none(), "non-root rank {} passed scatter parts", self.id);
-            let (departure, payload) = self.shared.hub.scatter_take(op, self.id);
-            let bytes = (payload.len() * 8) as u64;
-            self.charge_comm(self.clock.max(departure), OpKind::Scatter, bytes, Some(root));
-            payload
-        }
-    }
-
-    /// Element-wise sum reduction to `root` (gather + local combine at
-    /// the root, charged as root compute: one flop per element per
-    /// contributor).
-    pub fn reduce_sum_f64s(&mut self, root: usize, contribution: &[f64]) -> Option<Vec<f64>> {
-        let n = contribution.len();
-        let gathered = self.gather_f64s(root, contribution)?;
-        let mut acc = vec![0.0f64; n];
-        for v in &gathered {
-            assert_eq!(v.len(), n, "reduce contributions must have equal length");
-            for (a, &x) in acc.iter_mut().zip(v.iter()) {
-                *a += x;
-            }
-        }
-        self.compute_flops((gathered.len().saturating_sub(1) * n) as f64);
-        Some(acc)
     }
 
     /// All-gather: every rank contributes a slice and receives every

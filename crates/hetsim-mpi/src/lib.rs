@@ -31,10 +31,11 @@
 //!   is traced as idle-wait.
 //! * `broadcast` — the root leaves at `root_entry + bcast_time(p, bytes)`;
 //!   every receiver leaves at `max(own entry, root departure)`.
-//! * `gather`/`reduce` — the root leaves at `max(all entries) +
+//! * `gather` — the root leaves at `max(all entries) +
 //!   gather_time(sizes)`; each contributor leaves at `entry +
 //!   p2p_time(own bytes)` (it blocks only for its own transfer).
-//! * `scatter` — mirror image of gather.
+//! * `allgather` — a gather to rank 0, then a broadcast of the
+//!   concatenation.
 //!
 //! These are the same linear per-message/per-collective cost shapes the
 //! paper calibrates on Sunwulf (§4.5); see
@@ -93,3 +94,63 @@ pub use trace::{timeline_text, KindTotals, OpKind, OverheadBreakdown, RankTrace,
 
 // Re-exported for doc links and downstream convenience.
 pub use hetsim_cluster::network::NetworkModel;
+
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex` even when an earlier holder panicked. A rank that
+/// panics inside a mailbox or the collective hub (a protocol bug)
+/// poisons the lock; taking it anyway keeps the other ranks from
+/// panicking in turn, so the panic [`run_spmd`] propagates is the bug's.
+/// The data is sound to take: every mailbox and hub update checks its
+/// preconditions before it writes, so none panics halfway.
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Blocks on `cond` while `condition` holds, past poisoning as [`lock`]
+/// takes it. `Condvar::wait_while` will not do: it returns at the first
+/// wake-up that finds the lock poisoned, without checking `condition`.
+pub(crate) fn wait_while<'a, T>(
+    cond: &Condvar,
+    mut guard: MutexGuard<'a, T>,
+    mut condition: impl FnMut(&T) -> bool,
+) -> MutexGuard<'a, T> {
+    while condition(&guard) {
+        guard = cond.wait(guard).unwrap_or_else(PoisonError::into_inner);
+    }
+    guard
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    #[test]
+    fn wait_while_rechecks_after_a_poisoned_wake_up() {
+        let (state, cond, checks) = (Mutex::new(0u32), Condvar::new(), AtomicU32::new(0));
+        let bug = std::panic::catch_unwind(|| {
+            let _held = lock(&state);
+            panic!("protocol bug while holding the lock");
+        });
+        assert!(bug.is_err() && state.is_poisoned());
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                *wait_while(&cond, lock(&state), |&v| {
+                    checks.fetch_add(1, Ordering::SeqCst);
+                    v < 2
+                })
+            });
+            // The waiter checks and starts waiting under one hold of the
+            // lock, so once its count moves, taking the lock finds it waiting.
+            for value in 1..=2 {
+                while checks.load(Ordering::SeqCst) < value && !waiter.is_finished() {
+                    std::thread::yield_now();
+                }
+                *lock(&state) = value;
+                cond.notify_all();
+            }
+            assert_eq!(waiter.join().unwrap(), 2);
+        });
+    }
+}

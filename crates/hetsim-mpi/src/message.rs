@@ -7,9 +7,10 @@
 //! in send order (non-overtaking), which together with SPMD program order
 //! makes matching deterministic.
 
+use crate::{lock, wait_while};
 use hetsim_cluster::time::SimTime;
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex};
 
 /// Message tag, used to disambiguate concurrent streams between the same
 /// pair of ranks (pivot rows vs. result rows, say).
@@ -57,7 +58,7 @@ impl Mailbox {
 
     /// Deposits a message and wakes any waiting receiver.
     pub fn push(&self, msg: Message) {
-        let mut q = self.inner.lock();
+        let mut q = lock(&self.inner);
         q.push_back(msg);
         // notify_all: a single receiver thread owns this mailbox, but a
         // waiter may be matching on a different (source, tag) than the
@@ -68,24 +69,23 @@ impl Mailbox {
     /// Blocks until a message from `source` with `tag` is available and
     /// removes the earliest such message.
     pub fn recv_matching(&self, source: usize, tag: Tag) -> Message {
-        let mut q = self.inner.lock();
-        loop {
-            if let Some(pos) = q.iter().position(|m| m.source == source && m.tag == tag) {
-                return q.remove(pos).expect("position is valid");
-            }
-            self.available.wait(&mut q);
-        }
+        let mut pos = None;
+        let mut q = wait_while(&self.available, lock(&self.inner), |q| {
+            pos = q.iter().position(|m| m.source == source && m.tag == tag);
+            pos.is_none()
+        });
+        q.remove(pos.expect("the wait returns on a match")).expect("position is valid")
     }
 
     /// Number of queued messages (for diagnostics and leak checks).
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        lock(&self.inner).len()
     }
 
     /// True when no messages are queued — used by the runtime's
     /// end-of-program leak check.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        lock(&self.inner).is_empty()
     }
 }
 
@@ -140,6 +140,19 @@ mod tests {
         mb.push(msg(7, Tag(2), 9.0));
         let got = handle.join().expect("receiver thread");
         assert_eq!(got.source, 7);
+    }
+
+    #[test]
+    fn a_panicked_holder_leaves_the_mailbox_working() {
+        let mb = Mailbox::new();
+        let bug = std::panic::catch_unwind(|| {
+            let _q = lock(&mb.inner);
+            panic!("protocol bug while holding the mailbox");
+        });
+        assert!(bug.is_err() && mb.inner.is_poisoned());
+        mb.push(msg(5, Tag::DATA, 4.0));
+        assert_eq!(mb.recv_matching(5, Tag::DATA).arrival, SimTime::from_secs(4.0));
+        assert!(mb.is_empty());
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //! perturb totals. Anything order-sensitive (float time) is rounded to
 //! integer microseconds *per rank* before it is folded in.
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::LazyLock;
+use std::sync::{LazyLock, Mutex};
 
 /// Why the lockstep analyzer refused a recording (DESIGN.md §10) and
 /// the simulation fell back to the event-driven ready-queue scheduler.
@@ -257,7 +257,7 @@ static ANALYZE_WALL_NS: AtomicU64 = AtomicU64::new(0);
 
 /// Folds one simulation's [`EngineReport`] into the process totals.
 pub fn record_simulation(report: &EngineReport) {
-    let mut e = ENGINE.lock();
+    let mut e = lock(&ENGINE);
     match report.path {
         EnginePath::Analytic => e.analytic_sims += 1,
         EnginePath::Aggregated => {
@@ -285,7 +285,7 @@ pub fn record_simulation(report: &EngineReport) {
 /// Counts one analyzer rejection under `reason` (the simulation itself
 /// is reported separately as an event-driven fallback).
 pub fn record_fallback(reason: FallbackReason) {
-    let mut e = ENGINE.lock();
+    let mut e = lock(&ENGINE);
     if let Some(count) = e.fallback_reasons.get_mut(reason.name()) {
         *count += 1;
     } else {
@@ -296,7 +296,7 @@ pub fn record_fallback(reason: FallbackReason) {
 /// Counts one kernel-level closed-form batch of `cells` cells
 /// (`kernels::analytic` — these bypass the engine entirely).
 pub fn record_closed_form(kernel: &'static str, cells: u64) {
-    let mut e = ENGINE.lock();
+    let mut e = lock(&ENGINE);
     if let Some(stats) = e.closed_form.get_mut(kernel) {
         stats.batches += 1;
         stats.cells += cells;
@@ -437,7 +437,7 @@ impl EngineTelemetry {
 
 /// Snapshots every deterministic counter.
 pub fn snapshot() -> EngineTelemetry {
-    ENGINE.lock().clone()
+    lock(&ENGINE).clone()
 }
 
 #[cfg(test)]

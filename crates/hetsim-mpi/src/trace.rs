@@ -29,9 +29,11 @@ pub enum OpKind {
     Barrier,
     /// Broadcast participation (root or receiver).
     Bcast,
-    /// Gather/reduce participation.
+    /// Gather participation.
     Gather,
-    /// Scatter participation.
+    /// Scatter participation. No runtime records it: the kernels
+    /// distribute with point-to-point sends. The kind stays because
+    /// every metrics export lists each kind's fraction.
     Scatter,
     /// Timeout + backoff time lost to dropped send attempts under a
     /// fault plan's lossy-link model (see `hetsim_cluster::faults`).
@@ -136,8 +138,8 @@ pub struct TraceRecord {
     pub bytes: u64,
     /// The other rank involved, when there is exactly one: the
     /// destination of a send, the source of a receive (and of the wait
-    /// preceding it), the root of a broadcast/scatter seen from a
-    /// receiver or of a gather seen from a contributor. `None` for
+    /// preceding it), the root of a broadcast seen from a receiver or
+    /// of a gather seen from a contributor. `None` for
     /// compute, barriers, and root-side collective spans. Critical-path
     /// extraction follows these edges.
     pub peer: Option<usize>,

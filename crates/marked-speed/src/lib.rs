@@ -13,17 +13,18 @@
 //! * **BT** — repeated tridiagonal (Thomas) solves (`~8·n` flops per
 //!   sweep), standing in for NPB-BT's banded solver character.
 //!
-//! Two rating paths share the kernels:
+//! Two rating paths:
 //!
-//! * [`host::rate_host`] runs them for real and measures wall-clock
-//!   Mflop/s — rating the machine the code actually runs on (how one
-//!   would produce marked speeds for a genuine heterogeneous set of
-//!   hosts).
-//! * [`noderate::rate_node`] rates a *modeled* node: each kernel achieves
-//!   a kernel-specific fraction of the node's nominal speed (real
-//!   benchmarks never hit one number exactly), and the suite average is
-//!   reported as the marked speed — regenerating the paper's Table 1 for
-//!   the reconstructed Sunwulf nodes.
+//! * [`host::rate_host`] runs the kernels for real and measures
+//!   wall-clock Mflop/s — rating the machine the code actually runs on
+//!   (how one would produce marked speeds for a genuine heterogeneous
+//!   set of hosts).
+//! * [`noderate::rate_node`] rates a *modeled* node and runs no kernel:
+//!   each kernel is rated at the node's nominal speed × a
+//!   kernel-specific efficiency (real benchmarks never hit one number
+//!   exactly), and the suite average is reported as the marked speed —
+//!   regenerating the paper's Table 1 for the reconstructed Sunwulf
+//!   nodes.
 
 //! ## Example
 //!

@@ -1,8 +1,8 @@
 //! Rating of *modeled* nodes — regenerates the paper's Table 1.
 //!
-//! On the simulated substrate a node is a speed model, so "running NPB
-//! on it" means accounting the kernel's flops at the speed the node
-//! would sustain *for that kernel*. Real benchmarks never sustain one
+//! On the simulated substrate a node is a speed model, so no kernel
+//! runs: a kernel's rating is the node's nominal speed times the share
+//! of it that kernel sustains. Real benchmarks never sustain one
 //! flat number: cache behaviour makes LU-like kernels run a little above
 //! a node's nominal rating and FFT-like kernels a little below. Those
 //! kernel efficiency factors are fixed, hardware-independent properties
@@ -10,7 +10,7 @@
 //! speed up to the suite's average efficiency — mirroring how the paper
 //! turns a suite of measurements into one constant per node.
 
-use crate::kernels::{run_kernel, BenchKernel};
+use crate::kernels::BenchKernel;
 use hetsim_cluster::node::NodeSpec;
 
 /// Fraction of a node's nominal speed each kernel sustains. The factors
@@ -23,17 +23,13 @@ pub fn kernel_efficiency(kernel: BenchKernel) -> f64 {
     }
 }
 
-/// One simulated kernel measurement on a node model.
+/// One kernel's rating on a node model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimKernelRating {
-    /// Which kernel ran.
+    /// Which kernel is rated.
     pub kernel: BenchKernel,
-    /// Problem size used.
-    pub size: usize,
-    /// Simulated sustained speed in Mflop/s.
+    /// Sustained speed in Mflop/s: nominal × [`kernel_efficiency`].
     pub mflops: f64,
-    /// Virtual seconds the run took on the node.
-    pub sim_seconds: f64,
 }
 
 /// A node's Table-1 row: per-kernel speeds and the suite average.
@@ -41,32 +37,21 @@ pub struct SimKernelRating {
 pub struct NodeRating {
     /// Node name (e.g. "hpc-40").
     pub node: String,
-    /// Per-kernel simulated measurements.
+    /// Per-kernel ratings, in [`BenchKernel::ALL`] order.
     pub per_kernel: Vec<SimKernelRating>,
     /// Suite average — the node's marked speed in Mflop/s.
     pub marked_speed_mflops: f64,
 }
 
-/// Benchmark sizes used for node rating (kept modest: the flop count,
-/// not the size, determines the simulated rating).
-pub fn rating_size(kernel: BenchKernel) -> usize {
-    match kernel {
-        BenchKernel::Lu => 64,
-        BenchKernel::Ft => 1 << 10,
-        BenchKernel::Bt => 1 << 12,
-    }
-}
-
-/// Rates a node model with the full suite.
+/// Rates a node model with the full suite: each kernel at the node's
+/// nominal speed × [`kernel_efficiency`], the marked speed their
+/// average.
 pub fn rate_node(node: &NodeSpec) -> NodeRating {
     let per_kernel: Vec<SimKernelRating> = BenchKernel::ALL
         .iter()
-        .map(|&k| {
-            let size = rating_size(k);
-            let run = run_kernel(k, size);
-            let sustained_flops = node.marked_speed_flops() * kernel_efficiency(k);
-            let sim_seconds = run.flops / sustained_flops;
-            SimKernelRating { kernel: k, size, mflops: run.flops / sim_seconds / 1e6, sim_seconds }
+        .map(|&k| SimKernelRating {
+            kernel: k,
+            mflops: node.marked_speed_mflops * kernel_efficiency(k),
         })
         .collect();
     let marked_speed_mflops =
@@ -115,11 +100,15 @@ mod tests {
     }
 
     #[test]
-    fn simulated_durations_are_positive_and_speed_ordered() {
-        let node = NodeSpec::synthetic("n", 50.0);
-        let rating = rate_node(&node);
-        for r in &rating.per_kernel {
-            assert!(r.sim_seconds > 0.0);
+    fn sunwulf_ratings_are_nominal_times_efficiency_bit_for_bit() {
+        use hetsim_cluster::sunwulf::{server_node, sunblade_node, v210_node};
+        for node in [server_node(1), sunblade_node(1), v210_node(65, 1)] {
+            let got: Vec<(BenchKernel, f64)> =
+                rate_node(&node).per_kernel.iter().map(|r| (r.kernel, r.mflops)).collect();
+            let nominal =
+                BenchKernel::ALL.map(|k| (k, node.marked_speed_mflops * kernel_efficiency(k)));
+            // `==` on these finite, non-zero speeds is bit equality.
+            assert_eq!(got, nominal, "{}", node.name);
         }
     }
 

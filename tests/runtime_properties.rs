@@ -55,27 +55,6 @@ proptest! {
     }
 
     #[test]
-    fn scatter_then_gather_roundtrips(
-        p in 2usize..7,
-        parts_seed in payloads(6),
-        speeds_seed in 1u64..100,
-    ) {
-        let cluster = het_cluster(p, speeds_seed);
-        let parts: Vec<Vec<f64>> = parts_seed[..p].to_vec();
-        let parts_for_run = parts.clone();
-        let outcome = run_spmd(&cluster, &net(), RunSpec::default(), move |rank| {
-            let mine = if rank.rank() == 0 {
-                rank.scatter_f64s(0, Some(&parts_for_run))
-            } else {
-                rank.scatter_f64s(0, None)
-            };
-            rank.gather_f64s(0, &mine)
-        });
-        let back = outcome.results[0].as_ref().expect("root result");
-        prop_assert_eq!(back, &parts);
-    }
-
-    #[test]
     fn allgather_equals_gather_plus_broadcast_semantics(
         p in 2usize..7,
         parts_seed in payloads(6),
@@ -91,25 +70,6 @@ proptest! {
             for (peer, v) in got.iter().enumerate() {
                 prop_assert_eq!(v, &parts[peer]);
             }
-        }
-    }
-
-    #[test]
-    fn reduce_sum_matches_sequential_sum(
-        p in 2usize..7,
-        len in 1usize..16,
-        speeds_seed in 1u64..100,
-    ) {
-        let cluster = het_cluster(p, speeds_seed);
-        let outcome = run_spmd(&cluster, &net(), RunSpec::default(), |rank| {
-            let mine: Vec<f64> =
-                (0..len).map(|j| (rank.rank() * 31 + j) as f64).collect();
-            rank.reduce_sum_f64s(0, &mine)
-        });
-        let got = outcome.results[0].as_ref().expect("root result");
-        for (j, &v) in got.iter().enumerate() {
-            let expected: f64 = (0..p).map(|r| (r * 31 + j) as f64).sum();
-            prop_assert!((v - expected).abs() < 1e-9);
         }
     }
 

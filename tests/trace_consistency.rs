@@ -227,8 +227,9 @@ fn shared_fold_matches_the_traced_decomposition_for_every_kind() {
         assert_eq!(folded, longhand, "{name}");
         seen.extend(longhand.per_kind.keys().copied());
     }
-    // Scatter spans come only from the threaded runtime's scatter
-    // collective; the kernels distribute with point-to-point sends.
+    // No runtime records Scatter spans: the kernels distribute with
+    // point-to-point sends. The kind stays so that every metrics export
+    // keeps listing each kind's fraction.
     let engine_kinds: BTreeSet<OpKind> =
         OpKind::ALL.into_iter().filter(|&k| k != OpKind::Scatter).collect();
     assert_eq!(seen, engine_kinds);
