@@ -63,8 +63,15 @@ test ! -s "$TMP"/dead_api.txt || {
 # Its own tests run a quick traced set end to end: a change that breaks
 # the traced run's byte check or `compare` fails here too.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
-cargo test --release --offline --manifest-path benchmark/Cargo.toml
-cargo test --workspace --release
+# Both suites' test binaries are built first, so each budget below
+# times the tests alone, and a hung test (a rank blocked on a peer that
+# is gone, say) fails its suite at a named step instead of stalling the
+# gate. Each budget sits ~10x above the suite's time on a 2-vCPU host:
+# ~40 s for the benchmark harness, ~12 s for the workspace.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml --no-run
+cargo test --workspace --release --no-run
+timeout 400 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+timeout 120 cargo test --workspace --release
 
 # CLI smoke: `--list` must enumerate the ids and exit 0.
 cargo run --release -p bench-tables -- --list

@@ -14,6 +14,7 @@
 use crate::{lock, wait_while};
 use hetsim_cluster::time::SimTime;
 use std::collections::HashMap;
+use std::sync::atomic::AtomicBool;
 use std::sync::{Condvar, Mutex};
 
 /// One in-flight collective. The variant doubles as a misuse check: two
@@ -31,13 +32,19 @@ pub struct CollectiveHub {
     p: usize,
     slots: Mutex<HashMap<u64, Slot>>,
     cond: Condvar,
+    aborted: AtomicBool,
 }
 
 impl CollectiveHub {
     /// Creates a hub for `p` ranks.
     pub fn new(p: usize) -> Self {
         assert!(p > 0, "hub needs at least one rank");
-        CollectiveHub { p, slots: Mutex::new(HashMap::new()), cond: Condvar::new() }
+        CollectiveHub {
+            p,
+            slots: Mutex::new(HashMap::new()),
+            cond: Condvar::new(),
+            aborted: AtomicBool::new(false),
+        }
     }
 
     /// Barrier rendezvous: deposits this rank's entry clock and blocks
@@ -65,10 +72,11 @@ impl CollectiveHub {
         }
         // Wait for the result, then count reads and clean up after the
         // last reader.
-        let mut slots = wait_while(&self.cond, slots, |slots| match slots.get(&op) {
-            Some(Slot::Barrier { result, .. }) => result.is_none(),
-            _ => unreachable!("barrier slot vanished before all ranks read it"),
-        });
+        let mut slots =
+            wait_while(&self.cond, slots, &self.aborted, |slots| match slots.get(&op) {
+                Some(Slot::Barrier { result, .. }) => result.is_none(),
+                _ => unreachable!("barrier slot vanished before all ranks read it"),
+            });
         let Some(Slot::Barrier { result: Some(out), reads, .. }) = slots.get_mut(&op) else {
             unreachable!("the wait returns on a barrier with a result")
         };
@@ -100,11 +108,14 @@ impl CollectiveHub {
     /// Root side of a gather: blocks until all `p` deposits are present
     /// and returns them indexed by rank. Consumes the slot.
     pub fn gather_collect(&self, op: u64) -> Vec<(SimTime, Vec<f64>)> {
-        let mut slots = wait_while(&self.cond, lock(&self.slots), |slots| match slots.get(&op) {
-            Some(Slot::Gather { count, .. }) => *count < self.p,
-            None => true,
-            Some(_) => panic!("collective sequence mismatch: op {op} is not a gather"),
-        });
+        let mut slots =
+            wait_while(&self.cond, lock(&self.slots), &self.aborted, |slots| {
+                match slots.get(&op) {
+                    Some(Slot::Gather { count, .. }) => *count < self.p,
+                    None => true,
+                    Some(_) => panic!("collective sequence mismatch: op {op} is not a gather"),
+                }
+            });
         let Some(Slot::Gather { deposits, .. }) = slots.remove(&op) else {
             unreachable!("the wait returns on a full gather")
         };
@@ -132,11 +143,14 @@ impl CollectiveHub {
     /// returns (root departure, payload). The last of the `p − 1`
     /// receivers frees the slot.
     pub fn bcast_wait(&self, op: u64) -> (SimTime, Vec<f64>) {
-        let mut slots = wait_while(&self.cond, lock(&self.slots), |slots| match slots.get(&op) {
-            Some(Slot::Bcast { deposit, .. }) => deposit.is_none(),
-            None => true,
-            Some(_) => panic!("collective sequence mismatch: op {op} is not a bcast"),
-        });
+        let mut slots =
+            wait_while(&self.cond, lock(&self.slots), &self.aborted, |slots| {
+                match slots.get(&op) {
+                    Some(Slot::Bcast { deposit, .. }) => deposit.is_none(),
+                    None => true,
+                    Some(_) => panic!("collective sequence mismatch: op {op} is not a bcast"),
+                }
+            });
         let Some(Slot::Bcast { deposit: Some((t, payload)), reads }) = slots.get_mut(&op) else {
             unreachable!("the wait returns on a deposited bcast")
         };
@@ -146,6 +160,12 @@ impl CollectiveHub {
             slots.remove(&op);
         }
         out
+    }
+
+    /// Wakes every rank blocked here, and any that blocks later, to
+    /// unwind: a peer rank panicked and may never arrive.
+    pub(crate) fn abort(&self) {
+        crate::abort(&self.slots, &self.cond, &self.aborted);
     }
 
     /// Number of live slots (diagnostics; zero after a clean run).

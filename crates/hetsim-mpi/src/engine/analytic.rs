@@ -27,12 +27,14 @@
 //! - **Compute** — a maximal run of `Compute` ops per class (possibly
 //!   empty, possibly different lengths per class). Pure local work;
 //!   absorbed greedily between synchronization points.
-//! - **Collective** — every class's next op is the *same* collective
-//!   (equal op id, consistent kind). Broadcast and gather phases
-//!   additionally require the root's class to have exactly one member
-//!   (two ranks sharing a root recording would double-deposit, which
-//!   the engine rejects at run time), and receiver size expectations
-//!   must match the root's count.
+//! - **Collective** — every class's next op is the same collective
+//!   kind at the same position (the classes have completed equally many
+//!   collectives, so the heads are one collective, as the replay
+//!   numbers them). Broadcast and gather phases additionally require
+//!   the root's class to have exactly one member (two ranks sharing a
+//!   root recording would double-deposit, which the engine rejects at
+//!   run time), and receiver size expectations must match the root's
+//!   count.
 //! - **P2P** — a closed batch of sends/receives: starting from any
 //!   `Send`/`Recv` head, ranks exchange messages until every class
 //!   reaches a non-p2p op, every send is consumed, and no receive is
@@ -41,8 +43,8 @@
 //!   before its matching receive), so evaluation is a single pass.
 //!
 //! Anything else — crossing a collective boundary with an in-flight
-//! message, mismatched collective kinds or op ids, multi-member root
-//! classes, size mismatches — makes [`analyze`] return a typed
+//! message, mismatched collective kinds, multi-member root classes,
+//! size mismatches — makes [`analyze`] return a typed
 //! [`FallbackReason`] and the caller falls back to the ready-queue
 //! scheduler, which either prices the program correctly or reports the
 //! protocol bug with its usual diagnostics. The analyzer never weakens
@@ -213,7 +215,9 @@ pub(super) fn analyze(
 }
 
 /// Closes a collective phase: every class's head must be the same
-/// collective (equal op id, consistent kind, singleton root class).
+/// collective (consistent kind, singleton root class). Every class has
+/// completed the same number of collectives here, so the heads are one
+/// collective by position, as the replay numbers them.
 fn collective_phase(
     classes: &[Vec<Op>],
     class_of: &[usize],
@@ -222,52 +226,28 @@ fn collective_phase(
     cursor: &mut [usize],
 ) -> Result<Phase, FallbackReason> {
     let nc = classes.len();
-    // All classes must agree on which collective comes next.
-    let mut op_id = None;
-    for c in 0..nc {
-        let id = match classes[c][cursor[c]] {
-            Op::Barrier { op }
-            | Op::BcastRoot { op, .. }
-            | Op::BcastRecv { op, .. }
-            | Op::GatherRoot { op, .. }
-            | Op::GatherLeaf { op, .. }
-            | Op::BcastRootDerived { op } => op,
-            Op::Compute { .. }
-            | Op::Send { .. }
-            | Op::Recv { .. }
-            | Op::Checkpoint { .. }
-            | Op::Detect { .. }
-            | Op::Recover { .. } => {
-                unreachable!("compute absorbed, recovery rejected, p2p dispatched before this")
-            }
-        };
-        match op_id {
-            None => op_id = Some(id),
-            Some(prev) if prev != id => return Err(FallbackReason::CollectiveIdMismatch),
-            Some(_) => {}
-        }
-    }
-
     let mut barriers = 0usize;
     let mut bcast_recvs = 0usize;
+    let mut derived_recvs = 0usize;
     let mut gather_leaves = 0usize;
     let mut bcast_root: Option<(usize, usize)> = None;
     let mut derived_root: Option<usize> = None;
     let mut gather_root: Option<usize> = None;
     for c in 0..nc {
         match classes[c][cursor[c]] {
-            Op::Barrier { .. } => barriers += 1,
-            Op::BcastRoot { count, .. } => {
+            Op::Barrier => barriers += 1,
+            Op::BcastRoot { count } => {
                 if bcast_root.replace((c, count)).is_some() {
                     return Err(FallbackReason::DuplicateRoot);
                 }
             }
-            Op::BcastRootDerived { .. } => {
+            Op::BcastRootDerived => {
                 if derived_root.replace(c).is_some() {
                     return Err(FallbackReason::DuplicateRoot);
                 }
             }
             Op::BcastRecv { .. } => bcast_recvs += 1,
+            Op::BcastRecvDerived { .. } => derived_recvs += 1,
             Op::GatherRoot { .. } => {
                 if gather_root.replace(c).is_some() {
                     return Err(FallbackReason::DuplicateRoot);
@@ -279,49 +259,49 @@ fn collective_phase(
             | Op::Recv { .. }
             | Op::Checkpoint { .. }
             | Op::Detect { .. }
-            | Op::Recover { .. } => unreachable!("checked above"),
+            | Op::Recover { .. } => {
+                unreachable!("compute absorbed, recovery rejected, p2p dispatched before this")
+            }
         }
     }
 
+    // The root rank of class `rc`, once every other head is one of its
+    // collective's `receivers` (anything else meets it at another kind,
+    // and the engine panics on the slot type mismatch; let it) and no
+    // other rank shares its recording.
+    let root_of = |rc: usize, receivers: usize| {
+        if receivers != nc - 1 {
+            Err(FallbackReason::MixedCollectiveKinds)
+        } else if members[rc] != 1 {
+            Err(FallbackReason::MultiMemberRootClass)
+        } else {
+            Ok(rank_of_class[rc] as u32)
+        }
+    };
     let phase = if barriers == nc {
         Phase::Barrier
     } else if let Some((rc, count)) = bcast_root {
-        if bcast_recvs != nc - 1 || members[rc] != 1 {
-            return Err(FallbackReason::MultiMemberRootClass);
-        }
+        // An allgather's receive takes whatever the root sends.
+        let root = root_of(rc, bcast_recvs + derived_recvs)?;
         for c in 0..nc {
-            if let Op::BcastRecv { expect, .. } = classes[c][cursor[c]] {
-                if expect.is_some_and(|e| e != count) {
+            if let Op::BcastRecv { count: expect, .. } = classes[c][cursor[c]] {
+                if expect != count {
                     return Err(FallbackReason::CollectiveSizeMismatch);
                 }
             }
         }
-        Phase::Bcast { root: rank_of_class[rc] as u32, count }
+        Phase::Bcast { root, count }
     } else if let Some(rc) = derived_root {
-        if bcast_recvs != nc - 1 || members[rc] != 1 {
-            return Err(FallbackReason::MultiMemberRootClass);
-        }
-        for c in 0..nc {
-            if let Op::BcastRecv { expect, .. } = classes[c][cursor[c]] {
-                // The packed size exists only at evaluation time; a
-                // stated expectation cannot be verified statically.
-                if expect.is_some() {
-                    return Err(FallbackReason::UnverifiableDerivedSize);
-                }
-            }
-        }
-        Phase::BcastDerived { root: rank_of_class[rc] as u32 }
+        Phase::BcastDerived { root: root_of(rc, derived_recvs)? }
     } else if let Some(rc) = gather_root {
-        if gather_leaves != nc - 1 || members[rc] != 1 {
-            return Err(FallbackReason::MultiMemberRootClass);
-        }
+        let root = root_of(rc, gather_leaves)?;
         let p = class_of.len();
         let mut counts = vec![0usize; p];
         let mut targets = vec![0u32; p];
         for r in 0..p {
             match classes[class_of[r]][cursor[class_of[r]]] {
-                Op::GatherRoot { count, .. } => counts[r] = count,
-                Op::GatherLeaf { root, count, .. } => {
+                Op::GatherRoot { count } => counts[r] = count,
+                Op::GatherLeaf { root, count } => {
                     counts[r] = count;
                     targets[r] = root as u32;
                 }
@@ -329,10 +309,8 @@ fn collective_phase(
             }
         }
         let sizes = counts.iter().map(|&c| (c * 8) as u64).collect();
-        Phase::Gather { root: rank_of_class[rc] as u32, counts, sizes, targets }
+        Phase::Gather { root, counts, sizes, targets }
     } else {
-        // Mixed collective kinds — the engine would panic on the slot
-        // type mismatch; let it.
         return Err(FallbackReason::MixedCollectiveKinds);
     };
     for c in cursor.iter_mut() {

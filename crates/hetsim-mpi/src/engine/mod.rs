@@ -13,7 +13,10 @@
 //!    communication at all and instead logs the rank's operation list
 //!    (op kind, peers, element counts, charged flops). Timing-mode
 //!    bodies have data-independent control flow, so the log is exactly
-//!    the op sequence the threaded runtime would execute. Recordings are
+//!    the op sequence the threaded runtime would execute. Collectives
+//!    are logged unnumbered: every rank calls them in the same order,
+//!    so the simulator numbers each rank's collectives by position, as
+//!    [`Rank`] does. Recordings are
 //!    deduplicated into **rank classes**: ranks whose op lists and node
 //!    speeds coincide share one stored recording ([`record_spmd`]), so a
 //!    homogeneous sub-pool of 80 identical blades stores one op list,
@@ -201,6 +204,10 @@ impl SpmdTimer for Rank<'_> {
 
 /// One recorded operation of one rank. Element counts, not payloads.
 ///
+/// Collectives carry no number: every rank calls its collectives in
+/// the same order, so the replay numbers each one by its position in
+/// the rank's collective sequence, as [`Rank`] does.
+///
 /// `PartialEq` is the rank-class criterion: two ranks share a recording
 /// only when their op streams compare equal field-for-field (flops
 /// compare as `f64`, which is exact here — recorded flops are finite and
@@ -221,26 +228,18 @@ enum Op {
         tag: Tag,
         expect: usize,
     },
-    Barrier {
-        op: u64,
-    },
+    Barrier,
     BcastRoot {
-        op: u64,
         count: usize,
     },
-    /// Broadcast receiver; `expect` is `None` for the allgather-derived
-    /// broadcast whose packed size only the root knows.
     BcastRecv {
-        op: u64,
         root: usize,
-        expect: Option<usize>,
+        count: usize,
     },
     GatherRoot {
-        op: u64,
         count: usize,
     },
     GatherLeaf {
-        op: u64,
         root: usize,
         count: usize,
     },
@@ -248,8 +247,10 @@ enum Op {
     /// is `p + Σ gathered counts` elements, resolved at simulation time
     /// from the immediately preceding gather (mirrors the packed
     /// length-header layout of [`Rank::allgather_f64s`]).
-    BcastRootDerived {
-        op: u64,
+    BcastRootDerived,
+    /// Receiver half of that broadcast, whose size only the root knows.
+    BcastRecvDerived {
+        root: usize,
     },
     /// Checkpoint image write of `bytes` (local, never blocks).
     Checkpoint {
@@ -274,16 +275,7 @@ enum Op {
 pub struct RecordTimer {
     id: usize,
     size: usize,
-    collective_seq: u64,
     ops: Vec<Op>,
-}
-
-impl RecordTimer {
-    fn next_op(&mut self) -> u64 {
-        let op = self.collective_seq;
-        self.collective_seq += 1;
-        op
-    }
 }
 
 impl SpmdTimer for RecordTimer {
@@ -313,39 +305,32 @@ impl SpmdTimer for RecordTimer {
     }
 
     fn barrier(&mut self) {
-        let op = self.next_op();
-        self.ops.push(Op::Barrier { op });
+        self.ops.push(Op::Barrier);
     }
 
     fn broadcast_count(&mut self, root: usize, count: usize) {
         assert!(root < self.size, "root rank {root} out of range");
-        let op = self.next_op();
         if self.id == root {
-            self.ops.push(Op::BcastRoot { op, count });
+            self.ops.push(Op::BcastRoot { count });
         } else {
-            self.ops.push(Op::BcastRecv { op, root, expect: Some(count) });
+            self.ops.push(Op::BcastRecv { root, count });
         }
     }
 
     fn gather_count(&mut self, root: usize, count: usize) {
         assert!(root < self.size, "root rank {root} out of range");
-        let op = self.next_op();
         if self.id == root {
-            self.ops.push(Op::GatherRoot { op, count });
+            self.ops.push(Op::GatherRoot { count });
         } else {
-            self.ops.push(Op::GatherLeaf { op, root, count });
+            self.ops.push(Op::GatherLeaf { root, count });
         }
     }
 
     fn allgather_count(&mut self, count: usize) {
-        let gather_op = self.next_op();
-        let bcast_op = self.next_op();
         if self.id == 0 {
-            self.ops.push(Op::GatherRoot { op: gather_op, count });
-            self.ops.push(Op::BcastRootDerived { op: bcast_op });
+            self.ops.extend([Op::GatherRoot { count }, Op::BcastRootDerived]);
         } else {
-            self.ops.push(Op::GatherLeaf { op: gather_op, root: 0, count });
-            self.ops.push(Op::BcastRecv { op: bcast_op, root: 0, expect: None });
+            self.ops.extend([Op::GatherLeaf { root: 0, count }, Op::BcastRecvDerived { root: 0 }]);
         }
     }
 
@@ -422,6 +407,9 @@ struct SimRank {
     send_seq: Vec<u64>,
     trace: RankTrace,
     pc: usize,
+    /// Collectives completed: the number of the next one, as
+    /// `Rank::next_op` hands them out.
+    collectives: usize,
     last_gather_counts: Vec<usize>,
     /// Telemetry: sends that paid a non-zero retry charge.
     retry_events: u64,
@@ -448,6 +436,7 @@ impl SimRank {
             send_seq: if faulted { vec![0; cluster.size()] } else { Vec::new() },
             trace: RankTrace::default(),
             pc: 0,
+            collectives: 0,
             last_gather_counts: Vec::new(),
             retry_events: 0,
             retry_attempts: 0,
@@ -587,8 +576,8 @@ struct SimShared<'a, N: NetworkModel> {
     mailboxes: Vec<VecDeque<SimMsg>>,
     /// `mailbox_waiting[r]` — rank `r` is blocked on its own mailbox.
     mailbox_waiting: Vec<bool>,
-    /// Collective slots indexed by op id ([`RecordTimer`] hands ids out
-    /// densely from 0, so a flat table replaces the hash map).
+    /// Collective slots indexed by collective number (dense from 0, so
+    /// a flat table, grown on first touch, replaces the hash map).
     slots: Vec<Option<SlotBox>>,
     /// Open-slot count, for the leak check.
     live: usize,
@@ -616,12 +605,15 @@ struct SimShared<'a, N: NetworkModel> {
 /// A free function over the individual fields (not a method) so callers
 /// can keep `self.woken` borrowed alongside the returned slot.
 fn slot_mut<'s>(
-    slots: &'s mut [Option<SlotBox>],
+    slots: &'s mut Vec<Option<SlotBox>>,
     live: &mut usize,
-    op: u64,
+    op: usize,
     make: impl FnOnce() -> SimSlot,
 ) -> &'s mut SlotBox {
-    let cell = &mut slots[op as usize];
+    if op >= slots.len() {
+        slots.resize_with(op + 1, || None);
+    }
+    let cell = &mut slots[op];
     if cell.is_none() {
         *cell = Some(SlotBox { slot: make(), waiters: NO_WAITER });
         *live += 1;
@@ -630,9 +622,9 @@ fn slot_mut<'s>(
 }
 
 /// Removes the slot for `op`, returning it for by-value consumption.
-fn take_slot(slots: &mut [Option<SlotBox>], live: &mut usize, op: u64) -> SlotBox {
+fn take_slot(slots: &mut [Option<SlotBox>], live: &mut usize, op: usize) -> SlotBox {
     *live -= 1;
-    slots[op as usize].take().expect("slot present")
+    slots[op].take().expect("slot present")
 }
 
 /// Parks `rank` on a slot's wake chain (allocation-free: one link cell
@@ -669,7 +661,8 @@ fn pooled<T: Clone>(pool: &mut Vec<Vec<Option<T>>>, p: usize) -> Vec<Option<T>> 
 impl<N: NetworkModel> SimShared<'_, N> {
     /// Root half of a broadcast (explicit or allgather-derived), with
     /// the same operation order as [`Rank::broadcast_f64s`].
-    fn bcast_root(&mut self, rank: &mut SimRank, op: u64, count: usize) {
+    fn bcast_root(&mut self, rank: &mut SimRank, count: usize) {
+        let op = rank.collectives;
         let bytes = (count * 8) as u64;
         if self.faults.is_some() {
             // Fault-free runs skip the per-peer walk entirely
@@ -698,8 +691,8 @@ impl<N: NetworkModel> SimShared<'_, N> {
         rank.charge_comm(self.tracing, departure, OpKind::Bcast, bytes, None);
     }
 
-    fn exec(&mut self, rank: &mut SimRank, op: &Op) -> Step {
-        match *op {
+    fn exec(&mut self, rank: &mut SimRank, next: &Op) -> Step {
+        match *next {
             Op::Compute { flops } => {
                 rank.compute(self.tracing, self.faults, flops);
                 Step::Progress
@@ -750,8 +743,8 @@ impl<N: NetworkModel> SimShared<'_, N> {
                 );
                 Step::Progress
             }
-            Op::Barrier { op } => {
-                let p = self.p;
+            Op::Barrier => {
+                let (p, op) = (self.p, rank.collectives);
                 let pool = &mut self.barrier_pool;
                 let slot = slot_mut(&mut self.slots, &mut self.live, op, || SimSlot::Barrier {
                     entries: pooled(pool, p),
@@ -798,19 +791,20 @@ impl<N: NetworkModel> SimShared<'_, N> {
                 );
                 Step::Progress
             }
-            Op::BcastRoot { op, count } => {
-                self.bcast_root(rank, op, count);
+            Op::BcastRoot { count } => {
+                self.bcast_root(rank, count);
                 Step::Progress
             }
-            Op::BcastRootDerived { op } => {
+            Op::BcastRootDerived => {
                 let count = self.p + rank.last_gather_counts.iter().sum::<usize>();
-                self.bcast_root(rank, op, count);
+                self.bcast_root(rank, count);
                 Step::Progress
             }
-            Op::BcastRecv { op, root, expect } => {
+            Op::BcastRecv { root, .. } | Op::BcastRecvDerived { root } => {
                 // Receivers may arrive before the root; the slot is
                 // created on first touch so the wake list has somewhere
                 // to live.
+                let op = rank.collectives;
                 let slot = slot_mut(&mut self.slots, &mut self.live, op, || SimSlot::Bcast {
                     deposit: None,
                     reads: 0,
@@ -822,7 +816,7 @@ impl<N: NetworkModel> SimShared<'_, N> {
                     park(&mut self.wait_link, slot, rank.id);
                     return Step::Blocked;
                 };
-                if let Some(expect) = expect {
+                if let Op::BcastRecv { count: expect, .. } = *next {
                     debug_assert_eq!(
                         count, expect,
                         "broadcast_count: size disagrees with the root"
@@ -842,8 +836,8 @@ impl<N: NetworkModel> SimShared<'_, N> {
                 );
                 Step::Progress
             }
-            Op::GatherRoot { op, count } => {
-                let p = self.p;
+            Op::GatherRoot { count } => {
+                let (p, op) = (self.p, rank.collectives);
                 let pool = &mut self.gather_pool;
                 let slot = slot_mut(&mut self.slots, &mut self.live, op, || SimSlot::Gather {
                     deposits: pooled(pool, p),
@@ -922,10 +916,10 @@ impl<N: NetworkModel> SimShared<'_, N> {
                 }
                 Step::Progress
             }
-            Op::GatherLeaf { op, root, count } => {
+            Op::GatherLeaf { root, count } => {
                 let bytes = (count * 8) as u64;
                 rank.charge_link_retries(self.tracing, self.faults, root, bytes);
-                let p = self.p;
+                let (p, op) = (self.p, rank.collectives);
                 let pool = &mut self.gather_pool;
                 let slot = slot_mut(&mut self.slots, &mut self.live, op, || SimSlot::Gather {
                     deposits: pooled(pool, p),
@@ -975,16 +969,13 @@ fn class_hash(speed_bits: u64, ops: &[Op]) -> u64 {
             Op::Recv { source, tag, expect } => {
                 mix(mix(mix(mix(h, 3), source as u64), tag.0 as u64), expect as u64)
             }
-            Op::Barrier { op } => mix(mix(h, 4), op),
-            Op::BcastRoot { op, count } => mix(mix(mix(h, 5), op), count as u64),
-            Op::BcastRecv { op, root, expect } => {
-                mix(mix(mix(mix(h, 6), op), root as u64), expect.map_or(u64::MAX, |e| e as u64))
-            }
-            Op::GatherRoot { op, count } => mix(mix(mix(h, 7), op), count as u64),
-            Op::GatherLeaf { op, root, count } => {
-                mix(mix(mix(mix(h, 8), op), root as u64), count as u64)
-            }
-            Op::BcastRootDerived { op } => mix(mix(h, 9), op),
+            Op::Barrier => mix(h, 4),
+            Op::BcastRoot { count } => mix(mix(h, 5), count as u64),
+            Op::BcastRecv { root, count } => mix(mix(mix(h, 6), root as u64), count as u64),
+            Op::GatherRoot { count } => mix(mix(h, 7), count as u64),
+            Op::GatherLeaf { root, count } => mix(mix(mix(h, 8), root as u64), count as u64),
+            Op::BcastRootDerived => mix(h, 9),
+            Op::BcastRecvDerived { root } => mix(mix(h, 13), root as u64),
             Op::Checkpoint { bytes } => mix(mix(h, 10), bytes),
             Op::Detect { secs } => mix(mix(h, 11), secs.to_bits()),
             Op::Recover { lost_flops, moved_bytes } => {
@@ -1010,8 +1001,6 @@ pub struct SpmdProgram<R> {
     results: Vec<R>,
     /// One op list per distinct rank class.
     classes: Vec<Vec<Op>>,
-    /// Collectives recorded per class (sizes the dense slot table).
-    class_collectives: Vec<u64>,
     /// Class index per rank.
     class_of: Vec<usize>,
     /// Lazily computed lockstep phase plan; `Err` caches the analyzer's
@@ -1034,14 +1023,13 @@ where
     let mut results = Vec::with_capacity(p);
     let mut classes: Vec<Vec<Op>> = Vec::new();
     let mut class_speeds: Vec<u64> = Vec::new();
-    let mut class_collectives: Vec<u64> = Vec::new();
     let mut class_of = Vec::with_capacity(p);
     let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
     // Duplicate recordings recycle one scratch buffer, so allocation is
     // O(classes) even on an 85-rank three-class cluster.
     let mut scratch: Vec<Op> = Vec::new();
     for id in 0..p {
-        let mut timer = RecordTimer { id, size: p, collective_seq: 0, ops: scratch };
+        let mut timer = RecordTimer { id, size: p, ops: scratch };
         results.push(body(&mut timer));
         let speed = cluster.nodes()[id].marked_speed_flops().to_bits();
         let hash = class_hash(speed, &timer.ops);
@@ -1058,7 +1046,6 @@ where
                 let c = classes.len();
                 bucket.push(c);
                 class_speeds.push(speed);
-                class_collectives.push(timer.collective_seq);
                 let len = timer.ops.len();
                 classes.push(timer.ops);
                 class_of.push(c);
@@ -1070,7 +1057,7 @@ where
         }
     }
     telemetry::add_record_wall_ns(record_started.elapsed().as_nanos() as u64);
-    SpmdProgram { p, results, classes, class_collectives, class_of, lockstep: OnceLock::new() }
+    SpmdProgram { p, results, classes, class_of, lockstep: OnceLock::new() }
 }
 
 impl<R> SpmdProgram<R> {
@@ -1190,9 +1177,6 @@ impl<R> SpmdProgram<R> {
                 rank.trace.records.reserve(2 * self.classes[self.class_of[rank.id]].len());
             }
         }
-        let slot_cap = self.class_collectives.iter().copied().max().unwrap_or(0) as usize;
-        let mut slots = Vec::new();
-        slots.resize_with(slot_cap, || None);
         let mut shared = SimShared {
             p,
             network,
@@ -1200,7 +1184,7 @@ impl<R> SpmdProgram<R> {
             tracing,
             mailboxes: (0..p).map(|_| VecDeque::new()).collect(),
             mailbox_waiting: vec![false; p],
-            slots,
+            slots: Vec::new(),
             live: 0,
             woken: Vec::new(),
             wait_link: vec![NO_WAITER; p],
@@ -1223,7 +1207,6 @@ impl<R> SpmdProgram<R> {
         let mut parks = 0u64;
         let mut wakes = 0u64;
         let mut p2p_events = 0u64;
-        let mut collective_events = 0u64;
         while let Some(r) = ready.pop_front() {
             queued[r] = false;
             let ops = &self.classes[self.class_of[r]];
@@ -1243,7 +1226,7 @@ impl<R> SpmdProgram<R> {
                             | Op::Detect { .. }
                             | Op::Recover { .. } => {}
                             Op::Send { .. } | Op::Recv { .. } => p2p_events += 1,
-                            _ => collective_events += 1,
+                            _ => ranks[r].collectives += 1,
                         }
                         ranks[r].pc += 1;
                     }
@@ -1283,8 +1266,8 @@ impl<R> SpmdProgram<R> {
         report.parks = parks;
         report.wakes = wakes;
         report.p2p_events = p2p_events;
-        report.collective_events = collective_events;
         for rank in &ranks {
+            report.collective_events += rank.collectives as u64;
             report.retry_events += rank.retry_events;
             report.retry_attempts += rank.retry_attempts;
             report.retry_charge_us += rank.retry_us;
@@ -1373,7 +1356,9 @@ where
 mod tests {
     use super::*;
     use crate::runtime::run_spmd;
-    use hetsim_cluster::network::{ConstantLatency, MpichEthernet, SharedEthernet};
+    use hetsim_cluster::network::{
+        ConstantLatency, JitteredNetwork, MpichEthernet, SharedEthernet,
+    };
     use hetsim_cluster::node::NodeSpec;
 
     fn het3() -> ClusterSpec {
@@ -1660,17 +1645,158 @@ mod tests {
         assert_eq!(on.wait_times, off.wait_times);
     }
 
+    /// Why the class tier refuses `body` recorded on `cluster`: the
+    /// lockstep analyzer's reason when it rejects the recording first.
+    fn refusal<N: NetworkModel>(
+        cluster: &ClusterSpec,
+        net: &N,
+        body: fn(&mut RecordTimer),
+    ) -> Option<FallbackReason> {
+        let program = record_spmd(cluster, body);
+        program.simulate_aggregated(cluster, net, &vec![1; cluster.size()]).err()
+    }
+
     #[test]
-    fn misaligned_collective_schedules_are_rejected() {
-        // Rank 0 reaches a barrier no one else joins: the analyzer
-        // must refuse (the scheduler owns the deadlock diagnostic).
-        let cluster = ClusterSpec::homogeneous(2, 50.0);
-        let program: SpmdProgram<()> = record_spmd(&cluster, |t| {
-            if t.rank() == 0 {
-                t.barrier();
-            }
-        });
-        assert_eq!(program.fallback_reason(), Some(FallbackReason::ClassExhausted));
+    fn every_fallback_reason_has_a_program_that_reaches_it() {
+        let (two, three) = (ClusterSpec::homogeneous(2, 50.0), ClusterSpec::homogeneous(3, 50.0));
+        let net = ConstantLatency::new(1e-3);
+        let jittered = JitteredNetwork::new(MpichEthernet::new(0.2e-3, 1e8), 0.25, 99);
+        for reason in FallbackReason::ALL {
+            // Exhaustive, so a new reason needs a program here too.
+            let got = match reason {
+                // Rank 0 reaches a barrier no one else joins: the
+                // analyzer refuses (the scheduler owns the deadlock
+                // diagnostic).
+                FallbackReason::ClassExhausted => refusal(&two, &net, |t| {
+                    if t.rank() == 0 {
+                        t.barrier();
+                    }
+                }),
+                FallbackReason::MixedCollectiveKinds => refusal(&two, &net, |t| match t.rank() {
+                    0 => t.barrier(),
+                    _ => t.gather_count(0, 3),
+                }),
+                FallbackReason::DuplicateRoot => refusal(&two, &net, |t| {
+                    let me = t.rank();
+                    t.broadcast_count(me, 4 + me);
+                }),
+                // Equal counts: both roots share one class.
+                FallbackReason::MultiMemberRootClass => refusal(&two, &net, |t| {
+                    let me = t.rank();
+                    t.broadcast_count(me, 4);
+                }),
+                FallbackReason::CollectiveSizeMismatch => refusal(&two, &net, |t| {
+                    let me = t.rank();
+                    t.broadcast_count(0, 4 + me);
+                }),
+                FallbackReason::P2pSizeMismatch => refusal(&two, &net, |t| match t.rank() {
+                    0 => t.send_count(1, Tag(1), 3),
+                    _ => t.recv_count(0, Tag(1), 4),
+                }),
+                FallbackReason::SendAcrossSync => refusal(&two, &net, crossing_body),
+                FallbackReason::RecvBeforeSend => refusal(&two, &net, |t| {
+                    if t.rank() == 0 {
+                        t.recv_count(1, Tag(1), 4);
+                        t.barrier();
+                    } else {
+                        t.barrier();
+                        t.send_count(0, Tag(1), 4);
+                    }
+                }),
+                FallbackReason::RecoveryOps => refusal(&two, &net, |t| t.checkpoint(64)),
+                // Two senders in one batch.
+                FallbackReason::AsymmetricP2p => refusal(&three, &net, |t| match t.rank() {
+                    2 => {
+                        t.recv_count(0, Tag(1), 4);
+                        t.recv_count(1, Tag(1), 4);
+                    }
+                    _ => t.send_count(2, Tag(1), 4),
+                }),
+                FallbackReason::UnclassedNetwork => {
+                    refusal(&two, &jittered, |t| t.gather_count(0, 4))
+                }
+                // Ranks 1 and 2 share a class, but the hub serves 2 first.
+                FallbackReason::ClassOrderDiverged => refusal(&three, &net, |t| {
+                    if t.rank() == 0 {
+                        t.send_count(2, Tag(1), 4);
+                        t.send_count(1, Tag(1), 4);
+                    } else {
+                        t.recv_count(0, Tag(1), 4);
+                    }
+                }),
+            };
+            assert_eq!(got, Some(reason), "{reason}");
+        }
+    }
+
+    #[test]
+    fn a_root_meeting_another_collective_reads_mixed_kinds() {
+        let two = ClusterSpec::homogeneous(2, 50.0);
+        let reason = |body: fn(&mut RecordTimer)| record_spmd(&two, body).fallback_reason();
+        let mixed = Some(FallbackReason::MixedCollectiveKinds);
+        assert_eq!(
+            reason(|t| match t.rank() {
+                0 => t.broadcast_count(0, 4),
+                _ => t.barrier(),
+            }),
+            mixed
+        );
+        assert_eq!(
+            reason(|t| match t.rank() {
+                0 => t.gather_count(0, 4),
+                _ => t.barrier(),
+            }),
+            mixed
+        );
+        // A sized broadcast receive at an allgather's root.
+        assert_eq!(
+            reason(|t| match t.rank() {
+                0 => t.allgather_count(2),
+                _ => {
+                    t.gather_count(0, 2);
+                    t.broadcast_count(0, 4);
+                }
+            }),
+            mixed
+        );
+    }
+
+    /// Rank 0 gathers and broadcasts 7 elements; the others meet it
+    /// through one allgather, whose receive takes whatever the root sends.
+    fn allgather_at_a_plain_root<T: SpmdTimer>(t: &mut T) {
+        if t.rank() == 0 {
+            t.gather_count(0, 2);
+            t.broadcast_count(0, 7);
+        } else {
+            t.allgather_count(2);
+        }
+    }
+
+    #[test]
+    fn an_allgather_receive_at_a_plain_broadcast_root_is_lockstep() {
+        let cluster = het3();
+        let net = MpichEthernet::new(0.2e-3, 1e8);
+        let program: SpmdProgram<()> = record_spmd(&cluster, allgather_at_a_plain_root);
+        let analytic = program.simulate_analytic(&cluster, &net).expect("lockstep");
+        let event = program.simulate_event_driven(&cluster, &net);
+        let threaded =
+            run_spmd(&cluster, &net, RunSpec::default(), |r| allgather_at_a_plain_root(r));
+        assert_eq!(analytic.times, event.times);
+        assert_eq!(analytic.comm_times, event.comm_times);
+        assert_eq!(event.times, threaded.times);
+        assert_eq!(event.wait_times, threaded.wait_times);
+    }
+
+    #[test]
+    fn recorded_ops_stay_within_24_bytes() {
+        // Every recorded op of every rank class pays for each byte here;
+        // a GE recording holds ~3 ops per rank-round.
+        assert!(
+            std::mem::size_of::<Op>() <= 24,
+            "Op grew to {} bytes: every recording grows with it, and the 10^3-rank GE \
+             oracle's memory (ROADMAP.md items 1 and 4) needs the headroom",
+            std::mem::size_of::<Op>()
+        );
     }
 
     #[test]

@@ -95,6 +95,7 @@ pub use trace::{timeline_text, KindTotals, OpKind, OverheadBreakdown, RankTrace,
 // Re-exported for doc links and downstream convenience.
 pub use hetsim_cluster::network::NetworkModel;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Locks `mutex` even when an earlier holder panicked. A rank that
@@ -107,24 +108,46 @@ pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Panic payload of a rank that stopped waiting because a peer
+/// panicked: [`run_spmd`] propagates the peer's own panic instead.
+pub(crate) struct PeerPanicked;
+
 /// Blocks on `cond` while `condition` holds, past poisoning as [`lock`]
 /// takes it. `Condvar::wait_while` will not do: it returns at the first
 /// wake-up that finds the lock poisoned, without checking `condition`.
+///
+/// `aborted` is set, under the same lock, when a peer rank panics (see
+/// [`abort`]); the wait then unwinds with a [`PeerPanicked`] payload
+/// instead of blocking on a peer that will never arrive.
 pub(crate) fn wait_while<'a, T>(
     cond: &Condvar,
     mut guard: MutexGuard<'a, T>,
+    aborted: &AtomicBool,
     mut condition: impl FnMut(&T) -> bool,
 ) -> MutexGuard<'a, T> {
     while condition(&guard) {
+        if aborted.load(Ordering::Relaxed) {
+            drop(guard);
+            std::panic::resume_unwind(Box::new(PeerPanicked));
+        }
         guard = cond.wait(guard).unwrap_or_else(PoisonError::into_inner);
     }
     guard
 }
 
+/// Sets `aborted` and wakes every waiter on `cond`, holding `mutex` so
+/// that no waiter checks the flag and then misses the wake-up.
+pub(crate) fn abort<T>(mutex: &Mutex<T>, cond: &Condvar, aborted: &AtomicBool) {
+    let _held = lock(mutex);
+    // Stored and loaded only under `mutex`, which orders it: Relaxed.
+    aborted.store(true, Ordering::Relaxed);
+    cond.notify_all();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::AtomicU32;
 
     #[test]
     fn wait_while_rechecks_after_a_poisoned_wake_up() {
@@ -136,7 +159,7 @@ mod tests {
         assert!(bug.is_err() && state.is_poisoned());
         std::thread::scope(|s| {
             let waiter = s.spawn(|| {
-                *wait_while(&cond, lock(&state), |&v| {
+                *wait_while(&cond, lock(&state), &AtomicBool::new(false), |&v| {
                     checks.fetch_add(1, Ordering::SeqCst);
                     v < 2
                 })

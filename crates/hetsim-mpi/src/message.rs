@@ -10,6 +10,7 @@
 use crate::{lock, wait_while};
 use hetsim_cluster::time::SimTime;
 use std::collections::VecDeque;
+use std::sync::atomic::AtomicBool;
 use std::sync::{Condvar, Mutex};
 
 /// Message tag, used to disambiguate concurrent streams between the same
@@ -48,6 +49,7 @@ pub struct Message {
 pub struct Mailbox {
     inner: Mutex<VecDeque<Message>>,
     available: Condvar,
+    aborted: AtomicBool,
 }
 
 impl Mailbox {
@@ -70,11 +72,17 @@ impl Mailbox {
     /// removes the earliest such message.
     pub fn recv_matching(&self, source: usize, tag: Tag) -> Message {
         let mut pos = None;
-        let mut q = wait_while(&self.available, lock(&self.inner), |q| {
+        let mut q = wait_while(&self.available, lock(&self.inner), &self.aborted, |q| {
             pos = q.iter().position(|m| m.source == source && m.tag == tag);
             pos.is_none()
         });
         q.remove(pos.expect("the wait returns on a match")).expect("position is valid")
+    }
+
+    /// Wakes a receiver blocked here, and any later one, to unwind: a
+    /// peer rank panicked, so the awaited message may never come.
+    pub(crate) fn abort(&self) {
+        crate::abort(&self.inner, &self.available, &self.aborted);
     }
 
     /// Number of queued messages (for diagnostics and leak checks).

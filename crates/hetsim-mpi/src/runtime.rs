@@ -5,6 +5,7 @@ use crate::collectives::CollectiveHub;
 use crate::context::{Rank, Shared};
 use crate::message::Mailbox;
 use crate::trace::RankTrace;
+use crate::PeerPanicked;
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
@@ -47,6 +48,22 @@ impl<R> SpmdOutcome<R> {
     /// [`SpmdOutcome::total_overhead`].
     pub fn total_wait(&self) -> SimTime {
         self.wait_times.iter().fold(SimTime::ZERO, |acc, &t| acc + t)
+    }
+}
+
+/// Held by each rank thread: if the rank's body unwinds, every peer
+/// blocked in the hub or a mailbox (or blocking there later) unwinds
+/// too, instead of waiting forever for a rank that is gone.
+struct AbortPeersOnUnwind<'s>(&'s Shared<'s>);
+
+impl Drop for AbortPeersOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.hub.abort();
+            for mailbox in &self.0.mailboxes {
+                mailbox.abort();
+            }
+        }
     }
 }
 
@@ -99,7 +116,9 @@ impl RunSpec<'_> {
 /// Blocks until every rank returns. Results arrive indexed by rank.
 ///
 /// # Panics
-/// Propagates any rank's panic, and panics if a rank leaves undelivered
+/// Propagates a panicking rank's own panic, the first in rank order
+/// (peers it left blocked are woken to unwind, so the run ends instead
+/// of hanging), and panics if a rank leaves undelivered
 /// messages in another rank's mailbox (a protocol bug in `body`). Also
 /// panics if `spec.faults` declares node deaths, and (with the typed
 /// [`hetsim_cluster::faults::FaultError`] message) when a send exhausts
@@ -135,6 +154,7 @@ where
             let shared_ref = &shared;
             let body_ref = &body;
             handles.push(scope.spawn(move || {
+                let _abort = AbortPeersOnUnwind(shared_ref);
                 let mut rank = Rank::new(id, shared_ref);
                 let result = body_ref(&mut rank);
                 let trace = rank.take_trace();
@@ -148,11 +168,22 @@ where
                 }
             }));
         }
+        // Join every rank before propagating: a peer woken by the abort
+        // unwinds with a `PeerPanicked` marker, and the bug's own
+        // payload is the first one that is not the marker.
+        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
         for (id, handle) in handles.into_iter().enumerate() {
             match handle.join() {
                 Ok(report) => slots[id] = Some(report),
-                Err(payload) => std::panic::resume_unwind(payload),
+                Err(payload) => {
+                    if panic.as_ref().is_none_or(|first| first.is::<PeerPanicked>()) {
+                        panic = Some(payload);
+                    }
+                }
             }
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
         }
     });
 
@@ -481,6 +512,69 @@ mod tests {
             rank.clock()
         });
         assert!(a.makespan() > base.makespan());
+    }
+
+    /// Runs `body` on two ranks on a helper thread and returns the
+    /// message `run_spmd` panicked with. A run still going after 10 s
+    /// fails the test instead of hanging it (its helper stays blocked,
+    /// unjoined).
+    fn panic_message(body: fn(&mut Rank)) -> String {
+        let (done, finished) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let cluster = ClusterSpec::homogeneous(2, 100.0);
+            let run = std::panic::catch_unwind(|| {
+                run_spmd(&cluster, &small_net(), RunSpec::default(), body)
+            });
+            let _ = done.send(());
+            run.expect_err("the run panics")
+        });
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+        waited.expect("run_spmd hung after a rank panicked");
+        match helper.join().expect("the helper returns the run's panic").downcast::<String>() {
+            Ok(text) => *text,
+            Err(payload) => payload.downcast_ref::<&str>().expect("a text payload").to_string(),
+        }
+    }
+
+    #[test]
+    fn a_panicking_rank_wakes_a_peer_blocked_in_a_barrier() {
+        let message = panic_message(|rank| {
+            if rank.rank() == 1 {
+                panic!("rank 1 failed before the barrier");
+            }
+            rank.barrier();
+        });
+        assert_eq!(message, "rank 1 failed before the barrier");
+    }
+
+    #[test]
+    fn a_panicking_rank_wakes_a_peer_blocked_in_a_receive() {
+        let message = panic_message(|rank| {
+            if rank.rank() == 1 {
+                panic!("rank 1 failed before its send");
+            }
+            let _ = rank.recv_f64s(1, Tag(3));
+        });
+        assert_eq!(message, "rank 1 failed before its send");
+    }
+
+    #[test]
+    fn a_collective_sequence_mismatch_fails_instead_of_hanging() {
+        // Rank 1 broadcasts as root while rank 0 enters a barrier. The
+        // rank that reaches the hub second panics there; when that is
+        // the root, rank 0 is left blocked in the barrier.
+        let as_root = panic_message(|rank| match rank.rank() {
+            0 => rank.barrier(),
+            _ => drop(rank.broadcast_f64s(1, Some(&[1.0]))),
+        });
+        assert!(as_root.starts_with("collective sequence mismatch: op 0 is not a"), "{as_root}");
+        // As a receiver, rank 1 panics in the hub in either order, with
+        // rank 0 blocked in the barrier.
+        let as_receiver = panic_message(|rank| match rank.rank() {
+            0 => rank.barrier(),
+            _ => drop(rank.broadcast_f64s(0, None)),
+        });
+        assert_eq!(as_receiver, "collective sequence mismatch: op 0 is not a bcast");
     }
 
     #[test]

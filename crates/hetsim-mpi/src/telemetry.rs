@@ -37,21 +37,18 @@ pub enum FallbackReason {
     /// Some rank class ran out of ops while others still expect a
     /// collective — the classes disagree on collective count.
     ClassExhausted,
-    /// Classes disagree on which collective comes next (op ids differ).
-    CollectiveIdMismatch,
     /// The class heads are collectives of different kinds (e.g. a
-    /// barrier meeting a broadcast).
+    /// barrier meeting a broadcast, or a sized broadcast receive meeting
+    /// an allgather's root).
     MixedCollectiveKinds,
     /// Two classes both claim the root role of one broadcast or gather.
     DuplicateRoot,
-    /// A broadcast/gather root recording is shared by more than one
-    /// rank, or the receiver/leaf count does not close the collective.
+    /// A broadcast/gather root recording stands for more than one rank:
+    /// a rank class shares it, or the class aggregator weights it above
+    /// one.
     MultiMemberRootClass,
     /// A broadcast receiver's declared size disagrees with the root's.
     CollectiveSizeMismatch,
-    /// A receiver states a size expectation on an allgather-derived
-    /// broadcast, which only exists at evaluation time.
-    UnverifiableDerivedSize,
     /// A point-to-point receive expects a different element count than
     /// the matching send carries.
     P2pSizeMismatch,
@@ -78,14 +75,12 @@ pub enum FallbackReason {
 
 impl FallbackReason {
     /// Every variant, in stable report order.
-    pub const ALL: [FallbackReason; 14] = [
+    pub const ALL: [FallbackReason; 12] = [
         FallbackReason::ClassExhausted,
-        FallbackReason::CollectiveIdMismatch,
         FallbackReason::MixedCollectiveKinds,
         FallbackReason::DuplicateRoot,
         FallbackReason::MultiMemberRootClass,
         FallbackReason::CollectiveSizeMismatch,
-        FallbackReason::UnverifiableDerivedSize,
         FallbackReason::P2pSizeMismatch,
         FallbackReason::SendAcrossSync,
         FallbackReason::RecvBeforeSend,
@@ -99,12 +94,10 @@ impl FallbackReason {
     pub fn name(self) -> &'static str {
         match self {
             FallbackReason::ClassExhausted => "class-exhausted",
-            FallbackReason::CollectiveIdMismatch => "collective-id-mismatch",
             FallbackReason::MixedCollectiveKinds => "mixed-collective-kinds",
             FallbackReason::DuplicateRoot => "duplicate-root",
             FallbackReason::MultiMemberRootClass => "multi-member-root-class",
             FallbackReason::CollectiveSizeMismatch => "collective-size-mismatch",
-            FallbackReason::UnverifiableDerivedSize => "unverifiable-derived-size",
             FallbackReason::P2pSizeMismatch => "p2p-size-mismatch",
             FallbackReason::SendAcrossSync => "send-across-sync",
             FallbackReason::RecvBeforeSend => "recv-before-send",
@@ -122,9 +115,6 @@ impl fmt::Display for FallbackReason {
             FallbackReason::ClassExhausted => {
                 "a rank class ran out of ops while others still expect a collective"
             }
-            FallbackReason::CollectiveIdMismatch => {
-                "rank classes disagree on which collective comes next"
-            }
             FallbackReason::MixedCollectiveKinds => {
                 "rank classes meet at collectives of different kinds"
             }
@@ -134,9 +124,6 @@ impl fmt::Display for FallbackReason {
             }
             FallbackReason::CollectiveSizeMismatch => {
                 "a broadcast receiver's size expectation disagrees with the root's count"
-            }
-            FallbackReason::UnverifiableDerivedSize => {
-                "a size expectation on an allgather-derived broadcast cannot be checked statically"
             }
             FallbackReason::P2pSizeMismatch => {
                 "a receive expects a different element count than the matching send carries"
