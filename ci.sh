@@ -16,19 +16,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc gate: no broken or private intra-doc link survives a rename.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Dead-API gate: fail on a `pub fn` or `pub const` that only its own
-# file's tests reach. That is one no other .rs file under the scanned
-# directories names as a whole word, and whose every other mention in
-# its own file sits at or below that file's first #[cfg(test)]. Comment
-# lines and `pub use` statements (one line, or a multi-line
-# `pub use …{ … };` block) do not count as mentions: the gate reads a
-# copy of the tree with those lines blanked. Each item found is printed
-# as `file:line name`. Four items stay even where nothing calls them:
-# the paper's two definitions (the metric library is what this
-# repository delivers) and the §2 baselines' two defining required-work
-# procedures, each tested in its own file. The rule is textual, so a
-# name that is a common word (`processed`, `pending`), that also names
-# a field somewhere, or that a same-named function or method elsewhere
-# shadows (`label`, `median`, `advance`) slips past it.
+# file's tests reach. A `pub fn` counts as used where another .rs file
+# under the scanned directories, or its own file above its first
+# #[cfg(test)], calls it or names its path: `name(`, `name::<` or
+# `::name`, so a field, local or module of the same name does not hide
+# a dead function. A `pub const` counts as used wherever its name
+# appears as a whole word. Comment lines and `pub use` statements (one
+# line, or a multi-line `pub use …{ … };` block) do not count as uses:
+# the gate reads a copy of the tree with those lines blanked. Each item
+# found is printed as `file:line name`. Four items stay even where
+# nothing calls them: the paper's two definitions (the metric library
+# is what this repository delivers) and the §2 baselines' two defining
+# required-work procedures, each tested in its own file. The rule is
+# textual, so a function that a same-named function or method elsewhere
+# shadows (`label`, `median`, `advance`), or a const whose name is a
+# common word, slips past it.
 set +x
 DEAD_API_DIRS="crates src tests examples benchmark"
 find $DEAD_API_DIRS -name target -prune -o -name '*.rs' -print | while read -r file; do
@@ -38,15 +40,21 @@ find $DEAD_API_DIRS -name target -prune -o -name '*.rs' -print | while read -r f
         { print }' "$file" > "$TMP/code/$file"
 done
 (cd "$TMP/code" && grep -rn -E '^[[:space:]]*pub (const )?(fn|const) [A-Za-z_]' $DEAD_API_DIRS |
-    sed -E 's/^([^:]*):([0-9]*):[[:space:]]*pub (const fn|fn|const) ([A-Za-z_][A-Za-z0-9_]*).*/\1 \2 \4/' |
-    while read -r file line name; do
+    sed -E -e 's/^([^:]*):([0-9]*):[[:space:]]*pub (const )?fn ([A-Za-z_][A-Za-z0-9_]*).*/\1 \2 fn \4/' \
+        -e 's/^([^:]*):([0-9]*):[[:space:]]*pub const ([A-Za-z_][A-Za-z0-9_]*).*/\1 \2 const \3/' |
+    while read -r file line kind name; do
         case "$name" in
             isospeed_scalability | scaled_execution_time) continue ;;
             required_work_for_unit_speed | isoefficiency_required_work) continue ;;
         esac
-        grep -rlw "$name" $DEAD_API_DIRS | grep -qvxF "$file" && continue
+        if [ "$kind" = fn ]; then
+            use="(^|[^A-Za-z0-9_])$name(\(|::<)|::$name([^A-Za-z0-9_]|\$)"
+        else
+            use="(^|[^A-Za-z0-9_])$name([^A-Za-z0-9_]|\$)"
+        fi
+        grep -rlE "$use" $DEAD_API_DIRS | grep -qvxF "$file" && continue
         tests_at=$(grep -n -m1 '#\[cfg(test)\]' "$file" | cut -d: -f1)
-        grep -nw "$name" "$file" | cut -d: -f1 |
+        grep -nE "$use" "$file" | cut -d: -f1 |
             awk -v def="$line" -v t="${tests_at:-0}" \
                 '$1 != def && (t == 0 || $1 < t) { live = 1 } END { exit !live }' &&
             continue

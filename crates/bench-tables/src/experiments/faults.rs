@@ -18,7 +18,6 @@ use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::sunwulf;
-use hetsim_cluster::time::SimTime;
 use hetsim_mpi::RunSpec;
 use kernels::ge::ge_parallel_timed;
 use kernels::mm::mm_parallel_timed;
@@ -94,7 +93,7 @@ impl Severity {
             Severity::StragglerDrops => {
                 stragglers(FaultPlan::new(seed).with_link_drops(DROP_PER_MILLE))
             }
-            Severity::Death => FaultPlan::new(seed).with_death(p - 1, SimTime::ZERO),
+            Severity::Death => FaultPlan::new(seed).with_death(p - 1),
         }
     }
 }
@@ -204,7 +203,7 @@ fn measure_kernel<N: NetworkModel>(
             Kernel::Ge => ge_parallel_timed(&faulted.cluster, net, repr_n, traced).traces,
             Kernel::Mm => mm_parallel_timed(&faulted.cluster, net, repr_n, traced).traces,
         };
-        let dead: Vec<usize> = severity.plan(p_scaled).deaths().keys().copied().collect();
+        let dead: Vec<usize> = severity.plan(p_scaled).deaths().iter().copied().collect();
         let repartition_cost_secs = if dead.is_empty() {
             0.0
         } else {
@@ -324,6 +323,6 @@ mod tests {
         assert!(Severity::None.plan(8).is_empty());
         assert!(!Severity::Straggler.plan(8).is_empty());
         assert_eq!(Severity::Drops.plan(8).drop_per_mille(), DROP_PER_MILLE);
-        assert_eq!(Severity::Death.plan(8).deaths().keys().copied().collect::<Vec<_>>(), vec![7]);
+        assert_eq!(Severity::Death.plan(8).deaths().iter().copied().collect::<Vec<_>>(), vec![7]);
     }
 }

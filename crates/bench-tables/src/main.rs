@@ -21,7 +21,7 @@
 //! reference.
 //!
 //! `faults` (or the `--faults` shorthand) runs the deterministic
-//! fault-injection sweep — degraded nodes, lossy links with
+//! fault-injection sweep — straggler nodes, lossy links with
 //! retry/timeout/backoff, and a declared node death — and reports
 //! scalability under each severity. It is opt-in: `all` excludes it.
 //!

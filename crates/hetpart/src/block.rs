@@ -35,7 +35,8 @@ impl RowRange {
     }
 }
 
-/// Contiguous block distribution: rank `i` owns `ranges()[i]`.
+/// Contiguous block distribution: rank `i` owns
+/// [`BlockDistribution::range_of`]`(i)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockDistribution {
     n: usize,
@@ -73,11 +74,6 @@ impl BlockDistribution {
             start += c;
         }
         BlockDistribution { n, ranges }
-    }
-
-    /// The per-rank blocks, in rank order.
-    pub fn ranges(&self) -> &[RowRange] {
-        &self.ranges
     }
 
     /// The block owned by `rank`.

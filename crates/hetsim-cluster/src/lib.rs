@@ -23,9 +23,10 @@
 //!   switched latency+bandwidth, shared-Ethernet with serialization),
 //!   behind one [`network::NetworkModel`] trait. These give deterministic
 //!   costs to the SPMD runtime.
-//! * [`faults`] — deterministic, seed-driven fault plans: degraded-node
-//!   speed windows, lossy links with retry/timeout/backoff charges, and
-//!   declared deaths resolved into a surviving cluster before launch.
+//! * [`faults`] — deterministic, seed-driven fault plans: one straggler
+//!   speed multiplier per rank, lossy links with retry/timeout/backoff
+//!   charges, declared deaths resolved into a surviving cluster before
+//!   launch, and MTBF death streams for mid-run recovery.
 //!
 //! ## Determinism
 //!
@@ -62,7 +63,7 @@ pub mod topology;
 
 pub use classed::{ClassedCluster, SpeedClass};
 pub use cluster::ClusterSpec;
-pub use faults::{FaultError, FaultPlan, RetryCharge, RetryPolicy, SpeedWindow};
+pub use faults::{FaultError, FaultPlan, RetryCharge, RetryPolicy};
 pub use flrepeat::{lanes, repeat_add, LANES};
 pub use network::{
     ConstantLatency, JitteredNetwork, MpichEthernet, NetworkModel, SharedEthernet, SwitchedNetwork,

@@ -55,10 +55,9 @@ impl CollectiveHub {
     /// separately attributable.
     pub fn barrier(&self, op: u64, rank: usize, entry: SimTime) -> SimTime {
         let mut slots = lock(&self.slots);
-        let slot = slots.entry(op).or_insert_with(|| Slot::Barrier {
-            entries: vec![None; self.p],
-            result: None,
-            reads: 0,
+        let slot = slots.entry(op).or_insert_with(|| {
+            self.cond.notify_all(); // see `bcast_wait`
+            Slot::Barrier { entries: vec![None; self.p], result: None, reads: 0 }
         });
         let Slot::Barrier { entries, result, .. } = slot else {
             panic!("collective sequence mismatch: op {op} is not a barrier");
@@ -91,9 +90,10 @@ impl CollectiveHub {
     /// Deposits one rank's gather contribution (entry clock + payload).
     pub fn gather_deposit(&self, op: u64, rank: usize, entry: SimTime, payload: Vec<f64>) {
         let mut slots = lock(&self.slots);
-        let slot = slots
-            .entry(op)
-            .or_insert_with(|| Slot::Gather { deposits: vec![None; self.p], count: 0 });
+        let slot = slots.entry(op).or_insert_with(|| {
+            self.cond.notify_all(); // see `bcast_wait`
+            Slot::Gather { deposits: vec![None; self.p], count: 0 }
+        });
         let Slot::Gather { deposits, count } = slot else {
             panic!("collective sequence mismatch: op {op} is not a gather");
         };
@@ -142,6 +142,11 @@ impl CollectiveHub {
     /// Receiver side of a broadcast: blocks for the root's deposit and
     /// returns (root departure, payload). The last of the `p − 1`
     /// receivers frees the slot.
+    ///
+    /// A receiver may wait before any rank opens the slot, so every
+    /// rank that opens one wakes the waiters: a peer that opens it as
+    /// another kind must wake this receiver to report the mismatch,
+    /// or both would wait forever.
     pub fn bcast_wait(&self, op: u64) -> (SimTime, Vec<f64>) {
         let mut slots =
             wait_while(&self.cond, lock(&self.slots), &self.aborted, |slots| {

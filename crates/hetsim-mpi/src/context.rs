@@ -11,6 +11,13 @@ use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
 
+/// Panic message of an allgather receive whose broadcast payload is
+/// shorter than the `p`-entry length header [`Rank::allgather_f64s`]
+/// reads first. Only a plain broadcast root that a receive meets as an
+/// allgather can send one; the engine's replay panics with it too.
+pub(crate) const SHORT_ALLGATHER_PAYLOAD: &str =
+    "allgather: the broadcast payload is shorter than its p-length header";
+
 /// State shared by every rank of one SPMD run.
 pub(crate) struct Shared<'a> {
     pub cluster: &'a ClusterSpec,
@@ -19,8 +26,8 @@ pub(crate) struct Shared<'a> {
     pub hub: CollectiveHub,
     /// When set, every rank records a [`RankTrace`].
     pub tracing: bool,
-    /// Deterministic fault plan (degraded speeds, lossy links). `None`
-    /// keeps every code path bit-identical to the fault-free runtime.
+    /// Deterministic fault plan (stragglers, lossy links). `None` keeps
+    /// every code path bit-identical to the fault-free runtime.
     pub faults: Option<&'a FaultPlan>,
 }
 
@@ -35,6 +42,9 @@ pub struct Rank<'a> {
     wait_time: SimTime,
     collective_seq: u64,
     speed_flops: f64,
+    /// The fault plan's straggler speed for this rank, `speed_flops ×
+    /// multiplier`; `None` for a rank at its marked speed.
+    straggled_flops: Option<f64>,
     trace: RankTrace,
     /// Per-destination send counter: the message index fed to the fault
     /// plan's seeded drop schedule. Advances deterministically with the
@@ -45,6 +55,7 @@ pub struct Rank<'a> {
 impl<'a> Rank<'a> {
     pub(crate) fn new(id: usize, shared: &'a Shared<'a>) -> Self {
         let speed_flops = shared.cluster.nodes()[id].marked_speed_flops();
+        let straggled_flops = shared.faults.and_then(|p| p.straggler(id)).map(|m| speed_flops * m);
         let size = shared.cluster.size();
         Rank {
             id,
@@ -55,6 +66,7 @@ impl<'a> Rank<'a> {
             wait_time: SimTime::ZERO,
             collective_seq: 0,
             speed_flops,
+            straggled_flops,
             trace: RankTrace::default(),
             send_seq: vec![0; size],
         }
@@ -127,12 +139,11 @@ impl<'a> Rank<'a> {
     pub fn compute_flops(&mut self, flops: f64) {
         assert!(flops.is_finite() && flops >= 0.0, "flops must be finite and ≥ 0");
         let start = self.clock;
-        match self.shared.faults.and_then(|p| p.windows_for(self.id)) {
-            Some(windows) => {
-                // Degraded rank: integrate the effective speed piecewise
-                // over the plan's multiplier windows.
-                let end =
-                    hetsim_cluster::faults::degraded_end(windows, start, flops, self.speed_flops);
+        match self.straggled_flops {
+            Some(speed) => {
+                // Straggler: the end time first, then the span it
+                // covers, the float-op order the engine mirrors.
+                let end = start + SimTime::from_secs(flops / speed);
                 self.compute_time += end - start;
                 self.clock = end;
             }
@@ -421,6 +432,7 @@ impl<'a> Rank<'a> {
             parts
         } else {
             let packed = self.broadcast_f64s(0, None);
+            assert!(packed.len() >= p, "{SHORT_ALLGATHER_PAYLOAD}");
             let lens: Vec<usize> = packed[..p].iter().map(|&l| l as usize).collect();
             let mut out = Vec::with_capacity(p);
             let mut cursor = p;

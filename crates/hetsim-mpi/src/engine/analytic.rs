@@ -89,8 +89,8 @@ pub(super) struct LockstepProgram {
 #[derive(Debug)]
 pub(super) enum Phase {
     /// Per-class maximal compute runs: `runs[c]` is the `[start, end)`
-    /// op-index range into class `c`'s op list (flops stay per-op —
-    /// fault windows and the engine both charge them individually).
+    /// op-index range into class `c`'s op list (flops stay per-op, as
+    /// the engine charges them individually).
     Compute { runs: Vec<(u32, u32)> },
     /// All ranks enter one barrier.
     Barrier,
@@ -281,8 +281,12 @@ fn collective_phase(
     let phase = if barriers == nc {
         Phase::Barrier
     } else if let Some((rc, count)) = bcast_root {
-        // An allgather's receive takes whatever the root sends.
+        // An allgather's receive takes whatever the root sends, once
+        // it holds the p-entry length header the receive reads first.
         let root = root_of(rc, bcast_recvs + derived_recvs)?;
+        if derived_recvs > 0 && count < class_of.len() {
+            return Err(FallbackReason::CollectiveSizeMismatch);
+        }
         for c in 0..nc {
             if let Op::BcastRecv { count: expect, .. } = classes[c][cursor[c]] {
                 if expect != count {
@@ -424,7 +428,7 @@ impl LockstepProgram {
         class_of: &[usize],
     ) -> Vec<SimRank> {
         let p = class_of.len();
-        let mut ranks: Vec<SimRank> = (0..p).map(|id| SimRank::new(id, cluster, false)).collect();
+        let mut ranks: Vec<SimRank> = (0..p).map(|id| SimRank::new(id, cluster, None)).collect();
         // Hoisted once per evaluation, exactly as the scheduler hoists
         // it once per replay.
         let barrier_cost = SimTime::from_secs(network.barrier_time(p));
@@ -436,7 +440,7 @@ impl LockstepProgram {
                     for (r, rank) in ranks.iter_mut().enumerate() {
                         let c = class_of[r];
                         for flops in run_flops(&classes[c], runs[c]) {
-                            rank.compute(false, None, flops);
+                            rank.compute(false, flops);
                         }
                     }
                 }

@@ -52,7 +52,7 @@
 //! must land in [`crate::context::Rank`] first and be mirrored here,
 //! guarded by an equality test.
 
-use crate::context::Rank;
+use crate::context::{Rank, SHORT_ALLGATHER_PAYLOAD};
 use crate::message::Tag;
 use crate::runtime::{RunSpec, SpmdOutcome};
 use crate::telemetry::{self, EnginePath, EngineReport, EventDrivenMode, FallbackReason};
@@ -404,6 +404,8 @@ struct SimRank {
     comm_time: SimTime,
     wait_time: SimTime,
     speed_flops: f64,
+    /// Mirrors `Rank::straggled_flops`.
+    straggled_flops: Option<f64>,
     send_seq: Vec<u64>,
     trace: RankTrace,
     pc: usize,
@@ -421,19 +423,21 @@ struct SimRank {
 }
 
 impl SimRank {
-    /// `faulted` sizes the per-destination retry sequence table; only
+    /// A plan sizes the per-destination retry sequence table; only
     /// faulted replays consult it (`charge_link_retries` early-returns
     /// without a plan), and eagerly allocating it per rank made a
     /// fault-free P-rank replay O(P²) in memory.
-    fn new(id: usize, cluster: &ClusterSpec, faulted: bool) -> SimRank {
+    fn new(id: usize, cluster: &ClusterSpec, faults: Option<&FaultPlan>) -> SimRank {
+        let speed_flops = cluster.nodes()[id].marked_speed_flops();
         SimRank {
             id,
             clock: SimTime::ZERO,
             compute_time: SimTime::ZERO,
             comm_time: SimTime::ZERO,
             wait_time: SimTime::ZERO,
-            speed_flops: cluster.nodes()[id].marked_speed_flops(),
-            send_seq: if faulted { vec![0; cluster.size()] } else { Vec::new() },
+            speed_flops,
+            straggled_flops: faults.and_then(|p| p.straggler(id)).map(|m| speed_flops * m),
+            send_seq: if faults.is_some() { vec![0; cluster.size()] } else { Vec::new() },
             trace: RankTrace::default(),
             pc: 0,
             collectives: 0,
@@ -471,12 +475,11 @@ impl SimRank {
     }
 
     /// Mirrors [`Rank::compute_flops`] float-op for float-op.
-    fn compute(&mut self, tracing: bool, faults: Option<&FaultPlan>, flops: f64) {
+    fn compute(&mut self, tracing: bool, flops: f64) {
         let start = self.clock;
-        match faults.and_then(|p| p.windows_for(self.id)) {
-            Some(windows) => {
-                let end =
-                    hetsim_cluster::faults::degraded_end(windows, start, flops, self.speed_flops);
+        match self.straggled_flops {
+            Some(speed) => {
+                let end = start + SimTime::from_secs(flops / speed);
                 self.compute_time += end - start;
                 self.clock = end;
             }
@@ -694,7 +697,7 @@ impl<N: NetworkModel> SimShared<'_, N> {
     fn exec(&mut self, rank: &mut SimRank, next: &Op) -> Step {
         match *next {
             Op::Compute { flops } => {
-                rank.compute(self.tracing, self.faults, flops);
+                rank.compute(self.tracing, flops);
                 Step::Progress
             }
             Op::Send { dest, tag, count } => {
@@ -816,11 +819,12 @@ impl<N: NetworkModel> SimShared<'_, N> {
                     park(&mut self.wait_link, slot, rank.id);
                     return Step::Blocked;
                 };
-                if let Op::BcastRecv { count: expect, .. } = *next {
-                    debug_assert_eq!(
+                match *next {
+                    Op::BcastRecv { count: expect, .. } => debug_assert_eq!(
                         count, expect,
                         "broadcast_count: size disagrees with the root"
-                    );
+                    ),
+                    _ => assert!(count >= self.p, "{SHORT_ALLGATHER_PAYLOAD}"),
                 }
                 *reads += 1;
                 if *reads == self.p - 1 {
@@ -1167,8 +1171,7 @@ impl<R> SpmdProgram<R> {
         assert_eq!(cluster.size(), p, "cluster size disagrees with the recording's rank count");
         let simulate_started = std::time::Instant::now();
 
-        let mut ranks: Vec<SimRank> =
-            (0..p).map(|id| SimRank::new(id, cluster, faults.is_some())).collect();
+        let mut ranks: Vec<SimRank> = (0..p).map(|id| SimRank::new(id, cluster, faults)).collect();
         if tracing {
             // Presize each trace for the common case of at most two
             // records per op (a Wait plus the op itself); fault-path
@@ -1787,6 +1790,48 @@ mod tests {
         assert_eq!(event.wait_times, threaded.wait_times);
     }
 
+    /// As [`allgather_at_a_plain_root`], but the root broadcasts one
+    /// element: fewer than the three-entry length header the
+    /// allgather's receivers read.
+    fn short_allgather_at_a_plain_root<T: SpmdTimer>(t: &mut T) {
+        if t.rank() == 0 {
+            t.gather_count(0, 2);
+            t.broadcast_count(0, 1);
+        } else {
+            t.allgather_count(2);
+        }
+    }
+
+    /// The message `run` panics with.
+    fn panic_text(run: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("the run panics");
+        match payload.downcast::<String>() {
+            Ok(text) => *text,
+            Err(payload) => payload.downcast_ref::<&str>().expect("a text payload").to_string(),
+        }
+    }
+
+    #[test]
+    fn an_allgather_receive_shorter_than_its_header_fails_on_every_tier() {
+        let cluster = het3();
+        let net = MpichEthernet::new(0.2e-3, 1e8);
+        let program: SpmdProgram<()> = record_spmd(&cluster, short_allgather_at_a_plain_root);
+        assert_eq!(program.fallback_reason(), Some(FallbackReason::CollectiveSizeMismatch));
+        let event = panic_text(|| drop(program.simulate_event_driven(&cluster, &net)));
+        let fast = panic_text(|| {
+            drop(run_spmd_fast(&cluster, &net, RunSpec::default(), short_allgather_at_a_plain_root))
+        });
+        let threaded = panic_text(|| {
+            drop(run_spmd(&cluster, &net, RunSpec::default(), |r| {
+                short_allgather_at_a_plain_root(r)
+            }))
+        });
+        for message in [event, fast, threaded] {
+            assert_eq!(message, SHORT_ALLGATHER_PAYLOAD);
+        }
+    }
+
     #[test]
     fn recorded_ops_stay_within_24_bytes() {
         // Every recorded op of every rank class pays for each byte here;
@@ -1913,7 +1958,7 @@ mod tests {
     #[should_panic(expected = "deaths must be resolved before launch")]
     fn unresolved_deaths_are_rejected() {
         let cluster = ClusterSpec::homogeneous(2, 50.0);
-        let plan = FaultPlan::new(0).with_death(1, SimTime::ZERO);
+        let plan = FaultPlan::new(0).with_death(1);
         run_spmd_fast(
             &cluster,
             &ConstantLatency::new(1e-3),

@@ -45,8 +45,9 @@
 //!
 //! Every run takes a [`RunSpec`]: `trace` records per-rank spans, and
 //! `faults` attaches a deterministic [`hetsim_cluster::faults::FaultPlan`]
-//! — degraded-speed windows stretch `compute` piecewise, and a seeded
-//! lossy-link schedule charges retry/timeout/backoff time before
+//! — a straggler rank prices every `compute` at its marked speed times
+//! the plan's multiplier, read once when the rank is built, and a
+//! seeded lossy-link schedule charges retry/timeout/backoff time before
 //! affected sends (traced as [`OpKind::Retry`]). Virtual times stay pure
 //! functions of (cluster, network, plan) — an empty plan is bit-identical
 //! to `RunSpec::default()`, and declared node deaths must be resolved

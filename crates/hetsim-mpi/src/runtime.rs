@@ -85,8 +85,8 @@ pub struct RunSpec<'a> {
     /// Record one [`RankTrace`] per rank into [`SpmdOutcome::traces`].
     /// Tracing is a pure read: it changes no clock.
     pub trace: bool,
-    /// A deterministic [`FaultPlan`]: degraded-speed windows stretch each
-    /// affected rank's compute spans, and a non-zero link-drop rate
+    /// A deterministic [`FaultPlan`]: a straggler multiplier stretches
+    /// every compute span of its rank, and a non-zero link-drop rate
     /// charges retry/timeout/backoff time before each send (traced as
     /// [`crate::OpKind::Retry`]). Virtual times remain pure functions of
     /// (cluster, network, plan seed), and an empty plan is bit-identical
@@ -578,10 +578,28 @@ mod tests {
     }
 
     #[test]
+    fn a_broadcast_receiver_waiting_first_still_reports_the_mismatch() {
+        // Rank 1 lets rank 0 go only on its way into the broadcast, so
+        // it usually waits for the slot before rank 0 opens it as a
+        // barrier; opening the slot must wake it to report.
+        let message = panic_message(|rank| match rank.rank() {
+            0 => {
+                let _ = rank.recv_f64s(1, Tag(0));
+                rank.barrier();
+            }
+            _ => {
+                rank.send_f64s(0, Tag(0), &[]);
+                drop(rank.broadcast_f64s(0, None));
+            }
+        });
+        assert_eq!(message, "collective sequence mismatch: op 0 is not a bcast");
+    }
+
+    #[test]
     #[should_panic(expected = "deaths must be resolved before launch")]
     fn unresolved_deaths_are_rejected() {
         let cluster = ClusterSpec::homogeneous(2, 100.0);
-        let plan = FaultPlan::new(0).with_death(1, SimTime::ZERO);
+        let plan = FaultPlan::new(0).with_death(1);
         run_spmd(&cluster, &small_net(), RunSpec { trace: false, faults: Some(&plan) }, |_rank| {});
     }
 

@@ -47,7 +47,10 @@ pub enum FallbackReason {
     /// a rank class shares it, or the class aggregator weights it above
     /// one.
     MultiMemberRootClass,
-    /// A broadcast receiver's declared size disagrees with the root's.
+    /// A broadcast receiver's declared size disagrees with the root's,
+    /// or an allgather's receive meets a plain root that sends fewer
+    /// elements than there are ranks (its length header needs one per
+    /// rank).
     CollectiveSizeMismatch,
     /// A point-to-point receive expects a different element count than
     /// the matching send carries.

@@ -158,11 +158,11 @@ fn survivor_shares(lost_flops: f64, survivor_speeds: &[f64]) -> Vec<f64> {
 }
 
 /// Whether `plan` injects anything the *runtime* must price per-op
-/// (degradation windows or lossy links). An MTBF stream alone does not
-/// count: it is resolved by the driver, so an untraced run under it
-/// prices through the closed forms.
+/// (stragglers or lossy links). An MTBF stream alone does not count:
+/// [`drive`] resolves it, so an untraced run under it prices through
+/// the closed forms.
 fn runtime_faults_active(plan: &FaultPlan, p: usize) -> bool {
-    plan.drop_per_mille() > 0 || (0..p).any(|r| plan.windows_for(r).is_some())
+    plan.drop_per_mille() > 0 || (0..p).any(|r| plan.straggler(r).is_some())
 }
 
 /// Composes a shrink-rebalance run's two segments into one
@@ -552,8 +552,8 @@ impl Runtime for Fast {
 /// MTBF stream and `policy`. With `trace` set, checkpoint, detect,
 /// lost-work, and rebalance charges appear as typed spans in
 /// `timing.traces`; a shrink run's survivor-segment spans are offset
-/// past the death boundary. The plan's degradation windows and link
-/// drops, if any, are priced per op on the fast engine; an MTBF stream
+/// past the death boundary. The plan's stragglers and link drops, if
+/// any, are priced per op on the fast engine; an MTBF stream
 /// alone is resolved here, so an untraced run under it takes the
 /// closed forms.
 pub fn timed_recoverable<N: NetworkModel>(
@@ -640,7 +640,7 @@ fn drive<K: Protocol, R: Runtime, N: NetworkModel>(
                 return plain();
             };
             let k = ev.iteration;
-            let death_plan = plan.clone().with_death(ev.rank, ev.time);
+            let death_plan = plan.clone().with_death(ev.rank);
             let surv_cluster = death_plan
                 .surviving_cluster(cluster)
                 .expect("shrink-rebalance needs at least one survivor");
@@ -882,12 +882,15 @@ mod tests {
     /// Prices every run the driver decides — both policies, with and
     /// without runtime faults, traced and untraced — on the production
     /// tiers (the closed forms for the untraced MTBF-only runs, the fast
-    /// engine for the rest) and on the threaded oracle.
+    /// engine for the rest) and on the threaded oracle. The straggler
+    /// plan without link drops pins `runtime_faults_active`'s straggler
+    /// clause on its own: drops alone already make a plan active.
     fn assert_fast_matches_threaded<K: Protocol>(kernel: RecoverableKernel, n: usize) {
         let cluster = cluster(kernel);
         let mtbf_only = deadly_plan(kernel, n, 42);
-        let with_runtime_faults = mtbf_only.clone().with_straggler(2, 0.5).with_link_drops(120);
-        for plan in [&mtbf_only, &with_runtime_faults] {
+        let with_straggler = mtbf_only.clone().with_straggler(2, 0.5);
+        let with_runtime_faults = with_straggler.clone().with_link_drops(120);
+        for plan in [&mtbf_only, &with_straggler, &with_runtime_faults] {
             for policy in [
                 RecoveryPolicy::CheckpointRestart { interval_secs: est(kernel, n) / 5.0 },
                 RecoveryPolicy::ShrinkRebalance,

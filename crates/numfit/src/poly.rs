@@ -2,14 +2,14 @@
 //!
 //! Coefficients are stored in ascending order of degree:
 //! `coeffs[k]` multiplies `x^k`. The representation is kept *normalized* —
-//! trailing zero coefficients are trimmed — so `degree()` is meaningful.
+//! trailing zero coefficients are trimmed — so equal polynomials compare
+//! equal.
 
 use std::fmt;
 
 /// A dense univariate polynomial `c0 + c1·x + c2·x² + …`.
 ///
-/// The zero polynomial is represented by an empty coefficient vector and
-/// reports degree 0.
+/// The zero polynomial is represented by an empty coefficient vector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Polynomial {
     coeffs: Vec<f64>,
@@ -33,16 +33,6 @@ impl Polynomial {
     /// The constant polynomial `c`.
     pub fn constant(c: f64) -> Self {
         Polynomial::new(vec![c])
-    }
-
-    /// Ascending coefficients (`coeffs()[k]` multiplies `x^k`).
-    pub fn coeffs(&self) -> &[f64] {
-        &self.coeffs
-    }
-
-    /// Degree of the polynomial. The zero polynomial reports 0.
-    pub fn degree(&self) -> usize {
-        self.coeffs.len().saturating_sub(1)
     }
 
     /// True if this is the zero polynomial.
@@ -178,7 +168,6 @@ mod tests {
     fn zero_polynomial_behaviour() {
         let z = Polynomial::zero();
         assert!(z.is_zero());
-        assert_eq!(z.degree(), 0);
         assert_eq!(z.eval(123.0), 0.0);
         assert_eq!(format!("{z}"), "0");
     }
@@ -186,8 +175,7 @@ mod tests {
     #[test]
     fn trailing_zeros_are_trimmed() {
         let poly = Polynomial::new(vec![1.0, 2.0, 0.0, 0.0]);
-        assert_eq!(poly.degree(), 1);
-        assert_eq!(poly.coeffs(), &[1.0, 2.0]);
+        assert_eq!(poly, Polynomial::new(vec![1.0, 2.0]));
     }
 
     #[test]

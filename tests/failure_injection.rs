@@ -8,7 +8,6 @@
 use hetscale::hetpart::repartition_after_deaths;
 use hetscale::hetsim_cluster::faults::FaultPlan;
 use hetscale::hetsim_cluster::sunwulf;
-use hetscale::hetsim_cluster::time::SimTime;
 use hetscale::hetsim_cluster::{ClusterSpec, NodeSpec};
 use hetscale::hetsim_mpi::RunSpec;
 use hetscale::kernels::ge::ge_parallel_timed;
@@ -139,7 +138,7 @@ fn declared_death_repartitions_and_completes() {
     // and the reduced cluster runs to completion.
     let net = sunwulf::sunwulf_network();
     let cluster = sunwulf::ge_config(4);
-    let plan = FaultPlan::new(9).with_death(2, SimTime::ZERO).with_link_drops(10);
+    let plan = FaultPlan::new(9).with_death(2).with_link_drops(10);
     let survivors = plan.surviving_cluster(&cluster).expect("three nodes survive");
     assert_eq!(survivors.size(), 3);
     let speeds: Vec<f64> = cluster.nodes().iter().map(|n| n.marked_speed_mflops).collect();
