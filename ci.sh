@@ -66,6 +66,19 @@ test ! -s "$TMP"/dead_api.txt || {
     cat "$TMP"/dead_api.txt >&2
     exit 1
 }
+# Layering gate: the runtime charges a recovery span for the seconds its
+# caller hands it (`Rank::charge`); the recovery cost model lives in
+# hetsim_cluster::faults, and kernels::recover prices each charge from
+# it. Fail, printing file:line, on code (comment lines excluded) under
+# crates/hetsim-mpi/src that names part of that model.
+grep -rnE '(^|[^A-Za-z0-9_])(checkpoint_cost_secs|DETECT_TIMEOUT_SECS|REBALANCE_BANDWIDTH_BYTES_PER_SEC|CHECKPOINT_[A-Z0-9_]*)' \
+    crates/hetsim-mpi/src | grep -vE '^[^:]*:[0-9]*:[[:space:]]*//' | cut -d: -f1,2 \
+    > "$TMP"/layering.txt || true
+test ! -s "$TMP"/layering.txt || {
+    echo "hetsim-mpi names the recovery cost model (price it in kernels::recover):" >&2
+    cat "$TMP"/layering.txt >&2
+    exit 1
+}
 # The repository benchmark (benchmark/, a workspace of its own) builds
 # against the crates' public API, so an API change it needs fails here.
 # Its own tests run a quick traced set end to end: a change that breaks

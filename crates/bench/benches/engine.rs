@@ -52,7 +52,10 @@ fn mixed_body<T: SpmdTimer>(t: &mut T, rounds: usize) {
         t.barrier();
         t.broadcast_count(0, 512);
         t.gather_count(0, 64 + me);
-        t.allgather_count(32);
+        // An allgather of 32 elements per rank: a gather to rank 0, then
+        // one length header per rank and every element.
+        t.gather_count(0, 32);
+        t.broadcast_count(0, p * 33);
     }
 }
 

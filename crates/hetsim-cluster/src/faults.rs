@@ -174,9 +174,9 @@ pub const REBALANCE_BANDWIDTH_BYTES_PER_SEC: f64 = 1.25e7;
 /// survivors wait before declaring a silent rank dead.
 pub const DETECT_TIMEOUT_SECS: f64 = 0.05;
 
-/// Virtual-time cost of writing `bytes` of checkpoint state — the exact
-/// float-op sequence the runtime's `checkpoint` op charges (latency
-/// plus bytes over store bandwidth; see `hetsim-mpi`).
+/// Virtual-time cost of writing `bytes` of checkpoint state: latency
+/// plus bytes over store bandwidth, the seconds `kernels::recover`
+/// hands the runtime's local `charge` op for each checkpoint.
 pub fn checkpoint_cost_secs(bytes: u64) -> f64 {
     CHECKPOINT_LATENCY_SECS + bytes as f64 / CHECKPOINT_BANDWIDTH_BYTES_PER_SEC
 }

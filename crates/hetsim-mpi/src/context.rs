@@ -14,9 +14,20 @@ use hetsim_cluster::time::SimTime;
 /// Panic message of an allgather receive whose broadcast payload is
 /// shorter than the `p`-entry length header [`Rank::allgather_f64s`]
 /// reads first. Only a plain broadcast root that a receive meets as an
-/// allgather can send one; the engine's replay panics with it too.
+/// allgather can send one.
 pub(crate) const SHORT_ALLGATHER_PAYLOAD: &str =
     "allgather: the broadcast payload is shorter than its p-length header";
+
+/// Checks a local charge's operands ([`Rank::charge`]): only the four
+/// recovery kinds are local spans, and a span lasts a finite,
+/// non-negative time.
+pub(crate) fn assert_chargeable(kind: OpKind, secs: f64) {
+    assert!(
+        matches!(kind, OpKind::Checkpoint | OpKind::Detect | OpKind::LostWork | OpKind::Rebalance),
+        "charge: {kind:?} is not a local charge kind"
+    );
+    assert!(secs.is_finite() && secs >= 0.0, "charge: seconds must be finite and ≥ 0");
+}
 
 /// State shared by every rank of one SPMD run.
 pub(crate) struct Shared<'a> {
@@ -222,58 +233,22 @@ impl<'a> Rank<'a> {
         self.push_record(kind, wait_end, exit, bytes, peer);
     }
 
-    // ---- failure recovery (DESIGN.md §12) -------------------------------
+    // ---- local charges (DESIGN.md §12) -----------------------------------
 
-    /// Writes `bytes` of checkpoint state to the shared store: a fixed
-    /// coordination latency plus the transfer at the store bandwidth
-    /// (`hetsim_cluster::faults::checkpoint_cost_secs`). Charged as an
-    /// [`OpKind::Checkpoint`] overhead span — insurance, not progress.
-    pub fn checkpoint(&mut self, bytes: u64) {
-        let dt = SimTime::from_secs(hetsim_cluster::faults::checkpoint_cost_secs(bytes));
-        self.charge_comm(self.clock + dt, OpKind::Checkpoint, bytes, None);
-    }
-
-    /// Charges the failure detector's timeout: the span this rank waits
-    /// before declaring a silent peer dead ([`OpKind::Detect`]).
+    /// Charges `secs` of local overhead as one `kind` span carrying
+    /// `bytes`, without blocking: a checkpoint write, the failure
+    /// detector's timeout, lost work replayed, or repartitioned rows
+    /// absorbed. The caller prices the span; the runtime only adds it
+    /// to the clock and to `comm_time`.
     ///
     /// # Panics
-    /// Panics on negative or non-finite `timeout_secs`.
-    pub fn detect_failure(&mut self, timeout_secs: f64) {
-        assert!(
-            timeout_secs.is_finite() && timeout_secs >= 0.0,
-            "detector timeout must be finite and ≥ 0"
-        );
-        let dt = SimTime::from_secs(timeout_secs);
-        self.charge_comm(self.clock + dt, OpKind::Detect, 0, None);
-    }
-
-    /// Recovers from a detected death: replays `lost_flops` of work at
-    /// this rank's marked speed (the progress rolled back to the last
-    /// checkpoint — an [`OpKind::LostWork`] span), then absorbs
-    /// `moved_bytes` of repartition traffic at the rebalance bandwidth
-    /// (an [`OpKind::Rebalance`] span). Either span is omitted when its
-    /// operand is zero, so a policy that loses nothing or moves nothing
-    /// stays bit-identical to not charging it at all.
-    ///
-    /// # Panics
-    /// Panics on negative or non-finite `lost_flops`.
-    pub fn recover(&mut self, lost_flops: f64, moved_bytes: u64) {
-        assert!(
-            lost_flops.is_finite() && lost_flops >= 0.0,
-            "lost work must be finite and ≥ 0 flops"
-        );
-        if lost_flops > 0.0 {
-            // Replay at the undegraded marked speed: the same float op
-            // as the fault-free compute path, charged as overhead.
-            let dt = SimTime::from_secs(lost_flops / self.speed_flops);
-            self.charge_comm(self.clock + dt, OpKind::LostWork, 0, None);
-        }
-        if moved_bytes > 0 {
-            let dt = SimTime::from_secs(
-                moved_bytes as f64 / hetsim_cluster::faults::REBALANCE_BANDWIDTH_BYTES_PER_SEC,
-            );
-            self.charge_comm(self.clock + dt, OpKind::Rebalance, moved_bytes, None);
-        }
+    /// Panics unless `kind` is [`OpKind::Checkpoint`],
+    /// [`OpKind::Detect`], [`OpKind::LostWork`] or
+    /// [`OpKind::Rebalance`] and `secs` is finite and ≥ 0.
+    pub fn charge(&mut self, kind: OpKind, secs: f64, bytes: u64) {
+        assert_chargeable(kind, secs);
+        let dt = SimTime::from_secs(secs);
+        self.charge_comm(self.clock + dt, kind, bytes, None);
     }
 
     // ---- point-to-point -------------------------------------------------

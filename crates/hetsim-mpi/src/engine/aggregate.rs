@@ -209,9 +209,6 @@ impl<R> SpmdProgram<R> {
         let mut last = vec![SimTime::ZERO; nc];
         // Hoisted once per evaluation, as both per-rank engines do.
         let barrier_cost = SimTime::from_secs(network.barrier_time(ranks as usize));
-        // The root's most recent weighted gather total: an
-        // allgather-derived broadcast packs `p + Σ gathered counts`.
-        let mut gather_total = vec![0usize; self.p];
         for phase in &plan.phases {
             match phase {
                 Phase::Compute { runs } => {
@@ -228,13 +225,9 @@ impl<R> SpmdProgram<R> {
                     let rendezvous = *last.iter().max().expect("classes >= 1");
                     last.fill(rendezvous + barrier_cost);
                 }
-                Phase::Bcast { root, .. } | Phase::BcastDerived { root } => {
+                Phase::Bcast { root, count } => {
                     let rc = root_class(*root)?;
                     report.collective_events += ranks;
-                    let count = match phase {
-                        Phase::Bcast { count, .. } => *count,
-                        _ => ranks as usize + gather_total[*root as usize],
-                    };
                     let bytes = (count * 8) as u64;
                     let cost = SimTime::from_secs(network.bcast_time(ranks as usize, bytes));
                     let departure = last[rc] + cost;
@@ -242,12 +235,10 @@ impl<R> SpmdProgram<R> {
                         *l = if c == rc { departure } else { (*l).max(departure) };
                     }
                 }
-                Phase::Gather { root, counts, sizes, .. } => {
+                Phase::Gather { root, sizes, .. } => {
                     let rc = root_class(*root)?;
                     report.collective_events += ranks;
                     let root = *root as usize;
-                    gather_total[root] =
-                        counts.iter().zip(weights).map(|(&c, &w)| c * w as usize).sum();
                     // `(bytes, count)` rank-order RLE of contribution
                     // sizes, the run holding the root, and each class's
                     // own contribution (the root's entry unused).
@@ -404,14 +395,16 @@ mod tests {
 
     /// Every op kind the aggregator folds, over per-rank row counts:
     /// barrier, compute, hub scatter, compute, broadcast, gathers to
-    /// rank 0 and to `root`, allgather (gather + derived bcast) — the
-    /// master–worker shape MM and power iteration record. The first
-    /// compute prices by speed alone, so a receiver slower than the hub
-    /// is still computing when its message arrives (its clock wins the
-    /// scatter's `max`) and a faster one is not (the arrival wins). The
-    /// second prices by rows, so a receiver with more rows than the hub
-    /// carries its arrival past the hub's clock into the makespan.
-    fn body<T: SpmdTimer>(t: &mut T, rows: &[usize], root: usize) {
+    /// rank 0 and to `root`, an allgather (a gather to rank 0, then the
+    /// broadcast of `packed` elements: one length header per priced rank
+    /// plus every priced rank's rows) — the master–worker shape MM and
+    /// power iteration record. The first compute prices by speed alone,
+    /// so a receiver slower than the hub is still computing when its
+    /// message arrives (its clock wins the scatter's `max`) and a faster
+    /// one is not (the arrival wins). The second prices by rows, so a
+    /// receiver with more rows than the hub carries its arrival past the
+    /// hub's clock into the makespan.
+    fn body<T: SpmdTimer>(t: &mut T, rows: &[usize], root: usize, packed: usize) {
         let me = t.rank();
         t.barrier();
         t.compute_flops(1e6);
@@ -426,7 +419,8 @@ mod tests {
         t.broadcast_count(0, 33);
         t.gather_count(0, rows[me] * 4);
         t.gather_count(root, rows[me]);
-        t.allgather_count(rows[me]);
+        t.gather_count(0, rows[me]);
+        t.broadcast_count(0, packed);
     }
 
     /// [`body`] recorded on `(speed, rows, members)` runs, rooting its
@@ -450,7 +444,8 @@ mod tests {
             }
         }
         let cluster = ClusterSpec::new("runs", nodes).unwrap();
-        (record_spmd(&cluster, |t| body(t, &rows, root)), cluster, weights)
+        let packed = runs.iter().map(|&(_, r, m)| (1 + r) * m as usize).sum();
+        (record_spmd(&cluster, |t| body(t, &rows, root, packed)), cluster, weights)
     }
 
     /// `batch` then a barrier, recorded on `weights.len()` equal ranks

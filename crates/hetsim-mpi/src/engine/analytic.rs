@@ -96,12 +96,9 @@ pub(super) enum Phase {
     Barrier,
     /// Broadcast of `count` elements from rank `root`.
     Bcast { root: u32, count: usize },
-    /// The allgather-closing broadcast whose packed size is derived
-    /// from the root's preceding gather at evaluation time.
-    BcastDerived { root: u32 },
-    /// Gather to rank `root`; `counts[r]` is rank `r`'s contribution,
-    /// `sizes[r]` its wire bytes, `targets[r]` the leaf's p2p target.
-    Gather { root: u32, counts: Vec<usize>, sizes: Vec<u64>, targets: Vec<u32> },
+    /// Gather to rank `root`; `sizes[r]` is rank `r`'s contribution in
+    /// wire bytes, `targets[r]` the leaf's p2p target.
+    Gather { root: u32, sizes: Vec<u64>, targets: Vec<u32> },
     /// A closed batch of point-to-point messages in topological order.
     P2p { steps: Vec<P2pStep> },
 }
@@ -173,16 +170,10 @@ pub(super) fn analyze(
         if done == nc {
             break;
         }
-        // Failure-recovery ops have no phase grammar here: recovery
-        // programs always price on the ready-queue scheduler, with the
-        // typed reason surfaced through telemetry.
-        let any_recovery = (0..nc).any(|c| {
-            matches!(
-                classes[c].get(cursor[c]),
-                Some(Op::Checkpoint { .. } | Op::Detect { .. } | Op::Recover { .. })
-            )
-        });
-        if any_recovery {
+        // Local charges have no phase grammar here: recovery programs
+        // always price on the ready-queue scheduler, with the typed
+        // reason surfaced through telemetry.
+        if (0..nc).any(|c| matches!(classes[c].get(cursor[c]), Some(Op::Charge { .. }))) {
             return Err(FallbackReason::RecoveryOps);
         }
         let any_p2p = (0..nc)
@@ -204,10 +195,9 @@ pub(super) fn analyze(
     for phase in &phases {
         match phase {
             Phase::Compute { .. } => {}
-            Phase::Barrier
-            | Phase::Bcast { .. }
-            | Phase::BcastDerived { .. }
-            | Phase::Gather { .. } => collective_ops += p as u64,
+            Phase::Barrier | Phase::Bcast { .. } | Phase::Gather { .. } => {
+                collective_ops += p as u64
+            }
             Phase::P2p { steps } => p2p_ops += steps.len() as u64,
         }
     }
@@ -228,10 +218,8 @@ fn collective_phase(
     let nc = classes.len();
     let mut barriers = 0usize;
     let mut bcast_recvs = 0usize;
-    let mut derived_recvs = 0usize;
     let mut gather_leaves = 0usize;
     let mut bcast_root: Option<(usize, usize)> = None;
-    let mut derived_root: Option<usize> = None;
     let mut gather_root: Option<usize> = None;
     for c in 0..nc {
         match classes[c][cursor[c]] {
@@ -241,26 +229,15 @@ fn collective_phase(
                     return Err(FallbackReason::DuplicateRoot);
                 }
             }
-            Op::BcastRootDerived => {
-                if derived_root.replace(c).is_some() {
-                    return Err(FallbackReason::DuplicateRoot);
-                }
-            }
             Op::BcastRecv { .. } => bcast_recvs += 1,
-            Op::BcastRecvDerived { .. } => derived_recvs += 1,
             Op::GatherRoot { .. } => {
                 if gather_root.replace(c).is_some() {
                     return Err(FallbackReason::DuplicateRoot);
                 }
             }
             Op::GatherLeaf { .. } => gather_leaves += 1,
-            Op::Compute { .. }
-            | Op::Send { .. }
-            | Op::Recv { .. }
-            | Op::Checkpoint { .. }
-            | Op::Detect { .. }
-            | Op::Recover { .. } => {
-                unreachable!("compute absorbed, recovery rejected, p2p dispatched before this")
+            Op::Compute { .. } | Op::Send { .. } | Op::Recv { .. } | Op::Charge { .. } => {
+                unreachable!("compute absorbed, charges rejected, p2p dispatched before this")
             }
         }
     }
@@ -281,12 +258,7 @@ fn collective_phase(
     let phase = if barriers == nc {
         Phase::Barrier
     } else if let Some((rc, count)) = bcast_root {
-        // An allgather's receive takes whatever the root sends, once
-        // it holds the p-entry length header the receive reads first.
-        let root = root_of(rc, bcast_recvs + derived_recvs)?;
-        if derived_recvs > 0 && count < class_of.len() {
-            return Err(FallbackReason::CollectiveSizeMismatch);
-        }
+        let root = root_of(rc, bcast_recvs)?;
         for c in 0..nc {
             if let Op::BcastRecv { count: expect, .. } = classes[c][cursor[c]] {
                 if expect != count {
@@ -295,25 +267,22 @@ fn collective_phase(
             }
         }
         Phase::Bcast { root, count }
-    } else if let Some(rc) = derived_root {
-        Phase::BcastDerived { root: root_of(rc, derived_recvs)? }
     } else if let Some(rc) = gather_root {
         let root = root_of(rc, gather_leaves)?;
         let p = class_of.len();
-        let mut counts = vec![0usize; p];
+        let mut sizes = vec![0u64; p];
         let mut targets = vec![0u32; p];
         for r in 0..p {
             match classes[class_of[r]][cursor[class_of[r]]] {
-                Op::GatherRoot { count } => counts[r] = count,
+                Op::GatherRoot { count } => sizes[r] = (count * 8) as u64,
                 Op::GatherLeaf { root, count } => {
-                    counts[r] = count;
+                    sizes[r] = (count * 8) as u64;
                     targets[r] = root as u32;
                 }
                 _ => unreachable!("kind counts checked above"),
             }
         }
-        let sizes = counts.iter().map(|&c| (c * 8) as u64).collect();
-        Phase::Gather { root, counts, sizes, targets }
+        Phase::Gather { root, sizes, targets }
     } else {
         return Err(FallbackReason::MixedCollectiveKinds);
     };
@@ -399,22 +368,6 @@ fn p2p_phase(
     Ok(Phase::P2p { steps })
 }
 
-/// Root-then-receivers broadcast charge, mirroring `SimShared::bcast_root`
-/// and the `BcastRecv` arm of the event-driven engine.
-fn bcast<N: NetworkModel>(ranks: &mut [SimRank], network: &N, root: usize, count: usize) {
-    let p = ranks.len();
-    let bytes = (count * 8) as u64;
-    let cost = SimTime::from_secs(network.bcast_time(p, bytes));
-    let departure = ranks[root].clock + cost;
-    ranks[root].charge_comm(false, departure, OpKind::Bcast, bytes, None);
-    for (r, rank) in ranks.iter_mut().enumerate() {
-        if r != root {
-            let exit = rank.clock.max(departure);
-            rank.charge_comm(false, exit, OpKind::Bcast, bytes, Some(root));
-        }
-    }
-}
-
 impl LockstepProgram {
     /// Evaluates the phase plan, producing the same per-rank clocks and
     /// accumulator splits as the event-driven scheduler — bit for bit.
@@ -454,14 +407,21 @@ impl LockstepProgram {
                     }
                 }
                 Phase::Bcast { root, count } => {
-                    bcast(&mut ranks, network, *root as usize, *count);
-                }
-                Phase::BcastDerived { root } => {
+                    // Root, then receivers: `SimShared::bcast_root` and
+                    // the event-driven engine's `BcastRecv` arm.
                     let root = *root as usize;
-                    let count = p + ranks[root].last_gather_counts.iter().sum::<usize>();
-                    bcast(&mut ranks, network, root, count);
+                    let bytes = (count * 8) as u64;
+                    let cost = SimTime::from_secs(network.bcast_time(p, bytes));
+                    let departure = ranks[root].clock + cost;
+                    ranks[root].charge_comm(false, departure, OpKind::Bcast, bytes, None);
+                    for (r, rank) in ranks.iter_mut().enumerate() {
+                        if r != root {
+                            let exit = rank.clock.max(departure);
+                            rank.charge_comm(false, exit, OpKind::Bcast, bytes, Some(root));
+                        }
+                    }
                 }
-                Phase::Gather { root, counts, sizes, targets } => {
+                Phase::Gather { root, sizes, targets } => {
                     let root = *root as usize;
                     // Deposits carry entry clocks; in lockstep every
                     // rank is at the phase boundary, so the fold runs
@@ -478,8 +438,6 @@ impl LockstepProgram {
                         total_bytes,
                         None,
                     );
-                    ranks[root].last_gather_counts.clear();
-                    ranks[root].last_gather_counts.extend_from_slice(counts);
                     for (r, rank) in ranks.iter_mut().enumerate() {
                         if r != root {
                             let bytes = sizes[r];

@@ -11,9 +11,10 @@
 //! 1. **Record** — the SPMD body runs once per rank against a
 //!    [`RecordTimer`], a [`SpmdTimer`] implementation that executes no
 //!    communication at all and instead logs the rank's operation list
-//!    (op kind, peers, element counts, charged flops). Timing-mode
-//!    bodies have data-independent control flow, so the log is exactly
-//!    the op sequence the threaded runtime would execute. Collectives
+//!    (op kind, peers, element counts, charged flops, local charges).
+//!    Timing-mode bodies have data-independent control flow, so the log
+//!    is exactly the op sequence the threaded runtime would execute, and
+//!    every op carries its own size: the replay derives none. Collectives
 //!    are logged unnumbered: every rank calls them in the same order,
 //!    so the simulator numbers each rank's collectives by position, as
 //!    [`Rank`] does. Recordings are
@@ -52,7 +53,7 @@
 //! must land in [`crate::context::Rank`] first and be mirrored here,
 //! guarded by an equality test.
 
-use crate::context::{Rank, SHORT_ALLGATHER_PAYLOAD};
+use crate::context::{assert_chargeable, Rank};
 use crate::message::Tag;
 use crate::runtime::{RunSpec, SpmdOutcome};
 use crate::telemetry::{self, EnginePath, EngineReport, EventDrivenMode, FallbackReason};
@@ -98,6 +99,11 @@ pub fn analytic_enabled() -> bool {
 /// path — logs the operation for later simulation). All counts are in
 /// `f64` elements; the wire cost is `8 × count` bytes, exactly what the
 /// threaded runtime charges for a `count`-element payload.
+///
+/// There is no allgather: a body records the two collectives
+/// [`Rank::allgather_f64s`] runs, a gather to rank 0 and then a
+/// broadcast from rank 0 of one length header per rank plus every
+/// gathered element.
 pub trait SpmdTimer {
     /// This process's rank id, `0 ≤ rank < size`.
     fn rank(&self) -> usize;
@@ -126,24 +132,9 @@ pub trait SpmdTimer {
     /// Gather to `root`; `count` is this rank's own contribution size.
     fn gather_count(&mut self, root: usize, count: usize);
 
-    /// All-gather of this rank's `count`-element contribution (gather to
-    /// rank 0 + broadcast of the packed concatenation, as in
-    /// [`Rank::allgather_f64s`]).
-    fn allgather_count(&mut self, count: usize);
-
-    /// Writes `bytes` of checkpoint state to the shared store (see
-    /// [`Rank::checkpoint`]).
-    fn checkpoint(&mut self, bytes: u64);
-
-    /// Charges the failure detector's timeout before declaring a silent
-    /// peer dead (see [`Rank::detect_failure`]).
-    fn detect_failure(&mut self, timeout_secs: f64);
-
-    /// Recovers from a detected death: replays `lost_flops` at the
-    /// node's marked speed, then absorbs `moved_bytes` of repartition
-    /// traffic (see [`Rank::recover`]). Either span is omitted when its
-    /// operand is zero.
-    fn recover(&mut self, lost_flops: f64, moved_bytes: u64);
+    /// Charges `secs` of local overhead as one `kind` span carrying
+    /// `bytes` (see [`Rank::charge`]).
+    fn charge(&mut self, kind: OpKind, secs: f64, bytes: u64);
 }
 
 impl SpmdTimer for Rank<'_> {
@@ -185,20 +176,8 @@ impl SpmdTimer for Rank<'_> {
         let _ = self.gather_f64s(root, &vec![0.0; count]);
     }
 
-    fn allgather_count(&mut self, count: usize) {
-        let _ = self.allgather_f64s(&vec![0.0; count]);
-    }
-
-    fn checkpoint(&mut self, bytes: u64) {
-        Rank::checkpoint(self, bytes);
-    }
-
-    fn detect_failure(&mut self, timeout_secs: f64) {
-        Rank::detect_failure(self, timeout_secs);
-    }
-
-    fn recover(&mut self, lost_flops: f64, moved_bytes: u64) {
-        Rank::recover(self, lost_flops, moved_bytes);
+    fn charge(&mut self, kind: OpKind, secs: f64, bytes: u64) {
+        Rank::charge(self, kind, secs, bytes);
     }
 }
 
@@ -243,28 +222,11 @@ enum Op {
         root: usize,
         count: usize,
     },
-    /// Root half of the broadcast that closes an allgather: its payload
-    /// is `p + Σ gathered counts` elements, resolved at simulation time
-    /// from the immediately preceding gather (mirrors the packed
-    /// length-header layout of [`Rank::allgather_f64s`]).
-    BcastRootDerived,
-    /// Receiver half of that broadcast, whose size only the root knows.
-    BcastRecvDerived {
-        root: usize,
-    },
-    /// Checkpoint image write of `bytes` (local, never blocks).
-    Checkpoint {
-        bytes: u64,
-    },
-    /// Failure-detector timeout of `secs` (finite, ≥ 0; local).
-    Detect {
+    /// A local `kind` span of `secs` carrying `bytes` (never blocks).
+    Charge {
+        kind: OpKind,
         secs: f64,
-    },
-    /// Recovery replay: `lost_flops` at marked speed plus `moved_bytes`
-    /// of repartition traffic (local; zero operands emit no span).
-    Recover {
-        lost_flops: f64,
-        moved_bytes: u64,
+        bytes: u64,
     },
 }
 
@@ -326,32 +288,9 @@ impl SpmdTimer for RecordTimer {
         }
     }
 
-    fn allgather_count(&mut self, count: usize) {
-        if self.id == 0 {
-            self.ops.extend([Op::GatherRoot { count }, Op::BcastRootDerived]);
-        } else {
-            self.ops.extend([Op::GatherLeaf { root: 0, count }, Op::BcastRecvDerived { root: 0 }]);
-        }
-    }
-
-    fn checkpoint(&mut self, bytes: u64) {
-        self.ops.push(Op::Checkpoint { bytes });
-    }
-
-    fn detect_failure(&mut self, timeout_secs: f64) {
-        assert!(
-            timeout_secs.is_finite() && timeout_secs >= 0.0,
-            "detector timeout must be finite and ≥ 0"
-        );
-        self.ops.push(Op::Detect { secs: timeout_secs });
-    }
-
-    fn recover(&mut self, lost_flops: f64, moved_bytes: u64) {
-        assert!(
-            lost_flops.is_finite() && lost_flops >= 0.0,
-            "lost work must be finite and ≥ 0 flops"
-        );
-        self.ops.push(Op::Recover { lost_flops, moved_bytes });
+    fn charge(&mut self, kind: OpKind, secs: f64, bytes: u64) {
+        assert_chargeable(kind, secs);
+        self.ops.push(Op::Charge { kind, secs, bytes });
     }
 }
 
@@ -412,7 +351,6 @@ struct SimRank {
     /// Collectives completed: the number of the next one, as
     /// `Rank::next_op` hands them out.
     collectives: usize,
-    last_gather_counts: Vec<usize>,
     /// Telemetry: sends that paid a non-zero retry charge.
     retry_events: u64,
     /// Telemetry: failed attempts across those sends.
@@ -441,7 +379,6 @@ impl SimRank {
             trace: RankTrace::default(),
             pc: 0,
             collectives: 0,
-            last_gather_counts: Vec::new(),
             retry_events: 0,
             retry_attempts: 0,
             retry_us: 0,
@@ -662,8 +599,8 @@ fn pooled<T: Clone>(pool: &mut Vec<Vec<Option<T>>>, p: usize) -> Vec<Option<T>> 
 }
 
 impl<N: NetworkModel> SimShared<'_, N> {
-    /// Root half of a broadcast (explicit or allgather-derived), with
-    /// the same operation order as [`Rank::broadcast_f64s`].
+    /// Root half of a broadcast, with the same operation order as
+    /// [`Rank::broadcast_f64s`].
     fn bcast_root(&mut self, rank: &mut SimRank, count: usize) {
         let op = rank.collectives;
         let bytes = (count * 8) as u64;
@@ -798,12 +735,7 @@ impl<N: NetworkModel> SimShared<'_, N> {
                 self.bcast_root(rank, count);
                 Step::Progress
             }
-            Op::BcastRootDerived => {
-                let count = self.p + rank.last_gather_counts.iter().sum::<usize>();
-                self.bcast_root(rank, count);
-                Step::Progress
-            }
-            Op::BcastRecv { root, .. } | Op::BcastRecvDerived { root } => {
+            Op::BcastRecv { root, count: expect } => {
                 // Receivers may arrive before the root; the slot is
                 // created on first touch so the wake list has somewhere
                 // to live.
@@ -819,13 +751,7 @@ impl<N: NetworkModel> SimShared<'_, N> {
                     park(&mut self.wait_link, slot, rank.id);
                     return Step::Blocked;
                 };
-                match *next {
-                    Op::BcastRecv { count: expect, .. } => debug_assert_eq!(
-                        count, expect,
-                        "broadcast_count: size disagrees with the root"
-                    ),
-                    _ => assert!(count >= self.p, "{SHORT_ALLGATHER_PAYLOAD}"),
-                }
+                debug_assert_eq!(count, expect, "broadcast_count: size disagrees with the root");
                 *reads += 1;
                 if *reads == self.p - 1 {
                     take_slot(&mut self.slots, &mut self.live, op);
@@ -880,44 +806,14 @@ impl<N: NetworkModel> SimShared<'_, N> {
                     total_bytes,
                     None,
                 );
-                rank.last_gather_counts.clear();
-                rank.last_gather_counts.extend(deposits.iter().map(|d| d.expect("all present").1));
                 deposits.clear();
                 self.gather_pool.push(deposits);
                 Step::Progress
             }
-            Op::Checkpoint { bytes } => {
-                // Mirrors [`Rank::checkpoint`] float-op for float-op.
-                let dt = SimTime::from_secs(hetsim_cluster::faults::checkpoint_cost_secs(bytes));
-                rank.charge_comm(self.tracing, rank.clock + dt, OpKind::Checkpoint, bytes, None);
-                Step::Progress
-            }
-            Op::Detect { secs } => {
-                // Mirrors [`Rank::detect_failure`].
+            Op::Charge { kind, secs, bytes } => {
+                // Mirrors [`Rank::charge`].
                 let dt = SimTime::from_secs(secs);
-                rank.charge_comm(self.tracing, rank.clock + dt, OpKind::Detect, 0, None);
-                Step::Progress
-            }
-            Op::Recover { lost_flops, moved_bytes } => {
-                // Mirrors [`Rank::recover`], including the zero-operand
-                // span omissions.
-                if lost_flops > 0.0 {
-                    let dt = SimTime::from_secs(lost_flops / rank.speed_flops);
-                    rank.charge_comm(self.tracing, rank.clock + dt, OpKind::LostWork, 0, None);
-                }
-                if moved_bytes > 0 {
-                    let dt = SimTime::from_secs(
-                        moved_bytes as f64
-                            / hetsim_cluster::faults::REBALANCE_BANDWIDTH_BYTES_PER_SEC,
-                    );
-                    rank.charge_comm(
-                        self.tracing,
-                        rank.clock + dt,
-                        OpKind::Rebalance,
-                        moved_bytes,
-                        None,
-                    );
-                }
+                rank.charge_comm(self.tracing, rank.clock + dt, kind, bytes, None);
                 Step::Progress
             }
             Op::GatherLeaf { root, count } => {
@@ -978,12 +874,8 @@ fn class_hash(speed_bits: u64, ops: &[Op]) -> u64 {
             Op::BcastRecv { root, count } => mix(mix(mix(h, 6), root as u64), count as u64),
             Op::GatherRoot { count } => mix(mix(h, 7), count as u64),
             Op::GatherLeaf { root, count } => mix(mix(mix(h, 8), root as u64), count as u64),
-            Op::BcastRootDerived => mix(h, 9),
-            Op::BcastRecvDerived { root } => mix(mix(h, 13), root as u64),
-            Op::Checkpoint { bytes } => mix(mix(h, 10), bytes),
-            Op::Detect { secs } => mix(mix(h, 11), secs.to_bits()),
-            Op::Recover { lost_flops, moved_bytes } => {
-                mix(mix(mix(h, 12), lost_flops.to_bits()), moved_bytes)
+            Op::Charge { kind, secs, bytes } => {
+                mix(mix(mix(mix(h, 9), kind as u64), secs.to_bits()), bytes)
             }
         };
     }
@@ -1222,12 +1114,9 @@ impl<R> SpmdProgram<R> {
                 match shared.exec(&mut ranks[r], &ops[pc]) {
                     Step::Progress => {
                         match ops[pc] {
-                            // Recovery ops are local like compute:
-                            // neither p2p nor collective events.
-                            Op::Compute { .. }
-                            | Op::Checkpoint { .. }
-                            | Op::Detect { .. }
-                            | Op::Recover { .. } => {}
+                            // Charges are local like compute: neither
+                            // p2p nor collective events.
+                            Op::Compute { .. } | Op::Charge { .. } => {}
                             Op::Send { .. } | Op::Recv { .. } => p2p_events += 1,
                             _ => ranks[r].collectives += 1,
                         }
@@ -1395,7 +1284,10 @@ mod tests {
         t.broadcast_count(p - 1, 33);
         t.compute_flops(2.5e5 * (p - me) as f64);
         t.gather_count(0, 3 * me + 1);
-        t.allgather_count(me + 2);
+        // An allgather of `me + 2` elements, as `Rank::allgather_f64s`
+        // runs it: one length header per rank, then every element.
+        t.gather_count(0, me + 2);
+        t.broadcast_count(0, p + (2..p + 2).sum::<usize>());
         if p > 1 {
             if me == p - 1 {
                 t.send_count(0, Tag(9), 4);
@@ -1706,7 +1598,9 @@ mod tests {
                         t.send_count(0, Tag(1), 4);
                     }
                 }),
-                FallbackReason::RecoveryOps => refusal(&two, &net, |t| t.checkpoint(64)),
+                FallbackReason::RecoveryOps => {
+                    refusal(&two, &net, |t| t.charge(OpKind::Checkpoint, 0.02, 64))
+                }
                 // Two senders in one batch.
                 FallbackReason::AsymmetricP2p => refusal(&three, &net, |t| match t.rank() {
                     2 => {
@@ -1751,85 +1645,6 @@ mod tests {
             }),
             mixed
         );
-        // A sized broadcast receive at an allgather's root.
-        assert_eq!(
-            reason(|t| match t.rank() {
-                0 => t.allgather_count(2),
-                _ => {
-                    t.gather_count(0, 2);
-                    t.broadcast_count(0, 4);
-                }
-            }),
-            mixed
-        );
-    }
-
-    /// Rank 0 gathers and broadcasts 7 elements; the others meet it
-    /// through one allgather, whose receive takes whatever the root sends.
-    fn allgather_at_a_plain_root<T: SpmdTimer>(t: &mut T) {
-        if t.rank() == 0 {
-            t.gather_count(0, 2);
-            t.broadcast_count(0, 7);
-        } else {
-            t.allgather_count(2);
-        }
-    }
-
-    #[test]
-    fn an_allgather_receive_at_a_plain_broadcast_root_is_lockstep() {
-        let cluster = het3();
-        let net = MpichEthernet::new(0.2e-3, 1e8);
-        let program: SpmdProgram<()> = record_spmd(&cluster, allgather_at_a_plain_root);
-        let analytic = program.simulate_analytic(&cluster, &net).expect("lockstep");
-        let event = program.simulate_event_driven(&cluster, &net);
-        let threaded =
-            run_spmd(&cluster, &net, RunSpec::default(), |r| allgather_at_a_plain_root(r));
-        assert_eq!(analytic.times, event.times);
-        assert_eq!(analytic.comm_times, event.comm_times);
-        assert_eq!(event.times, threaded.times);
-        assert_eq!(event.wait_times, threaded.wait_times);
-    }
-
-    /// As [`allgather_at_a_plain_root`], but the root broadcasts one
-    /// element: fewer than the three-entry length header the
-    /// allgather's receivers read.
-    fn short_allgather_at_a_plain_root<T: SpmdTimer>(t: &mut T) {
-        if t.rank() == 0 {
-            t.gather_count(0, 2);
-            t.broadcast_count(0, 1);
-        } else {
-            t.allgather_count(2);
-        }
-    }
-
-    /// The message `run` panics with.
-    fn panic_text(run: impl FnOnce()) -> String {
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
-            .expect_err("the run panics");
-        match payload.downcast::<String>() {
-            Ok(text) => *text,
-            Err(payload) => payload.downcast_ref::<&str>().expect("a text payload").to_string(),
-        }
-    }
-
-    #[test]
-    fn an_allgather_receive_shorter_than_its_header_fails_on_every_tier() {
-        let cluster = het3();
-        let net = MpichEthernet::new(0.2e-3, 1e8);
-        let program: SpmdProgram<()> = record_spmd(&cluster, short_allgather_at_a_plain_root);
-        assert_eq!(program.fallback_reason(), Some(FallbackReason::CollectiveSizeMismatch));
-        let event = panic_text(|| drop(program.simulate_event_driven(&cluster, &net)));
-        let fast = panic_text(|| {
-            drop(run_spmd_fast(&cluster, &net, RunSpec::default(), short_allgather_at_a_plain_root))
-        });
-        let threaded = panic_text(|| {
-            drop(run_spmd(&cluster, &net, RunSpec::default(), |r| {
-                short_allgather_at_a_plain_root(r)
-            }))
-        });
-        for message in [event, fast, threaded] {
-            assert_eq!(message, SHORT_ALLGATHER_PAYLOAD);
-        }
     }
 
     #[test]
@@ -1869,17 +1684,18 @@ mod tests {
         });
     }
 
-    /// A body exercising every failure-recovery op between ordinary
-    /// collectives. Rank 0 recovers nothing (both operands zero — no
-    /// spans); the others replay lost work and move repartition bytes.
+    /// A body charging every local kind between ordinary collectives,
+    /// with rank-skewed seconds and bytes. Rank 0's lost-work and
+    /// rebalance charges last zero seconds and carry zero bytes.
     fn recovery_body<T: SpmdTimer>(t: &mut T) {
         let me = t.rank();
         t.compute_flops(5e5 * (me + 1) as f64);
-        t.checkpoint(4096 * (me as u64 + 1));
+        t.charge(OpKind::Checkpoint, 0.02 + 8.192e-5 * (me + 1) as f64, 4096 * (me as u64 + 1));
         t.barrier();
         t.compute_flops(3e5);
-        t.detect_failure(0.05);
-        t.recover(2.5e5 * me as f64, 1024 * me as u64);
+        t.charge(OpKind::Detect, 0.05, 0);
+        t.charge(OpKind::LostWork, 2.5e-3 * me as f64, 0);
+        t.charge(OpKind::Rebalance, 8.192e-5 * me as f64, 1024 * me as u64);
         t.barrier();
     }
 
@@ -1917,7 +1733,7 @@ mod tests {
         let cluster = het3();
         let net = MpichEthernet::new(0.2e-3, 1e8);
         let program: SpmdProgram<()> = record_spmd(&cluster, recovery_body);
-        // Recovery ops have no lockstep phase grammar.
+        // Local charges have no lockstep phase grammar.
         assert_eq!(program.fallback_reason(), Some(FallbackReason::RecoveryOps));
         assert!(program.simulate_analytic(&cluster, &net).is_none());
         // The auto-selecting path still prices it via fallback, matching
@@ -1934,24 +1750,41 @@ mod tests {
     }
 
     #[test]
-    fn recovery_spans_are_typed_and_zero_operands_are_omitted() {
+    fn each_charge_records_one_span_of_its_kind_and_bytes() {
         let cluster = het3();
         let net = ConstantLatency::new(1e-3);
         let outcome =
             run_spmd_fast(&cluster, &net, RunSpec { trace: true, faults: None }, recovery_body);
-        let count =
-            |r: usize, k: OpKind| outcome.traces[r].records.iter().filter(|t| t.kind == k).count();
-        for r in 0..3 {
-            assert_eq!(count(r, OpKind::Checkpoint), 1, "rank {r} checkpoints once");
-            assert_eq!(count(r, OpKind::Detect), 1, "rank {r} runs the detector once");
+        for (r, trace) in outcome.traces.iter().enumerate() {
+            let charged: Vec<(OpKind, u64)> = trace
+                .records
+                .iter()
+                .filter(|t| {
+                    use OpKind::{Checkpoint, Detect, LostWork, Rebalance};
+                    matches!(t.kind, Checkpoint | Detect | LostWork | Rebalance)
+                })
+                .map(|t| (t.kind, t.bytes))
+                .collect();
+            let me = r as u64;
+            let want = [
+                (OpKind::Checkpoint, 4096 * (me + 1)),
+                (OpKind::Detect, 0),
+                (OpKind::LostWork, 0),
+                (OpKind::Rebalance, 1024 * me),
+            ];
+            // Zero seconds still make a span: omitting one is the
+            // caller's rule (`kernels::recover`).
+            assert_eq!(charged, want, "rank {r}");
         }
-        // Rank 0 recovers nothing: both recovery spans omitted.
-        assert_eq!(count(0, OpKind::LostWork), 0);
-        assert_eq!(count(0, OpKind::Rebalance), 0);
-        assert_eq!(count(1, OpKind::LostWork), 1);
-        assert_eq!(count(1, OpKind::Rebalance), 1);
-        assert_eq!(count(2, OpKind::LostWork), 1);
-        assert_eq!(count(2, OpKind::Rebalance), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "Bcast is not a local charge kind")]
+    fn a_message_kind_is_not_a_local_charge() {
+        let cluster = ClusterSpec::homogeneous(2, 50.0);
+        run_spmd_fast(&cluster, &ConstantLatency::new(1e-3), RunSpec::default(), |t| {
+            t.charge(OpKind::Bcast, 0.01, 8)
+        });
     }
 
     #[test]

@@ -36,6 +36,9 @@
 //!   p2p_time(own bytes)` (it blocks only for its own transfer).
 //! * `allgather` — a gather to rank 0, then a broadcast of the
 //!   concatenation.
+//! * `charge(kind, secs)` — clock += `secs`, one local recovery span
+//!   (checkpoint, detector timeout, lost work, rebalance) whose cost the
+//!   caller works out; it never blocks.
 //!
 //! These are the same linear per-message/per-collective cost shapes the
 //! paper calibrates on Sunwulf (§4.5); see

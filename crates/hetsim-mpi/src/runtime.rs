@@ -374,6 +374,71 @@ mod tests {
     }
 
     #[test]
+    fn allgather_is_the_gather_then_the_packed_broadcast() {
+        // Size-only bodies have no allgather: they record the gather to
+        // rank 0 and the broadcast of the packed payload it runs, which
+        // must price and trace the same, retries included.
+        let cluster = ClusterSpec::new(
+            "het4",
+            vec![
+                NodeSpec::synthetic("a", 90.0),
+                NodeSpec::synthetic("b", 50.0),
+                NodeSpec::synthetic("c", 110.0),
+                NodeSpec::synthetic("d", 75.0),
+            ],
+        )
+        .unwrap();
+        let net = SharedEthernet::new(0.3e-3, 1.25e7);
+        let allgather = |rank: &mut Rank| {
+            for round in 0..3 {
+                rank.compute_flops(1e6 * (rank.rank() + round + 1) as f64);
+                drop(rank.allgather_f64s(&vec![round as f64; rank.rank() + round]));
+            }
+        };
+        let gather_then_broadcast = |rank: &mut Rank| {
+            for round in 0..3 {
+                rank.compute_flops(1e6 * (rank.rank() + round + 1) as f64);
+                match rank.gather_f64s(0, &vec![round as f64; rank.rank() + round]) {
+                    Some(parts) => {
+                        let mut packed: Vec<f64> = parts.iter().map(|v| v.len() as f64).collect();
+                        parts.iter().for_each(|v| packed.extend_from_slice(v));
+                        drop(rank.broadcast_f64s(0, Some(&packed)));
+                    }
+                    None => drop(rank.broadcast_f64s(0, None)),
+                }
+            }
+        };
+        let plan = FaultPlan::new(5).with_link_drops(300);
+        for faults in [None, Some(&plan)] {
+            let spec = RunSpec { trace: true, faults };
+            let a = run_spmd(&cluster, &net, spec, allgather);
+            let b = run_spmd(&cluster, &net, spec, gather_then_broadcast);
+            assert_eq!(a.times, b.times, "{faults:?}");
+            assert_eq!(a.comm_times, b.comm_times, "{faults:?}");
+            assert_eq!(a.wait_times, b.wait_times, "{faults:?}");
+            assert_eq!(a.traces, b.traces, "{faults:?}");
+            let retries = a.traces.iter().flat_map(|t| &t.records);
+            let retries = retries.filter(|r| r.kind == crate::trace::OpKind::Retry).count();
+            assert_eq!(retries > 0, faults.is_some(), "drops hit only under the plan");
+        }
+    }
+
+    #[test]
+    fn an_allgather_receive_shorter_than_its_header_panics() {
+        // Rank 0 gathers, then broadcasts one element: fewer than the
+        // three-entry length header the allgather's receivers read.
+        let message = panic_message(3, |rank| {
+            if rank.rank() == 0 {
+                let _ = rank.gather_f64s(0, &[1.0, 2.0]);
+                drop(rank.broadcast_f64s(0, Some(&[7.0])));
+            } else {
+                drop(rank.allgather_f64s(&[1.0, 2.0]));
+            }
+        });
+        assert_eq!(message, crate::context::SHORT_ALLGATHER_PAYLOAD);
+    }
+
+    #[test]
     fn virtual_times_are_deterministic_across_runs() {
         let cluster = het2();
         let net = small_net();
@@ -514,14 +579,14 @@ mod tests {
         assert!(a.makespan() > base.makespan());
     }
 
-    /// Runs `body` on two ranks on a helper thread and returns the
+    /// Runs `body` on `p` ranks on a helper thread and returns the
     /// message `run_spmd` panicked with. A run still going after 10 s
     /// fails the test instead of hanging it (its helper stays blocked,
     /// unjoined).
-    fn panic_message(body: fn(&mut Rank)) -> String {
+    fn panic_message(p: usize, body: fn(&mut Rank)) -> String {
         let (done, finished) = std::sync::mpsc::channel();
         let helper = std::thread::spawn(move || {
-            let cluster = ClusterSpec::homogeneous(2, 100.0);
+            let cluster = ClusterSpec::homogeneous(p, 100.0);
             let run = std::panic::catch_unwind(|| {
                 run_spmd(&cluster, &small_net(), RunSpec::default(), body)
             });
@@ -538,7 +603,7 @@ mod tests {
 
     #[test]
     fn a_panicking_rank_wakes_a_peer_blocked_in_a_barrier() {
-        let message = panic_message(|rank| {
+        let message = panic_message(2, |rank| {
             if rank.rank() == 1 {
                 panic!("rank 1 failed before the barrier");
             }
@@ -549,7 +614,7 @@ mod tests {
 
     #[test]
     fn a_panicking_rank_wakes_a_peer_blocked_in_a_receive() {
-        let message = panic_message(|rank| {
+        let message = panic_message(2, |rank| {
             if rank.rank() == 1 {
                 panic!("rank 1 failed before its send");
             }
@@ -563,14 +628,14 @@ mod tests {
         // Rank 1 broadcasts as root while rank 0 enters a barrier. The
         // rank that reaches the hub second panics there; when that is
         // the root, rank 0 is left blocked in the barrier.
-        let as_root = panic_message(|rank| match rank.rank() {
+        let as_root = panic_message(2, |rank| match rank.rank() {
             0 => rank.barrier(),
             _ => drop(rank.broadcast_f64s(1, Some(&[1.0]))),
         });
         assert!(as_root.starts_with("collective sequence mismatch: op 0 is not a"), "{as_root}");
         // As a receiver, rank 1 panics in the hub in either order, with
         // rank 0 blocked in the barrier.
-        let as_receiver = panic_message(|rank| match rank.rank() {
+        let as_receiver = panic_message(2, |rank| match rank.rank() {
             0 => rank.barrier(),
             _ => drop(rank.broadcast_f64s(0, None)),
         });
@@ -582,7 +647,7 @@ mod tests {
         // Rank 1 lets rank 0 go only on its way into the broadcast, so
         // it usually waits for the slot before rank 0 opens it as a
         // barrier; opening the slot must wake it to report.
-        let message = panic_message(|rank| match rank.rank() {
+        let message = panic_message(2, |rank| match rank.rank() {
             0 => {
                 let _ = rank.recv_f64s(1, Tag(0));
                 rank.barrier();

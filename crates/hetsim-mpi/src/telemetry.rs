@@ -38,8 +38,7 @@ pub enum FallbackReason {
     /// collective — the classes disagree on collective count.
     ClassExhausted,
     /// The class heads are collectives of different kinds (e.g. a
-    /// barrier meeting a broadcast, or a sized broadcast receive meeting
-    /// an allgather's root).
+    /// barrier meeting a broadcast).
     MixedCollectiveKinds,
     /// Two classes both claim the root role of one broadcast or gather.
     DuplicateRoot,
@@ -47,10 +46,7 @@ pub enum FallbackReason {
     /// a rank class shares it, or the class aggregator weights it above
     /// one.
     MultiMemberRootClass,
-    /// A broadcast receiver's declared size disagrees with the root's,
-    /// or an allgather's receive meets a plain root that sends fewer
-    /// elements than there are ranks (its length header needs one per
-    /// rank).
+    /// A broadcast receiver's declared size disagrees with the root's.
     CollectiveSizeMismatch,
     /// A point-to-point receive expects a different element count than
     /// the matching send carries.
@@ -60,9 +56,10 @@ pub enum FallbackReason {
     SendAcrossSync,
     /// A receive waits on a message no send in this phase produces.
     RecvBeforeSend,
-    /// The program charges failure-recovery ops (checkpoint, detector
-    /// timeout, recover); the lockstep phase grammar has no word for
-    /// them, so recovery programs always price event-driven.
+    /// The program records a local charge (`SpmdTimer::charge`: a
+    /// checkpoint, detector timeout, lost-work or rebalance span); the
+    /// lockstep phase grammar has no word for it, so recovery programs
+    /// always price event-driven.
     RecoveryOps,
     /// A point-to-point batch is not a single-hub scatter — the only
     /// p2p shape the class aggregator (DESIGN.md §13) can fold.

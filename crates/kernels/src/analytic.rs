@@ -337,7 +337,7 @@ fn ge_segment_many<N: NetworkModel, S: SpanSink>(
             let mut clock = vec![SimTime::ZERO; p];
             let mut comm = vec![SimTime::ZERO; p];
             let mut sink = S::for_ranks(p);
-            seg.open_priced(&speeds, &mut clock, &mut comm, |clock, comm| {
+            seg.open_priced(&mut clock, &mut comm, |clock, comm| {
                 scatter_from_root(net, clock, comm, &scatter_counts, &mut sink)
             });
             GeCampaign {
@@ -393,8 +393,8 @@ fn ge_segment_many<N: NetworkModel, S: SpanSink>(
             if i > seg.iters.start {
                 cpn.flush_barrier();
             }
-            for (r, &spd) in speeds.iter().enumerate() {
-                seg.price_head(i, r, spd, &mut cpn.clock[r], &mut cpn.comm[r]);
+            for (r, (clock, comm)) in cpn.clock.iter_mut().zip(&mut cpn.comm).enumerate() {
+                seg.price_head(i, r, clock, comm);
             }
             let cost = SimTime::from_secs(net.bcast_time(p, bytes));
             let departure = cpn.clock[owner] + cost;
@@ -538,7 +538,7 @@ pub(crate) fn mm_segment_closed_form<N: NetworkModel>(
     let mut comm = vec![SimTime::ZERO; p];
 
     let block_counts: Vec<usize> = rows.iter().map(|&r| r * n).collect();
-    seg.open_priced(&speeds, &mut clock, &mut comm, |clock, comm| {
+    seg.open_priced(&mut clock, &mut comm, |clock, comm| {
         scatter_from_root(network, clock, comm, &block_counts, &mut ());
         bcast_from(network, clock, comm, 0, n * n);
     });
@@ -553,7 +553,7 @@ pub(crate) fn mm_segment_closed_form<N: NetworkModel>(
         } else {
             let dt = SimTime::from_secs(flops / n as f64 / speeds[r]);
             for j in seg.iters.clone() {
-                seg.price_head(j, r, speeds[r], &mut clock[r], &mut comm[r]);
+                seg.price_head(j, r, &mut clock[r], &mut comm[r]);
                 clock[r] += dt;
                 compute[r] += dt;
             }

@@ -3,14 +3,14 @@
 //! materializing a rank vector (DESIGN.md §13).
 //!
 //! MM and power record their own timed bodies ([`mm_timed_body`],
-//! [`power_timed_body`]) on a *class skeleton*: a [`ClusterSpec`] with
-//! one synthetic rank per *(speed, rows)* subclass and a block
-//! distribution of the subclass row counts (the bodies read only block
-//! lengths). [`proportional_counts_classed`] splits every speed class
-//! into at most two such subclasses, expanding bit for bit to the
-//! per-rank proportional distribution, and rank 0 — root and hub of
-//! every collective — gets a subclass of its own. Every member of a
-//! subclass would record the same op stream, so
+//! [`power_timed_body`](crate::power::power_timed_body)) on a *class
+//! skeleton*: a [`ClusterSpec`] with one synthetic rank per *(speed,
+//! rows)* subclass and a block distribution of the subclass row counts
+//! (the bodies read only block lengths). [`proportional_counts_classed`]
+//! splits every speed class into at most two such subclasses, expanding
+//! bit for bit to the per-rank proportional distribution, and rank 0 —
+//! root and hub of every collective — gets a subclass of its own. Every
+//! member of a subclass would record the same op stream, so
 //! [`SpmdProgram::simulate_aggregated`] prices the skeleton recording
 //! with each rank weighted by its member count.
 //!
@@ -40,7 +40,7 @@
 use crate::ge::timed::closed_form_applies;
 use crate::ge::{back_substitution_flops, elimination_flops, ge_parallel_timed};
 use crate::mm::mm_timed_body;
-use crate::power::power_timed_body;
+use crate::power::power_body;
 use hetpart::{proportional_counts_classed, BlockDistribution, ClassedCyclicDeal};
 use hetsim_cluster::classed::ClassedCluster;
 use hetsim_cluster::cluster::ClusterSpec;
@@ -132,10 +132,13 @@ pub fn mm_mega<N: NetworkModel>(
     sk.price(network, |t| mm_timed_body(t, &sk.dist, n))
 }
 
-/// Classed-cluster power-iteration timing: [`power_timed_body`] —
+/// Classed-cluster power-iteration timing:
+/// [`power_timed_body`](crate::power::power_timed_body) —
 /// scatter, then `iters` sweeps of local matvec → allgather →
 /// normalization — recorded on the class skeleton and priced in
-/// O(classes + iters · classes).
+/// O(classes + iters · classes). The skeleton records fewer ranks than
+/// the machine has, so the body is handed the machine's rank count for
+/// the allgather's length headers.
 pub fn power_mega<N: NetworkModel>(
     cluster: &ClassedCluster,
     network: &N,
@@ -143,7 +146,7 @@ pub fn power_mega<N: NetworkModel>(
     iters: usize,
 ) -> Result<MegaOutcome, FallbackReason> {
     let sk = skeleton(cluster, n);
-    sk.price(network, |t| power_timed_body(t, &sk.dist, n, iters))
+    sk.price(network, |t| power_body(t, &sk.dist, n, iters, cluster.size()))
 }
 
 /// One run of consecutive *peer* ranks (rank 0 excluded) sharing a

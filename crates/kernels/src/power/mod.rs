@@ -18,6 +18,7 @@ mod timed;
 
 pub use parallel::{power_parallel, PowerOutcome};
 pub use seq::power_sequential;
+pub(crate) use timed::power_body;
 pub use timed::{power_parallel_timed, power_timed_body};
 
 /// Work model: `iters` sweeps of an `n × n` matvec (`2n²` flops) plus

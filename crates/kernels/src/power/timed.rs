@@ -41,6 +41,21 @@ pub fn power_timed_body<T: SpmdTimer>(
     n: usize,
     iters: usize,
 ) {
+    let ranks = rank.size();
+    power_body(rank, dist, n, iters, ranks);
+}
+
+/// [`power_timed_body`] on a machine of `ranks` ranks, which a class
+/// skeleton records fewer of ([`crate::mega::power_mega`]): each
+/// sweep's allgather broadcasts one length header per rank of the
+/// machine plus its `n` rows.
+pub(crate) fn power_body<T: SpmdTimer>(
+    rank: &mut T,
+    dist: &BlockDistribution,
+    n: usize,
+    iters: usize,
+    ranks: usize,
+) {
     let me = rank.rank();
     let p = rank.size();
     let rows = dist.range_of(me).len();
@@ -56,7 +71,9 @@ pub fn power_timed_body<T: SpmdTimer>(
 
     for _sweep in 0..iters {
         rank.compute_flops(matvec_flops(rows, n));
-        rank.allgather_count(rows);
+        // The allgather, as `Rank::allgather_f64s` runs it.
+        rank.gather_count(0, rows);
+        rank.broadcast_count(0, ranks + n);
         rank.compute_flops(normalize_flops(n));
     }
 }

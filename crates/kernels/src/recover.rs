@@ -65,7 +65,7 @@ use hetsim_cluster::faults::{
 };
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-use hetsim_mpi::{RunSpec, SpmdTimer};
+use hetsim_mpi::{OpKind, RunSpec, SpmdTimer};
 use std::ops::Range;
 
 pub use hetsim_cluster::faults::RecoveryOverhead;
@@ -201,8 +201,9 @@ pub(crate) struct Segment {
     /// The kernel iterations this recording covers.
     pub(crate) iters: Range<usize>,
     /// `None` opens with the root's data distribution; `Some` opens a
-    /// shrink run's survivor segment with the resume prologue instead.
-    resume: Option<Resume>,
+    /// shrink run's survivor segment with each rank's resume prologue
+    /// instead (see [`resume_prologue`]).
+    resume: Option<Vec<Vec<Charge>>>,
     /// Coordinated checkpoints at iteration heads.
     checkpoints: Option<Checkpoints>,
     /// The death this recording detects and rolls back from.
@@ -212,73 +213,94 @@ pub(crate) struct Segment {
     pub(crate) gather: bool,
 }
 
-/// The survivors' prologue: detect the death, replay this rank's share
-/// of the dead rank's work, absorb its repartitioned rows.
-#[derive(PartialEq)]
-struct Resume {
-    lost_share: Vec<f64>,
-    moved_in_bytes: Vec<u64>,
-}
-
-/// A checkpoint every `stride` iterations (never at iteration 0), of
-/// `bytes[rank]` per rank.
+/// A checkpoint every `stride` iterations (never at iteration 0):
+/// `charges[rank]` writes that rank's rows.
 #[derive(PartialEq)]
 struct Checkpoints {
     stride: usize,
-    bytes: Vec<u64>,
+    charges: Vec<Charge>,
 }
 
-/// A death at the head of `iteration`: every rank detects it and
-/// replays `lost_flops[rank]` since its last checkpoint.
+impl Checkpoints {
+    /// A checkpoint of `bytes[rank]` per rank every `stride` iterations.
+    fn new(stride: usize, bytes: &[u64]) -> Checkpoints {
+        let charge =
+            |bytes| Charge { kind: OpKind::Checkpoint, secs: checkpoint_cost_secs(bytes), bytes };
+        Checkpoints { stride, charges: bytes.iter().map(|&b| charge(b)).collect() }
+    }
+}
+
+/// A death at the head of `iteration`: `charges[rank]` detects it,
+/// then replays the work the rank lost since its last checkpoint.
 #[derive(PartialEq)]
 struct Death {
     iteration: usize,
-    lost_flops: Vec<f64>,
+    charges: Vec<Vec<Charge>>,
 }
 
-/// One recovery op a segment charges on one rank.
-#[derive(Clone, Copy)]
-enum Charge {
-    /// A coordinated checkpoint of this many bytes.
-    Checkpoint(u64),
-    /// The failure detector's timeout.
-    Detect,
-    /// A replay of this many lost flops, then this many moved-in bytes.
-    Recover(f64, u64),
+impl Death {
+    /// A death at the head of `iteration`, rolling rank `r` back by
+    /// `lost_flops[r]`, replayed at its marked speed `speeds_flops[r]`.
+    fn new(iteration: usize, lost_flops: &[f64], speeds_flops: &[f64]) -> Death {
+        let charges =
+            lost_flops.iter().zip(speeds_flops).map(|(&l, &s)| recovery(l, s, 0)).collect();
+        Death { iteration, charges }
+    }
+}
+
+/// The survivors' resume prologue, per rank `r` of the survivor
+/// machine: [`recovery`] from `lost_share[r]` of the dead rank's work at
+/// the marked speed `speeds_flops[r]` and `moved_in_bytes[r]` of its rows.
+fn resume_prologue(
+    lost_share: &[f64],
+    moved_in_bytes: &[u64],
+    speeds_flops: &[f64],
+) -> Vec<Vec<Charge>> {
+    let ranks = lost_share.iter().zip(moved_in_bytes).zip(speeds_flops);
+    ranks.map(|((&l, &m), &s)| recovery(l, s, m)).collect()
+}
+
+/// One rank's charges for a death: detect it, replay `lost_flops` at
+/// the marked speed `speed_flops`, absorb `moved_in_bytes` of the dead
+/// rank's rows. A zero operand charges nothing, so a policy that loses
+/// or moves nothing records no span for it.
+fn recovery(lost_flops: f64, speed_flops: f64, moved_in_bytes: u64) -> Vec<Charge> {
+    let mut charges = vec![Charge { kind: OpKind::Detect, secs: DETECT_TIMEOUT_SECS, bytes: 0 }];
+    if lost_flops > 0.0 {
+        charges.push(Charge { kind: OpKind::LostWork, secs: lost_flops / speed_flops, bytes: 0 });
+    }
+    if moved_in_bytes > 0 {
+        let secs = moved_in_bytes as f64 / REBALANCE_BANDWIDTH_BYTES_PER_SEC;
+        charges.push(Charge { kind: OpKind::Rebalance, secs, bytes: moved_in_bytes });
+    }
+    charges
+}
+
+/// One recovery charge a segment lands on one rank: a local span of
+/// `secs`, traced as `kind` carrying `bytes`. Its cost is worked out
+/// once, when [`drive`] builds the segment, from the recovery cost
+/// model of `hetsim_cluster::faults` and the segment machine's marked
+/// speeds; the recorded body and the closed forms both charge `secs`.
+#[derive(Clone, Copy, PartialEq)]
+struct Charge {
+    kind: OpKind,
+    secs: f64,
+    bytes: u64,
 }
 
 impl Charge {
-    /// Records the op on `rank`.
+    /// Records the charge on `rank`.
     fn record<T: SpmdTimer>(self, rank: &mut T) {
-        match self {
-            Charge::Checkpoint(bytes) => rank.checkpoint(bytes),
-            Charge::Detect => rank.detect_failure(DETECT_TIMEOUT_SECS),
-            Charge::Recover(lost_flops, moved_bytes) => rank.recover(lost_flops, moved_bytes),
-        }
+        rank.charge(self.kind, self.secs, self.bytes);
     }
 
-    /// Prices the op on a closed form's clock and comm accumulator for a
-    /// rank of `speed_flops`, with the runtime's own float ops: each span
-    /// is `new = clock + dt; comm += new − clock`, and a zero-operand
-    /// replay or rebalance charges no span.
-    fn price(self, speed_flops: f64, clock: &mut SimTime, comm: &mut SimTime) {
-        let mut span = |secs: f64| {
-            let new = *clock + SimTime::from_secs(secs);
-            *comm += new - *clock;
-            *clock = new;
-        };
-        match self {
-            Charge::Checkpoint(bytes) => span(checkpoint_cost_secs(bytes)),
-            Charge::Detect => span(DETECT_TIMEOUT_SECS),
-            Charge::Recover(lost_flops, moved_bytes) => {
-                if lost_flops > 0.0 {
-                    span(lost_flops / speed_flops);
-                }
-                if moved_bytes > 0 {
-                    span(moved_bytes as f64 / REBALANCE_BANDWIDTH_BYTES_PER_SEC);
-                }
-            }
-        }
+    /// Prices the charge on a closed form's clock and comm accumulator
+    /// with the runtime's own float ops: `new = clock + dt; comm += new
+    /// − clock`.
+    fn price(self, clock: &mut SimTime, comm: &mut SimTime) {
+        let new = *clock + SimTime::from_secs(self.secs);
+        *comm += new - *clock;
+        *clock = new;
     }
 }
 
@@ -288,33 +310,32 @@ impl Segment {
         Segment { iters: 0..iters, resume: None, checkpoints: None, death: None, gather: true }
     }
 
-    /// The resume prologue's ops on rank `me`; none when the segment
+    /// The resume prologue's charges on rank `me`; none when the segment
     /// opens with the root's data distribution.
     fn prologue(&self, me: usize) -> impl Iterator<Item = Charge> + '_ {
-        self.resume.iter().flat_map(move |resume| {
-            [Charge::Detect, Charge::Recover(resume.lost_share[me], resume.moved_in_bytes[me])]
-        })
+        self.resume.iter().flat_map(move |resume| resume[me].iter().copied())
     }
 
-    /// The ops due on rank `me` at the head of iteration `i`, in order:
-    /// the coordinated checkpoint, then the death's detect and replay.
+    /// The charges due on rank `me` at the head of iteration `i`, in
+    /// order: the coordinated checkpoint, then the death's detect and
+    /// replay.
     fn head(&self, i: usize, me: usize) -> impl Iterator<Item = Charge> + '_ {
         let checkpoint = self
             .checkpoints
             .iter()
             .filter(move |ckpt| i > 0 && i.is_multiple_of(ckpt.stride))
-            .map(move |ckpt| Charge::Checkpoint(ckpt.bytes[me]));
+            .map(move |ckpt| ckpt.charges[me]);
         let death = self
             .death
             .iter()
             .filter(move |death| death.iteration == i)
-            .flat_map(move |death| [Charge::Detect, Charge::Recover(death.lost_flops[me], 0)]);
+            .flat_map(move |death| death.charges[me].iter().copied());
         checkpoint.chain(death)
     }
 
-    /// The first iteration at or after `from` whose head carries an op,
-    /// or `iters.end` when none does: the closed forms walk the rounds
-    /// in between on their uniform path.
+    /// The first iteration at or after `from` whose head carries a
+    /// charge, or `iters.end` when none does: the closed forms walk the
+    /// rounds in between on their uniform path.
     pub(crate) fn next_charged(&self, from: usize) -> usize {
         let mut next = self.iters.end;
         if let Some(ckpt) = &self.checkpoints {
@@ -336,21 +357,20 @@ impl Segment {
             distribute(rank);
         }
         let me = rank.rank();
-        self.prologue(me).for_each(|op| op.record(rank));
+        self.prologue(me).for_each(|charge| charge.record(rank));
     }
 
-    /// Charges the recovery ops due at the head of iteration `i`.
+    /// Records the recovery charges due at the head of iteration `i`.
     pub(crate) fn at_iteration<T: SpmdTimer>(&self, rank: &mut T, i: usize) {
         let me = rank.rank();
-        self.head(i, me).for_each(|op| op.record(rank));
+        self.head(i, me).for_each(|charge| charge.record(rank));
     }
 
     /// [`Segment::open`] on a closed form's per-rank clocks and comm
-    /// accumulators: `distribute` prices the data distribution, or every
-    /// rank of `speeds_flops` prices the resume prologue.
+    /// accumulators: `distribute` prices the data distribution, or
+    /// every rank prices its resume prologue.
     pub(crate) fn open_priced(
         &self,
-        speeds_flops: &[f64],
         clock: &mut [SimTime],
         comm: &mut [SimTime],
         distribute: impl FnOnce(&mut [SimTime], &mut [SimTime]),
@@ -358,22 +378,15 @@ impl Segment {
         if self.resume.is_none() {
             distribute(clock, comm);
         }
-        for (me, ((&speed, c), cm)) in speeds_flops.iter().zip(clock).zip(comm).enumerate() {
-            self.prologue(me).for_each(|op| op.price(speed, c, cm));
+        for (me, (c, cm)) in clock.iter_mut().zip(comm).enumerate() {
+            self.prologue(me).for_each(|charge| charge.price(c, cm));
         }
     }
 
     /// [`Segment::at_iteration`] on a closed form's clock and comm
-    /// accumulator for rank `me` of `speed_flops`.
-    pub(crate) fn price_head(
-        &self,
-        i: usize,
-        me: usize,
-        speed_flops: f64,
-        clock: &mut SimTime,
-        comm: &mut SimTime,
-    ) {
-        self.head(i, me).for_each(|op| op.price(speed_flops, clock, comm));
+    /// accumulator for rank `me`.
+    pub(crate) fn price_head(&self, i: usize, me: usize, clock: &mut SimTime, comm: &mut SimTime) {
+        self.head(i, me).for_each(|charge| charge.price(clock, comm));
     }
 }
 
@@ -611,6 +624,7 @@ fn drive<K: Protocol, R: Runtime, N: NetworkModel>(
                 return plain();
             }
             let bytes = checkpoint_bytes::<K>(&dist, n);
+            let speeds_flops = cluster.speeds_flops();
             let lost_flops: Vec<f64> = match death {
                 Some(ev) => {
                     let last_ckpt = (ev.iteration / stride) * stride;
@@ -622,14 +636,14 @@ fn drive<K: Protocol, R: Runtime, N: NetworkModel>(
                 checkpoint_secs: num_ckpts as f64
                     * bytes.iter().map(|&b| checkpoint_cost_secs(b)).sum::<f64>(),
                 detect_secs: if death.is_some() { p as f64 * DETECT_TIMEOUT_SECS } else { 0.0 },
-                lost_work_secs: replay_secs(&lost_flops, &cluster.speeds_flops()),
+                lost_work_secs: replay_secs(&lost_flops, &speeds_flops),
                 rebalance_secs: 0.0,
             };
             let seg = Segment {
                 iters: 0..iters,
                 resume: None,
-                checkpoints: Some(Checkpoints { stride, bytes }),
-                death: death.map(|ev| Death { iteration: ev.iteration, lost_flops }),
+                checkpoints: Some(Checkpoints::new(stride, &bytes)),
+                death: death.map(|ev| Death::new(ev.iteration, &lost_flops, &speeds_flops)),
                 gather: true,
             };
             let timing = record(cluster, plan, &dist, &seg);
@@ -649,7 +663,7 @@ fn drive<K: Protocol, R: Runtime, N: NetworkModel>(
             let surv_dist = K::distribute(n, &surv_cluster.speeds_mflops());
             let surv_speeds = surv_cluster.speeds_flops();
             let lost_share = survivor_shares(K::flops(&dist, ev.rank, n, 0, k), &surv_speeds);
-            let moved_in_bytes =
+            let moved_in_bytes: Vec<u64> =
                 repart.moved_in_rows.iter().map(|&r| r as u64 * K::row_bytes(n)).collect();
             let overhead = RecoveryOverhead {
                 checkpoint_secs: 0.0,
@@ -661,7 +675,7 @@ fn drive<K: Protocol, R: Runtime, N: NetworkModel>(
             let prefix = Segment { iters: 0..k, gather: false, ..Segment::whole(iters) };
             let resume = Segment {
                 iters: k..iters,
-                resume: Some(Resume { lost_share, moved_in_bytes }),
+                resume: Some(resume_prologue(&lost_share, &moved_in_bytes, &surv_speeds)),
                 ..Segment::whole(iters)
             };
             let a = record(cluster, plan, &dist, &prefix);
@@ -683,8 +697,7 @@ mod tests {
     use crate::mm::mm_parallel_timed;
     use hetsim_cluster::network::SharedEthernet;
     use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::trace::OpKind;
-    use hetsim_mpi::{record_spmd, run_spmd};
+    use hetsim_mpi::{record_spmd, run_spmd, run_spmd_fast};
     use proptest::prelude::*;
 
     const KERNELS: [RecoverableKernel; 2] = [RecoverableKernel::Ge, RecoverableKernel::Mm];
@@ -919,25 +932,26 @@ mod tests {
     }
 
     /// A checkpoint-restart segment over all `iters` iterations of
-    /// kernel `K`, checkpointing every `stride` iterations and, with
-    /// `death_at`, dying there with every rank losing its work since its
-    /// last checkpoint — the driver's construction.
+    /// kernel `K` on `cluster`, checkpointing every `stride` iterations
+    /// and, with `death_at`, dying there with every rank losing its work
+    /// since its last checkpoint — as [`drive`] builds it.
     fn checkpointed<K: Protocol>(
+        cluster: &ClusterSpec,
         dist: &K::Dist,
         n: usize,
-        p: usize,
         stride: usize,
         death_at: Option<usize>,
     ) -> Segment {
         let death = death_at.map(|iteration| {
             let last_ckpt = (iteration / stride) * stride;
-            let lost_flops = (0..p).map(|r| K::flops(dist, r, n, last_ckpt, iteration)).collect();
-            Death { iteration, lost_flops }
+            let lost_flops: Vec<f64> =
+                (0..cluster.size()).map(|r| K::flops(dist, r, n, last_ckpt, iteration)).collect();
+            Death::new(iteration, &lost_flops, &cluster.speeds_flops())
         });
         Segment {
             iters: 0..K::iterations(n),
             resume: None,
-            checkpoints: Some(Checkpoints { stride, bytes: checkpoint_bytes::<K>(dist, n) }),
+            checkpoints: Some(Checkpoints::new(stride, &checkpoint_bytes::<K>(dist, n))),
             death,
             gather: true,
         }
@@ -954,13 +968,15 @@ mod tests {
         k: usize,
     ) -> [Segment; 2] {
         let iters = K::iterations(n);
-        let lost_share = survivor_shares(K::flops(dist, 0, n, 0, k), &cluster.speeds_flops());
-        let moved_in_bytes = (0..cluster.size()).map(|r| r as u64 * K::row_bytes(n)).collect();
+        let speeds = cluster.speeds_flops();
+        let lost_share = survivor_shares(K::flops(dist, 0, n, 0, k), &speeds);
+        let moved_in_bytes: Vec<u64> =
+            (0..cluster.size()).map(|r| r as u64 * K::row_bytes(n)).collect();
         [
             Segment { iters: 0..k, gather: false, ..Segment::whole(iters) },
             Segment {
                 iters: k..iters,
-                resume: Some(Resume { lost_share, moved_in_bytes }),
+                resume: Some(resume_prologue(&lost_share, &moved_in_bytes, &speeds)),
                 ..Segment::whole(iters)
             },
         ]
@@ -982,7 +998,7 @@ mod tests {
         let deaths = [None, Some(0), Some(2), Some(iters.saturating_sub(1))];
         for stride in [1, 2, iters.max(1), iters + 3] {
             for death_at in deaths.into_iter().filter(|d| d.is_none_or(|it| it < iters)) {
-                let seg = checkpointed::<K>(dist, n, p, stride, death_at);
+                let seg = checkpointed::<K>(cluster, dist, n, stride, death_at);
                 shapes.push((format!("stride {stride} death {death_at:?}"), seg));
             }
         }
@@ -1057,12 +1073,11 @@ mod tests {
                 .map(|(i, &c)| NodeSpec::synthetic(format!("r{i}"), palette[c]))
                 .collect();
             let cluster = ClusterSpec::new("palette", nodes).expect("p >= 1");
-            let p = cluster.size();
             let speeds = cluster.speeds_mflops();
 
             let dist = GeProtocol::distribute(n, &speeds);
             let iters = GeProtocol::iterations(n);
-            let seg = checkpointed::<GeProtocol>(&dist, n, p, stride, Some(death % iters));
+            let seg = checkpointed::<GeProtocol>(&cluster, &dist, n, stride, Some(death % iters));
             assert_closed_form_matches_event_driven::<GeProtocol>(&cluster, &dist, n, "ge", &seg);
             for seg in shrink::<GeProtocol>(&cluster, &dist, n, k % iters) {
                 assert_closed_form_matches_event_driven::<GeProtocol>(
@@ -1072,7 +1087,7 @@ mod tests {
 
             let dist = MmProtocol::distribute(n, &speeds);
             let iters = MmProtocol::iterations(n);
-            let seg = checkpointed::<MmProtocol>(&dist, n, p, stride, Some(death % iters));
+            let seg = checkpointed::<MmProtocol>(&cluster, &dist, n, stride, Some(death % iters));
             assert_closed_form_matches_event_driven::<MmProtocol>(&cluster, &dist, n, "mm", &seg);
             for seg in shrink::<MmProtocol>(&cluster, &dist, n, k % iters) {
                 assert_closed_form_matches_event_driven::<MmProtocol>(
@@ -1148,6 +1163,78 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn traced_recovery_spans_sum_to_the_overhead_decomposition() {
+        // The recover table prints the closed-form overhead `drive` sums;
+        // the charges the runtimes execute must add up to it.
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * got.abs().max(want.abs());
+        for kernel in KERNELS {
+            for n in [24, 40] {
+                let plan = deadly_plan(kernel, n, 42);
+                for policy in [
+                    RecoveryPolicy::CheckpointRestart { interval_secs: est(kernel, n) / 4.0 },
+                    RecoveryPolicy::ShrinkRebalance,
+                ] {
+                    let r = run(kernel, &plan, policy, n, true);
+                    let o = r.overhead;
+                    assert!(o.total_secs() > 0.0, "{kernel:?} n={n} {policy:?}");
+                    for (kind, want) in [
+                        (OpKind::Checkpoint, o.checkpoint_secs),
+                        (OpKind::Detect, o.detect_secs),
+                        (OpKind::LostWork, o.lost_work_secs),
+                        (OpKind::Rebalance, o.rebalance_secs),
+                    ] {
+                        let spans = r.timing.traces.iter().flat_map(|t| &t.records);
+                        let got: f64 = spans
+                            .filter(|span| span.kind == kind)
+                            .map(|span| (span.end - span.start).as_secs())
+                            .sum();
+                        assert!(
+                            close(got, want),
+                            "{kernel:?} n={n} {policy:?} {kind:?}: {got} {want}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Per-rank counts of `kind` spans when the event-driven engine
+    /// replays `K`'s body recording `seg`, traced.
+    fn spans_per_rank<K: Protocol>(
+        cluster: &ClusterSpec,
+        dist: &K::Dist,
+        n: usize,
+        seg: &Segment,
+        kind: OpKind,
+    ) -> Vec<usize> {
+        let traced = RunSpec { trace: true, faults: None };
+        let outcome = run_spmd_fast(cluster, &net(), traced, |t| K::body(t, dist, n, seg));
+        outcome.traces.iter().map(|t| t.records.iter().filter(|r| r.kind == kind).count()).collect()
+    }
+
+    fn assert_zero_operands_record_no_span<K: Protocol>(kernel: RecoverableKernel) {
+        let (cluster, n) = (cluster(kernel), 24);
+        let dist = K::distribute(n, &cluster.speeds_mflops());
+        let spans = |seg: &Segment, kind| spans_per_rank::<K>(&cluster, &dist, n, seg, kind);
+        // Rank 0 receives no rows in the resume; every rank replays a
+        // share of the lost work.
+        let [_, resume] = shrink::<K>(&cluster, &dist, n, K::iterations(n) / 2);
+        assert_eq!(spans(&resume, OpKind::Rebalance), [0, 1, 1], "{kernel:?}");
+        assert_eq!(spans(&resume, OpKind::LostWork), [1, 1, 1], "{kernel:?}");
+        // A death on a checkpoint iteration loses no work: every rank
+        // detects it and replays nothing.
+        let seg = checkpointed::<K>(&cluster, &dist, n, 4, Some(8));
+        assert_eq!(spans(&seg, OpKind::Detect), [1, 1, 1], "{kernel:?}");
+        assert_eq!(spans(&seg, OpKind::LostWork), [0, 0, 0], "{kernel:?}");
+    }
+
+    #[test]
+    fn zero_operand_charges_record_no_span() {
+        assert_zero_operands_record_no_span::<GeProtocol>(RecoverableKernel::Ge);
+        assert_zero_operands_record_no_span::<MmProtocol>(RecoverableKernel::Mm);
     }
 
     #[test]

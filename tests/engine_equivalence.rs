@@ -86,7 +86,10 @@ fn mixed_body<T: SpmdTimer>(t: &mut T, rounds: usize, n: usize) {
         t.barrier();
         t.broadcast_count(round % p, n + round);
         t.gather_count(0, 1 + (me + round) % 5);
-        t.allgather_count(1 + n % 4);
+        // An allgather, as `Rank::allgather_f64s` runs it: a gather to
+        // rank 0, then one length header per rank and every element.
+        t.gather_count(0, 1 + n % 4);
+        t.broadcast_count(0, p * (2 + n % 4));
         t.compute_flops((p - me) as f64 * 3e3);
     }
 }
