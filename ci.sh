@@ -151,13 +151,22 @@ cmp "$TMP"/mega_aggregated.txt "$TMP"/mega_per_rank.txt || {
 BUDGET_SECS=60
 start=$(date +%s)
 "$BIN"
-"$BIN" --faults
+"$BIN" --faults > "$TMP"/faults_full_analytic.txt
 "$BIN" surface
 "$BIN" recover
 "$BIN" mega
 elapsed=$(( $(date +%s) - start ))
 test "$elapsed" -le "$BUDGET_SECS" || {
     echo "full bench-tables + faults + surface + recover + mega took ${elapsed}s (budget ${BUDGET_SECS}s)" >&2
+    exit 1
+}
+# The full fault sweep (p = 16) holds the engine-equivalence contract
+# too: its fault-free rows price on the closed forms and its faulted
+# rows replay shared recordings, and `--no-analytic` must reproduce
+# both byte for byte (~0.2 s more).
+"$BIN" --faults --no-analytic > "$TMP"/faults_full_engine.txt
+cmp "$TMP"/faults_full_analytic.txt "$TMP"/faults_full_engine.txt || {
+    echo "--no-analytic output diverged on the full fault sweep" >&2
     exit 1
 }
 

@@ -5,9 +5,19 @@
 //! system is faulty: the base configuration runs clean, the scaled
 //! configuration runs under a deterministic [`FaultPlan`] of increasing
 //! severity (stragglers, lossy links, a dead node). Retention is
-//! `ψ_faulted / ψ_fault-free` for the same base→scaled step; the empty
-//! plan retains exactly 1 because the faulted runtime path is
-//! bit-identical to the baseline without a plan.
+//! `ψ_faulted / ψ_fault-free` for the same base→scaled step, so the
+//! `none` row, the fault-free reference, retains 1 by construction and
+//! checks nothing. The tests that pin a run under an empty plan to the
+//! fault-free run bit for bit are the kernels'
+//! `faulted_with_empty_plan_is_bit_equal_to_baseline` (GE and MM),
+//! `tests/trace_consistency.rs::traced_and_untraced_runs_have_identical_timing`
+//! and `tests/failure_injection.rs::fault_free_plan_is_bit_equal_to_baseline_for_any_seed`.
+//!
+//! Each cell is priced by what its plan changes
+//! ([`timed_under_plans`]): the `none` plan, and the `death` plan once it
+//! is resolved to the survivors, inject nothing at run time, so they
+//! take the closed forms like any fault-free run; the straggler and drop
+//! plans replay one recording per size on the fast engine.
 
 use super::Kernel;
 use crate::params::ExperimentParams;
@@ -18,10 +28,9 @@ use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::sunwulf;
-use hetsim_mpi::RunSpec;
-use kernels::ge::ge_parallel_timed;
-use kernels::mm::mm_parallel_timed;
-use scalability::metric::{AlgorithmSystem, ScalabilityLadder};
+use kernels::recover::timed_under_plans;
+use scalability::measure::Measurement;
+use scalability::metric::{AlgorithmSystem, EfficiencyCurve, ScalabilityLadder};
 use scalability::report::{analyze, RobustnessAnnex, ScalabilityReport};
 
 /// Link-drop probability used by the lossy severities, in per-mille.
@@ -41,7 +50,8 @@ pub const STRAGGLER_MULTIPLIER: f64 = 0.5;
 /// The fault severities swept, in escalating order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
-    /// Empty plan: must retain ψ exactly (bit-equal runtime path).
+    /// Empty plan: the fault-free reference, retaining ψ exactly by
+    /// construction.
     None,
     /// Every rank `r ≡ 1 (mod 4)` runs at half speed from t = 0.
     Straggler,
@@ -135,21 +145,11 @@ impl<N: NetworkModel> AlgorithmSystem for FaultedSystem<'_, N> {
         self.kernel.work(n)
     }
     fn execute(&self, n: usize) -> f64 {
-        let spec = RunSpec { trace: false, faults: Some(&self.plan) };
-        match self.kernel {
-            Kernel::Ge => {
-                crate::memo::cached("ge", &self.cluster, self.network, n, Some(&self.plan), || {
-                    ge_parallel_timed(&self.cluster, self.network, n, spec).makespan
-                })
-                .as_secs()
-            }
-            Kernel::Mm => {
-                crate::memo::cached("mm", &self.cluster, self.network, n, Some(&self.plan), || {
-                    mm_parallel_timed(&self.cluster, self.network, n, spec).makespan
-                })
-                .as_secs()
-            }
-        }
+        let kernel = self.kernel.recoverable();
+        let plans = [&self.plan];
+        timed_under_plans(kernel, &self.cluster, self.network, n, &plans, false)[0]
+            .makespan
+            .as_secs()
     }
 }
 
@@ -162,6 +162,14 @@ struct SweepRow {
     ladder: ScalabilityLadder,
 }
 
+/// Measures every severity of `kernel` against one base curve. Sizes
+/// run outer and plans inner: per size, one [`timed_under_plans`] call
+/// prices the four severities on the scaled rung (the faulted ones share
+/// one recording) and one prices `death` on its survivors, so at most
+/// one recording is alive at a time. Only link drops record the `Retry`
+/// spans the annex reads, so only the drop plans run traced, in one call
+/// at `repr_n`; every other row reads a retry share of 0 from no spans
+/// (`drop_free_plans_trace_no_retry_span`).
 fn measure_kernel<N: NetworkModel>(
     kernel: Kernel,
     params: &ExperimentParams,
@@ -175,33 +183,62 @@ fn measure_kernel<N: NetworkModel>(
         Kernel::Mm => (params.mm_target, &params.mm_sizes),
     };
     let base_cluster = kernel.config(p_base);
-
     let base_ge = GeSystem { cluster: &base_cluster, network: net };
     let base_mm = MmSystem { cluster: &base_cluster, network: net };
-    let measure_step = |scaled: &dyn AlgorithmSystem| -> ScalabilityLadder {
-        let base: &dyn AlgorithmSystem = match kernel {
-            Kernel::Ge => &base_ge,
-            Kernel::Mm => &base_mm,
-        };
-        ScalabilityLadder::measure(&[base, scaled], target, sizes, params.fit_degree)
-            .expect("fault sweep rung reaches the target efficiency")
+    let base: &dyn AlgorithmSystem = match kernel {
+        Kernel::Ge => &base_ge,
+        Kernel::Mm => &base_mm,
     };
+    let base_curve = EfficiencyCurve::measure(base, sizes);
+
+    let systems: Vec<FaultedSystem<N>> =
+        Severity::ALL.iter().map(|&s| FaultedSystem::new(kernel, s, p_scaled, net)).collect();
+    let price = |group: &[&FaultedSystem<N>], n: usize, trace: bool| {
+        let cluster = &group[0].cluster;
+        debug_assert!(group.iter().all(|s| s.cluster == *cluster), "one call prices one cluster");
+        let plans: Vec<&FaultPlan> = group.iter().map(|s| &s.plan).collect();
+        timed_under_plans(kernel.recoverable(), cluster, net, n, &plans, trace)
+    };
+    let groups: Vec<Vec<&FaultedSystem<N>>> =
+        systems.chunk_by(|a, b| a.cluster == b.cluster).map(|g| g.iter().collect()).collect();
+
+    let mut measurements = vec![Vec::with_capacity(sizes.len()); systems.len()];
+    for &n in sizes {
+        let outcomes = groups.iter().flat_map(|group| price(group, n, false));
+        for ((system, measured), outcome) in systems.iter().zip(&mut measurements).zip(outcomes) {
+            measured.push(Measurement {
+                n,
+                work_flops: system.work(n),
+                time_secs: outcome.makespan.as_secs(),
+                marked_speed_flops: system.marked_speed_flops(),
+            });
+        }
+    }
+
+    let lossy: Vec<&FaultedSystem<N>> =
+        systems.iter().filter(|s| s.plan.drop_per_mille() > 0).collect();
+    let mut lossy_traces = price(&lossy, repr_n, true).into_iter().map(|outcome| outcome.traces);
 
     let mut rows = Vec::new();
     let mut psi_baseline = f64::NAN;
-    for severity in Severity::ALL {
-        let faulted = FaultedSystem::new(kernel, severity, p_scaled, net);
-        let ladder = measure_step(&faulted);
+    for (system, measured) in systems.iter().zip(measurements) {
+        let curve = EfficiencyCurve::from_measurements(system.label(), measured);
+        let ladder = ScalabilityLadder::from_curves(
+            &[base, system],
+            &[base_curve.clone(), curve],
+            target,
+            params.fit_degree,
+        )
+        .expect("fault sweep rung reaches the target efficiency");
         let psi = ladder.steps[0].psi;
+        let severity = system.severity;
         if severity == Severity::None {
             psi_baseline = psi;
         }
-        // Representative traced run at a fixed size: retry fraction and
-        // (for deaths) the survivor repartition.
-        let traced = RunSpec { trace: true, faults: Some(&faulted.plan) };
-        let traces = match kernel {
-            Kernel::Ge => ge_parallel_timed(&faulted.cluster, net, repr_n, traced).traces,
-            Kernel::Mm => mm_parallel_timed(&faulted.cluster, net, repr_n, traced).traces,
+        let traces = if system.plan.drop_per_mille() > 0 {
+            lossy_traces.next().expect("one traced run per lossy plan")
+        } else {
+            Vec::new()
         };
         let dead: Vec<usize> = severity.plan(p_scaled).deaths().iter().copied().collect();
         let repartition_cost_secs = if dead.is_empty() {
@@ -263,8 +300,8 @@ pub fn scalability_under_faults(
          (survivors repartitioned, C' honestly reduced)"
     ));
     table.push_note(
-        "severity none uses the faulted runtime with an empty plan: retention 1 certifies \
-         the fault path is bit-identical to the baseline",
+        "severity none is the fault-free reference, so its retention is 1 by construction; \
+         none and death (on its survivors) inject no runtime fault and price as fault-free runs",
     );
 
     // Demo report: the straggler+drops GE step, annex attached.
@@ -277,6 +314,9 @@ pub fn scalability_under_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetsim_mpi::RunSpec;
+    use kernels::ge::{ge_parallel_timed, TimingOutcome};
+    use kernels::mm::mm_parallel_timed;
 
     #[test]
     fn fault_sweep_shape_and_retention() {
@@ -289,8 +329,10 @@ mod tests {
         for row in &table.rows {
             let r = retention(row);
             match row[1].as_str() {
-                // Empty plan: the faulted path is bit-identical, so
-                // retention is exactly 1.
+                // The fault-free reference: retention is ψ_none / ψ_none,
+                // 1 by construction. It checks the table's layout, not
+                // the fault path; the empty-plan tests named in the
+                // module docs check that.
                 "none" => assert_eq!(r, 1.0, "{row:?}"),
                 "straggler" | "drops" | "straggler+drops" => {
                     assert!(r < 1.0, "severity {} must lose scalability: {row:?}", row[1]);
@@ -324,5 +366,82 @@ mod tests {
         assert!(!Severity::Straggler.plan(8).is_empty());
         assert_eq!(Severity::Drops.plan(8).drop_per_mille(), DROP_PER_MILLE);
         assert_eq!(Severity::Death.plan(8).deaths().iter().copied().collect::<Vec<_>>(), vec![7]);
+    }
+
+    /// The kernel's plain timed run under `system`'s plan alone: the
+    /// reference every shared-replay outcome must equal.
+    fn alone(
+        system: &FaultedSystem<'_, impl NetworkModel>,
+        n: usize,
+        trace: bool,
+    ) -> TimingOutcome {
+        let spec = RunSpec { trace, faults: Some(&system.plan) };
+        match system.kernel {
+            Kernel::Ge => ge_parallel_timed(&system.cluster, system.network, n, spec),
+            Kernel::Mm => mm_parallel_timed(&system.cluster, system.network, n, spec),
+        }
+    }
+
+    #[test]
+    fn shared_replay_matches_each_plan_alone() {
+        // Every resolved severity plan at every quick size, traced and
+        // untraced: pricing the plans of one cluster in one call (the
+        // faulted ones replaying one recording, the rest on the closed
+        // forms when untraced) gives each plan's own timed run, bit for
+        // bit, traces included.
+        let params = ExperimentParams::quick();
+        let net = sunwulf::sunwulf_network();
+        for (kernel, sizes) in [(Kernel::Ge, &params.ge_sizes), (Kernel::Mm, &params.mm_sizes)] {
+            let systems: Vec<FaultedSystem<_>> =
+                Severity::ALL.iter().map(|&s| FaultedSystem::new(kernel, s, 8, &net)).collect();
+            for group in systems.chunk_by(|a, b| a.cluster == b.cluster) {
+                let plans: Vec<&FaultPlan> = group.iter().map(|s| &s.plan).collect();
+                for &n in sizes {
+                    for trace in [false, true] {
+                        let shared = timed_under_plans(
+                            kernel.recoverable(),
+                            &group[0].cluster,
+                            &net,
+                            n,
+                            &plans,
+                            trace,
+                        );
+                        assert_eq!(shared.len(), group.len());
+                        for (system, outcome) in group.iter().zip(&shared) {
+                            assert_eq!(
+                                *outcome,
+                                alone(system, n, trace),
+                                "{} n={n} trace={trace}",
+                                system.label()
+                            );
+                            if !trace {
+                                assert_eq!(system.execute(n), outcome.makespan.as_secs());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn drop_free_plans_trace_no_retry_span() {
+        // The sweep traces its representative runs only under the drop
+        // plans, and the other rows read a retry share of 0 from no
+        // spans. That holds only while a traced run under each resolved
+        // drop-free plan records no `Retry` span either.
+        use hetsim_mpi::trace::OpKind;
+        let net = sunwulf::sunwulf_network();
+        for (kernel, repr_n) in [(Kernel::Ge, 192), (Kernel::Mm, 128)] {
+            for severity in [Severity::None, Severity::Straggler, Severity::Death] {
+                let system = FaultedSystem::new(kernel, severity, 8, &net);
+                assert_eq!(system.plan.drop_per_mille(), 0);
+                let traced = alone(&system, repr_n, true);
+                assert_eq!(traced.traces.len(), system.cluster.size());
+                let retries = traced.traces.iter().flat_map(|t| &t.records);
+                let retries = retries.filter(|span| span.kind == OpKind::Retry).count();
+                assert_eq!(retries, 0, "{}", system.label());
+            }
+        }
     }
 }

@@ -21,6 +21,7 @@ pub mod x2;
 
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::sunwulf;
+use kernels::recover::RecoverableKernel;
 use kernels::workload::{ge_work, mm_work};
 
 /// Which kernel a fault or recovery sweep wraps.
@@ -51,6 +52,14 @@ impl Kernel {
         match self {
             Kernel::Ge => ge_work(n),
             Kernel::Mm => mm_work(n),
+        }
+    }
+
+    /// The kernel's protocol in `kernels::recover`.
+    pub(crate) fn recoverable(self) -> RecoverableKernel {
+        match self {
+            Kernel::Ge => RecoverableKernel::Ge,
+            Kernel::Mm => RecoverableKernel::Mm,
         }
     }
 }

@@ -39,7 +39,7 @@ use hetsim_cluster::faults::{
 };
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::sunwulf;
-use kernels::recover::{estimated_run_secs, timed_recoverable, RecoverableKernel};
+use kernels::recover::{estimated_run_secs, timed_recoverable};
 use kernels::RecoveryOutcome;
 use scalability::metric::{AlgorithmSystem, ScalabilityLadder};
 use scalability::report::{analyze, RobustnessAnnex, ScalabilityReport};
@@ -61,13 +61,6 @@ pub const RECOVER_SEED_SALT: u64 = 0x7ec0;
 pub const DALY_SEED_SALT: u64 = 0xda10;
 
 impl Kernel {
-    fn recoverable(self) -> RecoverableKernel {
-        match self {
-            Kernel::Ge => RecoverableKernel::Ge,
-            Kernel::Mm => RecoverableKernel::Mm,
-        }
-    }
-
     /// Representative size for the decomposition run and the Daly
     /// campaign: large enough that the estimated run dwarfs the
     /// fixed checkpoint latency (`T ≫ δ`), so interval choice matters.
@@ -549,6 +542,7 @@ pub fn recovery_sweep(params: &ExperimentParams, quick: bool) -> (Vec<Table>, Sc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kernels::recover::RecoverableKernel;
 
     #[test]
     fn recovery_sweep_shape_and_retention() {

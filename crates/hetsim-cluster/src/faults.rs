@@ -382,6 +382,16 @@ impl FaultPlan {
         fp
     }
 
+    /// Whether a run on `ranks` ranks under this plan has anything the
+    /// runtime must price per op: a straggler on a rank below `ranks`,
+    /// or a nonzero link-drop rate. Declared deaths (resolved before
+    /// launch) and an MTBF stream (placed by `kernels::recover`) do
+    /// not count, so a plan for which this is false prices exactly like
+    /// no plan at all.
+    pub fn injects_runtime_faults(&self, ranks: usize) -> bool {
+        self.drop_per_mille > 0 || self.stragglers.range(..ranks).next().is_some()
+    }
+
     /// True when the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
         self.stragglers.is_empty()
@@ -682,6 +692,19 @@ mod tests {
         assert_ne!(with.fingerprint(), FaultPlan::new(5).with_mtbf(121.0).fingerprint());
         // for_survivors carries the stream along.
         assert_eq!(with.for_survivors(4), with);
+    }
+
+    #[test]
+    fn mtbf_alone_is_not_a_runtime_fault() {
+        let plan = FaultPlan::new(3).with_mtbf(5.0);
+        assert!(!plan.injects_runtime_faults(3));
+        let plan = plan.with_straggler(1, 0.5);
+        assert!(plan.injects_runtime_faults(3));
+        // A straggler past the run's last rank slows nobody down.
+        assert!(!plan.injects_runtime_faults(1));
+        // Neither does a declared death, which is resolved before launch.
+        assert!(!FaultPlan::new(3).with_death(0).injects_runtime_faults(3));
+        assert!(FaultPlan::new(3).with_link_drops(1).injects_runtime_faults(1));
     }
 
     #[test]

@@ -47,7 +47,10 @@
 //! and a recorded [`SpmdProgram`] prices on one tier through
 //! [`simulate_analytic`](SpmdProgram::simulate_analytic),
 //! [`simulate_event_driven`](SpmdProgram::simulate_event_driven) or
-//! [`simulate_aggregated`](SpmdProgram::simulate_aggregated).
+//! [`simulate_aggregated`](SpmdProgram::simulate_aggregated). The
+//! routing half of [`run_spmd_fast`] is
+//! [`SpmdProgram::simulate`], which replays one recording under any
+//! [`RunSpec`] — the way one recording serves several fault plans.
 //!
 //! The threaded runtime remains the semantic oracle: any new operation
 //! must land in [`crate::context::Rank`] first and be mirrored here,
@@ -1010,6 +1013,60 @@ impl<R> SpmdProgram<R> {
         )
     }
 
+    /// Phase 2 of the fast engine under `spec`: prices the recording as
+    /// [`run_spmd_fast`] prices the body it was recorded from, on the
+    /// same path, so one recording can be replayed under several fault
+    /// plans or trace settings. Every call starts from fresh clocks,
+    /// mailboxes and retry counters; only the recorded ops are shared.
+    /// `cluster` must be the recording's cluster (or one of identical
+    /// size — per-rank speeds are re-read from it).
+    ///
+    /// # Panics
+    /// As [`run_spmd_fast`].
+    pub fn simulate<N: NetworkModel>(
+        &self,
+        cluster: &ClusterSpec,
+        network: &N,
+        spec: RunSpec<'_>,
+    ) -> SpmdOutcome<R>
+    where
+        R: Clone,
+    {
+        self.simulate_with(cluster, network, spec, self.results.clone())
+    }
+
+    /// [`simulate`](Self::simulate), handing back `results` as the
+    /// outcome's per-rank results. The engine picks its mode in this
+    /// order: a fault plan or tracing keeps the event-driven scheduler,
+    /// whose generality they need; `--no-analytic` forces it; otherwise
+    /// lockstep recordings are evaluated analytically and the rest fall
+    /// back to the scheduler with a typed [`FallbackReason`].
+    fn simulate_with<N: NetworkModel>(
+        &self,
+        cluster: &ClusterSpec,
+        network: &N,
+        spec: RunSpec<'_>,
+        results: Vec<R>,
+    ) -> SpmdOutcome<R> {
+        spec.assert_launchable();
+        let mode = if spec.faults.is_some() {
+            EventDrivenMode::Faulted
+        } else if spec.trace {
+            EventDrivenMode::Traced
+        } else if !analytic_enabled() {
+            EventDrivenMode::Forced
+        } else {
+            match self.lockstep_result() {
+                Ok(plan) => return self.replay_analytic(plan, cluster, network, results),
+                Err(reason) => {
+                    telemetry::record_fallback(*reason);
+                    EventDrivenMode::Fallback
+                }
+            }
+        };
+        self.replay(cluster, network, spec, mode, results)
+    }
+
     /// Analytic evaluation of the recording, or `None` when the
     /// lockstep analyzer rejected its shape (ignores the global
     /// toggle). Bit-identical to
@@ -1201,12 +1258,10 @@ fn outcome_from_ranks<R>(
 /// an equivalent size-only body under the same `spec`, without threads
 /// or payloads.
 ///
-/// `body` is invoked once per rank against a [`RecordTimer`]; its return
-/// values populate `results` indexed by rank. The engine picks its mode
-/// in this order: a fault plan or tracing keeps the event-driven
-/// scheduler, whose generality they need; `--no-analytic` forces it;
-/// otherwise lockstep recordings are evaluated analytically and the rest
-/// fall back to the scheduler with a typed [`FallbackReason`].
+/// `body` is invoked once per rank against a [`RecordTimer`] (phase 1,
+/// [`record_spmd`]); its return values populate `results` indexed by
+/// rank. Phase 2 is [`SpmdProgram::simulate`], which picks the engine's
+/// mode from `spec`.
 ///
 /// # Panics
 /// Panics on protocol bugs exactly like the threaded runtime: leaked
@@ -1223,25 +1278,9 @@ where
     F: Fn(&mut RecordTimer) -> R,
     N: NetworkModel,
 {
-    spec.assert_launchable();
     let mut program = record_spmd(cluster, body);
     let results = std::mem::take(&mut program.results);
-    let mode = if spec.faults.is_some() {
-        EventDrivenMode::Faulted
-    } else if spec.trace {
-        EventDrivenMode::Traced
-    } else if !analytic_enabled() {
-        EventDrivenMode::Forced
-    } else {
-        match program.lockstep_result() {
-            Ok(plan) => return program.replay_analytic(plan, cluster, network, results),
-            Err(reason) => {
-                telemetry::record_fallback(*reason);
-                EventDrivenMode::Fallback
-            }
-        }
-    };
-    program.replay(cluster, network, spec, mode, results)
+    program.simulate_with(cluster, network, spec, results)
 }
 
 #[cfg(test)]
@@ -1377,6 +1416,27 @@ mod tests {
         );
         assert_eq!(base.times, faulted.times);
         assert_eq!(base.comm_times, faulted.comm_times);
+    }
+
+    #[test]
+    fn one_recording_replays_like_fresh_runs_under_each_plan() {
+        // Replays share only the recorded ops: no clock, mailbox, retry
+        // counter or trace carries over from one plan to the next, so
+        // replaying plan A, then plan B, then A again gives what a fresh
+        // `run_spmd_fast` gives under each.
+        let cluster = het3();
+        let net = SharedEthernet::new(0.3e-3, 1.25e7);
+        let a = FaultPlan::new(7).with_straggler(1, 0.4).with_link_drops(250);
+        let b = FaultPlan::new(8).with_straggler(2, 0.7).with_link_drops(120);
+        let program = record_spmd(&cluster, mixed_body);
+        for trace in [false, true] {
+            for plan in [Some(&a), Some(&b), None, Some(&a)] {
+                let spec = RunSpec { trace, faults: plan };
+                let replayed = program.simulate(&cluster, &net, spec);
+                let fresh = run_spmd_fast(&cluster, &net, spec, mixed_body);
+                assert_outcomes_match(&replayed, &fresh);
+            }
+        }
     }
 
     #[test]

@@ -51,9 +51,14 @@
 //! `Segment` the body records, so a recovery charge lands at the same
 //! iteration on every tier; traced, faulted and `--no-analytic` runs
 //! record the body on the fast engine.
+//!
+//! The same protocols price a whole run under a list of fault plans
+//! ([`timed_under_plans`], the fault sweep's cells). A plan that injects
+//! nothing at run time prices as no plan, and the plans that still need
+//! the engine replay one recording: recording never reads the plan.
 
 use crate::analytic::{ge_segment_closed_form, mm_segment_closed_form};
-use crate::ge::timed::{ge_segment_body, price, round_flops, TimingOutcome};
+use crate::ge::timed::{closed_form_applies, ge_segment_body, price, round_flops, TimingOutcome};
 use crate::mm::multiply_flops;
 use crate::mm::timed::mm_segment_body;
 use crate::workload::{ge_work, mm_work};
@@ -65,7 +70,7 @@ use hetsim_cluster::faults::{
 };
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-use hetsim_mpi::{OpKind, RunSpec, SpmdTimer};
+use hetsim_mpi::{record_spmd, OpKind, RunSpec, SpmdTimer};
 use std::ops::Range;
 
 pub use hetsim_cluster::faults::RecoveryOverhead;
@@ -155,14 +160,6 @@ pub fn checkpoint_stride(
 fn survivor_shares(lost_flops: f64, survivor_speeds: &[f64]) -> Vec<f64> {
     let total: f64 = survivor_speeds.iter().sum();
     survivor_speeds.iter().map(|&s| lost_flops * s / total).collect()
-}
-
-/// Whether `plan` injects anything the *runtime* must price per-op
-/// (stragglers or lossy links). An MTBF stream alone does not count:
-/// [`drive`] resolves it, so an untraced run under it prices through
-/// the closed forms.
-fn runtime_faults_active(plan: &FaultPlan, p: usize) -> bool {
-    plan.drop_per_mille() > 0 || (0..p).any(|r| plan.straggler(r).is_some())
 }
 
 /// Composes a shrink-rebalance run's two segments into one
@@ -588,6 +585,56 @@ pub fn timed_recoverable<N: NetworkModel>(
     }
 }
 
+/// Timing-mode `kernel` at problem size `n` on `cluster` under each of
+/// `plans`, traced when `trace` is set: entry `i` equals the kernel's
+/// plain timed run (`ge_parallel_timed` or `mm_parallel_timed`) under
+/// `plans[i]` alone, bit for bit. A plan that injects nothing at run
+/// time ([`FaultPlan::injects_runtime_faults`]) prices as no plan, so an
+/// untraced run under it takes the closed form; the plans that still
+/// need the fast engine all replay one recording of the body, made on
+/// first need and dropped on return. Declared deaths must already be
+/// resolved.
+pub fn timed_under_plans<N: NetworkModel>(
+    kernel: RecoverableKernel,
+    cluster: &ClusterSpec,
+    network: &N,
+    n: usize,
+    plans: &[&FaultPlan],
+    trace: bool,
+) -> Vec<TimingOutcome> {
+    match kernel {
+        RecoverableKernel::Ge => under_plans::<GeProtocol, N>(cluster, network, n, plans, trace),
+        RecoverableKernel::Mm => under_plans::<MmProtocol, N>(cluster, network, n, plans, trace),
+    }
+}
+
+/// [`timed_under_plans`] for kernel `K`: each plan through the tier
+/// rule, one recording of the whole run shared by the engine's plans.
+fn under_plans<K: Protocol, N: NetworkModel>(
+    cluster: &ClusterSpec,
+    network: &N,
+    n: usize,
+    plans: &[&FaultPlan],
+    trace: bool,
+) -> Vec<TimingOutcome> {
+    let dist = K::distribute(n, &cluster.speeds_mflops());
+    let seg = Segment::whole(K::iterations(n));
+    let mut program = None;
+    plans
+        .iter()
+        .map(|&plan| {
+            let faults = plan.injects_runtime_faults(cluster.size()).then_some(plan);
+            let spec = RunSpec { trace, faults };
+            if closed_form_applies(spec) {
+                return K::closed_form(cluster, network, &dist, n, &seg);
+            }
+            let program =
+                program.get_or_insert_with(|| record_spmd(cluster, |t| K::body(t, &dist, n, &seg)));
+            TimingOutcome::from_spmd(program.simulate(cluster, network, spec))
+        })
+        .collect()
+}
+
 /// The one recovery driver: decides the run's segments, machines,
 /// overhead, and death for kernel `K`, then records the segments on
 /// runtime `R`.
@@ -599,8 +646,10 @@ fn drive<K: Protocol, R: Runtime, N: NetworkModel>(
     n: usize,
     trace: bool,
 ) -> RecoveryOutcome {
+    // An MTBF stream alone is resolved here, so a plan without runtime
+    // faults prices as no plan.
     let record = |cluster: &ClusterSpec, plan: &FaultPlan, dist: &K::Dist, seg: &Segment| {
-        let faults = runtime_faults_active(plan, cluster.size()).then_some(plan);
+        let faults = plan.injects_runtime_faults(cluster.size()).then_some(plan);
         R::record::<K, N>(cluster, network, RunSpec { trace, faults }, dist, n, seg)
     };
     let p = cluster.size();
@@ -697,7 +746,7 @@ mod tests {
     use crate::mm::mm_parallel_timed;
     use hetsim_cluster::network::SharedEthernet;
     use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::{record_spmd, run_spmd, run_spmd_fast};
+    use hetsim_mpi::{run_spmd, run_spmd_fast};
     use proptest::prelude::*;
 
     const KERNELS: [RecoverableKernel; 2] = [RecoverableKernel::Ge, RecoverableKernel::Mm];
@@ -833,14 +882,6 @@ mod tests {
     }
 
     #[test]
-    fn mtbf_alone_is_not_a_runtime_fault() {
-        let plan = FaultPlan::new(3).with_mtbf(5.0);
-        assert!(!runtime_faults_active(&plan, 3));
-        let plan = plan.with_straggler(1, 0.5);
-        assert!(runtime_faults_active(&plan, 3));
-    }
-
-    #[test]
     fn no_death_and_no_checkpoints_match_the_baseline() {
         // MTBF far past the run; interval far past the run: the
         // recoverable program degenerates to the baseline op stream.
@@ -896,8 +937,9 @@ mod tests {
     /// without runtime faults, traced and untraced — on the production
     /// tiers (the closed forms for the untraced MTBF-only runs, the fast
     /// engine for the rest) and on the threaded oracle. The straggler
-    /// plan without link drops pins `runtime_faults_active`'s straggler
-    /// clause on its own: drops alone already make a plan active.
+    /// plan without link drops pins the straggler clause of
+    /// `FaultPlan::injects_runtime_faults` on its own: drops alone
+    /// already make a plan inject.
     fn assert_fast_matches_threaded<K: Protocol>(kernel: RecoverableKernel, n: usize) {
         let cluster = cluster(kernel);
         let mtbf_only = deadly_plan(kernel, n, 42);
@@ -918,7 +960,7 @@ mod tests {
                         fast,
                         threaded,
                         "{kernel:?} {policy:?} trace={trace} faults={}",
-                        runtime_faults_active(plan, cluster.size())
+                        plan.injects_runtime_faults(cluster.size())
                     );
                 }
             }

@@ -5,6 +5,8 @@
 //! original ad-hoc degradations above predate it and stay as
 //! hand-constructed cross-checks.
 
+use bench_tables::experiments::faults::Severity;
+use bench_tables::ExperimentParams;
 use hetscale::hetpart::repartition_after_deaths;
 use hetscale::hetsim_cluster::faults::FaultPlan;
 use hetscale::hetsim_cluster::sunwulf;
@@ -174,18 +176,47 @@ proptest! {
 
     #[test]
     fn fault_free_plan_is_bit_equal_to_baseline_for_any_seed(seed in proptest::num::u64::ANY) {
+        // The fault sweep prices its `none` row and its `death` row (on
+        // the survivors) as fault-free runs, so the engine's empty-plan
+        // path is pinned here at the sweep's shapes too: its 8-rank
+        // configurations and the 7 survivors of its death plan, at two
+        // quick sizes.
         let net = sunwulf::sunwulf_network();
         let plan = FaultPlan::new(seed);
         prop_assert!(plan.is_empty());
-        let ge_cluster = sunwulf::ge_config(4);
-        prop_assert_eq!(
-            ge_parallel_timed(&ge_cluster, &net, 96, RunSpec::default()),
-            ge_parallel_timed(&ge_cluster, &net, 96, RunSpec { trace: false, faults: Some(&plan) })
-        );
-        let mm_cluster = sunwulf::mm_config(4);
-        prop_assert_eq!(
-            mm_parallel_timed(&mm_cluster, &net, 64, RunSpec::default()),
-            mm_parallel_timed(&mm_cluster, &net, 64, RunSpec { trace: false, faults: Some(&plan) })
-        );
+        let faulted = RunSpec { trace: false, faults: Some(&plan) };
+        let quick = ExperimentParams::quick();
+        let two = |sizes: &[usize]| vec![sizes[0], sizes[sizes.len() / 2]];
+        let survivors = |cluster: ClusterSpec| {
+            Severity::Death.plan(8).surviving_cluster(&cluster).expect("one rank of 8 dies")
+        };
+        let ge_runs = [
+            (sunwulf::ge_config(4), vec![96]),
+            (sunwulf::ge_config(8), two(&quick.ge_sizes)),
+            (survivors(sunwulf::ge_config(8)), two(&quick.ge_sizes)),
+        ];
+        for (cluster, sizes) in &ge_runs {
+            for &n in sizes {
+                prop_assert_eq!(
+                    ge_parallel_timed(cluster, &net, n, RunSpec::default()),
+                    ge_parallel_timed(cluster, &net, n, faulted),
+                    "GE on {} ({} ranks), n = {}", cluster.label, cluster.size(), n
+                );
+            }
+        }
+        let mm_runs = [
+            (sunwulf::mm_config(4), vec![64]),
+            (sunwulf::mm_config(8), two(&quick.mm_sizes)),
+            (survivors(sunwulf::mm_config(8)), two(&quick.mm_sizes)),
+        ];
+        for (cluster, sizes) in &mm_runs {
+            for &n in sizes {
+                prop_assert_eq!(
+                    mm_parallel_timed(cluster, &net, n, RunSpec::default()),
+                    mm_parallel_timed(cluster, &net, n, faulted),
+                    "MM on {} ({} ranks), n = {}", cluster.label, cluster.size(), n
+                );
+            }
+        }
     }
 }
