@@ -260,14 +260,14 @@ test "$best" -le "$SURFACE_BUDGET_US" || {
     exit 1
 }
 
-# Obs: the quick fault + recovery run exports ~10.6 MB of traces,
-# streamed span by span through the direct JSON writers of
+# Obs: the quick fault + recovery run exports ~10.6 MB of traces, each
+# span appended to one 64 KiB buffer per file by the writers of
 # hetsim_obs::export (DESIGN.md §7). The `obs` lap of --profile-out
-# (the traced runs plus both exports) reads ~35-45 ms at best of 5 on a
-# 2-vCPU host with the Ryu number writer of hetsim_obs::digits (~55 ms
-# with `{}` formatting every number); it was ~300-370 ms when every span
-# was built as a Json tree and each file held whole in memory, so 150 ms
-# trips on a return to that.
+# (the traced runs plus both exports; `phases.export_us` is the export
+# alone) reads ~24-33 ms at best of 5 on a 2-vCPU host (~44-54 ms when
+# each span's fields went one by one through a BufWriter); it was
+# ~300-370 ms when every span was built as a Json tree and each file
+# held whole in memory, so 150 ms trips on a return to that.
 OBS_BUDGET_US=150000
 profile_runs 5 --quick --faults recover --trace-out "$TMP"/obs_traces \
     --metrics-out "$TMP"/obs_metrics.json

@@ -141,24 +141,18 @@ fn main() {
             "--faults" => {
                 ids.insert("faults".to_string());
             }
-            "--csv" => {
-                csv_dir = Some(args.next().unwrap_or_else(|| usage("--csv needs a directory")))
-            }
+            "--csv" => csv_dir = Some(path_value(args.next(), "--csv needs a directory")),
             "--trace-out" => {
-                trace_dir =
-                    Some(args.next().unwrap_or_else(|| usage("--trace-out needs a directory")))
+                trace_dir = Some(path_value(args.next(), "--trace-out needs a directory"))
             }
             "--metrics-out" => {
-                metrics_path =
-                    Some(args.next().unwrap_or_else(|| usage("--metrics-out needs a file path")))
+                metrics_path = Some(path_value(args.next(), "--metrics-out needs a file path"))
             }
             "--stats-out" => {
-                stats_path =
-                    Some(args.next().unwrap_or_else(|| usage("--stats-out needs a file path")))
+                stats_path = Some(path_value(args.next(), "--stats-out needs a file path"))
             }
             "--profile-out" => {
-                profile_path =
-                    Some(args.next().unwrap_or_else(|| usage("--profile-out needs a file path")))
+                profile_path = Some(path_value(args.next(), "--profile-out needs a file path"))
             }
             "--jobs" => {
                 let n = args
@@ -352,6 +346,7 @@ fn main() {
         cp.mark("mega");
     }
 
+    let mut export_us = 0;
     if trace_dir.is_some() || metrics_path.is_some() {
         let mut runs = obs::observed_runs(quick);
         if faults_requested {
@@ -360,6 +355,7 @@ fn main() {
         if recover_requested {
             runs.extend(obs::observed_runs_recovered(quick));
         }
+        let export = Stopwatch::new();
         if let Some(dir) = &trace_dir {
             let written = obs::write_trace_dir(Path::new(dir), &runs)
                 .unwrap_or_else(|e| fail(&format!("cannot write trace directory {dir}: {e}")));
@@ -372,12 +368,15 @@ fn main() {
                 .unwrap_or_else(|e| fail(&format!("cannot write metrics file {path}: {e}")));
             eprintln!("wrote {path}");
         }
+        export_us = export.total_us();
         cp.mark("obs");
     }
 
     if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| fail(&format!("cannot create csv directory {dir}: {e}")));
+        let dir = Path::new(&dir);
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+            fail(&format!("cannot create csv directory {}: {e}", dir.display()))
+        });
         for table in &emitted {
             let slug: String = table
                 .title
@@ -386,10 +385,11 @@ fn main() {
                 .filter(|c| c.is_ascii_alphanumeric())
                 .collect::<String>()
                 .to_lowercase();
-            let path = format!("{dir}/{slug}.csv");
-            std::fs::write(&path, table.to_csv())
-                .unwrap_or_else(|e| fail(&format!("cannot write csv file {path}: {e}")));
-            eprintln!("wrote {path}");
+            let path = dir.join(format!("{slug}.csv"));
+            std::fs::write(&path, table.to_csv()).unwrap_or_else(|e| {
+                fail(&format!("cannot write csv file {}: {e}", path.display()))
+            });
+            eprintln!("wrote {}", path.display());
         }
     }
 
@@ -403,10 +403,16 @@ fn main() {
         eprintln!("wrote {path}");
     }
     if let Some(path) = &profile_path {
-        stats::write_profile(Path::new(path), &cp.watch)
+        stats::write_profile(Path::new(path), &cp.watch, export_us)
             .unwrap_or_else(|e| fail(&format!("cannot write profile file {path}: {e}")));
         eprintln!("wrote {path}");
     }
+}
+
+/// The value of an output-path flag: a missing or empty one is a usage
+/// error, reported as `err`.
+fn path_value(value: Option<String>, err: &str) -> String {
+    value.filter(|path| !path.is_empty()).unwrap_or_else(|| usage(err))
 }
 
 fn fail(msg: &str) -> ! {

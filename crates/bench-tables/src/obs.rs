@@ -158,31 +158,20 @@ pub fn observed_runs_recovered(quick: bool) -> Vec<ObservedRun> {
 }
 
 /// Writes the two trace files per run into `dir` (created if missing)
-/// and returns the paths written. Each file is streamed span by span.
+/// and returns the paths written. The writers buffer, so each file is
+/// handed to them unbuffered.
 pub fn write_trace_dir(dir: &Path, runs: &[ObservedRun]) -> io::Result<Vec<String>> {
     std::fs::create_dir_all(dir)?;
     let mut written = Vec::new();
     for run in runs {
         let chrome = dir.join(format!("{}.trace.json", run.name));
-        write_file(&chrome, |out| write_chrome_trace(out, &run.traces))?;
+        write_chrome_trace(File::create(&chrome)?, &run.traces)?;
         written.push(chrome.display().to_string());
         let jsonl = dir.join(format!("{}.jsonl", run.name));
-        write_file(&jsonl, |out| write_trace_jsonl(out, &run.traces))?;
+        write_trace_jsonl(File::create(&jsonl)?, &run.traces)?;
         written.push(jsonl.display().to_string());
     }
     Ok(written)
-}
-
-/// Creates `path` and writes `body` into it through a buffer, flushed
-/// here: dropping a `BufWriter` would discard the error of its last
-/// write.
-fn write_file(
-    path: &Path,
-    body: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
-) -> io::Result<()> {
-    let mut out = BufWriter::new(File::create(path)?);
-    body(&mut out)?;
-    out.flush()
 }
 
 /// Builds the combined metrics document for a set of observed runs.
@@ -236,7 +225,11 @@ pub fn write_metrics(path: &Path, runs: &[ObservedRun]) -> io::Result<()> {
             std::fs::create_dir_all(parent)?;
         }
     }
-    write_file(path, |out| writeln!(out, "{}", metrics_json(runs)))
+    // Flushed here: dropping a `BufWriter` would discard the error of its
+    // last write.
+    let mut out = BufWriter::new(File::create(path)?);
+    writeln!(out, "{}", metrics_json(runs))?;
+    out.flush()
 }
 
 #[cfg(test)]

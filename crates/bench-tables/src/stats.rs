@@ -168,8 +168,9 @@ fn obj<const K: usize>(entries: [(&str, Json); K]) -> Json {
 
 /// Writes the wall-clock profile document (`--profile-out`). Everything
 /// in it is non-deterministic except the shape; the document says so
-/// itself (`"deterministic": false`).
-pub fn write_profile(path: &Path, watch: &Stopwatch) -> io::Result<()> {
+/// itself (`"deterministic": false`). `export_us`, the time spent writing
+/// the trace files and the metrics document, is its `phases.export_us`.
+pub fn write_profile(path: &Path, watch: &Stopwatch, export_us: u64) -> io::Result<()> {
     let (record_ns, simulate_ns) = hetsim_mpi::telemetry::wall_clock_ns();
     let analyze_ns = hetsim_mpi::telemetry::analyze_wall_ns();
     let ids = watch
@@ -185,6 +186,7 @@ pub fn write_profile(path: &Path, watch: &Stopwatch) -> io::Result<()> {
             "phases",
             obj([
                 ("analyze_us", Json::int(analyze_ns / 1_000)),
+                ("export_us", Json::int(export_us)),
                 ("record_us", Json::int(record_ns / 1_000)),
                 ("simulate_us", Json::int(simulate_ns / 1_000)),
             ]),

@@ -73,6 +73,22 @@ fn missing_flag_argument_exits_two() {
     let out = run(&["--metrics-out"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--metrics-out needs a file path"));
+    // An empty path is no path: `--csv ''` would write to `/<slug>.csv`
+    // and `--trace-out ''` into the working directory. `--list` after it
+    // exits before anything is written if the empty value is accepted.
+    for (flag, needs) in [
+        ("--csv", "a directory"),
+        ("--trace-out", "a directory"),
+        ("--metrics-out", "a file path"),
+        ("--stats-out", "a file path"),
+        ("--profile-out", "a file path"),
+    ] {
+        let out = run(&[flag, "", "--list"]);
+        assert_eq!(out.status.code(), Some(2), "{flag} ''");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("error: {flag} needs {needs}")), "{flag} '': {err}");
+        assert!(out.stdout.is_empty(), "{flag} '' must exit before --list prints");
+    }
 }
 
 #[test]
@@ -95,11 +111,11 @@ fn unwritable_trace_dir_exits_one() {
     assert!(!err.contains("panicked"), "must not panic: {err}");
 }
 
-// The exports go through buffered writers, and dropping one discards
-// the error of its last write, so each must be flushed explicitly.
-// /dev/full accepts the open and fails every write with ENOSPC: the t1
-// metrics document (~27 KB) fails mid-write, and a small trace file
-// fails only when its buffer is flushed.
+// The exports are buffered, and each buffer's last write must be made
+// and its error kept: dropping a `BufWriter` would discard it. /dev/full
+// accepts the open and fails every write with ENOSPC: the t1 metrics
+// document (~27 KB) fails mid-write, and a small trace file fails only
+// when the writer hands its buffer over at the end.
 
 #[cfg(target_os = "linux")]
 #[test]
@@ -115,8 +131,8 @@ fn full_device_metrics_path_exits_one() {
 #[cfg(target_os = "linux")]
 #[test]
 fn full_device_trace_file_exits_one() {
-    // The MM JSONL export (4,279 bytes) fits in the write buffer, so its
-    // error appears only when the buffer is flushed.
+    // The MM JSONL export (4,279 bytes) fits in the writer's buffer, so
+    // its error appears only when the buffer is handed over at the end.
     let dir = temp_dir("full-trace");
     std::os::unix::fs::symlink("/dev/full", dir.join("mm-p8-n128.jsonl")).expect("symlink");
     let out = run(&["--quick", "t1", "--trace-out", dir.to_str().expect("utf-8 temp path")]);
@@ -623,9 +639,9 @@ fn profile_doc_declares_itself_non_deterministic() {
     assert!(ids.contains_key("t2"), "t2 lap missing: {text}");
     assert!(doc["total_us"].as_num().expect("total") >= 0.0);
     // Lockstep analysis is its own phase, beside recording and
-    // simulation.
+    // simulation; writing the exports is one too (0 without them).
     let phases = doc["phases"].as_obj().expect("phases object");
-    for phase in ["analyze_us", "record_us", "simulate_us"] {
+    for phase in ["analyze_us", "export_us", "record_us", "simulate_us"] {
         let us = phases.get(phase).and_then(Json::as_num);
         assert!(us.is_some_and(|us| us >= 0.0), "{phase} missing: {text}");
     }

@@ -12,16 +12,18 @@
 //! or boundary cases, and the closest of them is the one the standard
 //! library writes too. Zero, subnormals, powers of two (whose lower gap
 //! is half the upper one), the exact branch and layouts longer than
-//! [`LAYOUT_BYTES`] return `None`, and the caller writes those with
-//! `{}`.
+//! [`LAYOUT_BYTES`] return `None`. The caller writes a non-negative
+//! integer up to 2^53 with [`integer`], and any other `None` with `{}`.
 
 /// Room for the longest layout [`shortest`] writes: a sign and 31 more
-/// bytes, e.g. `0.`, 12 zeros and 17 digits.
+/// bytes, e.g. `0.`, 12 zeros and 17 digits. [`integer`]'s 20 digits at
+/// most fit too.
 pub(crate) const LAYOUT_BYTES: usize = 32;
 
 /// `f64`'s `Display` bytes for `v`, laid out in `buf`, or `None` where
-/// the fast path does not decide them (see the module docs).
-pub(crate) fn shortest(v: f64, buf: &mut [u8; LAYOUT_BYTES]) -> Option<&str> {
+/// the fast path does not decide them (see the module docs). Every
+/// layout is ASCII.
+pub(crate) fn shortest(v: f64, buf: &mut [u8; LAYOUT_BYTES]) -> Option<&[u8]> {
     let (significand, exp) = shortest_digits(v.to_bits())?;
     let mut all_digits = [0; 20];
     let first = digits_ending_at(&mut all_digits, significand);
@@ -56,17 +58,13 @@ pub(crate) fn shortest(v: f64, buf: &mut [u8; LAYOUT_BYTES]) -> Option<&str> {
         body[..n].copy_from_slice(digits);
         body[n..].fill(b'0');
     }
-    Some(ascii(&buf[..len]))
+    Some(&buf[..len])
 }
 
 /// The decimal digits of `v`, laid out in `buf`.
-pub(crate) fn integer(v: u64, buf: &mut [u8; 20]) -> &str {
+pub(crate) fn integer(v: u64, buf: &mut [u8; LAYOUT_BYTES]) -> &[u8] {
     let first = digits_ending_at(buf, v);
-    ascii(&buf[first..])
-}
-
-fn ascii(bytes: &[u8]) -> &str {
-    std::str::from_utf8(bytes).expect("digit layouts are ASCII")
+    &buf[first..]
 }
 
 /// "00" to "99", the pairs [`digits_ending_at`] copies.

@@ -5,139 +5,177 @@
 //! (rank, program-order) sequence. Exporting the same run twice yields
 //! identical bytes — golden-file tests rely on this.
 //!
-//! The writers stream. [`write_chrome_trace`] and [`write_trace_jsonl`]
-//! write each span's fields, in sorted key order, straight to any
-//! [`io::Write`] through the number, integer and string primitives of
-//! [`crate::json`], the ones `Json`'s `Display` uses; no per-span value
-//! tree is built and no whole file is held in memory. The `String`
-//! forms, [`chrome_trace_json`] and [`trace_jsonl`], render the same
-//! bytes.
+//! Each writer appends every span, fields in sorted key order, to one
+//! reusable byte buffer and hands the buffer to its [`io::Write`] once it
+//! holds 64 KiB, so no file is held whole and the output sees a few
+//! large writes. Numbers and integers come from
+//! [`crate::json`]'s byte-level primitives, which share their digits
+//! with `Json`'s `Display`; no per-span value tree is built. What is
+//! constant within a rank is rendered once per rank: Chrome's run from
+//! `name` to `ts` for each kind, and JSONL's `rank` and `start` keys
+//! (JSONL's `kind` field once per kind). A JSONL `start` whose bits equal
+//! the previous line's `end` copies that end's digits from the buffer:
+//! nearly every span starts where its rank's previous span ended. The
+//! `String` forms, [`chrome_trace_json`] and [`trace_jsonl`], run the
+//! same writers.
 //!
 //! The JSONL stream is the archival format: [`parse_trace_jsonl`]
 //! reconstructs the exact [`RankTrace`]s (bit-identical span times), so
 //! traces can be written by `bench-tables` and re-analyzed later without
 //! rerunning the simulation.
 
-use crate::json::{write_int, write_num, write_str, Json, MAX_EXACT_INT};
+use crate::json::{push_int, push_num, write_int, write_str, Json, MAX_EXACT_INT};
 use hetsim_cluster::time::SimTime;
 use hetsim_mpi::trace::{OpKind, RankTrace, TraceRecord};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::io;
+use std::ops::Range;
 
 /// Writes per-rank traces to `out` in the Chrome trace-event format
 /// (the JSON array flavour): open the output in `chrome://tracing` or
 /// Perfetto. Each span becomes one complete (`"ph":"X"`) event; virtual
 /// seconds map to microseconds, the format's native unit. One event per
-/// line. Writes go straight to `out`, so pass a buffered writer.
+/// line. The writer buffers, so `out` need not.
 ///
 /// # Panics
 /// On a non-finite span time, or on bytes, a peer or a rank above
 /// 2^53: JSON readers could not hold them exactly.
 pub fn write_chrome_trace(out: impl io::Write, traces: &[RankTrace]) -> io::Result<()> {
-    stream(out, |w| chrome_events(w, traces))
+    let mut spans = SpanBuffer::new(out);
+    spans.buf.extend_from_slice(b"[\n");
+    let mut separator: &[u8] = b"";
+    let mut tails = OpKind::ALL.map(|_| String::new());
+    for (rank, trace) in traces.iter().enumerate() {
+        for (tail, kind) in tails.iter_mut().zip(OpKind::ALL) {
+            tail.clear();
+            tail.push_str(",\"name\":");
+            write_str(tail, kind.name()).expect("a String accepts every write");
+            tail.push_str(",\"ph\":\"X\",\"pid\":0,\"tid\":");
+            write_int(tail, rank as u64).expect("a String accepts every write");
+            tail.push_str(",\"ts\":");
+        }
+        for record in &trace.records {
+            let buf = &mut spans.buf;
+            buf.extend_from_slice(separator);
+            separator = b",\n";
+            buf.extend_from_slice(b"{\"args\":{\"bytes\":");
+            push_int(buf, record.bytes);
+            if let Some(peer) = record.peer {
+                buf.extend_from_slice(b",\"peer\":");
+                push_int(buf, peer as u64);
+            }
+            buf.extend_from_slice(b"},\"cat\":\"virtual\",\"dur\":");
+            push_num(buf, record.duration().as_secs() * 1e6);
+            buf.extend_from_slice(tails[record.kind as usize].as_bytes());
+            push_num(buf, record.start.as_secs() * 1e6);
+            buf.push(b'}');
+            spans.span_done()?;
+        }
+    }
+    spans.buf.extend_from_slice(b"\n]\n");
+    spans.finish()
 }
 
 /// [`write_chrome_trace`] into a `String`.
 pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
-    let mut text = String::new();
-    chrome_events(&mut text, traces).expect("a String accepts every write");
-    text
+    text_of(|out| write_chrome_trace(out, traces))
 }
 
 /// Writes per-rank traces to `out` as JSON Lines: one object per span,
 /// fields `bytes`, `end`, `kind`, `peer` (omitted when absent), `rank`,
-/// `start`; times in virtual seconds at full precision. Writes go
-/// straight to `out`, so pass a buffered writer.
+/// `start`; times in virtual seconds at full precision. The writer
+/// buffers, so `out` need not.
 ///
 /// # Panics
 /// As [`write_chrome_trace`].
 pub fn write_trace_jsonl(out: impl io::Write, traces: &[RankTrace]) -> io::Result<()> {
-    stream(out, |w| jsonl_lines(w, traces))
+    let mut spans = SpanBuffer::new(out);
+    let kinds = OpKind::ALL.map(|kind| {
+        let mut field = String::from(",\"kind\":");
+        write_str(&mut field, kind.name()).expect("a String accepts every write");
+        field
+    });
+    let mut rank_start = String::new();
+    // The bits of the previous line's `end` and where its digits sit in
+    // the buffer, until the buffer is handed on.
+    let mut last_end: Option<(u64, Range<usize>)> = None;
+    for (rank, trace) in traces.iter().enumerate() {
+        rank_start.clear();
+        rank_start.push_str(",\"rank\":");
+        write_int(&mut rank_start, rank as u64).expect("a String accepts every write");
+        rank_start.push_str(",\"start\":");
+        for record in &trace.records {
+            let buf = &mut spans.buf;
+            buf.extend_from_slice(b"{\"bytes\":");
+            push_int(buf, record.bytes);
+            buf.extend_from_slice(b",\"end\":");
+            let end_at = buf.len();
+            push_num(buf, record.end.as_secs());
+            let end = (record.end.as_secs().to_bits(), end_at..buf.len());
+            buf.extend_from_slice(kinds[record.kind as usize].as_bytes());
+            if let Some(peer) = record.peer {
+                buf.extend_from_slice(b",\"peer\":");
+                push_int(buf, peer as u64);
+            }
+            buf.extend_from_slice(rank_start.as_bytes());
+            // Equal bits, not `==`: 0.0 and -0.0 are equal but print
+            // differently.
+            match last_end {
+                Some((bits, digits)) if bits == record.start.as_secs().to_bits() => {
+                    buf.extend_from_within(digits)
+                }
+                _ => push_num(buf, record.start.as_secs()),
+            }
+            buf.extend_from_slice(b"}\n");
+            last_end = if spans.span_done()? { None } else { Some(end) };
+        }
+    }
+    spans.finish()
 }
 
 /// [`write_trace_jsonl`] into a `String`.
 pub fn trace_jsonl(traces: &[RankTrace]) -> String {
-    let mut text = String::new();
-    jsonl_lines(&mut text, traces).expect("a String accepts every write");
-    text
+    text_of(|out| write_trace_jsonl(out, traces))
 }
 
-fn chrome_events(out: &mut impl fmt::Write, traces: &[RankTrace]) -> fmt::Result {
-    out.write_str("[\n")?;
-    let mut separator = "";
-    for (rank, trace) in traces.iter().enumerate() {
-        for record in &trace.records {
-            out.write_str(separator)?;
-            separator = ",\n";
-            out.write_str("{\"args\":{\"bytes\":")?;
-            write_int(out, record.bytes)?;
-            if let Some(peer) = record.peer {
-                out.write_str(",\"peer\":")?;
-                write_int(out, peer as u64)?;
-            }
-            out.write_str("},\"cat\":\"virtual\",\"dur\":")?;
-            write_num(out, record.duration().as_secs() * 1e6)?;
-            out.write_str(",\"name\":")?;
-            write_str(out, record.kind.name())?;
-            out.write_str(",\"ph\":\"X\",\"pid\":0,\"tid\":")?;
-            write_int(out, rank as u64)?;
-            out.write_str(",\"ts\":")?;
-            write_num(out, record.start.as_secs() * 1e6)?;
-            out.write_char('}')?;
-        }
-    }
-    out.write_str("\n]\n")
+fn text_of(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut bytes = Vec::new();
+    write(&mut bytes).expect("a Vec accepts every write");
+    String::from_utf8(bytes).expect("the writers write UTF-8")
 }
 
-fn jsonl_lines(out: &mut impl fmt::Write, traces: &[RankTrace]) -> fmt::Result {
-    for (rank, trace) in traces.iter().enumerate() {
-        for record in &trace.records {
-            out.write_str("{\"bytes\":")?;
-            write_int(out, record.bytes)?;
-            out.write_str(",\"end\":")?;
-            write_num(out, record.end.as_secs())?;
-            out.write_str(",\"kind\":")?;
-            write_str(out, record.kind.name())?;
-            if let Some(peer) = record.peer {
-                out.write_str(",\"peer\":")?;
-                write_int(out, peer as u64)?;
-            }
-            out.write_str(",\"rank\":")?;
-            write_int(out, rank as u64)?;
-            out.write_str(",\"start\":")?;
-            write_num(out, record.start.as_secs())?;
-            out.write_str("}\n")?;
-        }
-    }
-    Ok(())
-}
+/// How many bytes a writer gathers before handing them to its output.
+const FLUSH_BYTES: usize = 1 << 16;
 
-/// A [`fmt::Write`] view of an [`io::Write`] that keeps the I/O error a
-/// [`fmt::Error`] cannot carry.
-struct IoSink<W> {
+/// The buffer the writers append whole spans to, in front of their
+/// output.
+struct SpanBuffer<W> {
     out: W,
-    error: Option<io::Error>,
+    buf: Vec<u8>,
 }
 
-impl<W: io::Write> fmt::Write for IoSink<W> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.out.write_all(s.as_bytes()).map_err(|e| {
-            self.error = Some(e);
-            fmt::Error
-        })
+impl<W: io::Write> SpanBuffer<W> {
+    fn new(out: W) -> Self {
+        // Room for the span that crosses the flush mark.
+        SpanBuffer { out, buf: Vec::with_capacity(2 * FLUSH_BYTES) }
     }
-}
 
-/// Runs a formatting `body` against `out`, returning its first I/O error.
-fn stream<W: io::Write>(
-    out: W,
-    body: impl FnOnce(&mut IoSink<W>) -> fmt::Result,
-) -> io::Result<()> {
-    let mut sink = IoSink { out, error: None };
-    body(&mut sink).map_err(|fmt::Error| {
-        sink.error.take().expect("only the sink fails: the formatters never do")
-    })
+    /// Hands the buffer to the output if it holds [`FLUSH_BYTES`], and
+    /// says whether it did: the bytes are then gone from the buffer.
+    fn span_done(&mut self) -> io::Result<bool> {
+        if self.buf.len() < FLUSH_BYTES {
+            return Ok(false);
+        }
+        self.out.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(true)
+    }
+
+    /// Hands the rest to the output and flushes it.
+    fn finish(mut self) -> io::Result<()> {
+        self.out.write_all(&self.buf)?;
+        self.out.flush()
+    }
 }
 
 /// The largest rank [`parse_trace_jsonl`] accepts. It is far above the
@@ -295,9 +333,10 @@ mod tests {
     /// A span time: an awkward fixed value, or any finite non-negative
     /// `f64` small enough that its microsecond form stays finite.
     fn awkward_time(state: &mut u64) -> f64 {
-        const FIXED: [f64; 8] = [
+        const FIXED: [f64; 9] = [
             0.0,
             0.1 + 0.2,
+            0.5,
             1e-300,
             5e-324,
             f64::MIN_POSITIVE / 3.0,
@@ -327,20 +366,38 @@ mod tests {
         }
     }
 
-    /// Seeded random traces: every `OpKind`, peers present and absent,
-    /// empty ranks between non-empty ones, awkward times and counts.
-    fn random_traces(state: &mut u64) -> Vec<RankTrace> {
+    /// Seeded random traces of up to `max_spans` spans per rank: every
+    /// `OpKind`, peers present and absent, empty ranks between non-empty
+    /// ones, awkward times and counts. Half the spans after a rank's
+    /// first start on the bits their predecessor ended on, half of those
+    /// with zero length so that an awkward end is reused again. One in
+    /// eight is a zero-length span at `+0.0` or, after a `+0.0` end,
+    /// starts at `-0.0`: equal under `==`, printed differently.
+    fn random_traces(state: &mut u64, max_spans: u64) -> Vec<RankTrace> {
         let ranks = 1 + (draw(state) % 7) as usize;
         (0..ranks)
             .map(|_| {
-                let spans = if draw(state).is_multiple_of(3) { 0 } else { draw(state) % 24 };
+                let spans = if draw(state).is_multiple_of(3) { 0 } else { draw(state) % max_spans };
+                let mut last_end: Option<f64> = None;
                 let records = (0..spans)
                     .map(|_| {
                         let (a, b) = (awkward_time(state), awkward_time(state));
+                        let (mut start, mut end) = (a.min(b), a.max(b));
+                        match (last_end, draw(state) % 8) {
+                            (Some(last), 0 | 1) => (start, end) = (last, last),
+                            (Some(last), 2 | 3) => (start, end) = (last, end.max(last)),
+                            (Some(last), 4) if last.to_bits() == 0 => {
+                                (start, end) =
+                                    (-0.0, if draw(state).is_multiple_of(2) { -0.0 } else { end })
+                            }
+                            (Some(_), 4) => (start, end) = (0.0, 0.0),
+                            _ => {}
+                        }
+                        last_end = Some(end);
                         TraceRecord {
                             kind: OpKind::ALL[(draw(state) % OpKind::ALL.len() as u64) as usize],
-                            start: SimTime::from_secs(a.min(b)),
-                            end: SimTime::from_secs(a.max(b)),
+                            start: SimTime::from_secs(start),
+                            end: SimTime::from_secs(end),
                             bytes: awkward_int(state),
                             peer: draw(state)
                                 .is_multiple_of(2)
@@ -353,45 +410,99 @@ mod tests {
             .collect()
     }
 
+    /// An output that keeps every write apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl io::Write for Writes {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Checks both writers and both `String` forms against the tree
+    /// oracle, and the parse against the traces, on `traces`; returns
+    /// the writes of the Chrome and the JSONL writer.
+    fn assert_matches_the_oracle(traces: &[RankTrace]) -> [Vec<Vec<u8>>; 2] {
+        let (mut chrome, mut jsonl) = (Writes::default(), Writes::default());
+        write_chrome_trace(&mut chrome, traces).unwrap();
+        assert_eq!(String::from_utf8(chrome.0.concat()).unwrap(), oracle_chrome_trace_json(traces));
+        assert_eq!(chrome_trace_json(traces), oracle_chrome_trace_json(traces));
+        write_trace_jsonl(&mut jsonl, traces).unwrap();
+        let text = String::from_utf8(jsonl.0.concat()).unwrap();
+        assert_eq!(text, oracle_trace_jsonl(traces));
+        assert_eq!(trace_jsonl(traces), text);
+
+        // The parse inverts the export bit for bit, up to trailing empty
+        // ranks.
+        let back = parse_trace_jsonl(&text).unwrap();
+        let kept = traces.iter().rposition(|t| !t.records.is_empty()).map_or(0, |i| i + 1);
+        assert_eq!(back.len(), kept);
+        for (a, b) in back.iter().zip(traces) {
+            assert_eq!(a.records.len(), b.records.len());
+            for (x, y) in a.records.iter().zip(&b.records) {
+                assert_eq!((x.kind, x.bytes, x.peer), (y.kind, y.bytes, y.peer));
+                assert_eq!(x.start.as_secs().to_bits(), y.start.as_secs().to_bits());
+                assert_eq!(x.end.as_secs().to_bits(), y.end.as_secs().to_bits());
+            }
+        }
+        [chrome.0, jsonl.0]
+    }
+
     #[test]
     fn streaming_writers_match_the_tree_oracle_on_random_traces() {
         let mut state = 0x0b5e_77ac_e000_0001;
         let (mut kinds, mut peers, mut gaps) = (BTreeMap::new(), [0usize; 2], 0);
+        // Starts on the previous line's end bits, by what that end is.
+        let mut chained = BTreeMap::new();
         for _ in 0..400 {
-            let traces = random_traces(&mut state);
-            let mut chrome = Vec::new();
-            write_chrome_trace(&mut chrome, &traces).unwrap();
-            assert_eq!(String::from_utf8(chrome).unwrap(), oracle_chrome_trace_json(&traces));
-            assert_eq!(chrome_trace_json(&traces), oracle_chrome_trace_json(&traces));
-            let mut jsonl = Vec::new();
-            write_trace_jsonl(&mut jsonl, &traces).unwrap();
-            let jsonl = String::from_utf8(jsonl).unwrap();
-            assert_eq!(jsonl, oracle_trace_jsonl(&traces));
-            assert_eq!(trace_jsonl(&traces), jsonl);
+            let traces = random_traces(&mut state, 24);
+            assert_matches_the_oracle(&traces);
 
-            // The parse inverts the export bit for bit, up to trailing
-            // empty ranks.
-            let back = parse_trace_jsonl(&jsonl).unwrap();
-            let kept = traces.iter().rposition(|t| !t.records.is_empty()).map_or(0, |i| i + 1);
-            assert_eq!(back.len(), kept);
-            for (a, b) in back.iter().zip(&traces) {
-                assert_eq!(a.records.len(), b.records.len());
-                for (x, y) in a.records.iter().zip(&b.records) {
-                    assert_eq!((x.kind, x.bytes, x.peer), (y.kind, y.bytes, y.peer));
-                    assert_eq!(x.start.as_secs().to_bits(), y.start.as_secs().to_bits());
-                    assert_eq!(x.end.as_secs().to_bits(), y.end.as_secs().to_bits());
-                }
-            }
-
-            for record in traces.iter().flat_map(|t| &t.records) {
+            let records: Vec<_> = traces.iter().flat_map(|t| &t.records).collect();
+            for record in &records {
                 *kinds.entry(record.kind.name()).or_insert(0) += 1;
                 peers[usize::from(record.peer.is_some())] += 1;
             }
+            for pair in records.windows(2) {
+                let (end, start) = (pair[0].end.as_secs(), pair[1].start.as_secs());
+                let negative_zero = (-0.0f64).to_bits();
+                let case = match (end.to_bits(), start.to_bits()) {
+                    (0, bits) if bits == negative_zero => "+0 end, -0 start",
+                    (a, b) if a != b => continue,
+                    (0, _) => "+0",
+                    (bits, _) if bits == negative_zero => "-0",
+                    _ if end == 1e-300 => "1e-300",
+                    _ if end.is_subnormal() => "subnormal",
+                    _ if end == 0.5 => "power of two",
+                    _ => "other",
+                };
+                *chained.entry(case).or_insert(0) += 1;
+            }
+            let kept = traces.iter().rposition(|t| !t.records.is_empty()).map_or(0, |i| i + 1);
             gaps += traces[..kept].iter().filter(|t| t.records.is_empty()).count();
         }
         // The draw reaches every case the oracle comparison is for.
         assert_eq!(kinds.len(), OpKind::ALL.len(), "{kinds:?}");
         assert!(peers[0] > 0 && peers[1] > 0 && gaps > 0, "{peers:?} {gaps}");
+        assert_eq!(chained.len(), 7, "{chained:?}");
+    }
+
+    #[test]
+    fn a_trace_larger_than_the_flush_buffer_matches_the_oracle() {
+        let mut state = 0x0b5e_77ac_e000_0002;
+        let traces = random_traces(&mut state, 4000);
+        for writes in assert_matches_the_oracle(&traces) {
+            // Handed on in pieces of at least the flush mark, plus one span.
+            assert!(writes.len() > 2, "{} writes", writes.len());
+            let (last, full) = writes.split_last().unwrap();
+            assert!(last.len() < 2 * FLUSH_BYTES);
+            assert!(full.iter().all(|w| (FLUSH_BYTES..2 * FLUSH_BYTES).contains(&w.len())));
+        }
     }
 
     #[test]

@@ -10,14 +10,17 @@
 //!   value, so traces survive an export/import cycle losslessly.
 //!
 //! How a number, an exact integer and a string are written is decided
-//! once, in three crate-private primitives over [`fmt::Write`]. `Json`'s
-//! `Display` and the streaming trace writers of [`crate::export`] both
-//! call them, so a document rendered from a tree and a trace streamed
-//! field by field agree byte for byte.
+//! once, in crate-private primitives over [`fmt::Write`]: `write_num`
+//! and `write_str`, which `Json`'s `Display` calls, and `write_int`. The
+//! trace writers of [`crate::export`] append each span's numbers to a
+//! byte buffer through `push_num` and `push_int`, which take their bytes
+//! from the same digits, so a document rendered from a tree and a trace
+//! written span by span agree byte for byte.
 
-use crate::digits;
+use crate::digits::{self, LAYOUT_BYTES};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io;
 
 /// The largest integer every `f64` holds exactly (2^53), and so the
 /// largest [`Json::int`] and the trace writers accept: readers that
@@ -25,32 +28,73 @@ use std::fmt;
 pub(crate) const MAX_EXACT_INT: u64 = 1 << 53;
 
 /// Writes a number in Rust's shortest round-trip form, which parses
-/// back to the same bits: the bytes of `f64`'s `Display`, from the Ryu
-/// digits of [`digits::shortest`] where it decides them and from `{}`
-/// everywhere else.
+/// back to the same bits: the bytes of `f64`'s `Display`, from
+/// [`number_digits`] where it decides them and from `{}` everywhere
+/// else.
 ///
 /// # Panics
 /// On a non-finite value, which JSON cannot represent.
 pub(crate) fn write_num<W: fmt::Write + ?Sized>(out: &mut W, v: f64) -> fmt::Result {
-    assert!(v.is_finite(), "non-finite number {v} cannot be serialized");
-    match digits::shortest(v, &mut [0; digits::LAYOUT_BYTES]) {
-        Some(text) => out.write_str(text),
+    match number_digits(v, &mut [0; LAYOUT_BYTES]) {
+        Some(digits) => out.write_str(ascii(digits)),
         None => write!(out, "{v}"),
     }
 }
 
+/// [`write_num`], appended to a byte buffer.
+///
+/// # Panics
+/// As [`write_num`].
+pub(crate) fn push_num(out: &mut Vec<u8>, v: f64) {
+    match number_digits(v, &mut [0; LAYOUT_BYTES]) {
+        Some(digits) => out.extend_from_slice(digits),
+        None => io::Write::write_fmt(out, format_args!("{v}")).expect("a Vec accepts every write"),
+    }
+}
+
+/// `f64`'s `Display` bytes for `v`, laid out in `buf`, where the digits
+/// of [`crate::digits`] decide them: the integer digits of a
+/// non-negative integer up to [`MAX_EXACT_INT`], and otherwise
+/// [`digits::shortest`]. `-0.0` is left to `{}`, which writes `-0`.
+///
+/// # Panics
+/// On a non-finite value.
+fn number_digits(v: f64, buf: &mut [u8; LAYOUT_BYTES]) -> Option<&[u8]> {
+    assert!(v.is_finite(), "non-finite number {v} cannot be serialized");
+    if v.is_sign_positive() && v <= MAX_EXACT_INT as f64 {
+        let int = v as u64;
+        if int as f64 == v {
+            return Some(digits::integer(int, buf));
+        }
+    }
+    digits::shortest(v, buf)
+}
+
 /// Writes an exact integer: the same bytes as [`write_num`] of `v as
-/// f64`, without the float formatting.
+/// f64`, without the conversion.
 ///
 /// # Panics
 /// Above [`MAX_EXACT_INT`].
 pub(crate) fn write_int<W: fmt::Write + ?Sized>(out: &mut W, v: u64) -> fmt::Result {
     assert_exact(v);
-    out.write_str(digits::integer(v, &mut [0; 20]))
+    out.write_str(ascii(digits::integer(v, &mut [0; LAYOUT_BYTES])))
+}
+
+/// [`write_int`], appended to a byte buffer.
+///
+/// # Panics
+/// As [`write_int`].
+pub(crate) fn push_int(out: &mut Vec<u8>, v: u64) {
+    assert_exact(v);
+    out.extend_from_slice(digits::integer(v, &mut [0; LAYOUT_BYTES]));
 }
 
 fn assert_exact(v: u64) {
     assert!(v <= MAX_EXACT_INT, "integer {v} exceeds exact f64 range");
+}
+
+fn ascii(digits: &[u8]) -> &str {
+    std::str::from_utf8(digits).expect("digit layouts are ASCII")
 }
 
 /// Writes `s` as a quoted string, escaping quotes, backslashes and
@@ -462,12 +506,29 @@ mod tests {
         cases.extend((1..16).flat_map(|k| [10u64.pow(k) - 1, 10u64.pow(k), 10u64.pow(k) + 1]));
         cases.extend((0..2000).map(|i| (draw(&mut state) % (MAX_EXACT_INT + 1)) >> (i % 53)));
         for v in cases {
-            let (mut int, mut num) = (String::new(), String::new());
+            let (mut int, mut num, mut pushed) = (String::new(), String::new(), Vec::new());
             write_int(&mut int, v).unwrap();
             write_num(&mut num, v as f64).unwrap();
+            push_int(&mut pushed, v);
             assert_eq!(int, v.to_string());
             assert_eq!(int, num, "{v}");
             assert_eq!(int, Json::int(v).to_string());
+            assert_eq!(int.as_bytes(), pushed);
+        }
+    }
+
+    #[test]
+    fn integer_valued_numbers_write_the_bytes_of_display() {
+        // Non-negative integers up to 2^53 take the integer digits; -0.0
+        // and everything past 2^53 must keep `Display`'s bytes too.
+        let mut cases = vec![0.0, -0.0, 2f64.powi(53) - 1.0, 2f64.powi(53), 2f64.powi(53) + 2.0];
+        cases.extend([1e21, 2f64.powi(64)]);
+        for k in 1..=22 {
+            let power = 10f64.powi(k);
+            cases.extend([power - 1.0, power, power + 1.0]);
+        }
+        for v in cases {
+            assert_num_bytes(v);
         }
     }
 
@@ -479,13 +540,15 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Checks `write_num` against the standard library's `Display`, the
-    /// oracle for its bytes, on `v` and `-v`.
+    /// Checks `write_num` and `push_num` against the standard library's
+    /// `Display`, the oracle for their bytes, on `v` and `-v`.
     fn assert_num_bytes(v: f64) {
         for v in [v, -v] {
-            let mut text = String::new();
+            let (mut text, mut pushed) = (String::new(), Vec::new());
             write_num(&mut text, v).unwrap();
+            push_num(&mut pushed, v);
             assert_eq!(text, format!("{v}"), "bits {:#018x}", v.to_bits());
+            assert_eq!(pushed, text.as_bytes(), "bits {:#018x}", v.to_bits());
         }
     }
 

@@ -17,11 +17,11 @@
 //! * [`export`] — byte-stable trace serialization:
 //!   [`write_chrome_trace`] for `chrome://tracing`/Perfetto, and
 //!   [`write_trace_jsonl`]/[`parse_trace_jsonl`] for lossless archive
-//!   and re-analysis. The writers stream each span's fields straight to
-//!   an `io::Write`, through the same number, integer and string
-//!   formatting as [`Json`]'s `Display` ([`json`]), so no per-span value
-//!   tree is built; [`chrome_trace_json`] and [`trace_jsonl`] render
-//!   the same bytes into a `String`.
+//!   and re-analysis. The writers append each span to one bounded byte
+//!   buffer in front of an `io::Write`, with the same number and integer
+//!   digits as [`Json`]'s `Display` ([`json`]), so no per-span value
+//!   tree is built and no file is held whole; [`chrome_trace_json`] and
+//!   [`trace_jsonl`] run the same writers into a `String`.
 //! * [`analysis`] — [`critical_path`] extraction (the dependency chain
 //!   that decides the makespan), [`rank_activity`] (compute vs. engaged
 //!   transfer vs. idle-wait per rank), and the [`load_imbalance`]
