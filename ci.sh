@@ -29,8 +29,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # is what this repository delivers) and the §2 baselines' two defining
 # required-work procedures, each tested in its own file. The rule is
 # textual, so a function that a same-named function or method elsewhere
-# shadows (`label`, `median`, `advance`), or a const whose name is a
-# common word, slips past it.
+# shadows (`label`, `median`, `advance`, `fingerprint`, `as_micros`), or
+# a const whose name is a common word, slips past it.
 set +x
 DEAD_API_DIRS="crates src tests examples benchmark"
 find $DEAD_API_DIRS -name target -prune -o -name '*.rs' -print | while read -r file; do
@@ -281,14 +281,15 @@ test "$best" -le "$OBS_BUDGET_US" || {
 # the suite priced its cells; the fault-free quick ladder must stay
 # fully analytic (closed forms, lockstep evaluator and class-aggregated
 # cells all count; no event-driven fallbacks), and the full suite's
-# memo hit rate must not drop below
-# the recorded baseline (36.5% — EXPERIMENTS.md "Telemetry baseline").
+# memo hit rate must not drop below the recorded baseline (53.9%: 130
+# hits of 241 touches, all of them GE and MM ladder cells, the only
+# cells the memo holds — EXPERIMENTS.md "Telemetry baseline").
 "$BIN" --quick --stats-out "$TMP"/stats_quick.json > /dev/null
 grep -q '"analytic_coverage_percent":100,' "$TMP"/stats_quick.json || {
     echo "quick ladder lost full analytic coverage" >&2
     exit 1
 }
-MEMO_HIT_FLOOR=36
+MEMO_HIT_FLOOR=53
 "$BIN" --stats-out "$TMP"/stats_full.json > /dev/null
 hit=$(sed -n 's/.*"memo_hit_percent":\([0-9]*\).*/\1/p' "$TMP"/stats_full.json)
 test -n "$hit" || { echo "memo_hit_percent missing from stats document" >&2; exit 1; }

@@ -117,18 +117,6 @@ impl PolicyKind {
             PolicyKind::ShrinkRebalance => "shrink-rebalance",
         }
     }
-
-    /// Memo-cache label. The checkpoint interval is not part of the
-    /// memo key, but it is a pure function of key components (plan
-    /// MTBF, cluster, n), so one label per (kernel, policy) is sound.
-    fn memo_label(self, kernel: Kernel) -> &'static str {
-        match (kernel, self) {
-            (Kernel::Ge, PolicyKind::CheckpointRestart) => "ge-rec-cr",
-            (Kernel::Ge, PolicyKind::ShrinkRebalance) => "ge-rec-sr",
-            (Kernel::Mm, PolicyKind::CheckpointRestart) => "mm-rec-cr",
-            (Kernel::Mm, PolicyKind::ShrinkRebalance) => "mm-rec-sr",
-        }
-    }
 }
 
 /// Plan seed of the recovery sweep for a `p`-rank scaled configuration.
@@ -193,14 +181,11 @@ impl<N: NetworkModel> AlgorithmSystem for RecoverableSystem<'_, N> {
     fn execute(&self, n: usize) -> f64 {
         let plan = self.plan_for(n);
         let policy = self.policy_for(n);
-        let label = self.policy.memo_label(self.kernel);
-        crate::memo::cached(label, &self.cluster, self.network, n, Some(&plan), || {
-            let kernel = self.kernel.recoverable();
-            timed_recoverable(kernel, &self.cluster, self.network, &plan, policy, n, false)
-                .timing
-                .makespan
-        })
-        .as_secs()
+        let kernel = self.kernel.recoverable();
+        timed_recoverable(kernel, &self.cluster, self.network, &plan, policy, n, false)
+            .timing
+            .makespan
+            .as_secs()
     }
 }
 

@@ -58,7 +58,7 @@ use bench_tables::experiments::{
 use bench_tables::stats::{self, IdSummaries};
 use bench_tables::stopwatch::Stopwatch;
 use bench_tables::{obs, ExperimentParams, Table};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// One wall-clock lap per id, plus (when `--stats-out` is active) a
@@ -377,6 +377,9 @@ fn main() {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| {
             fail(&format!("cannot create csv directory {}: {e}", dir.display()))
         });
+        // Two titles can share a slug (both "Recover — …" tables): the
+        // first keeps it, later ones are numbered `slug-2`, `slug-3`, …
+        let mut seen: BTreeMap<String, usize> = BTreeMap::new();
         for table in &emitted {
             let slug: String = table
                 .title
@@ -385,7 +388,13 @@ fn main() {
                 .filter(|c| c.is_ascii_alphanumeric())
                 .collect::<String>()
                 .to_lowercase();
-            let path = dir.join(format!("{slug}.csv"));
+            let repeat = seen.entry(slug.clone()).or_insert(0);
+            *repeat += 1;
+            let name = match *repeat {
+                1 => format!("{slug}.csv"),
+                k => format!("{slug}-{k}.csv"),
+            };
+            let path = dir.join(name);
             std::fs::write(&path, table.to_csv()).unwrap_or_else(|e| {
                 fail(&format!("cannot write csv file {}: {e}", path.display()))
             });

@@ -8,7 +8,9 @@
 //! ranks stay cheap while producing exactly the virtual times the
 //! arithmetic-executing kernels would. [`GeSystem`] reads only the
 //! makespan, so it prices through [`ge_makespan`], the class-aggregated
-//! GE form on a per-rank cluster.
+//! GE form on a per-rank cluster. [`GeSystem`] and [`MmSystem`] go
+//! through [`crate::memo`], because the suite re-reads their ladder
+//! cells; the other adapters price each cell directly.
 
 use crate::params::MEGA_POWER_ITERS;
 use hetsim_cluster::classed::ClassedCluster;
@@ -66,7 +68,7 @@ impl<N: NetworkModel> AlgorithmSystem for GeSystem<'_, N> {
         ge_work(n)
     }
     fn execute(&self, n: usize) -> f64 {
-        crate::memo::cached("ge", self.cluster, self.network, n, None, || {
+        crate::memo::cached("ge", self.cluster, self.network, n, || {
             ge_makespan(self.cluster, self.network, n)
         })
         .as_secs()
@@ -99,7 +101,7 @@ impl<N: NetworkModel> AlgorithmSystem for MmSystem<'_, N> {
         mm_work(n)
     }
     fn execute(&self, n: usize) -> f64 {
-        crate::memo::cached("mm", self.cluster, self.network, n, None, || {
+        crate::memo::cached("mm", self.cluster, self.network, n, || {
             mm_parallel_timed(self.cluster, self.network, n, RunSpec::default()).makespan
         })
         .as_secs()
@@ -133,19 +135,9 @@ impl<N: NetworkModel> AlgorithmSystem for StencilSystem<'_, N> {
         stencil_work(n, stencil_iters(n))
     }
     fn execute(&self, n: usize) -> f64 {
-        // `stencil_iters(n)` is a pure function of `n`, so the kernel
-        // tag + `n` still pin the cell.
-        crate::memo::cached("stencil", self.cluster, self.network, n, None, || {
-            stencil_parallel_timed(
-                self.cluster,
-                self.network,
-                n,
-                stencil_iters(n),
-                RunSpec::default(),
-            )
+        stencil_parallel_timed(self.cluster, self.network, n, stencil_iters(n), RunSpec::default())
             .makespan
-        })
-        .as_secs()
+            .as_secs()
     }
 }
 
@@ -176,11 +168,9 @@ impl<N: NetworkModel> AlgorithmSystem for PowerSystem<'_, N> {
         power_work(n, power_iters(n))
     }
     fn execute(&self, n: usize) -> f64 {
-        crate::memo::cached("power", self.cluster, self.network, n, None, || {
-            power_parallel_timed(self.cluster, self.network, n, power_iters(n), RunSpec::default())
-                .makespan
-        })
-        .as_secs()
+        power_parallel_timed(self.cluster, self.network, n, power_iters(n), RunSpec::default())
+            .makespan
+            .as_secs()
     }
 }
 

@@ -518,6 +518,31 @@ fn recover_id_emits_sweep_daly_table_and_recovery_annex() {
 }
 
 #[test]
+fn csv_writes_one_file_per_emitted_table() {
+    // Both "Recover — …" tables slug to `recover`; the second must get a
+    // file of its own instead of overwriting the first.
+    let dir = temp_dir("csv");
+    let out = run(&["--quick", "recover", "--csv", dir.to_str().expect("utf-8 temp path")]);
+    assert!(out.status.success(), "--csv run failed: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut titles: Vec<String> = stdout
+        .lines()
+        .filter_map(|line| Some(format!("# {}", line.strip_prefix("== ")?.strip_suffix(" ==")?)))
+        .collect();
+    assert!(titles.len() > 1, "expected several tables: {stdout}");
+    let mut heads: Vec<String> = std::fs::read_dir(&*dir)
+        .expect("csv directory")
+        .map(|entry| {
+            let text = std::fs::read_to_string(entry.expect("dir entry").path()).expect("csv");
+            text.lines().next().unwrap_or_default().to_string()
+        })
+        .collect();
+    titles.sort();
+    heads.sort();
+    assert_eq!(heads, titles, "one file per emitted table, each headed by its title");
+}
+
+#[test]
 fn recover_is_byte_identical_across_runs_jobs_and_engines() {
     let base = stdout_of(&["--quick", "recover"]);
     assert!(!base.is_empty());

@@ -12,8 +12,6 @@
 //! * the marked speed `C = Σᵢ Cᵢ` is an IEEE fold in rank order —
 //!   [`crate::flrepeat::repeat_add`] collapses each equal-speed run
 //!   exactly;
-//! * the memo fingerprint is per-class `(speed bits, count)` pairs
-//!   instead of per-rank speed bits;
 //! * [`ClassedCluster::materialize`] expands to a plain [`ClusterSpec`]
 //!   for the oracle engines at sizes where O(P) is affordable, and the
 //!   equality tests pin that both views agree.
@@ -187,13 +185,6 @@ impl ClassedCluster {
     /// System marked speed in flop/s.
     pub fn marked_speed_flops(&self) -> f64 {
         self.marked_speed_mflops() * 1e6
-    }
-
-    /// Structural identity for memoization keys: `(speed bits, count)`
-    /// per class, flattened — O(classes), unlike
-    /// [`ClusterSpec::fingerprint`]'s per-rank encoding.
-    pub fn fingerprint(&self) -> Vec<u64> {
-        self.classes.iter().flat_map(|c| [c.speed_mflops.to_bits(), c.count as u64]).collect()
     }
 
     /// Expands to a plain per-rank [`ClusterSpec`] (synthetic nodes,
@@ -427,14 +418,6 @@ mod tests {
         let spec = ClusterSpec::new("huge", nodes).unwrap();
         let err = ClassedCluster::from_spec(&spec).unwrap_err();
         assert!(err.contains("marked speed must be finite"), "{err}");
-    }
-
-    #[test]
-    fn fingerprint_is_compact_and_speed_sensitive() {
-        let a = ClassedCluster::heet(100_000, 6, 50.0, 4.0);
-        assert_eq!(a.fingerprint().len(), 2 * a.class_count());
-        let b = ClassedCluster::heet(100_000, 6, 50.0, 5.0);
-        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     proptest! {

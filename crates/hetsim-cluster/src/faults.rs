@@ -147,16 +147,6 @@ pub enum RecoveryPolicy {
     ShrinkRebalance,
 }
 
-impl RecoveryPolicy {
-    /// Short stable label for tables and memo keys.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RecoveryPolicy::CheckpointRestart { .. } => "checkpoint-restart",
-            RecoveryPolicy::ShrinkRebalance => "shrink-rebalance",
-        }
-    }
-}
-
 /// Fixed latency of one coordinated checkpoint, independent of size —
 /// the coordination barrier plus the I/O setup cost.
 pub const CHECKPOINT_LATENCY_SECS: f64 = 0.02;
@@ -359,27 +349,6 @@ impl FaultPlan {
     /// path untouched).
     pub fn straggler(&self, rank: usize) -> Option<f64> {
         self.stragglers.get(&rank).copied()
-    }
-
-    /// Structural identity for memoization keys: every field the runtime
-    /// reads, flattened to words (floats as `to_bits`, maps in key
-    /// order). Two plans with equal fingerprints charge identical
-    /// straggler and retry time to any program.
-    pub fn fingerprint(&self) -> Vec<u64> {
-        let mut fp = vec![self.seed, self.drop_per_mille as u64];
-        for (&rank, &multiplier) in &self.stragglers {
-            fp.push(rank as u64);
-            fp.push(multiplier.to_bits());
-        }
-        for &rank in &self.deaths {
-            fp.push(u64::MAX);
-            fp.push(rank as u64);
-        }
-        if let Some(mtbf) = self.mtbf_secs {
-            fp.push(u64::MAX - 1);
-            fp.push(mtbf.to_bits());
-        }
-        fp
     }
 
     /// Whether a run on `ranks` ranks under this plan has anything the
@@ -683,13 +652,13 @@ mod tests {
     }
 
     #[test]
-    fn mtbf_extends_fingerprint_and_emptiness() {
+    fn mtbf_extends_equality_and_emptiness() {
         let base = FaultPlan::new(5);
         let with = FaultPlan::new(5).with_mtbf(120.0);
         assert!(base.is_empty());
         assert!(!with.is_empty());
-        assert_ne!(base.fingerprint(), with.fingerprint());
-        assert_ne!(with.fingerprint(), FaultPlan::new(5).with_mtbf(121.0).fingerprint());
+        assert_ne!(base, with);
+        assert_ne!(with, FaultPlan::new(5).with_mtbf(121.0));
         // for_survivors carries the stream along.
         assert_eq!(with.for_survivors(4), with);
     }
@@ -731,14 +700,5 @@ mod tests {
         let bytes = 1_000_000u64;
         let expected = CHECKPOINT_LATENCY_SECS + bytes as f64 / CHECKPOINT_BANDWIDTH_BYTES_PER_SEC;
         assert_eq!(checkpoint_cost_secs(bytes), expected);
-    }
-
-    #[test]
-    fn recovery_policy_labels_are_stable() {
-        assert_eq!(
-            RecoveryPolicy::CheckpointRestart { interval_secs: 5.0 }.label(),
-            "checkpoint-restart"
-        );
-        assert_eq!(RecoveryPolicy::ShrinkRebalance.label(), "shrink-rebalance");
     }
 }

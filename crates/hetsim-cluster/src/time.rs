@@ -47,11 +47,6 @@ impl SimTime {
         self.0 * 1e3
     }
 
-    /// Microseconds as `f64`.
-    pub fn as_micros(self) -> f64 {
-        self.0 * 1e6
-    }
-
     /// The later of two times.
     pub fn max(self, other: SimTime) -> SimTime {
         if other.0 > self.0 {
@@ -135,7 +130,6 @@ mod tests {
         let t = SimTime::from_millis(1.5);
         assert!((t.as_secs() - 0.0015).abs() < 1e-15);
         assert!((t.as_millis() - 1.5).abs() < 1e-12);
-        assert!((t.as_micros() - 1500.0).abs() < 1e-9);
         assert_eq!(SimTime::from_micros(2000.0), SimTime::from_millis(2.0));
     }
 

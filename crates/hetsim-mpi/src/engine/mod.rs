@@ -308,13 +308,17 @@ struct SimMsg {
 
 /// Collective slot state, mirroring `collectives::Slot` minus payloads.
 ///
-/// `missing` counters and the cached barrier `rendezvous` replace the
-/// round-robin scheduler's per-visit O(p) "anyone absent? fold the max"
-/// scans. The cached fold runs exactly once, over the same complete
-/// deposit set the old code folded on every visit, so every float
-/// compare sees the same operands and the result is bit-equal.
+/// `missing` counters replace per-visit O(p) "anyone absent?" scans. A
+/// barrier keeps a running `rendezvous` instead of the oracle's entry
+/// vector: the first rank in seeds it with its clock and each later
+/// entry folds its own in with `std::cmp::max`. `SimTime`'s `Ord` is
+/// `f64::total_cmp`, the order the oracle's `Iterator::max` uses, so
+/// the result has the same bits in any entry order. A rank parked on a
+/// barrier is woken only by the last entry's drain (barrier waiters get
+/// no mailbox wakes), so a rank that finds `missing == 0` has already
+/// entered. `reads` counts the ranks that have left, to free the slot.
 enum SimSlot {
-    Barrier { entries: Vec<Option<SimTime>>, missing: usize, rendezvous: SimTime, reads: usize },
+    Barrier { missing: usize, rendezvous: SimTime, reads: usize },
     Gather { deposits: Vec<Option<(SimTime, usize)>>, missing: usize },
     Bcast { deposit: Option<(SimTime, usize)>, reads: usize },
 }
@@ -529,9 +533,6 @@ struct SimShared<'a, N: NetworkModel> {
     woken: Vec<usize>,
     /// `wait_link[r]` — next rank after `r` in its wake chain.
     wait_link: Vec<u32>,
-    /// Recycled barrier `entries` buffers (one barrier per program round
-    /// on GE-shaped kernels makes this allocation hot).
-    barrier_pool: Vec<Vec<Option<SimTime>>>,
     /// Recycled gather `deposits` buffers.
     gather_pool: Vec<Vec<Option<(SimTime, usize)>>>,
     /// `barrier_time(p)` is round-invariant (it depends on nothing but
@@ -687,41 +688,30 @@ impl<N: NetworkModel> SimShared<'_, N> {
                 Step::Progress
             }
             Op::Barrier => {
-                let (p, op) = (self.p, rank.collectives);
-                let pool = &mut self.barrier_pool;
+                let (p, op, clock) = (self.p, rank.collectives, rank.clock);
                 let slot = slot_mut(&mut self.slots, &mut self.live, op, || SimSlot::Barrier {
-                    entries: pooled(pool, p),
                     missing: p,
-                    rendezvous: SimTime::ZERO,
+                    rendezvous: clock,
                     reads: 0,
                 });
-                let SimSlot::Barrier { entries, missing, rendezvous, reads } = &mut slot.slot
-                else {
+                let SimSlot::Barrier { missing, rendezvous, reads } = &mut slot.slot else {
                     panic!("collective sequence mismatch: op {op} is not a barrier");
                 };
-                if entries[rank.id].is_none() {
-                    entries[rank.id] = Some(rank.clock);
-                    *missing -= 1;
-                    if *missing == 0 {
-                        // Same fold over the same complete entry set the
-                        // round-robin engine performed on every visit —
-                        // computed once, cached, bit-equal.
-                        *rendezvous =
-                            entries.iter().map(|e| e.expect("all present")).max().expect("p ≥ 1");
-                        wake_chain(&self.wait_link, &mut self.woken, &mut slot.waiters);
-                    }
-                }
                 if *missing > 0 {
-                    park(&mut self.wait_link, slot, rank.id);
-                    return Step::Blocked;
+                    // Entering: a parked rank comes back only after the
+                    // last entry, when `missing` is 0.
+                    *rendezvous = std::cmp::max(*rendezvous, clock);
+                    *missing -= 1;
+                    if *missing > 0 {
+                        park(&mut self.wait_link, slot, rank.id);
+                        return Step::Blocked;
+                    }
+                    wake_chain(&self.wait_link, &mut self.woken, &mut slot.waiters);
                 }
                 let rendezvous = *rendezvous;
                 *reads += 1;
                 if *reads == p {
-                    let taken = take_slot(&mut self.slots, &mut self.live, op);
-                    if let SimSlot::Barrier { entries, .. } = taken.slot {
-                        self.barrier_pool.push(entries);
-                    }
+                    take_slot(&mut self.slots, &mut self.live, op);
                 }
                 let cost = self.barrier_cost;
                 rank.charge_comm_waited(
@@ -1140,7 +1130,6 @@ impl<R> SpmdProgram<R> {
             live: 0,
             woken: Vec::new(),
             wait_link: vec![NO_WAITER; p],
-            barrier_pool: Vec::new(),
             gather_pool: Vec::new(),
             barrier_cost: SimTime::from_secs(network.barrier_time(p)),
         };

@@ -202,12 +202,12 @@ fn shared_fold_matches_the_traced_decomposition_for_every_kind() {
             run.death.is_some()
         })
         .expect("some seed fires a death inside the run");
-    for policy in [
-        RecoveryPolicy::CheckpointRestart { interval_secs: est / 8.0 },
-        RecoveryPolicy::ShrinkRebalance,
+    for (name, policy) in [
+        ("checkpoint-restart", RecoveryPolicy::CheckpointRestart { interval_secs: est / 8.0 }),
+        ("shrink-rebalance", RecoveryPolicy::ShrinkRebalance),
     ] {
         let run = timed_recoverable(RecoverableKernel::Ge, &ge, &net, &deadly, policy, n, true);
-        runs.push((policy.label(), run.timing.traces));
+        runs.push((name, run.timing.traces));
     }
     let mut seen = BTreeSet::new();
     for (name, traces) in &runs {
