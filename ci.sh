@@ -278,19 +278,29 @@ test "$best" -le "$OBS_BUDGET_US" || {
 }
 
 # Telemetry gates (DESIGN.md §11). The --stats-out document counts how
-# the suite priced its cells; the fault-free quick ladder must stay
-# fully analytic (closed forms, lockstep evaluator and class-aggregated
-# cells all count; no event-driven fallbacks), and the full suite's
-# memo hit rate must not drop below the recorded baseline (53.9%: 130
-# hits of 241 touches, all of them GE and MM ladder cells, the only
-# cells the memo holds — EXPERIMENTS.md "Telemetry baseline").
-"$BIN" --quick --stats-out "$TMP"/stats_quick.json > /dev/null
-grep -q '"analytic_coverage_percent":100,' "$TMP"/stats_quick.json || {
-    echo "quick ladder lost full analytic coverage" >&2
-    exit 1
+# the suite priced its cells; the fault-free quick ladder, the full
+# suite, the X3 surface and the quick mega sweep must stay fully
+# analytic: only closed-form and class-aggregated cells count, and any
+# untraced, fault-free cell replayed on the event queue is a fallback.
+# The full suite's memo hit rate must not drop below the recorded
+# baseline (53.9%: 130 hits of 241 touches, all of them GE and MM
+# ladder cells, the only cells the memo holds — EXPERIMENTS.md
+# "Telemetry baseline").
+full_coverage() {
+    grep -q '"analytic_coverage_percent":100,' "$1" || {
+        echo "$2 lost full analytic coverage" >&2
+        exit 1
+    }
 }
+"$BIN" --quick --stats-out "$TMP"/stats_quick.json > /dev/null
+full_coverage "$TMP"/stats_quick.json "quick ladder"
+"$BIN" surface --stats-out "$TMP"/stats_surface.json > /dev/null
+full_coverage "$TMP"/stats_surface.json "surface sweep"
+"$BIN" --quick mega --stats-out "$TMP"/stats_mega.json > /dev/null
+full_coverage "$TMP"/stats_mega.json "quick mega sweep"
 MEMO_HIT_FLOOR=53
 "$BIN" --stats-out "$TMP"/stats_full.json > /dev/null
+full_coverage "$TMP"/stats_full.json "full suite"
 hit=$(sed -n 's/.*"memo_hit_percent":\([0-9]*\).*/\1/p' "$TMP"/stats_full.json)
 test -n "$hit" || { echo "memo_hit_percent missing from stats document" >&2; exit 1; }
 test "$hit" -ge "$MEMO_HIT_FLOOR" || {

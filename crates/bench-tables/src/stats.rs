@@ -38,17 +38,18 @@ pub fn write_stats(path: &Path, engine: &EngineTelemetry) -> io::Result<()> {
     std::fs::write(path, format!("{doc}\n"))
 }
 
-/// Human-readable warnings: one line per analyzer rejection reason
-/// `engine` observed, in [`FallbackReason::ALL`] order. Empty on a
-/// fully analytic run.
+/// Human-readable warnings: one line per class-tier rejection reason
+/// `engine` observed, in [`FallbackReason::ALL`] order. The reasons come
+/// from the class walk and `ge_mega`, whose callers then price the cell
+/// per rank. Empty when no class tier refused a cell.
 pub fn warnings(engine: &EngineTelemetry) -> Vec<String> {
     let mut lines = Vec::new();
     for reason in FallbackReason::ALL {
         if let Some(&count) = engine.fallback_reasons.get(reason.name()) {
             let plural = if count == 1 { "" } else { "s" };
             lines.push(format!(
-                "warning: {count} simulation{plural} fell back to the \
-                 event-driven engine: {reason}"
+                "warning: {count} simulation{plural} fell back from the \
+                 class-aggregated tier to per-rank pricing: {reason}"
             ));
         }
     }
@@ -270,7 +271,8 @@ fn percent(num: u64, denom: u64) -> String {
     if value.fract() == 0.0 {
         format!("{value:.0}%")
     } else {
-        format!("{value:.1}%")
+        // A share short of all never rounds up to read as all.
+        format!("{:.1}%", value.min(99.9))
     }
 }
 
@@ -285,6 +287,7 @@ mod tests {
         assert_eq!(percent(3, 3), "100%");
         assert_eq!(percent(0, 4), "0%");
         assert_eq!(percent(7, 8), "87.5%");
+        assert_eq!(percent(9999, 10000), "99.9%");
     }
 
     fn sample() -> (EngineTelemetry, BTreeMap<&'static str, MemoCounts>, PoolCounts) {
@@ -317,9 +320,10 @@ mod tests {
         engine.fallback_reasons.insert("class-exhausted".into(), 1);
         let lines = warnings(&engine);
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("1 simulation fell back"));
+        let tier = "fell back from the class-aggregated tier to per-rank pricing: ";
+        assert!(lines[0].starts_with(&format!("warning: 1 simulation {tier}")), "{}", lines[0]);
         assert!(lines[0].contains("(class-exhausted)"));
-        assert!(lines[1].contains("2 simulations fell back"));
+        assert!(lines[1].starts_with(&format!("warning: 2 simulations {tier}")), "{}", lines[1]);
         assert!(lines[1].contains("(send-across-sync)"));
         assert!(warnings(&EngineTelemetry::default()).is_empty());
     }

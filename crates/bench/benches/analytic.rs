@@ -4,10 +4,10 @@
 //! Each of the four kernel protocol bodies is recorded once, then
 //! priced both ways on the same [`SpmdProgram`]:
 //!
-//! * `analytic` — the lockstep phase plan ([`simulate_analytic`]), the
-//!   path the suite takes by default;
+//! * `analytic` — the per-rank lockstep evaluator over the phase plan
+//!   ([`simulate_analytic`]);
 //! * `event_driven` — the ready-queue scheduler
-//!   ([`simulate_event_driven`]), the reference `--no-analytic` forces.
+//!   ([`simulate_event_driven`]), the replay every recorded cell takes.
 //!
 //! The `sunwulf_8x` group repeats the pair on the scaled Sunwulf rung
 //! the `surface` sweep prices hardest (`ge_config(64)`, 8× the paper's
@@ -41,8 +41,8 @@ fn net() -> MpichEthernet {
 /// Record all four kernel bodies on `cluster` at size `n` and bench the
 /// analytic and event-driven evaluations of each recording. Then, in
 /// the `closed_form_vs_recorded` group, price MM, power and stencil by
-/// their `*_closed_form` and by [`run_spmd_fast`] (record + lockstep
-/// plan + evaluate: the path a cell takes without its hand form).
+/// their `*_closed_form` and by [`run_spmd_fast`] (record + event-driven
+/// replay: the path a cell takes without its hand form).
 fn bench_pairs(c: &mut Criterion, group_name: &str, cluster: &ClusterSpec, n: usize) {
     let sp = cluster.speeds_mflops();
     let cyclic = CyclicDistribution::fine(n, &sp);

@@ -108,7 +108,7 @@ fn push_run(runs: &mut Vec<(u64, u64)>, value: u64, count: u64) {
     }
 }
 
-impl<R> SpmdProgram<R> {
+impl SpmdProgram {
     /// Class-aggregated pricing of the recording: walks its lockstep
     /// plan once, folding each phase over class tails in O(recorded
     /// ranks), and records [`EnginePath::Aggregated`] telemetry on
@@ -148,9 +148,9 @@ impl<R> SpmdProgram<R> {
         assert_eq!(cluster.size(), p, "cluster size disagrees with the recording's rank count");
         assert_eq!(weights.len(), p, "one weight per recorded rank");
         assert!(weights.iter().all(|&w| w > 0), "every recorded rank stands for at least one rank");
-        let walked = self.lockstep_result().as_ref().map_err(|&e| e).and_then(|plan| {
+        let walked = self.analyze().and_then(|plan| {
             let simulate_started = std::time::Instant::now();
-            let walked = self.aggregate_walk(plan, cluster, network, weights);
+            let walked = self.aggregate_walk(&plan, cluster, network, weights);
             telemetry::add_simulate_wall_ns(simulate_started.elapsed().as_nanos() as u64);
             walked
         });
@@ -391,7 +391,7 @@ mod tests {
     };
     use hetsim_cluster::node::NodeSpec;
 
-    type Program = super::super::SpmdProgram<()>;
+    type Program = super::super::SpmdProgram;
 
     /// Every op kind the aggregator folds, over per-rank row counts:
     /// barrier, compute, hub scatter, compute, broadcast, gathers to
@@ -465,11 +465,7 @@ mod tests {
     /// Checks the aggregated outcome against a per-rank outcome: the
     /// makespan is the per-rank maximum, and every class tail clock is
     /// the final clock of that class's last member — bit for bit.
-    fn assert_agg_matches<R>(
-        program: &super::super::SpmdProgram<R>,
-        agg: &AggregateOutcome,
-        per_rank: &SpmdOutcome<R>,
-    ) {
+    fn assert_agg_matches(program: &Program, agg: &AggregateOutcome, per_rank: &SpmdOutcome<()>) {
         assert_eq!(agg.makespan, per_rank.makespan(), "makespan");
         assert_eq!(agg.ranks as usize, program.size());
         let nc = agg.class_times.len();
@@ -505,8 +501,8 @@ mod tests {
             &ConstantLatency::new(1e-3),
         ];
         let walk = |program: &Program, cluster: &ClusterSpec, weights: &[u64], net| {
-            let plan = program.lockstep_result().as_ref().expect("lockstep");
-            program.aggregate_walk(plan, cluster, &net, weights).expect("aggregatable")
+            let plan = program.analyze().expect("lockstep");
+            program.aggregate_walk(&plan, cluster, &net, weights).expect("aggregatable")
         };
         for (runs, root_run) in machines {
             let (full, full_cluster, ones) = recorded(runs, root_run, false);

@@ -9,7 +9,7 @@
 //! point-to-point exchanges) in between, so there is nothing for a
 //! scheduler to decide — each phase's exit clocks are a straight-line
 //! function of its entry clocks. This module detects that structure
-//! once per recording ([`analyze`]) and, when it holds, evaluates the
+//! ([`analyze`]) and, when it holds, evaluates the
 //! whole schedule phase by phase ([`LockstepProgram::evaluate`]) with
 //! no mailboxes, slots, park/wake chains, or program counters.
 //!
@@ -45,11 +45,11 @@
 //! Anything else — crossing a collective boundary with an in-flight
 //! message, mismatched collective kinds, multi-member root classes,
 //! size mismatches — makes [`analyze`] return a typed
-//! [`FallbackReason`] and the caller falls back to the ready-queue
-//! scheduler, which either prices the program correctly or reports the
-//! protocol bug with its usual diagnostics. The analyzer never weakens
-//! an engine panic into a wrong answer: every shape it cannot *prove*
-//! lockstep falls back, and the reason is surfaced through
+//! [`FallbackReason`], and the caller prices the program on the
+//! ready-queue scheduler, which either prices it correctly or reports
+//! the protocol bug with its usual diagnostics. The analyzer never
+//! weakens an engine panic into a wrong answer: every shape it cannot
+//! *prove* lockstep is refused, and the reason is surfaced through
 //! `SpmdProgram::fallback_reason` and the telemetry counters.
 //!
 //! # Float-op mirroring

@@ -39,18 +39,20 @@
 //!    that makes the threaded runtime scheduling-independent), so the
 //!    visit order change cannot perturb a single bit.
 //!
-//! Lockstep recordings skip the scheduler: `analytic` factors a
-//! recording once into a phase plan, the engine's only plan, which two
-//! tiers walk — the per-rank lockstep evaluator (DESIGN.md §10) and the
-//! class-aggregated walk of `aggregate` (DESIGN.md §13). Each tier
-//! has one way to ask for it: [`run_spmd_fast`] records and routes,
-//! and a recorded [`SpmdProgram`] prices on one tier through
-//! [`simulate_analytic`](SpmdProgram::simulate_analytic),
-//! [`simulate_event_driven`](SpmdProgram::simulate_event_driven) or
-//! [`simulate_aggregated`](SpmdProgram::simulate_aggregated). The
-//! routing half of [`run_spmd_fast`] is
-//! [`SpmdProgram::simulate`], which replays one recording under any
-//! [`RunSpec`] — the way one recording serves several fault plans.
+//! Lockstep recordings can skip the scheduler: `analytic` factors a
+//! recording into a phase plan, the engine's only plan, which two tiers
+//! walk — the per-rank lockstep evaluator (DESIGN.md §10) and the
+//! class-aggregated walk of `aggregate` (DESIGN.md §13). Each tier has
+//! one way to ask for it: [`run_spmd_fast`] records and replays on the
+//! scheduler, and a recorded [`SpmdProgram`] prices through
+//! [`simulate`](SpmdProgram::simulate) (the scheduler under any
+//! [`RunSpec`] — the way one recording serves several fault plans),
+//! [`simulate_aggregated`](SpmdProgram::simulate_aggregated) or
+//! [`simulate_analytic`](SpmdProgram::simulate_analytic). The kernels'
+//! closed forms and the callers' class walks price every untraced,
+//! fault-free cell before anything is recorded, so no production path
+//! needs the per-rank evaluator: it is kept for the benchmark probe and
+//! the equivalence tests.
 //!
 //! The threaded runtime remains the semantic oracle: any new operation
 //! must land in [`crate::context::Rank`] first and be mirrored here,
@@ -67,7 +69,6 @@ use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
 mod aggregate;
 mod analytic;
@@ -75,21 +76,24 @@ mod analytic;
 pub use aggregate::AggregateOutcome;
 use analytic::LockstepProgram;
 
-/// Process-wide switch for the lockstep analytic evaluator (default
-/// on). See [`set_analytic_enabled`].
+/// Process-wide switch for the analytic pricing tiers (default on).
+/// See [`set_analytic_enabled`].
 static ANALYTIC_ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Globally enables or disables the lockstep analytic evaluator
-/// (`bench-tables`' `--no-analytic` flag). With it disabled,
-/// [`run_spmd_fast`] always uses the event-driven ready-queue
-/// scheduler. Both paths are bit-identical by
-/// construction (the analytic evaluator mirrors the scheduler's float-op
-/// sequences), so flipping this mid-run changes cost, never results.
+/// Globally enables or disables the analytic pricing tiers
+/// (`bench-tables`' `--no-analytic` flag): the kernels' closed forms
+/// and the callers' class walks read it. The fast engine replays on the
+/// scheduler either way and only labels the replay by it: an untraced,
+/// fault-free [`SpmdProgram::simulate`] counts as
+/// [`EventDrivenMode::Forced`] while the tiers are off and as an
+/// [`EventDrivenMode::Fallback`] while they are on. Every tier is
+/// bit-identical to the scheduler, so flipping this mid-run changes
+/// cost, never results.
 pub fn set_analytic_enabled(enabled: bool) {
     ANALYTIC_ENABLED.store(enabled, Ordering::Relaxed);
 }
 
-/// Whether the lockstep analytic evaluator is currently enabled.
+/// Whether the analytic pricing tiers are currently enabled.
 pub fn analytic_enabled() -> bool {
     ANALYTIC_ENABLED.load(Ordering::Relaxed)
 }
@@ -533,8 +537,6 @@ struct SimShared<'a, N: NetworkModel> {
     woken: Vec<usize>,
     /// `wait_link[r]` — next rank after `r` in its wake chain.
     wait_link: Vec<u32>,
-    /// Recycled gather `deposits` buffers.
-    gather_pool: Vec<Vec<Option<(SimTime, usize)>>>,
     /// `barrier_time(p)` is round-invariant (it depends on nothing but
     /// `p`), so it is priced once per replay instead of once per rank
     /// per barrier — the exact same pure call, hence the exact same
@@ -588,18 +590,6 @@ fn wake_chain(wait_link: &[u32], woken: &mut Vec<usize>, head: &mut u32) {
         cur = wait_link[cur as usize];
     }
     *head = NO_WAITER;
-}
-
-/// Takes a zeroed length-`p` buffer from `pool` (or allocates one).
-fn pooled<T: Clone>(pool: &mut Vec<Vec<Option<T>>>, p: usize) -> Vec<Option<T>> {
-    match pool.pop() {
-        Some(mut v) => {
-            v.clear();
-            v.resize(p, None);
-            v
-        }
-        None => vec![None; p],
-    }
 }
 
 impl<N: NetworkModel> SimShared<'_, N> {
@@ -761,9 +751,8 @@ impl<N: NetworkModel> SimShared<'_, N> {
             }
             Op::GatherRoot { count } => {
                 let (p, op) = (self.p, rank.collectives);
-                let pool = &mut self.gather_pool;
                 let slot = slot_mut(&mut self.slots, &mut self.live, op, || SimSlot::Gather {
-                    deposits: pooled(pool, p),
+                    deposits: vec![None; p],
                     missing: p,
                 });
                 let SimSlot::Gather { deposits, missing } = &mut slot.slot else {
@@ -778,7 +767,7 @@ impl<N: NetworkModel> SimShared<'_, N> {
                     return Step::Blocked;
                 }
                 let taken = take_slot(&mut self.slots, &mut self.live, op);
-                let SimSlot::Gather { mut deposits, .. } = taken.slot else {
+                let SimSlot::Gather { deposits, .. } = taken.slot else {
                     unreachable!("checked above")
                 };
                 let sizes: Vec<u64> =
@@ -799,8 +788,6 @@ impl<N: NetworkModel> SimShared<'_, N> {
                     total_bytes,
                     None,
                 );
-                deposits.clear();
-                self.gather_pool.push(deposits);
                 Step::Progress
             }
             Op::Charge { kind, secs, bytes } => {
@@ -813,9 +800,8 @@ impl<N: NetworkModel> SimShared<'_, N> {
                 let bytes = (count * 8) as u64;
                 rank.charge_link_retries(self.tracing, self.faults, root, bytes);
                 let (p, op) = (self.p, rank.collectives);
-                let pool = &mut self.gather_pool;
                 let slot = slot_mut(&mut self.slots, &mut self.live, op, || SimSlot::Gather {
-                    deposits: pooled(pool, p),
+                    deposits: vec![None; p],
                     missing: p,
                 });
                 let SimSlot::Gather { deposits, missing } = &mut slot.slot else {
@@ -875,8 +861,8 @@ fn class_hash(speed_bits: u64, ops: &[Op]) -> u64 {
     h
 }
 
-/// A recorded SPMD program: per-rank results plus rank-class
-/// deduplicated op lists, ready to price on any tier.
+/// A recorded SPMD program: rank-class deduplicated op lists, ready to
+/// price on any tier.
 ///
 /// Produced by [`record_spmd`]. Ranks whose recorded op streams and
 /// marked node speeds coincide share a single stored recording — on a
@@ -885,31 +871,26 @@ fn class_hash(speed_bits: u64, ops: &[Op]) -> u64 {
 /// read-only programs: clocks, mailboxes, and accumulators stay
 /// per-rank, so two ranks replaying the same list still interleave (and
 /// wait) exactly as if each owned a private copy.
-pub struct SpmdProgram<R> {
+pub struct SpmdProgram {
     p: usize,
-    results: Vec<R>,
     /// One op list per distinct rank class.
     classes: Vec<Vec<Op>>,
     /// Class index per rank.
     class_of: Vec<usize>,
-    /// Lazily computed lockstep phase plan; `Err` caches the analyzer's
-    /// rejection reason so the structure check runs at most once.
-    lockstep: OnceLock<Result<LockstepProgram, FallbackReason>>,
 }
 
 /// Phase 1 of the fast engine, exposed for benchmarks and callers that
 /// want to replay one recording under several network models: runs
 /// `body` once per rank against a [`RecordTimer`] and deduplicates the
 /// recordings into rank classes.
-pub fn record_spmd<R, F>(cluster: &ClusterSpec, body: F) -> SpmdProgram<R>
+pub fn record_spmd<F>(cluster: &ClusterSpec, body: F) -> SpmdProgram
 where
-    F: Fn(&mut RecordTimer) -> R,
+    F: Fn(&mut RecordTimer),
 {
     // Wall-clock is profile-only telemetry (DESIGN.md §11); nothing
     // deterministic depends on it.
     let record_started = std::time::Instant::now();
     let p = cluster.size();
-    let mut results = Vec::with_capacity(p);
     let mut classes: Vec<Vec<Op>> = Vec::new();
     let mut class_speeds: Vec<u64> = Vec::new();
     let mut class_of = Vec::with_capacity(p);
@@ -919,7 +900,7 @@ where
     let mut scratch: Vec<Op> = Vec::new();
     for id in 0..p {
         let mut timer = RecordTimer { id, size: p, ops: scratch };
-        results.push(body(&mut timer));
+        body(&mut timer);
         let speed = cluster.nodes()[id].marked_speed_flops().to_bits();
         let hash = class_hash(speed, &timer.ops);
         let bucket = by_hash.entry(hash).or_default();
@@ -946,10 +927,10 @@ where
         }
     }
     telemetry::add_record_wall_ns(record_started.elapsed().as_nanos() as u64);
-    SpmdProgram { p, results, classes, class_of, lockstep: OnceLock::new() }
+    SpmdProgram { p, classes, class_of }
 }
 
-impl<R> SpmdProgram<R> {
+impl SpmdProgram {
     /// Number of ranks in the recording.
     pub fn size(&self) -> usize {
         self.p
@@ -961,55 +942,47 @@ impl<R> SpmdProgram<R> {
         self.classes.len()
     }
 
-    /// The recording's lockstep phase plan (or the analyzer's rejection
-    /// reason), computed once on first use; the analysis is timed for
-    /// the profile export's `analyze_us` phase.
-    fn lockstep_result(&self) -> &Result<LockstepProgram, FallbackReason> {
-        self.lockstep.get_or_init(|| {
-            let analyze_started = std::time::Instant::now();
-            let result = analytic::analyze(self.p, &self.classes, &self.class_of);
-            telemetry::add_analyze_wall_ns(analyze_started.elapsed().as_nanos() as u64);
-            result
-        })
+    /// The recording's lockstep phase plan, or the analyzer's rejection
+    /// reason, timed as the profile export's `analyze_us` phase. Nothing
+    /// caches it: no caller reads one recording's plan twice.
+    fn analyze(&self) -> Result<LockstepProgram, FallbackReason> {
+        let analyze_started = std::time::Instant::now();
+        let result = analytic::analyze(self.p, &self.classes, &self.class_of);
+        telemetry::add_analyze_wall_ns(analyze_started.elapsed().as_nanos() as u64);
+        result
     }
 
-    /// Why the lockstep analyzer rejected this recording, or `None`
-    /// when it is lockstep (DESIGN.md §10). Forces the (cached)
-    /// structure check.
+    /// Why the lockstep analyzer rejects this recording, or `None` when
+    /// it is lockstep (DESIGN.md §10).
     pub fn fallback_reason(&self) -> Option<FallbackReason> {
-        self.lockstep_result().as_ref().err().copied()
+        self.analyze().err()
     }
 
-    /// Phase 2 of the fast engine on the event-driven ready-queue
-    /// scheduler, regardless of the global analytic toggle:
-    /// bit-identical to [`run_spmd_fast`] on the same body, and the
-    /// reference path equivalence tests and benches compare against.
-    /// `cluster` must be the recording's cluster (or one of identical
-    /// size — per-rank speeds are re-read from it).
+    /// Phase 2 of the fast engine, untraced and fault-free, labelled
+    /// [`EventDrivenMode::Forced`] whatever the global analytic toggle
+    /// says: the reference replay equivalence tests and benches compare
+    /// against. `cluster` must be the recording's cluster (or one of
+    /// identical size — per-rank speeds are re-read from it).
     pub fn simulate_event_driven<N: NetworkModel>(
         &self,
         cluster: &ClusterSpec,
         network: &N,
-    ) -> SpmdOutcome<R>
-    where
-        R: Clone,
-    {
-        self.replay(
-            cluster,
-            network,
-            RunSpec::default(),
-            EventDrivenMode::Forced,
-            self.results.clone(),
-        )
+    ) -> SpmdOutcome<()> {
+        self.replay(cluster, network, RunSpec::default(), EventDrivenMode::Forced)
     }
 
-    /// Phase 2 of the fast engine under `spec`: prices the recording as
-    /// [`run_spmd_fast`] prices the body it was recorded from, on the
-    /// same path, so one recording can be replayed under several fault
-    /// plans or trace settings. Every call starts from fresh clocks,
-    /// mailboxes and retry counters; only the recorded ops are shared.
-    /// `cluster` must be the recording's cluster (or one of identical
-    /// size — per-rank speeds are re-read from it).
+    /// Phase 2 of the fast engine under `spec`: replays the recording on
+    /// the event-driven scheduler as [`run_spmd_fast`] replays the body
+    /// it was recorded from, so one recording can be replayed under
+    /// several fault plans or trace settings. Every call starts from
+    /// fresh clocks, mailboxes and retry counters; only the recorded ops
+    /// are shared. `cluster` must be the recording's cluster (or one of
+    /// identical size — per-rank speeds are re-read from it).
+    ///
+    /// The replay is labelled, in this order: [`EventDrivenMode::Faulted`]
+    /// under a fault plan, [`EventDrivenMode::Traced`] when tracing,
+    /// [`EventDrivenMode::Forced`] under `--no-analytic`, and otherwise
+    /// [`EventDrivenMode::Fallback`] — a cell no closed form priced.
     ///
     /// # Panics
     /// As [`run_spmd_fast`].
@@ -1018,26 +991,7 @@ impl<R> SpmdProgram<R> {
         cluster: &ClusterSpec,
         network: &N,
         spec: RunSpec<'_>,
-    ) -> SpmdOutcome<R>
-    where
-        R: Clone,
-    {
-        self.simulate_with(cluster, network, spec, self.results.clone())
-    }
-
-    /// [`simulate`](Self::simulate), handing back `results` as the
-    /// outcome's per-rank results. The engine picks its mode in this
-    /// order: a fault plan or tracing keeps the event-driven scheduler,
-    /// whose generality they need; `--no-analytic` forces it; otherwise
-    /// lockstep recordings are evaluated analytically and the rest fall
-    /// back to the scheduler with a typed [`FallbackReason`].
-    fn simulate_with<N: NetworkModel>(
-        &self,
-        cluster: &ClusterSpec,
-        network: &N,
-        spec: RunSpec<'_>,
-        results: Vec<R>,
-    ) -> SpmdOutcome<R> {
+    ) -> SpmdOutcome<()> {
         spec.assert_launchable();
         let mode = if spec.faults.is_some() {
             EventDrivenMode::Faulted
@@ -1046,32 +1000,23 @@ impl<R> SpmdProgram<R> {
         } else if !analytic_enabled() {
             EventDrivenMode::Forced
         } else {
-            match self.lockstep_result() {
-                Ok(plan) => return self.replay_analytic(plan, cluster, network, results),
-                Err(reason) => {
-                    telemetry::record_fallback(*reason);
-                    EventDrivenMode::Fallback
-                }
-            }
+            EventDrivenMode::Fallback
         };
-        self.replay(cluster, network, spec, mode, results)
+        self.replay(cluster, network, spec, mode)
     }
 
-    /// Analytic evaluation of the recording, or `None` when the
-    /// lockstep analyzer rejected its shape (ignores the global
-    /// toggle). Bit-identical to
+    /// Per-rank lockstep evaluation of the recording, or `None` when the
+    /// analyzer rejects its shape (ignores the global toggle).
+    /// Bit-identical to
     /// [`simulate_event_driven`](Self::simulate_event_driven) whenever
     /// it returns `Some`.
     pub fn simulate_analytic<N: NetworkModel>(
         &self,
         cluster: &ClusterSpec,
         network: &N,
-    ) -> Option<SpmdOutcome<R>>
-    where
-        R: Clone,
-    {
-        let plan = self.lockstep_result().as_ref().ok()?;
-        Some(self.replay_analytic(plan, cluster, network, self.results.clone()))
+    ) -> Option<SpmdOutcome<()>> {
+        let plan = self.analyze().ok()?;
+        Some(self.replay_analytic(&plan, cluster, network))
     }
 
     fn replay_analytic<N: NetworkModel>(
@@ -1079,8 +1024,7 @@ impl<R> SpmdProgram<R> {
         plan: &LockstepProgram,
         cluster: &ClusterSpec,
         network: &N,
-        results: Vec<R>,
-    ) -> SpmdOutcome<R> {
+    ) -> SpmdOutcome<()> {
         assert_eq!(
             cluster.size(),
             self.p,
@@ -1094,7 +1038,7 @@ impl<R> SpmdProgram<R> {
         report.collective_events = plan.collective_ops;
         report.p2p_events = plan.p2p_ops;
         telemetry::record_simulation(&report);
-        outcome_from_ranks(ranks, results, false)
+        outcome_from_ranks(ranks, false)
     }
 
     fn replay<N: NetworkModel>(
@@ -1103,8 +1047,7 @@ impl<R> SpmdProgram<R> {
         network: &N,
         spec: RunSpec<'_>,
         mode: EventDrivenMode,
-        results: Vec<R>,
-    ) -> SpmdOutcome<R> {
+    ) -> SpmdOutcome<()> {
         let RunSpec { trace: tracing, faults } = spec;
         let p = self.p;
         assert_eq!(cluster.size(), p, "cluster size disagrees with the recording's rank count");
@@ -1130,7 +1073,6 @@ impl<R> SpmdProgram<R> {
             live: 0,
             woken: Vec::new(),
             wait_link: vec![NO_WAITER; p],
-            gather_pool: Vec::new(),
             barrier_cost: SimTime::from_secs(network.barrier_time(p)),
         };
 
@@ -1212,18 +1154,14 @@ impl<R> SpmdProgram<R> {
         }
         telemetry::record_simulation(&report);
 
-        outcome_from_ranks(ranks, results, tracing)
+        outcome_from_ranks(ranks, tracing)
     }
 }
 
 /// Collapses final per-rank simulation states into an [`SpmdOutcome`]
 /// (shared by the scheduler and the analytic evaluator); `traces` stays
 /// empty unless `tracing`.
-fn outcome_from_ranks<R>(
-    mut ranks: Vec<SimRank>,
-    results: Vec<R>,
-    tracing: bool,
-) -> SpmdOutcome<R> {
+fn outcome_from_ranks(mut ranks: Vec<SimRank>, tracing: bool) -> SpmdOutcome<()> {
     let p = ranks.len();
     let mut times = Vec::with_capacity(p);
     let mut compute_times = Vec::with_capacity(p);
@@ -1239,7 +1177,7 @@ fn outcome_from_ranks<R>(
             traces.push(std::mem::take(&mut rank.trace));
         }
     }
-    SpmdOutcome { results, times, compute_times, comm_times, wait_times, traces }
+    SpmdOutcome { results: vec![(); p], times, compute_times, comm_times, wait_times, traces }
 }
 
 /// Runs `body` through the fast-path engine: same clocks, overhead
@@ -1248,28 +1186,25 @@ fn outcome_from_ranks<R>(
 /// or payloads.
 ///
 /// `body` is invoked once per rank against a [`RecordTimer`] (phase 1,
-/// [`record_spmd`]); its return values populate `results` indexed by
-/// rank. Phase 2 is [`SpmdProgram::simulate`], which picks the engine's
-/// mode from `spec`.
+/// [`record_spmd`]); phase 2 is [`SpmdProgram::simulate`], which replays
+/// the recording on the event-driven scheduler.
 ///
 /// # Panics
 /// Panics on protocol bugs exactly like the threaded runtime: leaked
 /// messages, mismatched collective schedules, unresolved node deaths in
 /// `spec.faults`, exhausted retry budgets, and (additionally) any op
 /// structure where no rank can make progress.
-pub fn run_spmd_fast<R, F, N>(
+pub fn run_spmd_fast<F, N>(
     cluster: &ClusterSpec,
     network: &N,
     spec: RunSpec<'_>,
     body: F,
-) -> SpmdOutcome<R>
+) -> SpmdOutcome<()>
 where
-    F: Fn(&mut RecordTimer) -> R,
+    F: Fn(&mut RecordTimer),
     N: NetworkModel,
 {
-    let mut program = record_spmd(cluster, body);
-    let results = std::mem::take(&mut program.results);
-    program.simulate_with(cluster, network, spec, results)
+    record_spmd(cluster, body).simulate(cluster, network, spec)
 }
 
 #[cfg(test)]
@@ -1429,17 +1364,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_results_are_record_phase_returns() {
-        let cluster = ClusterSpec::homogeneous(4, 50.0);
-        let net = ConstantLatency::new(1e-3);
-        let outcome = run_spmd_fast(&cluster, &net, RunSpec::default(), |t| {
-            t.barrier();
-            t.rank() * 10
-        });
-        assert_eq!(outcome.results, vec![0, 10, 20, 30]);
-    }
-
-    #[test]
     fn fast_engine_is_deterministic() {
         let cluster = het3();
         let net = MpichEthernet::new(0.2e-3, 1e8);
@@ -1454,7 +1378,7 @@ mod tests {
     #[test]
     fn identical_ranks_share_one_recording() {
         let cluster = ClusterSpec::homogeneous(6, 50.0);
-        let program: SpmdProgram<()> = record_spmd(&cluster, |t| {
+        let program: SpmdProgram = record_spmd(&cluster, |t| {
             t.compute_flops(1e5);
             t.barrier();
         });
@@ -1465,7 +1389,7 @@ mod tests {
     #[test]
     fn distinct_speeds_split_classes_even_with_identical_ops() {
         let cluster = het3();
-        let program: SpmdProgram<()> = record_spmd(&cluster, |t| t.barrier());
+        let program: SpmdProgram = record_spmd(&cluster, |t| t.barrier());
         assert_eq!(program.distinct_classes(), 3);
     }
 
@@ -1518,7 +1442,7 @@ mod tests {
     fn mixed_program_is_lockstep_and_analytic_matches_event_driven() {
         let cluster = het3();
         let net = MpichEthernet::new(0.2e-3, 1e8);
-        let program: SpmdProgram<()> = record_spmd(&cluster, mixed_body);
+        let program: SpmdProgram = record_spmd(&cluster, mixed_body);
         let analytic = program
             .simulate_analytic(&cluster, &net)
             .expect("mixed_body alternates collectives with closed p2p");
@@ -1533,7 +1457,7 @@ mod tests {
     fn shared_class_program_is_lockstep_and_analytic_matches() {
         let cluster = ClusterSpec::homogeneous(5, 80.0);
         let net = MpichEthernet::new(0.3e-3, 1e8);
-        let program: SpmdProgram<()> = record_spmd(&cluster, two_class_body);
+        let program: SpmdProgram = record_spmd(&cluster, two_class_body);
         let analytic = program.simulate_analytic(&cluster, &net).expect("lockstep");
         let event = program.simulate_event_driven(&cluster, &net);
         assert_eq!(analytic.times, event.times);
@@ -1558,12 +1482,12 @@ mod tests {
     fn message_crossing_a_barrier_falls_back_to_the_scheduler() {
         let cluster = ClusterSpec::homogeneous(2, 50.0);
         let net = ConstantLatency::new(1e-3);
-        let program: SpmdProgram<()> = record_spmd(&cluster, crossing_body);
+        let program: SpmdProgram = record_spmd(&cluster, crossing_body);
         // An in-flight message across a barrier is not lockstep.
         assert_eq!(program.fallback_reason(), Some(FallbackReason::SendAcrossSync));
         assert!(program.simulate_analytic(&cluster, &net).is_none());
-        // The auto-selecting path must still price it, via fallback,
-        // matching the scheduler and the threaded oracle exactly.
+        // The fast engine replays it on the scheduler, matching the
+        // threaded oracle exactly.
         let auto = run_spmd_fast(&cluster, &net, RunSpec::default(), crossing_body);
         let event = program.simulate_event_driven(&cluster, &net);
         assert_eq!(auto.times, event.times);
@@ -1577,9 +1501,11 @@ mod tests {
 
     #[test]
     fn disabling_analytic_forces_the_scheduler_with_identical_results() {
+        // The per-rank evaluator against the `--no-analytic` replay.
         let cluster = het3();
         let net = MpichEthernet::new(0.2e-3, 1e8);
-        let on = run_spmd_fast(&cluster, &net, RunSpec::default(), mixed_body);
+        let program = record_spmd(&cluster, mixed_body);
+        let on = program.simulate_analytic(&cluster, &net).expect("lockstep");
         set_analytic_enabled(false);
         let off = run_spmd_fast(&cluster, &net, RunSpec::default(), mixed_body);
         set_analytic_enabled(true);
@@ -1781,12 +1707,12 @@ mod tests {
     fn recovery_ops_reject_the_lockstep_analyzer_with_a_typed_reason() {
         let cluster = het3();
         let net = MpichEthernet::new(0.2e-3, 1e8);
-        let program: SpmdProgram<()> = record_spmd(&cluster, recovery_body);
+        let program: SpmdProgram = record_spmd(&cluster, recovery_body);
         // Local charges have no lockstep phase grammar.
         assert_eq!(program.fallback_reason(), Some(FallbackReason::RecoveryOps));
         assert!(program.simulate_analytic(&cluster, &net).is_none());
-        // The auto-selecting path still prices it via fallback, matching
-        // the scheduler and the threaded oracle exactly.
+        // The fast engine replays it on the scheduler, matching the
+        // threaded oracle exactly.
         let auto = run_spmd_fast(&cluster, &net, RunSpec::default(), recovery_body);
         let event = program.simulate_event_driven(&cluster, &net);
         assert_eq!(auto.times, event.times);

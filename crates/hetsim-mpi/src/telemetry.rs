@@ -1,6 +1,6 @@
 //! Deterministic engine self-observability: which pricing tier ran,
-//! why the lockstep analyzer rejected a recording, and how hard the
-//! ready-queue scheduler, rank-class dedup, and fault machinery worked.
+//! why a class tier rejected a recording, and how hard the ready-queue
+//! scheduler, rank-class dedup, and fault machinery worked.
 //!
 //! The simulator observes the *kernels* through `hetsim-obs`; this
 //! module observes the *simulator*. Every counter here is a pure
@@ -26,12 +26,13 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{LazyLock, Mutex};
 
-/// Why the lockstep analyzer refused a recording (DESIGN.md §10) and
-/// the simulation fell back to the event-driven ready-queue scheduler.
+/// Why the lockstep analyzer (DESIGN.md §10) or the class-aggregated
+/// walk (DESIGN.md §13) refused a recording, so that its caller priced
+/// the cell per rank instead.
 ///
-/// Every variant marks a shape the analyzer cannot *prove* lockstep;
-/// the scheduler then either prices it correctly or reports the
-/// protocol bug with its usual diagnostics.
+/// Every variant marks a shape the tier cannot *prove* it folds; the
+/// per-rank engines then either price it correctly or report the
+/// protocol bug with their usual diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FallbackReason {
     /// Some rank class ran out of ops while others still expect a
@@ -154,9 +155,11 @@ impl fmt::Display for FallbackReason {
 /// Which event-driven replay ran, for the path-selection breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventDrivenMode {
-    /// The analyzer rejected the recording (see [`FallbackReason`]).
+    /// An untraced, fault-free replay while the analytic tiers are on:
+    /// a cell no closed form or class walk priced. The replay analyzes
+    /// nothing, so no [`FallbackReason`] comes with it.
     Fallback,
-    /// The analytic evaluator is globally disabled (`--no-analytic`) or
+    /// The analytic tiers are globally disabled (`--no-analytic`), or
     /// the caller asked for the scheduler explicitly.
     Forced,
     /// Tracing was requested; traced runs keep the scheduler.
@@ -269,8 +272,8 @@ pub fn record_simulation(report: &EngineReport) {
     e.retry_charge_us += report.retry_charge_us;
 }
 
-/// Counts one analyzer rejection under `reason` (the simulation itself
-/// is reported separately as an event-driven fallback).
+/// Counts one class-tier rejection under `reason` (the caller's
+/// per-rank pricing reports its own simulation).
 pub fn record_fallback(reason: FallbackReason) {
     let mut e = lock(&ENGINE);
     if let Some(count) = e.fallback_reasons.get_mut(reason.name()) {
@@ -302,9 +305,9 @@ pub fn add_simulate_wall_ns(ns: u64) {
     SIMULATE_WALL_NS.fetch_add(ns, Ordering::Relaxed);
 }
 
-/// Accumulates lockstep-analysis wall-clock: the one-time structure
-/// check of a recording, outside both the record and simulate phases
-/// (profile export only).
+/// Accumulates lockstep-analysis wall-clock: the structure check of a
+/// recording, outside both the record and simulate phases (profile
+/// export only).
 pub(crate) fn add_analyze_wall_ns(ns: u64) {
     ANALYZE_WALL_NS.fetch_add(ns, Ordering::Relaxed);
 }
@@ -343,7 +346,8 @@ pub struct EngineTelemetry {
     pub aggregated_ranks: u64,
     /// Rank classes actually priced by those simulations.
     pub aggregated_classes: u64,
-    /// Event-driven simulations after an analyzer rejection.
+    /// Untraced, fault-free event-driven replays while the analytic
+    /// tiers are on: cells no closed form or class walk priced.
     pub event_driven_fallback: u64,
     /// Event-driven simulations forced by `--no-analytic` or an
     /// explicit scheduler request.
@@ -354,7 +358,8 @@ pub struct EngineTelemetry {
     pub event_driven_faulted: u64,
     /// Thread-per-rank oracle runs.
     pub threaded_sims: u64,
-    /// Analyzer rejections by [`FallbackReason::name`] (non-zero only).
+    /// Class-tier rejections by [`FallbackReason::name`] (non-zero
+    /// only).
     pub fallback_reasons: BTreeMap<String, u64>,
     /// Ready-queue parks across event-driven replays.
     pub parks: u64,
@@ -401,7 +406,8 @@ impl EngineTelemetry {
     /// Share of analytic-eligible work that actually priced
     /// analytically, in percent. Traced, faulted, and explicitly forced
     /// event-driven runs are excluded from the denominator (they are
-    /// not eligible); an empty denominator reads as full coverage.
+    /// not eligible); every other event-driven replay is a fallback. An
+    /// empty denominator reads as full coverage.
     pub fn analytic_coverage_percent(&self) -> f64 {
         let analytic = self.analytic_cells();
         let denom = analytic + self.event_driven_fallback;

@@ -668,4 +668,19 @@ mod tests {
         let at_cap = good.replace(r#""rank":0"#, r#""rank":1048576"#);
         assert_eq!(parse_trace_jsonl(&at_cap).unwrap().len(), (1 << 20) + 1);
     }
+
+    #[test]
+    fn deeply_nested_lines_are_line_numbered_errors() {
+        use crate::json::MAX_DEPTH;
+        let good = r#"{"bytes":5,"end":2,"kind":"send","peer":1,"rank":0,"start":1}"#;
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let parse = |line: String| parse_trace_jsonl(&format!("{good}\n{line}\n"));
+        // At the nesting cap the line is JSON, just not a span.
+        assert_eq!(parse(nested(MAX_DEPTH)), Err("line 2: event is not an object".into()));
+        // One level past it, or far past it, the parser stops at the
+        // level past the cap instead of overflowing its stack.
+        let past = format!("line 2: nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}");
+        assert_eq!(parse(nested(MAX_DEPTH + 1)), Err(past.clone()));
+        assert_eq!(parse(nested(100_000)), Err(past));
+    }
 }

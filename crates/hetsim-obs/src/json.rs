@@ -184,9 +184,11 @@ impl Json {
     }
 
     /// Parses a JSON document (the whole input must be one value plus
-    /// optional surrounding whitespace).
+    /// optional surrounding whitespace). Arrays and objects may nest 128
+    /// levels deep; a deeper one is an error naming the byte that opens
+    /// it, never a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -230,9 +232,16 @@ impl fmt::Display for Json {
     }
 }
 
+/// How deep [`Json::parse`] lets arrays and objects nest. The parser
+/// recurses once per level, so the cap bounds its stack; every document
+/// this workspace writes nests under 10 levels.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -274,8 +283,18 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -336,58 +355,50 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                // High surrogate: a \uXXXX low half must follow.
-                                if self.peek() != Some(b'\\') {
-                                    return Err("lone high surrogate".into());
-                                }
-                                self.pos += 1;
-                                self.expect(b'u')?;
-                                let low = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err("invalid low surrogate".into());
-                                }
-                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(combined).ok_or("invalid surrogate pair")?
-                            } else {
-                                char::from_u32(code)
-                                    .ok_or(format!("invalid code point {code:#x}"))?
-                            };
-                            out.push(c);
+            // Copy the run up to the next quote or backslash whole: both
+            // are ASCII, so the run is whole characters, checked once.
+            let run = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\');
+            let Some(run) = run else { return Err("unterminated string".into()) };
+            let chars = std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
+                .map_err(|_| "invalid UTF-8")?;
+            out.push_str(chars);
+            let delimiter = self.bytes[self.pos + run];
+            self.pos += run + 1;
+            if delimiter == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let code = self.hex4()?;
+                    let c = if (0xD800..0xDC00).contains(&code) {
+                        // High surrogate: a \uXXXX low half must follow.
+                        if self.peek() != Some(b'\\') {
+                            return Err("lone high surrogate".into());
                         }
-                        _ => return Err(format!("invalid escape at byte {}", self.pos)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let c = rest.chars().next().expect("peek saw a byte");
+                        self.pos += 1;
+                        self.expect(b'u')?;
+                        let low = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&low) {
+                            return Err("invalid low surrogate".into());
+                        }
+                        let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        char::from_u32(combined).ok_or("invalid surrogate pair")?
+                    } else {
+                        char::from_u32(code).ok_or(format!("invalid code point {code:#x}"))?
+                    };
                     out.push(c);
-                    self.pos += c.len_utf8();
                 }
+                _ => return Err(format!("invalid escape at byte {}", self.pos)),
             }
         }
     }
@@ -654,6 +665,45 @@ mod tests {
     fn whitespace_tolerated_on_parse() {
         let j = Json::parse(" { \"a\" : [ 1 , 2 ] } \n").unwrap();
         assert_eq!(j.as_obj().unwrap()["a"].as_arr().unwrap().len(), 2);
+    }
+
+    /// `depth` arrays, one inside the next.
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_naming_the_byte() {
+        let at_cap = Json::parse(&nested(MAX_DEPTH)).expect("the cap itself parses");
+        assert_eq!(at_cap.to_string(), nested(MAX_DEPTH));
+        let past = format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}");
+        assert_eq!(Json::parse(&nested(MAX_DEPTH + 1)), Err(past.clone()));
+        // Objects count too, and so do levels opened after whitespace.
+        let objects = "{\"k\": ".repeat(MAX_DEPTH) + "[]" + &"}".repeat(MAX_DEPTH);
+        let byte = 6 * MAX_DEPTH;
+        let want = format!("nesting deeper than {MAX_DEPTH} levels at byte {byte}");
+        assert_eq!(Json::parse(&objects), Err(want));
+        // Far past the cap: an error, not a stack overflow.
+        assert_eq!(Json::parse(&nested(100_000)), Err(past));
+    }
+
+    #[test]
+    fn long_strings_round_trip_with_multibyte_characters_beside_escapes() {
+        let piece = "ascii é µ 𝄞 \"quoted\" back\\slash\n\t\u{1}/ ";
+        let mut values = BTreeMap::new();
+        let mut bytes = 0;
+        for i in 0.. {
+            let value = format!("{i} {}", piece.repeat(i % 97 + 1));
+            bytes += value.len();
+            values.insert(format!("k{i}é"), Json::Str(value));
+            if bytes >= 1 << 20 {
+                break;
+            }
+        }
+        let doc = Json::Obj(values);
+        let text = doc.to_string();
+        assert!(text.len() >= 1 << 20, "{} bytes", text.len());
+        assert_eq!(Json::parse(&text), Ok(doc));
     }
 
     #[test]

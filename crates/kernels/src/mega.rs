@@ -11,8 +11,8 @@
 //! bit for bit to the per-rank proportional distribution, and rank 0 —
 //! root and hub of every collective — gets a subclass of its own. Every
 //! member of a subclass would record the same op stream, so
-//! [`SpmdProgram::simulate_aggregated`] prices the skeleton recording
-//! with each rank weighted by its member count.
+//! [`hetsim_mpi::SpmdProgram::simulate_aggregated`] prices the skeleton
+//! recording with each rank weighted by its member count.
 //!
 //! GE keeps a hand-written form, [`ge_mega`]: its cyclic deal gives the
 //! members of one class different row positions, so no per-subclass
@@ -49,7 +49,7 @@ use hetsim_cluster::node::NodeSpec;
 use hetsim_cluster::time::SimTime;
 use hetsim_cluster::{lanes, repeat_add, LANES};
 use hetsim_mpi::telemetry::{self, EnginePath, EngineReport};
-use hetsim_mpi::{record_spmd, FallbackReason, RecordTimer, RunSpec, SpmdProgram};
+use hetsim_mpi::{record_spmd, FallbackReason, RecordTimer, RunSpec};
 use std::cell::Cell;
 
 /// The compact result of one mega-scale evaluation: no per-rank
@@ -110,7 +110,7 @@ impl Skeleton {
         network: &N,
         body: impl Fn(&mut RecordTimer),
     ) -> Result<MegaOutcome, FallbackReason> {
-        let program: SpmdProgram<()> = record_spmd(&self.cluster, body);
+        let program = record_spmd(&self.cluster, body);
         let outcome = program.simulate_aggregated(&self.cluster, network, &self.members)?;
         Ok(MegaOutcome {
             makespan: outcome.makespan,

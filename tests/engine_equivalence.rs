@@ -101,6 +101,22 @@ fn assert_times_match<A, B>(fast: &SpmdOutcome<A>, threaded: &SpmdOutcome<B>) {
     assert_eq!(fast.wait_times, threaded.wait_times, "wait split diverged");
 }
 
+/// The per-rank lockstep evaluator against the threaded oracle on
+/// [`mixed_body`], whenever the analyzer accepts its recording:
+/// `run_spmd_fast` replays on the scheduler, so the evaluator needs a
+/// check of its own.
+fn assert_analytic_matches_oracle(
+    cluster: &ClusterSpec,
+    net: &dyn NetworkModel,
+    (rounds, n): (usize, usize),
+    threaded: &SpmdOutcome<()>,
+) {
+    let program = record_spmd(cluster, |t| mixed_body(t, rounds, n));
+    if let Some(analytic) = program.simulate_analytic(cluster, &net) {
+        assert_times_match(&analytic, threaded);
+    }
+}
+
 fn retry_counts(traces: &[hetscale::hetsim_mpi::RankTrace]) -> Vec<usize> {
     traces.iter().map(|t| t.records.iter().filter(|r| r.kind == OpKind::Retry).count()).collect()
 }
@@ -117,33 +133,21 @@ proptest! {
         net_choice in 0usize..3,
     ) {
         let cluster = het_cluster(p, speeds_seed);
-        let (fast, threaded) = match net_choice {
-            0 => {
-                let net = MpichEthernet::new(2e-4, 9e7);
-                (
-                    run_spmd_fast(&cluster, &net, RunSpec::default(), |t| mixed_body(t, rounds, n)),
-                    run_spmd(&cluster, &net, RunSpec::default(), |r| mixed_body(r, rounds, n)),
-                )
-            }
-            1 => {
-                let net = SharedEthernet::new(1.5e-4, 1.1e8);
-                (
-                    run_spmd_fast(&cluster, &net, RunSpec::default(), |t| mixed_body(t, rounds, n)),
-                    run_spmd(&cluster, &net, RunSpec::default(), |r| mixed_body(r, rounds, n)),
-                )
-            }
-            _ => {
-                let net = ConstantLatency::new(3e-4);
-                (
-                    run_spmd_fast(&cluster, &net, RunSpec::default(), |t| mixed_body(t, rounds, n)),
-                    run_spmd(&cluster, &net, RunSpec::default(), |r| mixed_body(r, rounds, n)),
-                )
-            }
+        let mpich = MpichEthernet::new(2e-4, 9e7);
+        let shared = SharedEthernet::new(1.5e-4, 1.1e8);
+        let latency = ConstantLatency::new(3e-4);
+        let net: &dyn NetworkModel = match net_choice {
+            0 => &mpich,
+            1 => &shared,
+            _ => &latency,
         };
+        let fast = run_spmd_fast(&cluster, &net, RunSpec::default(), |t| mixed_body(t, rounds, n));
+        let threaded = run_spmd(&cluster, &net, RunSpec::default(), |r| mixed_body(r, rounds, n));
         assert_times_match(&fast, &threaded);
         prop_assert_eq!(fast.makespan(), threaded.makespan());
         prop_assert_eq!(fast.total_overhead(), threaded.total_overhead());
         prop_assert_eq!(fast.total_wait(), threaded.total_wait());
+        assert_analytic_matches_oracle(&cluster, net, (rounds, n), &threaded);
     }
 
     #[test]
@@ -222,6 +226,7 @@ proptest! {
             prop_assert_eq!(fast.makespan(), threaded.makespan());
             prop_assert_eq!(fast.total_overhead(), threaded.total_overhead());
             prop_assert_eq!(fast.total_wait(), threaded.total_wait());
+            assert_analytic_matches_oracle(&cluster, net, (rounds, n), &threaded);
         }
     }
 
@@ -286,9 +291,8 @@ proptest! {
 
     /// Reject-and-fallback: a program whose send crosses a barrier (the
     /// receive happens on the far side) is *not* lockstep — the
-    /// analyzer must refuse it, and the auto-selecting fast path must
-    /// fall back to the event-driven scheduler and still match the
-    /// threaded oracle exactly.
+    /// analyzer must refuse it, and the fast engine's scheduler replay
+    /// must still match the threaded oracle exactly.
     #[test]
     fn non_lockstep_programs_reject_and_fall_back(
         p in 2usize..6,
@@ -320,8 +324,8 @@ proptest! {
         let program = record_spmd(&cluster, |t| crossing_body(t, n));
         prop_assert_eq!(program.fallback_reason(), Some(FallbackReason::SendAcrossSync));
         prop_assert!(program.simulate_analytic(&cluster, &net).is_none());
-        // The auto path (analytic enabled by default) must fall back to
-        // the ready queue and still match both references.
+        // The fast engine replays on the ready queue and must match
+        // both references.
         let auto = run_spmd_fast(&cluster, &net, RunSpec::default(), |t| crossing_body(t, n));
         let event_driven = program.simulate_event_driven(&cluster, &net);
         assert_times_match(&auto, &event_driven);
