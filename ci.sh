@@ -94,6 +94,18 @@ cargo test --workspace --release --no-run
 timeout 400 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 timeout 120 cargo test --workspace --release
 
+# Examples: clippy compiles them, and each runs once here, so one that
+# panics or exits non-zero on an API change fails the gate (all seven
+# take well under a second together).
+cargo build --release --examples
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    target/release/examples/"$name" > /dev/null || {
+        echo "example $name exited non-zero" >&2
+        exit 1
+    }
+done
+
 # CLI smoke: `--list` must enumerate the ids and exit 0.
 cargo run --release -p bench-tables -- --list
 

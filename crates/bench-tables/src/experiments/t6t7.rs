@@ -9,7 +9,7 @@ use hetsim_cluster::calibrate::calibrate;
 use hetsim_cluster::sunwulf;
 use numfit::stats::relative_error;
 use scalability::metric::{required_n_for_efficiency, ScalabilityLadder};
-use scalability::predict::{psi_predicted_corollary2, GePredictor};
+use scalability::predict::{psi_predicted_corollary2, Model, Predictor};
 
 /// Runs the prediction pipeline and returns `(Table 6, Table 7)`.
 /// `measured` is the ladder from the Tables 3/4 experiment, used for the
@@ -18,10 +18,10 @@ pub fn table6_and_7(params: &ExperimentParams, measured: &ScalabilityLadder) -> 
     let net = sunwulf::sunwulf_network();
     let machine = calibrate(&net).expect("calibration micro-benchmarks fit");
 
-    let predictors: Vec<GePredictor> = params
+    let predictors: Vec<Predictor> = params
         .ge_ladder
         .iter()
-        .map(|&p| GePredictor::new(&sunwulf::ge_config(p), machine))
+        .map(|&p| Predictor::new(Model::Ge, &sunwulf::ge_config(p), machine))
         .collect();
 
     let mut t6 = Table::new(

@@ -20,7 +20,7 @@ use kernels::mm::mm_parallel_timed;
 use kernels::power::power_parallel_timed;
 use kernels::stencil::stencil_parallel_timed;
 use numfit::stats::relative_error;
-use scalability::predict::{GePredictor, MmPredictor, PowerPredictor, StencilPredictor};
+use scalability::predict::{Model, Predictor};
 
 /// Runs the validation grid: for each kernel × configuration, the worst
 /// and mean relative error of the predicted time over `sizes`.
@@ -35,28 +35,18 @@ pub fn model_validation(ladder: &[usize], sizes: &[usize]) -> Table {
 
     for &p in ladder {
         let cluster = sunwulf::ge_config(p);
-        // (kernel label, predicted time fn, simulated time fn)
+        // (kernel model, simulated time fn)
         type TimeFn<'a> = Box<dyn Fn(usize) -> f64 + 'a>;
-        let ge_pred = GePredictor::new(&cluster, machine);
-        let mm_pred = MmPredictor::new(&cluster, machine);
-        let st_pred = StencilPredictor::new(&cluster, machine, stencil_iters);
-        let pw_pred = PowerPredictor::new(&cluster, machine, power_iters);
-        let rows: Vec<(&str, TimeFn, TimeFn)> = vec![
+        let rows: Vec<(Model, TimeFn)> = vec![
+            (Model::Ge, Box::new(|n| ge_makespan(&cluster, &net, n).as_secs())),
             (
-                "GE",
-                Box::new(move |n| ge_pred.predicted_time_secs(n)),
-                Box::new(|n| ge_makespan(&cluster, &net, n).as_secs()),
-            ),
-            (
-                "MM",
-                Box::new(move |n| mm_pred.predicted_time_secs(n)),
+                Model::Mm,
                 Box::new(|n| {
                     mm_parallel_timed(&cluster, &net, n, RunSpec::default()).makespan.as_secs()
                 }),
             ),
             (
-                "Stencil",
-                Box::new(move |n| st_pred.predicted_time_secs(n)),
+                Model::Stencil { iters: stencil_iters },
                 Box::new(|n| {
                     stencil_parallel_timed(&cluster, &net, n, stencil_iters(n), RunSpec::default())
                         .makespan
@@ -64,8 +54,7 @@ pub fn model_validation(ladder: &[usize], sizes: &[usize]) -> Table {
                 }),
             ),
             (
-                "Power",
-                Box::new(move |n| pw_pred.predicted_time_secs(n)),
+                Model::Power { iters: power_iters },
                 Box::new(|n| {
                     power_parallel_timed(&cluster, &net, n, power_iters(n), RunSpec::default())
                         .makespan
@@ -73,12 +62,13 @@ pub fn model_validation(ladder: &[usize], sizes: &[usize]) -> Table {
                 }),
             ),
         ];
-        for (label, predicted, simulated) in rows {
+        for (model, simulated) in rows {
+            let predictor = Predictor::new(model, &cluster, machine);
             let mut worst = 0.0f64;
             let mut worst_n = 0usize;
             let mut sum = 0.0f64;
             for &n in sizes {
-                let err = relative_error(predicted(n), simulated(n));
+                let err = relative_error(predictor.predicted_time_secs(n), simulated(n));
                 sum += err;
                 if err > worst {
                     worst = err;
@@ -86,7 +76,7 @@ pub fn model_validation(ladder: &[usize], sizes: &[usize]) -> Table {
                 }
             }
             t.push_row(vec![
-                label.to_string(),
+                model.name().to_string(),
                 p.to_string(),
                 format!("{:.1}%", sum / sizes.len() as f64 * 100.0),
                 format!("{:.1}%", worst * 100.0),

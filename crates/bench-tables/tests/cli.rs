@@ -390,6 +390,7 @@ fn stats_docs_match_golden_fixtures() {
     let metrics_doc = std::fs::read(&metrics).expect("metrics written");
     assert_golden("metrics_quick_faults_recover_obs.json", &metrics_doc, &obs);
     assert_golden("traces_quick_faults_recover_obs.manifest", &trace_manifest(&traces), &obs);
+    assert_jsonl_parses_back(&traces);
     // Without --quick the same exports hold about four times the numbers:
     // 16 trace files (~41 MB) and the metrics document, written into one
     // directory so one manifest pins all 17.
@@ -407,6 +408,7 @@ fn stats_docs_match_golden_fixtures() {
     assert!(out.status.success(), "{full_obs:?} exited with {:?}: {}", out.status, stderr(&out));
     let manifest = trace_manifest(&full_exports);
     assert_golden("exports_full_faults_recover_obs.manifest", &manifest, &full_obs);
+    assert_jsonl_parses_back(&full_exports);
     for (run_name, args) in [
         ("quick", &["--quick"][..]),
         ("full", &[][..]),
@@ -435,6 +437,23 @@ fn trace_manifest(dir: &std::path::Path) -> Vec<u8> {
         manifest.push_str(&format!("{name} {} {:016x}\n", bytes.len(), fnv1a64(&bytes)));
     }
     manifest.into_bytes()
+}
+
+/// Parses back every `.jsonl` trace in `dir`: the parser refuses nothing
+/// the exporters write.
+fn assert_jsonl_parses_back(dir: &std::path::Path) {
+    let mut files = 0;
+    for entry in std::fs::read_dir(dir).expect("trace directory written") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_some_and(|ext| ext == "jsonl") {
+            let text = std::fs::read_to_string(&path).expect("trace file readable");
+            if let Err(e) = hetsim_obs::parse_trace_jsonl(&text) {
+                panic!("{} does not parse back: {e}", path.display());
+            }
+            files += 1;
+        }
+    }
+    assert!(files > 0, "no .jsonl trace in {}", dir.display());
 }
 
 /// 64-bit FNV-1a.

@@ -218,9 +218,11 @@ fn int_value<T: TryFrom<u64>>(value: &Json, key: &str, line: usize) -> Result<T,
 ///
 /// A line-numbered error rejects what no exporter writes: a `rank`,
 /// `bytes` or `peer` that is negative, fractional or above 2^53, a
-/// non-finite time, a span that ends before it starts, and a rank above
-/// 2^20 (far more ranks than any traced run has, and a bound on what the
-/// parser allocates).
+/// non-finite time, a span that starts before time 0 (`-0` is time 0),
+/// ends before it starts or starts before its rank's previous span ends
+/// (a [`RankTrace`] is in time order, which [`crate::critical_path`]
+/// relies on), and a rank above 2^20 (far more ranks than any traced run
+/// has, and a bound on what the parser allocates).
 pub fn parse_trace_jsonl(text: &str) -> Result<Vec<RankTrace>, String> {
     let mut traces: Vec<RankTrace> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -250,13 +252,22 @@ pub fn parse_trace_jsonl(text: &str) -> Result<Vec<RankTrace>, String> {
                 Some(v) => Some(int_value(v, "peer", line_no)?),
             },
         };
+        if record.start.as_secs() < 0.0 {
+            return Err(format!("line {line_no}: span starts before time 0"));
+        }
         if record.end.as_secs() < record.start.as_secs() {
             return Err(format!("line {line_no}: span ends before it starts"));
         }
         if rank >= traces.len() {
             traces.resize_with(rank + 1, RankTrace::default);
         }
-        traces[rank].records.push(record);
+        let records = &mut traces[rank].records;
+        if records.last().is_some_and(|last| record.start.as_secs() < last.end.as_secs()) {
+            return Err(format!(
+                "line {line_no}: span starts before rank {rank}'s previous span ends"
+            ));
+        }
+        records.push(record);
     }
     Ok(traces)
 }
@@ -264,6 +275,7 @@ pub fn parse_trace_jsonl(text: &str) -> Result<Vec<RankTrace>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::critical_path;
 
     // The tree-building exporters the streaming writers replaced, kept
     // verbatim as the oracle for their bytes.
@@ -368,11 +380,14 @@ mod tests {
 
     /// Seeded random traces of up to `max_spans` spans per rank: every
     /// `OpKind`, peers present and absent, empty ranks between non-empty
-    /// ones, awkward times and counts. Half the spans after a rank's
-    /// first start on the bits their predecessor ended on, half of those
-    /// with zero length so that an awkward end is reused again. One in
-    /// eight is a zero-length span at `+0.0` or, after a `+0.0` end,
-    /// starts at `-0.0`: equal under `==`, printed differently.
+    /// ones, awkward times and counts, and each rank's spans in time
+    /// order, as a [`RankTrace`] keeps them. A quarter of the ranks open
+    /// with a zero-length span at `+0.0`. Half the spans after a rank's
+    /// first, and every one drawn to start before its predecessor ends,
+    /// start on the bits their predecessor ended on; a quarter have zero
+    /// length, so that an awkward end is reused again. One in eight,
+    /// after a `+0.0` end, starts at `-0.0`: equal under `==`, printed
+    /// differently.
     fn random_traces(state: &mut u64, max_spans: u64) -> Vec<RankTrace> {
         let ranks = 1 + (draw(state) % 7) as usize;
         (0..ranks)
@@ -384,13 +399,15 @@ mod tests {
                         let (a, b) = (awkward_time(state), awkward_time(state));
                         let (mut start, mut end) = (a.min(b), a.max(b));
                         match (last_end, draw(state) % 8) {
+                            (None, 0 | 1) => (start, end) = (0.0, 0.0),
                             (Some(last), 0 | 1) => (start, end) = (last, last),
-                            (Some(last), 2 | 3) => (start, end) = (last, end.max(last)),
                             (Some(last), 4) if last.to_bits() == 0 => {
                                 (start, end) =
                                     (-0.0, if draw(state).is_multiple_of(2) { -0.0 } else { end })
                             }
-                            (Some(_), 4) => (start, end) = (0.0, 0.0),
+                            (Some(last), case) if matches!(case, 2 | 3) || start < last => {
+                                (start, end) = (last, end.max(last))
+                            }
                             _ => {}
                         }
                         last_end = Some(end);
@@ -642,9 +659,11 @@ mod tests {
             "unknown kind"
         );
         // Numbers no exporter writes: each is an error naming its line,
-        // never a value truncated by a cast or a panic.
+        // never a value truncated by a cast or a panic. The span before
+        // ends where the good one starts.
+        let first = r#"{"bytes":5,"end":1,"kind":"send","peer":1,"rank":0,"start":0}"#;
         let good = r#"{"bytes":5,"end":2,"kind":"send","peer":1,"rank":0,"start":1}"#;
-        assert!(parse_trace_jsonl(good).is_ok());
+        assert!(parse_trace_jsonl(&format!("{first}\n{good}\n")).is_ok());
         for (from, to, why) in [
             (r#""bytes":5"#, r#""bytes":-5"#, "negative bytes"),
             (r#""bytes":5"#, r#""bytes":1.5"#, "fractional bytes"),
@@ -661,12 +680,46 @@ mod tests {
         ] {
             let bad = good.replace(from, to);
             assert_ne!(bad, good, "{why}: the substitution must apply");
-            let err = parse_trace_jsonl(&format!("{good}\n{bad}\n")).expect_err(why);
+            let err = parse_trace_jsonl(&format!("{first}\n{bad}\n")).expect_err(why);
             assert!(err.starts_with("line 2: "), "{why}: {err}");
         }
         // The cap itself is a rank.
         let at_cap = good.replace(r#""rank":0"#, r#""rank":1048576"#);
         assert_eq!(parse_trace_jsonl(&at_cap).unwrap().len(), (1 << 20) + 1);
+    }
+
+    #[test]
+    fn spans_out_of_rank_order_are_line_numbered_errors() {
+        let span = |rank: usize, start: f64, end: f64| {
+            format!(r#"{{"bytes":0,"end":{end},"kind":"compute","rank":{rank},"start":{start}}}"#)
+        };
+        let parse = |lines: &[String]| parse_trace_jsonl(&(lines.join("\n") + "\n"));
+        let negative = "line 1: span starts before time 0";
+        assert_eq!(parse(&[span(0, -1.0, 2.0)]), Err(negative.into()));
+        assert_eq!(parse(&[span(0, -1e-300, 0.0)]), Err(negative.into()));
+        // In order, a rank's path covers its makespan once; given out of
+        // order or overlapping, its spans are refused, not walked twice.
+        let sorted = parse(&[span(0, 0.0, 1.0), span(0, 1.0, 2.0)]).unwrap();
+        assert_eq!(critical_path(&sorted).coverage(), 1.0);
+        let before = "line 2: span starts before rank 0's previous span ends";
+        assert_eq!(parse(&[span(0, 1.0, 2.0), span(0, 0.0, 1.0)]), Err(before.into()));
+        assert_eq!(parse(&[span(0, 0.0, 2.0), span(0, 1.0, 3.0)]), Err(before.into()));
+        let third = "line 3: span starts before rank 1's previous span ends";
+        assert_eq!(
+            parse(&[span(1, 0.0, 3.0), span(0, 5.0, 6.0), span(1, 2.0, 4.0)]),
+            Err(third.into())
+        );
+        // Order holds per rank: interleaved ranks, zero-length spans,
+        // spans that touch and a -0 start after a +0 end all parse.
+        let interleaved = [
+            span(0, 0.0, 0.0),
+            span(1, 0.0, 3.0),
+            span(0, -0.0, 1.0),
+            span(0, 1.0, 1.0),
+            span(0, 1.0, 2.0),
+            span(1, 3.0, 4.0),
+        ];
+        assert_eq!(parse(&interleaved).map(|t| t[0].records.len()), Ok(4));
     }
 
     #[test]

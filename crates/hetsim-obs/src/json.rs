@@ -355,15 +355,23 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run up to the next quote or backslash whole: both
-            // are ASCII, so the run is whole characters, checked once.
-            let run = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\');
+            // Copy the run up to the next quote, backslash or control
+            // character whole: all are ASCII, so the run is whole
+            // characters, checked once.
+            let run =
+                self.bytes[self.pos..].iter().position(|&b| matches!(b, b'"' | b'\\' | ..0x20));
             let Some(run) = run else { return Err("unterminated string".into()) };
             let chars = std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
                 .map_err(|_| "invalid UTF-8")?;
             out.push_str(chars);
-            let delimiter = self.bytes[self.pos + run];
-            self.pos += run + 1;
+            self.pos += run;
+            let delimiter = self.bytes[self.pos];
+            if delimiter < 0x20 {
+                // RFC 8259 requires U+0000 through U+001F escaped.
+                let at = self.pos;
+                return Err(format!("unescaped control character {delimiter:#04x} at byte {at}"));
+            }
+            self.pos += 1;
             if delimiter == b'"' {
                 return Ok(out);
             }
@@ -403,15 +411,14 @@ impl Parser<'_> {
         }
     }
 
+    /// The code unit that a `\u` escape's four ASCII hex digits spell.
     fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err("truncated \\u escape".into());
+        let digits = self.bytes.get(self.pos..self.pos + 4).ok_or("truncated \\u escape")?;
+        let mut code = 0;
+        for &b in digits {
+            code = code * 16 + char::from(b).to_digit(16).ok_or("invalid \\u escape")?;
         }
-        let hex =
-            std::str::from_utf8(&self.bytes[self.pos..end]).map_err(|_| "invalid \\u escape")?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
-        self.pos = end;
+        self.pos += 4;
         Ok(code)
     }
 
@@ -640,9 +647,41 @@ mod tests {
 
     #[test]
     fn unicode_escapes_parse() {
-        assert_eq!(Json::parse(r#""µ""#).unwrap(), Json::str("µ"));
+        assert_eq!(Json::parse(r#""\u0041\u00e9\u00B5""#), Ok(Json::str("Aéµ")));
         // Surrogate pair: U+1D11E musical G clef.
-        assert_eq!(Json::parse(r#""𝄞""#).unwrap(), Json::str("𝄞"));
+        assert_eq!(Json::parse(r#""\ud834\uDD1E""#), Ok(Json::str("𝄞")));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        // A sign, a space or a non-ASCII byte is not a hex digit, in a
+        // low surrogate either.
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004g""#,
+            r#""\u00é""#,
+            r#""\ud834\u+d1e""#,
+        ] {
+            assert_eq!(Json::parse(bad), Err("invalid \\u escape".into()), "{bad}");
+        }
+        assert_eq!(Json::parse(r#""\u004"#), Err("truncated \\u escape".into()));
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_errors() {
+        for byte in 0u8..0x20 {
+            let c = char::from(byte);
+            let want = |at| Err(format!("unescaped control character {byte:#04x} at byte {at}"));
+            assert_eq!(Json::parse(&format!(r#"{{"k": "x{c}y"}}"#)), want(8));
+            assert_eq!(Json::parse(&format!(r#"{{"k{c}": 1}}"#)), want(3));
+            // Escaped, as the writer writes every character below ' ',
+            // each one round-trips.
+            assert_eq!(roundtrip(&Json::str(c)), Json::str(c));
+        }
+        // DEL and the C1 range are not control characters to RFC 8259.
+        assert_eq!(Json::parse("\"\u{7f}\u{80}\""), Ok(Json::str("\u{7f}\u{80}")));
     }
 
     #[test]

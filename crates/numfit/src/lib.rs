@@ -55,7 +55,7 @@ pub mod stats;
 
 pub use error::FitError;
 pub use invert::{bisect, invert_monotone, Bracket};
-pub use lsq::{polyfit, polyfit_weighted, FitReport};
+pub use lsq::{polyfit, FitReport};
 pub use poly::Polynomial;
 pub use series::Series;
 

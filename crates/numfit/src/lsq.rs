@@ -1,16 +1,12 @@
 //! Least-squares polynomial fitting.
 //!
 //! Fits `y ≈ p(x)` for a polynomial `p` of a requested degree by solving
-//! the normal equations `VᵀV c = Vᵀy` (Vandermonde `V`). Two practical
-//! refinements keep the tiny solver numerically healthy on the problem
-//! sizes that appear in scalability experiments (`x` up to a few
-//! thousand, degree ≤ 5):
-//!
-//! * **Variable standardization** — fitting is performed in the scaled
-//!   coordinate `u = (x − mean) / spread` and the resulting polynomial is
-//!   composed back to raw `x`, which keeps the normal matrix conditioned.
-//! * **Optional weights** — per-point non-negative weights for when some
-//!   samples are more trustworthy (e.g. repeated measurements).
+//! the normal equations `VᵀV c = Vᵀy` (Vandermonde `V`). Variable
+//! standardization keeps the tiny solver numerically healthy on the
+//! problem sizes that appear in scalability experiments (`x` up to a few
+//! thousand, degree ≤ 5): fitting is performed in the scaled coordinate
+//! `u = (x − mean) / spread` and the resulting polynomial is composed
+//! back to raw `x`, which keeps the normal matrix conditioned.
 
 use crate::error::FitError;
 use crate::poly::Polynomial;
@@ -36,36 +32,21 @@ pub struct FitReport {
     pub requested_degree: usize,
 }
 
-/// Fits a polynomial of `degree` through `(x, y)` samples (unweighted).
+/// Least-squares polynomial fit of `degree` through `(x, y)` samples.
 ///
 /// Requires at least `degree + 1` samples with distinct abscissae.
+/// Errors on NaN input, length mismatches, too few points, or singular
+/// (collinear) data.
 pub fn polyfit(x: &[f64], y: &[f64], degree: usize) -> Result<FitReport> {
-    let w = vec![1.0; x.len()];
-    polyfit_weighted(x, y, &w, degree)
-}
-
-/// Weighted least-squares polynomial fit.
-///
-/// `weights[i] ≥ 0` scales the influence of sample `i`; zero-weight
-/// samples are ignored for fitting but still counted in residual
-/// statistics. Errors on NaN input, length mismatches, negative weights,
-/// too few points, or singular (collinear) data.
-pub fn polyfit_weighted(x: &[f64], y: &[f64], weights: &[f64], degree: usize) -> Result<FitReport> {
     if x.len() != y.len() {
         return Err(FitError::LengthMismatch { x_len: x.len(), y_len: y.len() });
-    }
-    if weights.len() != x.len() {
-        return Err(FitError::LengthMismatch { x_len: x.len(), y_len: weights.len() });
     }
     let need = degree + 1;
     if x.len() < need {
         return Err(FitError::InsufficientData { got: x.len(), need });
     }
-    if x.iter().chain(y.iter()).chain(weights.iter()).any(|v| !v.is_finite()) {
+    if x.iter().chain(y.iter()).any(|v| !v.is_finite()) {
         return Err(FitError::NonFinite);
-    }
-    if weights.iter().any(|&w| w < 0.0) {
-        return Err(FitError::InvalidParameter("weights must be non-negative"));
     }
 
     // Standardize x for conditioning: u = (x - mu) / s.
@@ -83,22 +64,22 @@ pub fn polyfit_weighted(x: &[f64], y: &[f64], weights: &[f64], degree: usize) ->
     let u: Vec<f64> = x.iter().map(|&v| (v - mu) / spread).collect();
 
     // Normal equations in scaled coordinates: M c = r with
-    // M[j][k] = Σ w_i u_i^(j+k), r[j] = Σ w_i y_i u_i^j.
+    // M[j][k] = Σ u_i^(j+k), r[j] = Σ y_i u_i^j.
     let m = degree + 1;
-    // Precompute power sums Σ w u^k for k = 0..=2·degree.
+    // Precompute power sums Σ u^k for k = 0..=2·degree.
     let mut power_sums = vec![0.0f64; 2 * degree + 1];
     let mut rhs = vec![0.0f64; m];
-    for ((&ui, &yi), &wi) in u.iter().zip(y.iter()).zip(weights.iter()) {
+    for (&ui, &yi) in u.iter().zip(y.iter()) {
         let mut upow = 1.0;
         for (k, slot) in power_sums.iter_mut().enumerate() {
-            *slot += wi * upow;
+            *slot += upow;
             if k < 2 * degree {
                 upow *= ui;
             }
         }
         let mut upow = 1.0;
         for slot in rhs.iter_mut() {
-            *slot += wi * yi * upow;
+            *slot += yi * upow;
             upow *= ui;
         }
     }
@@ -117,7 +98,7 @@ pub fn polyfit_weighted(x: &[f64], y: &[f64], weights: &[f64], degree: usize) ->
         return Err(FitError::SingularSystem);
     }
 
-    // Residual statistics (unweighted, over all samples).
+    // Residual statistics over all samples.
     let mean_y = y.iter().sum::<f64>() / n;
     let mut ss_res = 0.0;
     let mut ss_tot = 0.0;
@@ -215,32 +196,6 @@ mod tests {
     fn degree_zero_fits_mean() {
         let fit = polyfit(&[1.0, 2.0, 3.0], &[10.0, 20.0, 30.0], 0).unwrap();
         assert!((fit.poly.eval(0.0) - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn negative_weights_rejected() {
-        let err =
-            polyfit_weighted(&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0], &[1.0, -1.0, 1.0], 1).unwrap_err();
-        assert!(matches!(err, FitError::InvalidParameter(_)));
-    }
-
-    #[test]
-    fn zero_weight_point_is_ignored_by_fit() {
-        // Outlier with zero weight should not perturb the line.
-        let x = [0.0, 1.0, 2.0, 3.0];
-        let y = [0.0, 1.0, 2.0, 100.0];
-        let w = [1.0, 1.0, 1.0, 0.0];
-        let fit = polyfit_weighted(&x, &y, &w, 1).unwrap();
-        assert!((fit.poly.eval(10.0) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn heavier_weight_pulls_fit() {
-        let x = [0.0, 1.0];
-        let y = [0.0, 1.0];
-        // Degree-0 weighted fit = weighted mean.
-        let fit = polyfit_weighted(&x, &y, &[3.0, 1.0], 0).unwrap();
-        assert!((fit.poly.eval(0.0) - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -48,7 +48,9 @@
 //! * **Prediction** ([`predict`]): calibrate machine parameters
 //!   (`T_send`, `T_bcast`, `T_barrier`), build the algorithm's overhead
 //!   model, solve the isospeed-efficiency condition for the required
-//!   `N'`, and apply Theorem 1 — exactly the paper's §4.5.
+//!   `N'`, and apply Theorem 1 — exactly the paper's §4.5. One
+//!   [`predict::Predictor`] serves every kernel; a [`predict::Model`]
+//!   supplies the kernel's work, sequential portion and overhead.
 //!
 //! ## Baselines ([`baselines`])
 //!

@@ -11,7 +11,8 @@ use hetscale::hetsim_cluster::calibrate::calibrate;
 use hetscale::hetsim_cluster::sunwulf;
 use hetscale::numfit::stats::relative_error;
 use hetscale::scalability::metric::required_n_for_efficiency;
-use hetscale::scalability::predict::{psi_predicted_corollary2, GePredictor};
+use hetscale::scalability::predict::{psi_predicted_corollary2, Model, Predictor};
+use hetscale::scalability::AlgorithmSystem;
 
 fn main() {
     let net = sunwulf::sunwulf_network();
@@ -46,7 +47,7 @@ fn main() {
     let mut predictors = Vec::new();
     for &p in &configs {
         let cluster = sunwulf::ge_config(p);
-        let predictor = GePredictor::new(&cluster, machine);
+        let predictor = Predictor::new(Model::Ge, &cluster, machine);
         let n_pred = required_n_for_efficiency(&predictor, target, &sizes, 3)
             .expect("prediction reaches target")
             .round() as usize;

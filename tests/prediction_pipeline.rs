@@ -11,7 +11,7 @@ use hetscale::kernels::workload::ge_work;
 use hetscale::numfit::stats::relative_error;
 use hetscale::scalability::measure::speed_efficiency;
 use hetscale::scalability::metric::required_n_for_efficiency;
-use hetscale::scalability::predict::{psi_predicted_corollary2, GePredictor};
+use hetscale::scalability::predict::{psi_predicted_corollary2, Model, Predictor};
 
 fn sizes() -> Vec<usize> {
     vec![60, 100, 160, 260, 420, 700, 1100, 1700]
@@ -23,7 +23,7 @@ fn predicted_time_tracks_simulated_time() {
     let machine = calibrate(&net).unwrap();
     for p in [2usize, 4, 8] {
         let cluster = sunwulf::ge_config(p);
-        let predictor = GePredictor::new(&cluster, machine);
+        let predictor = Predictor::new(Model::Ge, &cluster, machine);
         for n in [120usize, 300, 600] {
             let simulated =
                 ge_parallel_timed(&cluster, &net, n, RunSpec::default()).makespan.as_secs();
@@ -43,7 +43,7 @@ fn predicted_efficiency_tracks_simulated_efficiency() {
     let net = sunwulf::sunwulf_network();
     let machine = calibrate(&net).unwrap();
     let cluster = sunwulf::ge_config(4);
-    let predictor = GePredictor::new(&cluster, machine);
+    let predictor = Predictor::new(Model::Ge, &cluster, machine);
     for n in [200usize, 500, 900] {
         let t = ge_parallel_timed(&cluster, &net, n, RunSpec::default()).makespan.as_secs();
         let measured = speed_efficiency(ge_work(n), t, cluster.marked_speed_flops());
@@ -72,7 +72,7 @@ fn predicted_psi_close_to_measured_psi() {
         let sys = bench_tables::GeSystem::new(&cluster, &net);
         let n = required_n_for_efficiency(&sys, target, &sizes(), 3).unwrap().round() as usize;
         measured_n.push(n);
-        predictors.push(GePredictor::new(&cluster, machine));
+        predictors.push(Predictor::new(Model::Ge, &cluster, machine));
     }
 
     for w in 0..configs.len() - 1 {
